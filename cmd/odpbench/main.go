@@ -4,22 +4,12 @@
 //
 // Usage:
 //
-//	odpbench                      # run everything at full size
-//	odpbench -quick               # reduced iteration counts
-//	odpbench -run E1,E6           # selected experiments only
-//	odpbench -record BENCH_2.json # hot-path micro-benchmarks → JSON
-//	odpbench -compare BENCH_2.json -against BENCH_3.json
-//	odpbench -compare BENCH_2.json # old file vs a live run
+//	odpbench            # run everything at full size
+//	odpbench -quick     # reduced iteration counts
+//	odpbench -run E1,E6 # selected experiments only
 //
-// -record runs the invocation hot-path micro-benchmarks (the same ones
-// `go test -bench` sees) and writes a machine-readable BENCH_<seq>.json
-// so successive PRs leave a comparable performance trajectory.
-//
-// -compare diffs two trajectory files (or, without -against, the old
-// file against a live run) and enforces the regression gate: any
-// benchmark more than 25% slower in ns/op, or allocating more per op,
-// exits non-zero. Benchmarks present on only one side are reported as
-// (new)/(gone) and never fail the gate.
+// Performance claims are arbitrated by the repo benchmark instead
+// (`bash benchmark/run.sh`, `odpload -compare`; see benchmark/README.md).
 package main
 
 import (
@@ -35,28 +25,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "reduced iteration counts")
 	run := flag.String("run", "", "comma-separated experiment ids (default: all)")
-	recordPath := flag.String("record", "", "write hot-path micro-benchmark results to this JSON file and exit")
-	comparePath := flag.String("compare", "", "old BENCH_<seq>.json to compare against; exits non-zero on regression")
-	againstPath := flag.String("against", "", "new BENCH_<seq>.json for -compare (default: run the benchmarks live)")
 	flag.Parse()
-	if *recordPath != "" {
-		if err := record(*recordPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *comparePath == "" {
-			return
-		}
-		// -record -compare: gate the file just written.
-		*againstPath = *recordPath
-	}
-	if *comparePath != "" {
-		if err := compare(*comparePath, *againstPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := runAll(*quick, *run); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -9,41 +9,8 @@ import (
 	"odp"
 )
 
-// This file holds the hot-path micro-benchmarks shared by two callers:
-// the repo-root Benchmark wrappers (so `go test -bench` still works) and
-// cmd/odpbench's -record mode, which runs them through
-// testing.Benchmark() and writes the BENCH_<seq>.json trajectory file.
-// Keeping one definition means the number in the JSON is the number the
-// benchmark prints — they cannot drift apart.
-
-// MicroBenchmarks lists the recorded hot-path benchmarks in a stable
-// order. Names match the root Benchmark functions minus the "Benchmark"
-// prefix.
-func MicroBenchmarks() []struct {
-	Name string
-	Fn   func(*testing.B)
-} {
-	return []struct {
-		Name string
-		Fn   func(*testing.B)
-	}{
-		{"E1DirectGoCall", MicroE1DirectGoCall},
-		{"E1CoLocatedOptimised", MicroE1CoLocatedOptimised},
-		{"E1RemoteLoopback", MicroE1RemoteLoopback},
-		{"E1HistogramLoopback", MicroE1HistogramLoopback},
-		{"E1BinaryLoopback", MicroE1BinaryLoopback},
-		{"E1TracedLoopback", MicroE1TracedLoopback},
-		{"E1TracedUnsampledLoopback", MicroE1TracedUnsampledLoopback},
-		{"E1PipelinedLoopback", MicroE1PipelinedLoopback},
-		{"E4Interrogation", MicroE4Interrogation},
-		{"E4AnnouncementDrained", MicroE4Announcement},
-		{"E4AnnounceConcurrent", MicroE4AnnounceConcurrent},
-		{"E12FrameSend", MicroE12FrameSend},
-		{"TraderImport10k", MicroTraderImport10k},
-		{"TraderImport100k", MicroTraderImport100k},
-		{"TraderChurn10k", MicroTraderChurn10k},
-	}
-}
+// This file holds the hot-path micro-benchmarks behind the repo-root
+// Benchmark wrappers (`go test -bench`, the CI bench-smoke step).
 
 // mustPair builds the standard two-node rig or aborts the benchmark.
 func mustPair(b *testing.B, profile odp.LinkProfile) *pair {
@@ -99,9 +66,8 @@ func MicroE1CoLocatedOptimised(b *testing.B) {
 // MicroE1RemoteLoopback measures the full protocol stack — codec, rpc,
 // simulated fabric — with zero network latency, so what remains is the
 // platform's own per-invocation cost. The rig is the steady state a
-// tuned deployment reaches: both nodes run write coalescing (no
-// max-delay window, so serial sends take the direct scatter-gather
-// path) and the HELLO exchange has negotiated the packed codec, so
+// tuned deployment reaches: both nodes run write coalescing (serial
+// sends take the direct scatter-gather path) and the HELLO exchange has negotiated the packed codec, so
 // requests travel as ansa-packed/1 bodies the server decodes zero-copy.
 // MicroE1BinaryLoopback keeps the un-negotiated baseline.
 func MicroE1RemoteLoopback(b *testing.B) {

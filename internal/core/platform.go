@@ -301,6 +301,8 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 		lockOpts = append(lockOpts, txn.WithLockClock(cfg.clk))
 		gcOpts = append(gcOpts, gc.WithCollectorClock(cfg.clk))
 		cfg.capsuleOpts = append(cfg.capsuleOpts, capsule.WithClock(cfg.clk))
+		// Prepended, so an explicit clock passed to WithBatching still wins.
+		cfg.batchOpts = append([]transport.CoalescerOption{transport.WithCoalescerClock(cfg.clk)}, cfg.batchOpts...)
 	}
 	p := &Platform{
 		Store:    cfg.store,

@@ -40,8 +40,8 @@ func DefaultLayeringConfig() LayeringConfig {
 		},
 		LowLayer: map[string][]string{
 			"odp/internal/wire": {},
-			// The write coalescer's max-delay flush window is clock
-			// driven, and its flushes emit observability spans.
+			// The write coalescer stamps its flush-delay histogram on the
+			// injected clock, and its flushes emit observability spans.
 			"odp/internal/transport": {"odp/internal/clock", "odp/internal/obs"},
 			// The span collector timestamps on the injected clock and
 			// renders snapshots in the wire data model.

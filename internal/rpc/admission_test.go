@@ -3,12 +3,14 @@ package rpc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/obs"
+	"odp/internal/transport"
 	"odp/internal/wire"
 )
 
@@ -62,6 +64,67 @@ func TestAdmissionShedsBeyondBurst(t *testing.T) {
 	}
 }
 
+// TestAdmissionBusyReplyNotAcked: a busy reply is never cached, so the
+// client owes it no ack — neither an ack packet on a plain endpoint nor
+// a deferred one on a batching endpoint. Only the admitted call is
+// acknowledged.
+func TestAdmissionBusyReplyNotAcked(t *testing.T) {
+	for _, batching := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batching=%v", batching), func(t *testing.T) {
+			f := netsim.NewFabric()
+			t.Cleanup(func() { _ = f.Close() })
+			cep, err := f.Endpoint("client")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sep, err := f.Endpoint("server")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := newTypeRecorder(cep)
+			var ep transport.Endpoint = rec
+			if batching {
+				ep = transport.NewCoalescer(rec)
+			}
+			t.Cleanup(func() { _ = ep.Close() })
+			cli := NewClient(ep, codec)
+			srv := NewServer(sep, codec, echoHandler, WithAdmission(AdmissionConfig{Rate: 0, Burst: 1}))
+			t.Cleanup(func() { _ = srv.Close() })
+
+			ctx := context.Background()
+			if _, _, err := cli.Call(ctx, "server", "o", "op", nil, QoS{}); err != nil {
+				t.Fatal(err)
+			}
+			const shed = 3
+			for i := 0; i < shed; i++ {
+				if _, _, err := cli.Call(ctx, "server", "o", "op", nil, QoS{}); !errors.Is(err, ErrServerBusy) {
+					t.Fatalf("shed call %d: err = %v, want ErrServerBusy", i, err)
+				}
+			}
+			if got := srv.Stats().AdmissionRejects; got != shed {
+				t.Fatalf("AdmissionRejects = %d, want %d", got, shed)
+			}
+			want := uint64(0)
+			if batching {
+				want = 1
+			}
+			if got := cli.Stats().AcksDeferred; got != want {
+				t.Fatalf("AcksDeferred = %d, want %d (the admitted call only)", got, want)
+			}
+			_ = cli.Close() // flushes whatever was deferred
+			acks := 0
+			for _, b := range rec.sent() {
+				if b&kindMask == msgAck {
+					acks++
+				}
+			}
+			if acks != 1 {
+				t.Fatalf("%d ack packets sent, want 1 (the admitted call only)", acks)
+			}
+		})
+	}
+}
+
 // TestAdmissionBusyReplyNotCached: a shed request must not burn its
 // at-most-once slot — a retransmission of the same call id re-enters
 // admission and executes once the bucket refills. This is what lets a
@@ -86,7 +149,7 @@ func TestAdmissionBusyReplyNotCached(t *testing.T) {
 	replies := make(chan replyBody, 4)
 	rep.SetHandler(func(from string, pkt []byte) {
 		h, rest, err := decodeRawHeader(pkt)
-		if err != nil || h.msgType != msgReply {
+		if err != nil || h.kind != msgReply {
 			return
 		}
 		rb, err := decodeReplyBody(codec, rest)
@@ -97,9 +160,7 @@ func TestAdmissionBusyReplyNotCached(t *testing.T) {
 	})
 
 	mkRequest := func(callID uint64) []byte {
-		pkt := encodeHeader(nil, header{
-			version: protoVersion, msgType: msgRequest, callID: callID, objID: "o", op: "op",
-		})
+		pkt := encodeHeader(nil, header{kind: msgRequest, callID: callID, objID: "o", op: "op"})
 		pkt, err := wire.EncodeAllInto(codec, pkt, nil)
 		if err != nil {
 			t.Fatal(err)

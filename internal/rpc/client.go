@@ -64,9 +64,8 @@ type ClientStats struct {
 	// request, retransmission or announcement to the same destination,
 	// so they shared that send's batch.
 	AcksPiggybacked uint64
-	// PackedUpgrades counts invocations sent as protocol version 2
-	// (ansa-packed/1 body) because the destination advertised
-	// transport.CapPacked.
+	// PackedUpgrades counts invocations sent with an ansa-packed/1 body
+	// (flagPacked) because the destination advertised transport.CapPacked.
 	PackedUpgrades uint64
 }
 
@@ -129,8 +128,8 @@ type Client struct {
 	lazy transport.LazySender
 
 	// caps, when non-nil, is consulted per call: a destination that
-	// advertised transport.CapPacked gets its invocations as protocol
-	// version 2 with ansa-packed/1 bodies. Set only when the session
+	// advertised transport.CapPacked gets its invocations flagged packed,
+	// with ansa-packed/1 bodies. Set only when the session
 	// codec is the binary default — an explicitly chosen codec (text,
 	// for debugging) is never silently overridden.
 	caps transport.CapNegotiator
@@ -149,9 +148,8 @@ type Client struct {
 
 // pendingAck is one deferred acknowledgement awaiting piggybacking.
 type pendingAck struct {
-	dest  string
-	objID string
-	id    uint64
+	dest string
+	id   uint64
 }
 
 // ackFlushBound caps the deferred-ack queue: reaching it flushes
@@ -181,7 +179,7 @@ func WithClientObserver(col *obs.Collector) ClientOption {
 // NewPeer) so requests and replies share one endpoint.
 func NewClient(ep transport.Endpoint, codec wire.Codec, opts ...ClientOption) *Client {
 	c := newClientNoHandler(ep, codec, opts...)
-	ep.SetHandler(c.onPacket)
+	ep.SetHandler(func(from string, pkt []byte) { demux(c, nil, from, pkt) })
 	return c
 }
 
@@ -294,6 +292,41 @@ func (c *Client) unregister(id uint64) bool {
 	return present
 }
 
+// newRequest assembles the packet of one outbound invocation — request
+// or announcement — in a pooled buffer: header, trace ids when the
+// invocation is sampled, argument vector. The sampling decision was
+// taken at the trace root: an untraced ctx leaves sp nil and the flag
+// clear, so unsampled invocations put nothing extra on the wire (or the
+// heap). A destination that advertised CapPacked gets a packed body;
+// before negotiation completes (or against a plain peer) PeerCaps
+// reports zero and the session codec is used — per-call fallback, no
+// connection state. On success the caller owns bufp and sp.
+func (c *Client) newRequest(ctx context.Context, kind byte, dest, objID, op string, args []wire.Value) (bufp *[]byte, id uint64, sp *obs.Span, err error) {
+	h := header{kind: kind, callID: c.nextID.Add(1), objID: objID, op: op}
+	if c.obs != nil {
+		spanKind := obs.KindSend
+		if kind == msgAnnounce {
+			spanKind = obs.KindAnnounce
+		}
+		if sp = c.obs.BeginChild(obs.FromContext(ctx), spanKind, op); sp != nil {
+			h.flags, h.trace = flagTraced, sp.Context()
+		}
+	}
+	if c.caps != nil && c.caps.PeerCaps(dest)&transport.CapPacked != 0 {
+		h.flags |= flagPacked
+		c.stats.packedUpgrades.Add(1)
+	}
+	bufp = wire.GetBuffer()
+	pkt, err := wire.EncodeAllInto(bodyCodec(h.flags, c.codec), encodeHeader(*bufp, h), args)
+	if err != nil {
+		wire.PutBuffer(bufp)
+		c.obs.End(sp)
+		return nil, 0, nil, err
+	}
+	*bufp = pkt
+	return bufp, h.callID, sp, nil
+}
+
 // Call performs an interrogation of op on object objID at dest. It blocks
 // until a reply arrives, ctx is cancelled, or the QoS deadline passes.
 // The results are the application outcome and its result package; err is
@@ -303,51 +336,16 @@ func (c *Client) Call(ctx context.Context, dest, objID, op string, args []wire.V
 
 	// The send span covers the whole interrogation, first transmission
 	// to reply; retransmissions and the ack are instant events under it.
-	// The sampling decision was taken at the trace root: an untraced ctx
-	// leaves sp nil and the packet uses the plain request type, so
-	// unsampled calls put nothing extra on the wire (or the heap).
-	var sp *obs.Span
-	mt := byte(msgRequest)
-	if c.obs != nil {
-		if sp = c.obs.BeginChild(obs.FromContext(ctx), obs.KindSend, op); sp != nil {
-			mt = msgRequestT
-		}
-	}
-	defer c.obs.End(sp)
-
-	// A destination that advertised CapPacked gets the invocation as
-	// protocol version 2: identical header, body in the packed codec.
-	// Before negotiation completes (or against a plain peer) PeerCaps
-	// reports zero and the call goes out as version 1 — per-call
-	// fallback, no connection state.
-	ver := byte(protoVersion)
-	if c.caps != nil && c.caps.PeerCaps(dest)&transport.CapPacked != 0 {
-		ver = protoVersionPacked
-		c.stats.packedUpgrades.Add(1)
-	}
-
-	// Header, trace context and argument vector encode into one pooled
-	// buffer, reused across retransmissions (transports do not retain
-	// packets) — which is also what guarantees a retransmitted request
-	// carries the original span context.
-	bufp := wire.GetBuffer()
-	defer wire.PutBuffer(bufp)
-	id := c.nextID.Add(1)
-	pkt := encodeHeader(*bufp, header{
-		version: ver,
-		msgType: mt,
-		callID:  id,
-		objID:   objID,
-		op:      op,
-	})
-	if sp != nil {
-		pkt = appendTraceCtx(pkt, sp.Context())
-	}
-	pkt, err := wire.EncodeAllInto(bodyCodec(ver, c.codec), pkt, args)
+	// The packet is reused across retransmissions (transports do not
+	// retain packets) — which is also what guarantees a retransmitted
+	// request carries the original span context.
+	bufp, id, sp, err := c.newRequest(ctx, msgRequest, dest, objID, op, args)
 	if err != nil {
 		return "", nil, err
 	}
-	*bufp = pkt
+	defer wire.PutBuffer(bufp)
+	defer c.obs.End(sp)
+	pkt := *bufp
 
 	ch, ok := c.register(id)
 	if !ok {
@@ -392,9 +390,12 @@ func (c *Client) Call(ctx context.Context, dest, objID, op string, args []wire.V
 			c.lat.Observe(c.clk.Since(start))
 			// Acknowledge so the server may evict its reply cache. On a
 			// batching endpoint the ack is deferred to piggyback on the
-			// next outgoing batch; otherwise it is sent immediately.
-			c.noteAck(dest, objID, id)
-			c.obs.Event(sp.Context(), obs.KindAck, op)
+			// next outgoing batch; otherwise it is sent immediately. A
+			// busy reply is not cached, so there is nothing to evict.
+			if rb.status != statusBusy {
+				c.noteAck(dest, id)
+				c.obs.Event(sp.Context(), obs.KindAck, op)
+			}
 			return c.interpret(rb)
 		case <-t.C():
 			elapsed := c.clk.Since(start)
@@ -437,13 +438,13 @@ func (c *Client) abandon(id uint64, ch chan replyBody) {
 
 // noteAck acknowledges a completed call: immediately on a plain
 // endpoint, deferred onto the piggyback queue on a batching one.
-func (c *Client) noteAck(dest, objID string, id uint64) {
+func (c *Client) noteAck(dest string, id uint64) {
 	if !c.batching {
-		c.sendAck(dest, objID, id)
+		c.sendAck(dest, id)
 		return
 	}
 	c.ackMu.Lock()
-	c.acks = append(c.acks, pendingAck{dest: dest, objID: objID, id: id})
+	c.acks = append(c.acks, pendingAck{dest: dest, id: id})
 	n := len(c.acks)
 	c.ackMu.Unlock()
 	c.stats.acksDeferred.Add(1)
@@ -478,24 +479,18 @@ func (c *Client) flushAcks(dest string) {
 	}
 	c.ackMu.Unlock()
 	for _, a := range take {
-		c.sendAck(a.dest, a.objID, a.id)
+		c.sendAck(a.dest, a.id)
 		c.stats.acksPiggybacked.Add(1)
 	}
 }
 
-// sendAck writes one ack packet from a pooled buffer (acks carry no
-// body, so they stay version 1 regardless of negotiation). On an
-// endpoint with lazy sends the ack is only queued — it rides in the
-// batch the next substantive send to that peer claims, sharing its
-// datagram instead of paying for a write of its own.
-func (c *Client) sendAck(dest, objID string, id uint64) {
+// sendAck writes one ack packet from a pooled buffer. On an endpoint
+// with lazy sends the ack is only queued — it rides in the batch the
+// next substantive send to that peer claims, sharing its datagram
+// instead of paying for a write of its own.
+func (c *Client) sendAck(dest string, id uint64) {
 	ackp := wire.GetBuffer()
-	ack := encodeHeader(*ackp, header{
-		version: protoVersion,
-		msgType: msgAck,
-		callID:  id,
-		objID:   objID,
-	})
+	ack := encodeHeader(*ackp, header{kind: msgAck, callID: id})
 	if c.lazy != nil {
 		_ = c.lazy.SendLazy(dest, ack)
 	} else {
@@ -516,37 +511,13 @@ func (c *Client) Announce(dest, objID, op string, args []wire.Value, qos QoS) er
 // context carried by ctx propagates to the announcee, so announcements
 // triggered inside a traced invocation join its tree.
 func (c *Client) AnnounceCtx(ctx context.Context, dest, objID, op string, args []wire.Value, qos QoS) error {
-	var sp *obs.Span
-	mt := byte(msgAnnounce)
-	if c.obs != nil {
-		if sp = c.obs.BeginChild(obs.FromContext(ctx), obs.KindAnnounce, op); sp != nil {
-			mt = msgAnnounceT
-		}
-	}
-	defer c.obs.End(sp)
-
-	ver := byte(protoVersion)
-	if c.caps != nil && c.caps.PeerCaps(dest)&transport.CapPacked != 0 {
-		ver = protoVersionPacked
-		c.stats.packedUpgrades.Add(1)
-	}
-	bufp := wire.GetBuffer()
-	defer wire.PutBuffer(bufp)
-	pkt := encodeHeader(*bufp, header{
-		version: ver,
-		msgType: mt,
-		callID:  c.nextID.Add(1),
-		objID:   objID,
-		op:      op,
-	})
-	if sp != nil {
-		pkt = appendTraceCtx(pkt, sp.Context())
-	}
-	pkt, err := wire.EncodeAllInto(bodyCodec(ver, c.codec), pkt, args)
+	bufp, _, sp, err := c.newRequest(ctx, msgAnnounce, dest, objID, op, args)
 	if err != nil {
 		return err
 	}
-	*bufp = pkt
+	defer wire.PutBuffer(bufp)
+	defer c.obs.End(sp)
+	pkt := *bufp
 	c.stats.announcements.Add(1)
 	if c.batching {
 		c.flushAcks(dest)
@@ -585,27 +556,15 @@ func (c *Client) interpret(rb replyBody) (string, []wire.Value, error) {
 	}
 }
 
-// onPacket handles inbound packets when the client owns the endpoint.
-// The raw header parse skips materialising the objID/op strings, which
-// a reply never needs — the call id alone routes it.
-func (c *Client) onPacket(from string, pkt []byte) {
-	h, rest, err := decodeRawHeader(pkt)
-	if err != nil || h.msgType != msgReply {
-		return
-	}
-	c.deliverReply(h.version, h.callID, rest)
-}
-
-// deliverReply routes a decoded reply to the waiting call, decoding the
-// body in the codec of the version it arrived as (a packed request
-// earns a packed reply). Decoding is synchronous (body aliases a
-// transport buffer that is reused after this returns) and fully
-// copying. Undecodable and unmatched replies are counted, not silently
-// dropped. Claiming the pending entry before the send makes this
-// goroutine the channel's sole sender, which is what lets completed
-// calls recycle their channels.
-func (c *Client) deliverReply(version byte, callID uint64, body []byte) {
-	rb, err := decodeReplyBody(bodyCodec(version, c.codec), body)
+// deliverReply routes a reply to the waiting call, decoding the body in
+// the codec its flags name (a packed request earns a packed reply).
+// Decoding is synchronous (body aliases a transport buffer that is
+// reused after this returns) and fully copying. Undecodable and
+// unmatched replies are counted, not silently dropped. Claiming the
+// pending entry before the send makes this goroutine the channel's sole
+// sender, which is what lets completed calls recycle their channels.
+func (c *Client) deliverReply(flags byte, callID uint64, body []byte) {
+	rb, err := decodeReplyBody(bodyCodec(flags, c.codec), body)
 	if err != nil {
 		c.stats.badReplies.Add(1)
 		return

@@ -1,10 +1,10 @@
-// Fuzzing for the invocation-packet decode path, exactly as the server's
-// dispatch loop runs it: header, then (for traced types) the
-// trace-context block, then the body. The seed corpus covers every
-// message type, trace context present/absent/truncated, flag-byte
-// variations and header truncations. The decoder must never panic, must
-// reject truncated trace contexts, and must round-trip the fixed-size
-// context block it accepts.
+// Fuzzing for the invocation-packet decode path, exactly as the demux
+// runs it: the header — kind, flag bits, call id, target, trace ids —
+// then the body. The seed corpus covers every kind, each flag set and
+// clear, trace ids present/absent/truncated, unknown kinds and flag
+// bits, and header truncations. The decoder must never panic, must
+// reject truncated trace ids, and must re-encode every header it
+// accepts byte-identically.
 package rpc
 
 import (
@@ -15,14 +15,14 @@ import (
 	"odp/internal/wire"
 )
 
-// buildPacket assembles a packet the way the client does: header, then
-// optional trace context, then encoded arguments.
-func buildPacket(mt byte, callID uint64, objID, op string, traced bool, args []wire.Value) []byte {
-	pkt := encodeHeader(nil, header{version: protoVersion, msgType: mt, callID: callID, objID: objID, op: op})
-	if traced {
-		pkt = appendTraceCtx(pkt, obs.SpanContext{TraceID: 0xABCD, SpanID: 0x1234})
+// buildPacket assembles a packet the way the client does: header (trace
+// ids included when flagged), then encoded arguments.
+func buildPacket(kind, flags byte, callID uint64, objID, op string, args []wire.Value) []byte {
+	h := header{kind: kind, flags: flags, callID: callID, objID: objID, op: op}
+	if flags&flagTraced != 0 {
+		h.trace = obs.SpanContext{TraceID: 0xABCD, SpanID: 0x1234}
 	}
-	pkt, err := wire.EncodeAllInto(wire.BinaryCodec{}, pkt, args)
+	pkt, err := wire.EncodeAllInto(bodyCodec(flags, wire.BinaryCodec{}), encodeHeader(nil, h), args)
 	if err != nil {
 		panic(err)
 	}
@@ -31,56 +31,56 @@ func buildPacket(mt byte, callID uint64, objID, op string, traced bool, args []w
 
 func FuzzPacketDecode(f *testing.F) {
 	args := []wire.Value{int64(7), "hello", wire.List{true}}
-	// Well-formed frames of every type.
-	f.Add(buildPacket(msgRequest, 1, "obj", "op", false, args))
-	f.Add(buildPacket(msgAnnounce, 2, "obj", "note", false, nil))
-	f.Add(buildPacket(msgRequestT, 3, "obj", "op", true, args))   // trace context present
-	f.Add(buildPacket(msgAnnounceT, 4, "obj", "note", true, nil)) // traced announcement
-	f.Add(buildPacket(msgAck, 5, "obj", "op", false, nil))        // ack carries no body
-	reply := encodeHeader(nil, header{version: protoVersion, msgType: msgReply, callID: 6, objID: "obj", op: "op"})
-	reply, _ = appendReplyBody(wire.BinaryCodec{}, reply, statusOK, "ok", args, "", wire.Ref{})
-	f.Add(reply)
-	// Malformed shapes around the trace-context block.
-	traced := buildPacket(msgRequestT, 7, "obj", "op", true, args)
+	// Well-formed frames of every kind and flag combination.
+	f.Add(buildPacket(msgRequest, 0, 1, "obj", "op", args))
+	f.Add(buildPacket(msgAnnounce, 0, 2, "obj", "note", nil))
+	f.Add(buildPacket(msgRequest, flagTraced, 3, "obj", "op", args))              // trace ids present
+	f.Add(buildPacket(msgAnnounce, flagTraced, 4, "obj", "note", nil))            // traced announcement
+	f.Add(buildPacket(msgRequest, flagPacked, 5, "obj", "op", args))              // packed body
+	f.Add(buildPacket(msgAnnounce, flagTraced|flagPacked, 6, "obj", "note", nil)) // both
+	f.Add(encodeHeader(nil, header{kind: msgAck, callID: 7}))                     // ack: header only
+	for _, flags := range []byte{0, flagPacked} {
+		reply := encodeHeader(nil, header{kind: msgReply, flags: flags, callID: 8})
+		reply, _ = appendReplyBody(bodyCodec(flags, wire.BinaryCodec{}), reply, statusOK, "ok", args, "", wire.Ref{})
+		f.Add(reply)
+	}
+	// Malformed shapes around the trace ids.
+	traced := buildPacket(msgRequest, flagTraced, 9, "obj", "op", args)
 	f.Add(traced[:len(traced)-1]) // truncated inside the args
-	plainHdr := encodeHeader(nil, header{version: protoVersion, msgType: msgRequestT, callID: 8, objID: "o", op: "p"})
-	f.Add(plainHdr)                                                                       // traced type, no context at all
-	f.Add(append(plainHdr[:len(plainHdr):len(plainHdr)], make([]byte, traceCtxLen-1)...)) // context cut short
-	unsampled := append(plainHdr[:len(plainHdr):len(plainHdr)], make([]byte, traceCtxLen)...)
-	f.Add(unsampled) // sampled bit clear, ids zero
-	weird := buildPacket(msgRequestT, 9, "obj", "op", true, nil)
-	weird[len(weird)-traceCtxLen] = 0xFF // every flag bit set
-	f.Add(weird)
-	f.Add([]byte{})                                         // empty
-	f.Add([]byte{protoVersion})                             // version only
-	f.Add([]byte{0xFF, msgRequest, 0, 0, 0, 0, 0, 0, 0, 0}) // future version
-	f.Add(buildPacket(99, 10, "obj", "op", false, nil))     // unknown message type
+	hdr := encodeHeader(nil, header{kind: msgRequest, flags: flagTraced, callID: 10, objID: "o", op: "p"})
+	f.Add(hdr[:len(hdr)-traceLen])                                         // traced flag, no ids at all
+	f.Add(hdr[:len(hdr)-1])                                                // ids cut short
+	f.Add(encodeHeader(nil, header{kind: msgAck, flags: flagTraced}))      // traced ack, zero ids
+	f.Add([]byte{})                                                        // empty
+	f.Add([]byte{protoVersion})                                            // version only
+	f.Add([]byte{0xFF, msgRequest, 0, 0, 0, 0, 0, 0, 0, 0})                // future version
+	f.Add([]byte{2, msgRequest, 0, 0, 0, 0, 0, 0, 0, 0})                   // the retired packed version
+	f.Add([]byte{protoVersion, 5, 0, 0, 0, 0, 0, 0, 0, 0})                 // unknown kind
+	f.Add([]byte{protoVersion, msgRequest | 0x80, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown flag bit
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, body, err := decodeHeader(data)
+		h, body, err := decodeRawHeader(data)
 		if err != nil {
 			return
 		}
-		switch h.msgType {
-		case msgRequestT, msgAnnounceT:
-			sc, rest, err := readTraceCtx(body)
-			if err != nil {
-				return
-			}
-			// The accepted block is fixed-size and position-stable.
-			block := body[:traceCtxLen]
-			if block[0] == traceCtxSampled {
-				if re := appendTraceCtx(nil, sc); !bytes.Equal(re, block) {
-					t.Fatalf("trace context re-encode mismatch:\n in: % x\nout: % x", block, re)
-				}
-			} else if block[0]&traceCtxSampled == 0 && sc.Valid() {
-				t.Fatalf("unsampled block produced valid context %+v", sc)
-			}
-			_, _ = wire.DecodeAll(wire.BinaryCodec{}, rest)
+		// Everything the parse accepted is position-stable: re-encoding
+		// the header yields the bytes it was read from.
+		hdr := data[:len(data)-len(body)]
+		if re := encodeHeader(nil, h); !bytes.Equal(re, hdr) {
+			t.Fatalf("header re-encode mismatch:\n in: % x\nout: % x", hdr, re)
+		}
+		if h.flags&flagTraced == 0 && h.trace != (obs.SpanContext{}) {
+			t.Fatalf("untraced frame produced context %+v", h.trace)
+		}
+		codec := bodyCodec(h.flags, wire.BinaryCodec{})
+		switch h.kind {
 		case msgRequest, msgAnnounce:
-			_, _ = wire.DecodeAll(wire.BinaryCodec{}, body)
+			_, _ = wire.DecodeAll(codec, body)
+			if h.flags&flagPacked != 0 {
+				_, _ = wire.PackedCodec{}.DecodeAllAlias(nil, body)
+			}
 		case msgReply:
-			_, _ = decodeReplyBody(wire.BinaryCodec{}, body)
+			_, _ = decodeReplyBody(codec, body)
 		}
 	})
 }

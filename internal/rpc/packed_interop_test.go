@@ -52,8 +52,8 @@ func interopRig(t *testing.T, wrapClient, wrapServer bool, caps byte) (*Client, 
 }
 
 // checkedCall runs one echo call and verifies the round-tripped result,
-// which exercises the full encode/decode path under whatever protocol
-// version the client picked.
+// which exercises the full encode/decode path under whatever body codec
+// the client flagged.
 func checkedCall(t *testing.T, cli *Client, i int) {
 	t.Helper()
 	outcome, results, err := cli.Call(context.Background(), "server", "obj", "reverse",
@@ -97,8 +97,8 @@ func TestPackedUpgradeNegotiated(t *testing.T) {
 
 // TestPackedClientPlainServer: a capable client against a server with no
 // coalescer at all. The HELLO probe reaches the server's rpc demux as an
-// unparseable frame and is dropped; every call stays version-1 binary
-// and succeeds.
+// unparseable frame and is dropped; every call keeps the packed flag
+// clear (session binary codec) and succeeds.
 func TestPackedClientPlainServer(t *testing.T) {
 	cli, srv := interopRig(t, true, false, transport.CapPacked)
 	for i := 0; i < 20; i++ {
@@ -114,7 +114,7 @@ func TestPackedClientPlainServer(t *testing.T) {
 
 // TestPlainClientPackedServer is the reverse pairing: the server
 // advertises packed but the client cannot hear it, so traffic stays
-// version-1 binary — and the server's probe towards the client is
+// unflagged binary — and the server's probe towards the client is
 // dropped by the client's rpc demux without disturbing replies.
 func TestPlainClientPackedServer(t *testing.T) {
 	cli, srv := interopRig(t, false, true, transport.CapPacked)
@@ -130,7 +130,7 @@ func TestPlainClientPackedServer(t *testing.T) {
 }
 
 // TestBatchingWithoutPackedCapability: peers that negotiate batching but
-// advertise no capability bits keep exchanging version-1 binary bodies —
+// advertise no capability bits keep exchanging unflagged binary bodies —
 // the BATCH framing upgrade and the codec upgrade are independent.
 func TestBatchingWithoutPackedCapability(t *testing.T) {
 	cli, _ := interopRig(t, true, true, 0)

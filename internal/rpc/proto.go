@@ -29,20 +29,39 @@ import (
 	"odp/internal/wire"
 )
 
-// Message types.
+// Every message is one frame:
+//
+//	[version][kind | flags][8 call id BE] [target] [trace ids] body
+//
+// kind occupies the low nibble of the second byte and the flag bits the
+// high one. The target — object id and operation, each u32-length
+// prefixed — is carried by requests and announcements only: a reply or
+// an ack is routed by its call id alone. The first byte is never 0xB7,
+// which transport control frames claim.
 const (
 	msgRequest  = 1 // interrogation request
 	msgReply    = 2 // interrogation reply
 	msgAck      = 3 // client acknowledges reply; server may evict cache
 	msgAnnounce = 4 // one-way announcement
 
-	// Traced variants: identical to msgRequest/msgAnnounce with a
-	// trace-context block prefixed to the body. Sampling is encoded in
-	// the message type itself — an unsampled invocation uses the plain
-	// type and pays zero wire bytes, and a pre-tracing peer drops the
-	// unknown types in its dispatch switch rather than misparsing args.
-	msgRequestT  = 5 // traced interrogation request
-	msgAnnounceT = 6 // traced one-way announcement
+	kindMask = 0x0f
+
+	// flagPacked marks a body encoded with the ansa-packed/1 codec
+	// (wire.PackedCodec) instead of the session codec. It is pure codec
+	// negotiation, carried per message so a reply is always issued in the
+	// codec of the request it answers and mixed traffic needs no
+	// connection state. A peer only ever receives it after advertising
+	// transport.CapPacked in its HELLO.
+	flagPacked = 0x10
+	// flagTraced marks a sampled invocation: the caller's trace and span
+	// ids (8 bytes each, big-endian) precede the body. An unsampled
+	// invocation clears the bit and pays zero wire bytes. The ids are
+	// part of the packet, so a retransmission (encoded once, resent
+	// verbatim) carries the identical context and the server's dedup
+	// tables keep a duplicate from minting a second dispatch span.
+	flagTraced = 0x20
+
+	flagMask = flagPacked | flagTraced
 )
 
 // Reply statuses.
@@ -58,21 +77,16 @@ const (
 // protoVersion guards against cross-version confusion.
 const protoVersion = 1
 
-// protoVersionPacked marks a message whose BODY is encoded with the
-// ansa-packed/1 codec (wire.PackedCodec) instead of the session codec.
-// The header layout is byte-for-byte identical to version 1 — the
-// version is pure codec negotiation, carried per message so a reply can
-// always be issued in the version of the request it answers and mixed
-// traffic needs no connection state. A peer only ever receives version
-// 2 after advertising transport.CapPacked in its HELLO, so pre-packed
-// peers reject it in decode exactly as they reject garbage.
-const protoVersionPacked = 2
+// fixedHdrLen is version, kind|flags and call id; traceLen the two ids.
+const (
+	fixedHdrLen = 10
+	traceLen    = 16
+)
 
-// bodyCodec maps a message's protocol version to the codec its body is
-// encoded with: the negotiated session codec for version 1, packed for
-// version 2.
-func bodyCodec(version byte, session wire.Codec) wire.Codec {
-	if version == protoVersionPacked {
+// bodyCodec maps a message's flags to the codec its body is encoded
+// with: packed when flagged, the negotiated session codec otherwise.
+func bodyCodec(flags byte, session wire.Codec) wire.Codec {
+	if flags&flagPacked != 0 {
 		return wire.PackedCodec{}
 	}
 	return session
@@ -119,107 +133,78 @@ type RemoteError struct {
 // Error implements error.
 func (e *RemoteError) Error() string { return "rpc: remote: " + e.Msg }
 
-// header is the fixed part of every message.
+// header is the decoded form of everything ahead of a message body.
+// Decoding is zero-allocation: objID and op alias the packet and are
+// only valid while it is (the transport Handler contract), so a path
+// that retains them clones them explicitly.
 type header struct {
-	version byte
-	msgType byte
-	callID  uint64
-	objID   string
-	op      string
+	kind   byte
+	flags  byte
+	callID uint64
+	objID  string          // requests and announcements only
+	op     string          // requests and announcements only
+	trace  obs.SpanContext // present iff flags has flagTraced
 }
 
+// hasTarget reports whether messages of this kind name an object and an
+// operation.
+func hasTarget(kind byte) bool { return kind == msgRequest || kind == msgAnnounce }
+
 func encodeHeader(dst []byte, h header) []byte {
-	dst = append(dst, h.version, h.msgType)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], h.callID)
+	var b [fixedHdrLen]byte
+	b[0], b[1] = protoVersion, h.kind|h.flags
+	binary.BigEndian.PutUint64(b[2:], h.callID)
 	dst = append(dst, b[:]...)
-	dst = appendStr(dst, h.objID)
-	dst = appendStr(dst, h.op)
+	if hasTarget(h.kind) {
+		dst = appendStr(dst, h.objID)
+		dst = appendStr(dst, h.op)
+	}
+	if h.flags&flagTraced != 0 {
+		var t [traceLen]byte
+		binary.BigEndian.PutUint64(t[:8], h.trace.TraceID)
+		binary.BigEndian.PutUint64(t[8:], h.trace.SpanID)
+		dst = append(dst, t[:]...)
+	}
 	return dst
 }
 
-// rawHeader is the zero-allocation view of a message header: objID and
-// op alias the packet and are only valid while it is (the Handler
-// contract). Dispatch paths that must retain them materialise strings
-// explicitly, so the common case — a reply, or an inline dispatch that
-// finishes before returning — never allocates for the header.
-type rawHeader struct {
-	version byte
-	msgType byte
-	callID  uint64
-	objID   []byte
-	op      []byte
-}
-
-func decodeRawHeader(src []byte) (rawHeader, []byte, error) {
-	if len(src) < 10 {
-		return rawHeader{}, nil, ErrBadMessage
+// decodeRawHeader parses the header of src and returns the body behind
+// it. A wrong version, an unknown kind and an unknown flag bit are all
+// rejected here, so nothing downstream ever sees a frame it would have
+// to guess at.
+func decodeRawHeader(src []byte) (header, []byte, error) {
+	if len(src) < fixedHdrLen {
+		return header{}, nil, ErrBadMessage
 	}
-	h := rawHeader{version: src[0], msgType: src[1]}
-	if h.version != protoVersion && h.version != protoVersionPacked {
-		return rawHeader{}, nil, fmt.Errorf("%w: version %d", ErrBadMessage, h.version)
+	if src[0] != protoVersion {
+		return header{}, nil, fmt.Errorf("%w: version %d", ErrBadMessage, src[0])
 	}
-	h.callID = binary.BigEndian.Uint64(src[2:10])
-	rest := src[10:]
-	var err error
-	if h.objID, rest, err = readBytes(rest); err != nil {
-		return rawHeader{}, nil, err
+	h := header{kind: src[1] & kindMask, flags: src[1] &^ kindMask}
+	if h.kind < msgRequest || h.kind > msgAnnounce || h.flags&^flagMask != 0 {
+		return header{}, nil, fmt.Errorf("%w: kind/flags %#x", ErrBadMessage, src[1])
 	}
-	if h.op, rest, err = readBytes(rest); err != nil {
-		return rawHeader{}, nil, err
+	h.callID = binary.BigEndian.Uint64(src[2:fixedHdrLen])
+	rest := src[fixedHdrLen:]
+	if hasTarget(h.kind) {
+		var objID, op []byte
+		var err error
+		if objID, rest, err = readBytes(rest); err != nil {
+			return header{}, nil, err
+		}
+		if op, rest, err = readBytes(rest); err != nil {
+			return header{}, nil, err
+		}
+		h.objID, h.op = aliasString(objID), aliasString(op)
+	}
+	if h.flags&flagTraced != 0 {
+		if len(rest) < traceLen {
+			return header{}, nil, fmt.Errorf("%w: truncated trace context", ErrBadMessage)
+		}
+		h.trace.TraceID = binary.BigEndian.Uint64(rest[:8])
+		h.trace.SpanID = binary.BigEndian.Uint64(rest[8:traceLen])
+		rest = rest[traceLen:]
 	}
 	return h, rest, nil
-}
-
-func decodeHeader(src []byte) (header, []byte, error) {
-	rh, rest, err := decodeRawHeader(src)
-	if err != nil {
-		return header{}, nil, err
-	}
-	return header{
-		version: rh.version,
-		msgType: rh.msgType,
-		callID:  rh.callID,
-		objID:   string(rh.objID),
-		op:      string(rh.op),
-	}, rest, nil
-}
-
-// Trace-context block, prefixed to the body of msgRequestT/msgAnnounceT:
-//
-//	[1 flags][8 traceID BE][8 parentSpanID BE]
-//
-// flags bit 0 is the sampled bit; the ids are meaningful only when it is
-// set. The block is fixed-size so a retransmitted packet (encoded once,
-// resent verbatim) carries the identical context, and the server's dedup
-// generation maps then guarantee a duplicate request can never mint a
-// second dispatch span.
-const (
-	traceCtxLen     = 17
-	traceCtxSampled = 0x01
-)
-
-// appendTraceCtx appends the trace-context block for sc to dst.
-func appendTraceCtx(dst []byte, sc obs.SpanContext) []byte {
-	var b [traceCtxLen]byte
-	b[0] = traceCtxSampled
-	binary.BigEndian.PutUint64(b[1:9], sc.TraceID)
-	binary.BigEndian.PutUint64(b[9:17], sc.SpanID)
-	return append(dst, b[:]...)
-}
-
-// readTraceCtx consumes the trace-context block. A cleared sampled bit
-// yields the invalid (zero) context regardless of the id bytes.
-func readTraceCtx(src []byte) (obs.SpanContext, []byte, error) {
-	if len(src) < traceCtxLen {
-		return obs.SpanContext{}, nil, fmt.Errorf("%w: truncated trace context", ErrBadMessage)
-	}
-	var sc obs.SpanContext
-	if src[0]&traceCtxSampled != 0 {
-		sc.TraceID = binary.BigEndian.Uint64(src[1:9])
-		sc.SpanID = binary.BigEndian.Uint64(src[9:17])
-	}
-	return sc, src[traceCtxLen:], nil
 }
 
 // Request body: encoded argument vector.
@@ -253,10 +238,6 @@ func appendReplyBody(codec wire.Codec, dst []byte, status byte, outcome string, 
 	case statusNoObject, statusBusy:
 	}
 	return dst, nil
-}
-
-func encodeReplyBody(codec wire.Codec, status byte, outcome string, results []wire.Value, msg string, fwd wire.Ref) ([]byte, error) {
-	return appendReplyBody(codec, nil, status, outcome, results, msg, fwd)
 }
 
 type replyBody struct {

@@ -1,77 +1,111 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"odp/internal/obs"
 	"odp/internal/wire"
 )
 
-func TestHeaderRoundTrip(t *testing.T) {
-	tests := []header{
-		{version: protoVersion, msgType: msgRequest, callID: 1, objID: "obj", op: "doIt"},
-		{version: protoVersion, msgType: msgReply, callID: 1<<64 - 1, objID: "", op: ""},
-		{version: protoVersion, msgType: msgAnnounce, callID: 0, objID: "a/b/c", op: "op with spaces"},
-		{version: protoVersion, msgType: msgAck, callID: 42, objID: "x", op: ""},
+// TestFrameTable walks the one frame layout over kind × traced × packed:
+// every combination round-trips through encodeHeader → decodeRawHeader,
+// requests and announcements carry the object id and operation while
+// replies and acks do not, and every strict prefix of a header is
+// rejected.
+func TestFrameTable(t *testing.T) {
+	trace := obs.SpanContext{TraceID: 0xABCD, SpanID: 0x1234}
+	for kind := byte(msgRequest); kind <= msgAnnounce; kind++ {
+		for _, flags := range []byte{0, flagTraced, flagPacked, flagTraced | flagPacked} {
+			h := header{kind: kind, flags: flags, callID: ^uint64(kind)}
+			wantLen := fixedHdrLen
+			if hasTarget(kind) {
+				h.objID, h.op = "a/b/c", "op with spaces"
+				wantLen += 4 + len(h.objID) + 4 + len(h.op)
+			}
+			if flags&flagTraced != 0 {
+				h.trace = trace
+				wantLen += traceLen
+			}
+			enc := encodeHeader(nil, h)
+			if len(enc) != wantLen {
+				t.Fatalf("%+v: header is %d bytes, want %d", h, len(enc), wantLen)
+			}
+			if enc[0] != protoVersion || enc[0] == 0xB7 {
+				t.Fatalf("%+v: first byte %#x", h, enc[0])
+			}
+			got, rest, err := decodeRawHeader(append(enc, "BODY"...))
+			if err != nil {
+				t.Fatalf("%+v: %v", h, err)
+			}
+			if got != h {
+				t.Fatalf("round trip: %+v != %+v", got, h)
+			}
+			if string(rest) != "BODY" {
+				t.Fatalf("%+v: rest %q", h, rest)
+			}
+			if !hasTarget(kind) {
+				// A target on a reply or an ack never reaches the wire.
+				named := h
+				named.objID, named.op = "obj", "op"
+				if !bytes.Equal(encodeHeader(nil, named), enc) {
+					t.Fatalf("%+v: reply/ack carried a target", h)
+				}
+			}
+			for cut := 0; cut < len(enc); cut++ {
+				if _, _, err := decodeRawHeader(enc[:cut]); !errors.Is(err, ErrBadMessage) {
+					t.Fatalf("%+v: truncated header (%d/%d bytes): err = %v", h, cut, len(enc), err)
+				}
+			}
+		}
 	}
-	for _, h := range tests {
-		enc := encodeHeader(nil, h)
-		enc = append(enc, []byte("BODY")...)
-		got, rest, err := decodeHeader(enc)
-		if err != nil {
-			t.Fatalf("%+v: %v", h, err)
-		}
-		if got != h {
-			t.Fatalf("round trip: %+v != %+v", got, h)
-		}
-		if string(rest) != "BODY" {
-			t.Fatalf("rest %q", rest)
+}
+
+// TestFrameRejected: a wrong version, an unknown kind and an unknown
+// flag bit are all ErrBadMessage at the header parse.
+func TestFrameRejected(t *testing.T) {
+	valid := encodeHeader(nil, header{kind: msgRequest, flags: flagTraced | flagPacked, callID: 1, objID: "o", op: "p"})
+	if _, _, err := decodeRawHeader(valid); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][2]byte{
+		"version 0":            {0, msgRequest},
+		"version 2":            {2, msgRequest}, // the retired packed-body version
+		"future version":       {0xFF, msgRequest},
+		"kind 0":               {protoVersion, 0},
+		"kind 5":               {protoVersion, 5}, // the retired traced-request type
+		"kind 6":               {protoVersion, 6}, // the retired traced-announce type
+		"kind 15":              {protoVersion, kindMask},
+		"unknown flag 0x40":    {protoVersion, msgRequest | 0x40},
+		"unknown flag 0x80":    {protoVersion, msgRequest | 0x80},
+		"known + unknown flag": {protoVersion, msgReply | flagPacked | 0x80},
+	}
+	for name, b := range cases {
+		pkt := append([]byte(nil), valid...)
+		pkt[0], pkt[1] = b[0], b[1]
+		if _, _, err := decodeRawHeader(pkt); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("%s: err = %v, want ErrBadMessage", name, err)
 		}
 	}
 }
 
 func TestHeaderRoundTripProperty(t *testing.T) {
-	prop := func(msgType uint8, callID uint64, objID, op string) bool {
-		h := header{
-			version: protoVersion,
-			msgType: msgType,
-			callID:  callID,
-			objID:   objID,
-			op:      op,
+	prop := func(kind, flags uint8, callID uint64, objID, op string, trace obs.SpanContext) bool {
+		h := header{kind: msgRequest + kind%4, flags: flags & flagMask, callID: callID}
+		if hasTarget(h.kind) {
+			h.objID, h.op = objID, op
 		}
-		enc := encodeHeader(nil, h)
-		got, rest, err := decodeHeader(enc)
+		if h.flags&flagTraced != 0 {
+			h.trace = trace
+		}
+		got, rest, err := decodeRawHeader(encodeHeader(nil, h))
 		return err == nil && got == h && len(rest) == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHeaderVersionRejected(t *testing.T) {
-	h := header{version: protoVersionPacked + 1, msgType: msgRequest, callID: 1}
-	enc := encodeHeader(nil, h)
-	if _, _, err := decodeHeader(enc); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("future version accepted: %v", err)
-	}
-	// Version 2 (packed body) shares the version-1 header layout and
-	// must parse identically.
-	h.version = protoVersionPacked
-	enc = encodeHeader(nil, h)
-	if got, _, err := decodeHeader(enc); err != nil || got != h {
-		t.Fatalf("packed version rejected: %v (got %+v)", err, got)
-	}
-}
-
-func TestHeaderTruncated(t *testing.T) {
-	h := header{version: protoVersion, msgType: msgRequest, callID: 7, objID: "object", op: "operation"}
-	enc := encodeHeader(nil, h)
-	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := decodeHeader(enc[:cut]); err == nil {
-			t.Fatalf("truncated header (%d/%d bytes) accepted", cut, len(enc))
-		}
 	}
 }
 
@@ -95,7 +129,7 @@ func TestReplyBodyRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			enc, err := encodeReplyBody(codec, tt.status, tt.outcome, tt.results, tt.msg, tt.fwd)
+			enc, err := appendReplyBody(codec, nil, tt.status, tt.outcome, tt.results, tt.msg, tt.fwd)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,7 +123,7 @@ type Server struct {
 	// endpoints whose deliveries are independently scheduled
 	// (transport.ConcurrentDeliverer) — on a serial read loop an
 	// inline handler blocking on a nested call would deadlock the
-	// very replies it waits for. Auto-detected; see WithInlineDispatch.
+	// very replies it waits for — so it is read off the endpoint.
 	inline bool
 
 	closed atomic.Bool
@@ -224,21 +225,11 @@ func WithAdmission(cfg AdmissionConfig) ServerOption {
 	return func(s *Server) { s.admissionCfg = &cfg }
 }
 
-// WithInlineDispatch overrides the automatic inline-dispatch detection.
-// Inline dispatch runs handlers synchronously in the delivery goroutine
-// — no per-request goroutine, and argument payloads may be decoded
-// zero-copy against the packet. It is enabled automatically when the
-// endpoint reports transport.ConcurrentDeliverer; forcing it on over a
-// serial transport risks deadlock on nested invocations.
-func WithInlineDispatch(on bool) ServerOption {
-	return func(s *Server) { s.inline = on }
-}
-
 // NewServer wraps ep and dispatches to handler. The server takes over the
 // endpoint's handler; use a Peer for combined client/server endpoints.
 func NewServer(ep transport.Endpoint, codec wire.Codec, handler Handler, opts ...ServerOption) *Server {
 	s := newServerNoHandler(ep, codec, handler, opts...)
-	ep.SetHandler(s.onPacket)
+	ep.SetHandler(func(from string, pkt []byte) { demux(nil, s, from, pkt) })
 	return s
 }
 
@@ -252,9 +243,8 @@ func newServerNoHandler(ep transport.Endpoint, codec wire.Codec, handler Handler
 		clk:      clock.Real{},
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	if cd, ok := ep.(transport.ConcurrentDeliverer); ok && cd.DeliversConcurrently() {
-		s.inline = true
-	}
+	cd, ok := ep.(transport.ConcurrentDeliverer)
+	s.inline = ok && cd.DeliversConcurrently()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.cur = make(map[callKey]*serverCall)
@@ -303,35 +293,31 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// onPacket handles inbound packets when the server owns the endpoint.
-func (s *Server) onPacket(from string, pkt []byte) {
-	h, rest, err := decodeRawHeader(pkt)
+// demux is the inbound half of every endpoint this package owns: it
+// parses one packet and routes it by kind to whichever role handles it.
+// A bare Client passes a nil server and a bare Server a nil client;
+// kinds addressed to the absent role are dropped. h and body alias a
+// transport buffer, so everything that outlives this call is decoded or
+// copied before it returns.
+func demux(c *Client, s *Server, from string, pkt []byte) {
+	h, body, err := decodeRawHeader(pkt)
 	if err != nil {
 		return
 	}
-	s.dispatch(from, h, rest)
-}
-
-// dispatch routes one decoded message. h and body alias a transport
-// buffer, so everything that outlives this call must be decoded or
-// copied before it returns; argument decoding is therefore synchronous
-// (or against a private arena). Unknown message types (including the
-// traced variants, on peers built before they existed) fall through and
-// are dropped, never misparsed.
-func (s *Server) dispatch(from string, h rawHeader, body []byte) {
-	switch h.msgType {
+	if h.kind == msgReply {
+		if c != nil {
+			c.deliverReply(h.flags, h.callID, body)
+		}
+		return
+	}
+	if s == nil {
+		return
+	}
+	switch h.kind {
 	case msgRequest:
-		s.onRequest(from, h, body, obs.SpanContext{})
+		s.onRequest(from, h, body)
 	case msgAnnounce:
-		s.onAnnounce(from, h, body, obs.SpanContext{})
-	case msgRequestT:
-		if tc, rest, err := readTraceCtx(body); err == nil {
-			s.onRequest(from, h, rest, tc)
-		}
-	case msgAnnounceT:
-		if tc, rest, err := readTraceCtx(body); err == nil {
-			s.onAnnounce(from, h, rest, tc)
-		}
+		s.onAnnounce(from, h, body)
 	case msgAck:
 		s.onAck(from, h.callID)
 	}
@@ -395,7 +381,7 @@ func (s *Server) claimAnnounce(key callKey) (dup, closed bool) {
 	return false, false
 }
 
-func (s *Server) onRequest(from string, h rawHeader, body []byte, tc obs.SpanContext) {
+func (s *Server) onRequest(from string, h header, body []byte) {
 	key := callKey{from: from, id: h.callID}
 	sc, dup, resend, closed := s.claimRequest(key)
 	if dup {
@@ -419,20 +405,27 @@ func (s *Server) onRequest(from string, h rawHeader, body []byte, tc obs.SpanCon
 	// admitted call must not pay twice) but before execution claims any
 	// lasting state: a rejected request surrenders its freshly-claimed
 	// slot, so a later retransmission re-attempts admission against a
-	// refilled bucket instead of being suppressed into a timeout.
+	// refilled bucket instead of being suppressed into a timeout. The
+	// busy reply is likewise uncached.
 	if s.admission != nil && !s.admission.admit(from) {
 		s.unclaim(key)
 		s.stats.admissionRejects.Add(1)
-		if s.obs != nil && tc.Valid() {
-			// The op string must outlive the packet: the span ring keeps it.
-			s.obs.Event(tc, obs.KindReject, string(h.op))
-		}
-		s.sendBusy(from, h)
+		s.noteReject(h)
+		_ = s.ep.Send(from, s.encodeReply(h.flags, h.callID, statusBusy, "", nil, "", wire.Ref{}))
 		return
 	}
 
 	s.stats.requests.Add(1)
-	s.startExecute(from, h, body, key, sc, false, tc)
+	s.startExecute(from, h, body, sc)
+}
+
+// noteReject leaves the only trace of a sampled invocation that
+// admission shed before dispatch.
+func (s *Server) noteReject(h header) {
+	if s.obs != nil && h.trace.Valid() {
+		// The op string must outlive the packet: the span ring keeps it.
+		s.obs.Event(h.trace, obs.KindReject, strings.Clone(h.op))
+	}
 }
 
 // unclaim releases a request slot claimed but never executed (admission
@@ -450,27 +443,8 @@ func (s *Server) unclaim(key callKey) {
 	s.wg.Done()
 }
 
-// sendBusy issues an immediate uncached statusBusy reply: nothing is
-// retained, so retransmissions of the shed request re-enter admission.
-func (s *Server) sendBusy(from string, h rawHeader) {
-	reply := encodeHeader(nil, header{
-		version: h.version,
-		msgType: msgReply,
-		callID:  h.callID,
-		objID:   aliasString(h.objID),
-		op:      aliasString(h.op),
-	})
-	reply, err := appendReplyBody(bodyCodec(h.version, s.codec), reply,
-		statusBusy, "", nil, "", wire.Ref{})
-	if err != nil {
-		return
-	}
-	_ = s.ep.Send(from, reply)
-}
-
-func (s *Server) onAnnounce(from string, h rawHeader, body []byte, tc obs.SpanContext) {
-	key := callKey{from: from, id: h.callID}
-	dup, closed := s.claimAnnounce(key)
+func (s *Server) onAnnounce(from string, h header, body []byte) {
+	dup, closed := s.claimAnnounce(callKey{from: from, id: h.callID})
 	if closed {
 		return
 	}
@@ -485,66 +459,68 @@ func (s *Server) onAnnounce(from string, h rawHeader, body []byte, tc obs.SpanCo
 	// QoS.Repeats copies of the dropped announcement dedup as usual.
 	if s.admission != nil && !s.admission.admit(from) {
 		s.stats.admissionDrops.Add(1)
-		if s.obs != nil && tc.Valid() {
-			s.obs.Event(tc, obs.KindReject, string(h.op))
-		}
+		s.noteReject(h)
 		s.wg.Done()
 		return
 	}
 
 	s.stats.announcements.Add(1)
-	s.startExecute(from, h, body, key, nil, true, tc)
+	s.startExecute(from, h, body, nil)
 }
 
-// startExecute decodes the argument vector and runs the handler — in
-// place on the inline path, on a fresh goroutine otherwise.
-//
-// Inline (concurrent-delivery endpoints): the handler finishes before
-// the delivery callback returns, so header fields and packed arguments
-// may alias the packet outright — the zero-copy path. Version-1 bodies
-// still decode through the session codec (which materialises private
-// values), but skip the goroutine hand-off all the same.
-//
-// Asynchronous (serial transports): the packet dies when this call
-// returns, so version-1 bodies are decoded synchronously as before and
-// a packed body is copied once into a pooled arena that the aliasing
-// decode then targets; the arena lives until the reply has been
-// encoded. Either way the argument payload is copied at most once.
-func (s *Server) startExecute(from string, h rawHeader, body []byte, key callKey, sc *serverCall, announcement bool, tc obs.SpanContext) {
-	if s.inline {
-		var (
-			args []wire.Value
-			err  error
-			zc   bool
+// call is one admitted invocation on its way through a handler:
+// everything run needs, in one pooled record. in is what the handler
+// sees (handlers must not retain it — see Incoming).
+type call struct {
+	in    Incoming
+	id    uint64
+	flags byte            // the request's; flagPacked carries over to the reply
+	trace obs.SpanContext // the caller's span, when the request was sampled
+	sc    *serverCall     // at-most-once slot; nil for announcements
+	err   error           // argument decode failure, reported in the reply
+	arena *[]byte         // pooled copy of a packed body the arguments alias
+}
 
-			objID, op string
-		)
-		if h.version == protoVersionPacked {
-			args, err = wire.PackedCodec{}.DecodeAllAlias(nil, body)
-			objID, op = aliasString(h.objID), aliasString(h.op)
-			if s.obs != nil && tc.TraceID != 0 {
-				// The span ring retains the operation name beyond this
-				// dispatch; only sampled requests pay the copy.
-				op = string(h.op)
-			}
-			zc = true
-		} else {
-			args, err = wire.DecodeAll(s.codec, body)
-			objID, op = string(h.objID), string(h.op)
+var callPool = sync.Pool{New: func() interface{} { return new(call) }}
+
+// startExecute decodes the argument vector — aliasing iff the body is
+// packed — and runs the handler — inline iff the endpoint delivers
+// concurrently.
+//
+// A packed body is decoded zero-copy. Inline, the handler finishes
+// before the delivery callback returns, so arguments and header strings
+// alias the packet outright. Spawned (serial transports), the packet
+// dies when this call returns, so the body is copied once into a pooled
+// arena that the aliasing decode then targets; the arena lives until
+// the reply has been encoded. Session-codec bodies decode into private
+// values either way, which the handler may keep.
+func (s *Server) startExecute(from string, h header, body []byte, sc *serverCall) {
+	c := callPool.Get().(*call)
+	c.id, c.flags, c.trace, c.sc = h.callID, h.flags, h.trace, sc
+	c.in = Incoming{From: from, ObjID: h.objID, Op: h.op, Announcement: sc == nil}
+	if h.flags&flagPacked != 0 {
+		c.in.ZeroCopy = true
+		if !s.inline {
+			c.arena = wire.GetBuffer()
+			*c.arena = append((*c.arena)[:0], body...)
+			body = *c.arena
 		}
-		s.execute(from, h.version, h.callID, objID, op, args, err, key, sc, announcement, tc, zc, nil)
-		return
+		c.in.Args, c.err = wire.PackedCodec{}.DecodeAllAlias(nil, body)
+	} else {
+		c.in.Args, c.err = wire.DecodeAll(s.codec, body)
 	}
-	objID, op := string(h.objID), string(h.op)
-	if h.version == protoVersionPacked {
-		arena := wire.GetBuffer()
-		*arena = append((*arena)[:0], body...)
-		args, err := wire.PackedCodec{}.DecodeAllAlias(nil, *arena)
-		go s.execute(from, h.version, h.callID, objID, op, args, err, key, sc, announcement, tc, true, arena)
-		return
+	if !(c.in.ZeroCopy && s.inline) {
+		c.in.ObjID, c.in.Op = strings.Clone(h.objID), strings.Clone(h.op)
+	} else if s.obs != nil && h.trace.Valid() {
+		// The span ring retains the operation name beyond the dispatch;
+		// only sampled requests pay the copy.
+		c.in.Op = strings.Clone(h.op)
 	}
-	args, err := wire.DecodeAll(s.codec, body)
-	go s.execute(from, h.version, h.callID, objID, op, args, err, key, sc, announcement, tc, false, nil)
+	if s.inline {
+		s.run(c)
+	} else {
+		go s.run(c)
+	}
 }
 
 // ackGrace is how long a completed call entry survives after the client's
@@ -575,38 +551,18 @@ func (s *Server) onAck(from string, callID uint64) {
 	sh.mu.Unlock()
 }
 
-// incomingPool recycles Handler call descriptors (handlers must not
-// retain them — see Incoming).
-var incomingPool = sync.Pool{New: func() interface{} { return new(Incoming) }}
-
-// execute runs the handler and, for interrogations, sends and caches
-// the reply, encoded in the codec of the version the request arrived
-// in. args were decoded by the dispatcher; decodeErr carries any
-// failure into the reply path. When zeroCopy is set, objID, op and the
-// argument payload alias packet or arena storage valid until this
-// function returns (arena, if non-nil, is the pooled copy backing them
-// and is released at the end — after the reply encode, which may read
-// results aliasing it).
-func (s *Server) execute(from string, version byte, callID uint64, objID, op string, args []wire.Value, decodeErr error, key callKey, sc *serverCall, announcement bool, tc obs.SpanContext, zeroCopy bool, arena *[]byte) {
+// run executes the handler for c and, for interrogations, sends and
+// caches the reply. It owns c: the record, and the arena behind a
+// zero-copy argument vector, are released only after the reply encode,
+// which may read results aliasing them.
+func (s *Server) run(c *call) {
 	defer s.wg.Done()
-	if arena != nil {
-		defer wire.PutBuffer(arena)
-	}
 	var (
 		outcome string
 		results []wire.Value
-		err     = decodeErr
+		err     = c.err
 	)
 	if err == nil {
-		in := incomingPool.Get().(*Incoming)
-		*in = Incoming{
-			From:         from,
-			ObjID:        objID,
-			Op:           op,
-			Args:         args,
-			Announcement: announcement,
-			ZeroCopy:     zeroCopy,
-		}
 		// Handlers get the server-lifetime context: Close cancels it,
 		// so a handler that blocks (on locks, channels, or nested
 		// invocations) can select on ctx.Done() and unwind. A traced
@@ -616,21 +572,28 @@ func (s *Server) execute(from string, version byte, callID uint64, objID, op str
 		ctx := s.ctx
 		var sp *obs.Span
 		if s.obs != nil {
-			if sp = s.obs.BeginChild(tc, obs.KindDispatch, op); sp != nil {
+			if sp = s.obs.BeginChild(c.trace, obs.KindDispatch, c.in.Op); sp != nil {
 				ctx = obs.ContextWith(ctx, sp.Context())
 			}
 		}
 		began := s.clk.Now()
-		outcome, results, err = s.handler(ctx, in)
+		outcome, results, err = s.handler(ctx, &c.in)
 		s.dispatchLat.Observe(s.clk.Since(began))
 		s.obs.End(sp)
-		*in = Incoming{}
-		incomingPool.Put(in)
 	}
-	if announcement {
-		return // nothing to report, by design
+	if c.sc != nil { // announcements have nothing to report, by design
+		s.reply(c, outcome, results, err)
 	}
+	if c.arena != nil {
+		wire.PutBuffer(c.arena)
+	}
+	*c = call{}
+	callPool.Put(c)
+}
 
+// reply maps the handler's result onto a protocol status, then caches
+// and sends the reply packet.
+func (s *Server) reply(c *call, outcome string, results []wire.Value, err error) {
 	status := byte(statusOK)
 	msg := ""
 	var fwd wire.Ref
@@ -648,41 +611,34 @@ func (s *Server) execute(from string, version byte, callID uint64, objID, op str
 			status, msg = statusSysError, err.Error()
 		}
 	}
-	// The reply goes out in the version (and so body codec) of the
-	// request it answers: a packed request earns a packed reply, and a
-	// plain peer never sees version 2. The reply packet is retained in
-	// the at-most-once cache for retransmission, so it is built in its
-	// own allocation, header and body in one buffer.
-	codec := bodyCodec(version, s.codec)
-	reply := encodeHeader(nil, header{
-		version: version,
-		msgType: msgReply,
-		callID:  callID,
-		objID:   objID,
-		op:      op,
-	})
-	reply, encErr := appendReplyBody(codec, reply, status, outcome, results, msg, fwd)
-	if encErr != nil {
-		reply = encodeHeader(reply[:0], header{
-			version: version,
-			msgType: msgReply,
-			callID:  callID,
-			objID:   objID,
-			op:      op,
-		})
-		reply, _ = appendReplyBody(codec, reply, statusSysError, "", nil,
-			"reply encoding: "+encErr.Error(), wire.Ref{})
-	}
+	pkt := s.encodeReply(c.flags, c.id, status, outcome, results, msg, fwd)
 
-	sh := s.shard(key)
+	sh := s.shard(callKey{from: c.in.From, id: c.id})
 	sh.mu.Lock()
-	sc.done = true
-	sc.reply = reply
-	sc.expires = s.clk.Now().Add(s.replyTTL)
+	c.sc.done = true
+	c.sc.reply = pkt
+	c.sc.expires = s.clk.Now().Add(s.replyTTL)
 	sh.mu.Unlock()
 	if !s.closed.Load() {
-		_ = s.ep.Send(from, reply)
+		_ = s.ep.Send(c.in.From, pkt)
 	}
+}
+
+// encodeReply builds a reply packet in the body codec of the request it
+// answers: a packed request earns a packed reply, and a plain peer never
+// sees the flag. The packet may be retained in the at-most-once cache
+// for retransmission, so it is built in its own allocation, header and
+// body in one buffer.
+func (s *Server) encodeReply(reqFlags byte, id uint64, status byte, outcome string, results []wire.Value, msg string, fwd wire.Ref) []byte {
+	flags := reqFlags & flagPacked
+	codec := bodyCodec(flags, s.codec)
+	hdr := encodeHeader(nil, header{kind: msgReply, flags: flags, callID: id})
+	pkt, err := appendReplyBody(codec, hdr, status, outcome, results, msg, fwd)
+	if err != nil {
+		pkt, _ = appendReplyBody(codec, hdr, statusSysError, "", nil,
+			"reply encoding: "+err.Error(), wire.Ref{})
+	}
+	return pkt
 }
 
 // janitor evicts reply-cache entries (lost Acks must not leak memory).
@@ -812,17 +768,7 @@ func NewPeer(ep transport.Endpoint, codec wire.Codec, handler Handler, opts ...P
 		Client: newClientNoHandler(ep, codec, pc.clientOpts...),
 		Server: newServerNoHandler(ep, codec, handler, pc.serverOpts...),
 	}
-	ep.SetHandler(func(from string, pkt []byte) {
-		h, rest, err := decodeRawHeader(pkt)
-		if err != nil {
-			return
-		}
-		if h.msgType == msgReply {
-			p.Client.deliverReply(h.version, h.callID, rest)
-			return
-		}
-		p.Server.dispatch(from, h, rest)
-	})
+	ep.SetHandler(func(from string, pkt []byte) { demux(p.Client, p.Server, from, pkt) })
 	return p
 }
 

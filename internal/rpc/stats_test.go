@@ -44,26 +44,14 @@ func TestBadAndOrphanReplyCounters(t *testing.T) {
 
 	// A reply header followed by a body that cannot decode (status byte
 	// missing entirely).
-	bad := encodeHeader(nil, header{
-		version: protoVersion,
-		msgType: msgReply,
-		callID:  1,
-		objID:   "obj",
-		op:      "op",
-	})
+	bad := encodeHeader(nil, header{kind: msgReply, callID: 1})
 	if err := rogue.Send("client", bad); err != nil {
 		t.Fatal(err)
 	}
 	pollUntil(t, "BadReplies == 1", func() bool { return cli.Stats().BadReplies == 1 })
 
 	// A perfectly well-formed reply for a call id that was never issued.
-	orphan := encodeHeader(nil, header{
-		version: protoVersion,
-		msgType: msgReply,
-		callID:  999,
-		objID:   "obj",
-		op:      "op",
-	})
+	orphan := encodeHeader(nil, header{kind: msgReply, callID: 999})
 	orphan, err = appendReplyBody(codec, orphan, statusOK, "ok", nil, "", wire.Ref{})
 	if err != nil {
 		t.Fatal(err)
@@ -154,11 +142,10 @@ func TestRetransmissionStormAccounting(t *testing.T) {
 	// duplicate, and discarded by the client as an orphan — the server
 	// clock is frozen, so the cache cannot have expired.
 	replay := encodeHeader(nil, header{
-		version: protoVersion,
-		msgType: msgRequest,
-		callID:  1, // first id issued by the client above
-		objID:   "obj",
-		op:      "slow",
+		kind:   msgRequest,
+		callID: 1, // first id issued by the client above
+		objID:  "obj",
+		op:     "slow",
 	})
 	replay, err = wire.EncodeAllInto(codec, replay, args)
 	if err != nil {

@@ -106,7 +106,7 @@ type replyDropper struct {
 }
 
 func (d *replyDropper) Send(to string, pkt []byte) error {
-	if len(pkt) >= 2 && pkt[1] == msgReply && d.dropped.CompareAndSwap(false, true) {
+	if len(pkt) >= 2 && pkt[1]&kindMask == msgReply && d.dropped.CompareAndSwap(false, true) {
 		return nil
 	}
 	return d.Endpoint.Send(to, pkt)
@@ -234,7 +234,104 @@ func TestTracedAnnouncementSpans(t *testing.T) {
 	}
 }
 
-// typeRecorder observes the message type of every outbound client packet.
+// TestTracedPackedPeerPair sends a sampled interrogation and a sampled
+// announcement between two peers that negotiated the packed codec, so
+// both flag bits ride one kind byte. The callee must see zero-copy
+// arguments (packed reached it), record exactly one dispatch span per
+// invocation under the span that sent it (traced reached it), and the
+// whole exchange must form a single tree.
+func TestTracedPackedPeerPair(t *testing.T) {
+	f := netsim.NewFabric()
+	t.Cleanup(func() { _ = f.Close() })
+	announced := make(chan bool, 1)
+	handler := func(_ context.Context, in *Incoming) (string, []wire.Value, error) {
+		if in.Announcement {
+			announced <- in.ZeroCopy
+			return "", nil, nil
+		}
+		return "ok", []wire.Value{in.ZeroCopy}, nil
+	}
+	mkPeer := func(name string) (*Peer, *obs.Collector) {
+		ep, err := f.Endpoint(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		co := transport.NewCoalescer(ep, transport.WithCapabilities(transport.CapPacked))
+		col := obs.NewCollector(name, obs.WithSampleEvery(1))
+		p := NewPeer(co, codec, handler, WithPeerObserver(col))
+		t.Cleanup(func() { _ = p.Close(); _ = co.Close() })
+		return p, col
+	}
+	a, acol := mkPeer("a")
+	_, bcol := mkPeer("b")
+
+	// Untraced warm-up until the HELLO exchange lets calls go out packed.
+	deadline := time.Now().Add(10 * time.Second)
+	for a.Client.Stats().PackedUpgrades == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("packed upgrade never negotiated")
+		}
+		if _, _, err := a.Client.Call(context.Background(), "b", "obj", "warm", nil, QoS{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := a.Client.Stats().PackedUpgrades
+
+	root := acol.Begin(obs.KindStub, "both")
+	rootCtx := root.Context()
+	ctx := obs.ContextWith(context.Background(), rootCtx)
+	_, results, err := a.Client.Call(ctx, "b", "obj", "ask", []wire.Value{"payload"}, QoS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0] != true {
+		t.Fatalf("interrogation was not dispatched zero-copy: %v", results)
+	}
+	if err := a.Client.AnnounceCtx(ctx, "b", "obj", "tell", []wire.Value{"payload"}, QoS{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case zc := <-announced:
+		if !zc {
+			t.Fatal("announcement was not dispatched zero-copy")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("announcement never executed")
+	}
+	acol.End(root)
+	if got := a.Client.Stats().PackedUpgrades; got != before+2 {
+		t.Fatalf("PackedUpgrades %d -> %d, want both traced invocations packed", before, got)
+	}
+
+	sends := spansOfKind(acol.Snapshot(), obs.KindSend)
+	anns := spansOfKind(acol.Snapshot(), obs.KindAnnounce)
+	if len(sends) != 1 || len(anns) != 1 {
+		t.Fatalf("caller spans: %d send, %d announce, want 1 and 1", len(sends), len(anns))
+	}
+	var dispatches []obs.Span
+	for time.Now().Before(deadline) {
+		// The announcement's dispatch span ends after its handler returns.
+		if dispatches = spansOfKind(bcol.Snapshot(), obs.KindDispatch); len(dispatches) >= 2 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if len(dispatches) != 2 {
+		t.Fatalf("dispatch spans = %d, want exactly 2 (warm-up calls were unsampled)", len(dispatches))
+	}
+	parents := map[string]uint64{"ask": sends[0].SpanID, "tell": anns[0].SpanID}
+	for _, d := range dispatches {
+		if d.TraceID != rootCtx.TraceID {
+			t.Fatalf("dispatch %q in trace %x, want the single tree %x", d.Name, d.TraceID, rootCtx.TraceID)
+		}
+		if want, ok := parents[d.Name]; !ok || d.ParentID != want {
+			t.Fatalf("dispatch %q parent %x, want %x", d.Name, d.ParentID, want)
+		}
+		delete(parents, d.Name)
+	}
+}
+
+// typeRecorder observes the kind|flags byte of every outbound client packet.
 type typeRecorder struct {
 	transport.Endpoint
 	mu    chan struct{}
@@ -261,8 +358,9 @@ func (r *typeRecorder) sent() []byte {
 }
 
 // TestUnsampledCallsPutNothingOnTheWire pins the wire-format contract:
-// sampling is encoded in the message type, so an unsampled (or untraced)
-// call sends a plain msgRequest and a sampled one sends msgRequestT.
+// sampling is encoded in a flag bit of the kind byte, so an unsampled (or
+// untraced) call sends a bare msgRequest and a sampled one sets
+// flagTraced.
 func TestUnsampledCallsPutNothingOnTheWire(t *testing.T) {
 	f := netsim.NewFabric()
 	t.Cleanup(func() { _ = f.Close() })
@@ -283,11 +381,11 @@ func TestUnsampledCallsPutNothingOnTheWire(t *testing.T) {
 	_ = srv
 
 	// Unsampled: no span context in ctx, BeginChild declines, so the
-	// request goes out as a plain msgRequest.
+	// request goes out as a bare msgRequest.
 	if _, _, err := cli.Call(context.Background(), "server", "obj", "echo", nil, QoS{}); err != nil {
 		t.Fatal(err)
 	}
-	// Sampled: a root in ctx upgrades the message type.
+	// Sampled: a root in ctx sets the traced flag.
 	root := col.Begin(obs.KindStub, "echo")
 	ctx := obs.ContextWith(context.Background(), root.Context())
 	if _, _, err := cli.Call(ctx, "server", "obj", "echo", nil, QoS{}); err != nil {
@@ -297,12 +395,12 @@ func TestUnsampledCallsPutNothingOnTheWire(t *testing.T) {
 
 	var requests []byte
 	for _, mt := range rec.sent() {
-		if mt == msgRequest || mt == msgRequestT {
+		if mt&kindMask == msgRequest {
 			requests = append(requests, mt)
 		}
 	}
-	if len(requests) != 2 || requests[0] != msgRequest || requests[1] != msgRequestT {
-		t.Fatalf("request message types = %v, want [%d %d]", requests, msgRequest, msgRequestT)
+	if len(requests) != 2 || requests[0] != msgRequest || requests[1] != msgRequest|flagTraced {
+		t.Fatalf("request kind bytes = %#x, want [%#x %#x]", requests, msgRequest, msgRequest|flagTraced)
 	}
 	// An untraced server executed both: traced frames degrade gracefully.
 	if srv.Stats().Requests != 2 {

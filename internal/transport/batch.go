@@ -9,22 +9,23 @@
 // destination into a single BATCH datagram, amortising the per-packet
 // cost across all of them without the layers above changing at all.
 //
-// Flush policy (natural batching, in the group-commit tradition):
+// Flush policy (natural batching, in the group-commit tradition): no
+// frame is ever held back to wait for company. Three paths share one
+// per-destination queue, each kept because a workload takes it:
 //
-//   - a dedicated flusher per destination drains the pending buffer as
-//     fast as the inner endpoint accepts it; whatever accumulated while
-//     the previous write was in flight forms the next batch, so batch
-//     size adapts to load with no added latency under light load;
-//   - a size threshold forces a flush when the pending buffer is big
-//     enough that waiting would not improve amortisation;
-//   - an optional max-delay (off by default) holds sub-threshold
-//     batches for a bounded window, trading latency for packing. It is
-//     driven by an injected clock.Clock so fake-clock tests exercise it
-//     deterministically.
+//   - direct write: a Send that finds no write in progress claims the
+//     whole queue and writes it synchronously, so serial request/reply
+//     traffic never pays a goroutine hand-off;
+//   - lazy enqueue (SendLazy): acks and announcements are queued without
+//     forcing a write, so they share the datagram of the next Send;
+//   - a flusher per destination drains whatever queued behind an
+//     in-flight write or was enqueued lazily with no Send to follow;
+//     what accumulated during the previous write forms the next batch,
+//     so batch size adapts to load.
 //
 // Interop is version-negotiated in-band. Control frames claim the first
 // byte 0xB7, which no rpc packet can start with (rpc packets start with
-// protoVersion, currently 1). Until a peer proves it understands
+// their protocol version, 1). Until a peer proves it understands
 // batching — by sending a BATCH/HELLO frame, or answering a HELLO probe
 // with a HELLO ack — every frame to it passes through unbatched, so a
 // batching endpoint degrades transparently against a plain one: the
@@ -77,10 +78,8 @@ const (
 	// batch, so negotiation converges under loss without a probe storm.
 	helloEvery = 64
 
-	// Defaults; see the corresponding CoalescerOptions.
-	defaultFlushThreshold = 32 << 10
-	defaultMaxBatchFrames = 64
-	defaultPendingLimit   = 256 << 10
+	// Default; see WithPendingLimit.
+	defaultPendingLimit = 256 << 10
 )
 
 // ErrBatchCorrupt reports a BATCH frame whose structure is inconsistent
@@ -133,34 +132,6 @@ func sizeBucket(n int) int {
 // CoalescerOption configures a Coalescer.
 type CoalescerOption func(*Coalescer)
 
-// WithFlushThreshold sets the pending-buffer size (bytes) that forces an
-// immediate flush regardless of the max-delay window.
-func WithFlushThreshold(n int) CoalescerOption {
-	return func(c *Coalescer) {
-		if n > 0 {
-			c.threshold = n
-		}
-	}
-}
-
-// WithMaxBatchFrames caps the number of sub-frames packed into one
-// batch.
-func WithMaxBatchFrames(n int) CoalescerOption {
-	return func(c *Coalescer) {
-		if n > 0 {
-			c.maxFrames = n
-		}
-	}
-}
-
-// WithMaxDelay holds sub-threshold batches open for up to d, trading
-// bounded extra latency for better packing under light concurrency.
-// Zero (the default) flushes as soon as the flusher is idle: natural
-// batching only, no added latency.
-func WithMaxDelay(d time.Duration) CoalescerOption {
-	return func(c *Coalescer) { c.maxDelay = d }
-}
-
 // WithPendingLimit bounds the bytes queued per destination. When the
 // limit is reached further frames are dropped (and counted), matching
 // the best-effort contract of the endpoint beneath.
@@ -172,7 +143,8 @@ func WithPendingLimit(n int) CoalescerOption {
 	}
 }
 
-// WithCoalescerClock injects the clock driving the max-delay window.
+// WithCoalescerClock injects the clock that stamps enqueue and claim
+// times for the flush-delay histogram.
 func WithCoalescerClock(clk clock.Clock) CoalescerOption {
 	return func(c *Coalescer) {
 		if clk != nil {
@@ -202,9 +174,6 @@ type Coalescer struct {
 	inner Endpoint
 	clk   clock.Clock
 
-	threshold    int
-	maxFrames    int
-	maxDelay     time.Duration
 	pendingLimit int
 	caps         byte // local capability bits advertised in HELLOs
 
@@ -221,8 +190,8 @@ type Coalescer struct {
 
 	stats coalCounters
 	// flushDelay is the queue-delay distribution: first enqueue of a
-	// batch to its claim for writing. Direct flushes record ~0; the
-	// max-delay window and flusher scheduling show up here.
+	// batch to its claim for writing. Direct flushes record ~0; time
+	// spent queued behind an in-flight write shows up here.
 	flushDelay obs.Histogram
 }
 
@@ -247,8 +216,6 @@ func NewCoalescer(ep Endpoint, opts ...CoalescerOption) *Coalescer {
 	c := &Coalescer{
 		inner:        ep,
 		clk:          clock.Real{},
-		threshold:    defaultFlushThreshold,
-		maxFrames:    defaultMaxBatchFrames,
 		pendingLimit: defaultPendingLimit,
 		peers:        make(map[string]*batchPeer),
 		stop:         make(chan struct{}),
@@ -327,12 +294,11 @@ func (c *Coalescer) loadHandler() Handler {
 // contract of the unreliable endpoint beneath. Frames to other peers
 // pass straight through.
 //
-// When no max-delay window is configured and no write is in progress,
-// the sender claims the whole queue — its own frame plus anything
-// parked by SendLazy or earlier senders — and writes the batch
-// synchronously. Serial traffic then skips the flusher hand-off (two
-// scheduler hops per frame) entirely; the flusher remains the drain for
-// frames that arrive while a claimed write is on the wire.
+// When no write is in progress the sender claims the whole queue — its
+// own frame plus anything parked by SendLazy or earlier senders — and
+// writes the batch synchronously. Serial traffic then skips the flusher
+// hand-off (two scheduler hops per frame) entirely; the flusher remains
+// the drain for frames that arrive while a claimed write is on the wire.
 func (c *Coalescer) Send(to string, pkt []byte) error {
 	if len(pkt) > MaxPacket {
 		return ErrTooLarge
@@ -360,7 +326,7 @@ func (c *Coalescer) Send(to string, pkt []byte) error {
 		c.stats.overflows.Add(1)
 		return nil
 	}
-	if c.maxDelay == 0 && !p.inFlight {
+	if !p.inFlight {
 		segs, n := p.claimLocked()
 		p.mu.Unlock()
 		c.stats.directFlushes.Add(1)
@@ -638,59 +604,25 @@ func (p *batchPeer) wakeFlusher() {
 // capable and exits when the coalescer stops, draining a final time so
 // Close does not strand queued frames. With a direct-write fast path in
 // Send it handles the leftovers: frames enqueued while a claimed write
-// was in flight, lazy frames with no follow-up send, and all traffic
-// when a max-delay window is configured.
+// was in flight, and lazy frames with no follow-up send.
 func (p *batchPeer) flusher() {
 	c := p.c
 	defer c.wg.Done()
 	for {
 		select {
 		case <-p.wake:
+			p.flushNow()
 		case <-c.stop:
 			p.flushNow()
 			return
 		}
-		for {
-			p.mu.Lock()
-			if p.count == 0 || p.inFlight {
-				// Nothing to do, or a direct writer owns the wire; it
-				// will ring the doorbell again if frames remain.
-				p.mu.Unlock()
-				break
-			}
-			// Below both limits with a max-delay window configured:
-			// hold the batch open for the remainder of the window so a
-			// trickle of senders still packs together.
-			if c.maxDelay > 0 && p.bytes < c.threshold && p.count < c.maxFrames {
-				wait := c.maxDelay - c.clk.Since(p.firstAt)
-				if wait > 0 {
-					p.mu.Unlock()
-					t := c.clk.NewTimer(wait)
-					select {
-					case <-t.C():
-					case <-p.wake:
-						// More frames arrived; re-evaluate thresholds.
-						t.Stop()
-					case <-c.stop:
-						t.Stop()
-						p.flushNow()
-						return
-					}
-					continue
-				}
-			}
-			segs, n := p.claimLocked()
-			p.mu.Unlock()
-			p.writeSegs(segs, n)
-			p.finishWrite(segs)
-		}
 	}
 }
 
-// flushNow synchronously drains whatever is pending (shutdown path). A
-// concurrent direct writer already owns anything it claimed; frames
-// behind it are abandoned, which the best-effort contract permits at
-// close.
+// flushNow writes whatever is pending as one batch, unless a direct
+// writer owns the wire: that writer rings the doorbell again when it
+// finishes with frames still queued (at shutdown those frames are
+// abandoned, which the best-effort contract permits).
 func (p *batchPeer) flushNow() {
 	p.mu.Lock()
 	if p.count == 0 || p.inFlight {

@@ -239,71 +239,6 @@ func TestCoalescerFallbackToPlainPeer(t *testing.T) {
 	}
 }
 
-// TestCoalescerMaxDelayFakeClock: with a max-delay window and a huge
-// threshold, frames are held until the fake clock crosses the window,
-// then leave as one batch. This is the determinism the injected clock
-// buys: no real time passes.
-func TestCoalescerMaxDelayFakeClock(t *testing.T) {
-	fc := clock.NewFake(time.Unix(100, 0))
-	inner := newMemEP("mem://a")
-	c := NewCoalescer(inner,
-		WithCoalescerClock(fc),
-		WithMaxDelay(10*time.Millisecond),
-		WithFlushThreshold(1<<20),
-		WithMaxBatchFrames(1<<20))
-	defer func() { _ = c.Close() }()
-	c.MarkBatching("mem://b")
-
-	for i := 0; i < 3; i++ {
-		if err := c.Send("mem://b", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Real time passes, fake time does not: nothing may flush.
-	time.Sleep(20 * time.Millisecond)
-	if st := c.BatchStats(); st.BatchesSent != 0 {
-		t.Fatalf("batch flushed before the fake clock advanced: %+v", st)
-	}
-	// The flusher may still be en route to arming its timer; advancing
-	// repeatedly is harmless (the window is measured from first
-	// enqueue, so once Since(firstAt) >= maxDelay it flushes with or
-	// without a timer).
-	waitFor(t, "flush after Advance", func() bool {
-		fc.Advance(10 * time.Millisecond)
-		return c.BatchStats().BatchesSent == 1
-	})
-	st := c.BatchStats()
-	if st.FramesBatched != 3 || st.FramesPerBatch[1] != 1 {
-		t.Fatalf("want one batch of 3 (bucket 2–3): %+v", st)
-	}
-	_, _, subs := countBatches(inner.frames())
-	if len(subs) != 3 || !bytes.Equal(subs[0], []byte{0}) || !bytes.Equal(subs[2], []byte{2}) {
-		t.Fatalf("decoded sub-frames wrong: %v", subs)
-	}
-}
-
-// TestCoalescerThresholdOverridesDelay: crossing the size threshold
-// flushes immediately even though the max-delay window is open and the
-// fake clock never advances.
-func TestCoalescerThresholdOverridesDelay(t *testing.T) {
-	fc := clock.NewFake(time.Unix(100, 0))
-	inner := newMemEP("mem://a")
-	c := NewCoalescer(inner,
-		WithCoalescerClock(fc),
-		WithMaxDelay(time.Hour),
-		WithFlushThreshold(1024))
-	defer func() { _ = c.Close() }()
-	c.MarkBatching("mem://b")
-
-	big := make([]byte, 2048)
-	if err := c.Send("mem://b", big); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "threshold flush", func() bool {
-		return c.BatchStats().BatchesSent == 1
-	})
-}
-
 // TestCoalescerFlushSpanCoversBatchWrite: E-series coverage for the
 // coalescer.flush channel stage — every batch written to the wire must
 // surface as an obs.KindFlush span naming its destination, so traces
@@ -311,17 +246,14 @@ func TestCoalescerThresholdOverridesDelay(t *testing.T) {
 func TestCoalescerFlushSpanCoversBatchWrite(t *testing.T) {
 	col := obs.NewCollector("mem://a", obs.WithSampleEvery(1))
 	inner := newMemEP("mem://a")
-	c := NewCoalescer(inner,
-		WithFlushThreshold(1024),
-		WithCoalescerObserver(col))
+	c := NewCoalescer(inner, WithCoalescerObserver(col))
 	defer func() { _ = c.Close() }()
 	c.MarkBatching("mem://b")
 
-	big := make([]byte, 2048)
-	if err := c.Send("mem://b", big); err != nil {
+	if err := c.Send("mem://b", make([]byte, 2048)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "threshold flush", func() bool {
+	waitFor(t, "batch write", func() bool {
 		return c.BatchStats().BatchesSent == 1
 	})
 	var flushes int
@@ -338,8 +270,8 @@ func TestCoalescerFlushSpanCoversBatchWrite(t *testing.T) {
 	}
 }
 
-// TestCoalescerNaturalBatching: with no max-delay the flusher never
-// waits, yet frames enqueued while a flush is in flight pack together.
+// TestCoalescerNaturalBatching: nothing ever waits for company, yet
+// frames enqueued while a flush is in flight pack together.
 func TestCoalescerNaturalBatching(t *testing.T) {
 	inner := newMemEP("mem://a")
 	c := NewCoalescer(inner)
@@ -388,18 +320,51 @@ func TestCoalescerOversizePassthrough(t *testing.T) {
 	}
 }
 
+// gateEP is a memEP whose Send blocks until the gate opens, so a test
+// can hold a coalescer write in flight and queue frames behind it.
+type gateEP struct {
+	*memEP
+	entered chan struct{} // signalled when a Send reaches the gate
+	open    chan struct{} // closed to let Sends through
+}
+
+func newGateEP(addr string) *gateEP {
+	return &gateEP{memEP: newMemEP(addr), entered: make(chan struct{}, 1), open: make(chan struct{})}
+}
+
+func (g *gateEP) Send(to string, pkt []byte) error {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.open
+	return g.memEP.Send(to, pkt)
+}
+
+// stallWrite starts a direct write to mem://b that sticks at inner's
+// gate, and returns once it is in flight. The returned channel yields
+// the stuck Send's result after the gate opens.
+func stallWrite(t *testing.T, c *Coalescer, inner *gateEP) <-chan error {
+	t.Helper()
+	c.MarkBatching("mem://b")
+	done := make(chan error, 1)
+	go func() { done <- c.Send("mem://b", []byte("head")) }()
+	select {
+	case <-inner.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("direct write never reached the inner endpoint")
+	}
+	return done
+}
+
 // TestCoalescerOverflowDrops: a stalled pending queue sheds load
 // instead of growing without bound.
 func TestCoalescerOverflowDrops(t *testing.T) {
-	fc := clock.NewFake(time.Unix(100, 0))
-	inner := newMemEP("mem://a")
-	c := NewCoalescer(inner,
-		WithCoalescerClock(fc),
-		WithMaxDelay(time.Hour), // flusher parks on the fake clock
-		WithFlushThreshold(1<<20),
-		WithPendingLimit(1024))
+	inner := newGateEP("mem://a")
+	c := NewCoalescer(inner, WithPendingLimit(1024))
 	defer func() { _ = c.Close() }()
-	c.MarkBatching("mem://b")
+	done := stallWrite(t, c, inner) // everything below queues behind it
+	defer func() { close(inner.open); <-done }()
 
 	for i := 0; i < 64; i++ {
 		if err := c.Send("mem://b", make([]byte, 64)); err != nil {
@@ -411,29 +376,39 @@ func TestCoalescerOverflowDrops(t *testing.T) {
 	}
 }
 
-// TestCoalescerCloseDrains: Close flushes queued frames before closing
-// the inner endpoint, even when the max-delay window would have held
-// them.
+// TestCoalescerCloseDrains: Close flushes frames still queued behind a
+// finished write before closing the inner endpoint. The time they spent
+// queued is measured on the injected clock, not the wall.
 func TestCoalescerCloseDrains(t *testing.T) {
 	fc := clock.NewFake(time.Unix(100, 0))
-	inner := newMemEP("mem://a")
-	c := NewCoalescer(inner,
-		WithCoalescerClock(fc),
-		WithMaxDelay(time.Hour),
-		WithFlushThreshold(1<<20))
-	c.MarkBatching("mem://b")
+	inner := newGateEP("mem://a")
+	c := NewCoalescer(inner, WithCoalescerClock(fc))
+	done := stallWrite(t, c, inner)
 
 	for i := 0; i < 5; i++ {
 		if err := c.Send("mem://b", []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if st := c.BatchStats(); st.FramesBatched != 0 {
+		t.Fatalf("frames left while the wire was held: %+v", st)
+	}
+	fc.Advance(time.Second)
+	close(inner.open)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st := c.BatchStats()
-	if st.FramesBatched != 5 {
+	if st.FramesBatched != 6 {
 		t.Fatalf("Close stranded frames: %+v", st)
+	}
+	// One direct write claimed at once, one batch queued for a virtual
+	// second (1e6 µs lands in log2 bucket 20).
+	if d := c.FlushDelay(); d.Count() != 2 || d.Buckets[0] != 1 || d.Buckets[20] != 1 {
+		t.Fatalf("flush delay not on the injected clock: %v", d.Buckets)
 	}
 	if err := c.Send("mem://b", []byte("late")); err != ErrClosed {
 		t.Fatalf("send after close: got %v want ErrClosed", err)

@@ -3,13 +3,14 @@ package odp_test
 // Mixed-codec simulation scenario: one fabric carries two wire regimes
 // side by side — a batching pair whose connections upgrade to
 // ansa-packed/1 after the HELLO capability exchange, and a text-codec
-// pair speaking human-readable version-1 frames. Tracing every call on
+// pair speaking human-readable session-codec frames. Tracing every call on
 // all four nodes, the span forest must show the same causal shape for
 // both regimes: every remote invocation is a singular dispatch tree —
 // one root, one rpc.send, exactly one rpc.dispatch — no matter which
 // codec carried the bytes. A duplicated or missing dispatch under
 // either codec would mean the upgrade path re-delivered or dropped a
-// request.
+// request. The batching pair's coalescers run on the simulation's clock
+// too, so their flush-delay histograms are part of what a seed replays.
 
 import (
 	"context"
@@ -21,8 +22,9 @@ import (
 )
 
 // runMixedCodecSim drives the scenario and returns the rendered span
-// forest for determinism comparison.
-func runMixedCodecSim(t *testing.T, s *sim.Sim) string {
+// forest, plus the batching pair's flush-delay histograms as folded into
+// Gather (transport.coalescer.flush_delay*), for determinism comparison.
+func runMixedCodecSim(t *testing.T, s *sim.Sim) (forest string, flushDelay [2]odp.HistogramSnapshot) {
 	t.Helper()
 	ctx := context.Background()
 	trace := odp.WithTracing(odp.TraceSampleEvery(1))
@@ -31,7 +33,7 @@ func runMixedCodecSim(t *testing.T, s *sim.Sim) string {
 	// platform advertise the packed capability in its HELLO probes.
 	pserver := simPlatform(t, s, "pserver", odp.WithBatching(), trace)
 	pclient := simPlatform(t, s, "pclient", odp.WithBatching(), trace)
-	// Text regime: same fabric, version-1 textual frames, no batching.
+	// Text regime: same fabric, unflagged textual frames, no batching.
 	tserver := simPlatform(t, s, "tserver", odp.WithCodec(odp.TextCodec{}), trace)
 	tclient := simPlatform(t, s, "tclient", odp.WithCodec(odp.TextCodec{}), trace)
 
@@ -90,7 +92,14 @@ func runMixedCodecSim(t *testing.T, s *sim.Sim) string {
 		spans = append(spans, p.Observer().Snapshot()...)
 	}
 	assertSingularDispatchTrees(t, spans)
-	return odp.FormatSpans(spans)
+
+	for i, p := range []*odp.Platform{pserver, pclient} {
+		flushDelay[i] = odp.HistogramKeys(p.Gather())["transport.coalescer.flush_delay"]
+		if flushDelay[i].Count() == 0 {
+			t.Errorf("%s: no flush delay recorded", p.Capsule.Name())
+		}
+	}
+	return odp.FormatSpans(spans), flushDelay
 }
 
 // assertSingularDispatchTrees checks that every traced remote invocation
@@ -145,7 +154,7 @@ func assertSingularDispatchTrees(t *testing.T, spans []odp.Span) {
 // and its determinism: the same seed replayed twice renders the
 // byte-identical mixed-codec forest, packed upgrade and all.
 func TestSimMixedCodecSingularDispatch(t *testing.T) {
-	run := func() string {
+	run := func() (string, [2]odp.HistogramSnapshot) {
 		s := sim.New(41,
 			sim.WithStrictSettle(),
 			sim.WithDefaultLink(odp.LinkProfile{Latency: 500 * time.Microsecond}),
@@ -153,9 +162,13 @@ func TestSimMixedCodecSingularDispatch(t *testing.T) {
 		defer s.Close()
 		return runMixedCodecSim(t, s)
 	}
-	f1, f2 := run(), run()
+	f1, d1 := run()
+	f2, d2 := run()
 	if f1 != f2 {
 		t.Fatalf("mixed-codec span forest diverged for seed 41:\n--- run 1\n%s\n--- run 2\n%s", f1, f2)
+	}
+	if d1 != d2 {
+		t.Fatalf("coalescer flush-delay histograms diverged for seed 41 (wall time in a virtual-time snapshot?):\n--- run 1\n%v\n--- run 2\n%v", d1, d2)
 	}
 	t.Logf("seed=41 mixed-codec span forest (%d bytes):\n%s", len(f1), f1)
 }

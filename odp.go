@@ -254,16 +254,11 @@ func NewCoalescer(ep Endpoint, opts ...transport.CoalescerOption) *Coalescer {
 
 // Coalescer tuning options, passed to WithBatching or NewCoalescer.
 var (
-	// BatchFlushThreshold sets the pending-bytes level that forces a
-	// flush.
-	BatchFlushThreshold = transport.WithFlushThreshold
-	// BatchMaxDelay holds sub-threshold batches open for up to d.
-	BatchMaxDelay = transport.WithMaxDelay
-	// BatchMaxFrames caps sub-frames per batch.
-	BatchMaxFrames = transport.WithMaxBatchFrames
 	// BatchPendingLimit bounds bytes queued per destination.
 	BatchPendingLimit = transport.WithPendingLimit
-	// BatchClock injects the clock driving the max-delay window.
+	// BatchClock injects the clock behind the flush-delay histogram
+	// (transport.coalescer.flush_delay*); WithClock already supplies it
+	// to a platform built WithBatching.
 	BatchClock = transport.WithCoalescerClock
 )
 
