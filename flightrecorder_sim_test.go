@@ -33,7 +33,6 @@ func (s *slowServant) Dispatch(_ context.Context, op string, _ []odp.Value) (str
 func runFlightSim(t *testing.T, seed int64) string {
 	t.Helper()
 	s := sim.New(seed,
-		sim.WithStrictSettle(),
 		sim.WithDefaultLink(odp.LinkProfile{Latency: 500 * time.Microsecond}),
 	)
 	defer s.Close()

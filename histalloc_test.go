@@ -73,13 +73,13 @@ func TestHistogramRecordingAddsNoAllocsE1(t *testing.T) {
 	const runs = 200
 	callsBefore, _ := client.Gather()["rpc.client.call_count"].(uint64)
 	dispatchBefore, _ := server.Gather()["rpc.server.dispatch_count"].(uint64)
-	allocs := testing.AllocsPerRun(runs, call)
+	allocs := minAllocsPerRun(runs, call)
 	callsAfter, _ := client.Gather()["rpc.client.call_count"].(uint64)
 	dispatchAfter, _ := server.Gather()["rpc.server.dispatch_count"].(uint64)
 
-	// AllocsPerRun executes runs+1 calls (one warm-up); every one must
-	// have landed in both ends' histograms or the gate is measuring a
-	// path that skips recording.
+	// Each AllocsPerRun round executes runs+1 calls (one warm-up); every
+	// one must have landed in both ends' histograms or the gate is
+	// measuring a path that skips recording.
 	if got := callsAfter - callsBefore; got < runs {
 		t.Fatalf("client call histogram advanced %d over %d measured calls", got, runs)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -244,18 +243,15 @@ func TestIntegrationPartitionHealing(t *testing.T) {
 	// then heals while the client is still retransmitting.
 	s.Fabric.Partition("client", "server", true)
 	done := make(chan error, 1)
-	g0 := s.Clock.Gen()
 	go func() {
 		_, err := client.Bind(ref).
 			WithQoS(odp.QoS{Timeout: 10 * time.Second, Retransmit: 10 * time.Millisecond}).
 			Call(ctx, "add")
 		done <- err
 	}()
-	// Hold virtual time until the call has armed its timers, then sit
-	// out 150ms of virtual partition: every retransmission must be cut.
-	for s.Clock.Gen() == g0 {
-		runtime.Gosched()
-	}
+	// RunFor settles first, which runs the call until it has armed its
+	// timers; then sit out 150ms of virtual partition: every
+	// retransmission must be cut.
 	s.RunFor(150 * time.Millisecond)
 	select {
 	case err := <-done:

@@ -144,7 +144,10 @@ func ReleaseTimer(t Timer) {
 // work lands it after the Advance call that fired it; drivers that must
 // observe such rescheduling (the sim harness) advance deadline-by-
 // deadline and let the system settle between steps rather than jumping a
-// whole window at once.
+// whole window at once. A timer *channel* send only makes its receiver
+// runnable; when it has run is for the driver to establish (sim.Settle,
+// on one P), until testing/synctest replaces that and Gen at a go.mod
+// floor of 1.25.
 type Fake struct {
 	mu  sync.Mutex
 	now time.Time
@@ -164,7 +167,7 @@ type Fake struct {
 	dead    int // stopped waiters still in the heap
 
 	// gen counts scheduling-state changes (waiter added, stopped, fired,
-	// callback completed); pollers use it to detect quiescence.
+	// callback completed); the sim harness polls it to confirm quiescence.
 	gen atomic.Uint64
 	// firing counts AfterFunc callbacks that have been enqueued but have
 	// not yet returned.
@@ -175,12 +178,6 @@ type Fake struct {
 	cbMu   sync.Mutex
 	cbQ    []func()
 	cbBusy bool
-
-	// delivered holds waiters whose channel send succeeded during an
-	// Advance but whose receiver has not been seen to drain it yet.
-	// ObserveDrains scans it so quiescence pollers learn the instant a
-	// parked goroutine actually woke (see that method for why).
-	delivered []*fakeWaiter
 }
 
 // fakeWaiter is one pending timer, ticker channel or callback.
@@ -426,7 +423,6 @@ func (f *Fake) Advance(d time.Duration) {
 		}
 		select {
 		case next.ch <- f.now:
-			f.noteDeliveredLocked(next)
 		default: // receiver hasn't drained the last tick; drop, like time.Ticker
 		}
 		if next.interval > 0 {
@@ -445,54 +441,6 @@ func (f *Fake) Advance(d time.Duration) {
 	f.compactLocked()
 	f.mu.Unlock()
 	f.bump()
-}
-
-// noteDeliveredLocked remembers a waiter whose channel send just
-// succeeded, so ObserveDrains can report when its receiver wakes.
-// Called with f.mu held. The list is bounded: a fired channel nobody
-// ever reads (an After armed in a select that took another branch)
-// must not pin memory for the rest of a long simulation, so the oldest
-// entries are shed once the list is clearly stale.
-func (f *Fake) noteDeliveredLocked(w *fakeWaiter) {
-	if len(f.delivered) >= 256 {
-		f.delivered = append(f.delivered[:0], f.delivered[128:]...)
-	}
-	f.delivered = append(f.delivered, w)
-}
-
-// ObserveDrains checks whether any timer or ticker channel delivered by
-// a past Advance has since been drained by its receiver, and bumps Gen
-// if so. This closes a quiescence blind spot: a channel send inside
-// Advance makes the parked goroutine runnable, but until that goroutine
-// touches the clock or the fabric again it is invisible to Gen-polling
-// settle loops — if the runtime is slow to schedule it (a GC pause, OS
-// preemption), the driver can mistake the lull for quiescence and
-// advance virtual time out from under it. The drain of the fired
-// channel is the earliest scheduler-visible sign the goroutine actually
-// ran, and it happens while the goroutine is on-CPU, so a settle loop
-// that restarts its stability window on drains gives the woken code a
-// fresh window measured from when it truly started executing — not from
-// when it merely became runnable. Channels that are never drained do
-// not block anything; they just age out of the tracking list.
-func (f *Fake) ObserveDrains() {
-	f.mu.Lock()
-	kept := f.delivered[:0]
-	drained := 0
-	for _, w := range f.delivered {
-		if len(w.ch) == 0 {
-			drained++
-			continue
-		}
-		kept = append(kept, w)
-	}
-	for i := len(kept); i < len(f.delivered); i++ {
-		f.delivered[i] = nil
-	}
-	f.delivered = kept
-	f.mu.Unlock()
-	if drained > 0 {
-		f.bump()
-	}
 }
 
 // NextDeadline reports the earliest pending waiter deadline, if any: the
@@ -520,9 +468,9 @@ func (f *Fake) PendingWaiters() int {
 func (f *Fake) FiringCallbacks() int { return int(f.firing.Load()) }
 
 // Gen returns a counter that changes whenever the scheduling state does:
-// a waiter is added, stopped or fired, or a callback completes. Pollers
-// (the sim harness's settle loop) treat an unchanged Gen alongside zero
-// FiringCallbacks as evidence of quiescence.
+// a waiter is added, stopped or fired, or a callback completes. The sim
+// harness's settle loop requires an unchanged Gen and zero
+// FiringCallbacks across a yield before it calls the universe idle.
 func (f *Fake) Gen() uint64 { return f.gen.Load() }
 
 // fakeStopper is the shared half of the Ticker and Timer adapters.

@@ -389,35 +389,3 @@ func TestFakeTickerKeepsRegistrationOrderAcrossRearm(t *testing.T) {
 		t.Fatalf("ticker fired %d times, want 3", len(order))
 	}
 }
-
-// TestFakeObserveDrains pins the quiescence hand-off: a timer channel
-// delivered by Advance counts as activity exactly once — when its
-// receiver drains it — and a channel nobody reads never blocks or
-// re-bumps the generation.
-func TestFakeObserveDrains(t *testing.T) {
-	f := NewFake(time.Unix(0, 0))
-	tm := f.NewTimer(time.Second)
-	abandoned := f.After(time.Second)
-	_ = abandoned
-	f.Advance(time.Second)
-
-	// Undrained: repeated observation sees nothing new.
-	g0 := f.Gen()
-	f.ObserveDrains()
-	f.ObserveDrains()
-	if f.Gen() != g0 {
-		t.Fatal("Gen bumped before any channel was drained")
-	}
-
-	// Draining one of the two fired channels is visible exactly once.
-	<-tm.C()
-	f.ObserveDrains()
-	g1 := f.Gen()
-	if g1 == g0 {
-		t.Fatal("Gen unchanged by observed drain")
-	}
-	f.ObserveDrains()
-	if f.Gen() != g1 {
-		t.Fatal("Gen bumped again with no further drain")
-	}
-}

@@ -120,7 +120,6 @@ type platformConfig struct {
 	recInterval   time.Duration
 	recOpts       []obs.RecorderOption
 	sloRules      []obs.Rule
-	flightOpts    []obs.FlightOption
 }
 
 // Option configures NewPlatform.
@@ -272,12 +271,6 @@ func WithFlightRecorder(rules ...obs.Rule) Option {
 	return func(cfg *platformConfig) { cfg.sloRules = append(cfg.sloRules, rules...) }
 }
 
-// WithFlightOptions forwards options (ring depth, span limit) to the
-// flight recorder.
-func WithFlightOptions(opts ...obs.FlightOption) Option {
-	return func(cfg *platformConfig) { cfg.flightOpts = append(cfg.flightOpts, opts...) }
-}
-
 // NewPlatform assembles a node on ep.
 func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform, error) {
 	cfg := platformConfig{
@@ -418,7 +411,7 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 		ropts := append([]obs.RecorderOption{obs.WithRecorderClock(cfg.clk)}, cfg.recOpts...)
 		p.recorder = obs.NewRecorder(p.Gather, cfg.recInterval, ropts...)
 		if len(cfg.sloRules) > 0 {
-			p.flight = obs.NewFlightRecorder(p.recorder, p.obs, cfg.sloRules, cfg.flightOpts...)
+			p.flight = obs.NewFlightRecorder(p.recorder, p.obs, cfg.sloRules)
 			fl := p.flight
 			p.Agent.SetBlackbox(fl.ReportsList)
 		}

@@ -86,27 +86,6 @@ func (c Community) Validate(a Assignment) error {
 	return nil
 }
 
-// permits evaluates the community policy for one role and action:
-// prohibitions override permissions; no statement means denial.
-func (c Community) permits(role, action string) bool {
-	allowed := false
-	for _, s := range c.Statements {
-		if s.Role != "*" && s.Role != role {
-			continue
-		}
-		if s.Action != "*" && s.Action != action {
-			continue
-		}
-		switch s.Kind {
-		case Prohibition:
-			return false
-		case Permission:
-			allowed = true
-		}
-	}
-	return allowed
-}
-
 // Permits evaluates the policy for a principal under an assignment: the
 // principal may act if any of its roles permits and none prohibits.
 func (c Community) Permits(a Assignment, principal, action string) bool {

@@ -137,13 +137,6 @@ func (g *Collector) Track(id string, onCollect func(id string)) capsule.Intercep
 	}
 }
 
-// Forget stops managing id without collecting it.
-func (g *Collector) Forget(id string) {
-	g.mu.Lock()
-	delete(g.objects, id)
-	g.mu.Unlock()
-}
-
 // Renew extends holder's lease on id by ttl (local form).
 func (g *Collector) Renew(id, holder string, ttl time.Duration) error {
 	g.mu.Lock()

@@ -131,8 +131,9 @@ type Fabric struct {
 	workStop chan struct{}
 	workerWg sync.WaitGroup
 
-	statsMu sync.Mutex
-	stats   Stats
+	// Per-packet counters; Stats() assembles the snapshot. Atomic so that
+	// counting a packet takes no lock beside f.mu.
+	sent, delivered, dropped, cut atomic.Uint64
 }
 
 // Stats counts fabric-level events, for loss/duplication experiments.
@@ -191,9 +192,9 @@ func NewFabric(opts ...Option) *Fabric {
 		partitionedSubnets: make(map[string]bool),
 		isolatedSubnets:    make(map[string]bool),
 
-		pending: make(map[uint64]pendEntry),
-		jobq:        make(chan *delivery),
-		workStop:    make(chan struct{}),
+		pending:  make(map[uint64]pendEntry),
+		jobq:     make(chan *delivery),
+		workStop: make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(f)
@@ -285,11 +286,15 @@ func (f *Fabric) Isolate(addr string, cut bool) {
 	}
 }
 
-// Stats returns a snapshot of fabric counters.
+// Stats returns a snapshot of fabric counters. Each counter is read
+// atomically; under traffic the four need not belong to one instant.
 func (f *Fabric) Stats() Stats {
-	f.statsMu.Lock()
-	defer f.statsMu.Unlock()
-	return f.stats
+	return Stats{
+		Sent:      f.sent.Load(),
+		Delivered: f.delivered.Load(),
+		Dropped:   f.dropped.Load(),
+		Cut:       f.cut.Load(),
+	}
 }
 
 // Executing reports deliveries actively running — spawned or firing, as
@@ -373,7 +378,8 @@ func (f *Fabric) route(from, to string, n int) (dst *endpoint, delay time.Durati
 	}
 	if f.cutLocked(from, to) {
 		f.mu.Unlock()
-		f.count(func(s *Stats) { s.Sent++; s.Cut++ })
+		f.sent.Add(1)
+		f.cut.Add(1)
 		if f.trace != nil {
 			f.tracef("cut %s>%s %dB", from, to, n)
 		}
@@ -397,13 +403,14 @@ func (f *Fabric) route(from, to string, n int) (dst *endpoint, delay time.Durati
 	f.mu.Unlock()
 
 	if drop {
-		f.count(func(s *Stats) { s.Sent++; s.Dropped++ })
+		f.sent.Add(1)
+		f.dropped.Add(1)
 		if f.trace != nil {
 			f.tracef("drop %s>%s %dB", from, to, n)
 		}
 		return nil, 0, false, nil
 	}
-	f.count(func(s *Stats) { s.Sent++ })
+	f.sent.Add(1)
 	if f.trace != nil {
 		f.tracef("send %s>%s %dB", from, to, n)
 	}
@@ -438,14 +445,14 @@ func (d *delivery) run() {
 	f.mu.Unlock()
 	if cut {
 		// The partition appeared while the packet was in flight.
-		f.count(func(s *Stats) { s.Cut++ })
+		f.cut.Add(1)
 		if f.trace != nil {
 			f.tracef("cut-inflight %s>%s %dB", from, to, len(cp))
 		}
 		return
 	}
 	dst.deliver(from, cp)
-	f.count(func(s *Stats) { s.Delivered++ })
+	f.delivered.Add(1)
 	if f.trace != nil {
 		f.tracef("deliver %s>%s %dB", from, to, len(cp))
 	}
@@ -540,12 +547,6 @@ func (f *Fabric) scheduleVirtual(delay time.Duration, deliver, cancel func()) {
 	f.pendMu.Unlock()
 }
 
-func (f *Fabric) count(update func(*Stats)) {
-	f.statsMu.Lock()
-	update(&f.stats)
-	f.statsMu.Unlock()
-}
-
 func pairKey(a, b string) string {
 	if a > b {
 		a, b = b, a
@@ -602,7 +603,9 @@ func (e *endpoint) SendVec(to string, segs net.Buffers) error {
 // the handler inside the delivery job, holding Executing() nonzero
 // while the handler parks on a virtual timer — and the sim harness
 // only advances the clock once Executing() reaches zero, so the two
-// would deadlock. Virtual-time deliveries therefore stay asynchronous.
+// would deadlock. A delayed packet's delivery job is moreover a clock
+// callback, so the parked handler would block the clock's sequential
+// callback runner itself. Virtual-time deliveries stay asynchronous.
 func (e *endpoint) DeliversConcurrently() bool { return e.fabric.clk == nil }
 
 // SetHandler implements transport.Endpoint.

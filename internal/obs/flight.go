@@ -140,7 +140,6 @@ type FlightStats struct {
 type FlightRecorder struct {
 	col   *Collector
 	rules []Rule
-	spanN int
 
 	mu        sync.Mutex
 	ring      []BreachReport
@@ -163,19 +162,9 @@ func WithFlightDepth(n int) FlightOption {
 	}
 }
 
-// WithFlightSpanLimit sets how many trailing spans a report captures
-// (default 16).
-func WithFlightSpanLimit(n int) FlightOption {
-	return func(f *FlightRecorder) {
-		if n > 0 {
-			f.spanN = n
-		}
-	}
-}
-
 const (
-	defaultFlightDepth     = 8
-	defaultFlightSpanLimit = 16
+	defaultFlightDepth = 8
+	flightSpanLimit    = 16 // trailing spans captured per breach report
 )
 
 // NewFlightRecorder arms rules against rec's samples. col supplies the
@@ -185,7 +174,6 @@ func NewFlightRecorder(rec *Recorder, col *Collector, rules []Rule, opts ...Flig
 	f := &FlightRecorder{
 		col:       col,
 		rules:     append([]Rule(nil), rules...),
-		spanN:     defaultFlightSpanLimit,
 		tripped:   make([]bool, len(rules)),
 		stallRuns: make([]int, len(rules)),
 	}
@@ -250,8 +238,8 @@ func (f *FlightRecorder) captureLocked(rule Rule, prev, cur Sample, hasPrev bool
 	}
 	if f.col != nil {
 		spans := f.col.Snapshot()
-		if len(spans) > f.spanN {
-			spans = spans[len(spans)-f.spanN:]
+		if len(spans) > flightSpanLimit {
+			spans = spans[len(spans)-flightSpanLimit:]
 		}
 		rep.Spans = spans
 	}

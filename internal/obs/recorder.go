@@ -93,9 +93,6 @@ func NewRecorder(src func() wire.Record, interval time.Duration, opts ...Recorde
 	return r
 }
 
-// Interval returns the sampling period.
-func (r *Recorder) Interval() time.Duration { return r.interval }
-
 // OnSample registers fn to run after each sample is committed, with the
 // previous sample when one exists. Hooks run on the sampling goroutine,
 // outside the recorder's lock.

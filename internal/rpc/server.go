@@ -734,11 +734,6 @@ func WithPeerServerOptions(opts ...ServerOption) PeerOption {
 	return func(pc *peerConfig) { pc.serverOpts = append(pc.serverOpts, opts...) }
 }
 
-// WithPeerClientOptions applies client-side options to the peer.
-func WithPeerClientOptions(opts ...ClientOption) PeerOption {
-	return func(pc *peerConfig) { pc.clientOpts = append(pc.clientOpts, opts...) }
-}
-
 // WithPeerObserver installs one span collector on both roles, so a
 // capsule's outbound sends and inbound dispatches land in one ring.
 func WithPeerObserver(col *obs.Collector) PeerOption {

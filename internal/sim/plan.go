@@ -48,9 +48,6 @@ func (p *FaultPlan) At(d time.Duration) *PlanStep {
 	return &PlanStep{p: p, at: d}
 }
 
-// Steps reports how many injections the plan schedules.
-func (p *FaultPlan) Steps() int { return len(p.steps) }
-
 // PlanStep is the builder for one scheduled injection.
 type PlanStep struct {
 	p  *FaultPlan

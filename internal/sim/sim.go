@@ -14,18 +14,21 @@
 // an ODP platform: the paper's engineering-model claims are all about
 // behaviour under variable latency, transient loss and partitions
 // (§3, §4.1), and logical time makes those behaviours schedulable,
-// instantaneous and reproducible.
+// instantaneous and reproducible. As there, a universe is single-threaded:
+// New pins the process to one P, so idleness is observed, not inferred
+// (see Settle). testing/synctest is that definition inside the runtime; it
+// replaces the pin, clock.Fake.Gen and Settle once go.mod's floor is 1.25.
 //
 // The harness itself is one of the platform's sanctioned real-time
-// observers (with internal/clock and netsim's realtime.go): its settle
-// loop must watch real goroutines make real progress, so the detclock
-// pass exempts this package.
+// observers (with internal/clock and netsim's realtime.go): its watchdog
+// reads the wall clock, so the detclock pass exempts this package.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,19 +52,15 @@ type Sim struct {
 	// a run for determinism assertions.
 	Trace *Trace
 
-	seed   int64
-	rng    *rand.Rand
-	strict bool
+	seed  int64
+	rng   *rand.Rand
+	unpin func() // undoes New's GOMAXPROCS(1); nil once Close has run
 }
 
 // Option configures New.
 type Option func(*cfg)
 
-type cfg struct {
-	link       netsim.LinkProfile
-	strict     bool
-	fabricOpts []netsim.Option
-}
+type cfg struct{ link netsim.LinkProfile }
 
 // WithDefaultLink sets the fabric's default link profile (default
 // Loopback: zero latency, lossless).
@@ -69,21 +68,25 @@ func WithDefaultLink(p netsim.LinkProfile) Option {
 	return func(c *cfg) { c.link = p }
 }
 
-// WithStrictSettle makes quiescence detection conservative: every poll is
-// separated by a real sleep, trading wall time for a stronger guarantee
-// that no runnable goroutine is outpaced. Use it for scenarios whose
-// event-trace hash is asserted.
-func WithStrictSettle() Option {
-	return func(c *cfg) { c.strict = true }
-}
+// pinned is set while a universe holds the process at one P: GOMAXPROCS
+// is process-wide, so a second live universe is a test bug and panics.
+var pinned atomic.Bool
 
-// WithFabricOptions appends extra netsim options (link overrides etc.).
-func WithFabricOptions(opts ...netsim.Option) Option {
-	return func(c *cfg) { c.fabricOpts = append(c.fabricOpts, opts...) }
+// pin takes the process down to one P and returns the undo.
+func pin() (unpin func()) {
+	if !pinned.CompareAndSwap(false, true) {
+		panic("sim: a universe is already live in this process")
+	}
+	prev := runtime.GOMAXPROCS(1)
+	return func() {
+		runtime.GOMAXPROCS(prev)
+		pinned.Store(false)
+	}
 }
 
 // New creates a simulation universe from a seed. The same seed yields the
-// same fabric randomness and the same scenario randomness (Rand).
+// same fabric randomness and the same scenario randomness (Rand). It pins
+// GOMAXPROCS to 1 until Close; DESIGN.md says why that is not an option.
 func New(seed int64, opts ...Option) *Sim {
 	c := cfg{}
 	for _, o := range opts {
@@ -94,18 +97,14 @@ func New(seed int64, opts ...Option) *Sim {
 		Trace: NewTrace(),
 		seed:  seed,
 		rng:   rand.New(rand.NewSource(seed ^ 0x5DEECE66D)),
+		unpin: pin(),
 	}
-	if c.strict {
-		s.strict = true
-	}
-	fopts := []netsim.Option{
+	s.Fabric = netsim.NewFabric(
 		netsim.WithSeed(seed),
 		netsim.WithClock(s.Clock),
 		netsim.WithTrace(s.Trace.Record),
 		netsim.WithDefaultLink(c.link),
-	}
-	fopts = append(fopts, c.fabricOpts...)
-	s.Fabric = netsim.NewFabric(fopts...)
+	)
 	return s
 }
 
@@ -125,138 +124,110 @@ func (s *Sim) Mark(format string, args ...interface{}) {
 	s.Trace.Record(s.Clock.Now(), "mark "+fmt.Sprintf(format, args...))
 }
 
-// Close shuts the fabric down, cancelling undelivered virtual packets.
-func (s *Sim) Close() { _ = s.Fabric.Close() }
-
-// Drain runs fn — typically teardown: group stops, platform closes —
-// on its own goroutine while advancing virtual time until it returns.
-// Shutdown paths park on timers too (a failure detector mid-heartbeat
-// waits out its call timeout), so closing without advancing deadlocks.
-func (s *Sim) Drain(fn func()) {
-	done := make(chan struct{})
-	go func() { defer close(done); fn() }()
-	start := time.Now()
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		s.Settle()
-		select {
-		case <-done:
-			return
-		default:
-		}
-		if next, ok := s.Clock.NextDeadline(); ok {
-			s.Clock.Advance(next.Sub(s.Clock.Now()))
-		} else {
-			time.Sleep(settlePause)
-		}
-		if time.Since(start) > settleTimeout {
-			panic(fmt.Sprintf("sim[seed=%d]: drain stalled for %v of real time at +%v",
-				s.seed, settleTimeout, s.Elapsed()))
-		}
+// Close shuts the fabric down, cancelling undelivered virtual packets,
+// and restores the GOMAXPROCS that New found.
+func (s *Sim) Close() {
+	_ = s.Fabric.Close()
+	if s.unpin != nil {
+		s.unpin()
+		s.unpin = nil
 	}
 }
 
-// Run is the advance-until-quiescent loop: it interleaves clock advances
-// with goroutine-settle detection until the condition holds, failing the
-// test if the virtual budget runs out or the simulation stalls (condition
-// unmet with no scheduled events — every goroutine waiting on something
-// that will never happen).
-func (s *Sim) Run(t testing.TB, budget time.Duration, until func() bool) {
-	t.Helper()
-	deadline := s.Clock.Now().Add(budget)
+// drive is the one loop behind Run, RunFor and Drain: settle, test the
+// condition, fire the earliest deadline — one deadline at a time, so an
+// event scheduled by an earlier one (a retransmission answering a heal)
+// fires in order. False means nothing is scheduled at or before limit.
+func (s *Sim) drive(limit time.Time, until func() bool) bool {
 	for {
 		s.Settle()
 		if until() {
-			return
+			return true
 		}
 		next, ok := s.Clock.NextDeadline()
-		if !ok {
-			t.Fatalf("sim[seed=%d]: stalled at +%v: condition unmet and no scheduled events", s.seed, s.Elapsed())
-		}
-		if next.After(deadline) {
-			t.Fatalf("sim[seed=%d]: virtual budget %v exhausted at +%v before condition", s.seed, budget, s.Elapsed())
+		if !ok || next.After(limit) {
+			return false
 		}
 		s.Clock.Advance(next.Sub(s.Clock.Now()))
 	}
+}
+
+// Run advances virtual time until the condition holds, failing the test
+// if the budget runs out or the simulation stalls (condition unmet with
+// nothing scheduled: every goroutine waits on what will never happen).
+func (s *Sim) Run(t testing.TB, budget time.Duration, until func() bool) {
+	t.Helper()
+	if s.drive(s.Clock.Now().Add(budget), until) {
+		return
+	}
+	if _, ok := s.Clock.NextDeadline(); !ok {
+		t.Fatalf("sim[seed=%d]: stalled at +%v: condition unmet and no scheduled events", s.seed, s.Elapsed())
+	}
+	t.Fatalf("sim[seed=%d]: virtual budget %v exhausted at +%v before condition", s.seed, budget, s.Elapsed())
 }
 
 // RunFor advances exactly d of virtual time, firing every event inside
-// the window deadline-by-deadline and settling between steps, so events
-// scheduled by earlier events (a retransmission answering a heal, a
-// failure detector reacting to silence) land inside the same window.
+// the window, including those scheduled by earlier events in it.
 func (s *Sim) RunFor(d time.Duration) {
 	target := s.Clock.Now().Add(d)
-	for {
-		s.Settle()
-		next, ok := s.Clock.NextDeadline()
-		if !ok || next.After(target) {
-			s.Clock.Advance(target.Sub(s.Clock.Now()))
-			s.Settle()
-			return
-		}
-		s.Clock.Advance(next.Sub(s.Clock.Now()))
+	s.drive(target, func() bool { return false })
+	s.Clock.Advance(target.Sub(s.Clock.Now())) // fires nothing: drive left no deadline ≤ target
+}
+
+// Drain runs fn — typically teardown: group stops, platform closes — on
+// its own goroutine while advancing virtual time until it returns, since
+// shutdown paths park on timers too (a failure detector mid-heartbeat
+// waits out its call timeout). After Close, as in a t.Cleanup that runs
+// after a deferred Close, it re-pins for its own duration.
+func (s *Sim) Drain(fn func()) {
+	if s.unpin == nil {
+		defer pin()()
+	}
+	var done atomic.Bool
+	go func() { defer done.Store(true); fn() }()
+	start := time.Now()
+	stop := func() bool { return done.Load() || time.Since(start) > settleTimeout }
+	for !s.drive(s.Clock.Now().Add(1<<63-1), stop) {
+		// Nothing scheduled, fn not back: teardown is blocked outside virtual
+		// time (a system call). The one real-time wait in the package.
+		time.Sleep(50 * time.Microsecond)
+	}
+	if !done.Load() {
+		panic(fmt.Sprintf("sim[seed=%d]: drain stalled for %v of real time at +%v",
+			s.seed, settleTimeout, s.Elapsed()))
 	}
 }
 
-// settle tuning.
-const (
-	spinBudget    = 128                     // Gosched polls before escalating to sleeps
-	settlePause   = 50 * time.Microsecond   // sleep between escalated polls
-	strictPause   = 300 * time.Microsecond  // sleep between polls in strict mode
-	settleTimeout = 30 * time.Second        // real-time bound on one settle
-)
+// settleTimeout is the real-time watchdog on one Settle or Drain: a
+// universe that stays busy this long is livelocked, not slow.
+const settleTimeout = 30 * time.Second
 
-// Settle blocks until the simulation looks quiescent: no packet scheduled
-// or mid-delivery, no clock callback running, and the clock's scheduling
-// state unchanged across consecutive polls. Detection is cooperative, not
-// absolute — a goroutine computing without touching the clock or fabric
-// is invisible — so the loop confirms stability over several polls
-// (sleep-separated in strict mode) before trusting it.
+// Settle blocks until the universe is idle: every goroutine parked, no
+// packet mid-delivery, no clock callback running.
+//
+// On one P, runtime.Gosched returns only after every other runnable
+// goroutine, and every goroutine those wake, has run to its next block:
+// a yield across which Gen, Executing and FiringCallbacks stand still is
+// idleness observed, and the counters name what is busy if the watchdog
+// fires. Two quiet polls, not one, because a yield can be cut short:
+// every 61st pick the scheduler serves the global queue (where the yielded
+// driver sits) ahead of local work, and a goroutine preempted after 10 ms
+// on the CPU requeues behind the driver.
 func (s *Sim) Settle() {
-	need := 2
-	if s.strict {
-		need = 3
-	}
-	var lastGen uint64
-	seen := false
-	stable := 0
 	start := time.Now()
-	for spin := 0; ; spin++ {
-		// A fired timer channel being drained is the first visible sign
-		// its receiver got scheduled; folding that into Gen restarts the
-		// stability count from the moment the woken goroutine is actually
-		// running, not from when Advance merely made it runnable.
-		s.Clock.ObserveDrains()
-		gen := s.Clock.Gen()
-		idle := s.Fabric.Executing() == 0 && s.Clock.FiringCallbacks() == 0
-		if idle && seen && gen == lastGen {
-			stable++
-			if stable >= need {
-				return
-			}
+	last := s.Clock.Gen()
+	for quiet := 0; quiet < 2; {
+		runtime.Gosched()
+		gen, exec, firing := s.Clock.Gen(), s.Fabric.Executing(), s.Clock.FiringCallbacks()
+		if gen == last && exec == 0 && firing == 0 {
+			quiet++
 		} else {
-			stable = 0
+			quiet = 0
 		}
-		lastGen, seen = gen, true
-		switch {
-		case s.strict:
-			// Yield before sleeping: on a single-CPU box the Gosched hands
-			// the processor straight to whatever Advance woke, instead of
-			// betting the whole stability window on the sleep alone.
-			runtime.Gosched()
-			time.Sleep(strictPause)
-		case spin < spinBudget:
-			runtime.Gosched()
-		default:
-			time.Sleep(settlePause)
-		}
+		last = gen
 		if time.Since(start) > settleTimeout {
-			panic(fmt.Sprintf("sim[seed=%d]: settle stalled for %v of real time at +%v",
-				s.seed, settleTimeout, s.Elapsed()))
+			panic(fmt.Sprintf("sim[seed=%d]: settle stalled for %v of real time at +%v: %d deliveries executing, %d clock callbacks firing",
+				s.seed, settleTimeout, s.Elapsed(), exec, firing))
 		}
 	}
 }

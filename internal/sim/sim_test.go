@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -124,6 +125,54 @@ func TestRunForFiresWindow(t *testing.T) {
 	}
 }
 
+// TestSettleWaitsForSilentWork: a goroutine that a clock callback spawns,
+// and that computes without touching clock or fabric before it arms a
+// timer, is invisible to every counter Settle reads — only the yield
+// itself waits for it. With more than one P, Settle returned while the
+// goroutine was still burning on another P and NextDeadline missed the
+// timer; on the universe's one P it cannot.
+func TestSettleWaitsForSilentWork(t *testing.T) {
+	s := New(6)
+	defer s.Close()
+	s.Clock.AfterFunc(10*time.Millisecond, func() {
+		go func() {
+			for start := time.Now(); time.Since(start) < 200*time.Microsecond; {
+			}
+			s.Clock.AfterFunc(5*time.Millisecond, func() {})
+		}()
+	})
+	s.RunFor(10 * time.Millisecond)
+	next, ok := s.Clock.NextDeadline()
+	if want := Epoch.Add(15 * time.Millisecond); !ok || !next.Equal(want) {
+		t.Fatalf("NextDeadline after RunFor = %v, %v; want the second timer at %v", next, ok, want)
+	}
+}
+
+// TestUniverseOwnsOneP: GOMAXPROCS is 1 from New to Close and back to
+// what New found afterwards — also after a Drain that runs once the
+// universe is closed, as every t.Cleanup teardown does.
+func TestUniverseOwnsOneP(t *testing.T) {
+	before := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(before)
+	s := New(7)
+	if got := runtime.GOMAXPROCS(0); got != 1 {
+		t.Fatalf("GOMAXPROCS inside a universe = %d, want 1", got)
+	}
+	s.Close()
+	if got := runtime.GOMAXPROCS(0); got != 4 {
+		t.Fatalf("GOMAXPROCS after Close = %d, want 4", got)
+	}
+	s.Drain(func() {
+		if got := runtime.GOMAXPROCS(0); got != 1 {
+			t.Errorf("GOMAXPROCS inside a post-Close Drain = %d, want 1", got)
+		}
+		s.Clock.Sleep(time.Second)
+	})
+	if got := runtime.GOMAXPROCS(0); got != 4 {
+		t.Fatalf("GOMAXPROCS after a post-Close Drain = %d, want 4", got)
+	}
+}
+
 // TestFaultPlanAppliesAtInstants: the plan's partition window is visible
 // to packets sent inside it and invisible outside it.
 func TestFaultPlanAppliesAtInstants(t *testing.T) {
@@ -132,8 +181,8 @@ func TestFaultPlanAppliesAtInstants(t *testing.T) {
 	send, echoes := pingUniverse(t, s)
 
 	s.Install(NewFaultPlan().
-		At(10 * time.Millisecond).Partition("a", "b").
-		At(30 * time.Millisecond).Heal("a", "b"))
+		At(10*time.Millisecond).Partition("a", "b").
+		At(30*time.Millisecond).Heal("a", "b"))
 
 	send()
 	s.Run(t, 5*time.Millisecond, func() bool { return echoes.Load() == 1 })
@@ -161,14 +210,13 @@ func TestSameSeedSameHash(t *testing.T) {
 	scenario := func(seed int64) string {
 		s := New(seed,
 			WithDefaultLink(netsim.LinkProfile{Latency: 2 * time.Millisecond}),
-			WithStrictSettle(),
 		)
 		defer s.Close()
 		send, echoes := pingUniverse(t, s)
 		cut := time.Duration(10+s.Rand().Intn(20)) * time.Millisecond
 		s.Install(NewFaultPlan().
 			At(cut).Partition("a", "b").
-			At(cut + 20*time.Millisecond).Heal("a", "b"))
+			At(cut+20*time.Millisecond).Heal("a", "b"))
 		want := int64(0)
 		for i := 0; i < 5; i++ {
 			send()

@@ -2,7 +2,6 @@ package txn
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -162,10 +161,4 @@ func (t *Txn) rollback(ctx context.Context, refs []wire.Ref) {
 	for _, ref := range refs {
 		_, _, _ = t.coord.cap.Invoke(ctx, ref, OpAbort, []wire.Value{t.id})
 	}
-}
-
-// IsAbort reports whether err indicates the transaction was (or must be)
-// aborted.
-func IsAbort(err error) bool {
-	return errors.Is(err, ErrAborted) || errors.Is(err, ErrDeadlock) || errors.Is(err, ErrLockTimeout)
 }

@@ -156,7 +156,6 @@ func assertSingularDispatchTrees(t *testing.T, spans []odp.Span) {
 func TestSimMixedCodecSingularDispatch(t *testing.T) {
 	run := func() (string, [2]odp.HistogramSnapshot) {
 		s := sim.New(41,
-			sim.WithStrictSettle(),
 			sim.WithDefaultLink(odp.LinkProfile{Latency: 500 * time.Microsecond}),
 		)
 		defer s.Close()

@@ -256,10 +256,6 @@ func NewCoalescer(ep Endpoint, opts ...transport.CoalescerOption) *Coalescer {
 var (
 	// BatchPendingLimit bounds bytes queued per destination.
 	BatchPendingLimit = transport.WithPendingLimit
-	// BatchClock injects the clock behind the flush-delay histogram
-	// (transport.coalescer.flush_delay*); WithClock already supplies it
-	// to a platform built WithBatching.
-	BatchClock = transport.WithCoalescerClock
 )
 
 // NewFabric creates a simulated network fabric.
@@ -338,9 +334,6 @@ var (
 	// WithFlightRecorder arms SLO rules against the recorder's samples
 	// (implies WithRecorder).
 	WithFlightRecorder = core.WithFlightRecorder
-	// WithFlightOptions tunes the flight recorder's report ring and span
-	// capture.
-	WithFlightOptions = core.WithFlightOptions
 	// CeilingRule arms a maximum on a Gather key (latency quantiles,
 	// queue depths).
 	CeilingRule = obs.CeilingRule
@@ -348,10 +341,6 @@ var (
 	StallRule = obs.StallRule
 	// RecorderDepth bounds the recorder's retained samples.
 	RecorderDepth = obs.WithRecorderDepth
-	// FlightDepth bounds the flight recorder's retained reports.
-	FlightDepth = obs.WithFlightDepth
-	// FlightSpanLimit bounds the spans captured per breach report.
-	FlightSpanLimit = obs.WithFlightSpanLimit
 )
 
 // HistogramKeys reassembles the latency histograms folded into a
@@ -583,7 +572,3 @@ var ErrServerBusy = rpc.ErrServerBusy
 func DefaultQoS() QoS {
 	return QoS{Timeout: rpc.DefaultTimeout, Retransmit: rpc.DefaultRetransmit}
 }
-
-// WaitSettle is a convenience for examples and tests: it sleeps briefly
-// so announcements and background protocols settle.
-func WaitSettle() { clock.Real{}.Sleep(50 * time.Millisecond) }

@@ -21,6 +21,24 @@ import (
 // runtime jitter without letting a real leak (≥1 alloc) through.
 const packedE1AllocBudget = 15
 
+// minAllocsPerRun is the least of three AllocsPerRun rounds, the figure
+// every E1 gate compares. A real per-call allocation raises every round.
+// What raises some rounds by one or two allocs/op is the scheduler: on
+// AllocsPerRun's single P nearly every netsim delivery spills to a fresh
+// goroutine (measured: 2.95 of 3 packets — the resident workers wait in
+// the run queue behind the caller/delivery ping-pong), and how many
+// goroutine descriptors the runtime can reuse varies round to round, more
+// so under CPU contention. One sample cannot tell that from a leak.
+func minAllocsPerRun(runs int, f func()) float64 {
+	least := testing.AllocsPerRun(runs, f)
+	for round := 1; round < 3; round++ {
+		if a := testing.AllocsPerRun(runs, f); a < least {
+			least = a
+		}
+	}
+	return least
+}
+
 func TestPackedE1AllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are skewed under -race: sync.Pool drops puts by design")
@@ -77,7 +95,7 @@ func TestPackedE1AllocGate(t *testing.T) {
 	}
 
 	before, _ := client.Gather()["rpc.client.packed_upgrades"].(uint64)
-	allocs := testing.AllocsPerRun(200, call)
+	allocs := minAllocsPerRun(200, call)
 	after, _ := client.Gather()["rpc.client.packed_upgrades"].(uint64)
 	if after <= before {
 		t.Fatalf("measured calls were not packed: upgrades %d -> %d", before, after)

@@ -27,9 +27,9 @@ func churnPlan(s *sim.Sim, cycles int) *sim.FaultPlan {
 		// Short clear gaps, partition windows a few retransmit periods
 		// wide: every cycle cuts live traffic.
 		at += time.Duration(r.Intn(3)+1) * time.Millisecond
-		plan.At(at + offGrid).Partition("client", "server")
+		plan.At(at+offGrid).Partition("client", "server")
 		at += time.Duration(r.Intn(10)+3) * time.Millisecond
-		plan.At(at + offGrid).Heal("client", "server")
+		plan.At(at+offGrid).Heal("client", "server")
 	}
 	return plan
 }
@@ -96,7 +96,6 @@ func simPlatform2(t testing.TB, s *sim.Sim, name string, opts ...odp.Option) *od
 func TestSimPartitionChurn(t *testing.T) {
 	run := func() string {
 		s := sim.New(13,
-			sim.WithStrictSettle(),
 			sim.WithDefaultLink(odp.LinkProfile{Latency: 500 * time.Microsecond}),
 		)
 		defer s.Close()

@@ -6,7 +6,6 @@ package odp_test
 // the test goroutine advances virtual time.
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -34,22 +33,14 @@ func simPlatform(t *testing.T, s *sim.Sim, name string, opts ...odp.Option) *odp
 }
 
 // driveCall runs fn on its own goroutine and advances virtual time until
-// it returns, then reports its error. The driver holds the clock still
-// until fn has either finished or registered with it (sent a packet,
-// armed a timer), so already-scheduled noise — janitor ticks — cannot
-// reorder ahead of fn's own first event.
+// it returns, then reports its error. Run settles before it first moves
+// the clock, and on the universe's one P that yield runs fn to its first
+// park (a packet sent, a timer armed), so already-scheduled noise —
+// janitor ticks — cannot reorder ahead of fn's own first event.
 func driveCall(t testing.TB, s *sim.Sim, budget time.Duration, fn func() error) error {
 	t.Helper()
-	g0 := s.Clock.Gen()
 	errc := make(chan error, 1)
 	go func() { errc <- fn() }()
-	spinDeadline := time.Now().Add(10 * time.Second)
-	for s.Clock.Gen() == g0 && len(errc) == 0 {
-		if time.Now().After(spinDeadline) {
-			t.Fatalf("sim: operation neither touched the clock nor returned")
-		}
-		runtime.Gosched()
-	}
 	var err error
 	s.Run(t, budget, func() bool {
 		select {

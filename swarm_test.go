@@ -154,7 +154,7 @@ func TestSimSwarmTraderFederation(t *testing.T) {
 		healAt      = 650 * time.Millisecond
 	)
 
-	s := sim.New(29, sim.WithStrictSettle())
+	s := sim.New(29)
 	defer s.Close()
 	n := sim.Swarm{
 		Domains:           domains,
@@ -354,7 +354,7 @@ func TestSimSwarmGroupChurn(t *testing.T) {
 		rejoinAt  = 1600 * time.Millisecond
 	)
 
-	s := sim.New(37, sim.WithStrictSettle())
+	s := sim.New(37)
 	defer s.Close()
 	n := sim.Swarm{
 		Domains:           domains,
@@ -432,8 +432,8 @@ func TestSimSwarmGroupChurn(t *testing.T) {
 	}
 
 	s.Install(sim.NewFaultPlan().
-		At(isolateAt+offGridSkew).IsolateSubnet(n.Domain(domains-1)).
-		At(rejoinAt+offGridSkew).RejoinSubnet(n.Domain(domains-1)))
+		At(isolateAt + offGridSkew).IsolateSubnet(n.Domain(domains - 1)).
+		At(rejoinAt + offGridSkew).RejoinSubnet(n.Domain(domains - 1)))
 
 	// Run through the churn window: the sequencer expels all perDomain
 	// members of the dark domain, one successor view per expulsion.
@@ -543,7 +543,7 @@ func TestSimSwarmGCRefChain(t *testing.T) {
 		endAt       = 1300 * time.Millisecond
 	)
 
-	s := sim.New(31, sim.WithStrictSettle())
+	s := sim.New(31)
 	defer s.Close()
 	n := sim.Swarm{
 		Domains:           domains,
