@@ -6,6 +6,9 @@ package rpc
 
 import (
 	"context"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -208,5 +211,175 @@ func TestServerCloseCancelsHandlerCtx(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung: handler context was not cancelled")
+	}
+}
+
+// batchedTCPPeers wires two peers over coalesced loopback TCP, marked
+// mutually capable so every frame takes the batching path. TCP delivers
+// from one read loop per connection, so dispatch is spawned, not inline.
+// A lost frame would show as a retransmission after two seconds; a slow
+// machine does not.
+func batchedTCPPeers(t *testing.T, ha, hb Handler) (a, b *Peer, aco, bco *transport.Coalescer) {
+	t.Helper()
+	listen := func() (*transport.TCPEndpoint, *transport.Coalescer) {
+		ep, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		co := transport.NewCoalescer(ep)
+		t.Cleanup(func() { _ = co.Close() })
+		return ep, co
+	}
+	aep, aco := listen()
+	bep, bco := listen()
+	aco.MarkBatching(bep.Addr())
+	bco.MarkBatching(aep.Addr())
+	a, b = NewPeer(aco, codec, ha), NewPeer(bco, codec, hb)
+	t.Cleanup(func() {
+		_ = a.Close()
+		_ = b.Close()
+	})
+	return a, b, aco, bco
+}
+
+var batchQoS = QoS{Timeout: 20 * time.Second, Retransmit: 2 * time.Second}
+
+// callConcurrently issues perCaller interrogations of op at dest from
+// each of callers goroutines and fails the test on any error.
+func callConcurrently(t *testing.T, a *Peer, dest, op string, callers, perCaller int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				want := int64(g*perCaller + i)
+				_, res, err := a.Client.Call(context.Background(), dest, "obj", op, []wire.Value{want}, batchQoS)
+				if err != nil || len(res) != 1 || res[0] != want {
+					t.Errorf("caller %d call %d: res=%v err=%v", g, i, res, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestConcurrentCallsShareDatagrams is the batching rule, on the one
+// core where the coalescer alone cannot see it: eight callers on one
+// connection each find the wire idle, so only the rpc layer's count of
+// interrogations in flight can tell them — and the replies to them — to
+// queue for one write. A lone caller must keep the direct write.
+func TestConcurrentCallsShareDatagrams(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name    string
+		callers int
+		check   func(t *testing.T, side string, st transport.CoalescerStats)
+	}{
+		{"8 callers queue", 8, func(t *testing.T, side string, st transport.CoalescerStats) {
+			if st.FramesBatched < 3*st.BatchesSent {
+				t.Errorf("%s: %d frames in %d batches: concurrent calls are not sharing datagrams", side, st.FramesBatched, st.BatchesSent)
+			}
+		}},
+		{"1 caller writes directly", 1, func(t *testing.T, side string, st transport.CoalescerStats) {
+			if 10*st.DirectFlushes < 9*st.BatchesSent {
+				t.Errorf("%s: %d of %d batches written directly: a lone caller is paying the flusher hand-off", side, st.DirectFlushes, st.BatchesSent)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b, aco, bco := batchedTCPPeers(t, echoHandler, echoHandler)
+			callConcurrently(t, a, bco.Addr(), "echo", tc.callers, 200)
+			tc.check(t, "client", aco.BatchStats())
+			tc.check(t, "server", bco.BatchStats())
+			if st := b.Server.Stats(); st.Requests != uint64(tc.callers*200) || st.Duplicates != 0 {
+				t.Errorf("server: %d executions, %d duplicates", st.Requests, st.Duplicates)
+			}
+			if st := a.Client.Stats(); st.Retransmissions != 0 || st.Timeouts != 0 {
+				t.Errorf("client: %d retransmissions, %d timeouts", st.Retransmissions, st.Timeouts)
+			}
+			if n := aco.BatchStats().Overflows + bco.BatchStats().Overflows; n != 0 {
+				t.Errorf("%d frames dropped from a full queue", n)
+			}
+		})
+	}
+}
+
+// TestNestedCallOverSameConnectionCompletes: a handler that blocks on a
+// call back over the connection its own request arrived on. Its reply,
+// queued or direct, must not wait on that connection's read loop — the
+// loop is busy delivering the nested call's reply.
+func TestNestedCallOverSameConnectionCompletes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var a, b *Peer
+	var aco *transport.Coalescer
+	wired := make(chan struct{}) // the handler reads b and aco, set below
+	outer := func(ctx context.Context, in *Incoming) (string, []wire.Value, error) {
+		<-wired
+		return b.Client.Call(ctx, aco.Addr(), "obj", "inner", wire.DetachArgs(in.Args), batchQoS)
+	}
+	a, b, aco, bco := batchedTCPPeers(t, echoHandler, outer)
+	close(wired)
+	callConcurrently(t, a, bco.Addr(), "outer", 8, 50)
+	if got := a.Server.Stats().Requests; got != 8*50 {
+		t.Fatalf("%d nested calls executed, want %d", got, 8*50)
+	}
+}
+
+// TestSerialCallerBesideParkedCall is the mix the sharing rule reads
+// wrongly: one interrogation parked in a slow handler keeps the count of
+// those in flight above one, so a caller that is otherwise alone queues
+// every request for the flusher with nobody to share the datagram. That
+// must cost a hand-off and nothing else — every call completes, none is
+// retransmitted or dropped — and the log says what the hand-off costs.
+func TestSerialCallerBesideParkedCall(t *testing.T) {
+	release := make(chan struct{})
+	h := func(ctx context.Context, in *Incoming) (string, []wire.Value, error) {
+		if in.Op == "park" {
+			<-release
+		}
+		return echoHandler(ctx, in)
+	}
+	a, b, aco, bco := batchedTCPPeers(t, echoHandler, h)
+	serial := func() (p50 time.Duration, directShare float64) {
+		const n = 1000
+		before := aco.BatchStats()
+		lat := make([]time.Duration, n)
+		for i := range lat {
+			start := time.Now()
+			if _, _, err := a.Client.Call(context.Background(), bco.Addr(), "obj", "echo", []wire.Value{int64(i)}, batchQoS); err != nil {
+				t.Fatal(err)
+			}
+			lat[i] = time.Since(start)
+		}
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		st := aco.BatchStats()
+		return lat[n/2], float64(st.DirectFlushes-before.DirectFlushes) / float64(st.BatchesSent-before.BatchesSent)
+	}
+	alone, aloneDirect := serial()
+	parked := make(chan error, 1)
+	go func() {
+		_, _, err := a.Client.Call(context.Background(), bco.Addr(), "obj", "park", []wire.Value{int64(0)}, batchQoS)
+		parked <- err
+	}()
+	pollUntil(t, "the parked call admitted", func() bool { return b.Server.active.Load() == 1 })
+	beside, besideDirect := serial()
+	close(release)
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	again, againDirect := serial()
+	t.Logf("serial call p50 alone %v (direct writes %.2f), beside one parked call %v (%.2f), alone again %v (%.2f)",
+		alone, aloneDirect, beside, besideDirect, again, againDirect)
+	if aloneDirect < 0.9 || againDirect < 0.9 {
+		t.Errorf("direct writes %.2f before and %.2f after the parked call: a lone caller is paying the flusher hand-off", aloneDirect, againDirect)
+	}
+	if st := a.Client.Stats(); st.Retransmissions != 0 || st.Timeouts != 0 {
+		t.Errorf("client: %d retransmissions, %d timeouts", st.Retransmissions, st.Timeouts)
+	}
+	if n := aco.BatchStats().Overflows + bco.BatchStats().Overflows; n != 0 {
+		t.Errorf("%d frames dropped from a full queue", n)
 	}
 }

@@ -114,18 +114,13 @@ type Client struct {
 	closed atomic.Bool
 	shards [numShards]pendingShard
 
-	// batching is set when ep coalesces writes (transport.Batcher):
-	// acks are then deferred and flushed just before the next
-	// substantive send to the same destination, so they ride in that
-	// send's batch instead of paying for their own datagram.
-	batching bool
-	ackMu    sync.Mutex
-	acks     []pendingAck
-
-	// lazy, when non-nil, queues flushed acks on the endpoint without
-	// forcing a write of their own, so an ack and the next request to
-	// the same peer share one datagram (see transport.LazySender).
-	lazy transport.LazySender
+	// On a coalescing endpoint (lazy non-nil) acks are deferred in acks
+	// and queued just before the next substantive send to the same
+	// destination, so an ack and that send share one datagram instead of
+	// the ack paying for its own.
+	sharing // active: calls between entry and return
+	ackMu   sync.Mutex
+	acks    []pendingAck
 
 	// caps, when non-nil, is consulted per call: a destination that
 	// advertised transport.CapPacked gets its invocations flagged packed,
@@ -190,8 +185,7 @@ func newClientNoHandler(ep transport.Endpoint, codec wire.Codec, opts ...ClientO
 		codec: codec,
 		clk:   clock.Real{},
 	}
-	_, c.batching = ep.(transport.Batcher)
-	c.lazy, _ = ep.(transport.LazySender)
+	c.lazy, _ = ep.(transport.Batcher)
 	if _, bin := codec.(wire.BinaryCodec); bin {
 		c.caps, _ = ep.(transport.CapNegotiator)
 	}
@@ -233,10 +227,10 @@ func (c *Client) CallLatency() obs.HistogramSnapshot {
 // BatchStats reports the endpoint's write-coalescing counters, when the
 // client rides a batching endpoint (see transport.Coalescer).
 func (c *Client) BatchStats() (transport.CoalescerStats, bool) {
-	if b, ok := c.ep.(transport.Batcher); ok {
-		return b.BatchStats(), true
+	if c.lazy == nil {
+		return transport.CoalescerStats{}, false
 	}
-	return transport.CoalescerStats{}, false
+	return c.lazy.BatchStats(), true
 }
 
 // Close releases the client. In-flight calls fail with ErrClosed.
@@ -353,12 +347,9 @@ func (c *Client) Call(ctx context.Context, dest, objID, op string, args []wire.V
 	}
 
 	c.stats.calls.Add(1)
-	if c.batching {
-		// Deferred acks for this destination leave now, packed into the
-		// same batch as the request about to go out.
-		c.flushAcks(dest)
-	}
-	if err := c.ep.Send(dest, pkt); err != nil {
+	c.active.Add(1)
+	defer c.active.Add(-1)
+	if err := c.transmit(dest, pkt); err != nil {
 		c.abandon(id, ch)
 		return "", nil, err
 	}
@@ -406,10 +397,7 @@ func (c *Client) Call(ctx context.Context, dest, objID, op string, args []wire.V
 			}
 			c.stats.retransmissions.Add(1)
 			c.obs.Event(sp.Context(), obs.KindRetransmit, op)
-			if c.batching {
-				c.flushAcks(dest)
-			}
-			if err := c.ep.Send(dest, pkt); err != nil {
+			if err := c.transmit(dest, pkt); err != nil {
 				c.abandon(id, ch)
 				return "", nil, err
 			}
@@ -426,6 +414,35 @@ func (c *Client) Call(ctx context.Context, dest, objID, op string, args []wire.V
 	}
 }
 
+// transmit sends one request (re)transmission. Deferred acks for dest
+// leave first, packed into the same batch.
+func (c *Client) transmit(dest string, pkt []byte) error {
+	if c.lazy != nil {
+		c.flushAcks(dest)
+	}
+	return c.sendShared(c.ep, dest, pkt)
+}
+
+// sharing is the rule by which interrogation traffic — requests at a
+// Client, replies at a Server — shares datagrams on a coalescing
+// endpoint. active counts the owner's interrogations in flight. At one
+// the frame is written directly: nothing would share its datagram and
+// the flusher hand-off is all cost. Above one it is queued, and one
+// write carries the burst. In flight is not "about to send": a call
+// parked on a slow reply makes a serial caller beside it pay the
+// hand-off (+4 %, TestSerialCallerBesideParkedCall) for nobody.
+type sharing struct {
+	lazy   transport.Batcher // the endpoint, when it coalesces writes
+	active atomic.Int32
+}
+
+func (s *sharing) sendShared(ep transport.Endpoint, to string, pkt []byte) error {
+	if s.lazy != nil && s.active.Load() > 1 {
+		return s.lazy.SendLazy(to, pkt)
+	}
+	return ep.Send(to, pkt)
+}
+
 // abandon gives up on a call. If this caller still owned the pending
 // entry the channel provably has no sender and is recycled; otherwise a
 // deliverer is mid-send and the channel is left for the collector (its
@@ -439,7 +456,7 @@ func (c *Client) abandon(id uint64, ch chan replyBody) {
 // noteAck acknowledges a completed call: immediately on a plain
 // endpoint, deferred onto the piggyback queue on a batching one.
 func (c *Client) noteAck(dest string, id uint64) {
-	if !c.batching {
+	if c.lazy == nil {
 		c.sendAck(dest, id)
 		return
 	}
@@ -462,7 +479,8 @@ func (c *Client) flushAcks(dest string) {
 		c.ackMu.Unlock()
 		return
 	}
-	var take []pendingAck
+	var few [8]pendingAck // a call seldom has more to flush: no allocation
+	take := few[:0]
 	if dest == "" {
 		take = c.acks
 		c.acks = nil
@@ -519,14 +537,12 @@ func (c *Client) AnnounceCtx(ctx context.Context, dest, objID, op string, args [
 	defer c.obs.End(sp)
 	pkt := *bufp
 	c.stats.announcements.Add(1)
-	if c.batching {
-		c.flushAcks(dest)
-	}
 	// Announcements are fire-and-forget, so nothing is gained by paying
 	// the direct-write path on the caller's dime: a lazy enqueue lets the
 	// flusher pack concurrent announcers' bursts into shared datagrams.
 	send := c.ep.Send
 	if c.lazy != nil {
+		c.flushAcks(dest)
 		send = c.lazy.SendLazy
 	}
 	for i := 0; i <= qos.Repeats; i++ {

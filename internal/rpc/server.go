@@ -126,6 +126,8 @@ type Server struct {
 	// very replies it waits for — so it is read off the endpoint.
 	inline bool
 
+	sharing // active: interrogations admitted and not yet replied to
+
 	closed atomic.Bool
 	shards [numShards]callShard
 	wg     sync.WaitGroup
@@ -245,6 +247,7 @@ func newServerNoHandler(ep transport.Endpoint, codec wire.Codec, handler Handler
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	cd, ok := ep.(transport.ConcurrentDeliverer)
 	s.inline = ok && cd.DeliversConcurrently()
+	s.lazy, _ = ep.(transport.Batcher)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.cur = make(map[callKey]*serverCall)
@@ -416,6 +419,7 @@ func (s *Server) onRequest(from string, h header, body []byte) {
 	}
 
 	s.stats.requests.Add(1)
+	s.active.Add(1)
 	s.startExecute(from, h, body, sc)
 }
 
@@ -619,9 +623,12 @@ func (s *Server) reply(c *call, outcome string, results []wire.Value, err error)
 	c.sc.reply = pkt
 	c.sc.expires = s.clk.Now().Add(s.replyTTL)
 	sh.mu.Unlock()
+	// The replies of a burst admitted together share a write: all but
+	// the last to finish are queued.
 	if !s.closed.Load() {
-		_ = s.ep.Send(c.in.From, pkt)
+		_ = s.sendShared(s.ep, c.in.From, pkt)
 	}
+	s.active.Add(-1)
 }
 
 // encodeReply builds a reply packet in the body codec of the request it

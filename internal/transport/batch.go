@@ -15,11 +15,18 @@
 //
 //   - direct write: a Send that finds no write in progress claims the
 //     whole queue and writes it synchronously, so serial request/reply
-//     traffic never pays a goroutine hand-off;
-//   - lazy enqueue (SendLazy): acks and announcements are queued without
-//     forcing a write, so they share the datagram of the next Send;
+//     traffic never pays a goroutine hand-off (loop_serial is 10.1×ref
+//     with it and 12.5 without);
+//   - lazy enqueue (SendLazy): the frame is queued without forcing a
+//     write. The coalescer cannot see who else is about to send — on one
+//     core every caller finds the wire idle — so the layer that can
+//     chooses: rpc queues acks and announcements always, and requests
+//     and replies while other interrogations are in flight. A queue
+//     found full with the wire free is written, not dropped from;
 //   - a flusher per destination drains whatever queued behind an
-//     in-flight write or was enqueued lazily with no Send to follow;
+//     in-flight write or was enqueued lazily with no Send to follow. It
+//     yields once between its doorbell and its claim, so the senders a
+//     burst made runnable enqueue first and one write carries them all;
 //     what accumulated during the previous write forms the next batch,
 //     so batch size adapts to load.
 //
@@ -38,6 +45,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,11 +204,15 @@ type Coalescer struct {
 }
 
 // Batcher is implemented by endpoints that coalesce outgoing frames
-// (see Coalescer). Layers above may use it to defer low-value traffic —
-// the rpc client queues acks so they ride in the same batch as the next
-// substantive send instead of paying for their own datagram.
+// (see Coalescer). SendLazy queues a frame for to without writing
+// anything itself: the frame rides in whichever batch next leaves for
+// that destination — the next Send's, or the flusher's, whichever comes
+// first. The rpc layer uses it for what need not, or should not, pay for
+// a write of its own: acks and announcements, and interrogations and
+// replies while others are in flight.
 type Batcher interface {
 	Endpoint
+	SendLazy(to string, pkt []byte) error
 	BatchStats() CoalescerStats
 }
 
@@ -299,7 +311,15 @@ func (c *Coalescer) loadHandler() Handler {
 // writes the batch synchronously. Serial traffic then skips the flusher
 // hand-off (two scheduler hops per frame) entirely; the flusher remains
 // the drain for frames that arrive while a claimed write is on the wire.
-func (c *Coalescer) Send(to string, pkt []byte) error {
+func (c *Coalescer) Send(to string, pkt []byte) error { return c.send(to, pkt, false) }
+
+// SendLazy implements Batcher: pkt is queued for to but no write is
+// triggered on the caller's dime — the frame rides in the next batch a
+// substantive Send claims, or the flusher's next drain, whichever comes
+// first. Peers without batching get a plain send.
+func (c *Coalescer) SendLazy(to string, pkt []byte) error { return c.send(to, pkt, true) }
+
+func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
 	if len(pkt) > MaxPacket {
 		return ErrTooLarge
 	}
@@ -308,6 +328,8 @@ func (c *Coalescer) Send(to string, pkt []byte) error {
 		return ErrClosed
 	}
 	if !p.capable.Load() {
+		// Lazy frames probe too, so a workload of nothing else
+		// (announcement streams) still negotiates batching.
 		if (p.sends.Add(1)-1)%helloEvery == 0 {
 			c.sendHello(to, helloProbe)
 		}
@@ -321,59 +343,31 @@ func (c *Coalescer) Send(to string, pkt []byte) error {
 		return c.inner.Send(to, pkt)
 	}
 	p.mu.Lock()
-	if !p.enqueueLocked(pkt) {
+	queued := p.enqueueLocked(pkt)
+	if p.inFlight || (lazy && queued) {
 		p.mu.Unlock()
-		c.stats.overflows.Add(1)
-		return nil
-	}
-	if !p.inFlight {
-		segs, n := p.claimLocked()
-		p.mu.Unlock()
-		c.stats.directFlushes.Add(1)
-		p.writeSegs(segs, n)
-		p.finishWrite(segs)
-		return nil
-	}
-	p.mu.Unlock()
-	p.wakeFlusher()
-	return nil
-}
-
-// SendLazy implements LazySender: pkt is queued for to but no write is
-// triggered on the caller's dime — the frame rides in the next batch a
-// substantive Send claims, or the flusher's next drain, whichever comes
-// first. Peers without batching get a plain send.
-func (c *Coalescer) SendLazy(to string, pkt []byte) error {
-	if len(pkt) > MaxPacket {
-		return ErrTooLarge
-	}
-	p := c.peer(to)
-	if p == nil {
-		return ErrClosed
-	}
-	if !p.capable.Load() {
-		// Same paced probing as Send, so a workload of nothing but lazy
-		// frames (announcement streams) still negotiates batching.
-		if (p.sends.Add(1)-1)%helloEvery == 0 {
-			c.sendHello(to, helloProbe)
+		if !queued {
+			// Full behind a write that is not finishing: shed load.
+			c.stats.overflows.Add(1)
+			return nil
 		}
-		c.stats.singleSends.Add(1)
-		return c.inner.Send(to, pkt)
-	}
-	if batchHdrLen+subHdrLen+len(pkt) > c.pendingLimit {
-		c.stats.singleSends.Add(1)
-		return c.inner.Send(to, pkt)
-	}
-	p.mu.Lock()
-	ok := p.enqueueLocked(pkt)
-	p.mu.Unlock()
-	if !ok {
-		c.stats.overflows.Add(1)
+		// A lazy frame's flusher backstops delivery if no Send follows;
+		// under serial request/reply traffic the next Send usually claims
+		// the frame first.
+		p.wakeFlusher()
 		return nil
 	}
-	// The flusher backstops delivery if no Send follows; under serial
-	// request/reply traffic the next Send usually claims the frame first.
-	p.wakeFlusher()
+	// The wire is free. A full queue is written rather than dropped from
+	// — queued is never lossier than direct — and pkt, alone in the
+	// emptied queue, follows with the flusher.
+	segs, n := p.claimLocked()
+	if !queued {
+		p.enqueueLocked(pkt)
+	}
+	p.mu.Unlock()
+	c.stats.directFlushes.Add(1)
+	p.writeSegs(segs, n)
+	p.finishWrite(segs)
 	return nil
 }
 
@@ -611,6 +605,11 @@ func (p *batchPeer) flusher() {
 	for {
 		select {
 		case <-p.wake:
+			// The ringer is rarely alone: the callers (or dispatches) a
+			// burst of replies (or requests) made runnable are queued
+			// behind it. Woken, this goroutine would run next and claim
+			// a batch of one; yielding lets them enqueue first.
+			runtime.Gosched()
 			p.flushNow()
 		case <-c.stop:
 			p.flushNow()

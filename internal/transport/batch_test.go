@@ -376,6 +376,56 @@ func TestCoalescerOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestCoalescerLazyOverflowWritesInsteadOfDropping: queued must never
+// be lossier than direct. A frame that finds the queue full while the
+// wire is free writes the queue out and takes its place in the next
+// batch; only a queue full behind a write in flight sheds load. The peer
+// is capable but has no flusher running, so nothing but the senders
+// themselves can empty the queue.
+func TestCoalescerLazyOverflowWritesInsteadOfDropping(t *testing.T) {
+	const fits = (1024 - batchHdrLen) / (subHdrLen + 64)
+	frame := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 64) }
+	for name, oneMore := range map[string]func(*Coalescer, string, []byte) error{
+		"lazy": (*Coalescer).SendLazy, "direct": (*Coalescer).Send,
+	} {
+		t.Run(name, func(t *testing.T) {
+			inner := newGateEP("mem://a")
+			close(inner.open)
+			c := NewCoalescer(inner, WithPendingLimit(1024))
+			defer func() { _ = c.Close() }()
+			c.peer("mem://b").capable.Store(true)
+
+			for i := 0; i < fits; i++ { // to the limit
+				if err := c.SendLazy("mem://b", frame(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := oneMore(c, "mem://b", frame(fits)); err != nil {
+				t.Fatal(err)
+			}
+			st := c.BatchStats()
+			if st.Overflows != 0 || st.BatchesSent != 1 || st.FramesBatched != fits {
+				t.Fatalf("frame beyond the limit, wire free: want the %d queued frames written and none dropped: %+v", fits, st)
+			}
+			if err := c.Send("mem://b", []byte("tail")); err != nil {
+				t.Fatal(err)
+			}
+			_, _, subs := countBatches(inner.frames())
+			if len(subs) != fits+2 {
+				t.Fatalf("%d frames arrived, want %d", len(subs), fits+2)
+			}
+			for i, sub := range subs[:fits+1] {
+				if !bytes.Equal(sub, frame(i)) {
+					t.Fatalf("frame %d arrived out of order or altered: % x", i, sub[:4])
+				}
+			}
+			if st := c.BatchStats(); st.Overflows != 0 {
+				t.Fatalf("frames dropped: %+v", st)
+			}
+		})
+	}
+}
+
 // TestCoalescerCloseDrains: Close flushes frames still queued behind a
 // finished write before closing the inner endpoint. The time they spent
 // queued is measured on the injected clock, not the wall.

@@ -1,36 +1,52 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // TCPEndpoint carries the datagram abstraction over real TCP connections,
-// for cross-process deployments (cmd/odpnode). Each frame is:
+// for cross-process deployments (cmd/odpnode). The peer address belongs
+// to the connection, not to the frame: the dialling side opens with one
+// hello,
 //
-//	u32 fromLen | from | u32 pktLen | pkt
+//	'O' 'D' 'P' | u8 version | u16 addrLen | addr
+//
+// (the acceptor sends none — the dialler knows whom it dialled), and
+// everything after it, in both directions, is frames:
+//
+//	u32 pktLen | pkt
+//
+// The hello is versioned so that what else identifies a peer (an
+// incarnation epoch, say) has a place to go; an unknown version, a bad
+// magic or an absurd length drops the connection.
 //
 // Connections are cached per destination and re-dialled on failure. TCP's
 // reliability simply means the loss probability is zero; the invocation
 // protocol above is identical to the simulated case.
 //
-// Each cached connection owns a write mutex and a reusable frame buffer:
+// Each connection owns a write mutex and a reusable frame buffer:
 // concurrent senders serialize per connection, so frames never interleave
 // (a single net.Conn.Write may issue several syscalls on partial writes)
-// and steady-state sends allocate nothing.
+// and steady-state sends allocate nothing. Its read loop owns one buffer
+// that a single Read fills and the handler drains frame by frame, so a
+// burst of frames costs one syscall, not one per length prefix.
 type TCPEndpoint struct {
 	listener net.Listener
 	addr     string
 
-	mu      sync.Mutex
-	handler Handler
-	conns   map[string]*tcpConn
-	closed  bool
-	wg      sync.WaitGroup
+	handler atomic.Value // Handler
+	closed  atomic.Bool  // written under mu, read by the read loops without it
+
+	mu    sync.Mutex
+	conns map[string]*tcpConn   // by peer address, for sending
+	live  map[*tcpConn]struct{} // every connection with a running read loop
+	wg    sync.WaitGroup
 }
 
 var (
@@ -38,27 +54,39 @@ var (
 	_ VecSender = (*TCPEndpoint)(nil)
 )
 
-// maxRetainedBuf bounds the frame and read buffers a connection keeps
-// between packets: one oversized frame must not pin its storage for the
-// connection's lifetime.
+// maxRetainedBuf is the size of a connection's read buffer and bounds
+// the frame and read buffers it keeps between packets: one oversized
+// frame must not pin its storage for the connection's lifetime.
 const maxRetainedBuf = 64 << 10
 
-// tcpConn is one cached connection with its serialized write path.
+const (
+	helloMagic   = "ODP"
+	helloVersion = 1
+	helloHdrLen  = len(helloMagic) + 1 + 2 // magic, version, u16 address length
+	maxHelloAddr = 4096
+	frameHdrLen  = 4 // u32 packet length
+)
+
+var errBadStream = errors.New("transport: malformed tcp stream")
+
+// tcpConn is one connection with its serialized write path.
 type tcpConn struct {
 	conn net.Conn
 
-	wmu  sync.Mutex
-	wbuf []byte      // reusable frame buffer, guarded by wmu
-	wvec net.Buffers // reusable scatter-gather vector, guarded by wmu
+	wmu   sync.Mutex
+	wbuf  []byte      // reusable frame buffer, guarded by wmu
+	wvec  net.Buffers // reusable scatter-gather vector, guarded by wmu
+	hello int         // bytes of wbuf that are the hello the first frame carries
 }
 
 // writeFrame frames and transmits one packet. The per-connection mutex
 // makes the frame atomic on the stream even when the kernel accepts the
 // buffer in several partial writes; the retained buffer makes the steady
 // state allocation-free.
-func (c *tcpConn) writeFrame(from string, pkt []byte) error {
+func (c *tcpConn) writeFrame(pkt []byte) error {
 	c.wmu.Lock()
-	buf := appendFrame(c.wbuf[:0], from, pkt)
+	buf := append(binary.BigEndian.AppendUint32(c.wbuf[:c.hello], uint32(len(pkt))), pkt...)
+	c.hello = 0
 	if cap(buf) <= maxRetainedBuf {
 		c.wbuf = buf
 	} else {
@@ -75,17 +103,11 @@ func (c *tcpConn) writeFrame(from string, pkt []byte) error {
 // writev (net.Buffers uses writev on TCP connections), so a coalesced
 // batch crosses the stream in a single syscall with zero copies on this
 // side. The write mutex keeps the frame atomic on the stream.
-func (c *tcpConn) writeFrameVec(from string, segs net.Buffers, total int) error {
+func (c *tcpConn) writeFrameVec(segs net.Buffers, total int) error {
 	c.wmu.Lock()
-	hdr := c.wbuf[:0]
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(from)))
-	hdr = append(hdr, n[:]...)
-	hdr = append(hdr, from...)
-	binary.BigEndian.PutUint32(n[:], uint32(total))
-	hdr = append(hdr, n[:]...)
-	c.wbuf = hdr
-	vec := append(c.wvec[:0], hdr)
+	c.wbuf = binary.BigEndian.AppendUint32(c.wbuf[:c.hello], uint32(total))
+	c.hello = 0
+	vec := append(c.wvec[:0], c.wbuf)
 	vec = append(vec, segs...)
 	// WriteTo consumes its receiver as segments drain, so it gets a
 	// copy of the slice header; the caller's segment slices are only
@@ -111,6 +133,7 @@ func ListenTCP(bind string) (*TCPEndpoint, error) {
 		listener: l,
 		addr:     "tcp:" + l.Addr().String(),
 		conns:    make(map[string]*tcpConn),
+		live:     make(map[*tcpConn]struct{}),
 	}
 	e.wg.Add(1)
 	go e.acceptLoop()
@@ -121,11 +144,7 @@ func ListenTCP(bind string) (*TCPEndpoint, error) {
 func (e *TCPEndpoint) Addr() string { return e.addr }
 
 // SetHandler implements Endpoint.
-func (e *TCPEndpoint) SetHandler(h Handler) {
-	e.mu.Lock()
-	e.handler = h
-	e.mu.Unlock()
-}
+func (e *TCPEndpoint) SetHandler(h Handler) { e.handler.Store(h) }
 
 // connFor returns the cached connection for to, dialling one if needed.
 func (e *TCPEndpoint) connFor(to string) (*tcpConn, error) {
@@ -134,7 +153,7 @@ func (e *TCPEndpoint) connFor(to string) (*tcpConn, error) {
 		return nil, fmt.Errorf("%w: bad address %q", ErrUnreachable, to)
 	}
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
@@ -148,9 +167,13 @@ func (e *TCPEndpoint) connFor(to string) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
-	tc = &tcpConn{conn: conn}
+	// The hello leaves in the first frame's write, so only the dial that
+	// wins the race below ever names this endpoint to the peer: a loser
+	// is closed having said nothing, and cannot take the peer's route.
+	tc = &tcpConn{conn: conn, wbuf: appendHello(nil, e.addr)}
+	tc.hello = len(tc.wbuf)
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		_ = conn.Close()
 		return nil, ErrClosed
@@ -162,9 +185,10 @@ func (e *TCPEndpoint) connFor(to string) (*tcpConn, error) {
 		return existing, nil
 	}
 	e.conns[to] = tc
+	e.live[tc] = struct{}{}
+	e.wg.Add(1)
 	e.mu.Unlock()
 	// Replies may come back on this same connection.
-	e.wg.Add(1)
 	go e.readLoop(tc, to)
 	return tc, nil
 }
@@ -190,7 +214,7 @@ func (e *TCPEndpoint) Send(to string, pkt []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := tc.writeFrame(e.addr, pkt); err != nil {
+	if err := tc.writeFrame(pkt); err != nil {
 		e.dropConn(to, tc)
 	}
 	return nil
@@ -210,31 +234,28 @@ func (e *TCPEndpoint) SendVec(to string, segs net.Buffers) error {
 	if err != nil {
 		return err
 	}
-	if err := tc.writeFrameVec(e.addr, segs, total); err != nil {
+	if err := tc.writeFrameVec(segs, total); err != nil {
 		e.dropConn(to, tc)
 	}
 	return nil
 }
 
-// Close implements Endpoint.
+// Close implements Endpoint. It closes every live connection — also one
+// that has not yet said who it is, or that no send would ever pick — so
+// every read loop it waits for is on its way out.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return nil
 	}
-	e.closed = true
-	conns := make([]*tcpConn, 0, len(e.conns))
-	for _, c := range e.conns {
-		conns = append(conns, c)
+	e.closed.Store(true)
+	for tc := range e.live { // each read loop takes its own entries with it
+		_ = tc.conn.Close()
 	}
-	e.conns = make(map[string]*tcpConn)
 	e.mu.Unlock()
 
 	_ = e.listener.Close()
-	for _, c := range conns {
-		_ = c.conn.Close()
-	}
 	e.wg.Wait()
 	return nil
 }
@@ -246,109 +267,149 @@ func (e *TCPEndpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		tc := &tcpConn{conn: conn}
 		e.mu.Lock()
-		if e.closed {
+		if e.closed.Load() {
 			e.mu.Unlock()
 			_ = conn.Close()
 			return
 		}
+		e.live[tc] = struct{}{}
 		e.wg.Add(1)
 		e.mu.Unlock()
-		go e.readLoop(&tcpConn{conn: conn}, "")
+		go e.readLoop(tc, "")
 	}
 }
 
-// readLoop consumes frames from one connection. cacheKey, when non-empty,
-// identifies the conns entry to clear when the connection dies. The
-// length prefixes, source address and packet all read into buffers reused
-// across frames, so a settled connection allocates nothing per packet
-// (the Handler contract forbids retaining pkt).
-func (e *TCPEndpoint) readLoop(tc *tcpConn, cacheKey string) {
+// readLoop delivers the frames of one connection. peer is the address on
+// the other end: the one dialled, or empty on an accepted connection,
+// whose hello then names it. Each turn fills the buffer with one Read
+// and hands the handler every complete frame in it as a slice of that
+// buffer (the Handler contract forbids retaining pkt), so a settled
+// connection allocates nothing and a burst costs one syscall.
+func (e *TCPEndpoint) readLoop(tc *tcpConn, peer string) {
 	defer e.wg.Done()
-	conn := tc.conn
 	defer func() {
-		_ = conn.Close()
-		if cacheKey != "" {
-			e.mu.Lock()
-			if e.conns[cacheKey] == tc {
-				delete(e.conns, cacheKey)
-			}
-			e.mu.Unlock()
-		}
-	}()
-	var (
-		lenBuf     [4]byte
-		fromBuf    []byte
-		pktBuf     []byte
-		lastFrom   string // interned source address: one conn, one peer
-		registered bool
-	)
-	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			return
-		}
-		fl := binary.BigEndian.Uint32(lenBuf[:])
-		if fl > 4096 {
-			return // absurd from length: protocol confusion, drop the conn
-		}
-		fromBuf = growBuf(fromBuf, int(fl))
-		if _, err := io.ReadFull(conn, fromBuf[:fl]); err != nil {
-			return
-		}
-		if lastFrom == "" || !bytes.Equal(fromBuf[:fl], []byte(lastFrom)) {
-			lastFrom = string(fromBuf[:fl])
-		}
-		from := lastFrom
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			return
-		}
-		pl := binary.BigEndian.Uint32(lenBuf[:])
-		if pl > MaxPacket {
-			return // oversized frame: drop the conn
-		}
-		pktBuf = growBuf(pktBuf, int(pl))
-		if _, err := io.ReadFull(conn, pktBuf[:pl]); err != nil {
-			return
-		}
-		// First inbound frame tells us the peer's address, letting replies
-		// reuse this connection instead of dialling back (essential when
-		// the peer is behind an ephemeral port).
-		if !registered && from != "" {
-			e.mu.Lock()
-			if !e.closed {
-				if _, exists := e.conns[from]; !exists {
-					e.conns[from] = tc
-					if cacheKey == "" {
-						cacheKey = from
-					}
-				}
-			}
-			e.mu.Unlock()
-			registered = true
-		}
+		_ = tc.conn.Close()
 		e.mu.Lock()
-		h := e.handler
-		closed := e.closed
+		delete(e.live, tc)
+		if e.conns[peer] == tc {
+			delete(e.conns, peer)
+		}
 		e.mu.Unlock()
-		if closed {
+	}()
+	s := frameStream{buf: make([]byte, maxRetainedBuf)}
+	for {
+		if err := s.fill(tc.conn); err != nil || e.closed.Load() {
 			return
 		}
-		if h != nil {
-			h(from, pktBuf[:pl])
+		if peer == "" {
+			var err error
+			if peer, err = s.hello(); err != nil {
+				return
+			}
+			if peer == "" {
+				continue
+			}
+			// Now that the peer has a name, replies reuse this connection
+			// instead of dialling back (essential when the peer is behind
+			// an ephemeral port). Only the connection the peer sends on
+			// says hello, so the latest to do so is the route, even while
+			// a predecessor the peer dropped is still being read here.
+			e.mu.Lock()
+			e.conns[peer] = tc
+			e.mu.Unlock()
 		}
-		if cap(pktBuf) > maxRetainedBuf {
-			pktBuf = nil // do not pin one giant frame's storage
+		h, _ := e.handler.Load().(Handler)
+		for {
+			pkt, ok, err := s.next()
+			if err != nil {
+				return
+			}
+			if !ok {
+				break
+			}
+			if h != nil {
+				h(peer, pkt)
+			}
 		}
 	}
 }
 
-// growBuf returns a slice of at least n capacity, reusing buf when it
-// already fits.
-func growBuf(buf []byte, n int) []byte {
-	if cap(buf) >= n {
-		return buf[:n]
+// frameStream is the receive buffer of one connection: buf[r:w] holds
+// the bytes read and not yet consumed, and need is the size of the unit
+// (hello or frame) at r that is not all there yet, as far as is known.
+type frameStream struct {
+	buf        []byte
+	r, w, need int
+}
+
+// fill makes room for the unit at r and reads once. Room is made by
+// moving the unconsumed tail to the front, into a grown buffer when the
+// unit is larger than this one, and back into one of the standard size
+// once a grown buffer is no longer needed.
+func (s *frameStream) fill(conn io.Reader) error {
+	if s.r == s.w {
+		s.r, s.w = 0, 0
 	}
-	return make([]byte, n)
+	if size := max(s.need, maxRetainedBuf); size != len(s.buf) {
+		grown := make([]byte, size)
+		s.w = copy(grown, s.buf[s.r:s.w])
+		s.buf, s.r = grown, 0
+	} else if s.r+s.need > len(s.buf) {
+		s.w = copy(s.buf, s.buf[s.r:s.w])
+		s.r = 0
+	}
+	n, err := conn.Read(s.buf[s.w:])
+	s.w += n
+	if n > 0 {
+		return nil // a failure that came with data is reported again
+	}
+	return err
+}
+
+// appendHello appends the hello of a connection dialled from addr.
+func appendHello(dst []byte, addr string) []byte {
+	dst = append(append(dst, helloMagic...), helloVersion)
+	return append(binary.BigEndian.AppendUint16(dst, uint16(len(addr))), addr...)
+}
+
+// hello consumes the connection hello and returns the address in it;
+// none and no error means it is not all there yet. A stream that does
+// not open with a hello of this version and a sane address is an error.
+func (s *frameStream) hello() (string, error) {
+	b := s.buf[s.r:s.w]
+	if s.need = helloHdrLen; len(b) < s.need {
+		return "", nil
+	}
+	n := int(binary.BigEndian.Uint16(b[helloHdrLen-2:]))
+	if string(b[:len(helloMagic)]) != helloMagic || b[len(helloMagic)] != helloVersion || n == 0 || n > maxHelloAddr {
+		return "", errBadStream
+	}
+	if s.need += n; len(b) < s.need {
+		return "", nil
+	}
+	s.r += s.need
+	return string(b[helloHdrLen:s.need]), nil
+}
+
+// next consumes the next complete frame and returns its packet, a slice
+// of buf; !ok means the frame is not all there yet. A length beyond
+// MaxPacket is an error.
+func (s *frameStream) next() (pkt []byte, ok bool, err error) {
+	b := s.buf[s.r:s.w]
+	if s.need = frameHdrLen; len(b) < s.need {
+		return nil, false, nil
+	}
+	n := binary.BigEndian.Uint32(b)
+	if n > MaxPacket {
+		return nil, false, errBadStream
+	}
+	if s.need += int(n); len(b) < s.need {
+		return nil, false, nil
+	}
+	s.r += s.need
+	return b[frameHdrLen:s.need:s.need], true, nil
 }
 
 func stripScheme(addr string) (string, bool) {
@@ -357,15 +418,4 @@ func stripScheme(addr string) (string, bool) {
 		return "", false
 	}
 	return addr[len(scheme):], true
-}
-
-// appendFrame appends the wire framing of (from, pkt) to dst.
-func appendFrame(dst []byte, from string, pkt []byte) []byte {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(from)))
-	dst = append(dst, n[:]...)
-	dst = append(dst, from...)
-	binary.BigEndian.PutUint32(n[:], uint32(len(pkt)))
-	dst = append(dst, n[:]...)
-	return append(dst, pkt...)
 }

@@ -54,16 +54,6 @@ type VecSender interface {
 	SendVec(to string, segs net.Buffers) error
 }
 
-// LazySender queues a low-value frame for to without writing anything
-// itself: the frame rides in whichever batch next leaves for that
-// destination (or the coalescer's own flusher, whichever comes first).
-// The rpc client uses it for acks, so an ack and the interrogation that
-// follows it share one datagram. Endpoints without lazy capability are
-// used via plain Send instead.
-type LazySender interface {
-	SendLazy(to string, pkt []byte) error
-}
-
 // ConcurrentDeliverer is implemented by endpoints whose inbound
 // deliveries run on independent goroutines, so a Handler that blocks —
 // on a nested invocation, say — cannot stall the delivery of the very
