@@ -2,9 +2,7 @@ package odp_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
-	"time"
 
 	"odp"
 )
@@ -155,131 +153,5 @@ func TestEnterprisePolicyCompilesToLiveGuard(t *testing.T) {
 	// end to end with the community the guard was compiled from.
 	if err := community.CheckObligations(assignment, nil); err != nil {
 		t.Fatalf("no obligations declared, audit should pass: %v", err)
-	}
-}
-
-// ---- Ablation benchmarks: the cost of the design choices DESIGN.md
-// calls out, each toggled off against the default. ----
-
-// BenchmarkAblationTypeCheckingOn/Off: the price of §4.3's early
-// signature checking on the dispatch path.
-func benchTypeChecking(b *testing.B, checking bool) {
-	fabric := odp.NewFabric()
-	b.Cleanup(func() { _ = fabric.Close() })
-	sep, err := fabric.Endpoint("server")
-	if err != nil {
-		b.Fatal(err)
-	}
-	server, err := odp.NewPlatform("server", sep,
-		odp.WithCapsuleOptions(odp.CapsuleTypeChecking(checking)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = server.Close() })
-	cellType := odp.Type{Name: "Cell", Ops: map[string]odp.Operation{
-		"add": {Args: []odp.Desc{odp.Int}, Outcomes: map[string][]odp.Desc{"ok": {odp.Int}}},
-	}}
-	ref, err := server.Publish("cell", odp.Object{Servant: newBenchCell(0), Type: cellType})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cep, err := fabric.Endpoint("client")
-	if err != nil {
-		b.Fatal(err)
-	}
-	client, err := odp.NewPlatform("client", cep, odp.WithRelocator(server.RelocRef))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = client.Close() })
-	proxy := client.Bind(ref).WithQoS(odp.QoS{Timeout: 30 * time.Second})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustCall(b, proxy, "add", int64(1))
-	}
-}
-
-func BenchmarkAblationTypeCheckingOn(b *testing.B)  { benchTypeChecking(b, true) }
-func BenchmarkAblationTypeCheckingOff(b *testing.B) { benchTypeChecking(b, false) }
-
-// BenchmarkAblationBinaryCodec/TextCodec compares the two network
-// representations on the same invocation — the translation cost a
-// federation gateway pays per leg.
-func BenchmarkAblationBinaryCodec(b *testing.B) { benchCodecSimple(b, odp.BinaryCodec{}) }
-func BenchmarkAblationTextCodec(b *testing.B)   { benchCodecSimple(b, odp.TextCodec{}) }
-
-func benchCodecSimple(b *testing.B, codec odp.Codec) {
-	fabric := odp.NewFabric()
-	b.Cleanup(func() { _ = fabric.Close() })
-	sep, err := fabric.Endpoint("server")
-	if err != nil {
-		b.Fatal(err)
-	}
-	server, err := odp.NewPlatform("server", sep, odp.WithCodec(codec))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = server.Close() })
-	ref, err := server.Publish("cell", odp.Object{Servant: newBenchCell(0)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cep, err := fabric.Endpoint("client")
-	if err != nil {
-		b.Fatal(err)
-	}
-	client, err := odp.NewPlatform("client", cep,
-		odp.WithCodec(codec), odp.WithRelocator(server.RelocRef))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = client.Close() })
-	proxy := client.Bind(ref).WithQoS(odp.QoS{Timeout: 30 * time.Second})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustCall(b, proxy, "add", int64(1))
-	}
-}
-
-// BenchmarkAblationRetransmitInterval sweeps the QoS retransmission
-// interval under 10% loss: too eager wastes bandwidth, too lazy wastes
-// latency — the trade-off behind §5.1's "quality of service constraints
-// must be specified".
-func BenchmarkAblationRetransmitInterval(b *testing.B) {
-	for _, interval := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond} {
-		interval := interval
-		b.Run(fmt.Sprintf("retransmit=%s", interval), func(b *testing.B) {
-			fabric := odp.NewFabric(odp.WithSeed(7), odp.WithDefaultLink(odp.LinkProfile{
-				Latency: 200 * time.Microsecond, Loss: 0.1,
-			}))
-			b.Cleanup(func() { _ = fabric.Close() })
-			sep, err := fabric.Endpoint("server")
-			if err != nil {
-				b.Fatal(err)
-			}
-			server, err := odp.NewPlatform("server", sep)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { _ = server.Close() })
-			ref, err := server.Publish("cell", odp.Object{Servant: newBenchCell(0)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cep, err := fabric.Endpoint("client")
-			if err != nil {
-				b.Fatal(err)
-			}
-			client, err := odp.NewPlatform("client", cep, odp.WithRelocator(server.RelocRef))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { _ = client.Close() })
-			proxy := client.Bind(ref).WithQoS(odp.QoS{Timeout: 60 * time.Second, Retransmit: interval})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mustCall(b, proxy, "add", int64(1))
-			}
-		})
 	}
 }

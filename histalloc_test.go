@@ -6,8 +6,8 @@ package odp_test
 // the tightest path there is, the packed E1 remote loopback. The gate
 // proves two things at once: the histograms really are in the measured
 // path (their counts advance by exactly the measured calls), and the
-// path's allocation budget is the same one BENCH_9 recorded before the
-// histograms existed.
+// path's allocation budget is the one TestPackedE1AllocGate holds the
+// same call to.
 
 import (
 	"context"

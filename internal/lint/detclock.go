@@ -11,9 +11,8 @@ import (
 // DetClockConfig configures the detclock pass.
 type DetClockConfig struct {
 	// ExemptPackages may touch the time package and global math/rand
-	// directly: the clock gateway itself, the simulation harness (its
-	// settle loop watches real goroutines make real progress) and the
-	// wall-clock benchmark harness.
+	// directly: the clock gateway itself and the simulation harness (its
+	// settle loop watches real goroutines make real progress).
 	ExemptPackages []string
 	// ExemptPrefixes exempts whole subtrees (commands and examples are
 	// interactive programs, not simulation-driven mechanisms).
@@ -34,7 +33,6 @@ func DefaultDetClockConfig() DetClockConfig {
 		ExemptPackages: []string{
 			"odp/internal/clock",
 			"odp/internal/sim",
-			"odp/internal/bench",
 		},
 		ExemptPrefixes: []string{"odp/cmd/", "odp/examples/"},
 		ExemptFiles:    []string{"odp/internal/netsim/realtime.go"},

@@ -19,8 +19,8 @@
 //     resulting order graph is a potential deadlock and is reported with
 //     a full witness chain. Intentional hierarchies are declared in the
 //     ordered-lock allowlist.
-//   - detclock: outside the sanctioned gateways (internal/clock, the
-//     netsim fabric, the benchmark harness), no direct use of time.Now,
+//   - detclock: outside the sanctioned gateways (internal/clock,
+//     internal/sim, netsim's realtime.go), no direct use of time.Now,
 //     time.Sleep, timers, tickers or the global math/rand source, so that
 //     time-driven mechanisms stay deterministic under test.
 //   - layering: the import graph respects the engineering model — the

@@ -40,12 +40,11 @@ type LinkProfile struct {
 	// independent of size — the framing/syscall/wakeup overhead a real
 	// stack pays for every packet. A coalesced BATCH frame (see
 	// transport.Coalescer) is one datagram and so pays it once however
-	// many sub-frames it carries, which is the amortisation the E16
-	// experiment measures.
+	// many sub-frames it carries.
 	PerPacket time.Duration
 }
 
-// Profiles for common environments, used throughout the benchmarks.
+// Profiles for common environments.
 var (
 	// Loopback is instantaneous and lossless.
 	Loopback = LinkProfile{}
@@ -53,8 +52,6 @@ var (
 	LAN = LinkProfile{Latency: 200 * time.Microsecond, Jitter: 50 * time.Microsecond}
 	// WAN approximates a wide-area path.
 	WAN = LinkProfile{Latency: 5 * time.Millisecond, Jitter: 1 * time.Millisecond}
-	// LossyLAN approximates a congested segment.
-	LossyLAN = LinkProfile{Latency: 200 * time.Microsecond, Jitter: 100 * time.Microsecond, Loss: 0.05}
 )
 
 // pktPool recycles in-flight packet copies: the fabric copies every
