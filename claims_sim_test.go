@@ -176,7 +176,7 @@ func TestClaimsInvocationShapes(t *testing.T) {
 }
 
 // TestClaimsGatewayHop asserts §5.6's price of a federation interceptor
-// (E9): a call through a gateway, which translates between the binary
+// (E9): a call through a gateway, which translates between the packed
 // and text representations on the way, takes exactly the direct call
 // plus one more hop's round trip, and twice the packets.
 func TestClaimsGatewayHop(t *testing.T) {

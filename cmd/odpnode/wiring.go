@@ -19,10 +19,9 @@ type nodeConfig struct {
 	// the hot path, and the "obs.sample_every" management parameter can
 	// turn sampling on against a live node.
 	traceEvery int
-	// batch wraps the endpoint in the write coalescer. Besides datagram
-	// amortisation this advertises the packed-codec capability, so two
-	// -batch nodes upgrade their connection to ansa-packed/1 in-band;
-	// against a non-batching peer everything falls back silently.
+	// batch wraps the endpoint in the write coalescer; against a
+	// non-batching peer frames go out unbatched. It has no bearing on
+	// the codec.
 	batch bool
 	// series > 0 samples the node's Gather snapshot at this interval, so
 	// the management "series" op serves rates and odptop shows them.

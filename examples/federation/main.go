@@ -2,7 +2,7 @@
 // boundaries.
 //
 // Two organisations run genuinely separate networks: org-a speaks the
-// binary network representation, org-b the textual one, and no direct
+// packed network representation, org-b the textual one, and no direct
 // route exists between them. A gateway stands on the boundary,
 // translating representations, policing crossings with the
 // administrative policy, and creating proxy objects for references that
@@ -82,7 +82,7 @@ func run() error {
 		}
 		return p
 	}
-	// org-a: binary codec (default). org-b: text codec — a real
+	// org-a: packed (default). org-b: text codec — a real
 	// technology boundary.
 	clientA := mk(fabA, "client-a", odp.WithTrader("org-a"))
 	defer clientA.Close()
@@ -102,7 +102,7 @@ func run() error {
 		return nil
 	}
 	gateway := odp.NewGateway("gw-ab", gwA, gwB, policy)
-	fmt.Println("gateway gw-ab standing between org-a (binary) and org-b (text)")
+	fmt.Println("gateway gw-ab standing between org-a (packed) and org-b (text)")
 
 	// org-b publishes and advertises the weather service locally.
 	refB, err := serverB.Publish("weather", odp.Object{
@@ -143,7 +143,7 @@ func run() error {
 	fmt.Printf("imported %s; reference context trail: %v\n", offer.ID, offer.Ref.Context)
 
 	// The imported reference is a gateway proxy: invoking it crosses the
-	// boundary, translating binary -> text and back.
+	// boundary, translating packed -> text and back.
 	out, err := clientA.Bind(offer.Ref).Call(ctx, "report", "berlin")
 	if err != nil || !out.Is("ok") {
 		return fmt.Errorf("report: %v %v", out, err)

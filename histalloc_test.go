@@ -58,11 +58,11 @@ func TestHistogramRecordingAddsNoAllocsE1(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		call()
-		if n, _ := client.Gather()["rpc.client.packed_upgrades"].(uint64); n > 0 {
+		if st, _ := client.BatchStats(); st.BatchesSent > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("packed codec not negotiated within warm-up deadline")
+			t.Fatal("batching not negotiated within warm-up deadline")
 		}
 		runtime.Gosched()
 	}

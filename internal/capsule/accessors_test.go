@@ -17,7 +17,7 @@ func TestAccessorsAndRegistry(t *testing.T) {
 	if c.Name() != "n1" || c.Addr() != "n1" {
 		t.Fatalf("name/addr: %q %q", c.Name(), c.Addr())
 	}
-	if c.Codec().Name() != (wire.BinaryCodec{}).Name() {
+	if c.Codec().Name() != (wire.PackedCodec{}).Name() {
 		t.Fatalf("codec %q", c.Codec().Name())
 	}
 	if c.Client() == nil {

@@ -40,6 +40,11 @@ import (
 // procedures provided by the server give access to a data structure"
 // (§4.1). Dispatch must be safe for concurrent use — "concurrency is the
 // norm in a distributed system" (§4.1).
+//
+// Ownership: args is the servant's own copy (§4.4) and may be kept. op
+// is not — it may alias the request packet and is valid only for the
+// duration of Dispatch; a servant that retains it clones it first
+// (strings.Clone).
 type Servant interface {
 	Dispatch(ctx context.Context, op string, args []wire.Value) (outcome string, results []wire.Value, err error)
 }
@@ -351,15 +356,15 @@ func (c *Capsule) Objects() []string {
 	return ids
 }
 
-// handle is the rpc server handler: the dispatcher of §5.1. Arguments
-// normally arrive as private decoded copies; a zero-copy dispatch
-// (packed codec on an inline-delivery endpoint) instead hands us values
-// aliasing transport storage. The servant contract — arguments may be
-// retained freely — is restored here by detaching once: an all-scalar
-// vector crosses for free, so the hot arithmetic-call shape pays
-// nothing. The objID and op strings stay aliased — dispatch uses them
-// only transiently, and the one retaining path (the activator) clones
-// its own copy in dispatchLocal.
+// handle is the rpc server handler: the dispatcher of §5.1. On a packed
+// node (the default) every dispatch is zero-copy: the arguments alias
+// the request packet or its arena. The servant contract — arguments may
+// be retained freely — is restored here by detaching once: an
+// all-scalar vector crosses for free, so the hot arithmetic-call shape
+// pays nothing. The objID and op strings stay aliased (a clone per call
+// would be an allocation per call): Servant's doc limits op to the
+// duration of Dispatch, and the one path that retains objID (the
+// activator) clones its own copy in dispatchLocal.
 func (c *Capsule) handle(ctx context.Context, in *rpc.Incoming) (string, []wire.Value, error) {
 	args := in.Args
 	if in.ZeroCopy {

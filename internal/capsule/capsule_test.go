@@ -15,7 +15,7 @@ import (
 	"odp/internal/wire"
 )
 
-var codec = wire.BinaryCodec{}
+var codec = wire.PackedCodec{}
 
 func counterType() types.Type {
 	return types.Type{

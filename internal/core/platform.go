@@ -126,7 +126,7 @@ type platformConfig struct {
 type Option func(*platformConfig)
 
 // WithCodec selects the node's network data representation (default
-// binary).
+// packed). Every frame the node sends or accepts is in it.
 func WithCodec(c wire.Codec) Option {
 	return func(cfg *platformConfig) { cfg.codec = c }
 }
@@ -274,7 +274,7 @@ func WithFlightRecorder(rules ...obs.Rule) Option {
 // NewPlatform assembles a node on ep.
 func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform, error) {
 	cfg := platformConfig{
-		codec:         wire.BinaryCodec{},
+		codec:         wire.PackedCodec{},
 		hostRelocator: true,
 	}
 	for _, o := range opts {
@@ -318,15 +318,6 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 		cfg.batchOpts = append(cfg.batchOpts, transport.WithCoalescerObserver(p.obs))
 	}
 	if cfg.batching {
-		if _, bin := cfg.codec.(wire.BinaryCodec); bin {
-			// With the default binary codec the node can accept packed
-			// (ansa-packed/1) bodies, so advertise that in its HELLOs;
-			// peers then upgrade their invocations per-call. A node with
-			// an explicitly chosen codec (text, for debugging) does not
-			// advertise, and nobody sends it packed frames.
-			cfg.batchOpts = append(cfg.batchOpts,
-				transport.WithCapabilities(transport.CapPacked))
-		}
 		p.coalescer = transport.NewCoalescer(ep, cfg.batchOpts...)
 		ep = p.coalescer
 	}

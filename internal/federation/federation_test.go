@@ -14,7 +14,7 @@ import (
 )
 
 // twoDomains builds two genuinely separate fabrics — domain A speaks the
-// binary codec, domain B the textual codec — bridged by one gateway.
+// packed codec, domain B the textual codec — bridged by one gateway.
 type twoDomains struct {
 	t        *testing.T
 	fabA     *netsim.Fabric
@@ -43,9 +43,9 @@ func newTwoDomains(t *testing.T) *twoDomains {
 		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}
-	d.clientA = mk(d.fabA, "client-a", wire.BinaryCodec{})
+	d.clientA = mk(d.fabA, "client-a", wire.PackedCodec{})
 	d.serverB = mk(d.fabB, "server-b", wire.TextCodec{})
-	gwA := mk(d.fabA, "gw-a", wire.BinaryCodec{})
+	gwA := mk(d.fabA, "gw-a", wire.PackedCodec{})
 	gwB := mk(d.fabB, "gw-b", wire.TextCodec{})
 	d.gateway = New("gw", gwA, gwB, func(from Side, target wire.Ref, op string) error {
 		d.policyMu.Lock()

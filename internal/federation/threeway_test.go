@@ -1,15 +1,15 @@
-// Three-way federation across three wire technologies: a packed client
-// domain, a plain-binary middle domain and a textual far domain. Every
-// hop re-marshals under the receiving domain's codec, so one invocation
-// exercises packed → binary → text on the way out and text → binary →
-// packed on the way back — the transcoding matrix a real federated
-// deployment presents.
+// Three-way federation across three domains and the platform's two wire
+// technologies: a packed client domain on coalesced endpoints, a packed
+// middle domain on plain ones and a textual far domain. Every hop
+// re-marshals under the receiving domain's codec, so one invocation
+// crosses packed → packed → text on the way out and back again: the
+// second gateway translates (§5.6), the first only relays between
+// channel configurations.
 package federation
 
 import (
 	"context"
 	"testing"
-	"time"
 
 	"odp/internal/capsule"
 	"odp/internal/netsim"
@@ -17,10 +17,8 @@ import (
 	"odp/internal/wire"
 )
 
-// threeDomains bridges fabrics A (binary codec, coalesced endpoints
-// advertising the packed capability — intra-domain calls upgrade to
-// ansa-packed/1 after the HELLO exchange), B (plain binary) and C
-// (text) with gateways A↔B and B↔C.
+// threeDomains bridges fabrics A (packed, coalesced endpoints), B
+// (packed, plain endpoints) and C (text) with gateways A↔B and B↔C.
 type threeDomains struct {
 	clientA *capsule.Capsule
 	serverC *capsule.Capsule
@@ -32,14 +30,16 @@ func newThreeDomains(t *testing.T) *threeDomains {
 	t.Helper()
 	fabA, fabB, fabC := netsim.NewFabric(), netsim.NewFabric(), netsim.NewFabric()
 	t.Cleanup(func() { _ = fabA.Close(); _ = fabB.Close(); _ = fabC.Close() })
-	mkPacked := func(f *netsim.Fabric, name string) *capsule.Capsule {
+	mkCoalesced := func(f *netsim.Fabric, name string) *capsule.Capsule {
 		ep, err := f.Endpoint(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		co := transport.NewCoalescer(ep, transport.WithCapabilities(transport.CapPacked))
-		c := capsule.New(name, co, wire.BinaryCodec{})
-		t.Cleanup(func() { _ = c.Close() })
+		co := transport.NewCoalescer(ep)
+		c := capsule.New(name, co, wire.PackedCodec{})
+		// The capsule does not own its endpoint: stop the coalescer's
+		// flushers before the fabric under them closes.
+		t.Cleanup(func() { _ = c.Close(); _ = co.Close() })
 		return c
 	}
 	mkPlain := func(f *netsim.Fabric, name string, codec wire.Codec) *capsule.Capsule {
@@ -52,12 +52,12 @@ func newThreeDomains(t *testing.T) *threeDomains {
 		return c
 	}
 	d := &threeDomains{
-		clientA: mkPacked(fabA, "client-a"),
+		clientA: mkCoalesced(fabA, "client-a"),
 		serverC: mkPlain(fabC, "server-c", wire.TextCodec{}),
 	}
-	gwABa := mkPacked(fabA, "gw-ab-a")
-	gwABb := mkPlain(fabB, "gw-ab-b", wire.BinaryCodec{})
-	gwBCb := mkPlain(fabB, "gw-bc-b", wire.BinaryCodec{})
+	gwABa := mkCoalesced(fabA, "gw-ab-a")
+	gwABb := mkPlain(fabB, "gw-ab-b", wire.PackedCodec{})
+	gwBCb := mkPlain(fabB, "gw-bc-b", wire.PackedCodec{})
 	gwBCc := mkPlain(fabC, "gw-bc-c", wire.TextCodec{})
 	d.gwAB = New("gw-ab", gwABa, gwABb, nil)
 	d.gwBC = New("gw-bc", gwBCb, gwBCc, nil)
@@ -79,10 +79,10 @@ func (d *threeDomains) export(t *testing.T, target wire.Ref) wire.Ref {
 	return inA
 }
 
-// TestThreeWayTranslation drives values from the packed domain through
-// the binary domain into the text domain and back, checking that every
-// kind survives the two transcodes and that the first hop genuinely ran
-// packed.
+// TestThreeWayTranslation drives values from the coalesced packed domain
+// through the plain packed domain into the text domain and back,
+// checking that they survive both crossings and that every call of the
+// first hop, the very first included, ran packed.
 func TestThreeWayTranslation(t *testing.T) {
 	d := newThreeDomains(t)
 	store := &dict{m: map[string]string{"greeting": "hello from C"}}
@@ -93,18 +93,17 @@ func TestThreeWayTranslation(t *testing.T) {
 	proxy := d.export(t, refC)
 	ctx := context.Background()
 
-	// Drive calls until the client's connection to its local gateway
-	// capsule has upgraded to packed, then keep going — correctness
-	// must hold before, during and after negotiation.
-	deadline := time.Now().Add(10 * time.Second)
-	for d.clientA.Client().Stats().PackedUpgrades == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("packed upgrade never negotiated in domain A")
-		}
+	// Enough calls to span the coalescers' HELLO exchange in domain A:
+	// correctness must hold before, during and after it.
+	const gets = 20
+	for i := 0; i < gets; i++ {
 		outcome, res, err := d.clientA.Invoke(ctx, proxy, "get", []wire.Value{"greeting"})
 		if err != nil || outcome != "ok" || res[0] != "hello from C" {
 			t.Fatalf("three-way get: %q %v %v", outcome, res, err)
 		}
+	}
+	if got := d.clientA.Client().Stats().PackedUpgrades; got != gets {
+		t.Fatalf("domain A sent %d of %d calls packed", got, gets)
 	}
 	outcome, _, err := d.clientA.Invoke(ctx, proxy, "put", []wire.Value{"k", "written from A"})
 	if err != nil || outcome != "ok" {
@@ -121,7 +120,7 @@ func TestThreeWayTranslation(t *testing.T) {
 
 // TestThreeWayRefCrossing passes a reference from the packed domain all
 // the way into the text domain; the far side must receive a proxy it
-// can invoke, with the reply traversing text → binary → packed.
+// can invoke, with the reply traversing both gateways back.
 func TestThreeWayRefCrossing(t *testing.T) {
 	d := newThreeDomains(t)
 	far := &echoRef{}

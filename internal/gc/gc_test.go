@@ -13,7 +13,7 @@ import (
 	"odp/internal/wire"
 )
 
-var codec = wire.BinaryCodec{}
+var codec = wire.PackedCodec{}
 
 type gcEnv struct {
 	t         *testing.T

@@ -14,7 +14,7 @@ import (
 	"odp/internal/wire"
 )
 
-var codec = wire.BinaryCodec{}
+var codec = wire.PackedCodec{}
 
 // register is a replica whose state is an append-only list plus a sum; it
 // detects out-of-order or duplicated application by construction.

@@ -89,7 +89,9 @@ func (m *Member) invokeApp(ctx context.Context, op string, args []wire.Value) (s
 	}
 	seq := m.nextSeq + 1
 	m.nextSeq = seq
-	inv := orderedInv{seq: seq, op: op, args: args}
+	// The ordered log outlives this dispatch; op does not (see
+	// capsule.Servant).
+	inv := orderedInv{seq: seq, op: strings.Clone(op), args: args}
 	viewID := m.v.id
 	peers := m.peersLocked()
 	m.mu.Unlock()

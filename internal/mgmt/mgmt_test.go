@@ -14,7 +14,7 @@ import (
 	"odp/internal/wire"
 )
 
-var codec = wire.BinaryCodec{}
+var codec = wire.PackedCodec{}
 
 func TestRegistryCountersGauges(t *testing.T) {
 	r := NewRegistry(0)

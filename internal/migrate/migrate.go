@@ -286,7 +286,7 @@ func (h *Host) loggingInterceptor(id string, m *managed) capsule.Interceptor {
 		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
 			outcome, results, err := next.Dispatch(ctx, op, args)
 			if err == nil && !m.readOnly[op] {
-				rec, encErr := wire.EncodeAll(wire.BinaryCodec{}, []wire.Value{op, wire.List(args)})
+				rec, encErr := wire.EncodeAll(wire.PackedCodec{}, []wire.Value{op, wire.List(args)})
 				if encErr == nil {
 					_ = h.store.AppendLog("oplog/"+id, rec)
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ import (
 	"odp/internal/wire"
 )
 
-var codec = wire.BinaryCodec{}
+var codec = wire.PackedCodec{}
 
 // tally is a migratable servant: a named counter.
 type tally struct {
@@ -315,6 +316,29 @@ func TestRecoveryWithoutCheckpointReplaysAll(t *testing.T) {
 	_, res, err := client.Invoke(ctx, newRef, "get", nil)
 	if err != nil || res[0].(int64) != 10 {
 		t.Fatalf("replayed state %v %v, want 10", res, err)
+	}
+}
+
+// TestRecoverRejectsOldFormatLog: the store holds what the fixed-width
+// binary codec (deleted with the per-call negotiation) wrote for add(3) — literal bytes, since nothing can produce them any more.
+// There is no second decoder: recovery must fail loudly on the record,
+// never replay a misreading of it.
+func TestRecoverRejectsOldFormatLog(t *testing.T) {
+	e := newEnv(t)
+	store := storage.NewMemStore()
+	old := []byte{
+		0, 0, 0, 2, // two values
+		5, 0, 0, 0, 3, 'a', 'd', 'd', // string "add"
+		7, 0, 0, 0, 1, // list of one
+		2, 0, 0, 0, 0, 0, 0, 0, 3, // int 3
+	}
+	if err := store.AppendLog("oplog/t1", old); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := e.host("node", store)
+	_, err := h.Recover(context.Background(), "t1", "Tally", tallyReadOnly, 1)
+	if err == nil || !strings.Contains(err.Error(), "corrupt log record 0") {
+		t.Fatalf("recover over an old-format log: err = %v, want corrupt log record 0", err)
 	}
 }
 

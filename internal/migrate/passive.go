@@ -36,7 +36,7 @@ func (h *Host) Passivate(id string) error {
 		typeName = m.typ.Name
 		typeRec = types.EncodeType(m.typ)
 	}
-	meta, err := wire.EncodeAll(wire.BinaryCodec{},
+	meta, err := wire.EncodeAll(wire.PackedCodec{},
 		[]wire.Value{typeName, typeRec, snap, m.logged})
 	if err != nil {
 		m.gate.reopen()
@@ -68,7 +68,7 @@ func (h *Host) activate(objID string) (bool, error) {
 	if err != nil {
 		return false, nil // not ours
 	}
-	vals, err := wire.DecodeAll(wire.BinaryCodec{}, meta)
+	vals, err := wire.DecodeAll(wire.PackedCodec{}, meta)
 	if err != nil || len(vals) != 4 {
 		return false, fmt.Errorf("migrate: corrupt passive record for %q", objID)
 	}

@@ -54,7 +54,7 @@ func (h *Host) Recover(ctx context.Context, id, typeName string, readOnly map[st
 		return wire.Ref{}, err
 	}
 	for i, rec := range recs {
-		vals, err := wire.DecodeAll(wire.BinaryCodec{}, rec)
+		vals, err := wire.DecodeAll(wire.PackedCodec{}, rec)
 		if err != nil || len(vals) != 2 {
 			return wire.Ref{}, fmt.Errorf("migrate: corrupt log record %d for %q", i, id)
 		}

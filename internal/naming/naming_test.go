@@ -15,7 +15,7 @@ import (
 	"odp/internal/wire"
 )
 
-var codec = wire.BinaryCodec{}
+var codec = wire.PackedCodec{}
 
 func TestTableRegisterLookup(t *testing.T) {
 	tb := NewTable()

@@ -174,11 +174,11 @@ func TestBreachReportRecordRoundTrip(t *testing.T) {
 	}
 	// The record must survive a codec round trip: "blackbox" is a remote
 	// management op.
-	buf, err := wire.BinaryCodec{}.Encode(nil, rec)
+	buf, err := wire.PackedCodec{}.Encode(nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := wire.BinaryCodec{}.Decode(buf)
+	back, _, err := wire.PackedCodec{}.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,11 @@ type ClientStats struct {
 	// request, retransmission or announcement to the same destination,
 	// so they shared that send's batch.
 	AcksPiggybacked uint64
-	// PackedUpgrades counts invocations sent with an ansa-packed/1 body
-	// (flagPacked) because the destination advertised transport.CapPacked.
+	// PackedUpgrades counts invocations sent with an ansa-packed/1 body:
+	// Calls + Announcements when that is the session codec, zero
+	// otherwise. The name is from when packed was negotiated per peer;
+	// it stays because odpload's warm-up reads
+	// rpc.client.packed_upgrades.
 	PackedUpgrades uint64
 }
 
@@ -80,7 +83,6 @@ type clientCounters struct {
 	orphanReplies   atomic.Uint64
 	acksDeferred    atomic.Uint64
 	acksPiggybacked atomic.Uint64
-	packedUpgrades  atomic.Uint64
 }
 
 // numShards splits the pending-call and server-call tables. Shard count
@@ -121,13 +123,6 @@ type Client struct {
 	sharing // active: calls between entry and return
 	ackMu   sync.Mutex
 	acks    []pendingAck
-
-	// caps, when non-nil, is consulted per call: a destination that
-	// advertised transport.CapPacked gets its invocations flagged packed,
-	// with ansa-packed/1 bodies. Set only when the session
-	// codec is the binary default — an explicitly chosen codec (text,
-	// for debugging) is never silently overridden.
-	caps transport.CapNegotiator
 
 	// obs, when set, records protocol-layer spans (send, retransmit,
 	// ack, announce) under the span context carried by the call's ctx.
@@ -186,9 +181,6 @@ func newClientNoHandler(ep transport.Endpoint, codec wire.Codec, opts ...ClientO
 		clk:   clock.Real{},
 	}
 	c.lazy, _ = ep.(transport.Batcher)
-	if _, bin := codec.(wire.BinaryCodec); bin {
-		c.caps, _ = ep.(transport.CapNegotiator)
-	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]chan replyBody)
 	}
@@ -206,7 +198,7 @@ func (c *Client) shard(id uint64) *pendingShard {
 
 // Stats returns a snapshot of client counters.
 func (c *Client) Stats() ClientStats {
-	return ClientStats{
+	st := ClientStats{
 		Calls:           c.stats.calls.Load(),
 		Retransmissions: c.stats.retransmissions.Load(),
 		Timeouts:        c.stats.timeouts.Load(),
@@ -215,8 +207,11 @@ func (c *Client) Stats() ClientStats {
 		OrphanReplies:   c.stats.orphanReplies.Load(),
 		AcksDeferred:    c.stats.acksDeferred.Load(),
 		AcksPiggybacked: c.stats.acksPiggybacked.Load(),
-		PackedUpgrades:  c.stats.packedUpgrades.Load(),
 	}
+	if _, packed := c.codec.(wire.PackedCodec); packed {
+		st.PackedUpgrades = st.Calls + st.Announcements
+	}
+	return st
 }
 
 // CallLatency snapshots the send→reply latency histogram.
@@ -291,11 +286,8 @@ func (c *Client) unregister(id uint64) bool {
 // invocation is sampled, argument vector. The sampling decision was
 // taken at the trace root: an untraced ctx leaves sp nil and the flag
 // clear, so unsampled invocations put nothing extra on the wire (or the
-// heap). A destination that advertised CapPacked gets a packed body;
-// before negotiation completes (or against a plain peer) PeerCaps
-// reports zero and the session codec is used — per-call fallback, no
-// connection state. On success the caller owns bufp and sp.
-func (c *Client) newRequest(ctx context.Context, kind byte, dest, objID, op string, args []wire.Value) (bufp *[]byte, id uint64, sp *obs.Span, err error) {
+// heap). On success the caller owns bufp and sp.
+func (c *Client) newRequest(ctx context.Context, kind byte, objID, op string, args []wire.Value) (bufp *[]byte, id uint64, sp *obs.Span, err error) {
 	h := header{kind: kind, callID: c.nextID.Add(1), objID: objID, op: op}
 	if c.obs != nil {
 		spanKind := obs.KindSend
@@ -306,12 +298,8 @@ func (c *Client) newRequest(ctx context.Context, kind byte, dest, objID, op stri
 			h.flags, h.trace = flagTraced, sp.Context()
 		}
 	}
-	if c.caps != nil && c.caps.PeerCaps(dest)&transport.CapPacked != 0 {
-		h.flags |= flagPacked
-		c.stats.packedUpgrades.Add(1)
-	}
 	bufp = wire.GetBuffer()
-	pkt, err := wire.EncodeAllInto(bodyCodec(h.flags, c.codec), encodeHeader(*bufp, h), args)
+	pkt, err := wire.EncodeAllInto(c.codec, encodeHeader(*bufp, h), args)
 	if err != nil {
 		wire.PutBuffer(bufp)
 		c.obs.End(sp)
@@ -333,7 +321,7 @@ func (c *Client) Call(ctx context.Context, dest, objID, op string, args []wire.V
 	// The packet is reused across retransmissions (transports do not
 	// retain packets) — which is also what guarantees a retransmitted
 	// request carries the original span context.
-	bufp, id, sp, err := c.newRequest(ctx, msgRequest, dest, objID, op, args)
+	bufp, id, sp, err := c.newRequest(ctx, msgRequest, objID, op, args)
 	if err != nil {
 		return "", nil, err
 	}
@@ -529,7 +517,7 @@ func (c *Client) Announce(dest, objID, op string, args []wire.Value, qos QoS) er
 // context carried by ctx propagates to the announcee, so announcements
 // triggered inside a traced invocation join its tree.
 func (c *Client) AnnounceCtx(ctx context.Context, dest, objID, op string, args []wire.Value, qos QoS) error {
-	bufp, _, sp, err := c.newRequest(ctx, msgAnnounce, dest, objID, op, args)
+	bufp, _, sp, err := c.newRequest(ctx, msgAnnounce, objID, op, args)
 	if err != nil {
 		return err
 	}
@@ -572,15 +560,14 @@ func (c *Client) interpret(rb replyBody) (string, []wire.Value, error) {
 	}
 }
 
-// deliverReply routes a reply to the waiting call, decoding the body in
-// the codec its flags name (a packed request earns a packed reply).
-// Decoding is synchronous (body aliases a transport buffer that is
-// reused after this returns) and fully copying. Undecodable and
-// unmatched replies are counted, not silently dropped. Claiming the
-// pending entry before the send makes this goroutine the channel's sole
-// sender, which is what lets completed calls recycle their channels.
-func (c *Client) deliverReply(flags byte, callID uint64, body []byte) {
-	rb, err := decodeReplyBody(bodyCodec(flags, c.codec), body)
+// deliverReply routes a reply to the waiting call. Decoding is
+// synchronous (body aliases a transport buffer that is reused after
+// this returns) and fully copying. Undecodable and unmatched replies are
+// counted, not silently dropped. Claiming the pending entry before the
+// send makes this goroutine the channel's sole sender, which is what
+// lets completed calls recycle their channels.
+func (c *Client) deliverReply(callID uint64, body []byte) {
+	rb, err := decodeReplyBody(c.codec, body)
 	if err != nil {
 		c.stats.badReplies.Add(1)
 		return

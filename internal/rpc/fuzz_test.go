@@ -2,9 +2,9 @@
 // runs it: the header — kind, flag bits, call id, target, trace ids —
 // then the body. The seed corpus covers every kind, each flag set and
 // clear, trace ids present/absent/truncated, unknown kinds and flag
-// bits, and header truncations. The decoder must never panic, must
-// reject truncated trace ids, and must re-encode every header it
-// accepts byte-identically.
+// bits (the retired packed flag among them), and header truncations.
+// The decoder must never panic, must reject truncated trace ids, and
+// must re-encode every header it accepts byte-identically.
 package rpc
 
 import (
@@ -22,7 +22,7 @@ func buildPacket(kind, flags byte, callID uint64, objID, op string, args []wire.
 	if flags&flagTraced != 0 {
 		h.trace = obs.SpanContext{TraceID: 0xABCD, SpanID: 0x1234}
 	}
-	pkt, err := wire.EncodeAllInto(bodyCodec(flags, wire.BinaryCodec{}), encodeHeader(nil, h), args)
+	pkt, err := wire.EncodeAllInto(wire.PackedCodec{}, encodeHeader(nil, h), args)
 	if err != nil {
 		panic(err)
 	}
@@ -34,15 +34,21 @@ func FuzzPacketDecode(f *testing.F) {
 	// Well-formed frames of every kind and flag combination.
 	f.Add(buildPacket(msgRequest, 0, 1, "obj", "op", args))
 	f.Add(buildPacket(msgAnnounce, 0, 2, "obj", "note", nil))
-	f.Add(buildPacket(msgRequest, flagTraced, 3, "obj", "op", args))              // trace ids present
-	f.Add(buildPacket(msgAnnounce, flagTraced, 4, "obj", "note", nil))            // traced announcement
-	f.Add(buildPacket(msgRequest, flagPacked, 5, "obj", "op", args))              // packed body
-	f.Add(buildPacket(msgAnnounce, flagTraced|flagPacked, 6, "obj", "note", nil)) // both
-	f.Add(encodeHeader(nil, header{kind: msgAck, callID: 7}))                     // ack: header only
-	for _, flags := range []byte{0, flagPacked} {
-		reply := encodeHeader(nil, header{kind: msgReply, flags: flags, callID: 8})
-		reply, _ = appendReplyBody(bodyCodec(flags, wire.BinaryCodec{}), reply, statusOK, "ok", args, "", wire.Ref{})
-		f.Add(reply)
+	f.Add(buildPacket(msgRequest, flagTraced, 3, "obj", "op", args))   // trace ids present
+	f.Add(buildPacket(msgAnnounce, flagTraced, 4, "obj", "note", nil)) // traced announcement
+	f.Add(encodeHeader(nil, header{kind: msgAck, callID: 7}))          // ack: header only
+	reply := encodeHeader(nil, header{kind: msgReply, callID: 8})
+	reply, _ = appendReplyBody(wire.PackedCodec{}, reply, statusOK, "ok", args, "", wire.Ref{})
+	f.Add(reply)
+	// 0x10 was the per-message packed flag; it is an unknown bit now.
+	for _, pkt := range [][]byte{
+		buildPacket(msgRequest, 0, 5, "obj", "op", args),
+		buildPacket(msgAnnounce, flagTraced, 6, "obj", "note", nil),
+		reply,
+	} {
+		retired := append([]byte(nil), pkt...)
+		retired[1] |= 0x10
+		f.Add(retired)
 	}
 	// Malformed shapes around the trace ids.
 	traced := buildPacket(msgRequest, flagTraced, 9, "obj", "op", args)
@@ -72,15 +78,12 @@ func FuzzPacketDecode(f *testing.F) {
 		if h.flags&flagTraced == 0 && h.trace != (obs.SpanContext{}) {
 			t.Fatalf("untraced frame produced context %+v", h.trace)
 		}
-		codec := bodyCodec(h.flags, wire.BinaryCodec{})
 		switch h.kind {
 		case msgRequest, msgAnnounce:
-			_, _ = wire.DecodeAll(codec, body)
-			if h.flags&flagPacked != 0 {
-				_, _ = wire.PackedCodec{}.DecodeAllAlias(nil, body)
-			}
+			_, _ = wire.PackedCodec{}.DecodeAllAlias(nil, body)
+			_, _ = wire.DecodeAll(wire.TextCodec{}, body)
 		case msgReply:
-			_, _ = decodeReplyBody(codec, body)
+			_, _ = decodeReplyBody(wire.PackedCodec{}, body)
 		}
 	})
 }

@@ -36,8 +36,10 @@ import (
 // kind occupies the low nibble of the second byte and the flag bits the
 // high one. The target — object id and operation, each u32-length
 // prefixed — is carried by requests and announcements only: a reply or
-// an ack is routed by its call id alone. The first byte is never 0xB7,
-// which transport control frames claim.
+// an ack is routed by its call id alone. The body is in the node's
+// session codec: nothing in a frame names an encoding, and nodes with
+// different codecs meet through a federation gateway (§5.6), not here.
+// The first byte is never 0xB7, which transport control frames claim.
 const (
 	msgRequest  = 1 // interrogation request
 	msgReply    = 2 // interrogation reply
@@ -46,13 +48,6 @@ const (
 
 	kindMask = 0x0f
 
-	// flagPacked marks a body encoded with the ansa-packed/1 codec
-	// (wire.PackedCodec) instead of the session codec. It is pure codec
-	// negotiation, carried per message so a reply is always issued in the
-	// codec of the request it answers and mixed traffic needs no
-	// connection state. A peer only ever receives it after advertising
-	// transport.CapPacked in its HELLO.
-	flagPacked = 0x10
 	// flagTraced marks a sampled invocation: the caller's trace and span
 	// ids (8 bytes each, big-endian) precede the body. An unsampled
 	// invocation clears the bit and pays zero wire bytes. The ids are
@@ -61,7 +56,7 @@ const (
 	// tables keep a duplicate from minting a second dispatch span.
 	flagTraced = 0x20
 
-	flagMask = flagPacked | flagTraced
+	flagMask = flagTraced
 )
 
 // Reply statuses.
@@ -82,15 +77,6 @@ const (
 	fixedHdrLen = 10
 	traceLen    = 16
 )
-
-// bodyCodec maps a message's flags to the codec its body is encoded
-// with: packed when flagged, the negotiated session codec otherwise.
-func bodyCodec(flags byte, session wire.Codec) wire.Codec {
-	if flags&flagPacked != 0 {
-		return wire.PackedCodec{}
-	}
-	return session
-}
 
 // Errors surfaced to invokers.
 var (

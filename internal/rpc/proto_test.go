@@ -11,7 +11,7 @@ import (
 	"odp/internal/wire"
 )
 
-// TestFrameTable walks the one frame layout over kind × traced × packed:
+// TestFrameTable walks the one frame layout over kind × traced:
 // every combination round-trips through encodeHeader → decodeRawHeader,
 // requests and announcements carry the object id and operation while
 // replies and acks do not, and every strict prefix of a header is
@@ -19,7 +19,7 @@ import (
 func TestFrameTable(t *testing.T) {
 	trace := obs.SpanContext{TraceID: 0xABCD, SpanID: 0x1234}
 	for kind := byte(msgRequest); kind <= msgAnnounce; kind++ {
-		for _, flags := range []byte{0, flagTraced, flagPacked, flagTraced | flagPacked} {
+		for _, flags := range []byte{0, flagTraced} {
 			h := header{kind: kind, flags: flags, callID: ^uint64(kind)}
 			wantLen := fixedHdrLen
 			if hasTarget(kind) {
@@ -67,7 +67,7 @@ func TestFrameTable(t *testing.T) {
 // TestFrameRejected: a wrong version, an unknown kind and an unknown
 // flag bit are all ErrBadMessage at the header parse.
 func TestFrameRejected(t *testing.T) {
-	valid := encodeHeader(nil, header{kind: msgRequest, flags: flagTraced | flagPacked, callID: 1, objID: "o", op: "p"})
+	valid := encodeHeader(nil, header{kind: msgRequest, flags: flagTraced, callID: 1, objID: "o", op: "p"})
 	if _, _, err := decodeRawHeader(valid); err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +79,10 @@ func TestFrameRejected(t *testing.T) {
 		"kind 5":               {protoVersion, 5}, // the retired traced-request type
 		"kind 6":               {protoVersion, 6}, // the retired traced-announce type
 		"kind 15":              {protoVersion, kindMask},
+		"unknown flag 0x10":    {protoVersion, msgRequest | 0x10}, // the retired packed-body flag
 		"unknown flag 0x40":    {protoVersion, msgRequest | 0x40},
 		"unknown flag 0x80":    {protoVersion, msgRequest | 0x80},
-		"known + unknown flag": {protoVersion, msgReply | flagPacked | 0x80},
+		"known + unknown flag": {protoVersion, msgReply | flagTraced | 0x80},
 	}
 	for name, b := range cases {
 		pkt := append([]byte(nil), valid...)
@@ -110,7 +111,7 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 }
 
 func TestReplyBodyRoundTrip(t *testing.T) {
-	codec := wire.BinaryCodec{}
+	codec := wire.PackedCodec{}
 	fwd := wire.Ref{ID: "x", Endpoints: []string{"there"}, Epoch: 3}
 	tests := []struct {
 		name    string
@@ -156,7 +157,7 @@ func TestReplyBodyRoundTrip(t *testing.T) {
 }
 
 func TestReplyBodyGarbage(t *testing.T) {
-	codec := wire.BinaryCodec{}
+	codec := wire.PackedCodec{}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
 		buf := make([]byte, rng.Intn(48))

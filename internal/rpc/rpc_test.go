@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ import (
 	"odp/internal/wire"
 )
 
-var codec = wire.BinaryCodec{}
+var codec = wire.PackedCodec{}
 
 // echoHandler returns outcome "ok" with the arguments reversed.
 func echoHandler(_ context.Context, in *Incoming) (string, []wire.Value, error) {
@@ -69,11 +70,21 @@ func TestCallBasic(t *testing.T) {
 	}
 }
 
+// keep copies a descriptor out of its handler call: the descriptor is
+// pooled, and on a packed node (ZeroCopy) its strings and arguments alias
+// a packet that is recycled when the handler returns.
+func keep(in *Incoming) Incoming {
+	out := *in
+	out.ObjID, out.Op = strings.Clone(in.ObjID), strings.Clone(in.Op)
+	out.Args = wire.DetachArgs(append([]wire.Value(nil), in.Args...))
+	return out
+}
+
 func TestCallSeesMetadata(t *testing.T) {
 	_, cli, mkServer := setup(t)
 	var got Incoming
 	mkServer(func(_ context.Context, in *Incoming) (string, []wire.Value, error) {
-		got = *in
+		got = keep(in)
 		return "done", nil, nil
 	})
 	if _, _, err := cli.Call(context.Background(), "server", "objX", "opY", nil, QoS{}); err != nil {
@@ -201,7 +212,7 @@ func TestAnnouncement(t *testing.T) {
 	_, cli, mkServer := setup(t)
 	got := make(chan Incoming, 1)
 	mkServer(func(_ context.Context, in *Incoming) (string, []wire.Value, error) {
-		got <- *in // descriptors are pooled: copy, never retain
+		got <- keep(in)
 		return "ignored", nil, nil
 	})
 	if err := cli.Announce("server", "o", "notify", []wire.Value{"event"}, QoS{}); err != nil {

@@ -30,12 +30,14 @@ type Incoming struct {
 	// Announcement is true for request-only invocations; the handler's
 	// outcome and results are discarded in that case.
 	Announcement bool
-	// ZeroCopy marks an invocation decoded on the zero-copy fast path:
-	// the ObjID and Op strings and every string/[]byte reachable from
-	// Args alias transport or arena storage owned by the dispatcher.
-	// They are valid for the duration of the Handler call (including
-	// use in reply results); anything retained beyond it must first be
-	// copied out with wire.DetachArgs or wire.DetachValue.
+	// ZeroCopy marks an invocation decoded on the zero-copy path — every
+	// invocation of a node whose session codec is packed (the default),
+	// none of a text node's: the ObjID and Op strings and every
+	// string/[]byte reachable from Args alias transport or arena storage
+	// owned by the dispatcher. They are valid for the duration of the
+	// Handler call (including use in reply results); anything retained
+	// beyond it must first be copied out with wire.DetachArgs or
+	// wire.DetachValue.
 	ZeroCopy bool
 }
 
@@ -117,6 +119,11 @@ type Server struct {
 	ep      transport.Endpoint
 	codec   wire.Codec
 	handler Handler
+
+	// alias is set once, from the codec: a packed node decodes argument
+	// vectors aliasing the request (Incoming.ZeroCopy on every call), a
+	// text node into private copies. One ownership contract per node.
+	alias bool
 
 	// inline dispatches handlers synchronously in the delivery
 	// goroutine instead of spawning one per request. Safe only on
@@ -245,6 +252,7 @@ func newServerNoHandler(ep transport.Endpoint, codec wire.Codec, handler Handler
 		clk:      clock.Real{},
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
+	_, s.alias = codec.(wire.PackedCodec)
 	cd, ok := ep.(transport.ConcurrentDeliverer)
 	s.inline = ok && cd.DeliversConcurrently()
 	s.lazy, _ = ep.(transport.Batcher)
@@ -309,7 +317,7 @@ func demux(c *Client, s *Server, from string, pkt []byte) {
 	}
 	if h.kind == msgReply {
 		if c != nil {
-			c.deliverReply(h.flags, h.callID, body)
+			c.deliverReply(h.callID, body)
 		}
 		return
 	}
@@ -414,7 +422,7 @@ func (s *Server) onRequest(from string, h header, body []byte) {
 		s.unclaim(key)
 		s.stats.admissionRejects.Add(1)
 		s.noteReject(h)
-		_ = s.ep.Send(from, s.encodeReply(h.flags, h.callID, statusBusy, "", nil, "", wire.Ref{}))
+		_ = s.ep.Send(from, s.encodeReply(h.callID, statusBusy, "", nil, "", wire.Ref{}))
 		return
 	}
 
@@ -478,32 +486,30 @@ func (s *Server) onAnnounce(from string, h header, body []byte) {
 type call struct {
 	in    Incoming
 	id    uint64
-	flags byte            // the request's; flagPacked carries over to the reply
 	trace obs.SpanContext // the caller's span, when the request was sampled
 	sc    *serverCall     // at-most-once slot; nil for announcements
 	err   error           // argument decode failure, reported in the reply
-	arena *[]byte         // pooled copy of a packed body the arguments alias
+	arena *[]byte         // pooled copy of the body the arguments alias
 }
 
 var callPool = sync.Pool{New: func() interface{} { return new(call) }}
 
-// startExecute decodes the argument vector — aliasing iff the body is
-// packed — and runs the handler — inline iff the endpoint delivers
-// concurrently.
+// startExecute decodes the argument vector — aliasing iff the session
+// codec is packed — and runs the handler — inline iff the endpoint
+// delivers concurrently.
 //
 // A packed body is decoded zero-copy. Inline, the handler finishes
 // before the delivery callback returns, so arguments and header strings
 // alias the packet outright. Spawned (serial transports), the packet
 // dies when this call returns, so the body is copied once into a pooled
 // arena that the aliasing decode then targets; the arena lives until
-// the reply has been encoded. Session-codec bodies decode into private
-// values either way, which the handler may keep.
+// the reply has been encoded. A text body decodes into private values
+// either way, which the handler may keep.
 func (s *Server) startExecute(from string, h header, body []byte, sc *serverCall) {
 	c := callPool.Get().(*call)
-	c.id, c.flags, c.trace, c.sc = h.callID, h.flags, h.trace, sc
-	c.in = Incoming{From: from, ObjID: h.objID, Op: h.op, Announcement: sc == nil}
-	if h.flags&flagPacked != 0 {
-		c.in.ZeroCopy = true
+	c.id, c.trace, c.sc = h.callID, h.trace, sc
+	c.in = Incoming{From: from, ObjID: h.objID, Op: h.op, Announcement: sc == nil, ZeroCopy: s.alias}
+	if s.alias {
 		if !s.inline {
 			c.arena = wire.GetBuffer()
 			*c.arena = append((*c.arena)[:0], body...)
@@ -513,7 +519,7 @@ func (s *Server) startExecute(from string, h header, body []byte, sc *serverCall
 	} else {
 		c.in.Args, c.err = wire.DecodeAll(s.codec, body)
 	}
-	if !(c.in.ZeroCopy && s.inline) {
+	if !(s.alias && s.inline) {
 		c.in.ObjID, c.in.Op = strings.Clone(h.objID), strings.Clone(h.op)
 	} else if s.obs != nil && h.trace.Valid() {
 		// The span ring retains the operation name beyond the dispatch;
@@ -615,7 +621,7 @@ func (s *Server) reply(c *call, outcome string, results []wire.Value, err error)
 			status, msg = statusSysError, err.Error()
 		}
 	}
-	pkt := s.encodeReply(c.flags, c.id, status, outcome, results, msg, fwd)
+	pkt := s.encodeReply(c.id, status, outcome, results, msg, fwd)
 
 	sh := s.shard(callKey{from: c.in.From, id: c.id})
 	sh.mu.Lock()
@@ -631,18 +637,14 @@ func (s *Server) reply(c *call, outcome string, results []wire.Value, err error)
 	s.active.Add(-1)
 }
 
-// encodeReply builds a reply packet in the body codec of the request it
-// answers: a packed request earns a packed reply, and a plain peer never
-// sees the flag. The packet may be retained in the at-most-once cache
-// for retransmission, so it is built in its own allocation, header and
-// body in one buffer.
-func (s *Server) encodeReply(reqFlags byte, id uint64, status byte, outcome string, results []wire.Value, msg string, fwd wire.Ref) []byte {
-	flags := reqFlags & flagPacked
-	codec := bodyCodec(flags, s.codec)
-	hdr := encodeHeader(nil, header{kind: msgReply, flags: flags, callID: id})
-	pkt, err := appendReplyBody(codec, hdr, status, outcome, results, msg, fwd)
+// encodeReply builds a reply packet. The packet may be retained in the
+// at-most-once cache for retransmission, so it is built in its own
+// allocation, header and body in one buffer.
+func (s *Server) encodeReply(id uint64, status byte, outcome string, results []wire.Value, msg string, fwd wire.Ref) []byte {
+	hdr := encodeHeader(nil, header{kind: msgReply, callID: id})
+	pkt, err := appendReplyBody(s.codec, hdr, status, outcome, results, msg, fwd)
 	if err != nil {
-		pkt, _ = appendReplyBody(codec, hdr, statusSysError, "", nil,
+		pkt, _ = appendReplyBody(s.codec, hdr, statusSysError, "", nil,
 			"reply encoding: "+err.Error(), wire.Ref{})
 	}
 	return pkt

@@ -1,0 +1,100 @@
+// One binary representation, one ownership contract: a node's session
+// codec decides both, from the first frame, with nothing negotiated.
+package rpc
+
+import (
+	"context"
+	"sync"
+	"testing"
+	"time"
+
+	"odp/internal/netsim"
+	"odp/internal/transport"
+	"odp/internal/wire"
+)
+
+// TestPackedUpgradeNegotiated keeps the name of the counter it pins
+// (ClientStats.PackedUpgrades); nothing is negotiated any more. Between
+// two fresh packed nodes every request, the first included, goes out
+// packed and is dispatched zero-copy, on plain and on coalesced endpoints
+// alike — and across the mixed pairings, where the coalesced side's
+// HELLO probe reaches the plain side's rpc demux as an unparseable frame
+// and is dropped; between two text nodes none is, and PackedUpgrades
+// stays 0. Arguments and results round-trip exactly either way.
+func TestPackedUpgradeNegotiated(t *testing.T) {
+	const calls = 20
+	for _, tc := range []struct {
+		name                           string
+		codec                          wire.Codec
+		coalesceClient, coalesceServer bool
+		packed                         bool
+	}{
+		{"packed/plain", wire.PackedCodec{}, false, false, true},
+		{"packed/coalesced", wire.PackedCodec{}, true, true, true},
+		{"packed/coalesced-client", wire.PackedCodec{}, true, false, true},
+		{"packed/coalesced-server", wire.PackedCodec{}, false, true, true},
+		{"text/plain", wire.TextCodec{}, false, false, false},
+		{"text/coalesced", wire.TextCodec{}, true, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := netsim.NewFabric()
+			t.Cleanup(func() { _ = f.Close() })
+			endpoint := func(name string, coalesce bool) transport.Endpoint {
+				ep, err := f.Endpoint(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !coalesce {
+					return ep
+				}
+				// No MarkBatching: the first frames go out before the
+				// HELLO exchange completes, as between deployed nodes.
+				co := transport.NewCoalescer(ep)
+				t.Cleanup(func() { _ = co.Close() })
+				return co
+			}
+			var (
+				mu       sync.Mutex
+				zeroCopy []bool
+			)
+			handler := func(ctx context.Context, in *Incoming) (string, []wire.Value, error) {
+				mu.Lock()
+				zeroCopy = append(zeroCopy, in.ZeroCopy)
+				mu.Unlock()
+				return echoHandler(ctx, in)
+			}
+			cli := NewClient(endpoint("client", tc.coalesceClient), tc.codec)
+			t.Cleanup(func() { _ = cli.Close() })
+			srv := NewServer(endpoint("server", tc.coalesceServer), tc.codec, handler)
+			t.Cleanup(func() { _ = srv.Close() })
+
+			for i := 0; i < calls; i++ {
+				outcome, results, err := cli.Call(context.Background(), "server", "obj", "reverse",
+					[]wire.Value{int64(i), "payload"}, QoS{Timeout: 5 * time.Second})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if outcome != "ok" || len(results) != 2 || results[0] != "payload" || results[1] != int64(i) {
+					t.Fatalf("call %d: outcome=%q results=%v", i, outcome, results)
+				}
+			}
+			want := uint64(0)
+			if tc.packed {
+				want = calls
+			}
+			if got := cli.Stats().PackedUpgrades; got != want {
+				t.Fatalf("PackedUpgrades = %d after %d calls, want %d", got, calls, want)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(zeroCopy) != calls {
+				t.Fatalf("handler ran %d times, want %d", len(zeroCopy), calls)
+			}
+			for i, zc := range zeroCopy {
+				if zc != tc.packed {
+					t.Fatalf("call %d: ZeroCopy = %v, want %v", i, zc, tc.packed)
+				}
+			}
+		})
+	}
+}

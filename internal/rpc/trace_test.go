@@ -235,11 +235,10 @@ func TestTracedAnnouncementSpans(t *testing.T) {
 }
 
 // TestTracedPackedPeerPair sends a sampled interrogation and a sampled
-// announcement between two peers that negotiated the packed codec, so
-// both flag bits ride one kind byte. The callee must see zero-copy
-// arguments (packed reached it), record exactly one dispatch span per
-// invocation under the span that sent it (traced reached it), and the
-// whole exchange must form a single tree.
+// announcement between two coalesced packed peers. The callee must see
+// zero-copy arguments, record exactly one dispatch span per invocation
+// under the span that sent it (traced reached it), and the whole
+// exchange must form a single tree.
 func TestTracedPackedPeerPair(t *testing.T) {
 	f := netsim.NewFabric()
 	t.Cleanup(func() { _ = f.Close() })
@@ -256,7 +255,7 @@ func TestTracedPackedPeerPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		co := transport.NewCoalescer(ep, transport.WithCapabilities(transport.CapPacked))
+		co := transport.NewCoalescer(ep)
 		col := obs.NewCollector(name, obs.WithSampleEvery(1))
 		p := NewPeer(co, codec, handler, WithPeerObserver(col))
 		t.Cleanup(func() { _ = p.Close(); _ = co.Close() })
@@ -265,15 +264,10 @@ func TestTracedPackedPeerPair(t *testing.T) {
 	a, acol := mkPeer("a")
 	_, bcol := mkPeer("b")
 
-	// Untraced warm-up until the HELLO exchange lets calls go out packed.
+	// One call outside any trace: it must leave no dispatch span.
 	deadline := time.Now().Add(10 * time.Second)
-	for a.Client.Stats().PackedUpgrades == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("packed upgrade never negotiated")
-		}
-		if _, _, err := a.Client.Call(context.Background(), "b", "obj", "warm", nil, QoS{}); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := a.Client.Call(context.Background(), "b", "obj", "warm", nil, QoS{}); err != nil {
+		t.Fatal(err)
 	}
 	before := a.Client.Stats().PackedUpgrades
 
@@ -317,7 +311,7 @@ func TestTracedPackedPeerPair(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if len(dispatches) != 2 {
-		t.Fatalf("dispatch spans = %d, want exactly 2 (warm-up calls were unsampled)", len(dispatches))
+		t.Fatalf("dispatch spans = %d, want exactly 2 (the warm-up call was unsampled)", len(dispatches))
 	}
 	parents := map[string]uint64{"ask": sends[0].SpanID, "tell": anns[0].SpanID}
 	for _, d := range dispatches {

@@ -45,7 +45,7 @@ func NewSigner(principal string, secret []byte) *Signer {
 func (s *Signer) Wrap(op string, args []wire.Value) ([]wire.Value, error) {
 	nonce := s.nonce.Add(1)
 	ts := s.now().UnixMilli()
-	payload, err := wire.EncodeAll(wire.BinaryCodec{}, args)
+	payload, err := wire.EncodeAll(wire.PackedCodec{}, args)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +194,7 @@ func (g *Guard) Admit(op string, args []wire.Value) ([]wire.Value, string, error
 		payload = c.sealed
 	} else {
 		realArgs = args[1:]
-		if payload, err = wire.EncodeAll(wire.BinaryCodec{}, realArgs); err != nil {
+		if payload, err = wire.EncodeAll(wire.PackedCodec{}, realArgs); err != nil {
 			return nil, "", err
 		}
 	}
@@ -212,7 +212,7 @@ func (g *Guard) Admit(op string, args []wire.Value) ([]wire.Value, string, error
 		if err != nil {
 			return nil, "", err
 		}
-		if realArgs, err = wire.DecodeAll(wire.BinaryCodec{}, plain); err != nil {
+		if realArgs, err = wire.DecodeAll(wire.PackedCodec{}, plain); err != nil {
 			return nil, "", err
 		}
 	}

@@ -14,7 +14,7 @@ import (
 	"odp/internal/wire"
 )
 
-var codec = wire.BinaryCodec{}
+var codec = wire.PackedCodec{}
 
 // vault is a servant that records who accessed it.
 type vault struct {

@@ -59,16 +59,9 @@ import (
 //
 //	[0xB7 'B' ver] [u32 count] count × ( [u32 len] [len bytes] )
 //
-// A HELLO frame negotiates capability:
+// A HELLO frame negotiates batching:
 //
-//	[0xB7 'H' ver] [flag] [caps]     flag 0 = probe, 1 = ack
-//
-// The trailing caps byte advertises the sender's capability bits (see
-// CapPacked). It was added after version 1 shipped: version-1 decoders
-// only require four bytes and ignore the tail, so a capability-bearing
-// HELLO degrades to a plain one against an old peer, and an old peer's
-// four-byte HELLO reads as caps 0 here — negotiation stays in-band and
-// backward compatible in both directions.
+//	[0xB7 'H' ver] [flag]     flag 0 = probe, 1 = ack
 const (
 	batchMagic   = 0xB7 // first byte of every coalescer control frame
 	batchKind    = 'B'
@@ -169,12 +162,6 @@ func WithCoalescerObserver(col *obs.Collector) CoalescerOption {
 	return func(c *Coalescer) { c.obs = col }
 }
 
-// WithCapabilities sets the capability bits this endpoint advertises in
-// its HELLO frames (see CapPacked). Default none.
-func WithCapabilities(caps byte) CoalescerOption {
-	return func(c *Coalescer) { c.caps = caps }
-}
-
 // Coalescer wraps an Endpoint with per-destination write coalescing. It
 // is itself an Endpoint, so the layers above are oblivious; rpc detects
 // it through the Batcher interface to defer acks into batches.
@@ -183,7 +170,6 @@ type Coalescer struct {
 	clk   clock.Clock
 
 	pendingLimit int
-	caps         byte // local capability bits advertised in HELLOs
 
 	handler atomic.Value // Handler
 
@@ -258,8 +244,6 @@ type batchPeer struct {
 	capable atomic.Bool
 	// sends counts unbatched sends, pacing HELLO probes.
 	sends atomic.Uint64
-	// peerCaps holds the capability byte the peer's HELLO advertised.
-	peerCaps atomic.Uint32
 
 	mu       sync.Mutex
 	segs     []*[]byte // queued sub-frames, each [u32 len][bytes], pooled
@@ -371,18 +355,6 @@ func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
 	return nil
 }
 
-// PeerCaps implements CapNegotiator: the capability byte addr advertised
-// in its HELLO, or zero while negotiation is incomplete.
-func (c *Coalescer) PeerCaps(addr string) byte {
-	c.mu.Lock()
-	p := c.peers[addr]
-	c.mu.Unlock()
-	if p == nil || !p.capable.Load() {
-		return 0
-	}
-	return byte(p.peerCaps.Load())
-}
-
 // DeliversConcurrently reports whether the inner endpoint delivers on
 // independent goroutines; the coalescer adds no serialisation of its
 // own (DecodeBatch runs in the inner delivery goroutine), so it simply
@@ -480,7 +452,7 @@ func (c *Coalescer) markCapable(addr string) {
 
 func (c *Coalescer) sendHello(to string, flag byte) {
 	c.stats.hellosSent.Add(1)
-	_ = c.inner.Send(to, []byte{batchMagic, helloKind, batchVersion, flag, c.caps})
+	_ = c.inner.Send(to, []byte{batchMagic, helloKind, batchVersion, flag})
 }
 
 // demux is installed as the inner endpoint's handler: it intercepts
@@ -510,11 +482,6 @@ func (c *Coalescer) demux(from string, pkt []byte) {
 			if pkt[2] != batchVersion || len(pkt) < 4 {
 				c.stats.badFrames.Add(1)
 				return
-			}
-			if len(pkt) >= 5 {
-				if p := c.peer(from); p != nil {
-					p.peerCaps.Store(uint32(pkt[4]))
-				}
 			}
 			c.markCapable(from)
 			if pkt[3] == helloProbe {

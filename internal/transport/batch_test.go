@@ -126,8 +126,8 @@ func TestCoalescerPassthroughUntilNegotiated(t *testing.T) {
 	if len(frames) != 2 {
 		t.Fatalf("want probe + passthrough, got %d frames", len(frames))
 	}
-	if frames[0][0] != batchMagic || frames[0][1] != helloKind || frames[0][3] != helloProbe {
-		t.Fatalf("first frame is not a HELLO probe: % x", frames[0])
+	if !bytes.Equal(frames[0], []byte{batchMagic, helloKind, batchVersion, helloProbe}) {
+		t.Fatalf("first frame is not the four-byte HELLO probe: % x", frames[0])
 	}
 	if !bytes.Equal(frames[1], []byte("plain")) {
 		t.Fatalf("payload altered in passthrough: %q", frames[1])

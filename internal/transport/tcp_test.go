@@ -114,14 +114,13 @@ func TestTCPSendVec(t *testing.T) {
 	}
 }
 
-// TestTCPPackedUpgradeEndToEnd drives the full negotiated stack over
-// real sockets: two coalesced TCP endpoints exchange HELLOs, upgrade
-// to batching with the packed capability, and rpc traffic flows
-// through writev-emitted BATCH frames.
-func TestTCPPackedUpgradeEndToEnd(t *testing.T) {
+// TestTCPBatchNegotiationEndToEnd drives the negotiated stack over real
+// sockets: two coalesced TCP endpoints exchange HELLOs, upgrade to
+// batching, and frames flow through writev-emitted BATCH datagrams.
+func TestTCPBatchNegotiationEndToEnd(t *testing.T) {
 	a, b := newPair(t)
-	ca := NewCoalescer(a, WithCapabilities(CapPacked))
-	cb := NewCoalescer(b, WithCapabilities(CapPacked))
+	ca := NewCoalescer(a)
+	cb := NewCoalescer(b)
 	t.Cleanup(func() {
 		_ = ca.Close()
 		_ = cb.Close()
@@ -129,9 +128,9 @@ func TestTCPPackedUpgradeEndToEnd(t *testing.T) {
 	got := make(chan string, 64)
 	cb.SetHandler(func(from string, pkt []byte) { got <- string(pkt) })
 	deadline := time.Now().Add(10 * time.Second)
-	for ca.PeerCaps(b.Addr())&CapPacked == 0 {
+	for !ca.PeerBatching(b.Addr()) {
 		if time.Now().After(deadline) {
-			t.Fatal("packed capability never negotiated over TCP")
+			t.Fatal("batching never negotiated over TCP")
 		}
 		if err := ca.Send(b.Addr(), []byte("probe-me")); err != nil {
 			t.Fatal(err)
@@ -144,12 +143,12 @@ func TestTCPPackedUpgradeEndToEnd(t *testing.T) {
 	}
 	// Past negotiation, frames ride BATCH datagrams (direct-write path,
 	// emitted via SendVec when the inner endpoint supports it).
-	if err := ca.Send(b.Addr(), []byte("packed-ride")); err != nil {
+	if err := ca.Send(b.Addr(), []byte("batch-ride")); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case s := <-got:
-		if s != "packed-ride" {
+		if s != "batch-ride" {
 			t.Fatalf("got %q", s)
 		}
 	case <-time.After(2 * time.Second):

@@ -65,23 +65,6 @@ type ConcurrentDeliverer interface {
 	DeliversConcurrently() bool
 }
 
-// Capability bits exchanged in the coalescer's HELLO frames. A set bit
-// advertises something the sender can *accept*, so peers upgrade only
-// what the receiving side has proven it decodes.
-const (
-	// CapPacked: inbound rpc bodies may use the ansa-packed/1 codec
-	// (protocol version 2 headers).
-	CapPacked byte = 1 << 0
-)
-
-// CapNegotiator exposes the capability byte a peer advertised during
-// the HELLO exchange. Zero means no capabilities are known (yet) — the
-// caller must fall back to baseline behaviour, exactly as batching
-// falls back to unbatched sends.
-type CapNegotiator interface {
-	PeerCaps(addr string) byte
-}
-
 // Errors returned by endpoints.
 var (
 	// ErrClosed reports use of a closed endpoint.

@@ -16,7 +16,7 @@ import (
 	"odp/internal/wire"
 )
 
-var codec = wire.BinaryCodec{}
+var codec = wire.PackedCodec{}
 
 // account is a snapshot-able bank account servant.
 type account struct {

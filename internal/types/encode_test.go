@@ -63,7 +63,7 @@ func TestDecodeTypeErrors(t *testing.T) {
 
 func TestDecodeTypeThroughWire(t *testing.T) {
 	// The full path an import request takes: encode -> codec -> decode.
-	for _, codec := range []wire.Codec{wire.BinaryCodec{}, wire.TextCodec{}} {
+	for _, codec := range []wire.Codec{wire.PackedCodec{}, wire.TextCodec{}} {
 		raw, err := codec.Encode(nil, EncodeType(accountType()))
 		if err != nil {
 			t.Fatal(err)

@@ -17,36 +17,6 @@ func hotArgs() []Value {
 	}
 }
 
-// TestBinaryEncodeAllocFree pins the binary codec's steady-state
-// encoding cost at zero allocations per packet: header-plus-args encode
-// into one pooled buffer without touching the heap. A regression here
-// silently re-introduces the Go-allocator noise E1/E4 are meant to keep
-// out of the measurements.
-func TestBinaryEncodeAllocFree(t *testing.T) {
-	c := BinaryCodec{}
-	args := hotArgs()
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	var err error
-	if *buf, err = EncodeAllInto(c, (*buf)[:0], args); err != nil {
-		t.Fatal(err)
-	}
-	want := append([]byte(nil), *buf...)
-
-	allocs := testing.AllocsPerRun(200, func() {
-		*buf, err = EncodeAllInto(c, (*buf)[:0], args)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("binary EncodeAllInto: %.1f allocs/op, want 0", allocs)
-	}
-	if !bytes.Equal(*buf, want) {
-		t.Fatal("pooled re-encode diverged from first encode")
-	}
-}
-
 // TestTextEncodeAllocBound pins the text codec's encoding allocations.
 // JSON marshalling cannot be allocation-free, but the count must stay
 // bounded so federation gateways (§5.6) do not regress unnoticed.
@@ -76,7 +46,7 @@ func TestTextEncodeAllocBound(t *testing.T) {
 // TestAppendValueMatchesEncode checks the append-style spelling is
 // byte-identical to Codec.Encode for both codecs.
 func TestAppendValueMatchesEncode(t *testing.T) {
-	for _, c := range []Codec{BinaryCodec{}, TextCodec{}, PackedCodec{}} {
+	for _, c := range []Codec{PackedCodec{}, TextCodec{}} {
 		for _, v := range hotArgs() {
 			direct, err := c.Encode(nil, v)
 			if err != nil {
@@ -96,7 +66,7 @@ func TestAppendValueMatchesEncode(t *testing.T) {
 // TestEncodeAllIntoRoundTrip checks EncodeAllInto output decodes with
 // DecodeAll after stripping the caller's prefix.
 func TestEncodeAllIntoRoundTrip(t *testing.T) {
-	c := BinaryCodec{}
+	c := PackedCodec{}
 	args := hotArgs()
 	out, err := EncodeAllInto(c, []byte("hdr"), args)
 	if err != nil {

@@ -65,42 +65,12 @@ func TestFuzzSeedCoversEveryKind(t *testing.T) {
 	}
 }
 
-// FuzzBinaryDecode exercises the binary decoder against arbitrary input.
+// FuzzTextDecode exercises the textual decoder against arbitrary input.
 // Without -fuzz it runs the seed corpus as regular tests; with
-// `go test -fuzz=FuzzBinaryDecode ./internal/wire` it explores further.
+// `go test -fuzz=FuzzTextDecode ./internal/wire` it explores further.
 // Property: decode never panics, and anything that decodes cleanly (with
 // no trailing bytes) re-encodes to a decodable equal value.
-func FuzzBinaryDecode(f *testing.F) {
-	c := BinaryCodec{}
-	for _, v := range append(sampleValues(), fuzzSeedValues()...) {
-		enc, err := c.Encode(nil, v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(enc)
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0x00, 0x01})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, rest, err := c.Decode(data)
-		if err != nil || len(rest) != 0 {
-			return
-		}
-		re, err := c.Encode(nil, v)
-		if err != nil {
-			t.Fatalf("decoded value %v failed to re-encode: %v", v, err)
-		}
-		v2, rest2, err := c.Decode(re)
-		if err != nil || len(rest2) != 0 {
-			t.Fatalf("re-encoded form undecodable: %v", err)
-		}
-		if !Equal(v, v2) {
-			t.Fatalf("re-encode changed value: %v != %v", v, v2)
-		}
-	})
-}
-
-// FuzzTextDecode is the same property for the textual codec.
+// FuzzPackedDecode is the same property for the packed codec.
 func FuzzTextDecode(f *testing.F) {
 	c := TextCodec{}
 	for _, v := range append(sampleValues(), fuzzSeedValues()...) {

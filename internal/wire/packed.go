@@ -7,28 +7,27 @@ import (
 	"unsafe"
 )
 
-// PackedCodec is the platform's third network data representation,
+// PackedCodec is the platform's native network data representation,
 // "ansa-packed/1": a one-byte kind tag followed by a varint-packed
-// payload. Where the binary codec spends fixed-width words on every
-// integer and length (flat decode cost, easy to reason about), the
-// packed codec spends LEB128 varints — small integers, short strings
-// and low epochs, which dominate real argument vectors, take one or two
-// bytes instead of four or eight. Integers are zigzag-coded so small
-// negative values stay short.
+// payload. Integers and lengths are LEB128 varints — small integers,
+// short strings and low epochs, which dominate real argument vectors,
+// take one or two bytes — and integers are zigzag-coded so small
+// negative values stay short. Floats are eight big-endian bytes.
 //
 // The codec exists for the invocation hot path, so it has a second
 // decode mode: DecodeAllAlias parses an argument vector whose string
 // and bytes values alias the source buffer instead of copying it. The
-// rpc server points that mode at an arena owned by the pooled request
-// descriptor, which is what lets the dispatch path stop copying
-// argument payloads (see rpc.Incoming's retention contract). The
-// Codec-interface Decode always returns detached values.
+// rpc server points that mode at the request packet, or at an arena
+// owned by the pooled request descriptor, which is what lets the
+// dispatch path stop copying argument payloads (see rpc.Incoming's
+// retention contract). The Codec-interface Decode always returns
+// detached values.
 //
 // Varint decoding is strict: encodings longer than ten bytes, encodings
 // that overflow 64 bits and non-minimal ("overlong") encodings whose
 // final continuation byte is zero are all rejected with ErrCorrupt, so
 // every value has exactly one representation and differential fuzzing
-// against the binary codec (FuzzCodecAgreement) can demand byte-stable
+// against the text codec (FuzzCodecAgreement) can demand byte-stable
 // re-encoding.
 type PackedCodec struct{}
 

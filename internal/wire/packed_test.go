@@ -179,9 +179,9 @@ func TestDetachValueDeep(t *testing.T) {
 	}
 }
 
-// TestPackedEncodeAllocFree pins packed encoding at zero allocations,
-// the same gate the binary codec carries — the packed hot path must not
-// trade copies for garbage.
+// TestPackedEncodeAllocFree pins the packed codec's steady-state
+// encoding cost at zero allocations per packet: header-plus-args encode
+// into one pooled buffer without touching the heap.
 func TestPackedEncodeAllocFree(t *testing.T) {
 	c := PackedCodec{}
 	args := hotArgs()
@@ -207,25 +207,8 @@ func TestPackedEncodeAllocFree(t *testing.T) {
 	}
 }
 
-// TestPackedSmallerThanBinary: the varint format must beat the
-// fixed-width binary codec on the representative hot argument vector —
-// otherwise the negotiation complexity buys nothing.
-func TestPackedSmallerThanBinary(t *testing.T) {
-	packed, err := EncodeAll(PackedCodec{}, hotArgs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin, err := EncodeAll(BinaryCodec{}, hotArgs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(packed) >= len(bin) {
-		t.Fatalf("packed %dB not smaller than binary %dB", len(packed), len(bin))
-	}
-}
-
-// TestPackedEncodingDeterministic mirrors the binary codec's record
-// determinism guarantee.
+// TestPackedEncodingDeterministic: record fields are written in sorted
+// key order, so one value has one encoding.
 func TestPackedEncodingDeterministic(t *testing.T) {
 	rec := Record{"zebra": int64(1), "apple": int64(2), "mango": int64(3)}
 	c := PackedCodec{}
@@ -259,29 +242,26 @@ func TestPackedDecodeTruncated(t *testing.T) {
 	}
 }
 
-// TestPropertyPackedBinaryAgree is the quick-check twin of
-// FuzzCodecAgreement: any model value encodes under both codecs and
-// decodes to semantically equal results.
-func TestPropertyPackedBinaryAgree(t *testing.T) {
-	packed, bin := PackedCodec{}, BinaryCodec{}
+// TestPropertyPackedTextAgree is the quick-check twin of
+// FuzzCodecAgreement: any model value, encoded packed and transcoded to
+// text and back, decodes to a value equal to the original at every step.
+func TestPropertyPackedTextAgree(t *testing.T) {
+	packed, text := PackedCodec{}, TextCodec{}
 	prop := func(av anyValue) bool {
 		pe, err := packed.Encode(nil, av.V)
 		if err != nil {
 			return false
 		}
-		pv, rest, err := packed.Decode(pe)
-		if err != nil || len(rest) != 0 {
-			return false
-		}
-		be, err := bin.Encode(nil, av.V)
+		te, err := Transcode(packed, text, pe)
 		if err != nil {
 			return false
 		}
-		bv, rest, err := bin.Decode(be)
-		if err != nil || len(rest) != 0 {
+		tv, rest, err := text.Decode(te)
+		if err != nil || len(rest) != 0 || !Equal(tv, av.V) {
 			return false
 		}
-		return Equal(pv, bv)
+		back, err := Transcode(text, packed, te)
+		return err == nil && bytes.Equal(back, pe)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -331,52 +311,47 @@ func FuzzPackedDecode(f *testing.F) {
 }
 
 // FuzzCodecAgreement is the differential fuzzer the packed codec's
-// correctness argument rests on: any frame the packed decoder accepts
-// must, after transcoding to ansa-binary/1, decode to a semantically
-// equal value — and vice versa. A divergence means one codec's reading
-// of the data model has drifted, which federation gateways would then
-// propagate silently between domains.
+// correctness argument rests on, against the platform's second,
+// independently written implementation of the data model: any frame the
+// packed decoder accepts must, after wire.Transcode to ansa-text/1,
+// decode to an equal value — and vice versa. Text carries floats as
+// their bit pattern, so Equal is exact. A divergence means one codec's
+// reading of the data model has drifted, which federation gateways
+// (§5.6) would then propagate silently between domains.
 func FuzzCodecAgreement(f *testing.F) {
-	packed, bin := PackedCodec{}, BinaryCodec{}
+	packed, text := PackedCodec{}, TextCodec{}
 	for _, v := range append(sampleValues(), fuzzSeedValues()...) {
 		pe, err := packed.Encode(nil, v)
 		if err != nil {
 			f.Fatal(err)
 		}
-		be, err := bin.Encode(nil, v)
+		te, err := text.Encode(nil, v)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(pe, be)
+		f.Add(pe, te)
 	}
 	f.Add([]byte{byte(KindInt), 0x80}, []byte{})        // truncated varint
 	f.Add([]byte{byte(KindUint), 0x80, 0x00}, []byte{}) // overlong varint
-	f.Fuzz(func(t *testing.T, packedData, binData []byte) {
-		if v, rest, err := packed.Decode(packedData); err == nil && len(rest) == 0 {
-			out, err := Transcode(packed, bin, packedData)
-			if err != nil {
-				t.Fatalf("packed->binary transcode failed for %v: %v", v, err)
-			}
-			got, rest, err := bin.Decode(out)
-			if err != nil || len(rest) != 0 {
-				t.Fatalf("binary decode of transcoded frame failed: %v", err)
-			}
-			if !Equal(v, got) {
-				t.Fatalf("packed->binary disagreement: %v != %v", v, got)
-			}
+	agree := func(t *testing.T, from, to Codec, data []byte) {
+		v, rest, err := from.Decode(data)
+		if err != nil || len(rest) != 0 {
+			return
 		}
-		if v, rest, err := bin.Decode(binData); err == nil && len(rest) == 0 {
-			out, err := Transcode(bin, packed, binData)
-			if err != nil {
-				t.Fatalf("binary->packed transcode failed for %v: %v", v, err)
-			}
-			got, rest, err := packed.Decode(out)
-			if err != nil || len(rest) != 0 {
-				t.Fatalf("packed decode of transcoded frame failed: %v", err)
-			}
-			if !Equal(v, got) {
-				t.Fatalf("binary->packed disagreement: %v != %v", v, got)
-			}
+		out, err := Transcode(from, to, data)
+		if err != nil {
+			t.Fatalf("%s->%s transcode failed for %v: %v", from.Name(), to.Name(), v, err)
 		}
+		got, rest, err := to.Decode(out)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%s decode of transcoded frame failed: %v", to.Name(), err)
+		}
+		if !Equal(v, got) {
+			t.Fatalf("%s->%s disagreement: %v != %v", from.Name(), to.Name(), v, got)
+		}
+	}
+	f.Fuzz(func(t *testing.T, packedData, textData []byte) {
+		agree(t, packed, text, packedData)
+		agree(t, text, packed, textData)
 	})
 }

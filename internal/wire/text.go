@@ -10,7 +10,7 @@ import (
 
 // TextCodec is a JSON-based representation used as the "other technology
 // domain" for federation interceptors (§5.6): a gateway standing on a
-// technology boundary re-marshals each invocation between BinaryCodec and
+// technology boundary re-marshals each invocation between PackedCodec and
 // TextCodec. It is deliberately self-describing and tagged so that all ten
 // kinds round-trip exactly (JSON alone cannot distinguish int64 from
 // float64 or bytes from string).

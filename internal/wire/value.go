@@ -10,13 +10,15 @@
 // representations of constant ADTs, plus Ref, the distribution-transparent
 // pointer to a mutable ADT interface.
 //
-// Two codecs are provided: a compact self-describing binary codec (the
-// platform's native network data representation) and a textual codec
-// (used by federation interceptors to demonstrate translation between
-// technology domains, §5.6).
+// Two codecs are provided: a compact self-describing binary codec,
+// PackedCodec (the platform's native network data representation), and a
+// textual codec, TextCodec (used by federation interceptors to
+// demonstrate translation between technology domains, §5.6).
 package wire
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -295,4 +297,122 @@ func sortedKeysInto(buf []string, r Record) []string {
 		buf[i] = k
 	}
 	return buf
+}
+
+// Codec translates between in-memory values and an octet representation.
+// The platform's native codec is Packed; Text exists so that federation
+// interceptors have a genuinely different technology domain to translate
+// to (§5.6).
+type Codec interface {
+	// Name identifies the codec in federation negotiations.
+	Name() string
+	// Encode appends the representation of v to dst and returns it.
+	Encode(dst []byte, v Value) ([]byte, error)
+	// Decode reads one value from src, returning it and the remaining
+	// bytes.
+	Decode(src []byte) (Value, []byte, error)
+}
+
+// Errors reported by codecs.
+var (
+	// ErrBadValue reports a value outside the computational data model.
+	ErrBadValue = errors.New("wire: value outside data model")
+	// ErrTruncated reports an encoding that ends mid-value.
+	ErrTruncated = errors.New("wire: truncated encoding")
+	// ErrCorrupt reports an undecodable encoding.
+	ErrCorrupt = errors.New("wire: corrupt encoding")
+)
+
+const (
+	// maxNest bounds recursion while decoding adversarial input.
+	maxNest = 64
+	// maxElems bounds list/record sizes while decoding.
+	maxElems = 1 << 24
+)
+
+// AppendValue appends the codec's representation of v to dst. It is the
+// append-style spelling of Codec.Encode, named for symmetry with
+// EncodeAllInto on the invocation hot path.
+func AppendValue(c Codec, dst []byte, v Value) ([]byte, error) {
+	return c.Encode(dst, v)
+}
+
+// EncodeAllInto appends the count-prefixed encoding of vs to dst and
+// returns the extended slice. The hot path encodes protocol header and
+// argument vector into one pooled buffer with this; EncodeAll is the
+// allocating convenience wrapper.
+func EncodeAllInto(c Codec, dst []byte, vs []Value) ([]byte, error) {
+	dst = appendU32(dst, uint32(len(vs)))
+	var err error
+	for _, v := range vs {
+		if dst, err = c.Encode(dst, v); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// EncodeAll encodes each value in vs back to back.
+func EncodeAll(c Codec, vs []Value) ([]byte, error) {
+	return EncodeAllInto(c, nil, vs)
+}
+
+// DecodeAll decodes a sequence written by EncodeAll.
+func DecodeAll(c Codec, src []byte) ([]Value, error) {
+	n, rest, err := readU32(src)
+	if err != nil {
+		return nil, err
+	}
+	if n > maxElems {
+		return nil, fmt.Errorf("%w: %d values", ErrCorrupt, n)
+	}
+	vs := make([]Value, 0, min(int(n), 1024))
+	for i := uint32(0); i < n; i++ {
+		var v Value
+		if v, rest, err = c.Decode(rest); err != nil {
+			return nil, err
+		}
+		vs = append(vs, v)
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+	}
+	return vs, nil
+}
+
+func appendU64(dst []byte, u uint64) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], u)
+	return append(dst, b[:]...)
+}
+
+func appendU32(dst []byte, u uint32) []byte {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], u)
+	return append(dst, b[:]...)
+}
+
+func readU64(src []byte) (uint64, []byte, error) {
+	if len(src) < 8 {
+		return 0, nil, ErrTruncated
+	}
+	return binary.BigEndian.Uint64(src), src[8:], nil
+}
+
+func readU32(src []byte) (uint32, []byte, error) {
+	if len(src) < 4 {
+		return 0, nil, ErrTruncated
+	}
+	return binary.BigEndian.Uint32(src), src[4:], nil
+}
+
+func readLenBytes(src []byte) ([]byte, []byte, error) {
+	n, rest, err := readU32(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint32(len(rest)) < n {
+		return nil, nil, ErrTruncated
+	}
+	return rest[:n], rest[n:], nil
 }

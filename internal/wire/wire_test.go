@@ -47,7 +47,7 @@ func sampleValues() []Value {
 }
 
 func codecs() []Codec {
-	return []Codec{BinaryCodec{}, TextCodec{}, PackedCodec{}}
+	return []Codec{PackedCodec{}, TextCodec{}}
 }
 
 func TestRoundTripSamples(t *testing.T) {
@@ -104,7 +104,7 @@ func TestRejectForeignValue(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	c := BinaryCodec{}
+	c := PackedCodec{}
 	enc, err := c.Encode(nil, sampleValues()[len(sampleValues())-1])
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestDecodeTruncated(t *testing.T) {
 
 func TestDecodeGarbage(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := BinaryCodec{}
+	c := PackedCodec{}
 	for i := 0; i < 2000; i++ {
 		buf := make([]byte, rng.Intn(64))
 		rng.Read(buf)
@@ -132,7 +132,7 @@ func TestDecodeGarbage(t *testing.T) {
 
 func TestRecordEncodingDeterministic(t *testing.T) {
 	rec := Record{"zebra": int64(1), "apple": int64(2), "mango": int64(3)}
-	c := BinaryCodec{}
+	c := PackedCodec{}
 	first, err := c.Encode(nil, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestEncodeAllDecodeAll(t *testing.T) {
 }
 
 func TestTranscodeBetweenCodecs(t *testing.T) {
-	bin, txt := BinaryCodec{}, TextCodec{}
+	bin, txt := PackedCodec{}, TextCodec{}
 	for i, v := range sampleValues() {
 		enc, err := bin.Encode(nil, v)
 		if err != nil {
@@ -183,7 +183,7 @@ func TestTranscodeBetweenCodecs(t *testing.T) {
 		}
 		back, err := Transcode(txt, bin, asText)
 		if err != nil {
-			t.Fatalf("value %d: to binary: %v", i, err)
+			t.Fatalf("value %d: to packed: %v", i, err)
 		}
 		got, _, err := bin.Decode(back)
 		if err != nil {

@@ -1,14 +1,13 @@
 package odp_test
 
 // Mixed-codec simulation scenario: one fabric carries two wire regimes
-// side by side — a batching pair whose connections upgrade to
-// ansa-packed/1 after the HELLO capability exchange, and a text-codec
-// pair speaking human-readable session-codec frames. Tracing every call on
-// all four nodes, the span forest must show the same causal shape for
-// both regimes: every remote invocation is a singular dispatch tree —
+// side by side — a batching pair speaking ansa-packed/1 (the default)
+// through coalescers, and a text-codec pair speaking human-readable
+// frames on plain endpoints. Tracing every call on all four nodes, the
+// span forest must show the same causal shape for both regimes: every remote invocation is a singular dispatch tree —
 // one root, one rpc.send, exactly one rpc.dispatch — no matter which
 // codec carried the bytes. A duplicated or missing dispatch under
-// either codec would mean the upgrade path re-delivered or dropped a
+// either codec would mean its path re-delivered or dropped a
 // request. The batching pair's coalescers run on the simulation's clock
 // too, so their flush-delay histograms are part of what a seed replays.
 
@@ -29,11 +28,10 @@ func runMixedCodecSim(t *testing.T, s *sim.Sim) (forest string, flushDelay [2]od
 	ctx := context.Background()
 	trace := odp.WithTracing(odp.TraceSampleEvery(1))
 
-	// Packed regime: binary codec (the default) plus batching makes the
-	// platform advertise the packed capability in its HELLO probes.
+	// Packed regime: the default codec, coalesced endpoints.
 	pserver := simPlatform(t, s, "pserver", odp.WithBatching(), trace)
 	pclient := simPlatform(t, s, "pclient", odp.WithBatching(), trace)
-	// Text regime: same fabric, unflagged textual frames, no batching.
+	// Text regime: same fabric, textual frames, no batching.
 	tserver := simPlatform(t, s, "tserver", odp.WithCodec(odp.TextCodec{}), trace)
 	tclient := simPlatform(t, s, "tclient", odp.WithCodec(odp.TextCodec{}), trace)
 
@@ -59,17 +57,17 @@ func runMixedCodecSim(t *testing.T, s *sim.Sim) (forest string, flushDelay [2]od
 		}
 	}
 
-	// Drive packed-side calls until the codec upgrade is observable. The
+	// Drive packed-side calls until the pair's coalescers batch. The
 	// HELLO probe and its ack are ordinary simulated packets, so under
 	// the virtual clock negotiation completes within a bounded number of
 	// settled rounds — a cap distinguishes "later" from "never".
-	upgraded := func() uint64 {
-		n, _ := pclient.Gather()["rpc.client.packed_upgrades"].(uint64)
-		return n
-	}
-	for i := 0; upgraded() == 0; i++ {
-		if i >= 32 {
-			t.Fatal("packed codec never negotiated in 32 settled rounds")
+	pcalls := uint64(0)
+	for ; ; pcalls++ {
+		if st, _ := pclient.BatchStats(); st.BatchesSent > 0 {
+			break
+		}
+		if pcalls >= 32 {
+			t.Fatal("batching never negotiated in 32 settled rounds")
 		}
 		call(pclient, pref)
 	}
@@ -77,8 +75,13 @@ func runMixedCodecSim(t *testing.T, s *sim.Sim) (forest string, flushDelay [2]od
 	// trees under test.
 	call(pclient, pref)
 	call(tclient, tref)
+	// The codec was never negotiated: every packed-side call, the first
+	// included, went out packed, and no text-side call did.
+	if pn, _ := pclient.Gather()["rpc.client.packed_upgrades"].(uint64); pn != pcalls+1 {
+		t.Fatalf("packed client sent %d of %d calls packed", pn, pcalls+1)
+	}
 	if tn, _ := tclient.Gather()["rpc.client.packed_upgrades"].(uint64); tn != 0 {
-		t.Fatalf("text-codec client reported %d packed upgrades", tn)
+		t.Fatalf("text-codec client sent %d calls packed", tn)
 	}
 	if packed.load() < 2 || textual.load() != 1 {
 		t.Fatalf("executions packed=%d text=%d, want >=2/1", packed.load(), textual.load())
@@ -152,7 +155,7 @@ func assertSingularDispatchTrees(t *testing.T, spans []odp.Span) {
 
 // TestSimMixedCodecSingularDispatch pins both the structural property
 // and its determinism: the same seed replayed twice renders the
-// byte-identical mixed-codec forest, packed upgrade and all.
+// byte-identical mixed-codec forest, batch negotiation and all.
 func TestSimMixedCodecSingularDispatch(t *testing.T) {
 	run := func() (string, [2]odp.HistogramSnapshot) {
 		s := sim.New(41,

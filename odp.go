@@ -73,14 +73,13 @@ type (
 	Ref = wire.Ref
 	// Codec translates values to and from octets.
 	Codec = wire.Codec
-	// BinaryCodec is the native network data representation.
-	BinaryCodec = wire.BinaryCodec
+	// PackedCodec is the native network data representation
+	// (ansa-packed/1): what every node speaks unless WithCodec says
+	// otherwise.
+	PackedCodec = wire.PackedCodec
 	// TextCodec is the alternative representation used across federation
 	// technology boundaries.
 	TextCodec = wire.TextCodec
-	// PackedCodec is the compact varint representation (ansa-packed/1),
-	// negotiated per connection over batching endpoints.
-	PackedCodec = wire.PackedCodec
 )
 
 // Interface types and signatures.
@@ -184,7 +183,8 @@ func PublishReplicated(platforms []*Platform, spec ReplicaSpec, factory func() S
 
 // Platform construction options.
 var (
-	// WithCodec selects the network data representation.
+	// WithCodec selects the network data representation (default
+	// PackedCodec); nodes with different codecs meet through a Gateway.
 	WithCodec = core.WithCodec
 	// WithStore supplies stable storage.
 	WithStore = core.WithStore
@@ -537,7 +537,7 @@ func RegisterFactory(p *Platform, typeName string, f func() MovableServant) {
 // EncodeRef renders an interface reference as a printable string, for
 // passing between processes on command lines and in configuration.
 func EncodeRef(r Ref) (string, error) {
-	raw, err := wire.BinaryCodec{}.Encode(nil, r)
+	raw, err := wire.PackedCodec{}.Encode(nil, r)
 	if err != nil {
 		return "", err
 	}
@@ -550,7 +550,7 @@ func DecodeRef(s string) (Ref, error) {
 	if err != nil {
 		return Ref{}, fmt.Errorf("odp: decode ref: %w", err)
 	}
-	v, rest, err := wire.BinaryCodec{}.Decode(raw)
+	v, rest, err := wire.PackedCodec{}.Decode(raw)
 	if err != nil {
 		return Ref{}, fmt.Errorf("odp: decode ref: %w", err)
 	}

@@ -141,3 +141,50 @@ func TestPublicTCPPlatform(t *testing.T) {
 		t.Fatalf("tcp call: %+v %v", out, err)
 	}
 }
+
+// TestNodesSpeakTheirCodecFromTheFirstCall: nothing chooses a codec per
+// peer or per call. Between two fresh default platforms, plain or
+// coalesced, every call is sent packed (rpc.client.packed_upgrades counts
+// exactly the calls made); between two text platforms none is.
+func TestNodesSpeakTheirCodecFromTheFirstCall(t *testing.T) {
+	const calls = 10
+	for name, tc := range map[string]struct {
+		opts []odp.Option
+		want uint64
+	}{
+		"default":          {nil, calls},
+		"default+batching": {[]odp.Option{odp.WithBatching()}, calls},
+		"text":             {[]odp.Option{odp.WithCodec(odp.TextCodec{})}, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fabric := odp.NewFabric()
+			t.Cleanup(func() { _ = fabric.Close() })
+			node := func(name string) *odp.Platform {
+				ep, err := fabric.Endpoint(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := odp.NewPlatform(name, ep, tc.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = p.Close() })
+				return p
+			}
+			server, client := node("server"), node("client")
+			ref, err := server.Publish("cell", odp.Object{Servant: &countingServant{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			proxy := client.Bind(ref)
+			for i := 0; i < calls; i++ {
+				if _, err := proxy.Call(context.Background(), "add"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, _ := client.Gather()["rpc.client.packed_upgrades"].(uint64); got != tc.want {
+				t.Fatalf("rpc.client.packed_upgrades = %d after %d calls, want %d", got, calls, tc.want)
+			}
+		})
+	}
+}

@@ -1,7 +1,7 @@
 package odp_test
 
 // Allocation gate for the packed-codec hot path: once two batching
-// platforms have negotiated ansa-packed/1, an E1 remote loopback call
+// platforms have negotiated batching, an E1 remote loopback call
 // must stay under packedE1AllocBudget allocations — the budget that keeps
 // the sub-10 µs latency target reachable. The count is measured with
 // AllocsPerRun so a regression fails deterministically instead of showing
@@ -81,17 +81,17 @@ func TestPackedE1AllocGate(t *testing.T) {
 		}
 	}
 
-	// Warm until the HELLO exchange lands and calls upgrade to packed;
-	// the probe's delivery can trail the request/reply ping-pong, so
-	// poll the negotiated state instead of assuming a fixed count.
+	// Warm until the HELLO exchange lands and frames ride batches; the
+	// probe's delivery can trail the request/reply ping-pong, so poll
+	// the negotiated state instead of assuming a fixed count.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		call()
-		if n, _ := client.Gather()["rpc.client.packed_upgrades"].(uint64); n > 0 {
+		if st, _ := client.BatchStats(); st.BatchesSent > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("packed codec not negotiated within warm-up deadline")
+			t.Fatal("batching not negotiated within warm-up deadline")
 		}
 		runtime.Gosched()
 	}
