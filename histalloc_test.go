@@ -11,7 +11,6 @@ package odp_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 	"time"
 
@@ -22,27 +21,7 @@ func TestHistogramRecordingAddsNoAllocsE1(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are skewed under -race: sync.Pool drops puts by design")
 	}
-	f := odp.NewFabric(odp.WithSeed(1))
-	defer f.Close()
-	sep, err := f.Endpoint("server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := odp.NewPlatform("server", sep, odp.WithBatching())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	cep, err := f.Endpoint("client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := odp.NewPlatform("client", cep, odp.WithBatching())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
+	server, client := coalescedPair(t)
 	ref, err := server.Publish("cell", odp.Object{Servant: &countingServant{}})
 	if err != nil {
 		t.Fatal(err)
@@ -54,21 +33,7 @@ func TestHistogramRecordingAddsNoAllocsE1(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		call()
-		if st, _ := client.BatchStats(); st.BatchesSent > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("batching not negotiated within warm-up deadline")
-		}
-		runtime.Gosched()
-	}
-	for i := 0; i < 100; i++ {
-		call()
-	}
+	settleE1(t, client, call)
 
 	const runs = 200
 	callsBefore, _ := client.Gather()["rpc.client.call_count"].(uint64)

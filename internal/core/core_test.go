@@ -135,33 +135,41 @@ func TestPublishBareAndInvoke(t *testing.T) {
 	}
 }
 
+// The credential is a value like any other: it must survive the text
+// representation's translation as it does the packed one's (§4.2).
 func TestWeaverSecured(t *testing.T) {
-	e := newCoreEnv(t)
-	server := e.platform("server")
-	client := e.platform("client", WithRelocator(server.RelocRef))
-	server.Keys.Share("alice", []byte("s3cret"))
+	for _, codec := range []wire.Codec{wire.PackedCodec{}, wire.TextCodec{}} {
+		t.Run(codec.Name(), func(t *testing.T) {
+			e := newCoreEnv(t)
+			server := e.platform("server", WithCodec(codec))
+			client := e.platform("client", WithCodec(codec), WithRelocator(server.RelocRef))
+			server.Keys.Share("alice", []byte("s3cret"))
 
-	ref, err := server.Publish("ledger", Object{
-		Servant: &ledger{},
-		Type:    ledgerType(),
-		Env: Env{Secured: &SecureSpec{Policy: security.Policy{Rules: []security.Rule{
-			{Principal: "alice", Op: "*", Allow: true},
-		}}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	// Unauthenticated: refused.
-	if _, err := client.Bind(ref).Call(ctx, "balance"); !errors.Is(err, rpc.ErrDenied) {
-		t.Fatalf("unauthenticated: want ErrDenied, got %v", err)
-	}
-	// Authenticated: admitted. The application code only gained a
-	// signer; the invocation shape is unchanged.
-	alice := security.NewSigner("alice", []byte("s3cret"))
-	out, err := client.Bind(ref).WithSigner(alice).Call(ctx, "credit", int64(3))
-	if err != nil || !out.Is("ok") {
-		t.Fatalf("authenticated: %+v %v", out, err)
+			ref, err := server.Publish("ledger", Object{
+				Servant: &ledger{},
+				Type:    ledgerType(),
+				Env: Env{Secured: &SecureSpec{Policy: security.Policy{Rules: []security.Rule{
+					{Principal: "alice", Op: "*", Allow: true},
+				}}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			// Unauthenticated: refused.
+			if _, err := client.Bind(ref).Call(ctx, "balance"); !errors.Is(err, rpc.ErrDenied) {
+				t.Fatalf("unauthenticated: want ErrDenied, got %v", err)
+			}
+			// Authenticated: admitted, plain and sealed. The application
+			// code only gained a signer; the invocation shape is unchanged.
+			alice := security.NewSigner("alice", []byte("s3cret"))
+			for _, alice.Seal = range []bool{false, true} {
+				out, err := client.Bind(ref).WithSigner(alice).Call(ctx, "credit", int64(3))
+				if err != nil || !out.Is("ok") {
+					t.Fatalf("authenticated (sealed %v): %+v %v", alice.Seal, out, err)
+				}
+			}
+		})
 	}
 }
 

@@ -129,15 +129,16 @@ func (r *Registry) Snapshot() wire.Record {
 // given metric prefix: <prefix>.calls, <prefix>.errors and the gauge
 // <prefix>.last_us (last dispatch latency in microseconds).
 func Instrument(r *Registry, prefix string) capsule.Interceptor {
+	calls, errs, lastUs := prefix+".calls", prefix+".errors", prefix+".last_us"
 	return func(next capsule.Servant) capsule.Servant {
 		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
 			start := r.clk.Now()
 			outcome, results, err := next.Dispatch(ctx, op, args)
-			r.Add(prefix+".calls", 1)
+			r.Add(calls, 1)
 			if err != nil {
-				r.Add(prefix+".errors", 1)
+				r.Add(errs, 1)
 			}
-			r.Set(prefix+".last_us", float64(r.clk.Since(start).Microseconds()))
+			r.Set(lastUs, float64(r.clk.Since(start).Microseconds()))
 			return outcome, results, err
 		})
 	}

@@ -280,16 +280,25 @@ func (h *Host) Export(id string, s Servant, opts ...ExportOption) (wire.Ref, err
 }
 
 // loggingInterceptor appends each completed mutating interaction to the
-// object's recovery log.
+// object's recovery log, as the packed vector [op, List(args)] that
+// Recover decodes.
 func (h *Host) loggingInterceptor(id string, m *managed) capsule.Interceptor {
+	logName := "oplog/" + id
 	return func(next capsule.Servant) capsule.Servant {
 		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
 			outcome, results, err := next.Dispatch(ctx, op, args)
 			if err == nil && !m.readOnly[op] {
-				rec, encErr := wire.EncodeAll(wire.PackedCodec{}, []wire.Value{op, wire.List(args)})
+				// AppendLog has copied or written the record when it
+				// returns, so the buffer goes straight back to the pool.
+				bp := wire.GetBuffer()
+				rec := wire.AppendCount(*bp, 2)
+				rec = wire.PackedCodec{}.AppendString(rec, op)
+				rec, encErr := wire.PackedCodec{}.AppendList(rec, args)
 				if encErr == nil {
-					_ = h.store.AppendLog("oplog/"+id, rec)
+					_ = h.store.AppendLog(logName, rec)
+					*bp = rec
 				}
+				wire.PutBuffer(bp)
 			}
 			return outcome, results, err
 		})

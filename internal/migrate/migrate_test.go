@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -223,6 +224,39 @@ func TestPassivateAndTransparentReactivation(t *testing.T) {
 	_, res, err = client.Invoke(ctx, ref, "get", nil)
 	if err != nil || res[0].(int64) != 43 {
 		t.Fatalf("second reactivation: %v %v", res, err)
+	}
+}
+
+// The interceptor assembles a log record from parts; the bytes must stay
+// the packed vector [op, List(args)] that Recover decodes and that logs
+// written before it did so hold.
+func TestLogRecordIsTheEncodedVector(t *testing.T) {
+	e := newEnv(t)
+	store := storage.NewMemStore()
+	h, _ := e.host("node1", store)
+	client := e.client("client")
+	ref, err := h.Export("t1", &tally{}, WithRecoveryLog(tallyReadOnly))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := [][]wire.Value{{int64(7)}, {int64(-1) << 40}}
+	for _, args := range calls {
+		if _, _, err := client.Invoke(context.Background(), ref, "add", args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := store.ReadLog("oplog/t1")
+	if err != nil || len(recs) != len(calls) {
+		t.Fatalf("log: %d records, %v", len(recs), err)
+	}
+	for i, args := range calls {
+		want, err := wire.EncodeAll(wire.PackedCodec{}, []wire.Value{"add", wire.List(args)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(recs[i], want) {
+			t.Fatalf("record %d: %x, want %x", i, recs[i], want)
+		}
 	}
 }
 

@@ -135,7 +135,8 @@ type Collector struct {
 	pool sync.Pool
 
 	mu       sync.Mutex
-	ring     []Span
+	ringSize int
+	ring     []Span // built by the first committed span
 	pos      int
 	count    int
 	recorded uint64
@@ -165,7 +166,7 @@ func WithSampleEvery(n uint64) CollectorOption {
 func WithRingSize(n int) CollectorOption {
 	return func(c *Collector) {
 		if n > 0 {
-			c.ring = make([]Span, n)
+			c.ringSize = n
 		}
 	}
 }
@@ -176,16 +177,14 @@ const defaultRingSize = 1024
 // NewCollector creates a collector for the named node.
 func NewCollector(node string, opts ...CollectorOption) *Collector {
 	c := &Collector{
-		node:   node,
-		clk:    clock.Real{},
-		idBase: idBaseFor(node),
+		node:     node,
+		clk:      clock.Real{},
+		idBase:   idBaseFor(node),
+		ringSize: defaultRingSize,
 	}
 	c.pool.New = func() interface{} { return new(Span) }
 	for _, o := range opts {
 		o(c)
-	}
-	if c.ring == nil {
-		c.ring = make([]Span, defaultRingSize)
 	}
 	return c
 }
@@ -326,6 +325,9 @@ func (c *Collector) Event(parent SpanContext, kind, name string) {
 
 func (c *Collector) commit(s Span) {
 	c.mu.Lock()
+	if c.ring == nil {
+		c.ring = make([]Span, c.ringSize)
+	}
 	c.ring[c.pos] = s
 	c.pos++
 	if c.pos == len(c.ring) {

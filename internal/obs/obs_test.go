@@ -110,6 +110,23 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
+// An unsampled collector holds no span ring: the ring is built by the
+// first span committed to it.
+func TestRingBuiltByFirstSpan(t *testing.T) {
+	c := NewCollector("node-a", WithRingSize(4), WithCollectorClock(clock.NewFake(epoch)))
+	if sp := c.Begin(KindStub, "unsampled"); sp != nil || c.ring != nil {
+		t.Fatalf("unsampled root: span %v, ring of %d", sp, len(c.ring))
+	}
+	if got := c.Snapshot(); len(got) != 0 {
+		t.Fatalf("snapshot of an empty collector: %v", got)
+	}
+	c.SetSampleEvery(1)
+	c.End(c.Begin(KindStub, "first"))
+	if len(c.ring) != 4 || len(c.Snapshot()) != 1 {
+		t.Fatalf("after the first span: ring of %d, %d retained", len(c.ring), len(c.Snapshot()))
+	}
+}
+
 func TestDeterministicIDs(t *testing.T) {
 	run := func() []Span {
 		c, _ := newTestCollector("node-a", 1)

@@ -255,6 +255,60 @@ func TestAnnouncementRepeatsDeduplicated(t *testing.T) {
 	}
 }
 
+// builtRings counts the shards whose announcement window exists.
+func builtRings(srv *Server) int {
+	built := 0
+	for i := range srv.shards {
+		sh := &srv.shards[i]
+		sh.mu.Lock()
+		if sh.ring != nil {
+			built++
+		}
+		sh.mu.Unlock()
+	}
+	return built
+}
+
+// The announcement window is built by the first announcement its shard
+// sees, and that very announcement is already deduplicated in it.
+func TestAnnouncementWindowBuiltOnFirstUse(t *testing.T) {
+	_, cli, mkServer := setup(t)
+	var n atomic.Int64
+	srv := mkServer(func(_ context.Context, in *Incoming) (string, []wire.Value, error) {
+		n.Add(1)
+		return "", nil, nil
+	})
+	if built := builtRings(srv); built != 0 {
+		t.Fatalf("fresh server holds %d announcement windows", built)
+	}
+	if err := cli.Announce("server", "o", "ping", nil, QoS{Repeats: 2}); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "both extra copies suppressed", func() bool {
+		return srv.Stats().AnnounceDedup == 2
+	})
+	if n.Load() != 1 {
+		t.Fatalf("first announcement executed %d times, want 1", n.Load())
+	}
+	if built := builtRings(srv); built != 1 {
+		t.Fatalf("one announcement built %d windows, want its shard's only", built)
+	}
+}
+
+// A server that only answers interrogations never builds the window.
+func TestInterrogationsBuildNoAnnouncementWindow(t *testing.T) {
+	_, cli, mkServer := setup(t)
+	srv := mkServer(echoHandler)
+	for i := 0; i < 64; i++ { // enough call ids to touch every shard
+		if _, _, err := cli.Call(context.Background(), "server", "o", "echo", []wire.Value{int64(i)}, QoS{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if built := builtRings(srv); built != 0 {
+		t.Fatalf("%d of %d shards built an announcement window", built, numShards)
+	}
+}
+
 func TestConcurrentCalls(t *testing.T) {
 	_, cli, mkServer := setup(t, netsim.WithDefaultLink(netsim.LinkProfile{
 		Latency: 500 * time.Microsecond, Jitter: 500 * time.Microsecond}))

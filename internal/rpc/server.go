@@ -93,6 +93,8 @@ type callShard struct {
 	prev map[callKey]*serverCall // previous generation, read-only until swept
 	ackq []ackedKey              // acked entries awaiting their grace deadline
 
+	// The ring is built by the shard's first announcement: a server that
+	// only answers interrogations never pays its ~54 KB per shard.
 	ring    []callKey       // recent announcement keys, oldest overwritten
 	ringSet map[callKey]int // ring membership → slot index
 	ringPos int
@@ -260,8 +262,6 @@ func newServerNoHandler(ep transport.Endpoint, codec wire.Codec, handler Handler
 		sh := &s.shards[i]
 		sh.cur = make(map[callKey]*serverCall)
 		sh.prev = make(map[callKey]*serverCall)
-		sh.ring = make([]callKey, announceRingSize)
-		sh.ringSet = make(map[callKey]int, announceRingSize)
 	}
 	for _, o := range opts {
 		o(s)
@@ -373,6 +373,10 @@ func (s *Server) claimAnnounce(key callKey) (dup, closed bool) {
 	if s.closed.Load() {
 		sh.mu.Unlock()
 		return false, true
+	}
+	if sh.ring == nil {
+		sh.ring = make([]callKey, announceRingSize)
+		sh.ringSet = make(map[callKey]int, announceRingSize)
 	}
 	if _, seen := sh.ringSet[key]; seen {
 		sh.mu.Unlock()

@@ -2,6 +2,10 @@ package security
 
 import (
 	"context"
+	"crypto/hmac"
+	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -15,8 +19,7 @@ import (
 
 // Signer produces credentials on behalf of one principal.
 type Signer struct {
-	principal string
-	secret    []byte
+	key *key
 	// Seal encrypts argument payloads (confidentiality in addition to
 	// integrity).
 	Seal bool
@@ -27,14 +30,13 @@ type Signer struct {
 
 // NewSigner creates a signer for principal with its shared secret.
 func NewSigner(principal string, secret []byte) *Signer {
-	s := &Signer{principal: principal, now: clock.Real{}.Now}
-	s.secret = make([]byte, len(secret))
-	copy(s.secret, secret)
-	// Start nonces at a random-ish point so two incarnations of the same
-	// principal do not collide in the guard's replay window.
+	s := &Signer{key: newKey(principal, secret), now: clock.Real{}.Now}
+	// Start nonces at a random point so two incarnations of the same
+	// principal do not collide in the guard's replay window. The seed is
+	// not secret; without entropy the sequence starts at zero.
 	var seed [8]byte
-	if _, err := timeSeed(seed[:]); err == nil {
-		s.nonce.Store(deBytes(seed[:]))
+	if _, err := rand.Read(seed[:]); err == nil {
+		s.nonce.Store(binary.BigEndian.Uint64(seed[:]))
 	}
 	return s
 }
@@ -43,27 +45,36 @@ func NewSigner(principal string, secret []byte) *Signer {
 // sealing, the arguments are replaced entirely by the encrypted payload
 // inside the credential.
 func (s *Signer) Wrap(op string, args []wire.Value) ([]wire.Value, error) {
-	nonce := s.nonce.Add(1)
-	ts := s.now().UnixMilli()
-	payload, err := wire.EncodeAll(wire.PackedCodec{}, args)
-	if err != nil {
-		return nil, err
+	k := s.key
+	if len(k.principal) > 255 {
+		return nil, fmt.Errorf("%w: principal of %d bytes", ErrBadCredential, len(k.principal))
 	}
-	c := credential{principal: s.principal, nonce: nonce, unixMilli: ts}
+	var flags byte
 	if s.Seal {
-		sealed, err := seal(s.secret, payload)
+		flags = flagSealed
+	}
+	cred := make([]byte, 0, credFixed+len(k.principal))
+	cred = appendCredential(cred, flags, s.nonce.Add(1), s.now().UnixMilli(), k.principal)
+	var sealed []byte
+	if flags&flagSealed != 0 {
+		bp := wire.GetBuffer()
+		plain, err := wire.EncodeAllInto(wire.PackedCodec{}, *bp, args)
+		if err == nil {
+			*bp = plain
+			cred, err = k.seal(cred, plain)
+		}
+		wire.PutBuffer(bp)
 		if err != nil {
 			return nil, err
 		}
-		c.sealed = sealed
-		c.mac = macOver(s.secret, s.principal, nonce, ts, op, sealed)
-		return []wire.Value{encodeCredential(c)}, nil
+		sealed, args = cred[credFixed+len(k.principal):], nil
 	}
-	c.mac = macOver(s.secret, s.principal, nonce, ts, op, payload)
+	if err := k.invocationMAC((*[sha256.Size]byte)(cred[macOff:nameOff]), cred, op, args, sealed); err != nil {
+		return nil, err
+	}
 	out := make([]wire.Value, 0, len(args)+1)
-	out = append(out, encodeCredential(c))
-	out = append(out, args...)
-	return out, nil
+	out = append(out, cred)
+	return append(out, args...), nil
 }
 
 // Invoke is the authenticated invocation helper: wrap, invoke, done.
@@ -109,41 +120,52 @@ type GuardStats struct {
 	Replays  uint64
 }
 
+// replayKey names one admitted credential.
+type replayKey struct {
+	principal string
+	nonce     uint64
+}
+
 // Guard polices one interface: it is the generated engineering artefact
 // of a declarative policy statement (§7.1). Use AsInterceptor to place it
 // "within the encapsulation boundary of the secure object".
 type Guard struct {
-	keys     *Keyring
-	policy   Policy
-	maxSkew  time.Duration
-	now      func() time.Time
-	mu       sync.Mutex
-	seen     map[string]map[uint64]int64 // principal -> nonce -> expiry ms
-	statsMu  sync.Mutex
-	stats    GuardStats
-	lastScan time.Time
+	keys   *Keyring
+	policy Policy
+	skewMs int64
+	now    func() time.Time
+	mu     sync.Mutex
+	// seen holds the admitted credentials by generation: the credential
+	// expiring at unix millisecond e is in generation e/skewMs. At most
+	// three generations hold credentials that are still fresh.
+	seen     map[int64]map[replayKey]struct{}
+	admitted atomic.Uint64
+	rejected atomic.Uint64
+	replays  atomic.Uint64
 }
 
 // NewGuard generates a guard from a declarative policy and the object's
 // shared secrets. maxSkew bounds credential age (default 30s).
 func NewGuard(keys *Keyring, policy Policy, maxSkew time.Duration) *Guard {
-	if maxSkew <= 0 {
+	if maxSkew < time.Millisecond {
 		maxSkew = 30 * time.Second
 	}
 	return &Guard{
-		keys:    keys,
-		policy:  policy,
-		maxSkew: maxSkew,
-		now:     clock.Real{}.Now,
-		seen:    make(map[string]map[uint64]int64),
+		keys:   keys,
+		policy: policy,
+		skewMs: maxSkew.Milliseconds(),
+		now:    clock.Real{}.Now,
+		seen:   make(map[int64]map[replayKey]struct{}),
 	}
 }
 
 // Stats returns a snapshot of guard counters.
 func (g *Guard) Stats() GuardStats {
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	return g.stats
+	return GuardStats{
+		Admitted: g.admitted.Load(),
+		Rejected: g.rejected.Load(),
+		Replays:  g.replays.Load(),
+	}
 }
 
 // AsInterceptor returns the guard as a capsule interceptor.
@@ -152,20 +174,13 @@ func (g *Guard) AsInterceptor() capsule.Interceptor {
 		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
 			realArgs, principal, err := g.Admit(op, args)
 			if err != nil {
-				g.count(func(s *GuardStats) { s.Rejected++ })
+				g.rejected.Add(1)
 				return "", nil, fmt.Errorf("%w: %v", rpc.ErrDenied, err)
 			}
-			g.count(func(s *GuardStats) { s.Admitted++ })
+			g.admitted.Add(1)
 			return next.Dispatch(WithPrincipal(ctx, principal), op, realArgs)
 		})
 	}
-}
-
-// count updates guard counters.
-func (g *Guard) count(update func(*GuardStats)) {
-	g.statsMu.Lock()
-	update(&g.stats)
-	g.statsMu.Unlock()
 }
 
 // Admit verifies the credential at args[0] and evaluates the policy,
@@ -178,37 +193,31 @@ func (g *Guard) Admit(op string, args []wire.Value) ([]wire.Value, string, error
 	if err != nil {
 		return nil, "", err
 	}
-	secret, ok := g.keys.secret(c.principal)
-	if !ok {
+	k := g.keys.lookup(c.principal)
+	if k == nil {
 		return nil, "", fmt.Errorf("%w: %q", ErrUnknownPrincipal, c.principal)
 	}
 	nowMs := g.now().UnixMilli()
-	if diff := nowMs - c.unixMilli; diff > g.maxSkew.Milliseconds() || diff < -g.maxSkew.Milliseconds() {
+	if diff := nowMs - c.unixMilli; diff > g.skewMs || diff < -g.skewMs {
 		return nil, "", fmt.Errorf("%w: %dms skew", ErrStale, diff)
 	}
-	var (
-		realArgs []wire.Value
-		payload  []byte
-	)
+	realArgs := args[1:]
 	if c.sealed != nil {
-		payload = c.sealed
-	} else {
-		realArgs = args[1:]
-		if payload, err = wire.EncodeAll(wire.PackedCodec{}, realArgs); err != nil {
-			return nil, "", err
-		}
+		realArgs = nil
 	}
-	want := macOver(secret, c.principal, c.nonce, c.unixMilli, op, payload)
-	if !macEqual(want, c.mac) {
-		return nil, "", ErrBadMAC
-	}
-	// Replay window.
-	if err := g.checkReplay(c.principal, c.nonce, nowMs); err != nil {
-		g.count(func(s *GuardStats) { s.Replays++ })
+	var want [sha256.Size]byte
+	if err := k.invocationMAC(&want, c.raw, op, realArgs, c.sealed); err != nil {
 		return nil, "", err
 	}
+	if !hmac.Equal(want[:], c.mac) { // constant time
+		return nil, "", ErrBadMAC
+	}
+	if !g.firstUse(k.principal, c.nonce, c.unixMilli+g.skewMs, nowMs) {
+		g.replays.Add(1)
+		return nil, "", ErrReplay
+	}
 	if c.sealed != nil {
-		plain, err := unseal(secret, c.sealed)
+		plain, err := k.unseal(c.sealed)
 		if err != nil {
 			return nil, "", err
 		}
@@ -216,56 +225,38 @@ func (g *Guard) Admit(op string, args []wire.Value) ([]wire.Value, string, error
 			return nil, "", err
 		}
 	}
-	if !g.policy.Allows(c.principal, op) {
-		return nil, "", fmt.Errorf("%w: %q may not %q", ErrForbidden, c.principal, op)
+	if !g.policy.Allows(k.principal, op) {
+		return nil, "", fmt.Errorf("%w: %q may not %q", ErrForbidden, k.principal, op)
 	}
-	return realArgs, c.principal, nil
+	return realArgs, k.principal, nil
 }
 
-func (g *Guard) checkReplay(principal string, nonce uint64, nowMs int64) error {
+// firstUse records that the credential (principal, nonce), which goes
+// stale after unix millisecond expiry, was admitted at nowMs, and reports
+// whether that was its first admission. A credential is remembered until
+// it is stale: expiry is at least nowMs (the skew check passed), so its
+// generation is never one of those dropped here.
+func (g *Guard) firstUse(principal string, nonce uint64, expiry, nowMs int64) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	window := g.seen[principal]
-	if window == nil {
-		window = make(map[uint64]int64)
-		g.seen[principal] = window
-	}
-	if _, dup := window[nonce]; dup {
-		return ErrReplay
-	}
-	window[nonce] = nowMs + g.maxSkew.Milliseconds()
-	// Periodic scavenge of expired nonces.
-	if now := g.now(); now.Sub(g.lastScan) > g.maxSkew {
-		g.lastScan = now
-		for p, w := range g.seen {
-			for n, exp := range w {
-				if exp < nowMs {
-					delete(w, n)
-				}
-			}
-			if len(w) == 0 {
-				delete(g.seen, p)
+	idx := expiry / g.skewMs
+	gen := g.seen[idx]
+	if gen == nil {
+		// A generation opens about once per skew of traffic: the moment
+		// to drop, whole, those whose span has passed.
+		for old := range g.seen {
+			if old < nowMs/g.skewMs {
+				delete(g.seen, old)
 			}
 		}
+		gen = make(map[replayKey]struct{})
+		g.seen[idx] = gen
 	}
-	return nil
-}
-
-func macEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var diff byte
-	for i := range a {
-		diff |= a[i] ^ b[i]
-	}
-	return diff == 0
-}
-
-// timeSeed fills b with a random seed (not secret; only de-collides
-// nonce sequences across restarts of the same principal).
-func timeSeed(b []byte) (int, error) {
-	return cryptoRead(b)
+	// One probe of a table that does not fit any cache: insert, and see
+	// whether the set grew.
+	before := len(gen)
+	gen[replayKey{principal, nonce}] = struct{}{}
+	return len(gen) > before
 }
 
 // principalKey is the context key carrying the authenticated principal.
@@ -282,13 +273,4 @@ func WithPrincipal(ctx context.Context, principal string) context.Context {
 func PrincipalFrom(ctx context.Context) (string, bool) {
 	p, ok := ctx.Value(principalKey{}).(string)
 	return p, ok
-}
-
-// deBytes interprets 8 bytes as a uint64.
-func deBytes(b []byte) uint64 {
-	var v uint64
-	for _, x := range b {
-		v = v<<8 | uint64(x)
-	}
-	return v
 }

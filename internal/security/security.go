@@ -5,16 +5,36 @@
 // provide the basis for authenticating interactions and achieving
 // integrity and confidentiality."
 //
-// A client's Signer attaches a credential to each invocation: an
-// HMAC-SHA256 over the principal, a fresh nonce, the operation and the
-// marshalled arguments, keyed by the principal's shared secret. The
-// server-side Guard — "for each interface of the object, a guard can be
-// generated to police use of that interface... generated automatically
-// from a declarative statement of security policy" — verifies the MAC,
-// rejects replays, evaluates the policy and only then lets the
-// invocation through to the servant. Optionally the Signer seals the
-// arguments with AES-GCM under the same shared secret, giving
-// confidentiality as well as integrity.
+// A client's Signer attaches a credential to each invocation as its
+// first argument: one bytes value of fixed layout,
+//
+//	[version 1][flags 1][nonce u64][unix-ms i64][mac 32][len 1][principal][sealed payload…]
+//
+// whose MAC is an HMAC-SHA256, keyed by the principal's shared secret,
+// over the MAC header
+//
+//	[version 1][flags 1][nonce u64][unix-ms i64][len 1][principal][len u32][op]
+//
+// followed by the packed encoding of the arguments (or, when sealing, by
+// the sealed payload). Principal and operation are length-prefixed, so no
+// two invocations share a MAC input. The server-side Guard — "for each
+// interface of the object, a guard can be generated to police use of that
+// interface... generated automatically from a declarative statement of
+// security policy" — parses the credential in place, verifies the MAC in
+// constant time, rejects replays, evaluates the policy and only then lets
+// the invocation through to the servant. Optionally the Signer seals the
+// arguments with AES-GCM under a key derived from the same shared secret,
+// giving confidentiality as well as integrity.
+//
+// Replays are caught by remembering every admitted (principal, nonce)
+// until the credential that carried it goes stale, its own timestamp plus
+// MaxSkew. The memory is a set of generations, one per MaxSkew of expiry
+// time; a generation whose whole span has passed is dropped in one step.
+//
+// The HMAC and AES-GCM states are keyed once per secret, by the first
+// call that needs them, and reused by every later one until Keyring.Share
+// replaces the secret; NewSigner, NewGuard and Share key nothing.
+// Nothing else outlives a call.
 //
 // As §7.1 observes, "an interface reference for accessing an object
 // cannot itself be secure... therefore a secure object must check that
@@ -31,6 +51,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 
 	"odp/internal/wire"
@@ -54,134 +75,194 @@ var (
 
 // Keyring holds shared secrets by principal name.
 type Keyring struct {
-	mu      sync.RWMutex
-	secrets map[string][]byte
+	mu   sync.RWMutex
+	keys map[string]*key
 }
 
 // NewKeyring creates an empty keyring.
 func NewKeyring() *Keyring {
-	return &Keyring{secrets: make(map[string][]byte)}
+	return &Keyring{keys: make(map[string]*key)}
 }
 
-// Share installs (or rotates) the secret for principal.
+// Share installs (or rotates) the secret for principal. The entry is
+// replaced whole, so the next credential is checked against the new
+// secret only.
 func (k *Keyring) Share(principal string, secret []byte) {
-	cp := make([]byte, len(secret))
-	copy(cp, secret)
+	nk := newKey(principal, secret)
 	k.mu.Lock()
-	k.secrets[principal] = cp
+	k.keys[principal] = nk
 	k.mu.Unlock()
 }
 
-// secret returns the principal's secret.
-func (k *Keyring) secret(principal string) ([]byte, bool) {
+// lookup returns the key of the principal named by the credential bytes.
+func (k *Keyring) lookup(principal []byte) *key {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	s, ok := k.secrets[principal]
-	return s, ok
+	return k.keys[string(principal)]
 }
 
-// credential is the wire form of an authenticated invocation's first
-// argument.
-type credential struct {
+// key is one principal's shared secret with the cipher states derived
+// from it. Neither is built before the first call that needs it.
+type key struct {
 	principal string
+	secret    []byte
+	macs      sync.Pool // hash.Hash: HMAC-SHA256 keyed with secret
+
+	aeadOnce sync.Once
+	aead     cipher.AEAD // AES-GCM under a key derived from secret
+	aeadErr  error
+}
+
+func newKey(principal string, secret []byte) *key {
+	return &key{principal: principal, secret: append([]byte(nil), secret...)}
+}
+
+// sealer returns the key's AES-GCM state, built on first use.
+func (k *key) sealer() (cipher.AEAD, error) {
+	k.aeadOnce.Do(func() {
+		sum := sha256.Sum256(append([]byte("odp-seal:"), k.secret...))
+		block, err := aes.NewCipher(sum[:])
+		if err == nil {
+			k.aead, err = cipher.NewGCM(block)
+		}
+		k.aeadErr = err
+	})
+	return k.aead, k.aeadErr
+}
+
+// invocationMAC writes into out the MAC binding the credential cred to
+// one invocation. Of cred only the fields before and after its MAC are
+// read (so out may be cred's own MAC field); the MAC covers its MAC
+// header for op followed by the packed args or, when sealed is non-nil,
+// by the sealed payload. Wrap and Admit both come through here, so what
+// is signed is what is checked.
+func (k *key) invocationMAC(out *[sha256.Size]byte, cred []byte, op string, args []wire.Value, sealed []byte) error {
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
+	buf := append(*bp, cred[:macOff]...)
+	buf = append(buf, cred[nameOff:credFixed+int(cred[nameOff])]...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(op)))
+	buf = append(buf, op...)
+	if sealed == nil {
+		var err error
+		if buf, err = wire.EncodeAllInto(wire.PackedCodec{}, buf, args); err != nil {
+			return err
+		}
+	}
+	h, _ := k.macs.Get().(hash.Hash)
+	if h == nil {
+		h = hmac.New(sha256.New, k.secret)
+	}
+	h.Reset()
+	_, _ = h.Write(buf) // a hash.Hash never fails a Write
+	_, _ = h.Write(sealed)
+	input := len(buf)
+	buf = h.Sum(buf)
+	k.macs.Put(h)
+	copy(out[:], buf[input:])
+	*bp = buf
+	return nil
+}
+
+// The credential's fixed part: version, flags, nonce, timestamp, MAC and
+// the principal's length. The MAC header starts with the same first
+// macOff bytes.
+const (
+	credVersion = 1
+	flagSealed  = 1 << 0
+
+	nonceOff  = 2
+	stampOff  = nonceOff + 8
+	macOff    = stampOff + 8
+	nameOff   = macOff + sha256.Size
+	credFixed = nameOff + 1
+
+	// A sealed payload is at least a GCM nonce and tag.
+	gcmNonce  = 12
+	sealedMin = gcmNonce + 16
+)
+
+// credential is a parsed view of an invocation's first argument; its
+// slices alias the value.
+type credential struct {
+	raw       []byte // the whole value
+	principal []byte
 	nonce     uint64
 	unixMilli int64
-	sealed    []byte // non-nil when the arguments travel encrypted
 	mac       []byte
+	sealed    []byte // non-nil when the arguments travel encrypted
 }
 
-func encodeCredential(c credential) wire.Record {
-	rec := wire.Record{
-		"p":   c.principal,
-		"n":   c.nonce,
-		"t":   c.unixMilli,
-		"mac": c.mac,
-	}
-	if c.sealed != nil {
-		rec["sealed"] = c.sealed
-	}
-	return rec
+// appendCredential appends a credential with a zero MAC, to be filled in
+// at macOff once the rest is known.
+func appendCredential(dst []byte, flags byte, nonce uint64, unixMilli int64, principal string) []byte {
+	dst = append(dst, credVersion, flags)
+	dst = binary.BigEndian.AppendUint64(dst, nonce)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(unixMilli))
+	dst = append(dst, make([]byte, sha256.Size)...)
+	dst = append(dst, byte(len(principal)))
+	return append(dst, principal...)
 }
 
 func decodeCredential(v wire.Value) (credential, error) {
-	rec, ok := v.(wire.Record)
+	raw, ok := v.([]byte)
 	if !ok {
 		return credential{}, fmt.Errorf("%w: first argument is %T", ErrBadCredential, v)
 	}
-	c := credential{}
-	if c.principal, ok = rec["p"].(string); !ok {
-		return credential{}, fmt.Errorf("%w: no principal", ErrBadCredential)
+	if len(raw) < credFixed {
+		return credential{}, fmt.Errorf("%w: %d bytes", ErrBadCredential, len(raw))
 	}
-	if c.nonce, ok = rec["n"].(uint64); !ok {
-		return credential{}, fmt.Errorf("%w: no nonce", ErrBadCredential)
+	if raw[0] != credVersion || raw[1]&^flagSealed != 0 {
+		return credential{}, fmt.Errorf("%w: version %d flags %#x", ErrBadCredential, raw[0], raw[1])
 	}
-	if c.unixMilli, ok = rec["t"].(int64); !ok {
-		return credential{}, fmt.Errorf("%w: no timestamp", ErrBadCredential)
+	end := credFixed + int(raw[nameOff])
+	if end > len(raw) {
+		return credential{}, fmt.Errorf("%w: principal overruns the value", ErrBadCredential)
 	}
-	if c.mac, ok = rec["mac"].([]byte); !ok {
-		return credential{}, fmt.Errorf("%w: no mac", ErrBadCredential)
+	c := credential{
+		raw:       raw,
+		principal: raw[credFixed:end],
+		nonce:     binary.BigEndian.Uint64(raw[nonceOff:]),
+		unixMilli: int64(binary.BigEndian.Uint64(raw[stampOff:])),
+		mac:       raw[macOff:nameOff],
 	}
-	c.sealed, _ = rec["sealed"].([]byte)
+	rest := raw[end:]
+	if raw[1]&flagSealed == 0 {
+		if len(rest) != 0 {
+			return credential{}, fmt.Errorf("%w: %d trailing bytes", ErrBadCredential, len(rest))
+		}
+		return c, nil
+	}
+	if len(rest) < sealedMin {
+		return credential{}, fmt.Errorf("%w: sealed payload of %d bytes", ErrBadCredential, len(rest))
+	}
+	c.sealed = rest
 	return c, nil
 }
 
-// macOver computes the HMAC binding a credential to one invocation.
-func macOver(secret []byte, principal string, nonce uint64, unixMilli int64, op string, payload []byte) []byte {
-	mac := hmac.New(sha256.New, secret)
-	var buf [8]byte
-	_, _ = mac.Write([]byte(principal))
-	binary.BigEndian.PutUint64(buf[:], nonce)
-	_, _ = mac.Write(buf[:])
-	binary.BigEndian.PutUint64(buf[:], uint64(unixMilli))
-	_, _ = mac.Write(buf[:])
-	_, _ = mac.Write([]byte(op))
-	_, _ = mac.Write(payload)
-	return mac.Sum(nil)
+// seal appends to dst a fresh GCM nonce and the sealed plaintext.
+func (k *key) seal(dst, plaintext []byte) ([]byte, error) {
+	gcm, err := k.sealer()
+	if err != nil {
+		return nil, err
+	}
+	at := len(dst)
+	dst = append(dst, make([]byte, gcmNonce)...)
+	if _, err := rand.Read(dst[at:]); err != nil {
+		return nil, err
+	}
+	return gcm.Seal(dst, dst[at:], plaintext, nil), nil
 }
 
-// sealKey derives the AES key from the shared secret.
-func sealKey(secret []byte) []byte {
-	sum := sha256.Sum256(append([]byte("odp-seal:"), secret...))
-	return sum[:]
-}
-
-func seal(secret, plaintext []byte) ([]byte, error) {
-	block, err := aes.NewCipher(sealKey(secret))
+// unseal opens a credential's sealed payload (at least sealedMin bytes).
+func (k *key) unseal(sealed []byte) ([]byte, error) {
+	gcm, err := k.sealer()
 	if err != nil {
 		return nil, err
 	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, gcm.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, err
-	}
-	return gcm.Seal(nonce, nonce, plaintext, nil), nil
-}
-
-func unseal(secret, sealed []byte) ([]byte, error) {
-	block, err := aes.NewCipher(sealKey(secret))
-	if err != nil {
-		return nil, err
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	if len(sealed) < gcm.NonceSize() {
-		return nil, fmt.Errorf("%w: sealed payload too short", ErrBadCredential)
-	}
-	nonce, ct := sealed[:gcm.NonceSize()], sealed[gcm.NonceSize():]
-	pt, err := gcm.Open(nil, nonce, ct, nil)
+	pt, err := gcm.Open(nil, sealed[:gcmNonce], sealed[gcmNonce:], nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMAC, err)
 	}
 	return pt, nil
-}
-
-// cryptoRead fills b from the system entropy source.
-func cryptoRead(b []byte) (int, error) {
-	return rand.Read(b)
 }

@@ -261,9 +261,8 @@ func TestSealedTamperRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := wrapped[0].(wire.Record)
-	sealed := rec["sealed"].([]byte)
-	sealed[len(sealed)-1] ^= 0xff
+	cred := wrapped[0].([]byte)
+	cred[len(cred)-1] ^= 0xff // the sealed payload ends the credential
 	_, _, err = e.client.Invoke(context.Background(), e.ref, "write", wrapped)
 	if !errors.Is(err, rpc.ErrDenied) {
 		t.Fatalf("tampered sealed payload: want ErrDenied, got %v", err)

@@ -61,20 +61,12 @@ func (c PackedCodec) encode(dst []byte, v Value, depth int) ([]byte, error) {
 	case float64:
 		return appendU64(append(dst, byte(KindFloat)), math.Float64bits(t)), nil
 	case string:
-		dst = binary.AppendUvarint(append(dst, byte(KindString)), uint64(len(t)))
-		return append(dst, t...), nil
+		return c.AppendString(dst, t), nil
 	case []byte:
 		dst = binary.AppendUvarint(append(dst, byte(KindBytes)), uint64(len(t)))
 		return append(dst, t...), nil
 	case List:
-		dst = binary.AppendUvarint(append(dst, byte(KindList)), uint64(len(t)))
-		var err error
-		for _, e := range t {
-			if dst, err = c.encode(dst, e, depth+1); err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
+		return c.appendList(dst, t, depth)
 	case Record:
 		dst = binary.AppendUvarint(append(dst, byte(KindRecord)), uint64(len(t)))
 		var keyBuf [16]string
@@ -104,6 +96,31 @@ func (c PackedCodec) encode(dst []byte, v Value, depth int) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrBadValue, v)
 	}
+}
+
+// AppendString appends what Encode appends for the string s, and
+// AppendList what it appends for List(vs), without the caller boxing
+// either into a Value: a hot path that assembles a record from parts it
+// already holds (the recovery log's [op, arguments]) pays no allocation
+// for them.
+func (PackedCodec) AppendString(dst []byte, s string) []byte {
+	return appendPackedString(append(dst, byte(KindString)), s)
+}
+
+// AppendList: see AppendString.
+func (c PackedCodec) AppendList(dst []byte, vs []Value) ([]byte, error) {
+	return c.appendList(dst, vs, 0)
+}
+
+func (c PackedCodec) appendList(dst []byte, vs []Value, depth int) ([]byte, error) {
+	dst = binary.AppendUvarint(append(dst, byte(KindList)), uint64(len(vs)))
+	var err error
+	for _, e := range vs {
+		if dst, err = c.encode(dst, e, depth+1); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // Decode implements Codec. The returned value shares no storage with

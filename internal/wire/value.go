@@ -342,7 +342,7 @@ func AppendValue(c Codec, dst []byte, v Value) ([]byte, error) {
 // argument vector into one pooled buffer with this; EncodeAll is the
 // allocating convenience wrapper.
 func EncodeAllInto(c Codec, dst []byte, vs []Value) ([]byte, error) {
-	dst = appendU32(dst, uint32(len(vs)))
+	dst = AppendCount(dst, len(vs))
 	var err error
 	for _, v := range vs {
 		if dst, err = c.Encode(dst, v); err != nil {
@@ -351,6 +351,10 @@ func EncodeAllInto(c Codec, dst []byte, vs []Value) ([]byte, error) {
 	}
 	return dst, nil
 }
+
+// AppendCount appends the prefix EncodeAllInto writes before n values,
+// for a caller that appends the n values itself.
+func AppendCount(dst []byte, n int) []byte { return appendU32(dst, uint32(n)) }
 
 // EncodeAll encodes each value in vs back to back.
 func EncodeAll(c Codec, vs []Value) ([]byte, error) {

@@ -44,46 +44,33 @@ func minAllocsPerRun(runs int, f func()) float64 {
 	return least
 }
 
-func TestPackedE1AllocGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc counts are skewed under -race: sync.Pool drops puts by design")
-	}
+// coalescedPair starts the two batching platforms every E1 gate calls
+// across, on one zero-latency fabric.
+func coalescedPair(t *testing.T) (server, client *odp.Platform) {
+	t.Helper()
 	f := odp.NewFabric(odp.WithSeed(1))
-	defer f.Close()
-	sep, err := f.Endpoint("server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := odp.NewPlatform("server", sep, odp.WithBatching())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	cep, err := f.Endpoint("client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := odp.NewPlatform("client", cep, odp.WithBatching())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	ref, err := server.Publish("cell", odp.Object{Servant: &countingServant{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := client.Bind(ref).WithQoS(odp.QoS{Timeout: 30 * time.Second})
-	ctx := context.Background()
-	call := func() {
-		if _, err := proxy.Call(ctx, "add"); err != nil {
+	t.Cleanup(func() { _ = f.Close() })
+	start := func(name string) *odp.Platform {
+		ep, err := f.Endpoint(name)
+		if err != nil {
 			t.Fatal(err)
 		}
+		p, err := odp.NewPlatform(name, ep, odp.WithBatching())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = p.Close() })
+		return p
 	}
+	return start("server"), start("client")
+}
 
-	// Warm until the HELLO exchange lands and frames ride batches; the
-	// probe's delivery can trail the request/reply ping-pong, so poll
-	// the negotiated state instead of assuming a fixed count.
+// settleE1 repeats call until the HELLO exchange has landed and frames
+// ride batches, then until pools, shards and routes are warm. The
+// probe's delivery can trail the request/reply ping-pong, so it polls
+// the negotiated state instead of assuming a fixed count.
+func settleE1(t *testing.T, client *odp.Platform, call func()) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		call()
@@ -95,9 +82,28 @@ func TestPackedE1AllocGate(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	for i := 0; i < 100; i++ { // settle pools, shards, routes
+	for i := 0; i < 100; i++ {
 		call()
 	}
+}
+
+func TestPackedE1AllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are skewed under -race: sync.Pool drops puts by design")
+	}
+	server, client := coalescedPair(t)
+	ref, err := server.Publish("cell", odp.Object{Servant: &countingServant{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := client.Bind(ref).WithQoS(odp.QoS{Timeout: 30 * time.Second})
+	ctx := context.Background()
+	call := func() {
+		if _, err := proxy.Call(ctx, "add"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settleE1(t, client, call)
 
 	before, _ := client.Gather()["rpc.client.packed_upgrades"].(uint64)
 	allocs := minAllocsPerRun(200, call)
