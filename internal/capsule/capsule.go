@@ -41,9 +41,12 @@ import (
 // (§4.1). Dispatch must be safe for concurrent use — "concurrency is the
 // norm in a distributed system" (§4.1).
 //
-// Ownership: args is the servant's own copy (§4.4) and may be kept. op
-// is not — it may alias the request packet and is valid only for the
-// duration of Dispatch; a servant that retains it clones it first
+// Ownership: args is the servant's own copy (§4.4) and may be kept.
+// Keeping any part of a decoded message keeps that message's slabs, as
+// a Go substring keeps its string: a servant that keeps a sliver of a
+// large message copies it out with strings.Clone/bytes.Clone. op is not
+// the servant's — it may alias the request packet and is valid only for
+// the duration of Dispatch; a servant that retains it clones it first
 // (strings.Clone).
 type Servant interface {
 	Dispatch(ctx context.Context, op string, args []wire.Value) (outcome string, results []wire.Value, err error)
@@ -356,21 +359,14 @@ func (c *Capsule) Objects() []string {
 	return ids
 }
 
-// handle is the rpc server handler: the dispatcher of §5.1. On a packed
-// node (the default) every dispatch is zero-copy: the arguments alias
-// the request packet or its arena. The servant contract — arguments may
-// be retained freely — is restored here by detaching once: an
-// all-scalar vector crosses for free, so the hot arithmetic-call shape
-// pays nothing. The objID and op strings stay aliased (a clone per call
-// would be an allocation per call): Servant's doc limits op to the
-// duration of Dispatch, and the one path that retains objID (the
+// handle is the rpc server handler: the dispatcher of §5.1. The
+// arguments own their storage, so they cross to the servant as they
+// are. The objID and op strings may alias the request packet (a clone
+// per call would be an allocation per call): Servant's doc limits op to
+// the duration of Dispatch, and the one path that retains objID (the
 // activator) clones its own copy in dispatchLocal.
 func (c *Capsule) handle(ctx context.Context, in *rpc.Incoming) (string, []wire.Value, error) {
-	args := in.Args
-	if in.ZeroCopy {
-		args = wire.DetachArgs(args)
-	}
-	return c.dispatchLocal(ctx, in.ObjID, in.Op, args)
+	return c.dispatchLocal(ctx, in.ObjID, in.Op, in.Args)
 }
 
 // tryLocal is the co-located fast path: one registry lookup under one

@@ -49,10 +49,10 @@ func retentionArgs(i int) []wire.Value {
 
 // TestServantMayKeepItsArguments pins §4.4's ownership promise on the
 // path production runs: a packed node on an inline-delivery fabric
-// decodes every request aliasing the packet (rpc.Incoming.ZeroCopy), the
-// packet's buffer is recycled as soon as the handler returns, and what a
-// servant kept of call i must still read as sent after 200 further calls
-// have been through the same buffers.
+// dispatches every request out of the packet it arrived in, the packet's
+// buffer is recycled as soon as the handler returns, and what a servant
+// kept of call i must still read as sent after 200 further calls have
+// been through the same buffers.
 func TestServantMayKeepItsArguments(t *testing.T) {
 	f := newFabric(t)
 	server := newCapsule(t, f, "server")

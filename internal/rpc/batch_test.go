@@ -318,7 +318,7 @@ func TestNestedCallOverSameConnectionCompletes(t *testing.T) {
 	wired := make(chan struct{}) // the handler reads b and aco, set below
 	outer := func(ctx context.Context, in *Incoming) (string, []wire.Value, error) {
 		<-wired
-		return b.Client.Call(ctx, aco.Addr(), "obj", "inner", wire.DetachArgs(in.Args), batchQoS)
+		return b.Client.Call(ctx, aco.Addr(), "obj", "inner", in.Args, batchQoS)
 	}
 	a, b, aco, bco := batchedTCPPeers(t, echoHandler, outer)
 	close(wired)

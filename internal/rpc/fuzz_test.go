@@ -80,7 +80,7 @@ func FuzzPacketDecode(f *testing.F) {
 		}
 		switch h.kind {
 		case msgRequest, msgAnnounce:
-			_, _ = wire.PackedCodec{}.DecodeAllAlias(nil, body)
+			_, _ = wire.DecodeAll(wire.PackedCodec{}, body)
 			_, _ = wire.DecodeAll(wire.TextCodec{}, body)
 		case msgReply:
 			_, _ = decodeReplyBody(wire.PackedCodec{}, body)

@@ -71,12 +71,11 @@ func TestCallBasic(t *testing.T) {
 }
 
 // keep copies a descriptor out of its handler call: the descriptor is
-// pooled, and on a packed node (ZeroCopy) its strings and arguments alias
-// a packet that is recycled when the handler returns.
+// pooled, and its header strings may alias a packet that is recycled
+// when the handler returns. The arguments are the handler's to keep.
 func keep(in *Incoming) Incoming {
 	out := *in
 	out.ObjID, out.Op = strings.Clone(in.ObjID), strings.Clone(in.Op)
-	out.Args = wire.DetachArgs(append([]wire.Value(nil), in.Args...))
 	return out
 }
 

@@ -15,9 +15,11 @@ import (
 )
 
 // Incoming describes one inbound invocation as seen by a Handler. The
-// descriptor itself is pooled: it is only valid for the duration of the
-// Handler call and must not be retained. When ZeroCopy is false, Args
-// is a private decoded copy and may be kept or handed off freely.
+// descriptor itself is pooled, and ObjID and Op may alias the request
+// packet: all three are valid only for the duration of the Handler call
+// (strings.Clone what must outlive it). Args owns its storage — the
+// slice and everything reachable from it may be kept or handed off
+// freely, in reply results included.
 type Incoming struct {
 	// From is the transport address the invocation arrived from.
 	From string
@@ -30,15 +32,6 @@ type Incoming struct {
 	// Announcement is true for request-only invocations; the handler's
 	// outcome and results are discarded in that case.
 	Announcement bool
-	// ZeroCopy marks an invocation decoded on the zero-copy path — every
-	// invocation of a node whose session codec is packed (the default),
-	// none of a text node's: the ObjID and Op strings and every
-	// string/[]byte reachable from Args alias transport or arena storage
-	// owned by the dispatcher. They are valid for the duration of the
-	// Handler call (including use in reply results); anything retained
-	// beyond it must first be copied out with wire.DetachArgs or
-	// wire.DetachValue.
-	ZeroCopy bool
 }
 
 // Handler executes one invocation. Returning a nil error delivers
@@ -121,11 +114,6 @@ type Server struct {
 	ep      transport.Endpoint
 	codec   wire.Codec
 	handler Handler
-
-	// alias is set once, from the codec: a packed node decodes argument
-	// vectors aliasing the request (Incoming.ZeroCopy on every call), a
-	// text node into private copies. One ownership contract per node.
-	alias bool
 
 	// inline dispatches handlers synchronously in the delivery
 	// goroutine instead of spawning one per request. Safe only on
@@ -254,7 +242,6 @@ func newServerNoHandler(ep transport.Endpoint, codec wire.Codec, handler Handler
 		clk:      clock.Real{},
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	_, s.alias = codec.(wire.PackedCodec)
 	cd, ok := ep.(transport.ConcurrentDeliverer)
 	s.inline = ok && cd.DeliversConcurrently()
 	s.lazy, _ = ep.(transport.Batcher)
@@ -493,46 +480,30 @@ type call struct {
 	trace obs.SpanContext // the caller's span, when the request was sampled
 	sc    *serverCall     // at-most-once slot; nil for announcements
 	err   error           // argument decode failure, reported in the reply
-	arena *[]byte         // pooled copy of the body the arguments alias
 }
 
 var callPool = sync.Pool{New: func() interface{} { return new(call) }}
 
-// startExecute decodes the argument vector — aliasing iff the session
-// codec is packed — and runs the handler — inline iff the endpoint
-// delivers concurrently.
-//
-// A packed body is decoded zero-copy. Inline, the handler finishes
-// before the delivery callback returns, so arguments and header strings
-// alias the packet outright. Spawned (serial transports), the packet
-// dies when this call returns, so the body is copied once into a pooled
-// arena that the aliasing decode then targets; the arena lives until
-// the reply has been encoded. A text body decodes into private values
-// either way, which the handler may keep.
+// startExecute decodes the argument vector and runs the handler —
+// inline iff the endpoint delivers concurrently. Inline, the handler
+// finishes before the delivery callback returns, so the header strings
+// alias the packet outright; spawned, the packet dies when this call
+// returns and they are copied. The arguments own their storage either
+// way.
 func (s *Server) startExecute(from string, h header, body []byte, sc *serverCall) {
 	c := callPool.Get().(*call)
 	c.id, c.trace, c.sc = h.callID, h.trace, sc
-	c.in = Incoming{From: from, ObjID: h.objID, Op: h.op, Announcement: sc == nil, ZeroCopy: s.alias}
-	if s.alias {
-		if !s.inline {
-			c.arena = wire.GetBuffer()
-			*c.arena = append((*c.arena)[:0], body...)
-			body = *c.arena
-		}
-		c.in.Args, c.err = wire.PackedCodec{}.DecodeAllAlias(nil, body)
-	} else {
-		c.in.Args, c.err = wire.DecodeAll(s.codec, body)
-	}
-	if !(s.alias && s.inline) {
-		c.in.ObjID, c.in.Op = strings.Clone(h.objID), strings.Clone(h.op)
-	} else if s.obs != nil && h.trace.Valid() {
-		// The span ring retains the operation name beyond the dispatch;
-		// only sampled requests pay the copy.
-		c.in.Op = strings.Clone(h.op)
-	}
+	c.in = Incoming{From: from, ObjID: h.objID, Op: h.op, Announcement: sc == nil}
+	c.in.Args, c.err = wire.DecodeAll(s.codec, body)
 	if s.inline {
+		if s.obs != nil && h.trace.Valid() {
+			// The span ring retains the operation name beyond the dispatch;
+			// only sampled requests pay the copy.
+			c.in.Op = strings.Clone(h.op)
+		}
 		s.run(c)
 	} else {
+		c.in.ObjID, c.in.Op = strings.Clone(h.objID), strings.Clone(h.op)
 		go s.run(c)
 	}
 }
@@ -566,9 +537,8 @@ func (s *Server) onAck(from string, callID uint64) {
 }
 
 // run executes the handler for c and, for interrogations, sends and
-// caches the reply. It owns c: the record, and the arena behind a
-// zero-copy argument vector, are released only after the reply encode,
-// which may read results aliasing them.
+// caches the reply. It owns c, and releases the record only after the
+// reply encode: c.in is what the handler saw.
 func (s *Server) run(c *call) {
 	defer s.wg.Done()
 	var (
@@ -597,9 +567,6 @@ func (s *Server) run(c *call) {
 	}
 	if c.sc != nil { // announcements have nothing to report, by design
 		s.reply(c, outcome, results, err)
-	}
-	if c.arena != nil {
-		wire.PutBuffer(c.arena)
 	}
 	*c = call{}
 	callPool.Put(c)

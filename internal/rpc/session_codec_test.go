@@ -4,6 +4,7 @@ package rpc
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -16,11 +17,13 @@ import (
 // TestPackedUpgradeNegotiated keeps the name of the counter it pins
 // (ClientStats.PackedUpgrades); nothing is negotiated any more. Between
 // two fresh packed nodes every request, the first included, goes out
-// packed and is dispatched zero-copy, on plain and on coalesced endpoints
-// alike — and across the mixed pairings, where the coalesced side's
-// HELLO probe reaches the plain side's rpc demux as an unparseable frame
-// and is dropped; between two text nodes none is, and PackedUpgrades
-// stays 0. Arguments and results round-trip exactly either way.
+// packed, on plain and on coalesced endpoints alike — and across the
+// mixed pairings, where the coalesced side's HELLO probe reaches the
+// plain side's rpc demux as an unparseable frame and is dropped; between
+// two text nodes none is, and PackedUpgrades stays 0. Arguments and
+// results round-trip exactly either way, and under either codec the
+// arguments a handler keeps are its own: they still read as sent after
+// every later request has come and gone through the same buffers.
 func TestPackedUpgradeNegotiated(t *testing.T) {
 	const calls = 20
 	for _, tc := range []struct {
@@ -54,12 +57,12 @@ func TestPackedUpgradeNegotiated(t *testing.T) {
 				return co
 			}
 			var (
-				mu       sync.Mutex
-				zeroCopy []bool
+				mu   sync.Mutex
+				kept [][]wire.Value
 			)
 			handler := func(ctx context.Context, in *Incoming) (string, []wire.Value, error) {
 				mu.Lock()
-				zeroCopy = append(zeroCopy, in.ZeroCopy)
+				kept = append(kept, in.Args)
 				mu.Unlock()
 				return echoHandler(ctx, in)
 			}
@@ -68,13 +71,14 @@ func TestPackedUpgradeNegotiated(t *testing.T) {
 			srv := NewServer(endpoint("server", tc.coalesceServer), tc.codec, handler)
 			t.Cleanup(func() { _ = srv.Close() })
 
+			payload := func(i int) string { return fmt.Sprintf("payload-%02d", i) }
 			for i := 0; i < calls; i++ {
 				outcome, results, err := cli.Call(context.Background(), "server", "obj", "reverse",
-					[]wire.Value{int64(i), "payload"}, QoS{Timeout: 5 * time.Second})
+					[]wire.Value{int64(i), payload(i)}, QoS{Timeout: 5 * time.Second})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if outcome != "ok" || len(results) != 2 || results[0] != "payload" || results[1] != int64(i) {
+				if outcome != "ok" || len(results) != 2 || results[0] != payload(i) || results[1] != int64(i) {
 					t.Fatalf("call %d: outcome=%q results=%v", i, outcome, results)
 				}
 			}
@@ -87,12 +91,12 @@ func TestPackedUpgradeNegotiated(t *testing.T) {
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			if len(zeroCopy) != calls {
-				t.Fatalf("handler ran %d times, want %d", len(zeroCopy), calls)
+			if len(kept) != calls {
+				t.Fatalf("handler ran %d times, want %d", len(kept), calls)
 			}
-			for i, zc := range zeroCopy {
-				if zc != tc.packed {
-					t.Fatalf("call %d: ZeroCopy = %v, want %v", i, zc, tc.packed)
+			for i, args := range kept {
+				if len(args) != 2 || args[0] != int64(i) || args[1] != payload(i) {
+					t.Fatalf("call %d: kept arguments now read %v", i, args)
 				}
 			}
 		})

@@ -236,19 +236,19 @@ func TestTracedAnnouncementSpans(t *testing.T) {
 
 // TestTracedPackedPeerPair sends a sampled interrogation and a sampled
 // announcement between two coalesced packed peers. The callee must see
-// zero-copy arguments, record exactly one dispatch span per invocation
-// under the span that sent it (traced reached it), and the whole
-// exchange must form a single tree.
+// the arguments, record exactly one dispatch span per invocation under
+// the span that sent it (traced reached it), and the whole exchange
+// must form a single tree.
 func TestTracedPackedPeerPair(t *testing.T) {
 	f := netsim.NewFabric()
 	t.Cleanup(func() { _ = f.Close() })
-	announced := make(chan bool, 1)
+	announced := make(chan []wire.Value, 1)
 	handler := func(_ context.Context, in *Incoming) (string, []wire.Value, error) {
 		if in.Announcement {
-			announced <- in.ZeroCopy
+			announced <- in.Args
 			return "", nil, nil
 		}
-		return "ok", []wire.Value{in.ZeroCopy}, nil
+		return "ok", in.Args, nil
 	}
 	mkPeer := func(name string) (*Peer, *obs.Collector) {
 		ep, err := f.Endpoint(name)
@@ -278,16 +278,16 @@ func TestTracedPackedPeerPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 || results[0] != true {
-		t.Fatalf("interrogation was not dispatched zero-copy: %v", results)
+	if len(results) != 1 || results[0] != "payload" {
+		t.Fatalf("interrogation did not echo its argument: %v", results)
 	}
 	if err := a.Client.AnnounceCtx(ctx, "b", "obj", "tell", []wire.Value{"payload"}, QoS{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case zc := <-announced:
-		if !zc {
-			t.Fatal("announcement was not dispatched zero-copy")
+	case args := <-announced:
+		if len(args) != 1 || args[0] != "payload" {
+			t.Fatalf("announcement arrived with %v", args)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("announcement never executed")

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -43,8 +45,8 @@ func TestTextEncodeAllocBound(t *testing.T) {
 	}
 }
 
-// TestAppendValueMatchesEncode checks the append-style spelling is
-// byte-identical to Codec.Encode for both codecs.
+// TestAppendValueMatchesEncode checks Codec.Encode appends: what it adds
+// to a prefix is byte-identical to what it writes to nil, in both codecs.
 func TestAppendValueMatchesEncode(t *testing.T) {
 	for _, c := range []Codec{PackedCodec{}, TextCodec{}} {
 		for _, v := range hotArgs() {
@@ -52,12 +54,12 @@ func TestAppendValueMatchesEncode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Encode: %v", c.Name(), err)
 			}
-			appended, err := AppendValue(c, []byte("prefix"), v)
+			appended, err := c.Encode([]byte("prefix"), v)
 			if err != nil {
-				t.Fatalf("%s: AppendValue: %v", c.Name(), err)
+				t.Fatalf("%s: Encode onto a prefix: %v", c.Name(), err)
 			}
 			if !bytes.Equal(appended, append([]byte("prefix"), direct...)) {
-				t.Fatalf("%s: AppendValue diverges from Encode for %v", c.Name(), v)
+				t.Fatalf("%s: Encode onto a prefix diverges for %v", c.Name(), v)
 			}
 		}
 	}
@@ -137,7 +139,7 @@ func TestCloneArgs(t *testing.T) {
 }
 
 // TestSortedKeysInto checks the stack-buffered insertion sort agrees
-// with the allocating path for records beyond the stack buffer size.
+// with sort.Strings for records beyond the stack buffer size.
 func TestSortedKeysInto(t *testing.T) {
 	r := Record{}
 	for _, k := range []string{"m", "a", "z", "b", "q", "c", "y", "d",
@@ -146,13 +148,75 @@ func TestSortedKeysInto(t *testing.T) {
 	}
 	var buf [16]string
 	got := sortedKeysInto(buf[:0], r)
-	want := sortedKeys(r)
+	want := make([]string, 0, len(r))
+	for k := range r {
+		want = append(want, k)
+	}
+	sort.Strings(want)
 	if len(got) != len(want) {
 		t.Fatalf("got %d keys, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("key %d: got %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// bulkValue rebuilds the benchmark's tcp_bulk payload shape: a record of
+// an int, a 64-byte string, 32 short strings, 256 random int64s and
+// 8 KiB of bytes, about 12 KiB on the wire.
+func bulkValue(rng *rand.Rand) Value {
+	str := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return string(b)
+	}
+	tags := make(List, 32)
+	for i := range tags {
+		tags[i] = str(4 + rng.Intn(12))
+	}
+	samples := make(List, 256)
+	for i := range samples {
+		samples[i] = int64(rng.Uint64())
+	}
+	blob := make([]byte, 8<<10)
+	rng.Read(blob)
+	return Record{"id": rng.Int63(), "name": str(64), "tags": tags, "samples": samples, "blob": blob}
+}
+
+// TestBulkDecodeAllocGate pins what a decoded message costs: a handful
+// of slabs for a large structured value, and for the scalar vectors of
+// the hot path exactly what the runtime's own boxing would.
+func TestBulkDecodeAllocGate(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		args []Value
+		max  float64
+	}{
+		{"bulk", []Value{bulkValue(rand.New(rand.NewSource(1)))}, 24},
+		{"small-int", []Value{int64(7)}, 1},       // the vector
+		{"large-int", []Value{int64(1) << 40}, 2}, // and one 8-byte word
+		{"string", []Value{"x"}, 4},               // was 2 to decode aliased + 2 to detach
+	} {
+		frame, err := EncodeAll(PackedCodec{}, tt.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Value
+		allocs := testing.AllocsPerRun(100, func() {
+			if got, err = DecodeAll(PackedCodec{}, frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !Equal(List(got), List(tt.args)) {
+			t.Fatalf("%s: decoded %v", tt.name, got)
+		}
+		t.Logf("%s: %.1f allocs per decode (budget %.0f)", tt.name, allocs, tt.max)
+		if allocs > tt.max {
+			t.Fatalf("%s: %.1f allocs per decode, want <= %.0f", tt.name, allocs, tt.max)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"unsafe"
 )
 
 // PackedCodec is the platform's native network data representation,
@@ -14,21 +13,18 @@ import (
 // take one or two bytes — and integers are zigzag-coded so small
 // negative values stay short. Floats are eight big-endian bytes.
 //
-// The codec exists for the invocation hot path, so it has a second
-// decode mode: DecodeAllAlias parses an argument vector whose string
-// and bytes values alias the source buffer instead of copying it. The
-// rpc server points that mode at the request packet, or at an arena
-// owned by the pooled request descriptor, which is what lets the
-// dispatch path stop copying argument payloads (see rpc.Incoming's
-// retention contract). The Codec-interface Decode always returns
-// detached values.
+// There is one decoder (see decoder) and what it returns owns its
+// storage: nothing aliases the source buffer, which the caller may
+// reuse the moment a decode returns.
 //
-// Varint decoding is strict: encodings longer than ten bytes, encodings
-// that overflow 64 bits and non-minimal ("overlong") encodings whose
-// final continuation byte is zero are all rejected with ErrCorrupt, so
-// every value has exactly one representation and differential fuzzing
-// against the text codec (FuzzCodecAgreement) can demand byte-stable
-// re-encoding.
+// Every value has exactly one representation, so a frame the decoder
+// accepts re-encodes to the same bytes (FuzzPackedDecode demands it,
+// and differential fuzzing against the text codec, FuzzCodecAgreement,
+// relies on it). Varint decoding is strict: encodings longer than ten
+// bytes, encodings that overflow 64 bits and non-minimal ("overlong")
+// encodings whose final continuation byte is zero are all rejected with
+// ErrCorrupt, as are a bool byte other than 0 or 1 and record keys that
+// are not strictly ascending.
 type PackedCodec struct{}
 
 var _ Codec = PackedCodec{}
@@ -59,7 +55,7 @@ func (c PackedCodec) encode(dst []byte, v Value, depth int) ([]byte, error) {
 	case uint64:
 		return binary.AppendUvarint(append(dst, byte(KindUint)), t), nil
 	case float64:
-		return appendU64(append(dst, byte(KindFloat)), math.Float64bits(t)), nil
+		return binary.BigEndian.AppendUint64(append(dst, byte(KindFloat)), math.Float64bits(t)), nil
 	case string:
 		return c.AppendString(dst, t), nil
 	case []byte:
@@ -123,185 +119,304 @@ func (c PackedCodec) appendList(dst []byte, vs []Value, depth int) ([]byte, erro
 	return dst, nil
 }
 
-// Decode implements Codec. The returned value shares no storage with
-// src.
-func (c PackedCodec) Decode(src []byte) (Value, []byte, error) {
-	return c.decode(src, 0, false)
+// Decode implements Codec.
+func (PackedCodec) Decode(src []byte) (Value, []byte, error) {
+	d := decoder{rest: src, siblings: 1}
+	v, err := d.value(0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v, d.rest, nil
 }
 
-// DecodeAllAlias decodes a count-prefixed vector written by EncodeAll
-// (the u32 count framing is codec-independent), appending the values to
-// dst and returning the extended slice. String and bytes values alias
-// src — the caller must guarantee src outlives every use of the result
-// (the rpc server backs src with an arena tied to the request
-// descriptor's lifetime). Trailing bytes are rejected, exactly as
-// DecodeAll rejects them.
-func (c PackedCodec) DecodeAllAlias(dst []Value, src []byte) ([]Value, error) {
-	n, rest, err := readU32(src)
+// DecodeAllAlias is DecodeAll on this codec, appending to dst: the
+// vector is one message, its values share one decoder's slabs.
+func (PackedCodec) DecodeAllAlias(dst []Value, src []byte) ([]Value, error) {
+	n, rest, err := readVectorCount(src)
 	if err != nil {
 		return nil, err
 	}
-	if n > maxElems {
-		return nil, fmt.Errorf("%w: %d values", ErrCorrupt, n)
+	if dst == nil {
+		dst = make([]Value, 0, n)
 	}
-	for i := uint32(0); i < n; i++ {
-		var v Value
-		if v, rest, err = c.decode(rest, 0, true); err != nil {
+	d := decoder{rest: rest, owed: n}
+	for i := 0; i < n; i++ {
+		d.siblings, d.owed = n-i, d.owed-1
+		v, err := d.value(0)
+		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, v)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+	if len(d.rest) != 0 {
+		return nil, trailing(d.rest)
 	}
 	return dst, nil
 }
 
-// decode reads one value. With alias set, string and bytes payloads
-// alias src instead of being copied; the container allocations (lists,
-// record maps, refs' slices) are fresh either way.
-func (c PackedCodec) decode(src []byte, depth int, alias bool) (Value, []byte, error) {
+// decoder decodes one message — a value, or an argument vector — into
+// storage the message owns. Payload bytes are copied once into one byte
+// slab, and what the runtime would allocate one object at a time — the
+// 8-byte scalars, the string, []byte and List headers an interface
+// points at, the lists' backing arrays — comes out of a typed slab per
+// kind, so a message costs a handful of allocations however many values
+// it holds. Every slice handed out is cap-limited to its own region: an
+// append to one value never writes into its neighbour. The price is
+// retention by message: keeping any part of a decoded message keeps
+// that message's slabs, as a Go substring keeps its string.
+//
+// Slabs are allocated lazily and sized by what the input can still
+// hold, less what the containers already open are owed of it — a nested
+// container cannot claim the bytes its parents' remaining elements need.
+// So the slots of all slabs together are bounded by len(src) at any
+// depth, a decode never allocates more than a constant multiple of
+// len(src), and a vector of small scalars allocates nothing.
+type decoder struct {
+	rest     []byte // input not yet consumed
+	siblings int    // values left in the enclosing container, this one included
+	owed     int    // least bytes of rest the open containers need after this value
+
+	payload []byte   // string, bytes, record-key and ref-field contents
+	words   []uint64 // int64, uint64 and float64 bit patterns
+	strs    []string // string headers, and refs' endpoint and context lists
+	blobs   [][]byte
+	lists   []List
+	elems   []Value // the lists' backing arrays
+}
+
+// take returns the next n slots of the slab *s, cap-limited to
+// themselves. A full slab is left to the values that point into it and
+// a new chunk of room slots (at least n) takes its place.
+func take[T any](s *[]T, n, room int) []T {
+	if cap(*s)-len(*s) < n {
+		*s = make([]T, 0, max(n, room))
+	}
+	i := len(*s)
+	*s = (*s)[:i+n]
+	return (*s)[i : i+n : i+n]
+}
+
+// put stores v in the next slot of the slab *s, for boxing.
+func put[T any](s *[]T, room int, v T) *T {
+	p := &take(s, 1, room)[0]
+	*p = v
+	return p
+}
+
+// room sizes a new slab chunk: one slot for each value left in the
+// enclosing container — siblings are mostly of one kind — but no more
+// than the remaining input could fill at per bytes a slot.
+func (d *decoder) room(per int) int {
+	return min(d.siblings, 1+len(d.rest)/per)
+}
+
+func (d *decoder) uvarint() (uint64, error) {
+	u, rest, err := readUvarint(d.rest)
+	if err != nil {
+		return 0, err
+	}
+	d.rest = rest
+	return u, nil
+}
+
+// count reads an element count and rejects, before anything is sized by
+// it, one the remaining input cannot hold at per bytes an element beside
+// the bytes already owed to the elements of every container still open.
+func (d *decoder) count(per int, what string) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > maxElems {
+		return 0, fmt.Errorf("%w: %d %s", ErrCorrupt, n, what)
+	}
+	if int(n)*per > len(d.rest)-d.owed {
+		return 0, ErrTruncated
+	}
+	return int(n), nil
+}
+
+// bytes reads a length-prefixed byte run into the payload slab. The
+// slab is allocated by the first non-empty run, as large as the input
+// from there on: every later run lies in that input too, so the slab
+// never grows and a region handed out is never moved.
+func (d *decoder) bytes() ([]byte, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(d.rest)) {
+		return nil, ErrTruncated
+	}
+	if n == 0 {
+		return []byte{}, nil
+	}
+	if d.payload == nil {
+		d.payload = make([]byte, 0, len(d.rest))
+	}
+	i := len(d.payload)
+	d.payload = append(d.payload, d.rest[:n]...)
+	d.rest = d.rest[n:]
+	return d.payload[i:len(d.payload):len(d.payload)], nil
+}
+
+func (d *decoder) string() (string, error) {
+	b, err := d.bytes()
+	return slabString(b), err
+}
+
+// strings reads a ref's endpoint or context list.
+func (d *decoder) strings(what string) ([]string, error) {
+	n, err := d.count(1, what)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	out := take(&d.strs, n, d.room(2))
+	for i := range out {
+		if out[i], err = d.string(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// value reads one value.
+func (d *decoder) value(depth int) (Value, error) {
 	if depth > maxNest {
-		return nil, nil, fmt.Errorf("%w: nesting exceeds %d", ErrCorrupt, maxNest)
+		return nil, fmt.Errorf("%w: nesting exceeds %d", ErrCorrupt, maxNest)
 	}
-	if len(src) == 0 {
-		return nil, nil, ErrTruncated
+	if len(d.rest) == 0 {
+		return nil, ErrTruncated
 	}
-	kind, src := Kind(src[0]), src[1:]
+	kind := Kind(d.rest[0])
+	d.rest = d.rest[1:]
 	switch kind {
 	case KindNil:
-		return nil, src, nil
+		return nil, nil
 	case KindBool:
-		if len(src) < 1 {
-			return nil, nil, ErrTruncated
+		if len(d.rest) < 1 {
+			return nil, ErrTruncated
 		}
-		return src[0] != 0, src[1:], nil
+		b := d.rest[0]
+		d.rest = d.rest[1:]
+		if b > 1 {
+			return nil, fmt.Errorf("%w: bool byte %#x", ErrCorrupt, b)
+		}
+		return b == 1, nil
 	case KindInt:
-		u, rest, err := readUvarint(src)
+		u, err := d.uvarint()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return unzigzag(u), rest, nil
+		i := unzigzag(u)
+		if uint64(i) < 256 {
+			return i, nil
+		}
+		return boxInt64(put(&d.words, d.room(3), uint64(i))), nil
 	case KindUint:
-		u, rest, err := readUvarint(src)
+		u, err := d.uvarint()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return u, rest, nil
+		if u < 256 {
+			return u, nil
+		}
+		return boxUint64(put(&d.words, d.room(3), u)), nil
 	case KindFloat:
-		u, rest, err := readU64(src)
-		if err != nil {
-			return nil, nil, err
+		if len(d.rest) < 8 {
+			return nil, ErrTruncated
 		}
-		return math.Float64frombits(u), rest, nil
+		u := binary.BigEndian.Uint64(d.rest)
+		d.rest = d.rest[8:]
+		if u < 256 {
+			return math.Float64frombits(u), nil
+		}
+		return boxFloat64(put(&d.words, d.room(3), u)), nil
 	case KindString:
-		b, rest, err := readPackedBytes(src)
+		s, err := d.string()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return packedString(b, alias), rest, nil
+		if s == "" {
+			return s, nil
+		}
+		return boxString(put(&d.strs, d.room(2), s)), nil
 	case KindBytes:
-		b, rest, err := readPackedBytes(src)
+		b, err := d.bytes()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if alias {
-			return b, rest, nil
-		}
-		out := make([]byte, len(b))
-		copy(out, b)
-		return out, rest, nil
+		return boxBytes(put(&d.blobs, d.room(2), b)), nil
 	case KindList:
-		n, rest, err := readUvarint(src)
+		n, err := d.count(1, "list elements")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if n > maxElems {
-			return nil, nil, fmt.Errorf("%w: list of %d elements", ErrCorrupt, n)
+		p := put(&d.lists, d.room(2), List{})
+		if n > 0 {
+			*p = take(&d.elems, n, d.room(1))
 		}
-		list := make(List, 0, min(int(n), 1024))
-		for i := uint64(0); i < n; i++ {
-			var e Value
-			if e, rest, err = c.decode(rest, depth+1, alias); err != nil {
-				return nil, nil, err
+		d.owed += n
+		for i := range *p {
+			d.siblings, d.owed = n-i, d.owed-1
+			if (*p)[i], err = d.value(depth + 1); err != nil {
+				return nil, err
 			}
-			list = append(list, e)
 		}
-		return list, rest, nil
+		return boxList(p), nil
 	case KindRecord:
-		n, rest, err := readUvarint(src)
+		n, err := d.count(2, "record fields")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if n > maxElems {
-			return nil, nil, fmt.Errorf("%w: record of %d fields", ErrCorrupt, n)
-		}
-		rec := make(Record, min(int(n), 1024))
-		for i := uint64(0); i < n; i++ {
-			var kb []byte
-			if kb, rest, err = readPackedBytes(rest); err != nil {
-				return nil, nil, err
+		rec := make(Record, n)
+		d.owed += 2 * n
+		var prev string
+		for i := 0; i < n; i++ {
+			d.siblings, d.owed = n-i, d.owed-2
+			k, err := d.string()
+			if err != nil {
+				return nil, err
 			}
-			var e Value
-			if e, rest, err = c.decode(rest, depth+1, alias); err != nil {
-				return nil, nil, err
+			// Fields are written in key order, so any other order, or a
+			// key twice, is a second representation of some record.
+			if i > 0 && k <= prev {
+				return nil, fmt.Errorf("%w: record key %q after %q", ErrCorrupt, k, prev)
 			}
-			// Map keys are hashed storage, not payload: aliasing them
-			// would let arena reuse corrupt the map, so keys always
-			// detach.
-			rec[string(kb)] = e
+			prev = k
+			if rec[k], err = d.value(depth + 1); err != nil {
+				return nil, err
+			}
 		}
-		return rec, rest, nil
+		return rec, nil
 	case KindRef:
 		var (
-			r    Ref
-			err  error
-			rest = src
+			r   Ref
+			err error
 		)
-		if r.ID, rest, err = readPackedString(rest, alias); err != nil {
-			return nil, nil, err
+		if r.ID, err = d.string(); err != nil {
+			return nil, err
 		}
-		if r.TypeName, rest, err = readPackedString(rest, alias); err != nil {
-			return nil, nil, err
+		if r.TypeName, err = d.string(); err != nil {
+			return nil, err
 		}
-		var u uint64
-		if u, rest, err = readUvarint(rest); err != nil {
-			return nil, nil, err
+		u, err := d.uvarint()
+		if err != nil {
+			return nil, err
 		}
 		if u > math.MaxUint32 {
-			return nil, nil, fmt.Errorf("%w: ref epoch %d", ErrCorrupt, u)
+			return nil, fmt.Errorf("%w: ref epoch %d", ErrCorrupt, u)
 		}
 		r.Epoch = uint32(u)
-		var n uint64
-		if n, rest, err = readUvarint(rest); err != nil {
-			return nil, nil, err
+		if r.Endpoints, err = d.strings("ref endpoints"); err != nil {
+			return nil, err
 		}
-		if n > maxElems {
-			return nil, nil, fmt.Errorf("%w: ref with %d endpoints", ErrCorrupt, n)
+		if r.Context, err = d.strings("ref contexts"); err != nil {
+			return nil, err
 		}
-		for i := uint64(0); i < n; i++ {
-			var ep string
-			if ep, rest, err = readPackedString(rest, alias); err != nil {
-				return nil, nil, err
-			}
-			r.Endpoints = append(r.Endpoints, ep)
-		}
-		if n, rest, err = readUvarint(rest); err != nil {
-			return nil, nil, err
-		}
-		if n > maxElems {
-			return nil, nil, fmt.Errorf("%w: ref with %d contexts", ErrCorrupt, n)
-		}
-		for i := uint64(0); i < n; i++ {
-			var cx string
-			if cx, rest, err = readPackedString(rest, alias); err != nil {
-				return nil, nil, err
-			}
-			r.Context = append(r.Context, cx)
-		}
-		return r, rest, nil
+		return r, nil
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, int(kind))
+		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, int(kind))
 	}
 }
 
@@ -346,39 +461,4 @@ func readUvarint(src []byte) (uint64, []byte, error) {
 func appendPackedString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// readPackedBytes reads a varint-length-prefixed byte run, aliasing src.
-func readPackedBytes(src []byte) ([]byte, []byte, error) {
-	n, rest, err := readUvarint(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(rest)) {
-		return nil, nil, ErrTruncated
-	}
-	return rest[:n], rest[n:], nil
-}
-
-func readPackedString(src []byte, alias bool) (string, []byte, error) {
-	b, rest, err := readPackedBytes(src)
-	if err != nil {
-		return "", nil, err
-	}
-	return packedString(b, alias), rest, nil
-}
-
-// packedString materialises a decoded string: a copy normally, an
-// unsafe alias of b in arena mode. The alias is sound under the arena
-// contract — the bytes are immutable for the values' lifetime and the
-// values must not outlive the buffer — and is the entire point of the
-// zero-copy decode path.
-func packedString(b []byte, alias bool) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if alias {
-		return unsafe.String(unsafe.SliceData(b), len(b))
-	}
-	return string(b)
 }

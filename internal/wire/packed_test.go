@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,8 +13,9 @@ import (
 
 // The packed codec's shared round-trip/property coverage lives in
 // wire_test.go via codecs(); this file tests what is specific to
-// ansa-packed/1 — strict varints, the zero-copy alias mode, detachment,
-// and the size advantage the format exists for.
+// ansa-packed/1 — strict varints, one representation per value, the
+// ownership of what a decode returns, and the size advantage the format
+// exists for.
 
 // TestPackedVarintStrict pins the varint decoder's rejection rules:
 // truncation, encodings past ten bytes, 64-bit overflow, and non-minimal
@@ -69,64 +72,282 @@ func TestPackedZigzag(t *testing.T) {
 	}
 }
 
-// TestPackedDecodeAlias proves the zero-copy contract in both
-// directions: alias-mode strings and bytes share storage with the
-// source buffer (mutating the buffer is visible through the value),
-// while Codec.Decode and DetachValue produce storage-independent
-// values.
-func TestPackedDecodeAlias(t *testing.T) {
-	c := PackedCodec{}
-	args := []Value{"operand", []byte{1, 2, 3}, int64(7)}
-	frame, err := EncodeAllInto(c, nil, args)
+// ownedReencode checks the ownership contract on one accepted frame: v
+// was decoded from src, src is then overwritten, and v must still
+// re-encode to the bytes it came from.
+func ownedReencode(t *testing.T, v Value, src, want []byte) {
+	t.Helper()
+	for i := range src {
+		src[i] = 0xAA
+	}
+	re, err := PackedCodec{}.Encode(nil, v)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("decoded value %v failed to re-encode: %v", v, err)
 	}
-
-	aliased, err := c.DecodeAllAlias(nil, frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aliased) != 3 || aliased[0] != "operand" || aliased[2] != int64(7) {
-		t.Fatalf("alias decode wrong: %v", aliased)
-	}
-
-	// Detach first — the detached copies must survive arena reuse.
-	detached := DetachArgs(aliased)
-	for i := range frame {
-		frame[i] = 0xAA // simulate the arena being recycled
-	}
-	if detached[0] != "operand" || !bytes.Equal(detached[1].([]byte), []byte{1, 2, 3}) {
-		t.Fatalf("detached values corrupted by arena reuse: %v", detached)
-	}
-
-	// A second alias decode from a fresh frame shows the alias is real.
-	frame2, _ := EncodeAllInto(c, nil, args)
-	aliased2, err := c.DecodeAllAlias(nil, frame2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range frame2 {
-		frame2[i] = 0xBB
-	}
-	if aliased2[0] == "operand" {
-		t.Fatal("alias-mode string did not alias the source buffer")
-	}
-
-	// Codec.Decode must stay detached.
-	enc, _ := c.Encode(nil, "independent")
-	v, _, err := c.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range enc {
-		enc[i] = 0xCC
-	}
-	if v != "independent" {
-		t.Fatal("Decode returned an aliased string")
+	if !bytes.Equal(re, want) {
+		t.Fatalf("value %v shares storage with its source, or has a second representation:\n in: % x\nout: % x", v, want, re)
 	}
 }
 
-// TestPackedDecodeAliasRejectsTrailing matches DecodeAll's strictness.
+// TestDecodedMessageOwnsItsStorage: nothing a decode returns aliases the
+// buffer it read — single values and whole vectors, every kind.
+func TestDecodedMessageOwnsItsStorage(t *testing.T) {
+	c := PackedCodec{}
+	all := append(sampleValues(), fuzzSeedValues()...)
+	for _, v := range all {
+		want, err := c.Encode(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := append([]byte(nil), want...)
+		got, rest, err := c.Decode(src)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("decode %v: rest %d, err %v", v, len(rest), err)
+		}
+		ownedReencode(t, got, src, want)
+	}
+	frame, err := EncodeAll(c, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := append([]byte(nil), frame...)
+	got, err := DecodeAll(c, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asList := append(binary.AppendUvarint([]byte{byte(KindList)}, uint64(len(all))), frame[4:]...)
+	ownedReencode(t, List(got), src, asList)
+}
+
+// scribble overwrites, and then appends to, every slice reachable from v.
+func scribble(v Value) {
+	switch t := v.(type) {
+	case []byte:
+		for i := range t {
+			t[i] = 0xEE
+		}
+		_ = append(t, bytes.Repeat([]byte{0xEE}, 64)...)
+	case List:
+		for i := range t {
+			scribble(t[i])
+			t[i] = "scribbled"
+		}
+		_ = append(t, make(List, 64)...)
+	case Record:
+		for _, e := range t {
+			scribble(e)
+		}
+	case Ref:
+		for _, ss := range [][]string{t.Endpoints, t.Context} {
+			for i := range ss {
+				ss[i] = "scribbled"
+			}
+			_ = append(ss, make([]string, 64)...)
+		}
+	}
+}
+
+// TestDecodedValuesAreIsolated: the values of one message sit side by
+// side in shared slabs, yet writing through one, in place or by append,
+// never changes another — every slice handed out is cap-limited to its
+// own region.
+func TestDecodedValuesAreIsolated(t *testing.T) {
+	c := PackedCodec{}
+	ref := Ref{ID: "id", TypeName: "T", Endpoints: []string{"e1", "e2"}, Context: []string{"c1"}}
+	msg := []Value{
+		[]byte{1, 2, 3}, []byte{4, 5, 6}, "between",
+		List{"a", []byte{7}, int64(1) << 40}, List{uint64(1) << 50, "b", List{2.5}},
+		ref, Record{"k": List{[]byte{8}}, "r": ref}, ref, []byte{9}, List{}, List{nil},
+	}
+	frame, err := EncodeAll(c, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range msg {
+		got, err := DecodeAll(c, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribble(got[i])
+		for j := range msg {
+			if j != i && !Equal(got[j], msg[j]) {
+				t.Fatalf("scribbling on value %d (%v) changed value %d: %v, want %v", i, msg[i], j, got[j], msg[j])
+			}
+		}
+	}
+}
+
+// keepOne decodes frame and returns element i alone. Not inlined, so
+// nothing of the message but that element outlives the call.
+//
+//go:noinline
+func keepOne(t *testing.T, frame []byte, i int) Value {
+	got, err := DecodeAll(PackedCodec{}, append([]byte(nil), frame...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got[i]
+}
+
+// TestKeptElementSurvivesCollection: a box is a pointer into the middle
+// of a slab, and one kept element must keep what it points at alive
+// through collections, with every other reference to its message gone.
+// Run under -race, checkptr vets each hand-built pointer as well.
+func TestKeptElementSurvivesCollection(t *testing.T) {
+	msg := []Value{
+		int64(1) << 40, uint64(1) << 50, 2.5, "kept string", []byte("kept bytes"),
+		List{"in", int64(-1) << 33}, Record{"k": "v"}, sampleRef,
+	}
+	frame, err := EncodeAll(PackedCodec{}, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn := make([][]byte, 256)
+	for i := range msg {
+		kept := keepOne(t, frame, i)
+		for round := 0; round < 3; round++ {
+			runtime.GC()
+			for j := range churn { // reuse whatever the collection freed
+				churn[j] = bytes.Repeat([]byte{0xDD}, 8+j)
+			}
+		}
+		if !Equal(kept, msg[i]) {
+			t.Fatalf("element %d read %v after three collections, want %v", i, kept, msg[i])
+		}
+	}
+}
+
+// TestPackedCountBound: a count is checked against the input that would
+// have to hold it before it sizes anything, so a few hostile bytes
+// cannot buy a large allocation.
+func TestPackedCountBound(t *testing.T) {
+	c := PackedCodec{}
+	huge := binary.AppendUvarint(nil, maxElems) // four bytes
+	for _, tt := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"record", append(append([]byte{byte(KindRecord)}, huge...), 0)},
+		{"list", append(append([]byte{byte(KindList)}, huge...), 0)},
+		{"ref-endpoints", append(append([]byte{byte(KindRef), 0, 0, 0}, huge...), 0)},
+		{"vector", []byte{0, 0xff, 0xff, 0xff, 0}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			decode := func() error {
+				if tt.name == "vector" {
+					_, err := DecodeAll(c, tt.frame)
+					return err
+				}
+				_, _, err := c.Decode(tt.frame)
+				return err
+			}
+			least := refusalCost(t, decode, ErrTruncated)
+			if least >= 512 {
+				t.Fatalf("a %d-byte frame cost %d bytes to refuse", len(tt.frame), least)
+			}
+		})
+	}
+}
+
+// refusalCost is the fewest bytes decode allocated over three tries —
+// another goroutine may allocate meanwhile — each of which must fail
+// with want (nil: any outcome).
+func refusalCost(t *testing.T, decode func() error, want error) uint64 {
+	t.Helper()
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if want != nil && !errors.Is(err, want) {
+			t.Fatalf("got %v, want %v", err, want)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// nestedClaims is a size-byte frame of maxNest+1 nested list or record
+// headers and then zeros. Each header claims as many elements as the
+// input after it could hold were no container open around it — or, when
+// halving, half of what the header before it claimed, so that all the
+// claims together fit.
+func nestedClaims(kind Kind, size int, halving bool) []byte {
+	frame := make([]byte, 0, size)
+	for depth := 0; depth <= maxNest; depth++ {
+		claim := size - len(frame) - 5 // tag, count, and a record's empty first key
+		if kind == KindRecord {
+			claim /= 2
+		}
+		if halving {
+			claim >>= depth + 1
+		}
+		frame = binary.AppendUvarint(append(frame, byte(kind)), uint64(claim))
+		if kind == KindRecord {
+			frame = append(frame, 0)
+		}
+	}
+	return frame[:size]
+}
+
+// TestPackedNestedCountBound: a nested container cannot claim again the
+// input its parents' remaining elements need, so the bound on what a
+// decode allocates — a constant multiple of len(src) — holds at any
+// depth, not once per level.
+func TestPackedNestedCountBound(t *testing.T) {
+	const size = 32 << 10
+	for _, tt := range []struct {
+		name    string
+		kind    Kind
+		halving bool
+		want    error
+	}{
+		{"list", KindList, false, ErrTruncated},
+		{"record", KindRecord, false, ErrTruncated},
+		{"list-halving", KindList, true, nil},
+		{"record-halving", KindRecord, true, nil},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			frame := nestedClaims(tt.kind, size, tt.halving)
+			cost := refusalCost(t, func() error {
+				_, _, err := (PackedCodec{}).Decode(frame)
+				return err
+			}, tt.want)
+			t.Logf("%d-byte frame cost %d bytes (%d x)", size, cost, cost/size)
+			if cost > 64*size {
+				t.Fatalf("a %d-byte frame cost %d bytes, over 64 x its size", size, cost)
+			}
+		})
+	}
+}
+
+// TestPackedOneRepresentation: the encodings a lenient decoder would
+// fold onto an existing value are refused.
+func TestPackedOneRepresentation(t *testing.T) {
+	for name, frame := range hostileFrames() {
+		if _, _, err := (PackedCodec{}).Decode(frame); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+	for _, ok := range [][]byte{{byte(KindBool), 0}, {byte(KindBool), 1}, []byte("\x08\x02\x00\x00\x01a\x00")} {
+		if _, rest, err := (PackedCodec{}).Decode(ok); err != nil || len(rest) != 0 {
+			t.Errorf("canonical frame % x refused: %v", ok, err)
+		}
+	}
+}
+
+// hostileFrames are second representations of {"a": nil} and true.
+func hostileFrames() map[string][]byte {
+	return map[string][]byte{
+		"record-duplicate-key": []byte("\x08\x02\x01a\x00\x01a\x00"),
+		"record-unsorted-keys": []byte("\x08\x02\x01b\x00\x01a\x00"),
+		"bool-two":             {byte(KindBool), 2},
+	}
+}
+
+// TestPackedDecodeAliasRejectsTrailing: the appending spelling of
+// DecodeAll is as strict.
 func TestPackedDecodeAliasRejectsTrailing(t *testing.T) {
 	c := PackedCodec{}
 	frame, err := EncodeAllInto(c, nil, []Value{int64(1)})
@@ -138,44 +359,6 @@ func TestPackedDecodeAliasRejectsTrailing(t *testing.T) {
 	}
 	if _, err := c.DecodeAllAlias(nil, frame[:len(frame)-1]); err == nil {
 		t.Fatal("truncated vector accepted")
-	}
-}
-
-// TestDetachArgsScalarFastPath: an all-scalar vector — the common
-// interrogation — detaches for free, returning the same slice with the
-// same elements untouched.
-func TestDetachArgsScalarFastPath(t *testing.T) {
-	args := []Value{int64(1), uint64(2), 3.5, true, nil}
-	got := DetachArgs(args)
-	if &got[0] != &args[0] {
-		t.Fatal("scalar vector was copied")
-	}
-}
-
-// TestDetachValueDeep checks every aliasable position is copied,
-// including record keys and all Ref string fields.
-func TestDetachValueDeep(t *testing.T) {
-	arena := []byte("keyvalabcdefIDTNendpointctx")
-	str := func(lo, hi int) string { return string(arena[lo:hi]) }
-	v := Record{
-		str(0, 3): List{str(3, 6), arena[6:12], Ref{
-			ID:        str(12, 14),
-			TypeName:  str(14, 16),
-			Endpoints: []string{str(16, 24)},
-			Epoch:     2,
-			Context:   []string{str(24, 27)},
-		}},
-	}
-	want := Clone(v)
-	got := DetachValue(v)
-	if !Equal(got, want) {
-		t.Fatalf("detach changed value: %v != %v", got, want)
-	}
-	// Detached result must not share the original byte slice.
-	gotBytes := got.(Record)["key"].(List)[1].([]byte)
-	gotBytes[0] = 'X'
-	if arena[6] == 'X' {
-		t.Fatal("detached bytes share storage with source")
 	}
 }
 
@@ -269,9 +452,11 @@ func TestPropertyPackedTextAgree(t *testing.T) {
 }
 
 // FuzzPackedDecode exercises the packed decoder against arbitrary
-// input: never panic, and clean decodes re-encode to a decodable equal
-// value. The checked-in corpus under testdata/fuzz/FuzzPackedDecode
-// includes truncated-varint and overlong-varint frames.
+// input: never panic, and whatever it accepts owns its storage and
+// re-encodes to exactly the bytes it was read from — one representation
+// per value. The checked-in corpus under testdata/fuzz/FuzzPackedDecode
+// includes truncated-varint and overlong-varint frames, and the second
+// representations a lenient decoder would accept.
 func FuzzPackedDecode(f *testing.F) {
 	c := PackedCodec{}
 	for _, v := range append(sampleValues(), fuzzSeedValues()...) {
@@ -285,28 +470,21 @@ func FuzzPackedDecode(f *testing.F) {
 	f.Add([]byte{byte(KindInt), 0x80})        // truncated varint
 	f.Add([]byte{byte(KindUint), 0x80, 0x00}) // overlong varint
 	f.Add(append([]byte{byte(KindString)}, bytes.Repeat([]byte{0xff}, 10)...))
+	for _, name := range []string{"record-duplicate-key", "record-unsorted-keys", "bool-two"} {
+		f.Add(hostileFrames()[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, rest, err := c.Decode(data)
+		src := append([]byte(nil), data...)
+		v, rest, err := c.Decode(src)
 		if err != nil || len(rest) != 0 {
 			return
 		}
-		re, err := c.Encode(nil, v)
-		if err != nil {
-			t.Fatalf("decoded value %v failed to re-encode: %v", v, err)
+		// The same frame as a one-value vector must agree.
+		vs, err := DecodeAll(c, append([]byte{0, 0, 0, 1}, data...))
+		if err != nil || len(vs) != 1 || !Equal(vs[0], v) {
+			t.Fatalf("vector decode disagrees: %v vs %v (%v)", vs, v, err)
 		}
-		v2, rest2, err := c.Decode(re)
-		if err != nil || len(rest2) != 0 {
-			t.Fatalf("re-encoded form undecodable: %v", err)
-		}
-		if !Equal(v, v2) {
-			t.Fatalf("re-encode changed value: %v != %v", v, v2)
-		}
-		// Alias-mode decode of the same single-value frame must agree.
-		framed := append([]byte{0, 0, 0, 1}, re...)
-		av, err := c.DecodeAllAlias(nil, framed)
-		if err != nil || len(av) != 1 || !Equal(av[0], v) {
-			t.Fatalf("alias decode disagrees: %v vs %v (%v)", av, v, err)
-		}
+		ownedReencode(t, v, src, data)
 	})
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -31,7 +32,7 @@ func (c TextCodec) Encode(dst []byte, v Value) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: text encode: %w", err)
 	}
-	dst = appendU32(dst, uint32(len(b)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
 	return append(dst, b...), nil
 }
 

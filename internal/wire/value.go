@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Kind enumerates the value kinds of the computational data model.
@@ -271,17 +270,6 @@ func CloneArgs(vs []Value) []Value {
 	return vs
 }
 
-// sortedKeys returns the record's keys in sorted order, for deterministic
-// encoding.
-func sortedKeys(r Record) []string {
-	keys := make([]string, 0, len(r))
-	for k := range r {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // sortedKeysInto appends the record's keys to buf in sorted order. Small
 // records fit a caller-supplied stack buffer, so steady-state encoding of
 // typical argument records allocates nothing; the insertion sort avoids
@@ -330,13 +318,6 @@ const (
 	maxElems = 1 << 24
 )
 
-// AppendValue appends the codec's representation of v to dst. It is the
-// append-style spelling of Codec.Encode, named for symmetry with
-// EncodeAllInto on the invocation hot path.
-func AppendValue(c Codec, dst []byte, v Value) ([]byte, error) {
-	return c.Encode(dst, v)
-}
-
 // EncodeAllInto appends the count-prefixed encoding of vs to dst and
 // returns the extended slice. The hot path encodes protocol header and
 // argument vector into one pooled buffer with this; EncodeAll is the
@@ -354,7 +335,7 @@ func EncodeAllInto(c Codec, dst []byte, vs []Value) ([]byte, error) {
 
 // AppendCount appends the prefix EncodeAllInto writes before n values,
 // for a caller that appends the n values itself.
-func AppendCount(dst []byte, n int) []byte { return appendU32(dst, uint32(n)) }
+func AppendCount(dst []byte, n int) []byte { return binary.BigEndian.AppendUint32(dst, uint32(n)) }
 
 // EncodeAll encodes each value in vs back to back.
 func EncodeAll(c Codec, vs []Value) ([]byte, error) {
@@ -363,44 +344,47 @@ func EncodeAll(c Codec, vs []Value) ([]byte, error) {
 
 // DecodeAll decodes a sequence written by EncodeAll.
 func DecodeAll(c Codec, src []byte) ([]Value, error) {
-	n, rest, err := readU32(src)
+	if p, ok := c.(PackedCodec); ok {
+		return p.DecodeAllAlias(nil, src)
+	}
+	n, rest, err := readVectorCount(src)
 	if err != nil {
 		return nil, err
 	}
-	if n > maxElems {
-		return nil, fmt.Errorf("%w: %d values", ErrCorrupt, n)
-	}
-	vs := make([]Value, 0, min(int(n), 1024))
-	for i := uint32(0); i < n; i++ {
+	out := make([]Value, 0, n)
+	for i := 0; i < n; i++ {
 		var v Value
 		if v, rest, err = c.Decode(rest); err != nil {
 			return nil, err
 		}
-		vs = append(vs, v)
+		out = append(out, v)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+		return nil, trailing(rest)
 	}
-	return vs, nil
+	return out, nil
 }
 
-func appendU64(dst []byte, u uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], u)
-	return append(dst, b[:]...)
-}
-
-func appendU32(dst []byte, u uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], u)
-	return append(dst, b[:]...)
-}
-
-func readU64(src []byte) (uint64, []byte, error) {
-	if len(src) < 8 {
+// readVectorCount reads the prefix AppendCount wrote and refuses, before
+// it sizes anything, a count the input cannot hold at a byte a value or
+// more in either codec.
+func readVectorCount(src []byte) (int, []byte, error) {
+	n, rest, err := readU32(src)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > maxElems {
+		return 0, nil, fmt.Errorf("%w: %d values", ErrCorrupt, n)
+	}
+	if int(n) > len(rest) {
 		return 0, nil, ErrTruncated
 	}
-	return binary.BigEndian.Uint64(src), src[8:], nil
+	return int(n), rest, nil
+}
+
+// trailing is the error for input left over after a vector's last value.
+func trailing(rest []byte) error {
+	return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 }
 
 func readU32(src []byte) (uint32, []byte, error) {

@@ -9,11 +9,13 @@ package odp_test
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"odp"
+	"odp/internal/wire"
 )
 
 // packedE1AllocBudget is the ceiling for allocations per packed E1
@@ -115,4 +117,57 @@ func TestPackedE1AllocGate(t *testing.T) {
 		t.Fatalf("packed E1 loopback allocates %.1f/op, budget < %d", allocs, packedE1AllocBudget)
 	}
 	t.Logf("packed E1 loopback: %.1f allocs/op (budget < %d)", allocs, packedE1AllocBudget)
+}
+
+// bulkEchoAllocBudget is the ceiling for echoing tcp_bulk's ~12 KiB
+// structured value between two coalesced platforms: about 300 boxed
+// scalars and headers each way, decoded into a dozen slabs a side. The
+// call costs 31; it cost 764 when every one of them was its own object,
+// twice over on the server.
+const bulkEchoAllocBudget = 60
+
+func TestBulkEchoAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are skewed under -race: sync.Pool drops puts by design")
+	}
+	server, client := coalescedPair(t)
+	ref, err := server.Publish("echo", odp.Object{Servant: odp.ServantFunc(
+		func(_ context.Context, _ string, args []odp.Value) (string, []odp.Value, error) {
+			return "ok", args[:1], nil
+		})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The value bulkValue builds in cmd/odpload/workload.go.
+	rng := rand.New(rand.NewSource(1))
+	str := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return string(b)
+	}
+	tags, samples, blob := make(odp.List, 32), make(odp.List, 256), make([]byte, 8<<10)
+	for i := range tags {
+		tags[i] = str(4 + rng.Intn(12))
+	}
+	for i := range samples {
+		samples[i] = int64(rng.Uint64())
+	}
+	rng.Read(blob)
+	payload := odp.Record{"id": rng.Int63(), "name": str(64), "tags": tags, "samples": samples, "blob": blob}
+
+	proxy := client.Bind(ref).WithQoS(odp.QoS{Timeout: 30 * time.Second})
+	ctx := context.Background()
+	call := func() {
+		if out, err := proxy.Call(ctx, "echo", payload); err != nil || !wire.Equal(out.Result(0), payload) {
+			t.Fatalf("echo: %v, reply equal to request: %v", err, err == nil)
+		}
+	}
+	settleE1(t, client, call)
+	allocs := minAllocsPerRun(100, call)
+	if allocs > bulkEchoAllocBudget {
+		t.Fatalf("bulk echo allocates %.1f/op, budget <= %d", allocs, bulkEchoAllocBudget)
+	}
+	t.Logf("bulk echo: %.1f allocs/op (budget <= %d)", allocs, bulkEchoAllocBudget)
 }

@@ -14,11 +14,12 @@ import (
 )
 
 // wovenE1AllocExtra is what the four interceptors and the signer may add
-// to a packed E1 call. They add 10: the credential, its boxing and the
-// signed argument vector at the signer (3); the credential decoded and
-// detached with the other arguments at the server (3); the principal's
-// context (2); the log record's copy in the store (1); the log's and the
-// replay window's growth, amortised (under 1). They added 59 before the
+// to a packed E1 call. They add 7: the credential, its boxing and the
+// signed argument vector at the signer (3); the credential's header at
+// the server (1 — its bytes ride in the slab the other arguments already
+// pay for); the principal's context (2); the log record's copy in the
+// store (1); the log's and the replay window's growth, amortised
+// (under 1). They added 59 before the
 // guard stopped rebuilding its MAC state and its credential record on
 // every call.
 const wovenE1AllocExtra = 18
