@@ -98,12 +98,11 @@ func (t *pooledTimer) Stop() bool          { return t.t.Stop() }
 var timerPool sync.Pool
 
 // AcquireTimer returns a one-shot timer firing after d. Under the real
-// clock the timer is drawn from a pool and re-armed — since Go 1.23
-// timer channels are unbuffered, so Reset after Stop cannot deliver a
-// stale instant — which keeps per-call timer setup off the allocator on
-// hot paths (one rpc invocation arms at least one deadline timer).
-// Under any other clock it falls back to clk.NewTimer. Pass the timer
-// to ReleaseTimer when done; a released timer must no longer be used.
+// clock the timer is drawn from a pool and re-armed, which keeps per-call
+// timer setup off the allocator on hot paths (one rpc invocation arms at
+// least one deadline timer). Under any other clock it falls back to
+// clk.NewTimer. Pass the timer to ReleaseTimer when done; a released
+// timer must no longer be used.
 func AcquireTimer(clk Clock, d time.Duration) Timer {
 	if _, ok := clk.(Real); ok {
 		if v := timerPool.Get(); v != nil {
@@ -117,10 +116,17 @@ func AcquireTimer(clk Clock, d time.Duration) Timer {
 }
 
 // ReleaseTimer stops t and, when it came from the real-clock pool,
-// recycles it. Timers from other clocks are just stopped.
+// recycles it — drained: go.mod's go 1.22 keeps timer channels buffered,
+// and one that fired unread would hand its next user a stale instant.
 func ReleaseTimer(t Timer) {
-	t.Stop()
+	fired := !t.Stop()
 	if pt, ok := t.(*pooledTimer); ok {
+		if fired {
+			select {
+			case <-pt.t.C:
+			default:
+			}
+		}
 		timerPool.Put(pt)
 	}
 }

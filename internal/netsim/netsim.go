@@ -396,6 +396,9 @@ func (f *Fabric) route(from, to string, n int) (dst *endpoint, delay time.Durati
 		if profile.Jitter > 0 {
 			delay += time.Duration(f.rng.Int63n(int64(profile.Jitter)))
 		}
+		// Counted under the hold that saw closed false: Close sets closed
+		// under f.mu before it waits, so it never meets a late Add.
+		f.wg.Add(1)
 	}
 	f.mu.Unlock()
 
@@ -456,9 +459,9 @@ func (d *delivery) run() {
 }
 
 // dispatch schedules the delivery of cp (a pooled copy owned by the
-// fabric from here on) to dst after delay.
+// fabric from here on) to dst after delay. The delivery is already in
+// wg: route counted it.
 func (f *Fabric) dispatch(from, to string, dst *endpoint, delay time.Duration, cpp *[]byte, cp []byte) {
-	f.wg.Add(1)
 	f.inflight.Add(1)
 	d := deliveryPool.Get().(*delivery)
 	*d = delivery{f: f, from: from, to: to, dst: dst, cpp: cpp, cp: cp}

@@ -230,6 +230,48 @@ func TestFabricCloseRejectsSends(t *testing.T) {
 	}
 }
 
+// TestFabricCloseWhileFlusherWrites: a coalescer's flusher is still
+// writing when the fabric closes. Every delivery joins the fabric's wait
+// group under the hold of f.mu that saw it open, so Close never waits
+// beside an Add it did not count (under -race: no WaitGroup misuse).
+func TestFabricCloseWhileFlusherWrites(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		f := NewFabric()
+		a, _ := f.Endpoint("a")
+		b, _ := f.Endpoint("b")
+		b.SetHandler(func(string, []byte) {})
+		co := transport.NewCoalescer(a)
+		co.MarkBatching("b")
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = co.SendLazy("b", []byte("frame")) // written by the flusher
+				}
+			}
+		}()
+		pollSent := time.Now().Add(time.Second)
+		for f.Stats().Sent == 0 && time.Now().Before(pollSent) {
+			time.Sleep(10 * time.Microsecond)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		wg.Wait()
+		_ = co.Close()
+		if err := a.Send("b", []byte("late")); err != transport.ErrClosed {
+			t.Fatalf("send on a closed fabric: %v", err)
+		}
+	}
+}
+
 func TestOversizePacket(t *testing.T) {
 	f := NewFabric()
 	defer f.Close()

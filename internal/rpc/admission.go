@@ -1,11 +1,6 @@
 package rpc
 
-import (
-	"sync"
-	"time"
-
-	"odp/internal/clock"
-)
+import "time"
 
 // AdmissionConfig bounds per-client request admission with a token
 // bucket: each client (keyed by transport address) starts with Burst
@@ -22,89 +17,40 @@ type AdmissionConfig struct {
 	Burst int
 }
 
-// admissionIdleTTL is how long an untouched bucket survives before the
-// janitor reclaims it; a returning client simply mints a fresh full
-// bucket, which is exactly the state an idle one converges to anyway.
+// admissionIdleTTL is how long an untouched bucket pins its peer record
+// when it cannot refill (Rate 0); a returning client simply mints a fresh
+// full bucket, which is exactly the state an idle one converges to anyway.
 const admissionIdleTTL = time.Minute
 
-// admission holds the per-client token buckets, sharded by FNV-1a over
-// the client address so concurrent clients contend only within a stripe.
-// Bucket arithmetic runs on the server clock, so admission windows are
-// deterministic under a clock.Fake.
-type admission struct {
-	cfg    AdmissionConfig
-	clk    clock.Clock
-	shards [numShards]admissionShard
-}
-
-type admissionShard struct {
-	mu      sync.Mutex
-	buckets map[string]*tokenBucket
-}
-
+// tokenBucket is one client's admission state. It lives in the client's
+// peerCalls record, under that record's mutex, and runs on the server
+// clock, so admission windows are deterministic under a clock.Fake.
 type tokenBucket struct {
-	tokens  float64
+	spent   float64 // tokens drawn and not yet earned back: the zero bucket is full
 	touched time.Time
 }
 
-func newAdmission(cfg AdmissionConfig, clk clock.Clock) *admission {
-	a := &admission{cfg: cfg, clk: clk}
-	for i := range a.shards {
-		a.shards[i].buckets = make(map[string]*tokenBucket)
+// owed is what is still spent at now. Called with the peer's mu held.
+func (b *tokenBucket) owed(cfg *AdmissionConfig, now time.Time) float64 {
+	if elapsed := now.Sub(b.touched); elapsed > 0 {
+		return max(0, b.spent-elapsed.Seconds()*cfg.Rate)
 	}
-	return a
+	return b.spent
 }
 
-func (a *admission) shard(from string) *admissionShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(from); i++ {
-		h ^= uint64(from[i])
-		h *= prime64
+// admit spends one token, reporting false when the bucket is empty (the
+// caller sheds the invocation). Called with the peer's mu held.
+func (b *tokenBucket) admit(cfg *AdmissionConfig, now time.Time) bool {
+	b.spent, b.touched = b.owed(cfg, now), now
+	if float64(cfg.Burst)-b.spent < 1 {
+		return false
 	}
-	return &a.shards[h&(numShards-1)]
+	b.spent++
+	return true
 }
 
-// admit spends one token from from's bucket, reporting false when the
-// bucket is empty (the caller sheds the invocation).
-func (a *admission) admit(from string) bool {
-	now := a.clk.Now()
-	sh := a.shard(from)
-	sh.mu.Lock()
-	b := sh.buckets[from]
-	if b == nil {
-		b = &tokenBucket{tokens: float64(a.cfg.Burst)}
-		sh.buckets[from] = b
-	} else if elapsed := now.Sub(b.touched); elapsed > 0 {
-		b.tokens += elapsed.Seconds() * a.cfg.Rate
-		if capacity := float64(a.cfg.Burst); b.tokens > capacity {
-			b.tokens = capacity
-		}
-	}
-	b.touched = now
-	ok := b.tokens >= 1
-	if ok {
-		b.tokens--
-	}
-	sh.mu.Unlock()
-	return ok
-}
-
-// prune drops buckets idle past admissionIdleTTL. Called from the
-// server janitor on its rotation tick, so abandoned clients cannot leak
-// bucket state.
-func (a *admission) prune(now time.Time) {
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		for from, b := range sh.buckets {
-			if now.Sub(b.touched) > admissionIdleTTL {
-				delete(sh.buckets, from)
-			}
-		}
-		sh.mu.Unlock()
-	}
+// idle reports a bucket that holds nothing a fresh one would not: full
+// again, or untouched past admissionIdleTTL. Called with the peer's mu held.
+func (b *tokenBucket) idle(cfg *AdmissionConfig, now time.Time) bool {
+	return cfg == nil || b.owed(cfg, now) == 0 || now.Sub(b.touched) > admissionIdleTTL
 }

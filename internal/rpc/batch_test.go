@@ -1,6 +1,6 @@
 // Tests for the rpc layer's interaction with the write coalescer
 // (transport.Coalescer): ack piggybacking onto batches, the bounded
-// announcement dedup structures behind the E4 fix, and handler-context
+// announcement dedup window behind the E4 fix, and handler-context
 // cancellation on Close.
 package rpc
 
@@ -132,7 +132,7 @@ func TestAcksImmediateWithoutBatching(t *testing.T) {
 // unbounded map growth it replaces is what made E4Announcement ns/op a
 // function of b.N.
 func TestAnnouncementDedupBounded(t *testing.T) {
-	_, cli, mkServer := setup(t)
+	f, cli, mkServer := setup(t)
 	srv := mkServer(func(_ context.Context, _ *Incoming) (string, []wire.Value, error) {
 		return "", nil, nil
 	})
@@ -147,21 +147,32 @@ func TestAnnouncementDedupBounded(t *testing.T) {
 		return srv.Stats().Announcements == n
 	})
 
-	var ringKeys, callEntries, ackQueue int
-	for i := range srv.shards {
-		sh := &srv.shards[i]
-		sh.mu.Lock()
-		ringKeys += len(sh.ringSet)
-		callEntries += len(sh.cur) + len(sh.prev)
-		ackQueue += len(sh.ackq)
-		sh.mu.Unlock()
+	// One sender numbering in order is one range, whatever the volume;
+	// and announcements claim no call rows.
+	pc := peerState(srv, "client")
+	if pc.announcedRanges > 2 {
+		t.Fatalf("%d in-order announcements left %d ranges, want one per generation", n, pc.announcedRanges)
 	}
-	if max := numShards * announceRingSize; ringKeys > max {
-		t.Fatalf("announcement dedup window grew past its bound: %d > %d", ringKeys, max)
+	if pc.liveRows != 0 || pc.ackedRanges != 0 || pc.freeCalls != 0 {
+		t.Fatalf("announcements leaked call-table state: %+v", pc)
 	}
-	if callEntries != 0 || ackQueue != 0 {
-		t.Fatalf("announcements leaked call-table state: %d entries, %d queued acks",
-			callEntries, ackQueue)
+
+	// Ids that never merge — a sender alternating between two servers —
+	// are capped per generation, the oldest half forgotten.
+	raw, err := f.Endpoint("alternating")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(2); id <= 4*announceWindow; id += 2 {
+		if err := raw.Send("server", rawFrame(msgAnnounce, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pollUntil(t, "alternating announcements delivered", func() bool {
+		return srv.Stats().Announcements == n+2*announceWindow
+	})
+	if got := peerState(srv, "alternating").announcedRanges; got > announceWindow {
+		t.Fatalf("announcement window grew past its bound: %d > %d ranges", got, announceWindow)
 	}
 
 	// The bounded window must still deduplicate a Repeats burst.
@@ -245,8 +256,10 @@ func batchedTCPPeers(t *testing.T, ha, hb Handler) (a, b *Peer, aco, bco *transp
 var batchQoS = QoS{Timeout: 20 * time.Second, Retransmit: 2 * time.Second}
 
 // callConcurrently issues perCaller interrogations of op at dest from
-// each of callers goroutines and fails the test on any error.
-func callConcurrently(t *testing.T, a *Peer, dest, op string, callers, perCaller int) {
+// each of callers goroutines and fails the test on any error — also on a
+// result that is not the caller's own argument, as one read from a
+// buffer recycled under its Send would be.
+func callConcurrently(t *testing.T, cli *Client, dest, op string, qos QoS, callers, perCaller int) {
 	t.Helper()
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
@@ -255,7 +268,7 @@ func callConcurrently(t *testing.T, a *Peer, dest, op string, callers, perCaller
 			defer wg.Done()
 			for i := 0; i < perCaller; i++ {
 				want := int64(g*perCaller + i)
-				_, res, err := a.Client.Call(context.Background(), dest, "obj", op, []wire.Value{want}, batchQoS)
+				_, res, err := cli.Call(context.Background(), dest, "obj", op, []wire.Value{want}, qos)
 				if err != nil || len(res) != 1 || res[0] != want {
 					t.Errorf("caller %d call %d: res=%v err=%v", g, i, res, err)
 					return
@@ -291,7 +304,7 @@ func TestConcurrentCallsShareDatagrams(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b, aco, bco := batchedTCPPeers(t, echoHandler, echoHandler)
-			callConcurrently(t, a, bco.Addr(), "echo", tc.callers, 200)
+			callConcurrently(t, a.Client, bco.Addr(), "echo", batchQoS, tc.callers, 200)
 			tc.check(t, "client", aco.BatchStats())
 			tc.check(t, "server", bco.BatchStats())
 			if st := b.Server.Stats(); st.Requests != uint64(tc.callers*200) || st.Duplicates != 0 {
@@ -322,7 +335,7 @@ func TestNestedCallOverSameConnectionCompletes(t *testing.T) {
 	}
 	a, b, aco, bco := batchedTCPPeers(t, echoHandler, outer)
 	close(wired)
-	callConcurrently(t, a, bco.Addr(), "outer", 8, 50)
+	callConcurrently(t, a.Client, bco.Addr(), "outer", batchQoS, 8, 50)
 	if got := a.Server.Stats().Requests; got != 8*50 {
 		t.Fatalf("%d nested calls executed, want %d", got, 8*50)
 	}

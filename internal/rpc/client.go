@@ -85,9 +85,9 @@ type clientCounters struct {
 	acksPiggybacked atomic.Uint64
 }
 
-// numShards splits the pending-call and server-call tables. Shard count
-// is a power of two so the selector is a mask, sized to exceed typical
-// core counts without bloating the fixed footprint.
+// numShards splits the pending-call table. Shard count is a power of two
+// so the selector is a mask, sized to exceed typical core counts without
+// bloating the fixed footprint.
 const numShards = 16
 
 // pendingShard is one stripe of the pending-call table.

@@ -87,3 +87,82 @@ func FuzzPacketDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIDSet drives an idWindow against two maps. Every three bytes are
+// one step: an operation, and a signed step from the previous id, so
+// runs, gaps, reversals and merges are all a few bytes away. After every
+// step membership agrees for the touched id and its neighbours, and the
+// ranges of both generations are sorted, disjoint and non-adjacent.
+func FuzzIDSet(f *testing.F) {
+	step := func(op byte, delta int16) []byte { return []byte{op, byte(delta >> 8), byte(delta)} }
+	var inOrder, alternating, reverse, merge, top []byte
+	for i := 0; i < 40; i++ {
+		inOrder = append(inOrder, step(0, 1)...)
+		alternating = append(alternating, step(0, 2)...) // a client alternating between two servers: never merges
+		reverse = append(reverse, step(0, -1)...)
+	}
+	merge = append(merge, step(0, 10)...) // 10
+	merge = append(merge, step(0, 2)...)  // 12
+	merge = append(merge, step(2, 0)...)  // has 12
+	merge = append(merge, step(0, -1)...) // 11 joins [10,10] and [12,12]
+	merge = append(merge, step(3, 0)...)  // rotate
+	merge = append(merge, step(0, 1)...)  // 12 again, in the new generation
+	top = append(top, step(1, 0)...)      // jump to MaxUint64
+	top = append(top, step(0, 0)...)
+	top = append(top, step(0, -1)...)
+	top = append(top, step(0, 1)...)
+	top = append(top, step(0, 1)...) // wraps to 0
+	for _, seed := range [][]byte{inOrder, alternating, reverse, merge, top, {}} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w idWindow
+		cur, prev := map[uint64]bool{}, map[uint64]bool{}
+		var id uint64
+		for ; len(data) >= 3; data = data[3:] {
+			id += uint64(int64(int16(uint16(data[1])<<8 | uint16(data[2]))))
+			switch data[0] % 5 {
+			case 0:
+				w.cur.add(id)
+				cur[id] = true
+			case 1:
+				id = ^uint64(0)
+			case 2: // membership only
+			case 3:
+				w.rotate()
+				cur, prev = map[uint64]bool{}, cur
+			case 4:
+				if len(w.cur) > 0 {
+					// What is forgotten is exactly the lower half.
+					keep := w.cur[len(w.cur)/2].lo
+					w.cur.forgetOldestHalf()
+					for k := range cur {
+						if k < keep {
+							delete(cur, k)
+						}
+					}
+				}
+			}
+			for _, probe := range []uint64{id - 1, id, id + 1} {
+				if got, want := w.has(probe), cur[probe] || prev[probe]; got != want {
+					t.Fatalf("has(%d) = %v, want %v; cur %v prev %v", probe, got, want, w.cur, w.prev)
+				}
+			}
+			for _, s := range []idSet{w.cur, w.prev} {
+				for i, r := range s {
+					if r.lo > r.hi || (i > 0 && (s[i-1].hi == ^uint64(0) || s[i-1].hi+1 >= r.lo)) {
+						t.Fatalf("ranges not sorted, disjoint and non-adjacent: %v", s)
+					}
+				}
+			}
+		}
+		n := 0
+		for _, r := range w.cur {
+			n += int(r.hi-r.lo) + 1
+		}
+		if n != len(cur) {
+			t.Fatalf("current generation holds %d ids, want %d", n, len(cur))
+		}
+	})
+}

@@ -254,22 +254,9 @@ func TestAnnouncementRepeatsDeduplicated(t *testing.T) {
 	}
 }
 
-// builtRings counts the shards whose announcement window exists.
-func builtRings(srv *Server) int {
-	built := 0
-	for i := range srv.shards {
-		sh := &srv.shards[i]
-		sh.mu.Lock()
-		if sh.ring != nil {
-			built++
-		}
-		sh.mu.Unlock()
-	}
-	return built
-}
-
-// The announcement window is built by the first announcement its shard
-// sees, and that very announcement is already deduplicated in it.
+// Nothing sized for traffic exists before the traffic: a peer's record
+// is built by the first frame from its address, and that frame, when it
+// is an announcement, is already deduplicated in the record's window.
 func TestAnnouncementWindowBuiltOnFirstUse(t *testing.T) {
 	_, cli, mkServer := setup(t)
 	var n atomic.Int64
@@ -277,8 +264,8 @@ func TestAnnouncementWindowBuiltOnFirstUse(t *testing.T) {
 		n.Add(1)
 		return "", nil, nil
 	})
-	if built := builtRings(srv); built != 0 {
-		t.Fatalf("fresh server holds %d announcement windows", built)
+	if peers := peerCount(srv); peers != 0 {
+		t.Fatalf("fresh server holds %d peer records", peers)
 	}
 	if err := cli.Announce("server", "o", "ping", nil, QoS{Repeats: 2}); err != nil {
 		t.Fatal(err)
@@ -289,8 +276,9 @@ func TestAnnouncementWindowBuiltOnFirstUse(t *testing.T) {
 	if n.Load() != 1 {
 		t.Fatalf("first announcement executed %d times, want 1", n.Load())
 	}
-	if built := builtRings(srv); built != 1 {
-		t.Fatalf("one announcement built %d windows, want its shard's only", built)
+	pc := peerState(srv, "client")
+	if peerCount(srv) != 1 || pc.announcedRanges != 1 || pc.liveMaps {
+		t.Fatalf("one announcement built %d records, %+v; want one record, one range, no call maps", peerCount(srv), pc)
 	}
 }
 
@@ -298,13 +286,13 @@ func TestAnnouncementWindowBuiltOnFirstUse(t *testing.T) {
 func TestInterrogationsBuildNoAnnouncementWindow(t *testing.T) {
 	_, cli, mkServer := setup(t)
 	srv := mkServer(echoHandler)
-	for i := 0; i < 64; i++ { // enough call ids to touch every shard
+	for i := 0; i < 64; i++ {
 		if _, _, err := cli.Call(context.Background(), "server", "o", "echo", []wire.Value{int64(i)}, QoS{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if built := builtRings(srv); built != 0 {
-		t.Fatalf("%d of %d shards built an announcement window", built, numShards)
+	if pc := peerState(srv, "client"); pc.announcedRanges != 0 || pc.announcedCap != 0 {
+		t.Fatalf("interrogations built an announcement window: %+v", pc)
 	}
 }
 

@@ -69,47 +69,106 @@ type serverCounters struct {
 	admissionDrops   atomic.Uint64
 }
 
-// callShard is one stripe of the at-most-once call table. Interrogations
-// live in a two-generation map pair: claims go into cur, lookups consult
-// cur then prev, and the janitor rotates cur→prev every replyTTL, so a
-// done entry survives at least one full TTL and at most about two — with
-// O(1) work per rotation instead of a scan proportional to the table.
-// Announcements, which vastly outnumber interrogations in announcement-
-// heavy load (E4), use a fixed-capacity ring instead: the dedup window
-// the protocol needs only spans a QoS.Repeats burst, so a bounded
-// recent-keys set suffices and the shard's footprint stays constant no
-// matter how many announcements pass through (this is what made
-// E4Announcement ns/op grow with b.N before).
-type callShard struct {
-	mu   sync.Mutex
-	cur  map[callKey]*serverCall // current-generation interrogation slots
-	prev map[callKey]*serverCall // previous generation, read-only until swept
-	ackq []ackedKey              // acked entries awaiting their grace deadline
+// peerCalls is the at-most-once state of one calling address: protocol
+// state lives in the channel between two parties, not in a process-wide
+// table. A frame resolves its record once; every check is under mu.
+//
+// Live calls sit in a two-generation map pair: claims go into cur,
+// lookups consult cur then prev, and the janitor rotates cur→prev every
+// replyTTL, so an unacknowledged reply survives one to two TTLs. An
+// acknowledged call leaves the live map at once: only its id is
+// remembered, as a range in acked, for one to two janitor ticks — long
+// enough to recognise a retransmission that was in flight when the
+// client got the reply. Announcements are remembered the same way, so
+// neither window grows with volume and neither reads a clock.
+type peerCalls struct {
+	mu sync.Mutex
+	// retired marks a record the janitor removed from the peer map: a
+	// delivery that resolved it before then looks again, or the address
+	// would have two records and at-most-once none.
+	retired   bool
+	idleTicks int // consecutive janitor ticks that found nothing held
 
-	// The ring is built by the shard's first announcement: a server that
-	// only answers interrogations never pays its ~54 KB per shard.
-	ring    []callKey       // recent announcement keys, oldest overwritten
-	ringSet map[callKey]int // ring membership → slot index
-	ringPos int
+	cur, prev map[uint64]*serverCall // built by the first interrogation
+	free      []*serverCall          // records, with their reply buffers, for reuse
+
+	acked     idWindow // calls the client said it holds the reply of
+	announced idWindow // announcements executed or shed
+	bucket    tokenBucket
 }
 
-// ackedKey queues one acked interrogation for lazy eviction: the janitor
-// drains the queue instead of scanning every entry for expiry.
-type ackedKey struct {
-	key     callKey
-	expires time.Time
+const (
+	// announceWindow caps the ranges of one announcement generation: ids
+	// that never merge lose their oldest half, as a ring would forget them.
+	announceWindow = 512
+	// maxKeptReply caps the buffer a free record keeps: bulk replies pin none.
+	maxKeptReply = 512
+)
+
+// live returns id's call record, or nil. Called with p.mu held.
+func (p *peerCalls) live(id uint64) *serverCall {
+	if sc, ok := p.cur[id]; ok {
+		return sc
+	}
+	return p.prev[id]
 }
 
-// announceRingSize is the per-shard announcement dedup window. Repeats
-// of one announcement arrive back to back, so a window thousands deep
-// (numShards × announceRingSize keys process-wide) is far wider than
-// any burst the QoS.Repeats lever can produce.
-const announceRingSize = 512
+// claim opens the at-most-once slot for id in the current generation.
+// Called with p.mu held.
+func (p *peerCalls) claim(id uint64) *serverCall {
+	var sc *serverCall
+	if n := len(p.free); n > 0 {
+		sc, p.free = p.free[n-1], p.free[:n-1]
+		sc.state.Store(callRunning)
+	} else {
+		sc = new(serverCall)
+	}
+	if p.cur == nil {
+		p.cur, p.prev = make(map[uint64]*serverCall), make(map[uint64]*serverCall)
+	}
+	p.cur[id] = sc
+	return sc
+}
+
+// recycle frees a record nothing references any more: out of the live
+// maps, its reply's Send returned. Called with p.mu held.
+func (p *peerCalls) recycle(sc *serverCall) {
+	if cap(sc.reply) > maxKeptReply {
+		sc.reply = nil
+	}
+	p.free = append(p.free, sc)
+}
+
+// tick moves the id windows on one generation and, every replyTTL
+// (rotate), the live calls: done ones in prev are a TTL old and go,
+// running ones carry forward. It reports the replies evicted and whether
+// the record held nothing at two ticks running. Called with p.mu held.
+func (p *peerCalls) tick(rotate bool, cfg *AdmissionConfig, now time.Time) (evicted uint64, idle bool) {
+	p.acked.rotate()
+	p.announced.rotate()
+	if rotate {
+		for id, sc := range p.prev {
+			if sc.state.Load() == callRunning {
+				p.cur[id] = sc
+			} else {
+				evicted++
+			}
+		}
+		clear(p.prev)
+		p.cur, p.prev = p.prev, p.cur
+	}
+	if len(p.cur)+len(p.prev) == 0 && p.acked.empty() && p.announced.empty() && p.bucket.idle(cfg, now) {
+		p.idleTicks++
+	} else {
+		p.idleTicks = 0
+	}
+	return evicted, p.idleTicks >= 2
+}
 
 // Server dispatches inbound invocations from one endpoint to a Handler,
 // enforcing at-most-once execution per (client, call id). The call table
-// is sharded by call-key hash so concurrent clients contend only within
-// a stripe.
+// is one record per calling address, so concurrent clients contend only
+// on the read lock that finds theirs.
 type Server struct {
 	ep      transport.Endpoint
 	codec   wire.Codec
@@ -126,9 +185,14 @@ type Server struct {
 	sharing // active: interrogations admitted and not yet replied to
 
 	closed atomic.Bool
-	shards [numShards]callShard
 	wg     sync.WaitGroup
 	stop   chan struct{}
+
+	// peers holds one record per calling address, created by the first
+	// frame from it and removed by the janitor once it holds nothing.
+	// Lock order: peersMu, then a record's mu.
+	peersMu sync.RWMutex
+	peers   map[string]*peerCalls
 
 	// ctx is the server-lifetime context handed to every handler; Close
 	// cancels it so blocking handlers can unwind instead of stranding
@@ -145,10 +209,7 @@ type Server struct {
 
 	// admission, when set, meters inbound invocations per client before
 	// they claim a call-table slot. Nil means every invocation admitted.
-	admission *admission
-	// admissionCfg holds the WithAdmission config until the clock is
-	// resolved (options apply in any order).
-	admissionCfg *AdmissionConfig
+	admission *AdmissionConfig
 
 	stats serverCounters
 	// dispatchLat is the handler-execution latency distribution,
@@ -157,40 +218,23 @@ type Server struct {
 	dispatchLat obs.Histogram
 }
 
-type callKey struct {
-	from string
-	id   uint64
-}
-
-// shard selects the stripe for key by FNV-1a over its fields: ids alone
-// are sequential per client, so the source address must participate to
-// spread multiple clients.
-func (s *Server) shard(key callKey) *callShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key.from); i++ {
-		h ^= uint64(key.from[i])
-		h *= prime64
-	}
-	id := key.id
-	for i := 0; i < 8; i++ {
-		h ^= id & 0xff
-		h *= prime64
-		id >>= 8
-	}
-	return &s.shards[h&(numShards-1)]
-}
-
-// serverCall tracks one at-most-once execution slot.
+// serverCall tracks one at-most-once execution slot. The executing
+// goroutine writes state without the peer's mutex; readers hold it, and
+// the store that leaves callRunning publishes reply.
 type serverCall struct {
-	done    bool
-	acked   bool   // client confirmed receipt; queued on the shard's ackq
-	reply   []byte // full reply packet, cached for retransmission
-	expires time.Time
+	state atomic.Uint32
+	reply []byte // full reply packet, cached for retransmission
 }
+
+// A slot is running until the handler returns, sending while the Send
+// that carries reply is in flight — an ack that arrives then (callAcked)
+// leaves the recycling to the sender — and sent after that.
+const (
+	callRunning = iota
+	callSending
+	callSent
+	callAcked
+)
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
@@ -221,7 +265,7 @@ func WithServerObserver(col *obs.Collector) ServerOption {
 // the server clock (WithClock), so admission windows are deterministic
 // under a clock.Fake.
 func WithAdmission(cfg AdmissionConfig) ServerOption {
-	return func(s *Server) { s.admissionCfg = &cfg }
+	return func(s *Server) { s.admission = &cfg }
 }
 
 // NewServer wraps ep and dispatches to handler. The server takes over the
@@ -238,6 +282,7 @@ func newServerNoHandler(ep transport.Endpoint, codec wire.Codec, handler Handler
 		codec:    codec,
 		handler:  handler,
 		stop:     make(chan struct{}),
+		peers:    make(map[string]*peerCalls),
 		replyTTL: 5 * time.Second,
 		clk:      clock.Real{},
 	}
@@ -245,16 +290,8 @@ func newServerNoHandler(ep transport.Endpoint, codec wire.Codec, handler Handler
 	cd, ok := ep.(transport.ConcurrentDeliverer)
 	s.inline = ok && cd.DeliversConcurrently()
 	s.lazy, _ = ep.(transport.Batcher)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.cur = make(map[callKey]*serverCall)
-		sh.prev = make(map[callKey]*serverCall)
-	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.admissionCfg != nil {
-		s.admission = newAdmission(*s.admissionCfg, s.clk)
 	}
 	s.wg.Add(1)
 	go s.janitor()
@@ -285,6 +322,14 @@ func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
+	// A claim reads closed under its peer's mutex before it joins wg: past
+	// every mutex, no claim that missed the flag is still on its way there.
+	s.peersMu.RLock()
+	for _, p := range s.peers {
+		p.mu.Lock()
+		p.mu.Unlock() // the empty section is the barrier
+	}
+	s.peersMu.RUnlock()
 	s.cancel()
 	close(s.stop)
 	s.wg.Wait()
@@ -321,105 +366,79 @@ func demux(c *Client, s *Server, from string, pkt []byte) {
 	}
 }
 
-// claimRequest reserves the at-most-once slot for an interrogation key
-// in the current generation. It returns the new slot, or nil when the
-// key is a duplicate (dup reports which, and resend carries the cached
-// reply when execution already finished). closed reports a shut server.
-func (s *Server) claimRequest(key callKey) (sc *serverCall, dup bool, resend []byte, closed bool) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	if s.closed.Load() {
-		sh.mu.Unlock()
-		return nil, true, nil, true
-	}
-	old, ok := sh.cur[key]
-	if !ok {
-		old, ok = sh.prev[key]
-	}
-	if ok {
-		if old.done {
-			resend = old.reply
+// lockPeer returns from's record locked, or nil when there is none and
+// create is false. Only an address's first frame takes the write lock.
+func (s *Server) lockPeer(from string, create bool) *peerCalls {
+	for {
+		s.peersMu.RLock()
+		p := s.peers[from]
+		s.peersMu.RUnlock()
+		if p == nil {
+			if !create {
+				return nil
+			}
+			s.peersMu.Lock()
+			if p = s.peers[from]; p == nil {
+				p = new(peerCalls)
+				s.peers[from] = p
+			}
+			s.peersMu.Unlock()
 		}
-		sh.mu.Unlock()
-		return nil, true, resend, false
+		p.mu.Lock()
+		if !p.retired {
+			return p
+		}
+		p.mu.Unlock() // removed between the lookup and the lock: look again
 	}
-	sc = &serverCall{expires: s.clk.Now().Add(s.replyTTL)}
-	sh.cur[key] = sc
-	s.wg.Add(1)
-	sh.mu.Unlock()
-	return sc, false, nil, false
-}
-
-// claimAnnounce reserves the dedup slot for an announcement key in the
-// shard's fixed ring, displacing the oldest remembered key. No per-call
-// state outlives the ring slot, so announcement throughput costs O(1)
-// memory regardless of volume.
-func (s *Server) claimAnnounce(key callKey) (dup, closed bool) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	if s.closed.Load() {
-		sh.mu.Unlock()
-		return false, true
-	}
-	if sh.ring == nil {
-		sh.ring = make([]callKey, announceRingSize)
-		sh.ringSet = make(map[callKey]int, announceRingSize)
-	}
-	if _, seen := sh.ringSet[key]; seen {
-		sh.mu.Unlock()
-		return true, false
-	}
-	if old := sh.ring[sh.ringPos]; old != (callKey{}) {
-		delete(sh.ringSet, old)
-	}
-	sh.ring[sh.ringPos] = key
-	sh.ringSet[key] = sh.ringPos
-	sh.ringPos++
-	if sh.ringPos == len(sh.ring) {
-		sh.ringPos = 0
-	}
-	s.wg.Add(1)
-	sh.mu.Unlock()
-	return false, false
 }
 
 func (s *Server) onRequest(from string, h header, body []byte) {
-	key := callKey{from: from, id: h.callID}
-	sc, dup, resend, closed := s.claimRequest(key)
-	if dup {
-		if closed {
-			return
+	p := s.lockPeer(from, true)
+	if s.closed.Load() {
+		p.mu.Unlock()
+		return
+	}
+	// Duplicate: no new execution starts, so a retransmitted traced
+	// request cannot produce a second dispatch span. One the client
+	// acknowledged is dropped (it has said it holds the reply), one still
+	// running is suppressed, one that finished unacknowledged is answered
+	// from the cache — from a copy, because an ack may recycle the cached
+	// buffer the moment the mutex is released.
+	old := p.live(h.callID)
+	if old != nil || p.acked.has(h.callID) {
+		var resend *[]byte
+		if old != nil && old.state.Load() != callRunning {
+			resend = wire.GetBuffer()
+			*resend = append(*resend, old.reply...)
 		}
-		// Duplicate: resend the cached reply if execution finished,
-		// otherwise suppress (the reply will go out when it does).
-		// Either way no new execution starts, so a retransmitted traced
-		// request — which carries the original span context verbatim —
-		// cannot produce a second dispatch span.
+		p.mu.Unlock()
 		s.stats.duplicates.Add(1)
 		if resend != nil {
 			s.stats.repliesResent.Add(1)
-			_ = s.ep.Send(from, resend)
+			_ = s.ep.Send(from, *resend)
+			wire.PutBuffer(resend)
 		}
 		return
 	}
 
 	// Admission runs after duplicate suppression (a retransmission of an
-	// admitted call must not pay twice) but before execution claims any
-	// lasting state: a rejected request surrenders its freshly-claimed
-	// slot, so a later retransmission re-attempts admission against a
-	// refilled bucket instead of being suppressed into a timeout. The
-	// busy reply is likewise uncached.
-	if s.admission != nil && !s.admission.admit(from) {
-		s.unclaim(key)
+	// admitted call must not pay twice) and before the slot is claimed: a
+	// rejected request leaves no state and its busy reply is uncached, so
+	// a retransmission re-attempts admission against a refilled bucket.
+	if s.admission != nil && !p.bucket.admit(s.admission, s.clk.Now()) {
+		p.mu.Unlock()
 		s.stats.admissionRejects.Add(1)
 		s.noteReject(h)
-		_ = s.ep.Send(from, s.encodeReply(h.callID, statusBusy, "", nil, "", wire.Ref{}))
+		_ = s.ep.Send(from, s.encodeReply(nil, h.callID, statusBusy, "", nil, "", wire.Ref{}))
 		return
 	}
+	sc := p.claim(h.callID)
+	s.wg.Add(1)
+	p.mu.Unlock()
 
 	s.stats.requests.Add(1)
 	s.active.Add(1)
-	s.startExecute(from, h, body, sc)
+	s.startExecute(from, h, body, p, sc)
 }
 
 // noteReject leaves the only trace of a sampled invocation that
@@ -431,44 +450,36 @@ func (s *Server) noteReject(h header) {
 	}
 }
 
-// unclaim releases a request slot claimed but never executed (admission
-// reject). The slot may have rotated into prev if the janitor ticked in
-// between, so both generations are checked.
-func (s *Server) unclaim(key callKey) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	if _, ok := sh.cur[key]; ok {
-		delete(sh.cur, key)
-	} else {
-		delete(sh.prev, key)
-	}
-	sh.mu.Unlock()
-	s.wg.Done()
-}
-
 func (s *Server) onAnnounce(from string, h header, body []byte) {
-	dup, closed := s.claimAnnounce(callKey{from: from, id: h.callID})
-	if closed {
+	p := s.lockPeer(from, true)
+	if s.closed.Load() {
+		p.mu.Unlock()
 		return
 	}
-	if dup {
+	if p.announced.has(h.callID) {
 		// Repeated announcement (QoS.Repeats): execute once only.
+		p.mu.Unlock()
 		s.stats.announceDedup.Add(1)
 		return
 	}
-
-	// Over-budget announcements are dropped, not answered: §5.1 —
-	// announcement failures cannot be reported. The ring entry stays, so
-	// QoS.Repeats copies of the dropped announcement dedup as usual.
-	if s.admission != nil && !s.admission.admit(from) {
+	p.announced.cur.add(h.callID)
+	if len(p.announced.cur) > announceWindow {
+		p.announced.cur.forgetOldestHalf()
+	}
+	// Over-budget announcements are dropped, not answered (§5.1: their
+	// failures cannot be reported). The id stays remembered, so Repeats
+	// copies of a dropped announcement dedup as usual.
+	if s.admission != nil && !p.bucket.admit(s.admission, s.clk.Now()) {
+		p.mu.Unlock()
 		s.stats.admissionDrops.Add(1)
 		s.noteReject(h)
-		s.wg.Done()
 		return
 	}
+	s.wg.Add(1)
+	p.mu.Unlock()
 
 	s.stats.announcements.Add(1)
-	s.startExecute(from, h, body, nil)
+	s.startExecute(from, h, body, nil, nil)
 }
 
 // call is one admitted invocation on its way through a handler:
@@ -478,6 +489,7 @@ type call struct {
 	in    Incoming
 	id    uint64
 	trace obs.SpanContext // the caller's span, when the request was sampled
+	p     *peerCalls      // the caller's record, which holds sc
 	sc    *serverCall     // at-most-once slot; nil for announcements
 	err   error           // argument decode failure, reported in the reply
 }
@@ -490,9 +502,9 @@ var callPool = sync.Pool{New: func() interface{} { return new(call) }}
 // alias the packet outright; spawned, the packet dies when this call
 // returns and they are copied. The arguments own their storage either
 // way.
-func (s *Server) startExecute(from string, h header, body []byte, sc *serverCall) {
+func (s *Server) startExecute(from string, h header, body []byte, p *peerCalls, sc *serverCall) {
 	c := callPool.Get().(*call)
-	c.id, c.trace, c.sc = h.callID, h.trace, sc
+	c.id, c.trace, c.p, c.sc = h.callID, h.trace, p, sc
 	c.in = Incoming{From: from, ObjID: h.objID, Op: h.op, Announcement: sc == nil}
 	c.in.Args, c.err = wire.DecodeAll(s.codec, body)
 	if s.inline {
@@ -508,32 +520,26 @@ func (s *Server) startExecute(from string, h header, body []byte, sc *serverCall
 	}
 }
 
-// ackGrace is how long a completed call entry survives after the client's
-// Ack. Immediate eviction would be unsound: a request retransmission sent
-// just before the client received the reply can still be in flight, and
-// must be recognised as a duplicate when it lands, not re-executed.
-const ackGrace = 250 * time.Millisecond
-
+// onAck retires an answered call: the row leaves the live map at once,
+// its id joins the acknowledged window (a retransmission sent just before
+// the client got the reply may still be in flight, and must not be
+// re-executed when it lands) and the record goes back to the free list —
+// by reply's tail if the Send of its reply has yet to return.
 func (s *Server) onAck(from string, callID uint64) {
-	key := callKey{from: from, id: callID}
-	sh := s.shard(key)
-	sh.mu.Lock()
-	sc, ok := sh.cur[key]
-	if !ok {
-		sc, ok = sh.prev[key]
+	p := s.lockPeer(from, false)
+	if p == nil {
+		return
 	}
-	if ok && sc.done && !sc.acked {
-		sc.acked = true
-		if exp := s.clk.Now().Add(ackGrace); exp.Before(sc.expires) {
-			sc.expires = exp
+	if sc := p.live(callID); sc != nil && sc.state.Load() != callRunning {
+		delete(p.cur, callID)
+		delete(p.prev, callID)
+		p.acked.cur.add(callID)
+		if !sc.state.CompareAndSwap(callSending, callAcked) {
+			p.recycle(sc)
 		}
-		// Queue for lazy eviction: the janitor drains this instead of
-		// scanning the whole table. The entry stays resendable until
-		// the clock actually passes the grace deadline, so a straggling
-		// retransmission still hits the cache.
-		sh.ackq = append(sh.ackq, ackedKey{key: key, expires: sc.expires})
+		s.stats.cacheEvictions.Add(1)
 	}
-	sh.mu.Unlock()
+	p.mu.Unlock()
 }
 
 // run executes the handler for c and, for interrogations, sends and
@@ -592,27 +598,28 @@ func (s *Server) reply(c *call, outcome string, results []wire.Value, err error)
 			status, msg = statusSysError, err.Error()
 		}
 	}
-	pkt := s.encodeReply(c.id, status, outcome, results, msg, fwd)
-
-	sh := s.shard(callKey{from: c.in.From, id: c.id})
-	sh.mu.Lock()
-	c.sc.done = true
-	c.sc.reply = pkt
-	c.sc.expires = s.clk.Now().Add(s.replyTTL)
-	sh.mu.Unlock()
+	// Built in the record's own buffer, unread until the store publishes it.
+	sc := c.sc
+	sc.reply = s.encodeReply(sc.reply[:0], c.id, status, outcome, results, msg, fwd)
+	sc.state.Store(callSending)
 	// The replies of a burst admitted together share a write: all but
 	// the last to finish are queued.
 	if !s.closed.Load() {
-		_ = s.sendShared(s.ep, c.in.From, pkt)
+		_ = s.sendShared(s.ep, c.in.From, sc.reply)
 	}
 	s.active.Add(-1)
+	if !sc.state.CompareAndSwap(callSending, callSent) {
+		// The ack overtook the Send and left the recycling to us.
+		c.p.mu.Lock()
+		c.p.recycle(sc)
+		c.p.mu.Unlock()
+	}
 }
 
-// encodeReply builds a reply packet. The packet may be retained in the
-// at-most-once cache for retransmission, so it is built in its own
-// allocation, header and body in one buffer.
-func (s *Server) encodeReply(id uint64, status byte, outcome string, results []wire.Value, msg string, fwd wire.Ref) []byte {
-	hdr := encodeHeader(nil, header{kind: msgReply, callID: id})
+// encodeReply appends a reply packet to dst, header and body in one
+// buffer: the call record's, where it stays cached for retransmission.
+func (s *Server) encodeReply(dst []byte, id uint64, status byte, outcome string, results []wire.Value, msg string, fwd wire.Ref) []byte {
+	hdr := encodeHeader(dst, header{kind: msgReply, callID: id})
 	pkt, err := appendReplyBody(s.codec, hdr, status, outcome, results, msg, fwd)
 	if err != nil {
 		pkt, _ = appendReplyBody(s.codec, hdr, statusSysError, "", nil,
@@ -621,18 +628,12 @@ func (s *Server) encodeReply(id uint64, status byte, outcome string, results []w
 	return pkt
 }
 
-// janitor evicts reply-cache entries (lost Acks must not leak memory).
-// Acked entries drain from the per-shard ack queue once their grace
-// passes; everything else ages out by generation rotation every
-// replyTTL, which retires a whole map at once instead of scanning every
-// entry — janitor cost no longer grows with call volume.
+// janitor visits every peer once a tick (lost Acks must not leak memory;
+// the cost is per peer, not per call) and removes the idle ones, under
+// the write lock no delivery resolves beneath.
 func (s *Server) janitor() {
 	defer s.wg.Done()
-	tick := time.Second
-	if s.replyTTL < tick {
-		tick = s.replyTTL
-	}
-	ticker := s.clk.NewTicker(tick)
+	ticker := s.clk.NewTicker(min(time.Second, s.replyTTL))
 	defer ticker.Stop()
 	lastRotate := s.clk.Now()
 	for {
@@ -644,49 +645,18 @@ func (s *Server) janitor() {
 			if rotate {
 				lastRotate = now
 			}
-			var evicted uint64
-			for i := range s.shards {
-				sh := &s.shards[i]
-				sh.mu.Lock()
-				// Drain acked entries whose grace deadline passed.
-				kept := sh.ackq[:0]
-				for _, a := range sh.ackq {
-					if !now.After(a.expires) {
-						kept = append(kept, a)
-						continue
-					}
-					if sc, ok := sh.cur[a.key]; ok && sc.acked {
-						delete(sh.cur, a.key)
-						evicted++
-					} else if sc, ok := sh.prev[a.key]; ok && sc.acked {
-						delete(sh.prev, a.key)
-						evicted++
-					}
+			s.peersMu.Lock()
+			for from, p := range s.peers {
+				p.mu.Lock()
+				evicted, idle := p.tick(rotate, s.admission, now)
+				if idle {
+					p.retired = true
+					delete(s.peers, from)
 				}
-				sh.ackq = kept
-				if rotate {
-					// Generation sweep: everything in prev is at least
-					// one TTL old. Done entries go; still-running
-					// interrogations carry forward, preserving
-					// at-most-once for arbitrarily slow handlers.
-					evicted += uint64(len(sh.prev))
-					for k, sc := range sh.prev {
-						if !sc.done {
-							sh.cur[k] = sc
-							evicted--
-						}
-					}
-					sh.prev = sh.cur
-					sh.cur = make(map[callKey]*serverCall)
-				}
-				sh.mu.Unlock()
-			}
-			if evicted > 0 {
+				p.mu.Unlock()
 				s.stats.cacheEvictions.Add(evicted)
 			}
-			if rotate && s.admission != nil {
-				s.admission.prune(now)
-			}
+			s.peersMu.Unlock()
 		}
 	}
 }

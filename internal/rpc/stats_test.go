@@ -7,6 +7,7 @@ import (
 
 	"odp/internal/clock"
 	"odp/internal/netsim"
+	"odp/internal/transport"
 	"odp/internal/wire"
 )
 
@@ -68,11 +69,22 @@ func TestBadAndOrphanReplyCounters(t *testing.T) {
 	}
 }
 
+// ackDropper loses every ack its owner sends.
+type ackDropper struct{ transport.Endpoint }
+
+func (d ackDropper) Send(to string, pkt []byte) error {
+	if len(pkt) >= 2 && pkt[1]&kindMask == msgAck {
+		return nil
+	}
+	return d.Endpoint.Send(to, pkt)
+}
+
 // TestRetransmissionStormAccounting drives a retransmission storm with a
 // fake clock and demands exact bookkeeping: every redundant request packet
 // must land in Duplicates, every redundant reply in RepliesResent, and the
 // client must count the replies it no longer wants as orphans. Nothing is
-// executed twice and nothing disappears.
+// executed twice and nothing disappears — and once the call is
+// acknowledged, nothing is answered either.
 func TestRetransmissionStormAccounting(t *testing.T) {
 	f := netsim.NewFabric()
 	t.Cleanup(func() { _ = f.Close() })
@@ -92,7 +104,8 @@ func TestRetransmissionStormAccounting(t *testing.T) {
 		<-release
 		return "done", nil, nil
 	}
-	cli := NewClient(cep, codec, WithClientClock(cliClk))
+	// The client's own ack is lost on the way: phase 2 sends it by hand.
+	cli := NewClient(ackDropper{cep}, codec, WithClientClock(cliClk))
 	t.Cleanup(func() { _ = cli.Close() })
 	srv := NewServer(sep, codec, gated, WithClock(srvClk))
 	t.Cleanup(func() { _ = srv.Close() })
@@ -137,10 +150,12 @@ func TestRetransmissionStormAccounting(t *testing.T) {
 		t.Fatalf("after storm: Requests=%d RepliesResent=%d, want 1 and 0", got.Requests, got.RepliesResent)
 	}
 
-	// Phase 2: replay the identical request after completion. Each copy
-	// must be answered from the reply cache (RepliesResent), counted as a
-	// duplicate, and discarded by the client as an orphan — the server
-	// clock is frozen, so the cache cannot have expired.
+	// Phase 2, before the ack: replay the identical request after
+	// completion. The client's ack was dropped on the fabric, so the
+	// server still owes it the reply: each copy must be answered from the
+	// reply cache (RepliesResent), counted as a duplicate, and discarded
+	// by the client as an orphan — the server clock is frozen, so the
+	// cache cannot have expired.
 	replay := encodeHeader(nil, header{
 		kind:   msgRequest,
 		callID: 1, // first id issued by the client above
@@ -152,32 +167,50 @@ func TestRetransmissionStormAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	const replays = 5
-	for i := 0; i < replays; i++ {
-		if err := cep.Send("server", replay); err != nil {
-			t.Fatal(err)
+	sendReplays := func() {
+		t.Helper()
+		for i := 0; i < replays; i++ {
+			if err := cep.Send("server", replay); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-
+	sendReplays()
 	pollUntil(t, "replayed requests answered from cache", func() bool {
 		return srv.Stats().RepliesResent == replays
 	})
 	pollUntil(t, "resent replies counted as orphans", func() bool {
 		return cli.Stats().OrphanReplies == replays
 	})
+	if got := srv.Stats(); got.Requests != 1 || got.Duplicates != retrans+replays {
+		t.Fatalf("before the ack: Requests=%d Duplicates=%d, want 1 and %d", got.Requests, got.Duplicates, retrans+replays)
+	}
+
+	// Phase 2, after the ack: the client has said it holds the reply, so
+	// a duplicate is dropped, not re-answered. Every copy is counted in
+	// Duplicates; nothing more is resent and nothing is executed.
+	ack := encodeHeader(nil, header{kind: msgAck, callID: 1})
+	if err := cep.Send("server", ack); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "ack evicts the cached reply", func() bool {
+		return srv.Stats().CacheEvictions == 1
+	})
+	sendReplays()
+	pollUntil(t, "replays after the ack counted", func() bool {
+		return srv.Stats().Duplicates == retrans+2*replays
+	})
 
 	// Full ledger: one execution; every redundant request is a duplicate;
-	// only post-completion duplicates were answered from the cache.
+	// only the duplicates between completion and ack were answered.
 	ss := srv.Stats()
 	if ss.Requests != 1 {
 		t.Fatalf("Requests = %d, want 1 (re-execution!)", ss.Requests)
 	}
-	if want := retrans + replays; ss.Duplicates != want {
-		t.Fatalf("Duplicates = %d, want %d (storm %d + replays %d)", ss.Duplicates, want, retrans, replays)
-	}
 	if ss.RepliesResent != replays {
-		t.Fatalf("RepliesResent = %d, want %d", ss.RepliesResent, replays)
+		t.Fatalf("RepliesResent = %d, want %d (a replay after the ack was re-answered)", ss.RepliesResent, replays)
 	}
-	if got := cli.Stats().BadReplies; got != 0 {
-		t.Fatalf("BadReplies = %d, want 0", got)
+	if got := cli.Stats(); got.OrphanReplies != replays || got.BadReplies != 0 {
+		t.Fatalf("client: OrphanReplies = %d, BadReplies = %d, want %d and 0", got.OrphanReplies, got.BadReplies, replays)
 	}
 }

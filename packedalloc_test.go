@@ -19,10 +19,13 @@ import (
 )
 
 // packedE1AllocBudget is the ceiling for allocations per packed E1
-// call. The path costs 7 (PRs 13 and 16 took it down from 13); the
-// two-alloc headroom absorbs runtime jitter, and a leak of two
-// allocations per call fails the gate.
-const packedE1AllocBudget = 9
+// call. The path costs 3 — the result vector the servant returns, the
+// client's decoded reply and its boxing; PRs 13 and 16 took it from 13
+// to 7, and PR 22 took the server's call row, its cached reply packet
+// and the ack queue's growth out (the row and its buffer are reused per
+// peer). The headroom absorbs runtime jitter: a row or a reply packet
+// allocated per call again fails the gate.
+const packedE1AllocBudget = 5
 
 // minAllocsPerRun is the least of three AllocsPerRun rounds, the figure
 // every E1 gate compares. A real per-call allocation raises every round.
@@ -122,9 +125,10 @@ func TestPackedE1AllocGate(t *testing.T) {
 // bulkEchoAllocBudget is the ceiling for echoing tcp_bulk's ~12 KiB
 // structured value between two coalesced platforms: about 300 boxed
 // scalars and headers each way, decoded into a dozen slabs a side. The
-// call costs 31; it cost 764 when every one of them was its own object,
-// twice over on the server.
-const bulkEchoAllocBudget = 60
+// call costs 30 (31 before the server's call rows were reused); it cost
+// 764 when every one of them was its own object, twice over on the
+// server.
+const bulkEchoAllocBudget = 32
 
 func TestBulkEchoAllocGate(t *testing.T) {
 	if raceEnabled {
