@@ -113,7 +113,7 @@ type Fabric struct {
 	executing atomic.Int64
 
 	// pending tracks virtual-time deliveries not yet fired, so Close can
-	// cancel them instead of waiting for an Advance that will never come.
+	// cancel them instead of waiting for an Advance that never comes: nil after.
 	pendMu  sync.Mutex
 	pending map[uint64]pendEntry
 	pendSeq uint64
@@ -317,7 +317,7 @@ func (f *Fabric) Close() error {
 	f.mu.Unlock()
 	f.pendMu.Lock()
 	pend := f.pending
-	f.pending = make(map[uint64]pendEntry)
+	f.pending = nil // closed: scheduleVirtual arms nothing from here on
 	f.pendMu.Unlock()
 	for _, p := range pend {
 		if p.timer.Stop() {
@@ -531,9 +531,16 @@ func (f *Fabric) release(cpp *[]byte, cp []byte) {
 }
 
 // scheduleVirtual parks a delivery on the virtual clock, registering it
-// so Close can cancel deliveries whose instant will never arrive.
+// so Close can cancel deliveries whose instant will never arrive. A send
+// that passed route before Close and gets here after Close took the
+// table is cancelled on the spot: Close is already waiting for it.
 func (f *Fabric) scheduleVirtual(delay time.Duration, deliver, cancel func()) {
 	f.pendMu.Lock()
+	if f.pending == nil {
+		f.pendMu.Unlock()
+		cancel()
+		return
+	}
 	id := f.pendSeq
 	f.pendSeq++
 	tm := f.clk.AfterFunc(delay, func() {

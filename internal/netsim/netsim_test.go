@@ -1,11 +1,14 @@
 package netsim
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"odp/internal/clock"
 	"odp/internal/transport"
 )
 
@@ -268,6 +271,92 @@ func TestFabricCloseWhileFlusherWrites(t *testing.T) {
 		_ = co.Close()
 		if err := a.Send("b", []byte("late")); err != transport.ErrClosed {
 			t.Fatalf("send on a closed fabric: %v", err)
+		}
+	}
+}
+
+// closing starts f.Close; closeWithin fails the test if it does not
+// return in time.
+func closing(f *Fabric) <-chan struct{} {
+	closed := make(chan struct{})
+	go func() {
+		_ = f.Close()
+		close(closed)
+	}()
+	return closed
+}
+
+func closeWithin(t *testing.T, closed <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Fabric.Close hung on a delivery scheduled behind its back")
+	}
+}
+
+// TestFabricCloseCancelsLateVirtualSend: a send that passed route's open
+// check, and so joined the fabric's wait group, reaches scheduleVirtual
+// after Close took the pending table. Its instant is one nobody will
+// advance to, so it must be cancelled there and then, or Close waits for
+// ever. The fabric traces "send" between route and scheduleVirtual, which
+// is where the test parks the sender while Close takes its snapshot.
+func TestFabricCloseCancelsLateVirtualSend(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	f := NewFabric(WithClock(clock.NewFake(time.Unix(0, 0))),
+		WithDefaultLink(LinkProfile{Latency: time.Millisecond}),
+		WithTrace(func(_ time.Time, event string) {
+			if strings.HasPrefix(event, "send ") {
+				close(parked)
+				<-release
+			}
+		}))
+	a, _ := f.Endpoint("a")
+	_, _ = f.Endpoint("b")
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send("b", []byte("late")) }()
+	<-parked
+	closed := closing(f)
+	for taken := false; !taken; time.Sleep(50 * time.Microsecond) {
+		f.pendMu.Lock()
+		taken = f.pending == nil
+		f.pendMu.Unlock()
+	}
+	close(release)
+	if err := <-sent; err != nil {
+		t.Fatalf("a send admitted before Close: %v", err)
+	}
+	closeWithin(t, closed)
+	if n := f.InFlight(); n != 0 {
+		t.Fatalf("%d packets still held after Close", n)
+	}
+}
+
+// TestFabricCloseRacingVirtualSends is the same window found by chance:
+// senders on a virtual clock race Close, which must return and leave no
+// pooled packet behind whichever side of its snapshot each send lands.
+func TestFabricCloseRacingVirtualSends(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		f := NewFabric(WithClock(clock.NewFake(time.Unix(0, 0))),
+			WithDefaultLink(LinkProfile{Latency: time.Millisecond}))
+		a, _ := f.Endpoint("a")
+		_, _ = f.Endpoint("b")
+		var wg sync.WaitGroup
+		for s := 0; s < 4; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 64 && a.Send("b", []byte("frame")) == nil; i++ {
+				}
+			}()
+		}
+		for f.Stats().Sent == 0 {
+			runtime.Gosched()
+		}
+		closeWithin(t, closing(f))
+		wg.Wait()
+		if n := f.InFlight(); n != 0 {
+			t.Fatalf("round %d: %d packets still held after Close", round, n)
 		}
 	}
 }

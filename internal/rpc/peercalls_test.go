@@ -248,6 +248,97 @@ func TestRecycledReplyNeverReachableFromSend(t *testing.T) {
 	}
 }
 
+// bulkArg is a record whose echo makes a reply of about 12 KiB — a pooled
+// buffer, where int64(salt) makes one of 30 bytes in the record's own —
+// and that no other salt's equals.
+func bulkArg(salt int64) wire.Value {
+	blob := make([]byte, 12<<10)
+	for i := range blob {
+		blob[i] = byte(salt + int64(i)*7)
+	}
+	return wire.Record{"salt": salt, "blob": blob}
+}
+
+// TestPooledReplyBufferHasOneOwner: small replies live in their record's
+// buffer and bulk ones in a buffer that goes back to the pool at recycle,
+// where any other call, of any size, may pick it up. Under loss,
+// duplication that holds a Send for 3 ms and a 5 ms reply TTL, acks
+// overtake sends and duplicates are answered from the cache while both
+// kinds of buffer change hands — and every result is still its own call's.
+func TestPooledReplyBufferHasOneOwner(t *testing.T) {
+	cli, srv := hostilePair(t, echoHandler, WithReplyTTL(5*time.Millisecond))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				salt := int64(g*1000 + i)
+				var want wire.Value = salt
+				if (g+i)%2 == 0 {
+					want = bulkArg(salt)
+				}
+				_, res, err := cli.Call(context.Background(), "server", "obj", "echo", []wire.Value{want}, hostileQoS)
+				if err != nil || len(res) != 1 || !wire.Equal(res[0], want) {
+					t.Errorf("caller %d call %d: another call's reply, or none: err=%v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := srv.Stats(); st.RepliesResent == 0 || st.CacheEvictions == 0 {
+		t.Fatalf("the stress exercised nothing: %+v", st)
+	}
+}
+
+// TestBulkReplyBuffersReturnToPool: a free record keeps no buffer above
+// maxKeptReply however many bulk calls it carried, and the buffer it gave
+// up is in the pool, where the next bulk reply finds its capacity.
+func TestBulkReplyBuffersReturnToPool(t *testing.T) {
+	srv, _ := fakeClockServer(t, echoHandler)
+	const from = "bulk"
+	arg := []wire.Value{bulkArg(1)}
+	for id := uint64(1); id <= 10000; id++ {
+		demux(nil, srv, from, buildPacket(msgRequest, 0, id, "o", "echo", arg))
+		if id == 1 {
+			p := srv.lockPeer(from, false)
+			held := cap(*p.live(id).reply)
+			p.mu.Unlock()
+			if held < 12<<10 {
+				t.Fatalf("an unacknowledged bulk reply is cached in %d bytes", held)
+			}
+		}
+		inject(srv, from, msgAck, id)
+	}
+	p := srv.lockPeer(from, false)
+	for _, sc := range p.free {
+		if sc.reply != nil && cap(*sc.reply) > maxKeptReply {
+			t.Errorf("a free record holds a %d-byte buffer, over maxKeptReply", cap(*sc.reply))
+		}
+	}
+	free := len(p.free)
+	p.mu.Unlock()
+	if st := srv.Stats(); st.Requests != 10000 || st.CacheEvictions != 10000 || free == 0 || free > 2 {
+		t.Fatalf("%+v, %d free records; want 10000 calls, all acknowledged, on one or two records", st, free)
+	}
+	if raceEnabled {
+		return // sync.Pool drops puts at random under -race
+	}
+	var taken []*[]byte
+	found := false
+	for try := 0; try < 8 && !found; try++ {
+		b := wire.GetBuffer()
+		taken, found = append(taken, b), cap(*b) >= 12<<10
+	}
+	for _, b := range taken {
+		wire.PutBuffer(b)
+	}
+	if !found {
+		t.Fatal("no pooled buffer has a bulk reply's capacity: the last one did not go back")
+	}
+}
+
 // TestAtMostOnceUnderLossDuplicationReordering: a request is executed at
 // most once per (from, id) whatever the fabric does to its packets.
 func TestAtMostOnceUnderLossDuplicationReordering(t *testing.T) {

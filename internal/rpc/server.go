@@ -101,7 +101,8 @@ const (
 	// announceWindow caps the ranges of one announcement generation: ids
 	// that never merge lose their oldest half, as a ring would forget them.
 	announceWindow = 512
-	// maxKeptReply caps the buffer a free record keeps: bulk replies pin none.
+	// maxKeptReply caps the buffer a free record keeps: a bulk reply's goes
+	// back to the pool.
 	maxKeptReply = 512
 )
 
@@ -131,9 +132,12 @@ func (p *peerCalls) claim(id uint64) *serverCall {
 }
 
 // recycle frees a record nothing references any more: out of the live
-// maps, its reply's Send returned. Called with p.mu held.
+// maps, its reply's Send returned. A small reply buffer stays with the
+// record; a large one goes back to the pool, for the next large reply to
+// any peer. Called with p.mu held.
 func (p *peerCalls) recycle(sc *serverCall) {
-	if cap(sc.reply) > maxKeptReply {
+	if sc.reply != nil && cap(*sc.reply) > maxKeptReply {
+		wire.PutBuffer(sc.reply)
 		sc.reply = nil
 	}
 	p.free = append(p.free, sc)
@@ -223,7 +227,7 @@ type Server struct {
 // the store that leaves callRunning publishes reply.
 type serverCall struct {
 	state atomic.Uint32
-	reply []byte // full reply packet, cached for retransmission
+	reply *[]byte // full reply packet in a wire.GetBuffer cell, cached for retransmission
 }
 
 // A slot is running until the handler returns, sending while the Send
@@ -409,7 +413,7 @@ func (s *Server) onRequest(from string, h header, body []byte) {
 		var resend *[]byte
 		if old != nil && old.state.Load() != callRunning {
 			resend = wire.GetBuffer()
-			*resend = append(*resend, old.reply...)
+			*resend = append(*resend, *old.reply...)
 		}
 		p.mu.Unlock()
 		s.stats.duplicates.Add(1)
@@ -600,12 +604,15 @@ func (s *Server) reply(c *call, outcome string, results []wire.Value, err error)
 	}
 	// Built in the record's own buffer, unread until the store publishes it.
 	sc := c.sc
-	sc.reply = s.encodeReply(sc.reply[:0], c.id, status, outcome, results, msg, fwd)
+	if sc.reply == nil {
+		sc.reply = wire.GetBuffer()
+	}
+	*sc.reply = s.encodeReply((*sc.reply)[:0], c.id, status, outcome, results, msg, fwd)
 	sc.state.Store(callSending)
 	// The replies of a burst admitted together share a write: all but
 	// the last to finish are queued.
 	if !s.closed.Load() {
-		_ = s.sendShared(s.ep, c.in.From, sc.reply)
+		_ = s.sendShared(s.ep, c.in.From, *sc.reply)
 	}
 	s.active.Add(-1)
 	if !sc.state.CompareAndSwap(callSending, callSent) {

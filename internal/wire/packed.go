@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // PackedCodec is the platform's native network data representation,
@@ -51,47 +53,55 @@ func (c PackedCodec) encode(dst []byte, v Value, depth int) ([]byte, error) {
 		}
 		return append(dst, byte(KindBool), b), nil
 	case int64:
-		return binary.AppendUvarint(append(dst, byte(KindInt)), zigzag(t)), nil
+		return appendUvarint(append(dst, byte(KindInt)), zigzag(t)), nil
 	case uint64:
-		return binary.AppendUvarint(append(dst, byte(KindUint)), t), nil
+		return appendUvarint(append(dst, byte(KindUint)), t), nil
 	case float64:
 		return binary.BigEndian.AppendUint64(append(dst, byte(KindFloat)), math.Float64bits(t)), nil
 	case string:
 		return c.AppendString(dst, t), nil
 	case []byte:
-		dst = binary.AppendUvarint(append(dst, byte(KindBytes)), uint64(len(t)))
-		return append(dst, t...), nil
+		return append(appendUvarint(append(dst, byte(KindBytes)), uint64(len(t))), t...), nil
 	case List:
 		return c.appendList(dst, t, depth)
 	case Record:
-		dst = binary.AppendUvarint(append(dst, byte(KindRecord)), uint64(len(t)))
-		var keyBuf [16]string
-		var err error
-		for _, k := range sortedKeysInto(keyBuf[:0], t) {
-			dst = binary.AppendUvarint(dst, uint64(len(k)))
-			dst = append(dst, k...)
-			if dst, err = c.encode(dst, t[k], depth+1); err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
+		return c.appendRecord(dst, t, depth)
 	case Ref:
-		dst = append(dst, byte(KindRef))
-		dst = appendPackedString(dst, t.ID)
-		dst = appendPackedString(dst, t.TypeName)
-		dst = binary.AppendUvarint(dst, uint64(t.Epoch))
-		dst = binary.AppendUvarint(dst, uint64(len(t.Endpoints)))
-		for _, ep := range t.Endpoints {
-			dst = appendPackedString(dst, ep)
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(t.Context)))
-		for _, cx := range t.Context {
-			dst = appendPackedString(dst, cx)
-		}
-		return dst, nil
+		return appendRef(dst, t.ID, t.TypeName, t.Epoch, t.Endpoints, t.Context), nil
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrBadValue, v)
 	}
+}
+
+// appendRecord and appendRef are functions of their own for encode's
+// frame: the key buffer and the ref's appends would be live at every level
+// of the recursion, and a dispatch goroutine starts on a 2 KiB stack.
+func (c PackedCodec) appendRecord(dst []byte, r Record, depth int) ([]byte, error) {
+	dst = appendUvarint(append(dst, byte(KindRecord)), uint64(len(r)))
+	var keyBuf [16]string
+	var err error
+	for _, k := range sortedKeysInto(keyBuf[:0], r) {
+		dst = appendPackedString(dst, k)
+		if dst, err = c.encode(dst, r[k], depth+1); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+func appendRef(dst []byte, id, typeName string, epoch uint32, endpoints, context []string) []byte {
+	dst = appendPackedString(append(dst, byte(KindRef)), id)
+	dst = appendPackedString(dst, typeName)
+	dst = appendUvarint(dst, uint64(epoch))
+	dst = appendUvarint(dst, uint64(len(endpoints)))
+	for _, ep := range endpoints {
+		dst = appendPackedString(dst, ep)
+	}
+	dst = appendUvarint(dst, uint64(len(context)))
+	for _, cx := range context {
+		dst = appendPackedString(dst, cx)
+	}
+	return dst
 }
 
 // AppendString appends what Encode appends for the string s, and
@@ -108,10 +118,26 @@ func (c PackedCodec) AppendList(dst []byte, vs []Value) ([]byte, error) {
 	return c.appendList(dst, vs, 0)
 }
 
+// appendList writes a run of int64, uint64 or string elements in its own
+// loop, without a recursive call an element: the bytes encode would append
+// for each, under the nesting bound it would apply (and reports).
 func (c PackedCodec) appendList(dst []byte, vs []Value, depth int) ([]byte, error) {
-	dst = binary.AppendUvarint(append(dst, byte(KindList)), uint64(len(vs)))
+	dst = appendUvarint(append(dst, byte(KindList)), uint64(len(vs)))
 	var err error
 	for _, e := range vs {
+		if depth < maxNest {
+			switch t := e.(type) {
+			case int64:
+				dst = appendUvarint(append(dst, byte(KindInt)), zigzag(t))
+				continue
+			case uint64:
+				dst = appendUvarint(append(dst, byte(KindUint)), t)
+				continue
+			case string:
+				dst = c.AppendString(dst, t)
+				continue
+			}
+		}
 		if dst, err = c.encode(dst, e, depth+1); err != nil {
 			return nil, err
 		}
@@ -210,13 +236,15 @@ func (d *decoder) room(per int) int {
 	return min(d.siblings, 1+len(d.rest)/per)
 }
 
-func (d *decoder) uvarint() (uint64, error) {
-	u, rest, err := readUvarint(d.rest)
-	if err != nil {
-		return 0, err
+// uvarint reads one varint. The one-byte form — every small integer and
+// nearly every length — is taken here, without a call.
+func (d *decoder) uvarint() (u uint64, err error) {
+	if len(d.rest) > 0 && d.rest[0] < 0x80 {
+		u, d.rest = uint64(d.rest[0]), d.rest[1:]
+		return u, nil
 	}
-	d.rest = rest
-	return u, nil
+	u, d.rest, err = readUvarint(d.rest) // rest is nil beside an error, and every error ends the decode
+	return u, err
 }
 
 // count reads an element count and rejects, before anything is sized by
@@ -280,6 +308,32 @@ func (d *decoder) strings(what string) ([]string, error) {
 	return out, nil
 }
 
+// scalar reads the payload of an int64, uint64 or string — the kinds that
+// come in runs — for value and for its list loop.
+func (d *decoder) scalar(kind Kind) (Value, error) {
+	if kind == KindString {
+		s, err := d.string()
+		if err != nil || s == "" {
+			return s, err
+		}
+		return boxString(put(&d.strs, d.room(2), s)), nil
+	}
+	u, err := d.uvarint()
+	switch {
+	case err != nil:
+		return nil, err
+	case kind == KindUint && u < 256:
+		return u, nil
+	case kind == KindUint:
+		return boxUint64(put(&d.words, d.room(3), u)), nil
+	}
+	i := unzigzag(u)
+	if uint64(i) < 256 {
+		return i, nil
+	}
+	return boxInt64(put(&d.words, d.room(3), uint64(i))), nil
+}
+
 // value reads one value.
 func (d *decoder) value(depth int) (Value, error) {
 	if depth > maxNest {
@@ -303,25 +357,8 @@ func (d *decoder) value(depth int) (Value, error) {
 			return nil, fmt.Errorf("%w: bool byte %#x", ErrCorrupt, b)
 		}
 		return b == 1, nil
-	case KindInt:
-		u, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		i := unzigzag(u)
-		if uint64(i) < 256 {
-			return i, nil
-		}
-		return boxInt64(put(&d.words, d.room(3), uint64(i))), nil
-	case KindUint:
-		u, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if u < 256 {
-			return u, nil
-		}
-		return boxUint64(put(&d.words, d.room(3), u)), nil
+	case KindInt, KindUint, KindString:
+		return d.scalar(kind)
 	case KindFloat:
 		if len(d.rest) < 8 {
 			return nil, ErrTruncated
@@ -332,15 +369,6 @@ func (d *decoder) value(depth int) (Value, error) {
 			return math.Float64frombits(u), nil
 		}
 		return boxFloat64(put(&d.words, d.room(3), u)), nil
-	case KindString:
-		s, err := d.string()
-		if err != nil {
-			return nil, err
-		}
-		if s == "" {
-			return s, nil
-		}
-		return boxString(put(&d.strs, d.room(2), s)), nil
 	case KindBytes:
 		b, err := d.bytes()
 		if err != nil {
@@ -359,7 +387,21 @@ func (d *decoder) value(depth int) (Value, error) {
 		d.owed += n
 		for i := range *p {
 			d.siblings, d.owed = n-i, d.owed-1
-			if (*p)[i], err = d.value(depth + 1); err != nil {
+			// A run of int64, uint64 or string elements is read here as
+			// value would read each, without a recursive call an element;
+			// past the nesting bound or the input, value says which.
+			kind := KindNil
+			if depth < maxNest && len(d.rest) > 0 {
+				kind = Kind(d.rest[0])
+			}
+			switch kind {
+			case KindInt, KindUint, KindString:
+				d.rest = d.rest[1:]
+				(*p)[i], err = d.scalar(kind)
+			default:
+				(*p)[i], err = d.value(depth + 1)
+			}
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -426,39 +468,82 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// maxVarintLen is the longest legal LEB128 encoding of a uint64.
-const maxVarintLen = 10
+const (
+	// maxVarintLen is the longest legal LEB128 encoding of a uint64.
+	maxVarintLen = 10
+	// msbs is the continuation bit of each of a varint's first eight bytes.
+	msbs = 0x8080808080808080
+)
 
 // readUvarint decodes one strict LEB128 varint. Truncated input yields
 // ErrTruncated; encodings longer than ten bytes, overflowing 64 bits,
 // or non-minimal (a multi-byte encoding whose final byte is zero — the
 // "overlong" form) yield ErrCorrupt.
+//
+// It reads a word, not a byte, at a time. The first eight bytes are one
+// little-endian load; the encoding ends at the first byte whose
+// continuation bit is clear, the lowest set bit of ^w&msbs; the seven-bit
+// groups below it close up in three mask-and-shift steps; bytes nine and
+// ten, bits 56–63, are read singly. Input shorter than ten bytes is read
+// from a zero-padded copy, where padding looks like a terminator: an
+// encoding that ends beyond len(src) is truncated, tested before all else.
 func readUvarint(src []byte) (uint64, []byte, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < len(src); i++ {
-		b := src[i]
-		if i == maxVarintLen-1 {
-			if b >= 0x80 {
-				return 0, nil, fmt.Errorf("%w: varint exceeds %d bytes", ErrCorrupt, maxVarintLen)
-			}
-			if b > 1 {
-				return 0, nil, fmt.Errorf("%w: varint overflows 64 bits", ErrCorrupt)
-			}
-		}
-		if b < 0x80 {
-			if i > 0 && b == 0 {
-				return 0, nil, fmt.Errorf("%w: overlong varint", ErrCorrupt)
-			}
-			return x | uint64(b)<<s, src[i+1:], nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
+	b := src
+	if len(b) < maxVarintLen {
+		var pad [maxVarintLen]byte
+		copy(pad[:], src)
+		b = pad[:]
 	}
-	return 0, nil, ErrTruncated
+	w := binary.LittleEndian.Uint64(b)
+	n, last, high := 0, byte(0), uint64(0)
+	if stop := ^w & msbs; stop != 0 {
+		n = bits.TrailingZeros64(stop)/8 + 1
+		w &= stop ^ (stop - 1)
+		last = byte(w >> (8 * (n - 1) & 63))
+	} else if last = b[8]; last < 0x80 {
+		n, high = 9, uint64(last)<<56
+	} else {
+		n, last = maxVarintLen, b[9]
+		high = uint64(b[8]&0x7f)<<56 | uint64(last)<<63
+	}
+	switch {
+	case n > len(src):
+		return 0, nil, ErrTruncated
+	case last >= 0x80:
+		return 0, nil, fmt.Errorf("%w: varint exceeds %d bytes", ErrCorrupt, maxVarintLen)
+	case n == maxVarintLen && last > 1:
+		return 0, nil, fmt.Errorf("%w: varint overflows 64 bits", ErrCorrupt)
+	case n > 1 && last == 0:
+		return 0, nil, fmt.Errorf("%w: overlong varint", ErrCorrupt)
+	}
+	w &^= msbs
+	w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+	w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+	w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
+	return w | high, src[n:], nil
+}
+
+// appendUvarint appends the varint of u: the mirror of readUvarint. Room
+// for the longest encoding is reserved once and eight bytes are stored at
+// once, the seven-bit groups spread apart by the same three steps in
+// reverse.
+func appendUvarint(dst []byte, u uint64) []byte {
+	if u < 0x80 {
+		return append(dst, byte(u))
+	}
+	i := len(dst)
+	dst = slices.Grow(dst, maxVarintLen)[:i+maxVarintLen]
+	n := (bits.Len64(u) + 6) / 7
+	w := u & (1<<56 - 1)
+	w = w&0x000000000fffffff | w&0x00fffffff0000000<<4
+	w = w&0x00003fff00003fff | w&0x0fffc0000fffc000<<2
+	w = w&0x007f007f007f007f | w&0x3f803f803f803f80<<1
+	cont := msbs & (uint64(1)<<(8*(n-1)) - 1) // every byte before the last; a shift by 64 or more is 0
+	binary.LittleEndian.PutUint64(dst[i:], w|cont)
+	dst[i+8], dst[i+9] = byte(u>>56)&0x7f|byte(u>>63)<<7, byte(u>>63)
+	return dst[:i+n]
 }
 
 func appendPackedString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+	return append(appendUvarint(dst, uint64(len(s))), s...)
 }

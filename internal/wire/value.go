@@ -17,9 +17,12 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 )
 
 // Kind enumerates the value kinds of the computational data model.
@@ -143,77 +146,32 @@ func KindOf(v Value) (Kind, bool) {
 
 // Equal reports deep equality of two values. Byte slices compare by
 // content; records compare by key set and per-key equality; refs compare by
-// every field including endpoint order.
+// every field including endpoint order. Values of different dynamic types,
+// and values outside the data model, are unequal to everything.
 func Equal(a, b Value) bool {
-	ka, oka := KindOf(a)
-	kb, okb := KindOf(b)
-	if !oka || !okb || ka != kb {
-		return false
-	}
-	switch ka {
-	case KindNil:
-		return true
-	case KindFloat:
-		af, bf := a.(float64), b.(float64)
-		if af != af && bf != bf {
-			return true // both NaN: equal for value (round-trip) purposes
-		}
-		return af == bf
-	case KindBytes:
-		ab, bb := a.([]byte), b.([]byte)
-		if len(ab) != len(bb) {
-			return false
-		}
-		for i := range ab {
-			if ab[i] != bb[i] {
-				return false
-			}
-		}
-		return true
-	case KindList:
-		al, bl := a.(List), b.(List)
-		if len(al) != len(bl) {
-			return false
-		}
-		for i := range al {
-			if !Equal(al[i], bl[i]) {
-				return false
-			}
-		}
-		return true
-	case KindRecord:
-		ar, br := a.(Record), b.(Record)
-		if len(ar) != len(br) {
-			return false
-		}
-		for k, av := range ar {
-			bv, ok := br[k]
-			if !ok || !Equal(av, bv) {
-				return false
-			}
-		}
-		return true
-	case KindRef:
-		ar, br := a.(Ref), b.(Ref)
-		if ar.ID != br.ID || ar.TypeName != br.TypeName || ar.Epoch != br.Epoch {
-			return false
-		}
-		if len(ar.Endpoints) != len(br.Endpoints) || len(ar.Context) != len(br.Context) {
-			return false
-		}
-		for i := range ar.Endpoints {
-			if ar.Endpoints[i] != br.Endpoints[i] {
-				return false
-			}
-		}
-		for i := range ar.Context {
-			if ar.Context[i] != br.Context[i] {
-				return false
-			}
-		}
-		return true
-	default:
+	switch at := a.(type) {
+	case nil:
+		return b == nil
+	case bool, int64, uint64, string:
 		return a == b
+	case float64:
+		bt, ok := b.(float64)
+		return ok && (at == bt || at != at && bt != bt) // NaN equals NaN, for round trips
+	case []byte:
+		bt, ok := b.([]byte)
+		return ok && bytes.Equal(at, bt)
+	case List:
+		bt, ok := b.(List)
+		return ok && slices.EqualFunc(at, bt, Equal)
+	case Record:
+		bt, ok := b.(Record)
+		return ok && maps.EqualFunc(at, bt, Equal)
+	case Ref:
+		bt, ok := b.(Ref)
+		return ok && at.ID == bt.ID && at.TypeName == bt.TypeName && at.Epoch == bt.Epoch &&
+			slices.Equal(at.Endpoints, bt.Endpoints) && slices.Equal(at.Context, bt.Context)
+	default:
+		return false
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -238,11 +239,41 @@ func TestEqualSemantics(t *testing.T) {
 		{"record-key", Record{"a": int64(1)}, Record{"b": int64(1)}, false},
 		{"ref-epoch", sampleRef, func() Value { r := sampleRef; r.Epoch = 9; return r }(), false},
 		{"ref-same", sampleRef, sampleRef, true},
+		{"ref-endpoint-order", Ref{Endpoints: []string{"a", "b"}}, Ref{Endpoints: []string{"b", "a"}}, false},
+		{"ref-context", Ref{Context: []string{"a"}}, Ref{Context: []string{"a", "b"}}, false},
+		{"ref-nil-empty-lists", Ref{ID: "x"}, Ref{ID: "x", Endpoints: []string{}, Context: []string{}}, true},
+		{"nan-nan", math.NaN(), math.NaN(), true},
+		{"nan-zero", math.NaN(), 0.0, false},
+		{"zero-negative-zero", 0.0, math.Copysign(0, -1), true},
+		{"float-int", 1.0, int64(1), false},
+		{"bool", true, true, true},
+		{"bool-differs", true, false, false},
+		{"string", "a", "a", true},
+		{"string-bytes", "a", []byte("a"), false},
+		{"nil-empty-string", nil, "", false},
+		{"nil-empty-list", nil, List{}, false},
+		{"nil-empty-bytes", nil, []byte{}, false},
+		{"nil-bytes-empty-bytes", []byte(nil), []byte{}, true},
+		{"nil-list-empty-list", List(nil), List{}, true},
+		{"bytes-content", bytes.Repeat([]byte{7}, 8192), append(bytes.Repeat([]byte{7}, 8191), 8), false},
+		{"list-len", List{int64(1)}, List{int64(1), nil}, false},
+		{"list-record", List{}, Record{}, false},
+		{"record-same-keys", Record{"a": int64(1), "b": nil}, Record{"b": nil, "a": int64(1)}, true},
+		{"record-value", Record{"a": int64(1)}, Record{"a": int64(2)}, false},
+		{"record-nil-value-missing-key", Record{"a": nil, "b": nil}, Record{"a": nil, "c": nil}, false},
+		{"record-subset", Record{"a": nil}, Record{"a": nil, "b": nil}, false},
+		{"foreign-itself", 42, 42, false},
+		{"foreign-model", int32(1), int64(1), false},
+		{"foreign-nil", struct{}{}, nil, false},
+		{"foreign-uncomparable", map[string]int{}, "a", false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if got := Equal(tt.a, tt.b); got != tt.want {
 				t.Fatalf("Equal(%v, %v) = %v, want %v", tt.a, tt.b, got, tt.want)
+			}
+			if got := Equal(tt.b, tt.a); got != tt.want {
+				t.Fatalf("Equal(%v, %v) = %v, want %v", tt.b, tt.a, got, tt.want)
 			}
 		})
 	}

@@ -125,10 +125,11 @@ func TestPackedE1AllocGate(t *testing.T) {
 // bulkEchoAllocBudget is the ceiling for echoing tcp_bulk's ~12 KiB
 // structured value between two coalesced platforms: about 300 boxed
 // scalars and headers each way, decoded into a dozen slabs a side. The
-// call costs 30 (31 before the server's call rows were reused); it cost
-// 764 when every one of them was its own object, twice over on the
-// server.
-const bulkEchoAllocBudget = 32
+// call costs 26 (30 while a reply above 512 bytes was encoded into a nil
+// buffer that append grew four times and recycle then dropped — it now
+// comes from, and returns to, the buffer pool); it cost 764 when every
+// scalar was its own object, twice over on the server.
+const bulkEchoAllocBudget = 28
 
 func TestBulkEchoAllocGate(t *testing.T) {
 	if raceEnabled {
