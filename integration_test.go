@@ -174,11 +174,12 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 		t.Fatalf("migrated to %v", newRef.Endpoints)
 	}
 
-	// 6. The client's OLD reference still works; note the migration
-	// preserves neither the guard nor metrics automatically — the away
-	// node re-exports through its own migrate host, so re-secure there.
-	// (The woven extras at the destination are the destination's choice —
-	// transparency mechanisms are per-node engineering, §4.5.)
+	// 6. The client's OLD reference still works. The away node never
+	// published "vault", so its weaver gives the arriving incarnation what
+	// its host knows: the migration gate and the type check, no guard and
+	// no metrics — which is why this unsigned call is admitted. A node
+	// that wants the guard there publishes the id itself (§4.5: woven
+	// mechanisms are per-node engineering).
 	out, err := client.Bind(offer.Ref).Call(ctx, "get", "k3")
 	if err != nil || !out.Is("ok") {
 		t.Fatalf("post-migration get via stale ref: %+v %v", out, err)

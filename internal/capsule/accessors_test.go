@@ -4,10 +4,7 @@ import (
 	"context"
 	"sort"
 	"testing"
-	"time"
 
-	"odp/internal/netsim"
-	"odp/internal/rpc"
 	"odp/internal/wire"
 )
 
@@ -64,25 +61,6 @@ func TestServerStatsCount(t *testing.T) {
 	}
 }
 
-func TestWithLocalOptimisationOff(t *testing.T) {
-	f := newFabric(t)
-	c := newCapsule(t, f, "n1", WithLocalOptimisation(false))
-	ref, err := c.Export(&counter{n: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With the optimisation off, the co-located invocation still works —
-	// through the full protocol stack.
-	_, res, err := c.Invoke(context.Background(), ref, "get", nil,
-		WithQoS(rpc.QoS{Timeout: 2 * time.Second}))
-	if err != nil || res[0].(int64) != 5 {
-		t.Fatalf("unoptimised local invoke: %v %v", res, err)
-	}
-	if st := c.ServerStats(); st.Requests != 1 {
-		t.Fatalf("invocation bypassed the stack: %+v", st)
-	}
-}
-
 func TestForceRemoteTakesTheStack(t *testing.T) {
 	f := newFabric(t)
 	c := newCapsule(t, f, "n1")
@@ -103,30 +81,5 @@ func TestForceRemoteTakesTheStack(t *testing.T) {
 	}
 	if st := c.ServerStats(); st.Requests != 1 {
 		t.Fatalf("ForceRemote bypassed the stack: %+v", st)
-	}
-}
-
-func TestTypeCheckingDisabled(t *testing.T) {
-	f := netsim.NewFabric()
-	t.Cleanup(func() { _ = f.Close() })
-	ep, err := f.Endpoint("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New("x", ep, codec, WithTypeChecking(false))
-	t.Cleanup(func() { _ = c.Close() })
-	ref, err := c.Export(&counter{}, WithType(counterType()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With checking off, a wrong-typed argument reaches the servant
-	// (which then fails on its own terms — here, a type assertion panic
-	// is NOT acceptable; counter asserts, so use an op without args).
-	if _, _, err := c.Invoke(context.Background(), ref, "get", nil); err != nil {
-		t.Fatal(err)
-	}
-	// An undeclared op passes the (disabled) check and reaches Dispatch.
-	if _, _, err := c.Invoke(context.Background(), ref, "no-such-op", nil); err == nil {
-		t.Fatal("servant accepted unknown op")
 	}
 }

@@ -104,11 +104,6 @@ type Capsule struct {
 
 	nextID atomic.Uint64
 
-	// checkTypes enables early signature checking on dispatch.
-	checkTypes bool
-	// localOptimisation short-circuits invocations of co-located
-	// interfaces (§4.5 "direct local access ... for co-located data").
-	localOptimisation bool
 	// clk, when non-nil, drives the peer's timeouts, retransmission and
 	// reply-cache lifecycle (virtual time under the sim harness).
 	clk clock.Clock
@@ -129,19 +124,6 @@ type Capsule struct {
 
 // Option configures a capsule.
 type Option func(*Capsule)
-
-// WithTypeChecking toggles dispatch-time signature checking (default on).
-func WithTypeChecking(on bool) Option {
-	return func(c *Capsule) { c.checkTypes = on }
-}
-
-// WithLocalOptimisation toggles the direct-local-access engineering
-// optimisation (default on). Disabling it forces every invocation through
-// the full protocol stack, which is how E1 measures the cost of naive
-// indirection.
-func WithLocalOptimisation(on bool) Option {
-	return func(c *Capsule) { c.localOptimisation = on }
-}
 
 // WithClock drives the capsule's protocol peer — call timeouts,
 // retransmission, reply caching — from clk instead of real time.
@@ -166,13 +148,11 @@ func WithAdmission(cfg rpc.AdmissionConfig) Option {
 // New creates a capsule on ep. name scopes generated object identifiers.
 func New(name string, ep transport.Endpoint, codec wire.Codec, opts ...Option) *Capsule {
 	c := &Capsule{
-		name:              name,
-		ep:                ep,
-		codec:             codec,
-		objects:           make(map[string]*registration),
-		forwards:          make(map[string]wire.Ref),
-		checkTypes:        true,
-		localOptimisation: true,
+		name:     name,
+		ep:       ep,
+		codec:    codec,
+		objects:  make(map[string]*registration),
+		forwards: make(map[string]wire.Ref),
 	}
 	for _, o := range opts {
 		o(c)
@@ -278,7 +258,7 @@ func (c *Capsule) Export(s Servant, opts ...ExportOption) (wire.Ref, error) {
 	// interceptor: transparency mechanisms (guards stripping credentials,
 	// transaction wrappers carrying control operations) legitimately see
 	// a different argument shape than the application signature.
-	if c.checkTypes && cfg.hasType {
+	if cfg.hasType {
 		chain = typeChecked(cfg.id, cfg.typ, chain)
 	}
 	for i := len(cfg.interceptors) - 1; i >= 0; i-- {
@@ -535,7 +515,7 @@ func WithBusyRetry(retries int, backoff time.Duration) InvokeOption {
 }
 
 // Invoke performs an interrogation on ref. Co-located interfaces are
-// dispatched directly (unless disabled); remote ones go through the
+// dispatched directly (unless ForceRemote); remote ones go through the
 // invocation protocol, trying each endpoint in preference order and
 // following up to three forwarding hops.
 func (c *Capsule) Invoke(ctx context.Context, ref wire.Ref, op string, args []wire.Value, opts ...InvokeOption) (string, []wire.Value, error) {
@@ -550,13 +530,13 @@ func (c *Capsule) Invoke(ctx context.Context, ref wire.Ref, op string, args []wi
 // InvokeWith is Invoke with a pre-resolved configuration: the repeated-
 // invocation hot path.
 func (c *Capsule) InvokeWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg InvokeConfig) (string, []wire.Value, error) {
-	if c.localOptimisation && !cfg.ForceRemote {
+	if !cfg.ForceRemote {
 		if outcome, results, err, handled := c.tryLocal(ctx, ref.ID, op, args); handled {
 			return outcome, results, err
 		}
 	}
 	if len(ref.Endpoints) == 0 {
-		if c.Hosts(ref.ID) { // local even though optimisation is off
+		if c.Hosts(ref.ID) { // local, and forced off the direct path
 			return c.dispatchLocal(ctx, ref.ID, op, wire.CloneArgs(args))
 		}
 		return "", nil, ErrNoEndpoint
@@ -566,7 +546,7 @@ func (c *Capsule) InvokeWith(ctx context.Context, ref wire.Ref, op string, args 
 		var outcome string
 		var results []wire.Value
 		var err error
-		if ep == c.ep.Addr() && !cfg.ForceRemote && c.localOptimisation {
+		if ep == c.ep.Addr() && !cfg.ForceRemote {
 			// Not plainly hosted (tryLocal declined) but addressed to this
 			// capsule: run the full local dispatcher so forwarding and
 			// activation apply, still under by-copy discipline.
@@ -644,7 +624,7 @@ func (c *Capsule) AnnounceCtxWith(ctx context.Context, ref wire.Ref, op string, 
 }
 
 func (c *Capsule) announceWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg InvokeConfig) error {
-	if c.localOptimisation && !cfg.ForceRemote && c.Hosts(ref.ID) {
+	if !cfg.ForceRemote && c.Hosts(ref.ID) {
 		// Spawn a new activity, as announcement semantics require. The
 		// copy is taken before the goroutine starts: the caller owns its
 		// argument slice again the moment Announce returns. CloneArgs

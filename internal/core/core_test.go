@@ -345,52 +345,6 @@ func TestWeaverLeased(t *testing.T) {
 	}
 }
 
-func TestWeaverSelectiveStacking(t *testing.T) {
-	// E15's functional core: all combinations publish and serve.
-	e := newCoreEnv(t)
-	server := e.platform("server")
-	client := e.platform("client", WithRelocator(server.RelocRef))
-	server.Keys.Share("alice", []byte("k"))
-	alice := security.NewSigner("alice", []byte("k"))
-	allow := security.Policy{Rules: []security.Rule{{Principal: "alice", Op: "*", Allow: true}}}
-
-	envs := map[string]Env{
-		"none":            {},
-		"managed":         {Managed: &ManagedSpec{}},
-		"secured":         {Secured: &SecureSpec{Policy: allow}},
-		"movable":         {Movable: true},
-		"managed+secured": {Managed: &ManagedSpec{}, Secured: &SecureSpec{Policy: allow}},
-		"full": {
-			Managed:     &ManagedSpec{},
-			Secured:     &SecureSpec{Policy: allow},
-			Recoverable: &RecoverSpec{ReadOnly: ledgerReadOnly},
-			Leased:      &LeaseSpec{},
-		},
-	}
-	ctx := context.Background()
-	for name, env := range envs {
-		name, env := name, env
-		t.Run(name, func(t *testing.T) {
-			ref, err := server.Publish("obj-"+name, Object{
-				Servant: &ledger{balance: 1},
-				Type:    ledgerType(),
-				Env:     env,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			proxy := client.Bind(ref)
-			if env.Secured != nil {
-				proxy = proxy.WithSigner(alice)
-			}
-			out, err := proxy.Call(ctx, "balance")
-			if err != nil || !out.Is("ok") {
-				t.Fatalf("%s: %+v %v", name, out, err)
-			}
-		})
-	}
-}
-
 func TestPublishReplicated(t *testing.T) {
 	e := newCoreEnv(t)
 	ps := []*Platform{e.platform("r0"), e.platform("r1"), e.platform("r2")}

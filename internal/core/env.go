@@ -100,12 +100,94 @@ func (p *Platform) Publish(id string, obj Object) (wire.Ref, error) {
 		// versioning; stacking a second log would replay doubly.
 		return wire.Ref{}, fmt.Errorf("%w: Atomic already subsumes Recoverable durability (use AtomicSpec.Durable)", ErrEnvConflict)
 	}
+	movable := env.Movable || env.Recoverable != nil
+	mov, snapshots := obj.Servant.(migrate.Servant)
+	if movable && (env.Atomic != nil || !snapshots) {
+		// A move or a passivation snapshots the servant on the path, and
+		// a transactional resource does not snapshot.
+		return wire.Ref{}, fmt.Errorf("%w: movable/recoverable objects must snapshot", ErrNeedsSnapshot)
+	}
+	if obj.Type.Name != "" {
+		if err := p.Types.Register(obj.Type); err != nil {
+			return wire.Ref{}, err
+		}
+	}
+	pub := &published{env: env, typ: obj.Type}
+	if env.Managed != nil {
+		pub.prefix = env.Managed.MetricPrefix
+		if pub.prefix == "" {
+			pub.prefix = id
+		}
+	}
+	if env.Secured != nil {
+		pub.guard = security.NewGuard(p.Keys, env.Secured.Policy, env.Secured.MaxSkew)
+	}
+	if !movable {
+		return p.weave(id, obj.Servant, nil, pub)
+	}
+	// The migration host owns every incarnation of a movable object; it
+	// hands each one back through reweave, which finds this record.
+	p.pubMu.Lock()
+	prev := p.published[id]
+	p.published[id] = pub
+	p.pubMu.Unlock()
+	ref, err := p.Mover.Manage(migrate.Incarnation{
+		ID: id, Type: obj.Type, Servant: mov, Logged: env.Recoverable != nil,
+	})
+	if err != nil {
+		p.pubMu.Lock()
+		if prev != nil {
+			p.published[id] = prev
+		} else {
+			delete(p.published, id)
+		}
+		p.pubMu.Unlock()
+	}
+	return ref, err
+}
 
-	// Innermost first: behaviour, then concurrency control.
-	servant := obj.Servant
+// published is what Publish built for a movable object: its constraints
+// and the mechanism instances that outlive any one servant incarnation —
+// the guard, whose replay window must carry over, and the metric prefix.
+type published struct {
+	env    Env
+	typ    types.Type
+	prefix string
+	guard  *security.Guard
+}
+
+// reweave is the weaver the migration host calls for every incarnation it
+// creates. An id this node published keeps what Publish built for it; any
+// other (migrated in, recovered, or a passive record read by a fresh
+// process) gets what the host knows of it: movable, recoverable when it
+// is logged, typed when it carries a type.
+func (p *Platform) reweave(inc migrate.Incarnation) (wire.Ref, error) {
+	p.pubMu.Lock()
+	pub, ok := p.published[inc.ID]
+	p.pubMu.Unlock()
+	if !ok {
+		pub = &published{env: Env{Movable: true}, typ: inc.Type}
+		if inc.Logged {
+			pub.env.Recoverable = &RecoverSpec{ReadOnly: inc.ReadOnly}
+		}
+	}
+	return p.weave(inc.ID, inc.Servant, inc.Gate, pub)
+}
+
+// weave is the only code that orders mechanisms on an access path: every
+// incarnation of every object this node exports passes through it.
+// Outermost first: instrumentation sees everything, the guard rejects
+// before any mechanism runs, lease tracking counts only admitted traffic,
+// the migration gate (nil for an object that cannot move) holds calls
+// back during a move, the recovery log records what completed; the
+// capsule's type check sits at the servant boundary, and the
+// transactional resource wraps the behaviour itself. The layers bound to
+// the servant — resource, lease entry, gate, log, type check — are built
+// anew for each incarnation; the guard and the metric prefix are pub's.
+func (p *Platform) weave(id string, servant capsule.Servant, gate capsule.Interceptor, pub *published) (wire.Ref, error) {
+	env := pub.env
 	if env.Atomic != nil {
-		var resOpts []txn.ResourceOption
-		resOpts = append(resOpts, txn.WithSeparation(env.Atomic.Separation))
+		resOpts := []txn.ResourceOption{txn.WithSeparation(env.Atomic.Separation)}
 		if env.Atomic.Order != nil {
 			resOpts = append(resOpts, txn.WithOrderPredicate(env.Atomic.Order))
 		}
@@ -118,52 +200,25 @@ func (p *Platform) Publish(id string, obj Object) (wire.Ref, error) {
 		}
 		servant = res
 	}
-
-	// Interceptors, outermost first: instrumentation sees everything,
-	// the guard rejects before any mechanism runs, lease tracking counts
-	// only admitted traffic.
 	var chain []capsule.Interceptor
 	if env.Managed != nil {
-		prefix := env.Managed.MetricPrefix
-		if prefix == "" {
-			prefix = id
-		}
-		chain = append(chain, mgmt.Instrument(p.Registry, prefix))
+		chain = append(chain, mgmt.Instrument(p.Registry, pub.prefix))
 	}
 	if env.Secured != nil {
-		guard := security.NewGuard(p.Keys, env.Secured.Policy, env.Secured.MaxSkew)
-		chain = append(chain, guard.AsInterceptor())
+		chain = append(chain, pub.guard.AsInterceptor())
 	}
 	if env.Leased != nil {
 		chain = append(chain, p.Collector.Track(id, env.Leased.OnCollect))
 	}
-
-	if obj.Type.Name != "" {
-		if err := p.Types.Register(obj.Type); err != nil {
-			return wire.Ref{}, err
-		}
+	if gate != nil {
+		chain = append(chain, gate)
 	}
-
-	// Movable/recoverable objects export through the migration host so
-	// the quiescing gate (and recovery log) sit on the access path.
-	if env.Recoverable != nil || env.Movable {
-		mov, ok := servant.(migrate.Servant)
-		if !ok {
-			return wire.Ref{}, fmt.Errorf("%w: movable/recoverable objects must snapshot", ErrNeedsSnapshot)
-		}
-		mopts := []migrate.ExportOption{migrate.WithExtraInterceptors(chain...)}
-		if obj.Type.Name != "" {
-			mopts = append(mopts, migrate.WithType(obj.Type))
-		}
-		if env.Recoverable != nil {
-			mopts = append(mopts, migrate.WithRecoveryLog(env.Recoverable.ReadOnly))
-		}
-		return p.Mover.Export(id, mov, mopts...)
+	if env.Recoverable != nil {
+		chain = append(chain, p.Mover.RecoveryLog(id, env.Recoverable.ReadOnly))
 	}
-
 	copts := []capsule.ExportOption{capsule.WithID(id)}
-	if obj.Type.Name != "" {
-		copts = append(copts, capsule.WithType(obj.Type))
+	if pub.typ.Name != "" {
+		copts = append(copts, capsule.WithType(pub.typ))
 	}
 	if len(chain) > 0 {
 		copts = append(copts, capsule.WithInterceptors(chain...))

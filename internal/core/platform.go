@@ -98,6 +98,11 @@ type Platform struct {
 	// construction (replica-group members, application subsystems).
 	srcMu        sync.Mutex
 	statsSources []func(wire.Record)
+	// published holds what Publish built for each movable object, so every
+	// later incarnation of it gets the same path (reweave). A record stays
+	// when its object leaves: the object may come back.
+	pubMu     sync.Mutex
+	published map[string]*published
 }
 
 // platformConfig collects construction options.
@@ -214,11 +219,6 @@ func WithAdmission(cfg rpc.AdmissionConfig) Option {
 	}
 }
 
-// WithCapsuleOptions forwards options to the underlying capsule.
-func WithCapsuleOptions(opts ...capsule.Option) Option {
-	return func(cfg *platformConfig) { cfg.capsuleOpts = append(cfg.capsuleOpts, opts...) }
-}
-
 // WithBatching wraps the node's endpoint in a write coalescer
 // (transport.Coalescer): frames that concurrent invocations address to
 // the same destination pack into single BATCH datagrams, amortising
@@ -298,13 +298,14 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 		cfg.batchOpts = append([]transport.CoalescerOption{transport.WithCoalescerClock(cfg.clk)}, cfg.batchOpts...)
 	}
 	p := &Platform{
-		Store:    cfg.store,
-		Locks:    txn.NewLockManager(cfg.lockWait, lockOpts...),
-		Registry: mgmt.NewRegistry(0),
-		Keys:     security.NewKeyring(),
-		Types:    types.NewManager(),
-		clk:      cfg.clk,
-		domain:   cfg.domain,
+		Store:     cfg.store,
+		Locks:     txn.NewLockManager(cfg.lockWait, lockOpts...),
+		Registry:  mgmt.NewRegistry(0),
+		Keys:      security.NewKeyring(),
+		Types:     types.NewManager(),
+		clk:       cfg.clk,
+		domain:    cfg.domain,
+		published: make(map[string]*published),
 	}
 	if injected {
 		p.Registry.SetClock(cfg.clk)
@@ -347,7 +348,7 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 	} else {
 		registrar = &remoteRegistrar{p: p}
 	}
-	if p.Mover, err = migrate.NewHost(p.Capsule, cfg.store, registrar); err != nil {
+	if p.Mover, err = migrate.NewHost(p.Capsule, cfg.store, registrar, p.reweave); err != nil {
 		return nil, fmt.Errorf("core: migration host: %w", err)
 	}
 	if cfg.traderContext != "" {

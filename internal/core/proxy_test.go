@@ -88,8 +88,7 @@ func TestPlatformOptionsExercised(t *testing.T) {
 	p, err := NewPlatform("opt", e.endpoint("opt"),
 		WithCodec(wire.TextCodec{}),
 		WithTrader("opt-ctx"),
-		WithLockWait(time.Second),
-		WithCapsuleOptions())
+		WithLockWait(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,8 @@ func TestRemoteRegistrarPath(t *testing.T) {
 // TestLeasedObjectArchivedNotDestroyed composes the collector with
 // passivation, §7.3's archival pattern: when an unreferenced object is
 // collected, its OnCollect hook archives it to stable storage instead of
-// destroying it, and a later invocation "moves it back on demand".
+// destroying it, and a later invocation "moves it back on demand". The
+// object comes back tracked, so the cycle repeats.
 func TestLeasedObjectArchivedNotDestroyed(t *testing.T) {
 	e := newCoreEnv(t)
 	server := e.platform("server", WithGCGrace(20*time.Millisecond))
@@ -164,10 +164,8 @@ func TestLeasedObjectArchivedNotDestroyed(t *testing.T) {
 		Env: Env{
 			Movable: true,
 			Leased: &LeaseSpec{OnCollect: func(id string) {
-				// The collector has already unexported; re-export briefly
-				// so Passivate can snapshot, then archive.
-				// (Host.Passivate needs the managed entry, which survives
-				// the capsule unexport.)
+				// The collector has already unexported the object; the
+				// host still manages it, so Passivate can snapshot it.
 				if err := server.Mover.Passivate(id); err == nil {
 					archived <- id
 				}
@@ -177,30 +175,32 @@ func TestLeasedObjectArchivedNotDestroyed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed some state, then let the lease lapse.
+	// Seed some state.
 	if _, err := client.Bind(ref).Call(context.Background(), "credit", int64(3)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(40 * time.Millisecond)
-	victims := server.Collector.Sweep()
-	if len(victims) != 1 {
-		t.Fatalf("swept %v", victims)
-	}
-	select {
-	case <-archived:
-	case <-time.After(2 * time.Second):
-		t.Fatal("collected object was not archived")
-	}
-	if !server.Mover.IsPassive("archive-me") {
-		t.Fatal("object not in passive store")
-	}
-	// Demand brings it back, state intact.
-	out, err := client.Bind(ref).WithQoS(rpc.QoS{Timeout: 2 * time.Second}).
-		Call(context.Background(), "balance")
-	if err != nil || !out.Is("ok") {
-		t.Fatalf("reactivation: %+v %v", out, err)
-	}
-	if n, _ := out.Int(0); n != 80 {
-		t.Fatalf("archived state lost: %d", n)
+	for cycle := 1; cycle <= 2; cycle++ {
+		// Let the object fall idle with no lease.
+		time.Sleep(40 * time.Millisecond)
+		if victims := server.Collector.Sweep(); len(victims) != 1 {
+			t.Fatalf("cycle %d: swept %v", cycle, victims)
+		}
+		select {
+		case <-archived:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("cycle %d: collected object was not archived", cycle)
+		}
+		if !server.Mover.IsPassive("archive-me") {
+			t.Fatalf("cycle %d: object not in passive store", cycle)
+		}
+		// Demand brings it back, state intact.
+		out, err := client.Bind(ref).WithQoS(rpc.QoS{Timeout: 2 * time.Second}).
+			Call(context.Background(), "balance")
+		if err != nil || !out.Is("ok") {
+			t.Fatalf("cycle %d: reactivation: %+v %v", cycle, out, err)
+		}
+		if n, _ := out.Int(0); n != 80 {
+			t.Fatalf("cycle %d: archived state lost: %d", cycle, n)
+		}
 	}
 }

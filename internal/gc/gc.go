@@ -116,13 +116,18 @@ func (g *Collector) Renewals() uint64 {
 // the object is collected (it should release the object's resources; the
 // collector already unexports). Returns an interceptor that must be
 // installed on the object's dispatch path so invocations count as
-// activity.
+// activity. Tracking an id already tracked keeps its entry — its leases,
+// its last activity and its onCollect — so a new incarnation of a live
+// object is not mistaken for a new object; only an unknown or collected
+// id starts afresh.
 func (g *Collector) Track(id string, onCollect func(id string)) capsule.Interceptor {
 	g.mu.Lock()
-	g.objects[id] = &tracked{
-		leases:     make(map[string]time.Time),
-		lastActive: g.now(),
-		onCollect:  onCollect,
+	if _, ok := g.objects[id]; !ok {
+		g.objects[id] = &tracked{
+			leases:     make(map[string]time.Time),
+			lastActive: g.now(),
+			onCollect:  onCollect,
+		}
 	}
 	g.mu.Unlock()
 	return func(next capsule.Servant) capsule.Servant {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/rpc"
 	"odp/internal/wire"
@@ -106,6 +107,32 @@ func TestLeaseKeepsObjectAlive(t *testing.T) {
 	}
 	if _, _, err := e.client.Invoke(context.Background(), ref, "ping", nil); err != nil {
 		t.Fatalf("leased object unreachable: %v", err)
+	}
+}
+
+// TestTrackAgainKeepsLeases: a new incarnation of a tracked object is
+// tracked again, and that must not wipe the leases its clients hold.
+// Only a collected id starts afresh.
+func TestTrackAgainKeepsLeases(t *testing.T) {
+	e := newGCEnv(t, time.Second)
+	clk := clock.NewFake(time.Unix(1000, 0))
+	e.collector.now = clk.Now
+	e.collector.Track("obj", nil)
+	if err := e.collector.Renew("obj", "client-1", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	e.collector.Track("obj", nil)
+	clk.Advance(2 * time.Second) // past the activity grace, inside the lease
+	if victims := e.collector.Sweep(); len(victims) != 0 {
+		t.Fatalf("second Track dropped the lease: swept %v", victims)
+	}
+	clk.Advance(time.Minute)
+	if victims := e.collector.Sweep(); len(victims) != 1 {
+		t.Fatalf("expired lease: swept %v, want [obj]", victims)
+	}
+	e.collector.Track("obj", nil)
+	if err := e.collector.Renew("obj", "client-1", time.Minute); err != nil {
+		t.Fatalf("collected id tracked again is unknown: %v", err)
 	}
 }
 

@@ -10,93 +10,36 @@ import (
 	"strings"
 )
 
-// The envaudit pass keeps the §5 transparency catalogue honest, in both
-// directions ("transparency is an effect", §5.5 — the constraint a test
-// weaves must be the mechanism the channel actually runs):
+// The envaudit pass keeps the channel's span kinds honest: every span
+// kind obs declares must be asserted by some test — referenced by name or
+// by value — or carry a documented exemption in the config, and an
+// exemption that is no longer necessary is itself a finding. That each
+// Env constraint puts its mechanism on the access path, and no other, is
+// checked by behaviour, not here: core's TestWeaverSelectiveStacking runs
+// every Env combination.
 //
-//  1. Constraint → mechanism. Every field of core.Env must be read by the
-//     weaver (core.Publish) under a guard, and that guard must install a
-//     configured enforcing mechanism (txn resource, security guard,
-//     recovery log, migration host, lease tracking, instrumentation).
-//     A declared constraint the weaver silently drops is the worst kind
-//     of transparency bug: the application asked and nobody is enforcing.
-//  2. Constraint → channel stage. Every field maps to the span kind of
-//     the channel stage that observes its enforcement, so span-tree
-//     assertions can prove which path ran. The mapping names obs.Kind*
-//     constants and is checked against the obs package, so it cannot
-//     drift.
-//  3. Coverage. Every Env field must be woven by at least one test or
-//     example (the E-series experiments exercise constraints through the
-//     same literals), and every span kind must be asserted by some test —
-//     or carry a documented exemption in the config. Exemptions that are
-//     no longer necessary are themselves findings.
-//
-// Test sources are inspected syntactically (Package.TestFiles): literal
-// Env{...} composite fields and Kind references don't need types.
+// Test sources are inspected syntactically (Package.TestFiles): Kind
+// references don't need types.
 
 // EnvAuditConfig configures the envaudit pass.
 type EnvAuditConfig struct {
-	// CorePackage hosts the Env struct and the weaver.
-	CorePackage string
 	// ObsPackage hosts the span-kind constants.
 	ObsPackage string
-	// Weaver is the function that turns Env constraints into an access
-	// path.
-	Weaver string
-	// Enforcers maps each Env field to the enforcing call patterns
-	// ("pkg.Func" or "Type.Method"), at least one of which must appear
-	// inside a guard that reads the field.
-	Enforcers map[string][]string
-	// Stages maps each Env field to the obs span-kind constant (by
-	// constant name) covering the channel stage that enforces it.
-	Stages map[string]string
 	// KindExemptions documents span kinds that legitimately have no
 	// E-series assertion, with the reason. Any other kind must be
 	// referenced by some test file.
 	KindExemptions map[string]string
 }
 
-// DefaultEnvAuditConfig is this repository's transparency audit table.
+// DefaultEnvAuditConfig is this repository's span-kind audit table.
 func DefaultEnvAuditConfig() EnvAuditConfig {
 	return EnvAuditConfig{
-		CorePackage: "odp/internal/core",
-		ObsPackage:  "odp/internal/obs",
-		Weaver:      "Publish",
-		Enforcers: map[string][]string{
-			// §5.2 concurrency transparency: the generated transactional
-			// resource.
-			"Atomic": {"txn.NewResource"},
-			// §7.1: the generated guard interceptor.
-			"Secured": {"security.NewGuard"},
-			// §5.5 failure transparency: checkpoint + interaction log on
-			// the migration host's access path.
-			"Recoverable": {"migrate.WithRecoveryLog"},
-			// §5.5 migration transparency: export through the quiescing
-			// migration host.
-			"Movable": {"Host.Export"},
-			// §7.3 distributed GC lease tracking.
-			"Leased": {"Collector.Track"},
-			// §7.4 management instrumentation interceptor.
-			"Managed": {"mgmt.Instrument"},
-		},
-		Stages: map[string]string{
-			// Interceptor- and servant-wrapping mechanisms execute inside
-			// server dispatch; the dispatch span is the stage that shows
-			// they ran.
-			"Atomic":      "KindDispatch",
-			"Secured":     "KindDispatch",
-			"Recoverable": "KindDispatch",
-			"Leased":      "KindDispatch",
-			"Managed":     "KindDispatch",
-			// Migration's observable effect is the binder re-resolving the
-			// moved interface.
-			"Movable": "KindResolve",
-		},
+		ObsPackage:     "odp/internal/obs",
 		KindExemptions: map[string]string{},
 	}
 }
 
-// NewEnvAudit creates the transparency-annotation audit pass.
+// NewEnvAudit creates the span-kind coverage audit pass.
 func NewEnvAudit(cfg EnvAuditConfig) Analyzer { return &envAudit{cfg: cfg} }
 
 type envAudit struct {
@@ -105,21 +48,18 @@ type envAudit struct {
 
 func (*envAudit) Name() string { return "envaudit" }
 
-// Run is a no-op: constraints, mechanisms and tests live in different
-// packages. See RunProgram.
+// Run is a no-op: the kinds and the tests asserting them live in
+// different packages. See RunProgram.
 func (*envAudit) Run(*Package) []Diagnostic { return nil }
 
 func (a *envAudit) RunProgram(pkgs []*Package) []Diagnostic {
-	var core, obs *Package
+	var obs *Package
 	for _, pkg := range pkgs {
-		switch pkg.Path {
-		case a.cfg.CorePackage:
-			core = pkg
-		case a.cfg.ObsPackage:
+		if pkg.Path == a.cfg.ObsPackage {
 			obs = pkg
 		}
 	}
-	if core == nil || obs == nil {
+	if obs == nil {
 		// Partial loads (fixture corpora) have nothing to audit.
 		return nil
 	}
@@ -129,71 +69,11 @@ func (a *envAudit) RunProgram(pkgs []*Package) []Diagnostic {
 			Pos: pos, Pass: a.Name(), Message: fmt.Sprintf(format, args...),
 		})
 	}
-
-	fields, envPos := envFields(core)
-	if fields == nil {
-		report(token.Position{}, "package %s declares no Env struct to audit", a.cfg.CorePackage)
-		return diags
-	}
 	kinds := obsKinds(obs)
-
-	weaver := findFuncDecl(core, a.cfg.Weaver)
-	if weaver == nil {
-		report(token.Position{}, "weaver %s.%s not found", a.cfg.CorePackage, a.cfg.Weaver)
-		return diags
-	}
-
-	wovenByTests := wovenEnvFields(pkgs)
 	assertedKinds := referencedKinds(pkgs, kinds)
 
-	for _, f := range fields {
-		pos := envPos[f]
-		// 1. Constraint → mechanism: the weaver must guard on the field
-		// and install an enforcer inside the guard.
-		patterns, configured := a.cfg.Enforcers[f]
-		if !configured {
-			report(pos, "Env.%s has no enforcer configured: add it to EnvAuditConfig.Enforcers", f)
-		} else {
-			regions := guardedRegions(core, weaver, f)
-			if len(regions) == 0 {
-				report(pos, "Env.%s is never read by %s: the constraint has no enforcing stage", f, a.cfg.Weaver)
-			} else if !regionsCall(core, regions, patterns) {
-				report(pos, "Env.%s guard in %s installs none of its enforcers (%s): the constraint is silently unenforced",
-					f, a.cfg.Weaver, strings.Join(patterns, ", "))
-			}
-		}
-		// 2. Constraint → channel stage: the mapping must name a real
-		// span kind.
-		stage, ok := a.cfg.Stages[f]
-		if !ok {
-			report(pos, "Env.%s maps to no channel-stage span kind: add it to EnvAuditConfig.Stages", f)
-		} else if _, ok := kinds[stage]; !ok {
-			report(pos, "Env.%s maps to span kind %s, which %s does not declare: the audit table has drifted",
-				f, stage, a.cfg.ObsPackage)
-		}
-		// 3. Coverage: some test or example must weave the constraint.
-		if !wovenByTests[f] {
-			report(pos, "Env.%s is woven by no test or example: the constraint has no covering E-series assertion", f)
-		}
-	}
-	// Config entries for fields that no longer exist rot silently.
-	fieldSet := map[string]bool{}
-	for _, f := range fields {
-		fieldSet[f] = true
-	}
-	for _, f := range sortedStringKeys(a.cfg.Enforcers) {
-		if !fieldSet[f] {
-			report(token.Position{}, "EnvAuditConfig.Enforcers names unknown Env field %s — remove it", f)
-		}
-	}
-	for _, f := range sortedStringKeys(a.cfg.Stages) {
-		if !fieldSet[f] {
-			report(token.Position{}, "EnvAuditConfig.Stages names unknown Env field %s — remove it", f)
-		}
-	}
-
-	// Stage coverage: every span kind needs an asserting test or a
-	// documented exemption, and exemptions must stay necessary.
+	// Every span kind needs an asserting test or a documented exemption,
+	// and exemptions must stay necessary.
 	for _, k := range sortedStringKeys(kinds) {
 		reason, exempt := a.cfg.KindExemptions[k]
 		switch {
@@ -209,39 +89,6 @@ func (a *envAudit) RunProgram(pkgs []*Package) []Diagnostic {
 		}
 	}
 	return diags
-}
-
-// envFields returns the Env struct's field names in declaration order and
-// each field's position.
-func envFields(core *Package) ([]string, map[string]token.Position) {
-	for _, f := range core.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != "Env" {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				var fields []string
-				pos := make(map[string]token.Position)
-				for _, fld := range st.Fields.List {
-					for _, name := range fld.Names {
-						fields = append(fields, name.Name)
-						pos[name.Name] = core.Fset.Position(name.Pos())
-					}
-				}
-				return fields, pos
-			}
-		}
-	}
-	return nil, nil
 }
 
 // obsKinds returns the obs package's Kind* string constants: name →
@@ -260,167 +107,6 @@ func obsKinds(obs *Package) map[string]token.Position {
 		kinds[name] = obs.Fset.Position(c.Pos())
 	}
 	return kinds
-}
-
-// findFuncDecl locates a top-level function declaration by name.
-func findFuncDecl(pkg *Package, name string) *ast.FuncDecl {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == name {
-				return fd
-			}
-		}
-	}
-	return nil
-}
-
-// guardedRegions returns the statement regions of the weaver guarded by a
-// condition that reads env.<field>: the then-body of each if whose
-// condition mentions the field (any receiver of type-checked selector
-// with that field name on an Env-typed value would be ideal; the weaver
-// is small enough that a syntactic selector match against `.field` on an
-// identifier is exact in practice — the type checker backs it up below).
-func guardedRegions(pkg *Package, fd *ast.FuncDecl, field string) []ast.Node {
-	var regions []ast.Node
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		if condReadsEnvField(pkg, ifs.Cond, field) {
-			regions = append(regions, ifs.Body)
-		}
-		return true
-	})
-	return regions
-}
-
-// condReadsEnvField reports whether cond contains a selector env.<field>
-// whose base has the core Env type.
-func condReadsEnvField(pkg *Package, cond ast.Expr, field string) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != field {
-			return true
-		}
-		tv, ok := pkg.Info.Types[sel.X]
-		if !ok || tv.Type == nil {
-			return true
-		}
-		if named := namedOf(tv.Type); named != nil && named.Obj().Name() == "Env" {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// regionsCall reports whether any of the regions contains a call matching
-// one of the patterns ("pkg.Func" for package functions, "Type.Method"
-// for methods).
-func regionsCall(pkg *Package, regions []ast.Node, patterns []string) bool {
-	for _, region := range regions {
-		found := false
-		ast.Inspect(region, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if callMatches(pkg, call, patterns) {
-				found = true
-				return false
-			}
-			return true
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
-// callMatches resolves call's static target and checks it against the
-// patterns.
-func callMatches(pkg *Package, call *ast.CallExpr, patterns []string) bool {
-	var ident *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		ident = fun.Sel
-	case *ast.Ident:
-		ident = fun
-	default:
-		return false
-	}
-	fn, ok := pkg.Info.Uses[ident].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	var qualified string
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if named := namedOf(sig.Recv().Type()); named != nil {
-			qualified = named.Obj().Name() + "." + fn.Name()
-		}
-	} else {
-		qualified = fn.Pkg().Name() + "." + fn.Name()
-	}
-	for _, p := range patterns {
-		if p == qualified {
-			return true
-		}
-	}
-	return false
-}
-
-// wovenEnvFields scans every package's test files, plus the example and
-// command programs, for Env{...} composite literals and returns the set
-// of constraint fields they set.
-func wovenEnvFields(pkgs []*Package) map[string]bool {
-	woven := make(map[string]bool)
-	scanFile := func(f *ast.File) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			cl, ok := n.(*ast.CompositeLit)
-			if !ok || !isEnvLiteralType(cl.Type) {
-				return true
-			}
-			for _, elt := range cl.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				if key, ok := kv.Key.(*ast.Ident); ok {
-					woven[key.Name] = true
-				}
-			}
-			return true
-		})
-	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.TestFiles {
-			scanFile(f)
-		}
-		// Examples and commands weave constraints as documentation-grade
-		// usage; they count as coverage the same way tests do.
-		if strings.Contains(pkg.Path, "/examples/") || strings.Contains(pkg.Path, "/cmd/") {
-			for _, f := range pkg.Files {
-				scanFile(f)
-			}
-		}
-	}
-	return woven
-}
-
-// isEnvLiteralType reports whether a composite literal's type expression
-// names Env (bare, or qualified as odp.Env / core.Env).
-func isEnvLiteralType(t ast.Expr) bool {
-	switch e := t.(type) {
-	case *ast.Ident:
-		return e.Name == "Env"
-	case *ast.SelectorExpr:
-		return e.Sel.Name == "Env"
-	}
-	return false
 }
 
 // referencedKinds scans all test files for references to the span-kind

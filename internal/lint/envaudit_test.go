@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestEnvAudit drives the transparency audit over the real module with
+// TestEnvAudit drives the span-kind audit over the real module with
 // deliberately broken configurations: each mutation must produce exactly
 // the finding class it seeds. (The unmutated configuration is covered by
 // TestRepoIsClean: zero findings.)
@@ -32,43 +32,6 @@ func TestEnvAudit(t *testing.T) {
 
 	t.Run("clean", func(t *testing.T) {
 		expectOnly(t, runWith(DefaultEnvAuditConfig()))
-	})
-
-	t.Run("missing enforcer config", func(t *testing.T) {
-		cfg := DefaultEnvAuditConfig()
-		delete(cfg.Enforcers, "Atomic")
-		expectOnly(t, runWith(cfg),
-			"Env.Atomic has no enforcer configured: add it to EnvAuditConfig.Enforcers")
-	})
-
-	t.Run("wrong enforcer pattern", func(t *testing.T) {
-		cfg := DefaultEnvAuditConfig()
-		cfg.Enforcers["Atomic"] = []string{"nobody.Calls"}
-		expectOnly(t, runWith(cfg),
-			"Env.Atomic guard in Publish installs none of its enforcers (nobody.Calls): the constraint is silently unenforced")
-	})
-
-	t.Run("missing stage mapping", func(t *testing.T) {
-		cfg := DefaultEnvAuditConfig()
-		delete(cfg.Stages, "Movable")
-		expectOnly(t, runWith(cfg),
-			"Env.Movable maps to no channel-stage span kind: add it to EnvAuditConfig.Stages")
-	})
-
-	t.Run("drifted stage mapping", func(t *testing.T) {
-		cfg := DefaultEnvAuditConfig()
-		cfg.Stages["Movable"] = "KindTeleport"
-		expectOnly(t, runWith(cfg),
-			"Env.Movable maps to span kind KindTeleport, which odp/internal/obs does not declare: the audit table has drifted")
-	})
-
-	t.Run("unknown field entries rot", func(t *testing.T) {
-		cfg := DefaultEnvAuditConfig()
-		cfg.Enforcers["Telepathic"] = []string{"mind.Read"}
-		cfg.Stages["Telepathic"] = "KindDispatch"
-		expectOnly(t, runWith(cfg),
-			"EnvAuditConfig.Enforcers names unknown Env field Telepathic — remove it",
-			"EnvAuditConfig.Stages names unknown Env field Telepathic — remove it")
 	})
 
 	t.Run("unnecessary kind exemption", func(t *testing.T) {

@@ -39,11 +39,8 @@
 //     released — reach End, or escape to code that can — on some path;
 //     a forgotten span leaks its pooled storage and drops its subtree
 //     from the trace ring.
-//   - envaudit: the §5 transparency catalogue stays honest — every Env
-//     constraint field is woven into an enforcing mechanism by
-//     core.Publish, maps to a channel-stage span kind, and is exercised
-//     by at least one test or example; every span kind is asserted
-//     somewhere (or carries a documented exemption).
+//   - envaudit: every channel span kind is asserted by some test (or
+//     carries a documented exemption that is still needed).
 //
 // A finding can be suppressed at the site with a
 // `//lint:ignore <pass> <reason>` comment on the same line or the line
@@ -100,8 +97,8 @@ type Analyzer interface {
 }
 
 // ProgramAnalyzer is an analyzer that needs the whole program at once —
-// lockgraph (the order graph spans packages) and envaudit (constraints,
-// mechanisms and tests live in different packages). Run on individual
+// lockgraph (the order graph spans packages) and envaudit (span kinds
+// and the tests asserting them live in different packages). Run on individual
 // packages returns nil; RunProgram does the work.
 type ProgramAnalyzer interface {
 	Analyzer

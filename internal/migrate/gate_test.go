@@ -77,7 +77,7 @@ func TestGateCommitMovedBouncesWaiters(t *testing.T) {
 func TestFailedMigrateReopensGate(t *testing.T) {
 	e := newEnv(t)
 	src, c := e.host("src", storage.NewMemStore())
-	ref, err := src.Export("tally-1", &tally{n: 3}, WithType(tallyType()))
+	ref, err := src.Manage(Incarnation{ID: "tally-1", Type: tallyType(), Servant: &tally{n: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

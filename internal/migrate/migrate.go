@@ -178,21 +178,43 @@ func (g *gate) interceptor() capsule.Interceptor {
 
 // managed tracks one object this host exported.
 type managed struct {
-	servant  Servant
-	typ      types.Type
-	hasType  bool
-	epoch    uint32
-	readOnly map[string]bool // for the recovery log: which ops to skip
-	logged   bool            // interaction logging enabled
-	gate     *gate
-	extra    []capsule.Interceptor // woven outside the gate
+	servant Servant
+	typ     types.Type // Name empty: untyped
+	epoch   uint32
+	logged  bool // interaction logging enabled
+	gate    *gate
 }
+
+// Incarnation is one servant incarnation of an object the host manages:
+// what the node's weaver needs to put it on an access path.
+type Incarnation struct {
+	// ID names the object.
+	ID string
+	// Type is its interface type; Name is empty when none is known.
+	Type types.Type
+	// Servant is the incarnation's behaviour.
+	Servant Servant
+	// Gate quiesces the incarnation's access path during a move or a
+	// passivation. Manage sets it.
+	Gate capsule.Interceptor
+	// Logged marks an object whose completed interactions are logged for
+	// recovery (RecoveryLog); ReadOnly is the set of operations the host
+	// was told the log may skip, nil when it was told none.
+	Logged   bool
+	ReadOnly map[string]bool
+}
+
+// Weaver puts an incarnation on the access path and exports it under its
+// id. The node supplies it to NewHost; the host calls it for every
+// incarnation it creates, so one function orders every object's path.
+type Weaver func(Incarnation) (wire.Ref, error)
 
 // Host is a capsule's migration/passivation/recovery agent.
 type Host struct {
 	cap       *capsule.Capsule
 	store     storage.Store
 	registrar Registrar
+	weave     Weaver
 
 	mu        sync.Mutex
 	factories map[string]Factory
@@ -200,14 +222,16 @@ type Host struct {
 }
 
 // NewHost creates the migration host for c, persisting passive objects
-// and checkpoints in store and registering moves with registrar (which
-// may be nil). It exports the migration acceptor and installs the
-// capsule's activator for passive objects.
-func NewHost(c *capsule.Capsule, store storage.Store, registrar Registrar) (*Host, error) {
+// and checkpoints in store, registering moves with registrar (which may
+// be nil) and exporting every incarnation through weave. It exports the
+// migration acceptor and installs the capsule's activator for passive
+// objects.
+func NewHost(c *capsule.Capsule, store storage.Store, registrar Registrar, weave Weaver) (*Host, error) {
 	h := &Host{
 		cap:       c,
 		store:     store,
 		registrar: registrar,
+		weave:     weave,
 		factories: make(map[string]Factory),
 		objects:   make(map[string]*managed),
 	}
@@ -231,63 +255,31 @@ func (h *Host) RegisterFactory(typeName string, f Factory) {
 	h.mu.Unlock()
 }
 
-// ExportOption configures a managed export.
-type ExportOption func(*managed)
-
-// WithType attaches the interface type.
-func WithType(t types.Type) ExportOption {
-	return func(m *managed) { m.typ = t; m.hasType = true }
-}
-
-// WithRecoveryLog enables failure transparency: completed mutating
-// interactions (those not in readOnly) are logged so Recover can replay
-// them on top of the last checkpoint.
-func WithRecoveryLog(readOnly map[string]bool) ExportOption {
-	return func(m *managed) { m.logged = true; m.readOnly = readOnly }
-}
-
-// WithExtraInterceptors weaves additional interceptors outside the
-// migration gate (guards, instrumentation, lease tracking). The first is
-// outermost.
-func WithExtraInterceptors(is ...capsule.Interceptor) ExportOption {
-	return func(m *managed) { m.extra = append(m.extra, is...) }
-}
-
-// Export publishes a migratable servant under id.
-func (h *Host) Export(id string, s Servant, opts ...ExportOption) (wire.Ref, error) {
-	m := &managed{servant: s, gate: &gate{}}
-	for _, o := range opts {
-		o(m)
-	}
-	capOpts := []capsule.ExportOption{capsule.WithID(id)}
-	if m.hasType {
-		capOpts = append(capOpts, capsule.WithType(m.typ))
-	}
-	interceptors := append([]capsule.Interceptor(nil), m.extra...)
-	interceptors = append(interceptors, m.gate.interceptor())
-	if m.logged {
-		interceptors = append(interceptors, h.loggingInterceptor(id, m))
-	}
-	capOpts = append(capOpts, capsule.WithInterceptors(interceptors...))
-	ref, err := h.cap.Export(s, capOpts...)
+// Manage takes charge of a servant incarnation: from now on the host can
+// migrate, passivate and checkpoint it. It gives the incarnation a fresh
+// gate and has the weaver export it.
+func (h *Host) Manage(inc Incarnation) (wire.Ref, error) {
+	m := &managed{servant: inc.Servant, typ: inc.Type, logged: inc.Logged, gate: &gate{}}
+	inc.Gate = m.gate.interceptor()
+	ref, err := h.weave(inc)
 	if err != nil {
 		return wire.Ref{}, err
 	}
 	h.mu.Lock()
-	h.objects[id] = m
+	h.objects[inc.ID] = m
 	h.mu.Unlock()
 	return ref, nil
 }
 
-// loggingInterceptor appends each completed mutating interaction to the
-// object's recovery log, as the packed vector [op, List(args)] that
-// Recover decodes.
-func (h *Host) loggingInterceptor(id string, m *managed) capsule.Interceptor {
+// RecoveryLog returns the layer that appends each completed interaction
+// of object id, except those in readOnly, to the object's recovery log,
+// as the packed vector [op, List(args)] that Recover decodes.
+func (h *Host) RecoveryLog(id string, readOnly map[string]bool) capsule.Interceptor {
 	logName := "oplog/" + id
 	return func(next capsule.Servant) capsule.Servant {
 		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
 			outcome, results, err := next.Dispatch(ctx, op, args)
-			if err == nil && !m.readOnly[op] {
+			if err == nil && !readOnly[op] {
 				// AppendLog has copied or written the record when it
 				// returns, so the buffer goes straight back to the pool.
 				bp := wire.GetBuffer()
@@ -329,14 +321,8 @@ func (h *Host) Migrate(ctx context.Context, id string, dest wire.Ref) (wire.Ref,
 		m.gate.reopen()
 		return wire.Ref{}, fmt.Errorf("migrate: snapshot %q: %w", id, err)
 	}
-	typeName := ""
-	var typeRec wire.Value
-	if m.hasType {
-		typeName = m.typ.Name
-		typeRec = types.EncodeType(m.typ)
-	}
 	outcome, results, err := h.cap.Invoke(ctx, dest, acceptorOp,
-		[]wire.Value{id, typeName, typeRec, snap, uint64(m.epoch + 1)},
+		[]wire.Value{id, m.typ.Name, m.typeRecord(), snap, uint64(m.epoch + 1)},
 		capsule.WithQoS(rpc.QoS{Timeout: rpc.DefaultTimeout}))
 	if err != nil {
 		m.gate.reopen()
@@ -387,13 +373,7 @@ func (h *Host) acceptorDispatch(_ context.Context, op string, args []wire.Value)
 	if err := servant.Restore(snap); err != nil {
 		return "refused", []wire.Value{err.Error()}, nil
 	}
-	var opts []ExportOption
-	if typeRec, ok := args[2].(wire.Record); ok {
-		if typ, err := types.DecodeType(typeRec); err == nil {
-			opts = append(opts, WithType(typ))
-		}
-	}
-	ref, err := h.Export(id, servant, opts...)
+	ref, err := h.Manage(Incarnation{ID: id, Type: decodeType(args[2]), Servant: servant})
 	if err != nil {
 		return "refused", []wire.Value{err.Error()}, nil
 	}

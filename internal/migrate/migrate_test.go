@@ -88,12 +88,32 @@ func (e *env) host(name string, store storage.Store) (*Host, *capsule.Capsule) {
 	}
 	c := capsule.New(name, ep, codec)
 	e.t.Cleanup(func() { _ = c.Close() })
-	h, err := NewHost(c, store, e.table)
+	h, err := newHost(c, store, e.table)
 	if err != nil {
 		e.t.Fatal(err)
 	}
 	h.RegisterFactory("Tally", func() Servant { return &tally{} })
 	return h, c
+}
+
+// newHost builds a host whose weaver gives an incarnation what the host
+// alone knows of it: the gate, the recovery log when it is logged, and
+// the type check.
+func newHost(c *capsule.Capsule, store storage.Store, registrar Registrar) (*Host, error) {
+	var h *Host
+	weave := func(inc Incarnation) (wire.Ref, error) {
+		path := []capsule.Interceptor{inc.Gate}
+		if inc.Logged {
+			path = append(path, h.RecoveryLog(inc.ID, inc.ReadOnly))
+		}
+		opts := []capsule.ExportOption{capsule.WithID(inc.ID), capsule.WithInterceptors(path...)}
+		if inc.Type.Name != "" {
+			opts = append(opts, capsule.WithType(inc.Type))
+		}
+		return c.Export(inc.Servant, opts...)
+	}
+	h, err := NewHost(c, store, registrar, weave)
+	return h, err
 }
 
 func (e *env) client(name string) *capsule.Capsule {
@@ -114,7 +134,7 @@ func TestMigratePreservesStateAndIdentity(t *testing.T) {
 	client := e.client("client")
 	ctx := context.Background()
 
-	ref, err := src.Export("tally-1", &tally{n: 10}, WithType(tallyType()))
+	ref, err := src.Manage(Incarnation{ID: "tally-1", Type: tallyType(), Servant: &tally{n: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +187,11 @@ func TestMigrateNoFactoryRefused(t *testing.T) {
 	}
 	c := capsule.New("bare", ep, codec)
 	t.Cleanup(func() { _ = c.Close() })
-	bare, err := NewHost(c, storage.NewMemStore(), nil)
+	bare, err := newHost(c, storage.NewMemStore(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Export("tally-1", &tally{}, WithType(tallyType())); err != nil {
+	if _, err := src.Manage(Incarnation{ID: "tally-1", Type: tallyType(), Servant: &tally{}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := src.Migrate(context.Background(), "tally-1", bare.AcceptorRef()); err == nil {
@@ -194,7 +214,7 @@ func TestPassivateAndTransparentReactivation(t *testing.T) {
 	client := e.client("client")
 	ctx := context.Background()
 
-	ref, err := h.Export("sleeper", &tally{n: 42}, WithType(tallyType()))
+	ref, err := h.Manage(Incarnation{ID: "sleeper", Type: tallyType(), Servant: &tally{n: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +255,7 @@ func TestLogRecordIsTheEncodedVector(t *testing.T) {
 	store := storage.NewMemStore()
 	h, _ := e.host("node1", store)
 	client := e.client("client")
-	ref, err := h.Export("t1", &tally{}, WithRecoveryLog(tallyReadOnly))
+	ref, err := h.Manage(Incarnation{ID: "t1", Servant: &tally{}, Logged: true, ReadOnly: tallyReadOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +287,7 @@ func TestCheckpointRecoveryExactState(t *testing.T) {
 	client := e.client("client")
 	ctx := context.Background()
 
-	ref, err := h1.Export("t1", &tally{}, WithType(tallyType()), WithRecoveryLog(tallyReadOnly))
+	ref, err := h1.Manage(Incarnation{ID: "t1", Type: tallyType(), Servant: &tally{}, Logged: true, ReadOnly: tallyReadOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +352,7 @@ func TestRecoveryWithoutCheckpointReplaysAll(t *testing.T) {
 	h1, c1 := e.host("node1", store)
 	client := e.client("client")
 	ctx := context.Background()
-	ref, err := h1.Export("t1", &tally{}, WithRecoveryLog(tallyReadOnly))
+	ref, err := h1.Manage(Incarnation{ID: "t1", Servant: &tally{}, Logged: true, ReadOnly: tallyReadOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +399,7 @@ func TestRecoverRejectsOldFormatLog(t *testing.T) {
 func TestCheckpointRequiresLogging(t *testing.T) {
 	e := newEnv(t)
 	h, _ := e.host("node", storage.NewMemStore())
-	if _, err := h.Export("plain", &tally{}); err != nil {
+	if _, err := h.Manage(Incarnation{ID: "plain", Servant: &tally{}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Checkpoint("plain"); err == nil {
@@ -396,7 +416,7 @@ func TestMigrationUnderLiveLoad(t *testing.T) {
 	client := e.client("client")
 	ctx := context.Background()
 
-	ref, err := src.Export("hot", &tally{}, WithType(tallyType()))
+	ref, err := src.Manage(Incarnation{ID: "hot", Type: tallyType(), Servant: &tally{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,16 +28,8 @@ func (h *Host) Passivate(id string) error {
 		m.gate.reopen()
 		return fmt.Errorf("migrate: passivate %q: %w", id, err)
 	}
-	var (
-		typeName string
-		typeRec  wire.Value
-	)
-	if m.hasType {
-		typeName = m.typ.Name
-		typeRec = types.EncodeType(m.typ)
-	}
 	meta, err := wire.EncodeAll(wire.PackedCodec{},
-		[]wire.Value{typeName, typeRec, snap, m.logged})
+		[]wire.Value{m.typ.Name, m.typeRecord(), snap, m.logged})
 	if err != nil {
 		m.gate.reopen()
 		return err
@@ -60,9 +52,29 @@ func (h *Host) IsPassive(id string) bool {
 	return err == nil
 }
 
+// typeRecord is the object's type as it travels in a passive record or a
+// mover: nil when the object is untyped.
+func (m *managed) typeRecord() wire.Value {
+	if m.typ.Name == "" {
+		return nil
+	}
+	return types.EncodeType(m.typ)
+}
+
+// decodeType reads a type that typeRecord wrote; anything else is the
+// zero (untyped) type.
+func decodeType(v wire.Value) types.Type {
+	if rec, ok := v.(wire.Record); ok {
+		if typ, err := types.DecodeType(rec); err == nil {
+			return typ
+		}
+	}
+	return types.Type{}
+}
+
 // activate is the capsule activator hook: it reinstates passive objects
-// on demand, transparently to the invoking client, re-attaching the gate
-// and any recovery logging.
+// on demand, transparently to the invoking client, as a new incarnation
+// the weaver puts on the path.
 func (h *Host) activate(objID string) (bool, error) {
 	meta, err := h.store.GetBlob("passive/" + objID)
 	if err != nil {
@@ -86,16 +98,8 @@ func (h *Host) activate(objID string) (bool, error) {
 	if err := servant.Restore(snap); err != nil {
 		return false, fmt.Errorf("migrate: reactivate %q: %w", objID, err)
 	}
-	var opts []ExportOption
-	if typeRec, ok := vals[1].(wire.Record); ok {
-		if decoded, derr := types.DecodeType(typeRec); derr == nil {
-			opts = append(opts, WithType(decoded))
-		}
-	}
-	if logged {
-		opts = append(opts, WithRecoveryLog(nil))
-	}
-	if _, err := h.Export(objID, servant, opts...); err != nil {
+	inc := Incarnation{ID: objID, Type: decodeType(vals[1]), Servant: servant, Logged: logged}
+	if _, err := h.Manage(inc); err != nil {
 		// A concurrent activation may have won the race; the object is
 		// live either way.
 		if !h.cap.Hosts(objID) {

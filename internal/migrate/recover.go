@@ -17,7 +17,7 @@ func (h *Host) Checkpoint(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, id)
 	}
 	if !m.logged {
-		return fmt.Errorf("migrate: %q has no recovery log (export with WithRecoveryLog)", id)
+		return fmt.Errorf("migrate: %q has no recovery log (manage it Logged)", id)
 	}
 	snap, err := m.servant.Snapshot()
 	if err != nil {
@@ -34,8 +34,8 @@ func (h *Host) Checkpoint(id string) error {
 // mirror exactly the state of its predecessor" (§5.5). The store must be
 // the (surviving) store the crashed host wrote to; the factory for
 // typeName must be registered. The recovered object is exported under its
-// original id with logging re-enabled, and the relocator learns the new
-// location.
+// original id as a logged incarnation skipping readOnly, and the
+// relocator learns the new location.
 func (h *Host) Recover(ctx context.Context, id, typeName string, readOnly map[string]bool, epoch uint32) (wire.Ref, error) {
 	h.mu.Lock()
 	factory, ok := h.factories[typeName]
@@ -64,7 +64,7 @@ func (h *Host) Recover(ctx context.Context, id, typeName string, readOnly map[st
 			return wire.Ref{}, fmt.Errorf("migrate: replay %q op %d (%s): %w", id, i, op, err)
 		}
 	}
-	ref, err := h.Export(id, servant, WithRecoveryLog(readOnly))
+	ref, err := h.Manage(Incarnation{ID: id, Servant: servant, Logged: true, ReadOnly: readOnly})
 	if err != nil {
 		return wire.Ref{}, err
 	}

@@ -37,9 +37,11 @@ func TestTextEncodeAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured ~53 allocs/op on the reference toolchain; the bound leaves
-	// headroom for stdlib drift while catching structural regressions.
-	const maxTextAllocs = 80
+	// Measured 61 allocs/op on the reference toolchain (53 before record
+	// keys and Ref strings were carried base64) and 88 under -race; the
+	// bound leaves headroom for stdlib drift while catching structural
+	// regressions.
+	const maxTextAllocs = 96
 	if allocs > maxTextAllocs {
 		t.Fatalf("text EncodeAllInto: %.1f allocs/op, want <= %d", allocs, maxTextAllocs)
 	}

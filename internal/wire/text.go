@@ -59,12 +59,15 @@ type tagged struct {
 	V json.RawMessage `json:"v,omitempty"`
 }
 
+// taggedRef holds Ref's strings as bytes, which JSON carries base64 —
+// as tagged carries a string value: JSON strings are UTF-8, and an
+// identifier need not be.
 type taggedRef struct {
-	ID        string   `json:"id"`
-	TypeName  string   `json:"type"`
-	Endpoints []string `json:"endpoints,omitempty"`
+	ID        []byte   `json:"id"`
+	TypeName  []byte   `json:"type"`
+	Endpoints [][]byte `json:"endpoints,omitempty"`
 	Epoch     uint32   `json:"epoch,omitempty"`
-	Context   []string `json:"context,omitempty"`
+	Context   [][]byte `json:"context,omitempty"`
 }
 
 func toTagged(v Value, depth int) (tagged, error) {
@@ -111,23 +114,24 @@ func toTagged(v Value, depth int) (tagged, error) {
 		_, b, err := raw(elems)
 		return tagged{K: "list", V: b}, err
 	case Record:
+		// Keys base64, like string values: a key need not be UTF-8.
 		fields := make(map[string]tagged, len(t))
 		for k, e := range t {
 			te, err := toTagged(e, depth+1)
 			if err != nil {
 				return tagged{}, err
 			}
-			fields[k] = te
+			fields[base64.StdEncoding.EncodeToString([]byte(k))] = te
 		}
 		_, b, err := raw(fields)
 		return tagged{K: "record", V: b}, err
 	case Ref:
 		_, b, err := raw(taggedRef{
-			ID:        t.ID,
-			TypeName:  t.TypeName,
-			Endpoints: t.Endpoints,
+			ID:        []byte(t.ID),
+			TypeName:  []byte(t.TypeName),
+			Endpoints: convertAll[[]byte](t.Endpoints),
 			Epoch:     t.Epoch,
-			Context:   t.Context,
+			Context:   convertAll[[]byte](t.Context),
 		})
 		return tagged{K: "ref", V: b}, err
 	default:
@@ -219,11 +223,16 @@ func fromTagged(t tagged, depth int) (Value, error) {
 		}
 		rec := make(Record, len(fields))
 		for k, te := range fields {
-			v, err := fromTagged(te, depth+1)
+			key, err := base64.StdEncoding.DecodeString(k)
 			if err != nil {
+				return nil, fmt.Errorf("%w: record key: %v", ErrCorrupt, err)
+			}
+			if _, dup := rec[string(key)]; dup {
+				return nil, fmt.Errorf("%w: two encodings of record key %q", ErrCorrupt, key)
+			}
+			if rec[string(key)], err = fromTagged(te, depth+1); err != nil {
 				return nil, err
 			}
-			rec[k] = v
 		}
 		return rec, nil
 	case "ref":
@@ -232,15 +241,27 @@ func fromTagged(t tagged, depth int) (Value, error) {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		return Ref{
-			ID:        tr.ID,
-			TypeName:  tr.TypeName,
-			Endpoints: tr.Endpoints,
+			ID:        string(tr.ID),
+			TypeName:  string(tr.TypeName),
+			Endpoints: convertAll[string](tr.Endpoints),
 			Epoch:     tr.Epoch,
-			Context:   tr.Context,
+			Context:   convertAll[string](tr.Context),
 		}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrCorrupt, t.K)
 	}
+}
+
+// convertAll converts each of in between string and []byte, nil kept nil.
+func convertAll[U, T ~string | ~[]byte](in []T) []U {
+	if in == nil {
+		return nil
+	}
+	out := make([]U, len(in))
+	for i, v := range in {
+		out[i] = U(v)
+	}
+	return out
 }
 
 // Transcode re-encodes src from one codec to another, the core act of a

@@ -210,8 +210,6 @@ var (
 	// injected clock; share a clock.Fake across nodes and the netsim
 	// fabric to run a whole system in virtual time (internal/sim).
 	WithClock = core.WithClock
-	// WithCapsuleOptions forwards options to the capsule.
-	WithCapsuleOptions = core.WithCapsuleOptions
 	// WithBatching wraps the node's endpoint in a write coalescer:
 	// concurrent frames to one destination share BATCH datagrams,
 	// amortising per-packet channel overhead (experiment E16).
@@ -223,12 +221,6 @@ var (
 	// WithBusyRetry (an invoke option) retries an invocation shed by
 	// admission control with exponential backoff.
 	WithBusyRetry = capsule.WithBusyRetry
-	// CapsuleTypeChecking toggles dispatch-time signature checking
-	// (default on); pass through WithCapsuleOptions.
-	CapsuleTypeChecking = capsule.WithTypeChecking
-	// CapsuleLocalOptimisation toggles the §4.5 direct-local-access
-	// optimisation (default on); pass through WithCapsuleOptions.
-	CapsuleLocalOptimisation = capsule.WithLocalOptimisation
 )
 
 // Transport.
