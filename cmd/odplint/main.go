@@ -7,14 +7,13 @@
 //
 // Package arguments are accepted for command-line compatibility
 // ("go run ./cmd/odplint ./...") but the suite always analyzes the whole
-// module: the layering, lockgraph and envaudit passes are only meaningful
-// on the full program.
+// module: the layering and lockgraph passes are only meaningful on the
+// full program.
 //
-// -json emits a machine-readable report: the active diagnostics (with
-// witness-chain notes, e.g. a lockgraph cycle's full acquire chain) and
-// every //lint:ignore suppression, so CI can render findings and track
-// the suppression count. Text mode prints the same information
-// human-first.
+// -json emits a machine-readable report: the package count and the
+// diagnostics, each with its witness-chain notes (e.g. a lockgraph
+// cycle's full acquire chain). Text mode prints one diagnostic per line,
+// notes indented beneath it.
 //
 // Exits 1 when any diagnostic is produced, 2 on loading errors.
 package main
@@ -38,20 +37,10 @@ type jsonDiagnostic struct {
 	Notes   []string `json:"notes,omitempty"`
 }
 
-// jsonSuppression is one //lint:ignore hit in -json output.
-type jsonSuppression struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Pass    string `json:"pass"`
-	Reason  string `json:"reason"`
-	Message string `json:"message"`
-}
-
 // jsonReport is the -json document.
 type jsonReport struct {
-	Packages     int               `json:"packages"`
-	Diagnostics  []jsonDiagnostic  `json:"diagnostics"`
-	Suppressions []jsonSuppression `json:"suppressions"`
+	Packages    int              `json:"packages"`
+	Diagnostics []jsonDiagnostic `json:"diagnostics"`
 }
 
 func main() {
@@ -68,24 +57,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "odplint:", err)
 		os.Exit(2)
 	}
-	res := lint.RunDetailed(pkgs, lint.DefaultAnalyzers())
+	diags := lint.Run(pkgs, lint.DefaultAnalyzers())
 
 	if *asJSON {
-		report := jsonReport{
-			Packages:     len(pkgs),
-			Diagnostics:  []jsonDiagnostic{},
-			Suppressions: []jsonSuppression{},
-		}
-		for _, d := range res.Diagnostics {
+		report := jsonReport{Packages: len(pkgs), Diagnostics: []jsonDiagnostic{}}
+		for _, d := range diags {
 			report.Diagnostics = append(report.Diagnostics, jsonDiagnostic{
 				File: d.Pos.Filename, Line: d.Pos.Line, Column: d.Pos.Column,
 				Pass: d.Pass, Message: d.Message, Notes: d.Notes,
-			})
-		}
-		for _, s := range res.Suppressed {
-			report.Suppressions = append(report.Suppressions, jsonSuppression{
-				File: s.Directive.Filename, Line: s.Directive.Line,
-				Pass: s.Diagnostic.Pass, Reason: s.Reason, Message: s.Diagnostic.Message,
 			})
 		}
 		enc := json.NewEncoder(os.Stdout)
@@ -95,21 +74,12 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
-		for _, d := range res.Diagnostics {
+		for _, d := range diags {
 			fmt.Println(d.Render())
-		}
-		for _, s := range res.Suppressed {
-			fmt.Printf("%s: suppressed [%s] %s (reason: %s)\n",
-				s.Directive, s.Diagnostic.Pass, s.Diagnostic.Message, s.Reason)
 		}
 	}
 
-	// Suppressions never fail the run, but they are always accounted for:
-	// the count goes to stderr in both modes so it cannot creep silently.
-	if n := len(res.Suppressed); n > 0 {
-		fmt.Fprintf(os.Stderr, "odplint: %d finding(s) suppressed by //lint:ignore\n", n)
-	}
-	if n := len(res.Diagnostics); n > 0 {
+	if n := len(diags); n > 0 {
 		fmt.Fprintf(os.Stderr, "odplint: %d invariant violation(s) in %d package(s)\n", n, len(pkgs))
 		os.Exit(1)
 	}

@@ -16,13 +16,9 @@ import (
 // signature that this implementation ignores cancellation. Uses inside
 // closures count (capturing the context is propagation); unnamed and
 // blank parameters are exempt by construction.
-func NewCtxDrop() Analyzer { return &ctxDrop{} }
+func NewCtxDrop() Analyzer { return eachPackage(ctxDrop) }
 
-type ctxDrop struct{}
-
-func (*ctxDrop) Name() string { return "ctxdrop" }
-
-func (a *ctxDrop) Run(pkg *Package) []Diagnostic {
+func ctxDrop(pkg *Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -56,7 +52,7 @@ func (a *ctxDrop) Run(pkg *Package) []Diagnostic {
 					if !usesObject(pkg, body, obj) {
 						diags = append(diags, Diagnostic{
 							Pos:  pkg.Fset.Position(name.Pos()),
-							Pass: a.Name(),
+							Pass: "ctxdrop",
 							Message: fmt.Sprintf(
 								"context parameter %q is dropped by %s: propagate it or rename it to _",
 								name.Name, label),

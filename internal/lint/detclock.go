@@ -61,15 +61,13 @@ var deniedRandFuncs = map[string]bool{
 // NewDetClock creates the pass that keeps simulation-driven packages off
 // the wall clock: mechanisms that sit on the deterministic netsim path
 // must take their time from internal/clock so tests can drive them.
-func NewDetClock(cfg DetClockConfig) Analyzer { return &detClock{cfg: cfg} }
+func NewDetClock(cfg DetClockConfig) Analyzer { return eachPackage((&detClock{cfg: cfg}).run) }
 
 type detClock struct {
 	cfg DetClockConfig
 }
 
-func (*detClock) Name() string { return "detclock" }
-
-func (a *detClock) Run(pkg *Package) []Diagnostic {
+func (a *detClock) run(pkg *Package) []Diagnostic {
 	for _, p := range a.cfg.ExemptPackages {
 		if pkg.Path == p {
 			return nil
@@ -102,7 +100,7 @@ func (a *detClock) Run(pkg *Package) []Diagnostic {
 				if deniedTimeFuncs[fn.Name()] {
 					diags = append(diags, Diagnostic{
 						Pos:  pkg.Fset.Position(sel.Pos()),
-						Pass: a.Name(),
+						Pass: "detclock",
 						Message: fmt.Sprintf(
 							"time.%s in simulation-driven package %s: take the time from internal/clock",
 							fn.Name(), pkg.Path),
@@ -112,7 +110,7 @@ func (a *detClock) Run(pkg *Package) []Diagnostic {
 				if deniedRandFuncs[fn.Name()] {
 					diags = append(diags, Diagnostic{
 						Pos:  pkg.Fset.Position(sel.Pos()),
-						Pass: a.Name(),
+						Pass: "detclock",
 						Message: fmt.Sprintf(
 							"global rand.%s in simulation-driven package %s: use a seeded rand.New(rand.NewSource(...))",
 							fn.Name(), pkg.Path),

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -55,15 +56,13 @@ func DefaultLayeringConfig() LayeringConfig {
 }
 
 // NewLayering creates the import-graph pass.
-func NewLayering(cfg LayeringConfig) Analyzer { return &layering{cfg: cfg} }
+func NewLayering(cfg LayeringConfig) Analyzer { return eachPackage((&layering{cfg: cfg}).run) }
 
 type layering struct {
 	cfg LayeringConfig
 }
 
-func (*layering) Name() string { return "layering" }
-
-func (a *layering) Run(pkg *Package) []Diagnostic {
+func (a *layering) run(pkg *Package) []Diagnostic {
 	var diags []Diagnostic
 	lowAllowed, isLow := a.cfg.LowLayer[pkg.Path]
 	for _, f := range pkg.Files {
@@ -72,19 +71,19 @@ func (a *layering) Run(pkg *Package) []Diagnostic {
 			if err != nil {
 				continue
 			}
-			if allowed, ok := a.cfg.Restricted[path]; ok && pkg.Path != path && !contains(allowed, pkg.Path) {
+			if allowed, ok := a.cfg.Restricted[path]; ok && pkg.Path != path && !slices.Contains(allowed, pkg.Path) {
 				diags = append(diags, Diagnostic{
 					Pos:  pkg.Fset.Position(imp.Pos()),
-					Pass: a.Name(),
+					Pass: "layering",
 					Message: fmt.Sprintf(
 						"%s imports %s directly: only %s may bypass the proxy layers",
 						pkg.Path, path, strings.Join(allowed, ", ")),
 				})
 			}
-			if isLow && isModuleInternal(path, pkg.Path) && !contains(lowAllowed, path) {
+			if isLow && isModuleInternal(path, pkg.Path) && !slices.Contains(lowAllowed, path) {
 				diags = append(diags, Diagnostic{
 					Pos:  pkg.Fset.Position(imp.Pos()),
-					Pass: a.Name(),
+					Pass: "layering",
 					Message: fmt.Sprintf(
 						"low-layer package %s imports %s: lower layers must not reach upward",
 						pkg.Path, path),
@@ -103,13 +102,4 @@ func isModuleInternal(path, pkgPath string) bool {
 		mod = pkgPath[:i]
 	}
 	return path == mod || strings.HasPrefix(path, mod+"/")
-}
-
-func contains(xs []string, x string) bool {
-	for _, e := range xs {
-		if e == x {
-			return true
-		}
-	}
-	return false
 }

@@ -1,36 +1,137 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
+	"go/types"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
 // TestRepoIsClean runs the full analysis suite over the entire module and
 // requires zero diagnostics. This is a tier-1 invariant: the engineering
 // model rules the passes encode (no blocking under a mutex, no wall-clock
-// reads in simulation-driven packages, no layer bypass, total codecs)
+// reads in simulation-driven packages, no layer bypass, no lock-order cycle)
 // hold everywhere, forever. A failure here is a real defect in whatever
 // code tripped it, not in this test.
 func TestRepoIsClean(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("loader found no packages")
-	}
-	res := RunDetailed(pkgs, DefaultAnalyzers())
-	for _, s := range res.Suppressed {
-		t.Logf("suppressed: %s: [%s] %s (reason: %s)",
-			s.Directive, s.Diagnostic.Pass, s.Diagnostic.Message, s.Reason)
-	}
-	for _, d := range res.Diagnostics {
+	for _, d := range Run(loadModule(t), DefaultAnalyzers()) {
 		t.Errorf("%s", d.Render())
+	}
+}
+
+var moduleLoad struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+// loadModule loads the whole module once for every test that needs it.
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	moduleLoad.once.Do(func() {
+		l, err := NewLoader(".")
+		if err != nil {
+			moduleLoad.err = err
+			return
+		}
+		moduleLoad.pkgs, moduleLoad.err = l.LoadAll()
+		if moduleLoad.err == nil && len(moduleLoad.pkgs) == 0 {
+			moduleLoad.err = errors.New("loader found no packages")
+		}
+	})
+	if moduleLoad.err != nil {
+		t.Fatal(moduleLoad.err)
+	}
+	return moduleLoad.pkgs
+}
+
+// TestDefaultConfigsNameWhatExists keeps the passes' tables from rotting:
+// every deny-listed function, exempt package or file and layering entry
+// must name something in the module (or, for the deny-list, in a package
+// it imports). A rename would otherwise silently disable the entry.
+func TestDefaultConfigsNameWhatExists(t *testing.T) {
+	pkgs := loadModule(t)
+	byPath := map[string]*types.Package{}
+	files := map[string]bool{}
+	var index func(tp *types.Package)
+	index = func(tp *types.Package) {
+		if byPath[tp.Path()] != nil {
+			return
+		}
+		byPath[tp.Path()] = tp
+		for _, imp := range tp.Imports() {
+			index(imp)
+		}
+	}
+	for _, pkg := range pkgs {
+		index(pkg.Types)
+		for _, f := range pkg.Files {
+			files[pkg.Path+"/"+filepath.Base(pkg.Fset.Position(f.Pos()).Filename)] = true
+		}
+	}
+	isModulePkg := func(path string) bool {
+		for _, pkg := range pkgs {
+			if pkg.Path == path {
+				return true
+			}
+		}
+		return false
+	}
+
+	for path, names := range DefaultMutexHeldConfig().Blocking {
+		tp := byPath[path]
+		if tp == nil {
+			t.Errorf("mutexheld Blocking: no package %s", path)
+			continue
+		}
+		for _, name := range names {
+			var obj types.Object
+			if typ, method, ok := strings.Cut(name, "."); ok {
+				if tn, ok := tp.Scope().Lookup(typ).(*types.TypeName); ok {
+					obj, _, _ = types.LookupFieldOrMethod(tn.Type(), true, tp, method)
+				}
+			} else {
+				obj = tp.Scope().Lookup(name)
+			}
+			if _, ok := obj.(*types.Func); !ok {
+				t.Errorf("mutexheld Blocking: %s has no function %s", path, name)
+			}
+		}
+	}
+
+	dc := DefaultDetClockConfig()
+	for _, path := range dc.ExemptPackages {
+		if !isModulePkg(path) {
+			t.Errorf("detclock ExemptPackages: no package %s", path)
+		}
+	}
+	for _, prefix := range dc.ExemptPrefixes {
+		found := false
+		for _, pkg := range pkgs {
+			found = found || strings.HasPrefix(pkg.Path, prefix)
+		}
+		if !found {
+			t.Errorf("detclock ExemptPrefixes: no package under %s", prefix)
+		}
+	}
+	for _, file := range dc.ExemptFiles {
+		if !files[file] {
+			t.Errorf("detclock ExemptFiles: no file %s", file)
+		}
+	}
+
+	lc := DefaultLayeringConfig()
+	for _, table := range []map[string][]string{lc.Restricted, lc.LowLayer} {
+		for path, allowed := range table {
+			for _, p := range append([]string{path}, allowed...) {
+				if !isModulePkg(p) {
+					t.Errorf("layering: no package %s", p)
+				}
+			}
+		}
 	}
 }
 
@@ -47,14 +148,14 @@ func fixtureCases() []fixtureCase {
 	return []fixtureCase{
 		{
 			dir: "locksend", asPath: "odp/internal/locksend",
-			analyzer: NewMutexHeld(DefaultMutexHeldConfig()),
+			analyzer: NewLocks(DefaultMutexHeldConfig()),
 			want: []string{
 				"locksend.go:17: [mutexheld] channel send while q.mu is held",
 			},
 		},
 		{
 			dir: "lockrecv", asPath: "odp/internal/lockrecv",
-			analyzer: NewMutexHeld(DefaultMutexHeldConfig()),
+			analyzer: NewLocks(DefaultMutexHeldConfig()),
 			want: []string{
 				"lockrecv.go:18: [mutexheld] channel receive while q.mu is held",
 				"lockrecv.go:24: [mutexheld] call to sync.WaitGroup.Wait while q.mu is held",
@@ -62,7 +163,7 @@ func fixtureCases() []fixtureCase {
 		},
 		{
 			dir: "trylock", asPath: "odp/internal/trylock",
-			analyzer: NewMutexHeld(DefaultMutexHeldConfig()),
+			analyzer: NewLocks(DefaultMutexHeldConfig()),
 			want: []string{
 				"trylock.go:17: [mutexheld] channel send while q.mu is held",
 				"trylock.go:29: [mutexheld] channel send while q.mu is held",
@@ -71,14 +172,14 @@ func fixtureCases() []fixtureCase {
 		},
 		{
 			dir: "lockerval", asPath: "odp/internal/lockerval",
-			analyzer: NewMutexHeld(DefaultMutexHeldConfig()),
+			analyzer: NewLocks(DefaultMutexHeldConfig()),
 			want: []string{
 				"lockerval.go:16: [mutexheld] channel send while s.l is held",
 			},
 		},
 		{
 			dir: "lockedctx", asPath: "odp/internal/lockedctx",
-			analyzer: NewMutexHeld(DefaultMutexHeldConfig()),
+			analyzer: NewLocks(DefaultMutexHeldConfig()),
 			want: []string{
 				"lockedctx.go:14: [mutexheld] channel receive while (caller's mutex) is held",
 				"lockedctx.go:19: [mutexheld] channel send while (caller's mutex) is held",
@@ -143,22 +244,6 @@ func fixtureCases() []fixtureCase {
 				`obsleak.go:10: [obsleak] span "sp" from Collector.Begin never reaches End: release it on every return path`,
 				"obsleak.go:18: [obsleak] result of Collector.Begin is discarded: a sampled span would never be released",
 				"obsleak.go:19: [obsleak] result of Collector.BeginChild is discarded: a sampled span would never be released",
-			},
-		},
-		{
-			dir: "kindmiss", asPath: "odp/internal/kindmiss",
-			analyzer: NewWireTotal(),
-			want: []string{
-				"kindmiss.go:46: [wiretotal] Encode: encoder type switch misses data-model type int64",
-				"kindmiss.go:60: [wiretotal] Decode: decoder kind switch misses KindInt",
-			},
-		},
-		{
-			dir: "refdrift", asPath: "odp/internal/refdrift",
-			analyzer: NewWireTotal(),
-			want: []string{
-				"refdrift.go:30: [wiretotal] taggedRef lacks field Epoch declared on Ref",
-				"refdrift.go:54: [wiretotal] decoder Decode does not cover field Ref.Epoch: codec and type have drifted",
 			},
 		},
 	}
@@ -235,7 +320,7 @@ func TestSelectWithDefaultIsNonBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run([]*Package{pkg}, []Analyzer{NewMutexHeld(DefaultMutexHeldConfig())}) {
+	for _, d := range Run([]*Package{pkg}, []Analyzer{NewLocks(DefaultMutexHeldConfig())}) {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
 }

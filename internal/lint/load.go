@@ -22,13 +22,9 @@ type Package struct {
 	Dir string
 	// Fset is the file set shared by every package of one Loader.
 	Fset *token.FileSet
-	// Files are the parsed non-test sources.
+	// Files are the parsed non-test sources; _test.go files are not
+	// loaded.
 	Files []*ast.File
-	// TestFiles are the package's _test.go sources, parsed but NOT
-	// type-checked (external test packages would need their own check
-	// pass). Coverage-auditing passes (envaudit) read them syntactically;
-	// the invariant passes never analyze them.
-	TestFiles []*ast.File
 	// Types is the type-checked package.
 	Types *types.Package
 	// Info carries the type-checker's expression facts.
@@ -162,17 +158,13 @@ func hasGoSources(dir string) bool {
 // Load parses and type-checks the module package at the given import
 // path, reusing earlier loads.
 func (l *Loader) Load(path string) (*Package, error) {
-	return l.loadDirAs(l.dirFor(path), path)
+	return l.LoadDirAs(l.dirFor(path), path)
 }
 
-// LoadDirAs loads the package in dir under the given synthetic import
-// path. It exists for fixture corpora kept outside the module tree
-// (testdata), which must still be able to import module packages.
-func (l *Loader) LoadDirAs(dir, asPath string) (*Package, error) {
-	return l.loadDirAs(dir, asPath)
-}
-
-func (l *Loader) loadDirAs(dir, path string) (*Package, error) {
+// LoadDirAs loads the package in dir under the given import path. It
+// exists for fixture corpora kept outside the module tree (testdata),
+// which must still be able to import module packages.
+func (l *Loader) LoadDirAs(dir, path string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
 	}
@@ -186,9 +178,9 @@ func (l *Loader) loadDirAs(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files, testFiles []*ast.File
+	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		// Honour build constraints (//go:build lines and GOOS/GOARCH
@@ -202,10 +194,6 @@ func (l *Loader) loadDirAs(dir, path string) (*Package, error) {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
-		}
-		if strings.HasSuffix(e.Name(), "_test.go") {
-			testFiles = append(testFiles, f)
-			continue
 		}
 		files = append(files, f)
 	}
@@ -238,13 +226,12 @@ func (l *Loader) loadDirAs(dir, path string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", path, typeErrs[0])
 	}
 	pkg := &Package{
-		Path:      path,
-		Dir:       dir,
-		Fset:      l.fset,
-		Files:     files,
-		TestFiles: testFiles,
-		Types:     tpkg,
-		Info:      info,
+		Path:  path,
+		Dir:   dir,
+		Fset:  l.fset,
+		Files: files,
+		Types: tpkg,
+		Info:  info,
 	}
 	l.pkgs[path] = pkg
 	return pkg, nil

@@ -10,8 +10,8 @@ import (
 // TestLoaderBuildConstraints proves the loader applies build constraints
 // the way `go build` would: the tagged fixture only type-checks if the
 // //go:build-gated and GOOS-suffixed siblings (each redeclaring Mode) are
-// excluded, and its _test.go file lands in TestFiles without being
-// type-checked (it references an undefined identifier).
+// excluded, and its _test.go file is not loaded at all (it references
+// an undefined identifier, so type-checking it would fail the load).
 func TestLoaderBuildConstraints(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
@@ -22,7 +22,7 @@ func TestLoaderBuildConstraints(t *testing.T) {
 		t.Fatalf("build-constrained fixture failed to load (gated files not excluded?): %v", err)
 	}
 	if len(pkg.Files) != 1 {
-		t.Fatalf("got %d non-test files, want 1 (tagged.go only)", len(pkg.Files))
+		t.Fatalf("got %d files, want 1 (tagged.go only)", len(pkg.Files))
 	}
 	c, ok := pkg.Types.Scope().Lookup("Mode").(*types.Const)
 	if !ok {
@@ -30,9 +30,6 @@ func TestLoaderBuildConstraints(t *testing.T) {
 	}
 	if v := constant.StringVal(c.Val()); v != "portable" {
 		t.Fatalf("Mode = %q, want the unconstrained declaration %q", v, "portable")
-	}
-	if len(pkg.TestFiles) != 1 {
-		t.Fatalf("got %d test files, want 1 (tagged_test.go, parsed but unchecked)", len(pkg.TestFiles))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -28,68 +29,11 @@ import (
 //   - instances collapse onto their lock site: locking a.mu then b.mu of
 //     the same type reports a self-cycle, because nothing orders the two
 //     instances statically. Code that really needs hand-over-hand or
-//     pairwise locking must order instances explicitly and declare the
-//     edge in the allowlist.
+//     pairwise locking must order instances explicitly in a way this
+//     pass can see.
 //   - goroutine bodies are analyzed as independent executions: a lock
 //     taken inside `go func(){...}()` is not "held" by the spawner, but
 //     ordering violations inside the goroutine still count.
-//
-// Intentional hierarchies are declared in LockGraphConfig.AllowedEdges.
-// An allowlisted edge is removed before cycle detection; an entry that
-// matches no edge is itself a finding, so the allowlist cannot rot.
-
-// LockGraphConfig configures the lockgraph pass.
-type LockGraphConfig struct {
-	// AllowedEdges lists documented lock-order facts: "while From is
-	// held, To may be acquired". Each entry must state why the order is
-	// safe. Entries name lock sites canonically: "pkgpath.Type.field"
-	// for struct-field mutexes, "pkgpath.var" for package-level locks.
-	AllowedEdges []LockOrderEdge
-}
-
-// LockOrderEdge is one allowlisted acquires-while-holding edge.
-type LockOrderEdge struct {
-	// From is held while To is acquired.
-	From, To string
-	// Reason documents why the edge cannot deadlock (e.g. a total order
-	// on instances, or a strict layer hierarchy).
-	Reason string
-}
-
-// DefaultLockGraphConfig returns this repository's documented lock
-// hierarchy. It is empty: the platform's locks form a forest today, and
-// any future entry must arrive with its justification.
-func DefaultLockGraphConfig() LockGraphConfig {
-	return LockGraphConfig{}
-}
-
-// NewLockGraph creates the whole-program lock-ordering pass.
-func NewLockGraph(cfg LockGraphConfig) Analyzer { return &lockGraph{cfg: cfg} }
-
-type lockGraph struct {
-	cfg LockGraphConfig
-}
-
-func (*lockGraph) Name() string { return "lockgraph" }
-
-// Run is a no-op: the order graph only means something on the whole
-// program. See RunProgram.
-func (*lockGraph) Run(*Package) []Diagnostic { return nil }
-
-func (a *lockGraph) RunProgram(pkgs []*Package) []Diagnostic {
-	p := &lgProgram{
-		pkgs:      pkgs,
-		fns:       make(map[*types.Func]*lgFunc),
-		implCache: make(map[string][]*types.Func),
-		summaries: make(map[*types.Func]map[string]lgTrace),
-		edges:     make(map[[2]string]*lgEdge),
-	}
-	p.indexTypes()
-	p.scanAll()
-	p.computeSummaries()
-	p.buildEdges()
-	return p.report(a.cfg)
-}
 
 // lgStep is one hop of a witness chain.
 type lgStep struct {
@@ -109,122 +53,81 @@ func (t lgTrace) render() []string {
 	return out
 }
 
-// lgHeld is one lock in the held set: its canonical site and where this
-// execution acquired it.
-type lgHeld struct {
-	id  string
-	pos token.Position
-}
-
-// lgCall is one synchronous module-internal call site.
+// lgCall is one synchronous module-internal call site, made while
+// holding held (id "" when nothing named is held).
 type lgCall struct {
+	held   heldLock
 	callee *types.Func
 	pos    token.Position
 }
 
-// lgHeldCall is a call made while at least one named lock is held.
-type lgHeldCall struct {
-	held   []lgHeld
-	callee *types.Func
-	pos    token.Position
-}
-
-// lgDirectEdge is an acquire-while-holding observed inside one function.
-type lgDirectEdge struct {
-	from lgHeld
-	toID string
-	pos  token.Position
-}
-
-// lgFunc is the per-function fact base.
+// lgFunc is one function's fact base.
 type lgFunc struct {
-	fn   *types.Func
-	pkg  *Package
-	decl *ast.FuncDecl
-
-	acquires     map[string]lgTrace // direct acquires: site → witness
-	calls        []lgCall
-	heldAcquires []lgDirectEdge
-	heldCalls    []lgHeldCall
-}
-
-// lgEdge is one edge of the global order graph with its best witness.
-type lgEdge struct {
-	from, to string
-	witness  lgTrace
+	// sum maps each lock site the function may acquire to its best
+	// witness: its direct acquires from the walk, then, after
+	// computeSummaries, those of everything it calls.
+	sum   map[string]lgTrace
+	calls []lgCall
 }
 
 type lgProgram struct {
-	pkgs []*Package
+	fns map[*types.Func]*lgFunc
+	// heldCalls are the calls made with a named lock held, goroutine and
+	// defer bodies included.
+	heldCalls []lgCall
+	// edges is the order graph: each from → to edge with its best
+	// witness.
+	edges map[[2]string]lgTrace
 
-	fns     map[*types.Func]*lgFunc
-	fnOrder []*types.Func
-	// anons are goroutine and defer bodies: independent executions whose
-	// internal ordering counts but whose acquires belong to no caller.
-	anons []*lgFunc
-
+	// namedTypes are the module's named non-interface types, for
+	// interface-dispatch resolution.
 	namedTypes []*types.Named
 	implCache  map[string][]*types.Func
-
-	summaries map[*types.Func]map[string]lgTrace
-	edges     map[[2]string]*lgEdge
 }
 
-// indexTypes collects every named non-interface type of the module, for
-// interface-dispatch resolution.
-func (p *lgProgram) indexTypes() {
-	for _, pkg := range p.pkgs {
+func newLGProgram(pkgs []*Package) *lgProgram {
+	p := &lgProgram{
+		fns:       make(map[*types.Func]*lgFunc),
+		edges:     make(map[[2]string]lgTrace),
+		implCache: make(map[string][]*types.Func),
+	}
+	for _, pkg := range pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if named, ok := tn.Type().(*types.Named); ok && !types.IsInterface(named) {
+					p.namedTypes = append(p.namedTypes, named)
+				}
 			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
-				continue
-			}
-			p.namedTypes = append(p.namedTypes, named)
 		}
 	}
-	sort.Slice(p.namedTypes, func(i, j int) bool {
-		a, b := p.namedTypes[i].Obj(), p.namedTypes[j].Obj()
-		if a.Pkg().Path() != b.Pkg().Path() {
-			return a.Pkg().Path() < b.Pkg().Path()
-		}
-		return a.Name() < b.Name()
-	})
+	return p
 }
 
-// scanAll walks every function declaration of every package.
-func (p *lgProgram) scanAll() {
-	for _, pkg := range p.pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				lf := &lgFunc{fn: obj, pkg: pkg, decl: fd, acquires: make(map[string]lgTrace)}
-				s := &lgScan{prog: p, pkg: pkg, out: lf}
-				s.scanStmts(fd.Body.List, map[string]lgHeld{})
-				p.fns[obj] = lf
-				p.fnOrder = append(p.fnOrder, obj)
+// function returns the visitor that records fd's facts.
+func (p *lgProgram) function(pkg *Package, fd *ast.FuncDecl) lockVisitor {
+	lf := &lgFunc{sum: make(map[string]lgTrace)}
+	if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+		p.fns[obj] = lf
+	}
+	return &lgScan{prog: p, out: lf}
+}
+
+// run derives the order graph from the recorded facts and reports its
+// cycles.
+func (p *lgProgram) run() []Diagnostic {
+	p.computeSummaries()
+	for _, hc := range p.heldCalls {
+		for _, callee := range p.resolveCallees(hc.callee) {
+			for id, tr := range p.fns[callee].sum {
+				p.addEdge(hc.held.id, id, append(lgTrace{
+					{pos: hc.held.pos, text: "holding " + hc.held.id},
+					{pos: hc.pos, text: "calls " + callee.FullName()},
+				}, tr...))
 			}
 		}
 	}
-	sort.Slice(p.fnOrder, func(i, j int) bool {
-		a, b := p.fns[p.fnOrder[i]], p.fns[p.fnOrder[j]]
-		pa, pb := a.pkg.Fset.Position(a.decl.Pos()), b.pkg.Fset.Position(b.decl.Pos())
-		if pa.Filename != pb.Filename {
-			return pa.Filename < pb.Filename
-		}
-		return pa.Line < pb.Line
-	})
+	return p.report()
 }
 
 // lockID canonicalizes a lock receiver expression to its site name:
@@ -232,9 +135,7 @@ func (p *lgProgram) scanAll() {
 // package-level locks, "" for locals and unnameable receivers (which
 // cannot participate in a cross-function order).
 func lockID(pkg *Package, recv ast.Expr) string {
-	if p, ok := recv.(*ast.ParenExpr); ok {
-		return lockID(pkg, p.X)
-	}
+	recv = ast.Unparen(recv)
 	if u, ok := recv.(*ast.UnaryExpr); ok && u.Op == token.AND {
 		return lockID(pkg, u.X)
 	}
@@ -262,269 +163,49 @@ func lockID(pkg *Package, recv ast.Expr) string {
 	return ""
 }
 
-// lgScan walks one function body tracking held locks, keyed by the
-// rendered receiver expression (so a.mu and b.mu are distinct holdings
-// even though they share a site).
+// lgScan is the lockgraph pass's visitor. It adds the edges an execution
+// makes directly and records its acquires and module calls into out —
+// nil for a goroutine or defer body, whose acquires belong to no caller.
 type lgScan struct {
 	prog *lgProgram
-	pkg  *Package
 	out  *lgFunc
 }
 
-func (s *lgScan) pos(p token.Pos) token.Position { return s.pkg.Fset.Position(p) }
-
-// acquire records taking the lock behind recv at pos.
-func (s *lgScan) acquire(recv ast.Expr, pos token.Pos, held map[string]lgHeld) {
-	key := renderExpr(s.pkg.Fset, recv)
-	id := lockID(s.pkg, recv)
-	at := s.pos(pos)
-	if id != "" {
-		if _, ok := s.out.acquires[id]; !ok {
-			s.out.acquires[id] = lgTrace{{pos: at, text: "acquires " + id}}
-		}
-		for _, h := range sortedHeld(held) {
-			if h.id == "" {
-				continue
-			}
-			s.out.heldAcquires = append(s.out.heldAcquires, lgDirectEdge{from: h, toID: id, pos: at})
-		}
-	}
-	held[key] = lgHeld{id: id, pos: at}
-}
-
-func (s *lgScan) release(recv ast.Expr, held map[string]lgHeld) {
-	delete(held, renderExpr(s.pkg.Fset, recv))
-}
-
-// scanStmts processes a statement list with the given held set (mutated
-// in place), returning whether the list always terminates before falling
-// through.
-func (s *lgScan) scanStmts(stmts []ast.Stmt, held map[string]lgHeld) bool {
-	for _, st := range stmts {
-		if s.scanStmt(st, held) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *lgScan) scanStmt(st ast.Stmt, held map[string]lgHeld) bool {
-	switch t := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := t.X.(*ast.CallExpr); ok {
-			if recv, op := lockMethod(s.pkg, call); recv != nil {
-				if lockAcquireOps[op] {
-					s.acquire(recv, call.Lparen, held)
-				} else {
-					s.release(recv, held)
-				}
-				return false
-			}
-		}
-		s.scanExpr(t.X, held)
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the lock held for the rest of the
-		// function. Any other deferred call runs at return, outside this
-		// scan's held tracking; its arguments are evaluated now.
-		if recv, op := lockMethod(s.pkg, t.Call); recv != nil && !lockAcquireOps[op] {
-			return false
-		}
-		for _, arg := range t.Call.Args {
-			s.scanExpr(arg, held)
-		}
-		s.scanDetachedFuncLits(t.Call)
-	case *ast.GoStmt:
-		// The goroutine is its own execution: it inherits no holdings and
-		// contributes none to this function's summary.
-		for _, arg := range t.Call.Args {
-			s.scanExpr(arg, held)
-		}
-		s.scanDetachedFuncLits(t.Call)
-	case *ast.SendStmt:
-		s.scanExpr(t.Chan, held)
-		s.scanExpr(t.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range t.Rhs {
-			s.scanExpr(e, held)
-		}
-		for _, e := range t.Lhs {
-			s.scanExpr(e, held)
-		}
-	case *ast.DeclStmt:
-		s.scanExpr(t, held)
-	case *ast.ReturnStmt:
-		for _, e := range t.Results {
-			s.scanExpr(e, held)
-		}
-		return true
-	case *ast.BranchStmt:
-		return t.Tok == token.GOTO
-	case *ast.IfStmt:
-		if t.Init != nil {
-			s.scanStmt(t.Init, held)
-		}
-		s.scanExpr(t.Cond, held)
-		thenHeld := copyHeld(held)
-		elseHeld := copyHeld(held)
-		if recv, _, negated := tryLockCond(s.pkg, t.Init, t.Cond); recv != nil {
-			into := thenHeld
-			if negated {
-				into = elseHeld
-			}
-			// The successful TryLock is an acquire in that branch.
-			s.acquire(recv, t.Cond.Pos(), into)
-		}
-		thenTerm := s.scanStmts(t.Body.List, thenHeld)
-		elseTerm := false
-		if t.Else != nil {
-			elseTerm = s.scanStmt(t.Else, elseHeld)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			replaceHeld(held, elseHeld)
-		case elseTerm:
-			replaceHeld(held, thenHeld)
-		default:
-			replaceHeld(held, intersectHeld(thenHeld, elseHeld))
-		}
-	case *ast.BlockStmt:
-		return s.scanStmts(t.List, held)
-	case *ast.LabeledStmt:
-		return s.scanStmt(t.Stmt, held)
-	case *ast.ForStmt:
-		if t.Init != nil {
-			s.scanStmt(t.Init, held)
-		}
-		if t.Cond != nil {
-			s.scanExpr(t.Cond, held)
-		}
-		body := copyHeld(held)
-		s.scanStmts(t.Body.List, body)
-		if t.Post != nil {
-			s.scanStmt(t.Post, body)
-		}
-	case *ast.RangeStmt:
-		s.scanExpr(t.X, held)
-		body := copyHeld(held)
-		s.scanStmts(t.Body.List, body)
-	case *ast.SelectStmt:
-		for _, c := range t.Body.List {
-			cc := c.(*ast.CommClause)
-			body := copyHeld(held)
-			s.scanStmts(cc.Body, body)
-		}
-	case *ast.SwitchStmt:
-		if t.Init != nil {
-			s.scanStmt(t.Init, held)
-		}
-		if t.Tag != nil {
-			s.scanExpr(t.Tag, held)
-		}
-		s.scanCases(t.Body.List, held)
-	case *ast.TypeSwitchStmt:
-		if t.Init != nil {
-			s.scanStmt(t.Init, held)
-		}
-		s.scanCases(t.Body.List, held)
-	}
-	return false
-}
-
-func (s *lgScan) scanCases(clauses []ast.Stmt, held map[string]lgHeld) {
-	for _, c := range clauses {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		body := copyHeld(held)
-		s.scanStmts(cc.Body, body)
-	}
-}
-
-// scanExpr records the synchronous calls under n. Function literals are
-// scanned inline: their bodies may run on this execution, so their facts
-// join this function's (held set starts empty — a literal called while
-// holding is covered by the call-site tracking of its invoker).
-func (s *lgScan) scanExpr(n ast.Node, held map[string]lgHeld) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch t := n.(type) {
-		case *ast.FuncLit:
-			s.scanStmts(t.Body.List, map[string]lgHeld{})
-			return false
-		case *ast.CallExpr:
-			if recv, op := lockMethod(s.pkg, t); recv != nil {
-				// TryLock in a guard position is handled at the if; a bare
-				// acquire expression elsewhere is recorded pessimistically.
-				if lockAcquireOps[op] && !isTryOp(op) {
-					s.acquire(recv, t.Lparen, held)
-				}
-				return true
-			}
-			s.recordCall(t, held)
-		}
-		return true
-	})
-}
-
-// scanDetachedFuncLits scans function literals under n as independent
-// executions (goroutine/defer bodies).
-func (s *lgScan) scanDetachedFuncLits(n ast.Node) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			anon := &lgFunc{fn: s.out.fn, pkg: s.pkg, decl: s.out.decl, acquires: make(map[string]lgTrace)}
-			inner := &lgScan{prog: s.prog, pkg: s.pkg, out: anon}
-			inner.scanStmts(fl.Body.List, map[string]lgHeld{})
-			s.prog.anons = append(s.prog.anons, anon)
-			return false
-		}
-		return true
-	})
-}
-
-// recordCall resolves call's static target; module-internal targets are
-// recorded for summary propagation, and for edge construction when locks
-// are held.
-func (s *lgScan) recordCall(call *ast.CallExpr, held map[string]lgHeld) {
-	var ident *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		ident = fun.Sel
-	case *ast.Ident:
-		ident = fun
-	default:
+func (s *lgScan) acquire(h heldLock, held map[string]heldLock) {
+	if h.id == "" {
 		return
 	}
-	fn, ok := s.pkg.Info.Uses[ident].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return
+	if s.out != nil && s.out.sum[h.id] == nil {
+		s.out.sum[h.id] = lgTrace{{pos: h.pos, text: "acquires " + h.id}}
 	}
-	if !isModuleInternal(fn.Pkg().Path(), s.pkg.Path) {
-		return
+	for _, from := range held {
+		s.prog.addEdge(from.id, h.id, lgTrace{
+			{pos: from.pos, text: "holding " + from.id},
+			{pos: h.pos, text: "acquires " + h.id},
+		})
 	}
-	at := s.pos(call.Lparen)
-	s.out.calls = append(s.out.calls, lgCall{callee: fn, pos: at})
-	hs := sortedHeld(held)
-	var named []lgHeld
-	for _, h := range hs {
+}
+
+func (s *lgScan) call(fn *types.Func, pos token.Position, held map[string]heldLock) {
+	if s.out != nil {
+		s.out.calls = append(s.out.calls, lgCall{callee: fn, pos: pos})
+	}
+	for _, h := range held {
 		if h.id != "" {
-			named = append(named, h)
+			s.prog.heldCalls = append(s.prog.heldCalls, lgCall{held: h, callee: fn, pos: pos})
 		}
 	}
-	if len(named) > 0 {
-		s.out.heldCalls = append(s.out.heldCalls, lgHeldCall{held: named, callee: fn, pos: at})
-	}
 }
+
+func (*lgScan) blocking(token.Position, string, map[string]heldLock) {}
+
+func (s *lgScan) detached() lockVisitor { return &lgScan{prog: s.prog} }
 
 // resolveCallees maps a called function object to the module functions
 // that may execute: the function itself when concrete, or every module
 // implementation when it is an interface method.
 func (p *lgProgram) resolveCallees(fn *types.Func) []*types.Func {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
+	sig := fn.Type().(*types.Signature)
 	if sig.Recv() == nil || !types.IsInterface(sig.Recv().Type()) {
 		if _, ok := p.fns[fn]; ok {
 			return []*types.Func{fn}
@@ -535,10 +216,7 @@ func (p *lgProgram) resolveCallees(fn *types.Func) []*types.Func {
 	if impls, ok := p.implCache[key]; ok {
 		return impls
 	}
-	iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
-	if !ok {
-		return nil
-	}
+	iface := sig.Recv().Type().Underlying().(*types.Interface)
 	var impls []*types.Func
 	for _, named := range p.namedTypes {
 		ptr := types.NewPointer(named)
@@ -546,11 +224,7 @@ func (p *lgProgram) resolveCallees(fn *types.Func) []*types.Func {
 			continue
 		}
 		obj, _, _ := types.LookupFieldOrMethod(ptr, true, fn.Pkg(), fn.Name())
-		m, ok := obj.(*types.Func)
-		if !ok {
-			continue
-		}
-		if _, ok := p.fns[m]; ok {
+		if m, ok := obj.(*types.Func); ok && p.fns[m] != nil {
 			impls = append(impls, m)
 		}
 	}
@@ -558,31 +232,22 @@ func (p *lgProgram) resolveCallees(fn *types.Func) []*types.Func {
 	return impls
 }
 
-// computeSummaries derives, for every function, the set of lock sites it
-// may acquire transitively, each with its best (shortest, then
-// lexicographically first) witness chain.
+// computeSummaries extends every function's summary to the lock sites it
+// may acquire transitively. Witness choice is a total order (betterTrace),
+// so the fixpoint does not depend on iteration order.
 func (p *lgProgram) computeSummaries() {
-	for _, fobj := range p.fnOrder {
-		sum := make(map[string]lgTrace, len(p.fns[fobj].acquires))
-		for id, tr := range p.fns[fobj].acquires {
-			sum[id] = tr
-		}
-		p.summaries[fobj] = sum
-	}
 	for changed := true; changed; {
 		changed = false
-		for _, fobj := range p.fnOrder {
-			lf := p.fns[fobj]
-			sum := p.summaries[fobj]
+		for fobj, lf := range p.fns {
 			for _, c := range lf.calls {
 				for _, callee := range p.resolveCallees(c.callee) {
 					if callee == fobj {
 						continue
 					}
-					for id, ctrace := range p.summaries[callee] {
+					for id, ctrace := range p.fns[callee].sum {
 						trace := append(lgTrace{{pos: c.pos, text: "calls " + callee.FullName()}}, ctrace...)
-						if betterTrace(trace, sum[id]) {
-							sum[id] = trace
+						if betterTrace(trace, lf.sum[id]) {
+							lf.sum[id] = trace
 							changed = true
 						}
 					}
@@ -605,103 +270,64 @@ func betterTrace(a, b lgTrace) bool {
 	return strings.Join(a.render(), "|") < strings.Join(b.render(), "|")
 }
 
-// buildEdges assembles the global order graph from direct edges and from
-// held calls joined with callee summaries.
-func (p *lgProgram) buildEdges() {
-	all := make([]*lgFunc, 0, len(p.fnOrder)+len(p.anons))
-	for _, fobj := range p.fnOrder {
-		all = append(all, p.fns[fobj])
-	}
-	all = append(all, p.anons...)
-	for _, lf := range all {
-		for _, de := range lf.heldAcquires {
-			p.addEdge(de.from.id, de.toID, lgTrace{
-				{pos: de.from.pos, text: "holding " + de.from.id},
-				{pos: de.pos, text: "acquires " + de.toID},
-			})
-		}
-		for _, hc := range lf.heldCalls {
-			for _, callee := range p.resolveCallees(hc.callee) {
-				sum := p.summaries[callee]
-				for _, id := range sortedTraceKeys(sum) {
-					for _, h := range hc.held {
-						trace := append(lgTrace{
-							{pos: h.pos, text: "holding " + h.id},
-							{pos: hc.pos, text: "calls " + callee.FullName()},
-						}, sum[id]...)
-						p.addEdge(h.id, id, trace)
-					}
-				}
-			}
-		}
-	}
-}
-
 func (p *lgProgram) addEdge(from, to string, witness lgTrace) {
 	if from == "" || to == "" {
 		return
 	}
 	key := [2]string{from, to}
-	if e, ok := p.edges[key]; ok {
-		if !betterTrace(witness, e.witness) {
-			return
-		}
+	if betterTrace(witness, p.edges[key]) {
+		p.edges[key] = witness
 	}
-	p.edges[key] = &lgEdge{from: from, to: to, witness: witness}
 }
 
-// report removes allowlisted edges, finds cycles and renders diagnostics.
-func (p *lgProgram) report(cfg LockGraphConfig) []Diagnostic {
-	var diags []Diagnostic
-	for _, allow := range cfg.AllowedEdges {
-		key := [2]string{allow.From, allow.To}
-		if _, ok := p.edges[key]; !ok {
-			diags = append(diags, Diagnostic{
-				Pass: "lockgraph",
-				Message: fmt.Sprintf(
-					"stale allowlist entry %s → %s: no such edge exists — remove it", allow.From, allow.To),
-			})
-			continue
-		}
-		delete(p.edges, key)
-	}
-
+// report finds each cycle of the order graph — one per strongly connected
+// component, through its smallest lock — and renders it with the witness
+// of every edge.
+func (p *lgProgram) report() []Diagnostic {
 	adj := make(map[string][]string)
-	nodes := map[string]bool{}
 	for key := range p.edges {
 		adj[key[0]] = append(adj[key[0]], key[1])
-		nodes[key[0]], nodes[key[1]] = true, true
 	}
 	var order []string
-	for n := range nodes {
+	for n := range adj {
 		order = append(order, n)
-	}
-	sort.Strings(order)
-	for _, n := range order {
 		sort.Strings(adj[n])
 	}
+	sort.Strings(order)
 
-	for _, scc := range stronglyConnected(order, adj) {
-		inSCC := make(map[string]bool, len(scc))
-		for _, n := range scc {
-			inSCC[n] = true
-		}
-		selfLoop := len(scc) == 1 && p.edges[[2]string{scc[0], scc[0]}] != nil
-		if len(scc) < 2 && !selfLoop {
+	var diags []Diagnostic
+	done := map[string]bool{}
+	for _, n := range order {
+		if done[n] {
 			continue
 		}
-		cycle := shortestCycle(scc[0], inSCC, adj)
+		parent := bfs(n, adj)
+		closer, onCycle := parent[n]
+		if !onCycle {
+			continue
+		}
+		// n is the smallest lock of its component: mark the rest.
+		for m := range parent {
+			if _, back := bfs(m, adj)[n]; back {
+				done[m] = true
+			}
+		}
+		cycle := []string{n}
+		for at := closer; at != n; at = parent[at] {
+			cycle = append(cycle, at)
+		}
+		cycle = append(cycle, n)
+		slices.Reverse(cycle)
+
 		var notes []string
 		for i := 0; i+1 < len(cycle); i++ {
-			e := p.edges[[2]string{cycle[i], cycle[i+1]}]
-			notes = append(notes, fmt.Sprintf("edge %s → %s:", e.from, e.to))
-			for _, line := range e.witness.render() {
+			notes = append(notes, fmt.Sprintf("edge %s → %s:", cycle[i], cycle[i+1]))
+			for _, line := range p.edges[[2]string{cycle[i], cycle[i+1]}].render() {
 				notes = append(notes, "  "+line)
 			}
 		}
-		first := p.edges[[2]string{cycle[0], cycle[1]}]
 		diags = append(diags, Diagnostic{
-			Pos:     first.witness[0].pos,
+			Pos:     p.edges[[2]string{cycle[0], cycle[1]}][0].pos,
 			Pass:    "lockgraph",
 			Message: fmt.Sprintf("lock-order cycle (%d locks): %s", len(cycle)-1, strings.Join(cycle, " → ")),
 			Notes:   notes,
@@ -710,162 +336,19 @@ func (p *lgProgram) report(cfg LockGraphConfig) []Diagnostic {
 	return diags
 }
 
-// stronglyConnected is a deterministic iterative Tarjan over the sorted
-// node list; returned components are sorted internally and by their
-// smallest member.
-func stronglyConnected(order []string, adj map[string][]string) [][]string {
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	var sccs [][]string
-	next := 0
-
-	type frame struct {
-		node string
-		ni   int
-	}
-	var visit func(root string)
-	visit = func(root string) {
-		frames := []frame{{node: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ni < len(adj[f.node]) {
-				w := adj[f.node][f.ni]
-				f.ni++
-				if _, seen := index[w]; !seen {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{node: w})
-				} else if onStack[w] && index[w] < low[f.node] {
-					low[f.node] = index[w]
-				}
-				continue
-			}
-			// Node finished: pop, propagate lowlink, emit SCC at roots.
-			if low[f.node] == index[f.node] {
-				var scc []string
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, w)
-					if w == f.node {
-						break
-					}
-				}
-				sort.Strings(scc)
-				sccs = append(sccs, scc)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[f.node] < low[parent.node] {
-					low[parent.node] = low[f.node]
-				}
-			}
-		}
-	}
-	for _, n := range order {
-		if _, seen := index[n]; !seen {
-			visit(n)
-		}
-	}
-	sort.Slice(sccs, func(i, j int) bool { return sccs[i][0] < sccs[j][0] })
-	return sccs
-}
-
-// shortestCycle finds, by BFS restricted to the SCC, the shortest cycle
-// through start, returned as [start, ..., start].
-func shortestCycle(start string, inSCC map[string]bool, adj map[string][]string) []string {
-	if contains(adj[start], start) {
-		return []string{start, start}
-	}
+// bfs searches adj breadth-first from start, neighbours in sorted order,
+// and returns each reached node's BFS parent. start itself is reached
+// only by closing a cycle, so parent[start], when present, ends the
+// shortest cycle through start.
+func bfs(start string, adj map[string][]string) map[string]string {
 	parent := map[string]string{}
-	queue := []string{start}
-	visited := map[string]bool{start: true}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[n] {
-			if !inSCC[w] {
-				continue
-			}
-			if w == start {
-				// Close the cycle: walk parents back to start.
-				path := []string{start}
-				for at := n; at != start; at = parent[at] {
-					path = append(path, at)
-				}
-				path = append(path, start)
-				// path is reversed (start, n, ..., start) — reverse the middle.
-				for i, j := 1, len(path)-2; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
-				}
-				return path
-			}
-			if !visited[w] {
-				visited[w] = true
-				parent[w] = n
+	for queue := []string{start}; len(queue) > 0; queue = queue[1:] {
+		for _, w := range adj[queue[0]] {
+			if _, seen := parent[w]; !seen {
+				parent[w] = queue[0]
 				queue = append(queue, w)
 			}
 		}
 	}
-	// SCC guarantees a cycle exists; unreachable.
-	return []string{start, start}
-}
-
-func sortedHeld(held map[string]lgHeld) []lgHeld {
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]lgHeld, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, held[k])
-	}
-	return out
-}
-
-func sortedTraceKeys(m map[string]lgTrace) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func copyHeld(m map[string]lgHeld) map[string]lgHeld {
-	out := make(map[string]lgHeld, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func replaceHeld(dst, src map[string]lgHeld) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-func intersectHeld(a, b map[string]lgHeld) map[string]lgHeld {
-	out := make(map[string]lgHeld)
-	for k, v := range a {
-		if _, ok := b[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
+	return parent
 }

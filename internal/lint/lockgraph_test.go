@@ -36,7 +36,7 @@ func renderAll(diags []Diagnostic) []string {
 // for both edges.
 func TestLockGraphTwoLockCycle(t *testing.T) {
 	pkg := loadLockGraphFixture(t, "twolock", "odp/internal/twolock")
-	got := renderAll(Run([]*Package{pkg}, []Analyzer{NewLockGraph(LockGraphConfig{})}))
+	got := renderAll(Run([]*Package{pkg}, []Analyzer{NewLocks(DefaultMutexHeldConfig())}))
 	want := []string{
 		"testdata/lockgraph/twolock/twolock.go:21:11: [lockgraph] lock-order cycle (2 locks): " +
 			"odp/internal/twolock.A.mu → odp/internal/twolock.B.mu → odp/internal/twolock.A.mu\n" +
@@ -55,7 +55,7 @@ func TestLockGraphTwoLockCycle(t *testing.T) {
 // the witness chain must show the call step.
 func TestLockGraphThreeLockCycleThroughCall(t *testing.T) {
 	pkg := loadLockGraphFixture(t, "threelock", "odp/internal/threelock")
-	got := renderAll(Run([]*Package{pkg}, []Analyzer{NewLockGraph(LockGraphConfig{})}))
+	got := renderAll(Run([]*Package{pkg}, []Analyzer{NewLocks(DefaultMutexHeldConfig())}))
 	want := []string{
 		"testdata/lockgraph/threelock/threelock.go:34:11: [lockgraph] lock-order cycle (3 locks): " +
 			"odp/internal/threelock.X.mu → odp/internal/threelock.Y.mu → odp/internal/threelock.Z.mu → odp/internal/threelock.X.mu\n" +
@@ -78,7 +78,7 @@ func TestLockGraphThreeLockCycleThroughCall(t *testing.T) {
 // module implementation acquires P.
 func TestLockGraphInterfaceDispatch(t *testing.T) {
 	pkg := loadLockGraphFixture(t, "iface", "odp/internal/iface")
-	got := renderAll(Run([]*Package{pkg}, []Analyzer{NewLockGraph(LockGraphConfig{})}))
+	got := renderAll(Run([]*Package{pkg}, []Analyzer{NewLocks(DefaultMutexHeldConfig())}))
 	want := []string{
 		"testdata/lockgraph/iface/iface.go:40:12: [lockgraph] lock-order cycle (2 locks): " +
 			"odp/internal/iface.P.mu → odp/internal/iface.Q.mu → odp/internal/iface.P.mu\n" +
@@ -91,42 +91,6 @@ func TestLockGraphInterfaceDispatch(t *testing.T) {
 			"\t  testdata/lockgraph/iface/iface.go:18: acquires odp/internal/iface.P.mu",
 	}
 	diffStrings(t, got, want)
-}
-
-// TestLockGraphAllowlist pins the ordered-lock allowlist: breaking the
-// cycle by declaring one edge intentional silences the finding, and an
-// entry that matches no real edge is itself a finding.
-func TestLockGraphAllowlist(t *testing.T) {
-	pkg := loadLockGraphFixture(t, "twolock", "odp/internal/twolock")
-	cfg := LockGraphConfig{AllowedEdges: []LockOrderEdge{{
-		From:   "odp/internal/twolock.B.mu",
-		To:     "odp/internal/twolock.A.mu",
-		Reason: "fixture: declares the BA order intentional to break the cycle",
-	}}}
-	if got := Run([]*Package{pkg}, []Analyzer{NewLockGraph(cfg)}); len(got) != 0 {
-		t.Fatalf("allowlisted edge still reported: %q", renderAll(got))
-	}
-
-	stale := LockGraphConfig{AllowedEdges: []LockOrderEdge{{
-		From:   "odp/internal/twolock.A.mu",
-		To:     "odp/internal/twolock.Z.mu",
-		Reason: "fixture: matches nothing",
-	}}}
-	got := renderAll(Run([]*Package{pkg}, []Analyzer{NewLockGraph(stale)}))
-	wantStale := "stale allowlist entry odp/internal/twolock.A.mu → odp/internal/twolock.Z.mu: no such edge exists — remove it"
-	foundStale := false
-	for _, g := range got {
-		if strings.Contains(g, wantStale) {
-			foundStale = true
-		}
-	}
-	if !foundStale {
-		t.Errorf("no stale-entry finding in %q", got)
-	}
-	// The unbroken cycle must still be reported alongside the stale entry.
-	if len(got) != 2 {
-		t.Errorf("got %d diagnostics, want stale entry + cycle: %q", len(got), got)
-	}
 }
 
 // diffStrings compares rendered diagnostics pairwise with a readable

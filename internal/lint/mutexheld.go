@@ -1,10 +1,8 @@
 package lint
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 	"regexp"
@@ -35,396 +33,39 @@ func DefaultMutexHeldConfig() MutexHeldConfig {
 	}
 }
 
-// NewMutexHeld creates the pass that forbids channel operations and
-// network transmission while a sync.Mutex or sync.RWMutex is held — the
-// class of bug behind the at-most-once ack race (DESIGN.md): anything
-// that can block or re-enter the network stack inside a critical section
-// couples lock hold time to network latency and invites deadlock.
-func NewMutexHeld(cfg MutexHeldConfig) Analyzer { return &mutexHeld{cfg: cfg} }
-
-type mutexHeld struct {
-	cfg MutexHeldConfig
-}
-
-func (*mutexHeld) Name() string { return "mutexheld" }
-
 // heldContractRe matches doc comments that declare a lock-held calling
 // contract, e.g. "Called with lm.mu held."
 var heldContractRe = regexp.MustCompile(`(?i)called with .*\b(held|locked)\b`)
 
-func (a *mutexHeld) Run(pkg *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			held := map[string]bool{}
-			if heldContext(fd) {
-				held["(caller's mutex)"] = true
-			}
-			s := &mutexScan{pkg: pkg, pass: a}
-			s.scanStmts(fd.Body.List, held)
-			diags = append(diags, s.diags...)
-		}
+// entryHeld is fd's held set on entry: the caller's mutex when fd is, by
+// convention, always called with a lock held — its name ends in "Locked"
+// or its doc comment declares the contract.
+func entryHeld(fd *ast.FuncDecl) map[string]heldLock {
+	held := map[string]heldLock{}
+	if strings.HasSuffix(fd.Name.Name, "Locked") || fd.Doc != nil && heldContractRe.MatchString(fd.Doc.Text()) {
+		held["(caller's mutex)"] = heldLock{}
 	}
-	return diags
+	return held
 }
 
-// heldContext reports whether fd is, by convention, always called with a
-// lock held: its name ends in "Locked" or its doc comment declares the
-// contract.
-func heldContext(fd *ast.FuncDecl) bool {
-	if strings.HasSuffix(fd.Name.Name, "Locked") {
-		return true
-	}
-	return fd.Doc != nil && heldContractRe.MatchString(fd.Doc.Text())
-}
+// mutexHeld is the mutexheld pass: the visitor that reports a blocking
+// operation while the held set is non-empty.
+type mutexHeld []Diagnostic
 
-// mutexScan walks one function body tracking the set of held mutexes.
-type mutexScan struct {
-	pkg   *Package
-	pass  *mutexHeld
-	diags []Diagnostic
-}
+func (*mutexHeld) acquire(heldLock, map[string]heldLock)                 {}
+func (*mutexHeld) call(*types.Func, token.Position, map[string]heldLock) {}
+func (m *mutexHeld) detached() lockVisitor                               { return m }
 
-func (s *mutexScan) report(pos token.Pos, format string, args ...interface{}) {
-	s.diags = append(s.diags, Diagnostic{
-		Pos:     s.pkg.Fset.Position(pos),
-		Pass:    s.pass.Name(),
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// scanStmts processes a statement list with the given held set (mutated
-// in place), returning whether the list always terminates (return, panic,
-// goto) before falling through.
-func (s *mutexScan) scanStmts(stmts []ast.Stmt, held map[string]bool) bool {
-	for _, st := range stmts {
-		if s.scanStmt(st, held) {
-			return true
-		}
+func (m *mutexHeld) blocking(pos token.Position, what string, held map[string]heldLock) {
+	if len(held) == 0 {
+		return
 	}
-	return false
-}
-
-// scanStmt processes one statement, returning true when control never
-// falls through to the next statement.
-func (s *mutexScan) scanStmt(st ast.Stmt, held map[string]bool) bool {
-	switch t := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := t.X.(*ast.CallExpr); ok {
-			if mu, op := s.lockOp(call); mu != "" {
-				// A TryLock whose result is discarded is treated as an
-				// acquire: the author clearly believed it succeeds.
-				if lockAcquireOps[op] {
-					held[mu] = true
-				} else {
-					delete(held, mu)
-				}
-				return false
-			}
-		}
-		s.checkExpr(t.X, held)
-	case *ast.SendStmt:
-		if len(held) > 0 {
-			s.report(t.Arrow, "channel send while %s is held", anyHeld(held))
-		}
-		s.checkExpr(t.Chan, held)
-		s.checkExpr(t.Value, held)
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the mutex held for the rest of the
-		// function; a deferred anything-else runs after the body, so its
-		// arguments are evaluated now but the call is not.
-		if mu, _ := s.lockOp(t.Call); mu == "" {
-			for _, arg := range t.Call.Args {
-				s.checkExpr(arg, held)
-			}
-			s.scanFuncLits(t.Call)
-		}
-	case *ast.GoStmt:
-		// The goroutine runs concurrently without the caller's locks.
-		for _, arg := range t.Call.Args {
-			s.checkExpr(arg, held)
-		}
-		s.scanFuncLits(t.Call)
-	case *ast.AssignStmt:
-		for _, e := range t.Rhs {
-			s.checkExpr(e, held)
-		}
-		for _, e := range t.Lhs {
-			s.checkExpr(e, held)
-		}
-	case *ast.DeclStmt:
-		s.checkExpr(t, held)
-	case *ast.ReturnStmt:
-		for _, e := range t.Results {
-			s.checkExpr(e, held)
-		}
-		return true
-	case *ast.BranchStmt:
-		return t.Tok == token.GOTO
-	case *ast.IfStmt:
-		if t.Init != nil {
-			s.scanStmt(t.Init, held)
-		}
-		s.checkExpr(t.Cond, held)
-		thenHeld := copySet(held)
-		elseHeld := copySet(held)
-		// A TryLock guard holds the lock exactly in the branch where it
-		// succeeded.
-		if recv, _, negated := tryLockCond(s.pkg, t.Init, t.Cond); recv != nil {
-			mu := renderExpr(s.pkg.Fset, recv)
-			if negated {
-				elseHeld[mu] = true
-			} else {
-				thenHeld[mu] = true
-			}
-		}
-		thenTerm := s.scanStmts(t.Body.List, thenHeld)
-		elseTerm := false
-		if t.Else != nil {
-			elseTerm = s.scanStmt(t.Else, elseHeld)
-		}
-		// The held set after the if is the intersection of the branches
-		// that fall through; a branch that returns does not constrain it.
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			replaceSet(held, elseHeld)
-		case elseTerm:
-			replaceSet(held, thenHeld)
-		default:
-			replaceSet(held, intersect(thenHeld, elseHeld))
-		}
-	case *ast.BlockStmt:
-		return s.scanStmts(t.List, held)
-	case *ast.LabeledStmt:
-		return s.scanStmt(t.Stmt, held)
-	case *ast.ForStmt:
-		if t.Init != nil {
-			s.scanStmt(t.Init, held)
-		}
-		if t.Cond != nil {
-			s.checkExpr(t.Cond, held)
-		}
-		body := copySet(held)
-		s.scanStmts(t.Body.List, body)
-		if t.Post != nil {
-			s.scanStmt(t.Post, body)
-		}
-	case *ast.RangeStmt:
-		if len(held) > 0 && s.isChannelType(t.X) {
-			s.report(t.For, "range over channel while %s is held", anyHeld(held))
-		}
-		s.checkExpr(t.X, held)
-		body := copySet(held)
-		s.scanStmts(t.Body.List, body)
-	case *ast.SelectStmt:
-		// A select with a default clause never blocks; one without can
-		// park the goroutine while the mutex is held.
-		if len(held) > 0 && !hasDefaultClause(t) {
-			s.report(t.Select, "select while %s is held", anyHeld(held))
-		}
-		for _, c := range t.Body.List {
-			cc := c.(*ast.CommClause)
-			body := copySet(held)
-			s.scanStmts(cc.Body, body)
-		}
-	case *ast.SwitchStmt:
-		if t.Init != nil {
-			s.scanStmt(t.Init, held)
-		}
-		if t.Tag != nil {
-			s.checkExpr(t.Tag, held)
-		}
-		s.scanCases(t.Body.List, held)
-	case *ast.TypeSwitchStmt:
-		if t.Init != nil {
-			s.scanStmt(t.Init, held)
-		}
-		s.scanCases(t.Body.List, held)
-	}
-	return false
-}
-
-// scanCases processes switch case bodies with independent copies of the
-// held set.
-func (s *mutexScan) scanCases(clauses []ast.Stmt, held map[string]bool) {
-	for _, c := range clauses {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		body := copySet(held)
-		s.scanStmts(cc.Body, body)
-	}
-}
-
-// checkExpr reports channel receives and blocking calls inside expr when
-// a mutex is held, and always analyzes function literals afresh (their
-// bodies run with their own lock discipline).
-func (s *mutexScan) checkExpr(n ast.Node, held map[string]bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch t := n.(type) {
-		case *ast.FuncLit:
-			inner := &mutexScan{pkg: s.pkg, pass: s.pass}
-			inner.scanStmts(t.Body.List, map[string]bool{})
-			s.diags = append(s.diags, inner.diags...)
-			return false
-		case *ast.UnaryExpr:
-			if t.Op == token.ARROW && len(held) > 0 {
-				s.report(t.OpPos, "channel receive while %s is held", anyHeld(held))
-			}
-		case *ast.CallExpr:
-			if len(held) > 0 {
-				if name, ok := s.blockingCallee(t); ok {
-					s.report(t.Lparen, "call to %s while %s is held", name, anyHeld(held))
-				}
-			}
-		}
-		return true
-	})
-}
-
-// scanFuncLits analyzes any function literals under n with an empty held
-// set.
-func (s *mutexScan) scanFuncLits(n ast.Node) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			inner := &mutexScan{pkg: s.pkg, pass: s.pass}
-			inner.scanStmts(fl.Body.List, map[string]bool{})
-			s.diags = append(s.diags, inner.diags...)
-			return false
-		}
-		return true
-	})
-}
-
-// lockOp classifies call as a lock acquire/release operation (shared
-// definition in lockcommon.go: sync mutexes, sync.Locker values and
-// structural lockers, TryLock variants included), returning the rendered
-// receiver expression and the operation name, or "","" when it is not
-// one.
-func (s *mutexScan) lockOp(call *ast.CallExpr) (mu, op string) {
-	recv, op := lockMethod(s.pkg, call)
-	if recv == nil {
-		return "", ""
-	}
-	return renderExpr(s.pkg.Fset, recv), op
-}
-
-// blockingCallee resolves call's static target and reports whether it is
-// in the configured blocking set.
-func (s *mutexScan) blockingCallee(call *ast.CallExpr) (string, bool) {
-	var ident *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		ident = fun.Sel
-	case *ast.Ident:
-		ident = fun
-	default:
-		return "", false
-	}
-	fn, ok := s.pkg.Info.Uses[ident].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return "", false
-	}
-	names, ok := s.pass.cfg.Blocking[fn.Pkg().Path()]
-	if !ok {
-		return "", false
-	}
-	qualified := fn.Name()
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if named := namedOf(sig.Recv().Type()); named != nil {
-			qualified = named.Obj().Name() + "." + fn.Name()
-		}
-	}
-	for _, n := range names {
-		if n == qualified || n == fn.Name() {
-			return fn.Pkg().Name() + "." + qualified, true
-		}
-	}
-	return "", false
-}
-
-// hasDefaultClause reports whether sel has a default clause (Comm == nil),
-// making it non-blocking.
-func hasDefaultClause(sel *ast.SelectStmt) bool {
-	for _, c := range sel.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// isChannelType reports whether expr has channel type.
-func (s *mutexScan) isChannelType(expr ast.Expr) bool {
-	tv, ok := s.pkg.Info.Types[expr]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isChan := tv.Type.Underlying().(*types.Chan)
-	return isChan
-}
-
-// namedOf unwraps pointers to reach a named type.
-func namedOf(t types.Type) *types.Named {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
-}
-
-// anyHeld picks a deterministic representative of the held set for the
-// diagnostic text.
-func anyHeld(held map[string]bool) string {
-	best := ""
+	// The smallest key keeps the message deterministic.
+	first := ""
 	for k := range held {
-		if best == "" || k < best {
-			best = k
+		if first == "" || k < first {
+			first = k
 		}
 	}
-	return best
-}
-
-func copySet(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
-}
-
-func replaceSet(dst, src map[string]bool) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k := range src {
-		dst[k] = true
-	}
-}
-
-func intersect(a, b map[string]bool) map[string]bool {
-	out := make(map[string]bool)
-	for k := range a {
-		if b[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-// renderExpr prints an expression compactly for use as a map key and in
-// diagnostics.
-func renderExpr(fset *token.FileSet, e ast.Expr) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, e); err != nil {
-		return "?"
-	}
-	return buf.String()
+	*m = append(*m, Diagnostic{Pos: pos, Pass: "mutexheld", Message: fmt.Sprintf("%s while %s is held", what, first)})
 }

@@ -20,13 +20,9 @@ import (
 // sp.Context(), sp.Duration() — reads the span but releases nothing, so
 // it does not count. Calling Begin/BeginChild and discarding the result
 // (expression statement or blank assignment) is flagged at the call.
-func NewObsLeak() Analyzer { return &obsLeak{} }
+func NewObsLeak() Analyzer { return eachPackage(obsLeak) }
 
-type obsLeak struct{}
-
-func (*obsLeak) Name() string { return "obsleak" }
-
-func (a *obsLeak) Run(pkg *Package) []Diagnostic {
+func obsLeak(pkg *Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -45,7 +41,7 @@ func (a *obsLeak) Run(pkg *Package) []Diagnostic {
 			if body == nil {
 				return true
 			}
-			diags = append(diags, a.checkBody(pkg, body)...)
+			diags = append(diags, checkBody(pkg, body)...)
 			return true
 		})
 	}
@@ -55,7 +51,7 @@ func (a *obsLeak) Run(pkg *Package) []Diagnostic {
 // checkBody finds every Begin/BeginChild call in body (closures
 // included), then decides per bound identifier whether the span is ever
 // released.
-func (a *obsLeak) checkBody(pkg *Package, body *ast.BlockStmt) []Diagnostic {
+func checkBody(pkg *Package, body *ast.BlockStmt) []Diagnostic {
 	var diags []Diagnostic
 	// spans maps each identifier bound to a begun span to the method that
 	// minted it and the position of its first binding.
@@ -72,7 +68,7 @@ func (a *obsLeak) checkBody(pkg *Package, body *ast.BlockStmt) []Diagnostic {
 				if method, ok := beginCall(pkg, call); ok {
 					diags = append(diags, Diagnostic{
 						Pos:  pkg.Fset.Position(call.Pos()),
-						Pass: a.Name(),
+						Pass: "obsleak",
 						Message: fmt.Sprintf(
 							"result of Collector.%s is discarded: a sampled span would never be released", method),
 					})
@@ -100,7 +96,7 @@ func (a *obsLeak) checkBody(pkg *Package, body *ast.BlockStmt) []Diagnostic {
 				if id.Name == "_" {
 					diags = append(diags, Diagnostic{
 						Pos:  pkg.Fset.Position(call.Pos()),
-						Pass: a.Name(),
+						Pass: "obsleak",
 						Message: fmt.Sprintf(
 							"result of Collector.%s is discarded: a sampled span would never be released", method),
 					})
@@ -125,7 +121,7 @@ func (a *obsLeak) checkBody(pkg *Package, body *ast.BlockStmt) []Diagnostic {
 		if !isReleased(pkg, body, obj) {
 			diags = append(diags, Diagnostic{
 				Pos:  pkg.Fset.Position(o.pos),
-				Pass: a.Name(),
+				Pass: "obsleak",
 				Message: fmt.Sprintf(
 					"span %q from Collector.%s never reaches End: release it on every return path",
 					obj.Name(), o.method),

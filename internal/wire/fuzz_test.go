@@ -2,8 +2,19 @@ package wire
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
+
+// fullRef sets every exported Ref field; TestFullRefSurvivesBothCodecs
+// keeps it that way as Ref grows.
+var fullRef = Ref{
+	ID:        "obj-42",
+	TypeName:  "odp.example/Tally",
+	Endpoints: []string{"a", "b", "c"},
+	Epoch:     7,
+	Context:   []string{"root", "cell-3"},
+}
 
 // fuzzSeedValues is the fuzz seed corpus proper: at least one value of
 // every Kind in the data model, plus structurally adversarial shapes
@@ -11,13 +22,6 @@ import (
 // mutator productive starting points. TestFuzzSeedCoversEveryKind keeps
 // this list honest as the data model grows.
 func fuzzSeedValues() []Value {
-	fullRef := Ref{
-		ID:        "obj-42",
-		TypeName:  "odp.example/Tally",
-		Endpoints: []string{"a", "b", "c"},
-		Epoch:     7,
-		Context:   []string{"root", "cell-3"},
-	}
 	return []Value{
 		nil,                              // KindNil
 		true,                             // KindBool
@@ -58,9 +62,35 @@ func TestFuzzSeedCoversEveryKind(t *testing.T) {
 	for _, v := range fuzzSeedValues() {
 		mark(v)
 	}
-	for k := KindNil; k <= KindRef; k++ {
+	for k := range kindNames {
 		if !seen[k] {
 			t.Errorf("fuzz seed corpus has no value of kind %v", k)
+		}
+	}
+}
+
+// TestFullRefSurvivesBothCodecs is codec totality for the reference
+// type: the seed's fullRef sets every exported Ref field, and both codecs
+// bring it back deep-equal. Equal compares Ref fields one by one, so a
+// field added to Ref that no codec carries would slip past it.
+func TestFullRefSurvivesBothCodecs(t *testing.T) {
+	rv := reflect.ValueOf(fullRef)
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Type().Field(i); f.IsExported() && rv.Field(i).IsZero() {
+			t.Errorf("fullRef leaves Ref.%s unset", f.Name)
+		}
+	}
+	for _, c := range []Codec{PackedCodec{}, TextCodec{}} {
+		enc, err := c.Encode(nil, fullRef)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", c.Name(), err)
+		}
+		got, rest, err := c.Decode(enc)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%s: decode: %v (%d bytes left)", c.Name(), err, len(rest))
+		}
+		if !reflect.DeepEqual(got, fullRef) {
+			t.Errorf("%s: got %#v, want %#v", c.Name(), got, fullRef)
 		}
 	}
 }
