@@ -10,6 +10,10 @@
 // this package, the sim harness, the single real-time netsim file and the
 // benchmark harness, mentions of time.Now, time.Sleep, timers, tickers or
 // the global math/rand source are diagnostics.
+//
+// Timers are plain; none is pooled. A hot path arms no timer per
+// operation: the rpc client keeps one one-shot timer for all its calls,
+// re-armed after each pass for the earliest instant any of them names.
 package clock
 
 import (
@@ -87,49 +91,6 @@ type realTimer struct{ t *time.Timer }
 
 func (t realTimer) C() <-chan time.Time { return t.t.C }
 func (t realTimer) Stop() bool          { return t.t.Stop() }
-
-// pooledTimer is a recyclable real timer. It is pooled as a pointer so
-// that handing it out as a Timer boxes nothing.
-type pooledTimer struct{ t *time.Timer }
-
-func (t *pooledTimer) C() <-chan time.Time { return t.t.C }
-func (t *pooledTimer) Stop() bool          { return t.t.Stop() }
-
-var timerPool sync.Pool
-
-// AcquireTimer returns a one-shot timer firing after d. Under the real
-// clock the timer is drawn from a pool and re-armed, which keeps per-call
-// timer setup off the allocator on hot paths (one rpc invocation arms at
-// least one deadline timer). Under any other clock it falls back to
-// clk.NewTimer. Pass the timer to ReleaseTimer when done; a released
-// timer must no longer be used.
-func AcquireTimer(clk Clock, d time.Duration) Timer {
-	if _, ok := clk.(Real); ok {
-		if v := timerPool.Get(); v != nil {
-			pt := v.(*pooledTimer)
-			pt.t.Reset(d)
-			return pt
-		}
-		return &pooledTimer{t: time.NewTimer(d)}
-	}
-	return clk.NewTimer(d)
-}
-
-// ReleaseTimer stops t and, when it came from the real-clock pool,
-// recycles it — drained: go.mod's go 1.22 keeps timer channels buffered,
-// and one that fired unread would hand its next user a stale instant.
-func ReleaseTimer(t Timer) {
-	fired := !t.Stop()
-	if pt, ok := t.(*pooledTimer); ok {
-		if fired {
-			select {
-			case <-pt.t.C:
-			default:
-			}
-		}
-		timerPool.Put(pt)
-	}
-}
 
 // Fake is a manually advanced clock for deterministic tests and the
 // virtual-time simulation harness. Time stands still until Advance is
@@ -340,9 +301,9 @@ func (f *Fake) dropStoppedRootLocked() {
 }
 
 // compactLocked rebuilds the heap without its stopped entries once they
-// dominate it: a stopped far-deadline timer (a QoS deadline released
-// after the reply, say) never surfaces at the root on its own, and a
-// long simulation arms and releases one per call. Called with f.mu held.
+// dominate it: a stopped far-deadline timer (a bounded wait that ended
+// early, say) never surfaces at the root on its own, and a long
+// simulation may stop thousands of them. Called with f.mu held.
 func (f *Fake) compactLocked() {
 	if f.dead <= 64 || f.dead*2 < len(f.waiters) {
 		return

@@ -389,19 +389,3 @@ func TestFakeTickerKeepsRegistrationOrderAcrossRearm(t *testing.T) {
 		t.Fatalf("ticker fired %d times, want 3", len(order))
 	}
 }
-
-// A pooled timer that fired unread must not hand its next user the old
-// instant: the rpc client would take it for a retransmission interval
-// gone by and send a duplicate request.
-func TestReleasedTimerCarriesNoStaleTick(t *testing.T) {
-	tm := AcquireTimer(Real{}, time.Millisecond)
-	time.Sleep(5 * time.Millisecond) // fires into its channel; nobody reads
-	ReleaseTimer(tm)
-	tm = AcquireTimer(Real{}, time.Hour)
-	defer ReleaseTimer(tm)
-	select {
-	case <-tm.C():
-		t.Fatal("a recycled timer fired at once: stale tick")
-	case <-time.After(10 * time.Millisecond):
-	}
-}

@@ -125,7 +125,6 @@ type Fabric struct {
 	// than growing a fresh 2 KiB stack through the whole dispatch chain
 	// for every packet (see EXPERIMENTS.md on runtime.newstack).
 	jobq     chan *delivery
-	workStop chan struct{}
 	workerWg sync.WaitGroup
 
 	// Per-packet counters; Stats() assembles the snapshot. Atomic so that
@@ -189,9 +188,8 @@ func NewFabric(opts ...Option) *Fabric {
 		partitionedSubnets: make(map[string]bool),
 		isolatedSubnets:    make(map[string]bool),
 
-		pending:  make(map[uint64]pendEntry),
-		jobq:     make(chan *delivery),
-		workStop: make(chan struct{}),
+		pending: make(map[uint64]pendEntry),
+		jobq:    make(chan *delivery),
 	}
 	for _, o := range opts {
 		o(f)
@@ -203,15 +201,11 @@ func NewFabric(opts ...Option) *Fabric {
 	return f
 }
 
+// worker parks on jobq alone, no select, until Close closes it.
 func (f *Fabric) worker() {
 	defer f.workerWg.Done()
-	for {
-		select {
-		case d := <-f.jobq:
-			d.run()
-		case <-f.workStop:
-			return
-		}
+	for d := range f.jobq {
+		d.run()
 	}
 }
 
@@ -325,9 +319,9 @@ func (f *Fabric) Close() error {
 		}
 	}
 	f.wg.Wait()
-	// Every delivery registered with wg before submission, so wg.Wait
-	// returning means the worker pool is drained and safe to stop.
-	close(f.workStop)
+	// submit runs only inside the window route counted in wg, so nobody
+	// sends on jobq any more: closing it ends the workers' loops.
+	close(f.jobq)
 	f.workerWg.Wait()
 	return nil
 }

@@ -361,6 +361,54 @@ func TestFabricCloseRacingVirtualSends(t *testing.T) {
 	}
 }
 
+// residentWorkers counts the goroutines parked in, or running, a
+// fabric's delivery worker loop, across every fabric in the process.
+func residentWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "netsim.(*Fabric).worker(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestFabricCloseStopsWorkers: the resident zero-delay workers serve
+// deliveries while the fabric is open and are gone once Close returns —
+// the worker loop ends when Close closes the job queue.
+func TestFabricCloseStopsWorkers(t *testing.T) {
+	waitWorkers := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for residentWorkers() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d resident workers, want %d", residentWorkers(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	before := residentWorkers()
+	f := NewFabric()
+	waitWorkers(before + deliveryWorkers)
+	a, _ := f.Endpoint("a")
+	b, _ := f.Endpoint("b")
+	var n atomic.Int64
+	b.SetHandler(func(string, []byte) { n.Add(1) })
+	for i := 0; i < 100; i++ {
+		if err := a.Send("b", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Load(); got != 100 {
+		t.Fatalf("%d of 100 deliveries ran before Close returned", got)
+	}
+	waitWorkers(before)
+}
+
 func TestOversizePacket(t *testing.T) {
 	f := NewFabric()
 	defer f.Close()

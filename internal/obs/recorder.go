@@ -116,13 +116,12 @@ func (r *Recorder) Close() {
 func (r *Recorder) run() {
 	defer close(r.done)
 	for {
-		t := clock.AcquireTimer(r.clk, r.interval)
+		t := r.clk.NewTimer(r.interval)
 		select {
 		case <-r.stop:
-			clock.ReleaseTimer(t)
+			t.Stop()
 			return
 		case <-t.C():
-			clock.ReleaseTimer(t)
 			r.sample()
 		}
 	}

@@ -1,7 +1,10 @@
 package rpc
 
 import (
+	"cmp"
 	"context"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,16 +96,30 @@ const numShards = 16
 // pendingShard is one stripe of the pending-call table.
 type pendingShard struct {
 	mu sync.Mutex
-	m  map[uint64]chan replyBody
+	m  map[uint64]*pendingCall
 }
 
-// replyChPool recycles the one-slot reply channels of completed calls.
-// A channel is pooled only by the path that proved no sender can still
-// reference it (see Call), so a recycled channel can never deliver a
-// stale reply to a new call.
-var replyChPool = sync.Pool{
-	New: func() interface{} { return make(chan replyBody, 1) },
+// pendingCall is one interrogation awaiting its reply. Whoever removes it
+// from its shard — the reply's deliverer, the pass, a caller giving up,
+// Close — is ch's sole sender and sends once (Close closes it). Once
+// entered, only the pass writes due. Instants are ns since epoch.
+type pendingCall struct {
+	ch                   chan replyBody
+	id                   uint64
+	dest, op             string
+	pkt                  []byte // valid while the entry is pending
+	span                 obs.SpanContext
+	due, deadline, every int64
 }
+
+// pendingPool recycles entries with their one-slot channels. Only the
+// caller that received its remover's one value pools an entry, so a
+// recycled channel never carries a stale reply; a closed one is dropped.
+var pendingPool = sync.Pool{
+	New: func() interface{} { return &pendingCall{ch: make(chan replyBody, 1)} },
+}
+
+const never = math.MaxInt64 // no pass armed at a known instant
 
 // Client issues invocations from one endpoint. It multiplexes any number
 // of concurrent calls; concurrency is shard-level, so parallel calls only
@@ -115,6 +132,16 @@ type Client struct {
 	nextID atomic.Uint64
 	closed atomic.Bool
 	shards [numShards]pendingShard
+
+	// The retransmission clock (see pass): armed is the instant the one
+	// timer fires, never while a pass runs or nothing is armed. tmu
+	// guards the rest and is taken before a shard lock, never after.
+	epoch   time.Time
+	armed   atomic.Int64
+	tmu     sync.Mutex
+	timer   clock.Timer
+	passing bool
+	wantAt  int64 // earliest due registered while passing
 
 	// On a coalescing endpoint (lazy non-nil) acks are deferred in acks
 	// and queued just before the next substantive send to the same
@@ -182,11 +209,13 @@ func newClientNoHandler(ep transport.Endpoint, codec wire.Codec, opts ...ClientO
 	}
 	c.lazy, _ = ep.(transport.Batcher)
 	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]chan replyBody)
+		c.shards[i].m = make(map[uint64]*pendingCall)
 	}
 	for _, o := range opts {
 		o(c)
 	}
+	c.epoch, c.wantAt = c.clk.Now(), never
+	c.armed.Store(never)
 	return c
 }
 
@@ -233,52 +262,46 @@ func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
+	c.tmu.Lock()
+	if c.timer != nil {
+		c.timer.Stop()
+	}
+	c.tmu.Unlock()
 	c.flushAcks("")
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		chans := make([]chan replyBody, 0, len(sh.m))
-		for id, ch := range sh.m {
-			chans = append(chans, ch)
+		calls := make([]*pendingCall, 0, len(sh.m))
+		for id, pc := range sh.m {
+			calls = append(calls, pc)
 			delete(sh.m, id)
 		}
 		sh.mu.Unlock()
-		for _, ch := range chans {
-			close(ch)
+		for _, pc := range calls {
+			close(pc.ch)
 		}
 	}
 	return nil
 }
 
-// register claims a reply channel for id. The closed check runs under the
-// shard lock, so a concurrent Close either sees the entry (and closes its
-// channel) or is observed here (and the call fails with ErrClosed).
-func (c *Client) register(id uint64) (chan replyBody, bool) {
-	ch := replyChPool.Get().(chan replyBody)
+// take removes id's entry, making the caller its channel's sole sender;
+// nil means another got there first.
+func (c *Client) take(id uint64) *pendingCall {
 	sh := c.shard(id)
 	sh.mu.Lock()
-	if c.closed.Load() {
-		sh.mu.Unlock()
-		replyChPool.Put(ch)
-		return nil, false
-	}
-	sh.m[id] = ch
-	sh.mu.Unlock()
-	return ch, true
-}
-
-// unregister removes id's entry if still present, reporting whether this
-// caller claimed it. A false return means a deliverer claimed the entry
-// and owns the (sole) send on the channel.
-func (c *Client) unregister(id uint64) bool {
-	sh := c.shard(id)
-	sh.mu.Lock()
-	_, present := sh.m[id]
-	if present {
+	pc := sh.m[id]
+	if pc != nil {
 		delete(sh.m, id)
 	}
 	sh.mu.Unlock()
-	return present
+	return pc
+}
+
+// fail ends call id with err unless its result is already on the way.
+func (c *Client) fail(id uint64, err error) {
+	if pc := c.take(id); pc != nil {
+		pc.ch <- replyBody{err: err} // buffered, sole sender: never blocks
+	}
 }
 
 // newRequest assembles the packet of one outbound invocation — request
@@ -327,78 +350,147 @@ func (c *Client) Call(ctx context.Context, dest, objID, op string, args []wire.V
 	}
 	defer wire.PutBuffer(bufp)
 	defer c.obs.End(sp)
-	pkt := *bufp
 
-	ch, ok := c.register(id)
-	if !ok {
+	// The retransmission clock (pass) keeps the schedule; the caller
+	// waits for whatever its entry's remover sends.
+	start := c.clk.Now()
+	at := int64(start.Sub(c.epoch))
+	due := min(at+int64(qos.Retransmit), at+int64(qos.Timeout))
+	pc := pendingPool.Get().(*pendingCall)
+	pc.id, pc.dest, pc.pkt, pc.op, pc.span = id, dest, *bufp, op, sp.Context()
+	pc.due, pc.deadline, pc.every = due, at+int64(qos.Timeout), int64(qos.Retransmit)
+	sh := c.shard(id)
+	sh.mu.Lock()
+	closed := c.closed.Load() // under the lock: Close sees the entry, or the call sees Close
+	if !closed {
+		sh.m[id] = pc
+	}
+	sh.mu.Unlock()
+	if closed {
+		pendingPool.Put(pc)
 		return "", nil, ErrClosed
 	}
 
 	c.stats.calls.Add(1)
 	c.active.Add(1)
 	defer c.active.Add(-1)
-	if err := c.transmit(dest, pkt); err != nil {
-		c.abandon(id, ch)
-		return "", nil, err
+	if err := c.transmit(dest, *bufp); err != nil {
+		c.fail(id, err)
+	} else {
+		c.arm(due, at)
 	}
 
-	// One timer serves both retransmission and the deadline, re-armed
-	// after each fire (clock.Timer has no Reset): the next fire is the
-	// earlier of the retransmission interval and the remaining budget,
-	// and elapsed time against start decides which one it was. The
-	// common case — reply inside the first interval — uses one pooled
-	// timer instead of a timer plus a ticker.
-	start := c.clk.Now()
-	interval := qos.Retransmit
-	if qos.Timeout < interval {
-		interval = qos.Timeout
-	}
-	t := clock.AcquireTimer(c.clk, interval)
-	defer func() { clock.ReleaseTimer(t) }()
-
-	for {
+	var rb replyBody
+	var open bool
+	if done := ctx.Done(); done == nil {
+		rb, open = <-pc.ch
+	} else {
 		select {
-		case rb, open := <-ch:
-			if !open {
-				return "", nil, ErrClosed
-			}
-			// The deliverer removed the pending entry before sending, so
-			// no other sender exists and the drained channel is safe to
-			// recycle.
-			replyChPool.Put(ch)
-			c.lat.Observe(c.clk.Since(start))
-			// Acknowledge so the server may evict its reply cache. On a
-			// batching endpoint the ack is deferred to piggyback on the
-			// next outgoing batch; otherwise it is sent immediately. A
-			// busy reply is not cached, so there is nothing to evict.
-			if rb.status != statusBusy {
-				c.noteAck(dest, id)
-				c.obs.Event(sp.Context(), obs.KindAck, op)
-			}
-			return c.interpret(rb)
-		case <-t.C():
-			elapsed := c.clk.Since(start)
-			if elapsed >= qos.Timeout {
-				c.stats.timeouts.Add(1)
-				c.abandon(id, ch)
-				return "", nil, ErrTimeout
-			}
-			c.stats.retransmissions.Add(1)
-			c.obs.Event(sp.Context(), obs.KindRetransmit, op)
-			if err := c.transmit(dest, pkt); err != nil {
-				c.abandon(id, ch)
-				return "", nil, err
-			}
-			next := qos.Retransmit
-			if rem := qos.Timeout - elapsed; rem < next {
-				next = rem
-			}
-			clock.ReleaseTimer(t)
-			t = clock.AcquireTimer(c.clk, next)
-		case <-ctx.Done():
-			c.abandon(id, ch)
-			return "", nil, ctx.Err()
+		case rb, open = <-pc.ch:
+		case <-done:
+			c.fail(id, ctx.Err())
+			rb, open = <-pc.ch // this caller's error, or the result that beat it
 		}
+	}
+	if !open {
+		return "", nil, ErrClosed
+	}
+	pendingPool.Put(pc)
+	if rb.err != nil {
+		return "", nil, rb.err
+	}
+	c.lat.Observe(c.clk.Since(start))
+	// Acknowledge so the server may evict its reply cache. On a batching
+	// endpoint the ack is deferred to piggyback on the next outgoing
+	// batch; otherwise it is sent immediately. A busy reply is not
+	// cached, so there is nothing to evict.
+	if rb.status != statusBusy {
+		c.noteAck(dest, id)
+		c.obs.Event(sp.Context(), obs.KindAck, op)
+	}
+	return c.interpret(rb)
+}
+
+// arm makes sure a pass runs by due; one armed no later will find the
+// entry, so a steady-state call arms nothing and takes no lock. While a
+// pass runs armed reads never, and due is left for its re-arm.
+func (c *Client) arm(due, now int64) {
+	if due >= c.armed.Load() {
+		return
+	}
+	c.tmu.Lock()
+	defer c.tmu.Unlock()
+	switch {
+	case c.closed.Load():
+	case c.passing:
+		c.wantAt = min(c.wantAt, due)
+	case due < c.armed.Load():
+		if c.timer != nil {
+			c.timer.Stop()
+		}
+		c.timer = c.clk.AfterFunc(time.Duration(due-now), c.pass)
+		c.armed.Store(due)
+	}
+}
+
+// pass is the retransmission clock's one-shot callback: it retransmits
+// each call that is due (moving due on by Retransmit, up to the
+// deadline), fails each call past its deadline with ErrTimeout as its
+// entry's remover, and re-arms for the earliest due instant left.
+func (c *Client) pass() {
+	c.tmu.Lock()
+	if c.passing || c.closed.Load() {
+		c.tmu.Unlock()
+		return
+	}
+	c.passing = true
+	c.armed.Store(never)
+	c.tmu.Unlock()
+
+	now := int64(c.clk.Since(c.epoch))
+	next := int64(never)
+	var owed []pendingCall // copies: pkt cloned to resend, nil to expire
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for id, pc := range sh.m {
+			switch {
+			case pc.due > now:
+			case now >= pc.deadline:
+				delete(sh.m, id)
+				owed = append(owed, pendingCall{id: id, ch: pc.ch})
+				continue
+			default:
+				owed = append(owed, *pc)
+				owed[len(owed)-1].pkt = slices.Clone(pc.pkt) // the caller's buffer dies with the entry
+				pc.due = min(pc.due+pc.every, pc.deadline)
+			}
+			next = min(next, pc.due)
+		}
+		sh.mu.Unlock()
+	}
+	// Map order is random; call order is what a replay can repeat.
+	slices.SortFunc(owed, func(a, b pendingCall) int { return cmp.Compare(a.id, b.id) })
+	for _, o := range owed {
+		if o.pkt == nil {
+			c.stats.timeouts.Add(1)
+			o.ch <- replyBody{err: ErrTimeout} // buffered, sole sender: never blocks
+			continue
+		}
+		c.stats.retransmissions.Add(1)
+		c.obs.Event(o.span, obs.KindRetransmit, o.op)
+		if err := c.transmit(o.dest, o.pkt); err != nil {
+			c.fail(o.id, err)
+		}
+	}
+
+	c.tmu.Lock()
+	defer c.tmu.Unlock()
+	c.passing = false
+	next, c.wantAt = min(next, c.wantAt), never
+	if next != never && !c.closed.Load() {
+		c.timer = c.clk.AfterFunc(time.Duration(next-now), c.pass)
+		c.armed.Store(next)
 	}
 }
 
@@ -429,16 +521,6 @@ func (s *sharing) sendShared(ep transport.Endpoint, to string, pkt []byte) error
 		return s.lazy.SendLazy(to, pkt)
 	}
 	return ep.Send(to, pkt)
-}
-
-// abandon gives up on a call. If this caller still owned the pending
-// entry the channel provably has no sender and is recycled; otherwise a
-// deliverer is mid-send and the channel is left for the collector (its
-// buffered send cannot block).
-func (c *Client) abandon(id uint64, ch chan replyBody) {
-	if c.unregister(id) {
-		replyChPool.Put(ch)
-	}
 }
 
 // noteAck acknowledges a completed call: immediately on a plain
@@ -572,16 +654,10 @@ func (c *Client) deliverReply(callID uint64, body []byte) {
 		c.stats.badReplies.Add(1)
 		return
 	}
-	sh := c.shard(callID)
-	sh.mu.Lock()
-	ch, ok := sh.m[callID]
-	if ok {
-		delete(sh.m, callID)
-	}
-	sh.mu.Unlock()
-	if !ok {
+	pc := c.take(callID)
+	if pc == nil {
 		c.stats.orphanReplies.Add(1)
 		return
 	}
-	ch <- rb // buffered, sole sender: never blocks
+	pc.ch <- rb // buffered, sole sender: never blocks
 }

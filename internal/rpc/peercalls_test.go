@@ -514,10 +514,20 @@ func TestCloseDuringClaims(t *testing.T) {
 	}
 }
 
-// countingClock counts the reads of the instant.
+// countingClock counts the reads of the instant and the timers armed.
 type countingClock struct {
 	clock.Clock
-	reads atomic.Int64
+	reads, arms atomic.Int64
+}
+
+func (c *countingClock) NewTimer(d time.Duration) clock.Timer {
+	c.arms.Add(1)
+	return c.Clock.NewTimer(d)
+}
+
+func (c *countingClock) AfterFunc(d time.Duration, f func()) clock.Timer {
+	c.arms.Add(1)
+	return c.Clock.AfterFunc(d, f)
 }
 
 func (c *countingClock) Now() time.Time {
@@ -532,8 +542,10 @@ func (c *countingClock) Since(t time.Time) time.Duration {
 
 // TestNoClockOnTheTablePath: one uncontended interrogation reads the
 // server's clock twice (dispatch latency: began, since) and the client's
-// twice (send stamp, latency). Claiming the slot, caching the reply and
-// the ack that retires it read neither.
+// twice (send stamp, latency), and arms no timer: the retransmission
+// clock the first call armed is due before the second call is. Claiming
+// the slot, caching the reply and the ack that retires it read neither
+// clock. The interval is long so that pass does not fire in the window.
 func TestNoClockOnTheTablePath(t *testing.T) {
 	f := netsim.NewFabric()
 	t.Cleanup(func() { _ = f.Close() })
@@ -554,16 +566,20 @@ func TestNoClockOnTheTablePath(t *testing.T) {
 
 	call := func() {
 		t.Helper()
-		if _, _, err := cli.Call(context.Background(), "server", "o", "echo", []wire.Value{int64(1)}, QoS{}); err != nil {
+		qos := QoS{Timeout: 2 * time.Hour, Retransmit: time.Hour}
+		if _, _, err := cli.Call(context.Background(), "server", "o", "echo", []wire.Value{int64(1)}, qos); err != nil {
 			t.Fatal(err)
 		}
 	}
 	call() // builds the peer record
 	pollUntil(t, "first ack", func() bool { return srv.Stats().CacheEvictions == 1 })
-	c0, s0 := cclk.reads.Load(), sclk.reads.Load()
+	c0, s0, a0 := cclk.reads.Load(), sclk.reads.Load(), cclk.arms.Load()+sclk.arms.Load()
 	call()
 	pollUntil(t, "second ack", func() bool { return srv.Stats().CacheEvictions == 2 })
 	if c, s := cclk.reads.Load()-c0, sclk.reads.Load()-s0; c != 2 || s != 2 {
 		t.Fatalf("one interrogation and its ack read the client clock %d times and the server clock %d times, want 2 and 2", c, s)
+	}
+	if a := cclk.arms.Load() + sclk.arms.Load() - a0; a != 0 {
+		t.Fatalf("one interrogation armed %d timers, want 0", a)
 	}
 }

@@ -232,6 +232,7 @@ type replyBody struct {
 	results []wire.Value
 	msg     string
 	fwd     wire.Ref
+	err     error // a failure decided at the client; nothing else is read
 }
 
 func decodeReplyBody(codec wire.Codec, src []byte) (replyBody, error) {

@@ -15,8 +15,10 @@
 //
 //   - direct write: a Send that finds no write in progress claims the
 //     whole queue and writes it synchronously, so serial request/reply
-//     traffic never pays a goroutine hand-off (loop_serial is 10.1×ref
-//     with it and 12.5 without);
+//     traffic never pays a goroutine hand-off (queueing every frame for
+//     the flusher instead made loop_serial a quarter slower, DESIGN.md
+//     *Write coalescing*). It reads the clock only to time frames that
+//     queued behind an earlier write;
 //   - lazy enqueue (SendLazy): the frame is queued without forcing a
 //     write. The coalescer cannot see who else is about to send — on one
 //     core every caller finds the wire idle — so the layer that can
@@ -144,8 +146,8 @@ func WithPendingLimit(n int) CoalescerOption {
 	}
 }
 
-// WithCoalescerClock injects the clock that stamps enqueue and claim
-// times for the flush-delay histogram.
+// WithCoalescerClock injects the clock that times, for the flush-delay
+// histogram, the frames that queue behind a write in flight.
 func WithCoalescerClock(clk clock.Clock) CoalescerOption {
 	return func(c *Coalescer) {
 		if clk != nil {
@@ -183,9 +185,9 @@ type Coalescer struct {
 	obs *obs.Collector
 
 	stats coalCounters
-	// flushDelay is the queue-delay distribution: first enqueue of a
-	// batch to its claim for writing. Direct flushes record ~0; time
-	// spent queued behind an in-flight write shows up here.
+	// flushDelay is the queue delay per batch claimed: from its first
+	// frame queued behind a write in flight to the claim, or 0, read from
+	// no clock, when none was (direct writes, lazy frames on a free wire).
 	flushDelay obs.Histogram
 }
 
@@ -249,7 +251,8 @@ type batchPeer struct {
 	segs     []*[]byte // queued sub-frames, each [u32 len][bytes], pooled
 	bytes    int       // queued bytes across segs (excluding the batch header)
 	count    int       // sub-frames queued
-	firstAt  time.Time
+	firstAt  time.Time // when the first frame queued behind a write in flight
+	timed    bool      // firstAt is set for the queued batch
 	inFlight bool      // a claimed write is in progress; queue behind it
 	spare    []*[]byte // recycled seg-slice header, ping-ponged with segs
 
@@ -510,11 +513,11 @@ func (p *batchPeer) enqueueLocked(pkt []byte) bool {
 	var lb [subHdrLen]byte
 	binary.BigEndian.PutUint32(lb[:], uint32(len(pkt)))
 	*sp = append(append((*sp)[:0], lb[:]...), pkt...)
-	if p.count == 0 {
-		p.firstAt = p.c.clk.Now()
-		if p.segs == nil {
-			p.segs, p.spare = p.spare, nil
-		}
+	if p.count == 0 && p.segs == nil {
+		p.segs, p.spare = p.spare, nil
+	}
+	if p.inFlight && !p.timed {
+		p.firstAt, p.timed = p.c.clk.Now(), true
 	}
 	p.segs = append(p.segs, sp)
 	p.bytes += subHdrLen + len(pkt)
@@ -531,9 +534,11 @@ func (p *batchPeer) claimLocked() ([]*[]byte, int) {
 	p.segs = nil
 	p.bytes, p.count = 0, 0
 	if n > 0 {
-		// Queue delay: first enqueue to claim. Observing under p.mu is
-		// one atomic add; the flusher already reads the clock here.
-		p.c.flushDelay.Observe(p.c.clk.Since(p.firstAt))
+		var waited time.Duration
+		if p.timed {
+			waited, p.timed = p.c.clk.Since(p.firstAt), false
+		}
+		p.c.flushDelay.Observe(waited)
 	}
 	return segs, n
 }

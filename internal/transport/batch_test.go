@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -462,6 +463,49 @@ func TestCoalescerCloseDrains(t *testing.T) {
 	}
 	if err := c.Send("mem://b", []byte("late")); err != ErrClosed {
 		t.Fatalf("send after close: got %v want ErrClosed", err)
+	}
+}
+
+// readCounter counts reads of the instant.
+type readCounter struct {
+	clock.Clock
+	reads atomic.Int64
+}
+
+func (c *readCounter) Now() time.Time {
+	c.reads.Add(1)
+	return c.Clock.Now()
+}
+
+func (c *readCounter) Since(t time.Time) time.Duration {
+	c.reads.Add(1)
+	return c.Clock.Since(t)
+}
+
+// TestDirectSendReadsNoClock: a Send that finds the wire idle writes its
+// frame and the lazy frame parked before it without reading the clock —
+// neither waited for the wire — and records that batch's delay as 0.
+func TestDirectSendReadsNoClock(t *testing.T) {
+	clk := &readCounter{Clock: clock.NewFake(time.Unix(100, 0))}
+	inner := newMemEP("mem://a")
+	c := NewCoalescer(inner, WithCoalescerClock(clk))
+	defer func() { _ = c.Close() }()
+	c.peer("mem://b").capable.Store(true) // no flusher: only the Send writes
+
+	if err := c.SendLazy("mem://b", []byte("ack")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send("mem://b", []byte("request")); err != nil {
+		t.Fatal(err)
+	}
+	if n := clk.reads.Load(); n != 0 {
+		t.Fatalf("a lazy frame and a direct write read the clock %d times, want 0", n)
+	}
+	if st := c.BatchStats(); st.DirectFlushes != 1 || st.BatchesSent != 1 || st.FramesBatched != 2 {
+		t.Fatalf("want one direct batch of two frames: %+v", st)
+	}
+	if d := c.FlushDelay(); d.Count() != 1 || d.Buckets[0] != 1 {
+		t.Fatalf("direct batch's delay: %v, want one observation of 0", d.Buckets)
 	}
 }
 
