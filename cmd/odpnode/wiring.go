@@ -19,9 +19,9 @@ type nodeConfig struct {
 	// the hot path, and the "obs.sample_every" management parameter can
 	// turn sampling on against a live node.
 	traceEvery int
-	// batch wraps the endpoint in the write coalescer; against a
-	// non-batching peer frames go out unbatched. It has no bearing on
-	// the codec.
+	// batch wraps the endpoint in the write coalescer, which sends BATCH
+	// datagrams from its first frame: every node reads them, with or
+	// without -batch. It has no bearing on the codec.
 	batch bool
 	// series > 0 samples the node's Gather snapshot at this interval, so
 	// the management "series" op serves rates and odptop shows them.

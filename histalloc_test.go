@@ -33,7 +33,7 @@ func TestHistogramRecordingAddsNoAllocsE1(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	settleE1(t, client, call)
+	settleE1(call)
 
 	const runs = 200
 	callsBefore, _ := client.Gather()["rpc.client.call_count"].(uint64)

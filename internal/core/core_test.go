@@ -22,7 +22,7 @@ import (
 	"odp/internal/wire"
 )
 
-// ledger is the running example servant: snapshot-capable, typed.
+// ledger is the running example servant: it snapshots and is typed.
 type ledger struct {
 	mu      sync.Mutex
 	balance int64

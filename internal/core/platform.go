@@ -153,18 +153,6 @@ func WithTrader(contextName string) Option {
 	return func(cfg *platformConfig) { cfg.traderContext = contextName }
 }
 
-// WithTraderSnapshotPolicy relaxes the trader's snapshot freshness: an
-// import may serve a shard snapshot up to maxStaleness old as long as
-// fewer than maxPending writes landed since it was built, instead of
-// rebuilding on the first read after every write. Suits high-churn
-// offer populations where bounded advertisement lag is acceptable.
-func WithTraderSnapshotPolicy(maxStaleness time.Duration, maxPending int) Option {
-	return func(cfg *platformConfig) {
-		cfg.traderOpts = append(cfg.traderOpts,
-			trader.WithSnapshotPolicy(maxStaleness, maxPending))
-	}
-}
-
 // WithTraderFederationQoS sets the per-hop QoS base for federated trader
 // imports: each link traversal gets q.Timeout scaled by its remaining
 // hop budget (so hops near the importer outlive their downstream chain)
@@ -222,10 +210,10 @@ func WithAdmission(cfg rpc.AdmissionConfig) Option {
 // WithBatching wraps the node's endpoint in a write coalescer
 // (transport.Coalescer): frames that concurrent invocations address to
 // the same destination pack into single BATCH datagrams, amortising
-// per-packet channel overhead. Batching is negotiated in-band, so a
-// batching node interoperates transparently with plain ones. The
-// platform owns the wrapper; Close flushes and closes it (and with it
-// the endpoint).
+// per-packet channel overhead. Every node reads batches, so a batching
+// node sends them from its first frame and still meets plain ones
+// transparently. The platform owns the wrapper; Close flushes and closes
+// it (and with it the endpoint).
 func WithBatching(opts ...transport.CoalescerOption) Option {
 	return func(cfg *platformConfig) {
 		cfg.batching = true
@@ -300,7 +288,7 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 	p := &Platform{
 		Store:     cfg.store,
 		Locks:     txn.NewLockManager(cfg.lockWait, lockOpts...),
-		Registry:  mgmt.NewRegistry(0),
+		Registry:  mgmt.NewRegistry(),
 		Keys:      security.NewKeyring(),
 		Types:     types.NewManager(),
 		clk:       cfg.clk,
@@ -558,5 +546,5 @@ var (
 	ErrEnvConflict = errors.New("core: conflicting environment constraints")
 	// ErrNeedsSnapshot reports a constraint requiring state capture on a
 	// servant that cannot snapshot.
-	ErrNeedsSnapshot = errors.New("core: constraint requires a snapshot-capable servant")
+	ErrNeedsSnapshot = errors.New("core: constraint requires a servant that can snapshot")
 )

@@ -93,8 +93,8 @@ func TestThreeWayTranslation(t *testing.T) {
 	proxy := d.export(t, refC)
 	ctx := context.Background()
 
-	// Enough calls to span the coalescers' HELLO exchange in domain A:
-	// correctness must hold before, during and after it.
+	// Domain A's coalescers batch from the first frame; every call, the
+	// first included, must come back whole.
 	const gets = 20
 	for i := 0; i < gets; i++ {
 		outcome, res, err := d.clientA.Invoke(ctx, proxy, "get", []wire.Value{"greeting"})

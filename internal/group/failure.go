@@ -134,6 +134,9 @@ func (m *Member) heartbeatPeers(peers []memberInfo, viewID uint64, missed map[st
 
 // onHeartbeat records liveness of the sequencer.
 func (m *Member) onHeartbeat(args []wire.Value) (string, []wire.Value, error) {
+	if len(args) != 1 {
+		return "", nil, errors.New("group: heartbeat wants (viewID)")
+	}
 	viewID, _ := args[0].(uint64)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -238,6 +241,9 @@ func (m *Member) multicastView(v view, peers []memberInfo) {
 
 // onView installs a newer view.
 func (m *Member) onView(args []wire.Value) (string, []wire.Value, error) {
+	if len(args) != 1 {
+		return "", nil, errors.New("group: view wants (view)")
+	}
 	v, err := decodeView(args[0])
 	if err != nil {
 		return "", nil, err
@@ -329,6 +335,9 @@ func (m *Member) Join(ctx context.Context, seed wire.Ref) error {
 
 // onJoin handles a join request at the sequencer.
 func (m *Member) onJoin(_ context.Context, args []wire.Value) (string, []wire.Value, error) {
+	if len(args) != 1 {
+		return "", nil, errors.New("group: join wants (member)")
+	}
 	rec, ok := args[0].(wire.Record)
 	if !ok {
 		return "", nil, fmt.Errorf("group: join wants a member record, got %T", args[0])

@@ -35,9 +35,11 @@ type Registry struct {
 	counters map[string]uint64
 	gauges   map[string]float64
 	events   []Event
-	maxEv    int
 	clk      clock.Clock
 }
+
+// maxEvents bounds the management event log: the most recent are kept.
+const maxEvents = 256
 
 // Event is one entry of the management event log.
 type Event struct {
@@ -47,16 +49,11 @@ type Event struct {
 	What string
 }
 
-// NewRegistry creates an empty registry keeping up to maxEvents recent
-// events (default 256).
-func NewRegistry(maxEvents int) *Registry {
-	if maxEvents <= 0 {
-		maxEvents = 256
-	}
+// NewRegistry creates an empty registry.
+func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]uint64),
 		gauges:   make(map[string]float64),
-		maxEv:    maxEvents,
 		clk:      clock.Real{},
 	}
 }
@@ -97,8 +94,8 @@ func (r *Registry) Gauge(name string) float64 {
 func (r *Registry) Log(what string) {
 	r.mu.Lock()
 	r.events = append(r.events, Event{At: r.clk.Now(), What: what})
-	if len(r.events) > r.maxEv {
-		r.events = r.events[len(r.events)-r.maxEv:]
+	if len(r.events) > maxEvents {
+		r.events = r.events[len(r.events)-maxEvents:]
 	}
 	r.mu.Unlock()
 }
@@ -292,6 +289,9 @@ func (a *Agent) dispatch(_ context.Context, op string, args []wire.Value) (strin
 		}
 		return "ok", []wire.Value{list}, nil
 	case "get-param":
+		if len(args) != 1 {
+			return "", nil, errors.New("mgmt: get-param wants (name)")
+		}
 		name, _ := args[0].(string)
 		a.mu.Lock()
 		p, ok := a.params[name]

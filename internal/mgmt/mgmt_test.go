@@ -17,7 +17,7 @@ import (
 var codec = wire.PackedCodec{}
 
 func TestRegistryCountersGauges(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.Add("x", 1)
 	r.Add("x", 2)
 	r.Set("g", 3.5)
@@ -31,7 +31,7 @@ func TestRegistryCountersGauges(t *testing.T) {
 }
 
 func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -49,16 +49,16 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 func TestEventLogBounded(t *testing.T) {
-	r := NewRegistry(10)
-	for i := 0; i < 25; i++ {
+	r := NewRegistry()
+	for i := 0; i < maxEvents+15; i++ {
 		r.Log(fmt.Sprintf("event-%d", i))
 	}
 	evs := r.Events()
-	if len(evs) != 10 {
-		t.Fatalf("event log holds %d", len(evs))
+	if len(evs) != maxEvents {
+		t.Fatalf("event log holds %d, want %d", len(evs), maxEvents)
 	}
-	if evs[9].What != "event-24" {
-		t.Fatalf("lost the newest events: %v", evs[9])
+	if evs[0].What != "event-15" || evs[maxEvents-1].What != fmt.Sprintf("event-%d", maxEvents+14) {
+		t.Fatalf("kept %q..%q, want the newest %d", evs[0].What, evs[maxEvents-1].What, maxEvents)
 	}
 }
 
@@ -69,7 +69,7 @@ func TestInstrumentCountsCallsAndErrors(t *testing.T) {
 	c := capsule.New("n", ep, codec)
 	t.Cleanup(func() { _ = c.Close() })
 
-	r := NewRegistry(0)
+	r := NewRegistry()
 	var fail atomic.Bool
 	ref, err := c.Export(capsule.ServantFunc(
 		func(context.Context, string, []wire.Value) (string, []wire.Value, error) {
@@ -108,7 +108,7 @@ func TestAgentRemoteStatsAndParams(t *testing.T) {
 	manager := capsule.New("manager", cep, codec)
 	t.Cleanup(func() { _ = server.Close(); _ = manager.Close() })
 
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.Add("invocations", 7)
 	agent, err := NewAgent(server, r)
 	if err != nil {

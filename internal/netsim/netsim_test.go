@@ -244,7 +244,6 @@ func TestFabricCloseWhileFlusherWrites(t *testing.T) {
 		b, _ := f.Endpoint("b")
 		b.SetHandler(func(string, []byte) {})
 		co := transport.NewCoalescer(a)
-		co.MarkBatching("b")
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)

@@ -142,7 +142,7 @@ type FlightRecorder struct {
 	rules []Rule
 
 	mu        sync.Mutex
-	ring      []BreachReport
+	ring      []BreachReport // flightDepth reports
 	pos       int
 	count     int
 	seq       uint64
@@ -150,38 +150,21 @@ type FlightRecorder struct {
 	stallRuns []int  // stall rules: consecutive zero-delta windows
 }
 
-// FlightOption configures NewFlightRecorder.
-type FlightOption func(*FlightRecorder)
-
-// WithFlightDepth sets how many breach reports are retained (default 8).
-func WithFlightDepth(n int) FlightOption {
-	return func(f *FlightRecorder) {
-		if n > 0 {
-			f.ring = make([]BreachReport, n)
-		}
-	}
-}
-
 const (
-	defaultFlightDepth = 8
-	flightSpanLimit    = 16 // trailing spans captured per breach report
+	flightDepth     = 8  // breach reports retained
+	flightSpanLimit = 16 // trailing spans captured per breach report
 )
 
 // NewFlightRecorder arms rules against rec's samples. col supplies the
 // span ring for reports; nil (an untraced node) yields span-less
 // reports.
-func NewFlightRecorder(rec *Recorder, col *Collector, rules []Rule, opts ...FlightOption) *FlightRecorder {
+func NewFlightRecorder(rec *Recorder, col *Collector, rules []Rule) *FlightRecorder {
 	f := &FlightRecorder{
 		col:       col,
 		rules:     append([]Rule(nil), rules...),
+		ring:      make([]BreachReport, flightDepth),
 		tripped:   make([]bool, len(rules)),
 		stallRuns: make([]int, len(rules)),
-	}
-	for _, o := range opts {
-		o(f)
-	}
-	if f.ring == nil {
-		f.ring = make([]BreachReport, defaultFlightDepth)
 	}
 	rec.OnSample(f.observe)
 	return f

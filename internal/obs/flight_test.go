@@ -17,9 +17,9 @@ type feed struct {
 	n    int
 }
 
-func newFeed(rules []Rule, opts ...FlightOption) *feed {
+func newFeed(rules []Rule) *feed {
 	r := NewRecorder(func() wire.Record { return nil }, time.Second)
-	return &feed{f: NewFlightRecorder(r, nil, rules, opts...)}
+	return &feed{f: NewFlightRecorder(r, nil, rules)}
 }
 
 func (fd *feed) push(rec wire.Record) {
@@ -105,19 +105,20 @@ func TestStallRuleFiresAfterQuietWindows(t *testing.T) {
 }
 
 func TestFlightRingBounded(t *testing.T) {
-	fd := newFeed([]Rule{CeilingRule("c", "v", 0)}, WithFlightDepth(2))
-	for i := 1; i <= 5; i++ {
+	fd := newFeed([]Rule{CeilingRule("c", "v", 0)})
+	const breaches = flightDepth + 3
+	for i := 1; i <= breaches; i++ {
 		fd.push(wire.Record{"v": float64(i)}) // breach
 		fd.push(wire.Record{})                // re-arm
 	}
 	reps := fd.f.Reports()
-	if len(reps) != 2 {
-		t.Fatalf("retained = %d, want 2", len(reps))
+	if len(reps) != flightDepth {
+		t.Fatalf("retained = %d, want %d", len(reps), flightDepth)
 	}
-	if reps[0].Seq != 4 || reps[1].Seq != 5 {
-		t.Fatalf("retained seqs = %d, %d, want the newest two", reps[0].Seq, reps[1].Seq)
+	if reps[0].Seq != breaches-flightDepth+1 || reps[flightDepth-1].Seq != breaches {
+		t.Fatalf("retained seqs %d..%d, want the newest %d", reps[0].Seq, reps[flightDepth-1].Seq, flightDepth)
 	}
-	if st := fd.f.Stats(); st.Breaches != 5 || st.Retained != 2 {
+	if st := fd.f.Stats(); st.Breaches != breaches || st.Retained != flightDepth {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -135,8 +135,7 @@ type Collector struct {
 	pool sync.Pool
 
 	mu       sync.Mutex
-	ringSize int
-	ring     []Span // built by the first committed span
+	ring     []Span // ringSize spans, built by the first committed span
 	pos      int
 	count    int
 	recorded uint64
@@ -162,25 +161,16 @@ func WithSampleEvery(n uint64) CollectorOption {
 	return func(c *Collector) { c.every.Store(n) }
 }
 
-// WithRingSize sets how many completed spans are retained (default 1024).
-func WithRingSize(n int) CollectorOption {
-	return func(c *Collector) {
-		if n > 0 {
-			c.ringSize = n
-		}
-	}
-}
-
-// defaultRingSize bounds the retained-span footprint per platform.
-const defaultRingSize = 1024
+// ringSize is how many completed spans a collector retains: it bounds
+// the retained-span footprint per platform.
+const ringSize = 1024
 
 // NewCollector creates a collector for the named node.
 func NewCollector(node string, opts ...CollectorOption) *Collector {
 	c := &Collector{
-		node:     node,
-		clk:      clock.Real{},
-		idBase:   idBaseFor(node),
-		ringSize: defaultRingSize,
+		node:   node,
+		clk:    clock.Real{},
+		idBase: idBaseFor(node),
 	}
 	c.pool.New = func() interface{} { return new(Span) }
 	for _, o := range opts {
@@ -326,7 +316,7 @@ func (c *Collector) Event(parent SpanContext, kind, name string) {
 func (c *Collector) commit(s Span) {
 	c.mu.Lock()
 	if c.ring == nil {
-		c.ring = make([]Span, c.ringSize)
+		c.ring = make([]Span, ringSize)
 	}
 	c.ring[c.pos] = s
 	c.pos++

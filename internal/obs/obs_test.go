@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -95,25 +96,22 @@ func TestSampling(t *testing.T) {
 
 func TestRingEviction(t *testing.T) {
 	c, _ := newTestCollector("node-a", 1)
-	// Shrink via option on a fresh collector.
-	c = NewCollector("node-a", WithSampleEvery(1), WithRingSize(4),
-		WithCollectorClock(clock.NewFake(epoch)))
-	for i := 0; i < 6; i++ {
-		c.End(c.Begin(KindStub, string(rune('a'+i))))
+	for i := 0; i < ringSize+2; i++ {
+		c.End(c.Begin(KindStub, strconv.Itoa(i)))
 	}
 	spans := c.Snapshot()
-	if len(spans) != 4 {
-		t.Fatalf("ring kept %d, want 4", len(spans))
+	if len(spans) != ringSize {
+		t.Fatalf("ring kept %d, want %d", len(spans), ringSize)
 	}
-	if spans[0].Name != "c" || spans[3].Name != "f" {
-		t.Fatalf("oldest/newest = %s/%s, want c/f", spans[0].Name, spans[3].Name)
+	if oldest, newest := spans[0].Name, spans[ringSize-1].Name; oldest != "2" || newest != strconv.Itoa(ringSize+1) {
+		t.Fatalf("oldest/newest = %s/%s, want 2/%d", oldest, newest, ringSize+1)
 	}
 }
 
 // An unsampled collector holds no span ring: the ring is built by the
 // first span committed to it.
 func TestRingBuiltByFirstSpan(t *testing.T) {
-	c := NewCollector("node-a", WithRingSize(4), WithCollectorClock(clock.NewFake(epoch)))
+	c := NewCollector("node-a", WithCollectorClock(clock.NewFake(epoch)))
 	if sp := c.Begin(KindStub, "unsampled"); sp != nil || c.ring != nil {
 		t.Fatalf("unsampled root: span %v, ring of %d", sp, len(c.ring))
 	}
@@ -122,7 +120,7 @@ func TestRingBuiltByFirstSpan(t *testing.T) {
 	}
 	c.SetSampleEvery(1)
 	c.End(c.Begin(KindStub, "first"))
-	if len(c.ring) != 4 || len(c.Snapshot()) != 1 {
+	if len(c.ring) != ringSize || len(c.Snapshot()) != 1 {
 		t.Fatalf("after the first span: ring of %d, %d retained", len(c.ring), len(c.Snapshot()))
 	}
 }

@@ -35,7 +35,7 @@ type Recorder struct {
 	clk      clock.Clock
 
 	mu    sync.Mutex
-	ring  []Sample
+	ring  []Sample // recorderDepth samples
 	pos   int
 	count int
 	hooks []func(prev, cur Sample, hasPrev bool)
@@ -59,17 +59,9 @@ func WithRecorderClock(clk clock.Clock) RecorderOption {
 	}
 }
 
-// WithRecorderDepth sets how many samples the ring retains (default 64).
-func WithRecorderDepth(n int) RecorderOption {
-	return func(r *Recorder) {
-		if n > 0 {
-			r.ring = make([]Sample, n)
-		}
-	}
-}
-
-// defaultRecorderDepth bounds the retained-sample footprint per node.
-const defaultRecorderDepth = 64
+// recorderDepth is how many samples the ring retains: it bounds the
+// retained-sample footprint per node.
+const recorderDepth = 64
 
 // NewRecorder creates a recorder sampling src every interval. Nothing
 // runs until Start; attach observers (the flight recorder) first.
@@ -81,14 +73,12 @@ func NewRecorder(src func() wire.Record, interval time.Duration, opts ...Recorde
 		src:      src,
 		interval: interval,
 		clk:      clock.Real{},
+		ring:     make([]Sample, recorderDepth),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(r)
-	}
-	if r.ring == nil {
-		r.ring = make([]Sample, defaultRecorderDepth)
 	}
 	return r
 }

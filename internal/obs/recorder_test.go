@@ -64,7 +64,7 @@ func advance(t *testing.T, fc *clock.Fake, r *Recorder, interval time.Duration, 
 func TestRecorderSamplesOnClock(t *testing.T) {
 	fc := clock.NewFake(epoch)
 	src := &countingSource{}
-	r := NewRecorder(src.rec, time.Second, WithRecorderClock(fc), WithRecorderDepth(4))
+	r := NewRecorder(src.rec, time.Second, WithRecorderClock(fc))
 	r.Start()
 	defer r.Close()
 
@@ -87,17 +87,13 @@ func TestRecorderSamplesOnClock(t *testing.T) {
 		t.Fatalf("second sample counter = %v", got)
 	}
 
-	// The ring keeps the newest depth samples.
-	for i := 0; i < 6; i++ {
-		want := 3 + i
-		if want > 4 {
-			want = 4
-		}
-		advance(t, fc, r, time.Second, want)
+	// The ring keeps the newest recorderDepth samples.
+	for i := 0; i < recorderDepth; i++ {
+		advance(t, fc, r, time.Second, min(3+i, recorderDepth))
 	}
 	samples = r.Samples()
-	if len(samples) != 4 {
-		t.Fatalf("ring holds %d, want depth 4", len(samples))
+	if len(samples) != recorderDepth {
+		t.Fatalf("ring holds %d, want depth %d", len(samples), recorderDepth)
 	}
 	for i := 1; i < len(samples); i++ {
 		if !samples[i].At.After(samples[i-1].At) {

@@ -65,9 +65,10 @@ func TestAdmissionShedsBeyondBurst(t *testing.T) {
 }
 
 // TestAdmissionBusyReplyNotAcked: a busy reply is never cached, so the
-// client owes it no ack — neither an ack packet on a plain endpoint nor
-// a deferred one on a batching endpoint. Only the admitted call is
-// acknowledged.
+// client owes it no ack — neither an ack frame on a plain endpoint nor
+// a deferred one on a batching endpoint, where the recorder beneath the
+// coalescer counts the frames inside each batch. Only the admitted call
+// is acknowledged.
 func TestAdmissionBusyReplyNotAcked(t *testing.T) {
 	for _, batching := range []bool{false, true} {
 		t.Run(fmt.Sprintf("batching=%v", batching), func(t *testing.T) {
@@ -119,7 +120,7 @@ func TestAdmissionBusyReplyNotAcked(t *testing.T) {
 				}
 			}
 			if acks != 1 {
-				t.Fatalf("%d ack packets sent, want 1 (the admitted call only)", acks)
+				t.Fatalf("%d ack frames sent, want 1 (the admitted call only)", acks)
 			}
 		})
 	}

@@ -18,8 +18,8 @@ import (
 )
 
 // setupBatched wires a client and server whose shared fabric endpoints
-// are wrapped in coalescers pre-marked as mutually capable, so every
-// send takes the batching path from the first frame.
+// are wrapped in coalescers, so every send takes the batching path from
+// the first frame.
 func setupBatched(t *testing.T) (*Client, func(Handler) *Server) {
 	t.Helper()
 	f := netsim.NewFabric()
@@ -38,8 +38,6 @@ func setupBatched(t *testing.T) (*Client, func(Handler) *Server) {
 		_ = cco.Close()
 		_ = sco.Close()
 	})
-	cco.MarkBatching("server")
-	sco.MarkBatching("client")
 	cli := NewClient(cco, codec)
 	t.Cleanup(func() { _ = cli.Close() })
 	mkServer := func(h Handler) *Server {
@@ -225,26 +223,22 @@ func TestServerCloseCancelsHandlerCtx(t *testing.T) {
 	}
 }
 
-// batchedTCPPeers wires two peers over coalesced loopback TCP, marked
-// mutually capable so every frame takes the batching path. TCP delivers
-// from one read loop per connection, so dispatch is spawned, not inline.
-// A lost frame would show as a retransmission after two seconds; a slow
-// machine does not.
+// batchedTCPPeers wires two peers over coalesced loopback TCP, so every
+// frame takes the batching path. TCP delivers from one read loop per
+// connection, so dispatch is spawned, not inline. A lost frame would
+// show as a retransmission after two seconds; a slow machine does not.
 func batchedTCPPeers(t *testing.T, ha, hb Handler) (a, b *Peer, aco, bco *transport.Coalescer) {
 	t.Helper()
-	listen := func() (*transport.TCPEndpoint, *transport.Coalescer) {
+	listen := func() *transport.Coalescer {
 		ep, err := transport.ListenTCP("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		co := transport.NewCoalescer(ep)
 		t.Cleanup(func() { _ = co.Close() })
-		return ep, co
+		return co
 	}
-	aep, aco := listen()
-	bep, bco := listen()
-	aco.MarkBatching(bep.Addr())
-	bco.MarkBatching(aep.Addr())
+	aco, bco = listen(), listen()
 	a, b = NewPeer(aco, codec, ha), NewPeer(bco, codec, hb)
 	t.Cleanup(func() {
 		_ = a.Close()

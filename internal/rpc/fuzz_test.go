@@ -1,19 +1,32 @@
 // Fuzzing for the invocation-packet decode path, exactly as the demux
-// runs it: the header — kind, flag bits, call id, target, trace ids —
-// then the body. The seed corpus covers every kind, each flag set and
-// clear, trace ids present/absent/truncated, unknown kinds and flag
-// bits (the retired packed flag among them), and header truncations.
-// The decoder must never panic, must reject truncated trace ids, and
-// must re-encode every header it accepts byte-identically.
+// runs it: a BATCH datagram split into its frames, then per frame the
+// header — kind, flag bits, call id, target, trace ids — then the body.
+// The seed corpus covers every kind, each flag set and clear, trace ids
+// present/absent/truncated, unknown kinds and flag bits (the retired
+// packed flag among them), header truncations, and batches: whole,
+// truncated and nested. The decoder must never panic, must reject
+// truncated trace ids, and must re-encode every header it accepts
+// byte-identically.
 package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"odp/internal/obs"
+	"odp/internal/transport"
 	"odp/internal/wire"
 )
+
+// batchOf assembles the BATCH datagram a coalescer writes for frames.
+func batchOf(frames ...[]byte) []byte {
+	b := binary.BigEndian.AppendUint32([]byte{0xB7, 'B', 1}, uint32(len(frames)))
+	for _, f := range frames {
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(f))), f...)
+	}
+	return b
+}
 
 // buildPacket assembles a packet the way the client does: header (trace
 // ids included when flagged), then encoded arguments.
@@ -63,29 +76,52 @@ func FuzzPacketDecode(f *testing.F) {
 	f.Add([]byte{2, msgRequest, 0, 0, 0, 0, 0, 0, 0, 0})                   // the retired packed version
 	f.Add([]byte{protoVersion, 5, 0, 0, 0, 0, 0, 0, 0, 0})                 // unknown kind
 	f.Add([]byte{protoVersion, msgRequest | 0x80, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown flag bit
+	// Datagrams from a coalescing peer.
+	two := batchOf(buildPacket(msgRequest, 0, 11, "obj", "op", args), buildPacket(msgRequest, flagTraced, 12, "obj", "op", nil))
+	f.Add(two)
+	f.Add(two[:len(two)-1])                                                  // truncated batch
+	f.Add(batchOf(encodeHeader(nil, header{kind: msgAck, callID: 13}), two)) // nested batch
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, body, err := decodeRawHeader(data)
-		if err != nil {
+		if !transport.IsBatch(data) {
+			checkFrame(t, data)
 			return
 		}
-		// Everything the parse accepted is position-stable: re-encoding
-		// the header yields the bytes it was read from.
-		hdr := data[:len(data)-len(body)]
-		if re := encodeHeader(nil, h); !bytes.Equal(re, hdr) {
-			t.Fatalf("header re-encode mismatch:\n in: % x\nout: % x", hdr, re)
+		var frames [][]byte
+		if _, err := transport.DecodeBatch(data, func(frame []byte) { frames = append(frames, frame) }); err != nil {
+			return
 		}
-		if h.flags&flagTraced == 0 && h.trace != (obs.SpanContext{}) {
-			t.Fatalf("untraced frame produced context %+v", h.trace)
-		}
-		switch h.kind {
-		case msgRequest, msgAnnounce:
-			_, _ = wire.DecodeAll(wire.PackedCodec{}, body)
-			_, _ = wire.DecodeAll(wire.TextCodec{}, body)
-		case msgReply:
-			_, _ = decodeReplyBody(wire.PackedCodec{}, body)
+		for _, frame := range frames {
+			if transport.IsBatch(frame) {
+				t.Fatalf("a batch delivered a nested batch: % x", frame)
+			}
+			checkFrame(t, frame)
 		}
 	})
+}
+
+// checkFrame decodes one frame as route does.
+func checkFrame(t *testing.T, data []byte) {
+	h, body, err := decodeRawHeader(data)
+	if err != nil {
+		return
+	}
+	// Everything the parse accepted is position-stable: re-encoding
+	// the header yields the bytes it was read from.
+	hdr := data[:len(data)-len(body)]
+	if re := encodeHeader(nil, h); !bytes.Equal(re, hdr) {
+		t.Fatalf("header re-encode mismatch:\n in: % x\nout: % x", hdr, re)
+	}
+	if h.flags&flagTraced == 0 && h.trace != (obs.SpanContext{}) {
+		t.Fatalf("untraced frame produced context %+v", h.trace)
+	}
+	switch h.kind {
+	case msgRequest, msgAnnounce:
+		_, _ = wire.DecodeAll(wire.PackedCodec{}, body)
+		_, _ = wire.DecodeAll(wire.TextCodec{}, body)
+	case msgReply:
+		_, _ = decodeReplyBody(wire.PackedCodec{}, body)
+	}
 }
 
 // FuzzIDSet drives an idWindow against two maps. Every three bytes are

@@ -39,7 +39,8 @@ import (
 // an ack is routed by its call id alone. The body is in the node's
 // session codec: nothing in a frame names an encoding, and nodes with
 // different codecs meet through a federation gateway (§5.6), not here.
-// The first byte is never 0xB7, which transport control frames claim.
+// The first byte is never 0xB7: that byte marks a transport BATCH, whose
+// frames demux unpacks.
 const (
 	msgRequest  = 1 // interrogation request
 	msgReply    = 2 // interrogation reply

@@ -340,13 +340,25 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// demux is the inbound half of every endpoint this package owns: it
-// parses one packet and routes it by kind to whichever role handles it.
-// A bare Client passes a nil server and a bare Server a nil client;
+// demux is the inbound half of every endpoint this package owns, plain
+// or coalesced. A BATCH datagram from a coalescing peer is validated
+// whole and its frames are routed in order, inside this one delivery (a
+// Coalescer beneath has already unpacked its own); any other datagram is
+// one frame.
+func demux(c *Client, s *Server, from string, pkt []byte) {
+	if transport.IsBatch(pkt) {
+		_, _ = transport.DecodeBatch(pkt, func(frame []byte) { route(c, s, from, frame) })
+		return
+	}
+	route(c, s, from, pkt)
+}
+
+// route parses one frame and hands it by kind to whichever role handles
+// it. A bare Client passes a nil server and a bare Server a nil client;
 // kinds addressed to the absent role are dropped. h and body alias a
 // transport buffer, so everything that outlives this call is decoded or
 // copied before it returns.
-func demux(c *Client, s *Server, from string, pkt []byte) {
+func route(c *Client, s *Server, from string, pkt []byte) {
 	h, body, err := decodeRawHeader(pkt)
 	if err != nil {
 		return

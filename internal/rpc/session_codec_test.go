@@ -18,9 +18,8 @@ import (
 // (ClientStats.PackedUpgrades); nothing is negotiated any more. Between
 // two fresh packed nodes every request, the first included, goes out
 // packed, on plain and on coalesced endpoints alike — and across the
-// mixed pairings, where the coalesced side's HELLO probe reaches the
-// plain side's rpc demux as an unparseable frame and is dropped; between
-// two text nodes none is, and PackedUpgrades stays 0. Arguments and
+// mixed pairings, where the plain side's rpc demux unpacks the coalesced
+// side's batches; between two text nodes none is, and PackedUpgrades stays 0. Arguments and
 // results round-trip exactly either way, and under either codec the
 // arguments a handler keeps are its own: they still read as sent after
 // every later request has come and gone through the same buffers.
@@ -50,8 +49,6 @@ func TestPackedUpgradeNegotiated(t *testing.T) {
 				if !coalesce {
 					return ep
 				}
-				// No MarkBatching: the first frames go out before the
-				// HELLO exchange completes, as between deployed nodes.
 				co := transport.NewCoalescer(ep)
 				t.Cleanup(func() { _ = co.Close() })
 				return co

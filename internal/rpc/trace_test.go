@@ -325,7 +325,8 @@ func TestTracedPackedPeerPair(t *testing.T) {
 	}
 }
 
-// typeRecorder observes the kind|flags byte of every outbound client packet.
+// typeRecorder observes the kind|flags byte of every outbound client
+// frame: of each sub-frame when a coalescer above it sends a BATCH.
 type typeRecorder struct {
 	transport.Endpoint
 	mu    chan struct{}
@@ -337,11 +338,18 @@ func newTypeRecorder(ep transport.Endpoint) *typeRecorder {
 }
 
 func (r *typeRecorder) Send(to string, pkt []byte) error {
-	if len(pkt) >= 2 {
-		r.mu <- struct{}{}
-		r.types = append(r.types, pkt[1])
-		<-r.mu
+	r.mu <- struct{}{}
+	record := func(frame []byte) {
+		if len(frame) >= 2 {
+			r.types = append(r.types, frame[1])
+		}
 	}
+	if transport.IsBatch(pkt) {
+		_, _ = transport.DecodeBatch(pkt, record)
+	} else {
+		record(pkt)
+	}
+	<-r.mu
 	return r.Endpoint.Send(to, pkt)
 }
 

@@ -124,6 +124,9 @@ func (r *Receiver) Received(bindingID string) uint64 {
 func (r *Receiver) dispatch(_ context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
 	switch op {
 	case "open":
+		if len(args) != 1 {
+			return "", nil, errors.New("stream: open wants (spec)")
+		}
 		rec, ok := args[0].(wire.Record)
 		if !ok {
 			return "", nil, fmt.Errorf("stream: open wants a spec record, got %T", args[0])
@@ -166,6 +169,9 @@ func (r *Receiver) dispatch(_ context.Context, op string, args []wire.Value) (st
 		sink.OnFrame(Frame{Seq: seq, TimestampMs: ts, Payload: payload})
 		return "", nil, nil
 	case "close":
+		if len(args) != 1 {
+			return "", nil, errors.New("stream: close wants (binding)")
+		}
 		id, _ := args[0].(string)
 		r.mu.Lock()
 		delete(r.sinks, id)

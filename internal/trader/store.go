@@ -76,8 +76,7 @@ type shardSnapshot struct {
 
 // offerShard is one stripe of the sharded store. version counts
 // mutations; a snapshot whose version matches is exactly current, and
-// the gap between them is the number of writes the snapshot is behind —
-// which is what the staleness policy meters.
+// any other is rebuilt before it is read.
 type offerShard struct {
 	mu      sync.Mutex
 	byID    map[string]*storedOffer

@@ -7,20 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"odp/internal/clock"
 	"odp/internal/types"
 	"odp/internal/wire"
 )
-
-// traderWith builds a trader with extra options on a fresh fabric.
-func (e *env) traderWith(name string, opts ...TraderOption) *Trader {
-	c := e.capsule(name)
-	tr, err := New(name, c, types.NewManager(), opts...)
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	return tr
-}
 
 func serviceN(i int) types.Type {
 	return types.Type{
@@ -216,62 +205,8 @@ func ridLen(k string) int {
 	return n
 }
 
-// TestSnapshotPolicyStaleness: under WithSnapshotPolicy a write does not
-// force a rebuild on the next read; the stale snapshot is served until
-// either the age bound or the pending-writes bound trips.
-func TestSnapshotPolicyStaleness(t *testing.T) {
-	e := newEnv(t)
-	fc := clock.NewFake(time.Unix(500, 0))
-	tr := e.traderWith("t1",
-		WithTraderClock(fc),
-		WithSnapshotPolicy(100*time.Millisecond, 3))
-	svc := serviceN(0)
-	if _, err := tr.Advertise(svc, mkRef("r0"), nil); err != nil {
-		t.Fatal(err)
-	}
-	imp := func() int {
-		t.Helper()
-		offers, err := tr.Import(context.Background(), ImportSpec{Requirement: svc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(offers)
-	}
-	if n := imp(); n != 1 {
-		t.Fatalf("initial import: %d offers, want 1", n) // builds the snapshot
-	}
-
-	// One pending write, within the age bound: served stale, the new
-	// offer is invisible.
-	if _, err := tr.Advertise(svc, mkRef("r1"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := imp(); n != 1 {
-		t.Fatalf("within policy: %d offers, want 1 (stale serve)", n)
-	}
-	if st := tr.Stats(); st.StaleServes == 0 {
-		t.Fatalf("StaleServes = 0, want > 0: %+v", st)
-	}
-
-	// Age bound trips: the next read rebuilds and sees the write.
-	fc.Advance(150 * time.Millisecond)
-	if n := imp(); n != 2 {
-		t.Fatalf("past age bound: %d offers, want 2 (rebuild)", n)
-	}
-
-	// Pending-writes bound trips even with no time passing.
-	for i := 2; i < 5; i++ {
-		if _, err := tr.Advertise(svc, mkRef(fmt.Sprintf("r%d", i)), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := imp(); n != 5 {
-		t.Fatalf("past pending bound: %d offers, want 5 (rebuild)", n)
-	}
-}
-
-// TestDefaultPolicyStrictlyFresh: without WithSnapshotPolicy every write
-// is visible to the very next import.
+// TestDefaultPolicyStrictlyFresh: every write is visible to the very next
+// import.
 func TestDefaultPolicyStrictlyFresh(t *testing.T) {
 	e := newEnv(t)
 	tr := e.trader("t1")
@@ -360,123 +295,5 @@ func TestImportBoundedCloning(t *testing.T) {
 	// cost thousands of allocations if each were cloned.
 	if allocs > 64 {
 		t.Fatalf("single-match import over 512 offers costs %.0f allocs/op — cloning is not bounded by MaxMatches", allocs)
-	}
-}
-
-// TestSnapshotPolicyPendingBoundary pins the pending-writes bound as
-// exclusive: a gap of exactly maxPending rebuilds, one fewer serves
-// stale. The age bound is kept far away so only the write gap decides.
-func TestSnapshotPolicyPendingBoundary(t *testing.T) {
-	e := newEnv(t)
-	fc := clock.NewFake(time.Unix(500, 0))
-	tr := e.traderWith("t1",
-		WithTraderClock(fc),
-		WithSnapshotPolicy(time.Hour, 3))
-	svc := serviceN(0)
-	imp := func() int {
-		t.Helper()
-		offers, err := tr.Import(context.Background(), ImportSpec{Requirement: svc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(offers)
-	}
-	if _, err := tr.Advertise(svc, mkRef("r0"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := imp(); n != 1 {
-		t.Fatalf("initial import: %d offers, want 1", n) // builds the snapshot
-	}
-
-	// Gap of maxPending-1: still within policy, writes invisible.
-	for i := 1; i < 3; i++ {
-		if _, err := tr.Advertise(svc, mkRef(fmt.Sprintf("r%d", i)), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := imp(); n != 1 {
-		t.Fatalf("gap maxPending-1: %d offers, want 1 (stale serve)", n)
-	}
-	rebuildsBefore := tr.Stats().SnapshotRebuilds
-
-	// One more write makes the gap exactly maxPending: must rebuild.
-	if _, err := tr.Advertise(svc, mkRef("r3"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := imp(); n != 4 {
-		t.Fatalf("gap == maxPending: %d offers, want 4 (rebuild)", n)
-	}
-	if got := tr.Stats().SnapshotRebuilds; got != rebuildsBefore+1 {
-		t.Fatalf("SnapshotRebuilds = %d, want %d", got, rebuildsBefore+1)
-	}
-}
-
-// TestSnapshotPolicyAgeBoundary pins the age bound as exclusive: a
-// snapshot exactly maxStaleness old rebuilds; a nanosecond younger is
-// still served stale.
-func TestSnapshotPolicyAgeBoundary(t *testing.T) {
-	e := newEnv(t)
-	fc := clock.NewFake(time.Unix(500, 0))
-	tr := e.traderWith("t1",
-		WithTraderClock(fc),
-		WithSnapshotPolicy(100*time.Millisecond, 1000))
-	svc := serviceN(0)
-	imp := func() int {
-		t.Helper()
-		offers, err := tr.Import(context.Background(), ImportSpec{Requirement: svc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(offers)
-	}
-	if _, err := tr.Advertise(svc, mkRef("r0"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := imp(); n != 1 {
-		t.Fatalf("initial import: %d offers, want 1", n)
-	}
-	if _, err := tr.Advertise(svc, mkRef("r1"), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	fc.Advance(100*time.Millisecond - time.Nanosecond)
-	if n := imp(); n != 1 {
-		t.Fatalf("age maxStaleness-1ns: %d offers, want 1 (stale serve)", n)
-	}
-	fc.Advance(time.Nanosecond)
-	if n := imp(); n != 2 {
-		t.Fatalf("age == maxStaleness: %d offers, want 2 (rebuild)", n)
-	}
-}
-
-// TestSnapshotPolicyZeroStaleness pins that an explicit zero age bound
-// keeps reads strictly fresh no matter how generous the pending bound:
-// with writes pending, the next read rebuilds and never serves stale.
-func TestSnapshotPolicyZeroStaleness(t *testing.T) {
-	e := newEnv(t)
-	tr := e.traderWith("t1", WithSnapshotPolicy(0, 1000))
-	svc := serviceN(0)
-	imp := func() int {
-		t.Helper()
-		offers, err := tr.Import(context.Background(), ImportSpec{Requirement: svc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(offers)
-	}
-	if _, err := tr.Advertise(svc, mkRef("r0"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := imp(); n != 1 {
-		t.Fatalf("initial import: %d offers, want 1", n)
-	}
-	if _, err := tr.Advertise(svc, mkRef("r1"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := imp(); n != 2 {
-		t.Fatalf("zero staleness with pending write: %d offers, want 2 (rebuild)", n)
-	}
-	if st := tr.Stats(); st.StaleServes != 0 {
-		t.Fatalf("StaleServes = %d, want 0 under zero staleness", st.StaleServes)
 	}
 }

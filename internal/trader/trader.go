@@ -176,14 +176,6 @@ type Trader struct {
 	shards [NumShards]offerShard
 	nextID atomic.Uint64
 
-	// maxStaleness > 0 lets an import serve a snapshot up to that much
-	// behind real time without rebuilding, as long as fewer than
-	// maxPending writes have landed since it was built. The default (0)
-	// rebuilds on the first read after any write: strictly fresh reads,
-	// still lock-free between writes.
-	maxStaleness time.Duration
-	maxPending   uint64
-
 	// linkMu guards the federation links; imports only touch it when
 	// spec.MaxHops > 0.
 	linkMu sync.RWMutex
@@ -218,7 +210,6 @@ type traderCounters struct {
 	imports          atomic.Uint64
 	importedOffers   atomic.Uint64
 	snapshotHits     atomic.Uint64
-	staleServes      atomic.Uint64
 	snapshotRebuilds atomic.Uint64
 }
 
@@ -232,7 +223,6 @@ type TraderStats struct {
 	Imports          uint64 // Import calls served
 	ImportedOffers   uint64 // offers returned (post-constraint, pre-federation)
 	SnapshotHits     uint64 // shard lookups served from a current snapshot
-	StaleServes      uint64 // shard lookups served from a within-policy stale snapshot
 	SnapshotRebuilds uint64 // snapshot publications
 	SnapshotAgeMs    uint64 // age of the oldest published shard snapshot
 	ShardOffers      [NumShards]uint64
@@ -241,25 +231,10 @@ type TraderStats struct {
 // TraderOption configures New.
 type TraderOption func(*Trader)
 
-// WithTraderClock drives the snapshot staleness policy from clk instead
+// WithTraderClock times snapshot ages and import latency on clk instead
 // of real time (virtual time under the sim harness).
 func WithTraderClock(clk clock.Clock) TraderOption {
 	return func(t *Trader) { t.clk = clk }
-}
-
-// WithSnapshotPolicy relaxes snapshot freshness: an import may serve a
-// shard snapshot up to maxStaleness old as long as fewer than maxPending
-// writes landed since it was built, deferring the rebuild instead of
-// paying it on the first read after every write. Offers become visible
-// at most maxStaleness late. The zero default keeps reads strictly
-// fresh; maxPending defaults to 4096 when only an age is given.
-func WithSnapshotPolicy(maxStaleness time.Duration, maxPending int) TraderOption {
-	return func(t *Trader) {
-		t.maxStaleness = maxStaleness
-		if maxPending > 0 {
-			t.maxPending = uint64(maxPending)
-		}
-	}
 }
 
 // WithFederationQoS sets the per-hop QoS base for federated imports.
@@ -287,7 +262,6 @@ func New(contextName string, c *capsule.Capsule, tm *types.Manager, opts ...Trad
 		typeManager:      tm,
 		cap:              c,
 		clk:              clock.Real{},
-		maxPending:       4096,
 		fedQoS:           rpc.QoS{Timeout: rpc.DefaultTimeout},
 		links:            make(map[string]wire.Ref),
 		resourceManagers: make(map[string]wire.Ref),
@@ -423,7 +397,6 @@ func (t *Trader) Stats() TraderStats {
 		Imports:          t.stats.imports.Load(),
 		ImportedOffers:   t.stats.importedOffers.Load(),
 		SnapshotHits:     t.stats.snapshotHits.Load(),
-		StaleServes:      t.stats.staleServes.Load(),
 		SnapshotRebuilds: t.stats.snapshotRebuilds.Load(),
 	}
 	now := t.clk.Now()
@@ -447,20 +420,14 @@ func (t *Trader) ImportLatency() obs.HistogramSnapshot {
 	return t.importLat.Snapshot()
 }
 
-// lookup returns the read view of shard sh per the freshness policy: a
-// current snapshot is served straight from the atomic pointer (the
-// zero-lock hot path); a within-policy stale one is served as-is; only a
-// snapshot out of policy pays a rebuild under the shard lock.
+// lookup returns the read view of shard sh, strictly fresh: a current
+// snapshot is served straight from the atomic pointer (the zero-lock hot
+// path); the first read after a write pays a rebuild under the shard
+// lock.
 func (t *Trader) lookup(sh *offerShard) *shardSnapshot {
 	v := sh.version.Load()
-	snap := sh.snap.Load()
-	if snap != nil && snap.version == v {
+	if snap := sh.snap.Load(); snap != nil && snap.version == v {
 		t.stats.snapshotHits.Add(1)
-		return snap
-	}
-	if snap != nil && t.maxStaleness > 0 && v-snap.version < t.maxPending &&
-		t.clk.Now().Sub(snap.builtAt) < t.maxStaleness {
-		t.stats.staleServes.Add(1)
 		return snap
 	}
 	t.stats.snapshotRebuilds.Add(1)

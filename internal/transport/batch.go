@@ -32,15 +32,13 @@
 //     what accumulated during the previous write forms the next batch,
 //     so batch size adapts to load.
 //
-// Interop is version-negotiated in-band. Control frames claim the first
-// byte 0xB7, which no rpc packet can start with (rpc packets start with
-// their protocol version, 1). Until a peer proves it understands
-// batching — by sending a BATCH/HELLO frame, or answering a HELLO probe
-// with a HELLO ack — every frame to it passes through unbatched, so a
-// batching endpoint degrades transparently against a plain one: the
-// plain peer's rpc layer drops the occasional probe as a malformed
-// packet, which best-effort datagram semantics already require it to
-// tolerate.
+// Every node reads batches, so nothing is negotiated: a Coalescer writes
+// BATCH datagrams to every peer from its first frame. A BATCH starts
+// with the byte 0xB7, which no rpc packet can start with (rpc packets
+// start with their protocol version, 1). A Coalescer unpacks the batches
+// it receives before its handler sees them; beneath a plain endpoint the
+// rpc layer's demux unpacks them with DecodeBatch. A sub-frame is never
+// itself a BATCH, so a datagram is unpacked once, whichever path reads it.
 package transport
 
 import (
@@ -61,43 +59,31 @@ import (
 //
 //	[0xB7 'B' ver] [u32 count] count × ( [u32 len] [len bytes] )
 //
-// A HELLO frame negotiates batching:
-//
-//	[0xB7 'H' ver] [flag]     flag 0 = probe, 1 = ack
+// and no sub-frame starts with 0xB7.
 const (
-	batchMagic   = 0xB7 // first byte of every coalescer control frame
+	batchMagic   = 0xB7 // first byte of every BATCH frame
 	batchKind    = 'B'
-	helloKind    = 'H'
 	batchVersion = 1
 
 	batchHdrLen = 3 + 4 // magic, kind, version + u32 sub-frame count
 	subHdrLen   = 4     // u32 length prefix per sub-frame
-
-	helloProbe = 0
-	helloAck   = 1
-
-	// helloEvery paces capability probes: one probe rides ahead of
-	// every helloEvery-th unbatched send to a peer not yet known to
-	// batch, so negotiation converges under loss without a probe storm.
-	helloEvery = 64
 
 	// Default; see WithPendingLimit.
 	defaultPendingLimit = 256 << 10
 )
 
 // ErrBatchCorrupt reports a BATCH frame whose structure is inconsistent
-// (truncated sub-frame, count mismatch, trailing bytes).
+// (truncated sub-frame, count mismatch, trailing bytes, a nested batch).
 var ErrBatchCorrupt = errors.New("transport: corrupt batch frame")
 
 // CoalescerStats is a snapshot of a Coalescer's counters.
 type CoalescerStats struct {
 	BatchesSent     uint64 // BATCH frames written to the inner endpoint
 	FramesBatched   uint64 // sub-frames carried inside those batches
-	SingleSends     uint64 // frames passed through unbatched
+	SingleSends     uint64 // frames too large to share a datagram, passed through unbatched
 	BatchesReceived uint64 // BATCH frames decoded from the wire
 	FramesUnpacked  uint64 // sub-frames delivered out of received batches
-	HellosSent      uint64 // HELLO probes and acks emitted
-	BadFrames       uint64 // corrupt or version-mismatched control frames dropped
+	BadFrames       uint64 // corrupt or version-mismatched batches dropped
 	Overflows       uint64 // frames dropped because a peer's pending queue was full
 	// DirectFlushes counts batches written synchronously by a sender
 	// that found its peer idle, skipping the flusher hand-off (these are
@@ -112,7 +98,7 @@ type CoalescerStats struct {
 type coalCounters struct {
 	batchesSent, framesBatched, singleSends atomic.Uint64
 	batchesRecv, framesUnpacked             atomic.Uint64
-	hellosSent, badFrames, overflows        atomic.Uint64
+	badFrames, overflows                    atomic.Uint64
 	directFlushes                           atomic.Uint64
 	buckets                                 [5]atomic.Uint64
 }
@@ -240,13 +226,6 @@ type batchPeer struct {
 	c    *Coalescer
 	dest string
 
-	// capable flips once the peer proves it decodes batches; it never
-	// flips back (a restarted incompatible peer would present as a new
-	// address in this stack).
-	capable atomic.Bool
-	// sends counts unbatched sends, pacing HELLO probes.
-	sends atomic.Uint64
-
 	mu       sync.Mutex
 	segs     []*[]byte // queued sub-frames, each [u32 len][bytes], pooled
 	bytes    int       // queued bytes across segs (excluding the batch header)
@@ -287,11 +266,9 @@ func (c *Coalescer) loadHandler() Handler {
 	return h
 }
 
-// Send implements Endpoint. Frames to peers that negotiated batching are
-// queued for the destination's flusher and the error reflects only local
-// admission; transmission failures then surface as drops, which is the
-// contract of the unreliable endpoint beneath. Frames to other peers
-// pass straight through.
+// Send implements Endpoint. The error reflects only local admission;
+// transmission failures surface as drops, which is the contract of the
+// unreliable endpoint beneath.
 //
 // When no write is in progress the sender claims the whole queue — its
 // own frame plus anything parked by SendLazy or earlier senders — and
@@ -303,7 +280,7 @@ func (c *Coalescer) Send(to string, pkt []byte) error { return c.send(to, pkt, f
 // SendLazy implements Batcher: pkt is queued for to but no write is
 // triggered on the caller's dime — the frame rides in the next batch a
 // substantive Send claims, or the flusher's next drain, whichever comes
-// first. Peers without batching get a plain send.
+// first.
 func (c *Coalescer) SendLazy(to string, pkt []byte) error { return c.send(to, pkt, true) }
 
 func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
@@ -313,15 +290,6 @@ func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
 	p := c.peer(to)
 	if p == nil {
 		return ErrClosed
-	}
-	if !p.capable.Load() {
-		// Lazy frames probe too, so a workload of nothing else
-		// (announcement streams) still negotiates batching.
-		if (p.sends.Add(1)-1)%helloEvery == 0 {
-			c.sendHello(to, helloProbe)
-		}
-		c.stats.singleSends.Add(1)
-		return c.inner.Send(to, pkt)
 	}
 	if batchHdrLen+subHdrLen+len(pkt) > c.pendingLimit {
 		// Too big to share a datagram with anything else; batching
@@ -390,7 +358,6 @@ func (c *Coalescer) BatchStats() CoalescerStats {
 		SingleSends:     c.stats.singleSends.Load(),
 		BatchesReceived: c.stats.batchesRecv.Load(),
 		FramesUnpacked:  c.stats.framesUnpacked.Load(),
-		HellosSent:      c.stats.hellosSent.Load(),
 		BadFrames:       c.stats.badFrames.Load(),
 		Overflows:       c.stats.overflows.Load(),
 		DirectFlushes:   c.stats.directFlushes.Load(),
@@ -407,23 +374,13 @@ func (c *Coalescer) FlushDelay() obs.HistogramSnapshot {
 	return c.flushDelay.Snapshot()
 }
 
-// PeerBatching reports whether addr has negotiated batching.
-func (c *Coalescer) PeerBatching(addr string) bool {
-	c.mu.Lock()
-	p := c.peers[addr]
-	c.mu.Unlock()
-	return p != nil && p.capable.Load()
-}
+// PeerBatching reports true: every peer reads batches. It survives, name
+// only, for its one caller, cmd/odpload's warmFrames, and goes when that
+// caller stops waiting on it.
+func (c *Coalescer) PeerBatching(string) bool { return true }
 
-// MarkBatching records out-of-band that addr understands batches,
-// skipping the HELLO exchange. Intended for static topologies and
-// tests; normal negotiation is automatic.
-func (c *Coalescer) MarkBatching(addr string) {
-	c.markCapable(addr)
-}
-
-// peer returns (creating if needed) the state for addr, or nil if the
-// coalescer is closed.
+// peer returns the state for addr, or nil if the coalescer is closed. The
+// first send to addr creates the record and starts its flusher.
 func (c *Coalescer) peer(addr string) *batchPeer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -434,71 +391,37 @@ func (c *Coalescer) peer(addr string) *batchPeer {
 	if p == nil {
 		p = &batchPeer{c: c, dest: addr, wake: make(chan struct{}, 1)}
 		c.peers[addr] = p
+		c.wg.Add(1)
+		go p.flusher()
 	}
 	return p
 }
 
-// markCapable flips addr to the batching path, starting its flusher on
-// the first transition.
-func (c *Coalescer) markCapable(addr string) {
-	p := c.peer(addr)
-	if p == nil || p.capable.Swap(true) {
-		return
-	}
-	c.mu.Lock()
-	if !c.closed {
-		c.wg.Add(1)
-		go p.flusher()
-	}
-	c.mu.Unlock()
-}
+// IsBatch reports whether pkt is marked as a BATCH frame: whether it
+// starts with the byte no other frame starts with.
+func IsBatch(pkt []byte) bool { return len(pkt) > 0 && pkt[0] == batchMagic }
 
-func (c *Coalescer) sendHello(to string, flag byte) {
-	c.stats.hellosSent.Add(1)
-	_ = c.inner.Send(to, []byte{batchMagic, helloKind, batchVersion, flag})
-}
-
-// demux is installed as the inner endpoint's handler: it intercepts
-// coalescer control frames and forwards everything else untouched.
+// demux is installed as the inner endpoint's handler: it unpacks batches
+// and forwards everything else untouched.
 func (c *Coalescer) demux(from string, pkt []byte) {
-	if len(pkt) >= 3 && pkt[0] == batchMagic {
-		switch pkt[1] {
-		case batchKind:
-			if pkt[2] != batchVersion {
-				c.stats.badFrames.Add(1)
-				return
-			}
-			c.markCapable(from) // a batch is proof of capability
-			h := c.loadHandler()
-			n, err := DecodeBatch(pkt, func(sub []byte) {
-				if h != nil {
-					h(from, sub)
-				}
-			})
-			if err != nil {
-				c.stats.badFrames.Add(1)
-				return
-			}
-			c.stats.batchesRecv.Add(1)
-			c.stats.framesUnpacked.Add(uint64(n))
-		case helloKind:
-			if pkt[2] != batchVersion || len(pkt) < 4 {
-				c.stats.badFrames.Add(1)
-				return
-			}
-			c.markCapable(from)
-			if pkt[3] == helloProbe {
-				c.sendHello(from, helloAck)
-			}
-		default:
-			// Control frame from a future version: drop, stay compatible.
-			c.stats.badFrames.Add(1)
+	h := c.loadHandler()
+	if !IsBatch(pkt) {
+		if h != nil {
+			h(from, pkt)
 		}
 		return
 	}
-	if h := c.loadHandler(); h != nil {
-		h(from, pkt)
+	n, err := DecodeBatch(pkt, func(sub []byte) {
+		if h != nil {
+			h(from, sub)
+		}
+	})
+	if err != nil {
+		c.stats.badFrames.Add(1)
+		return
 	}
+	c.stats.batchesRecv.Add(1)
+	c.stats.framesUnpacked.Add(uint64(n))
 }
 
 // enqueueLocked frames pkt into a pooled segment and queues it for the
@@ -566,9 +489,9 @@ func (p *batchPeer) wakeFlusher() {
 	}
 }
 
-// flusher drains one destination. It runs only once the peer is known
-// capable and exits when the coalescer stops, draining a final time so
-// Close does not strand queued frames. With a direct-write fast path in
+// flusher drains one destination. It starts with the peer's record and
+// exits when the coalescer stops, draining a final time so Close does
+// not strand queued frames. With a direct-write fast path in
 // Send it handles the leftovers: frames enqueued while a claimed write
 // was in flight, and lazy frames with no follow-up send.
 func (p *batchPeer) flusher() {
@@ -611,8 +534,8 @@ func (p *batchPeer) flushNow() {
 // vector — the batch is never materialised contiguously; otherwise they
 // are gathered into a retained scratch buffer first. Caller holds the
 // inFlight token (not p.mu), which makes the per-peer scratch fields
-// safe. A batch of one is still sent as a BATCH frame: the peer is
-// known capable, and the header costs only 7 bytes.
+// safe. A batch of one is still sent as a BATCH frame: every peer reads
+// one, and the header costs only 7 bytes.
 func (p *batchPeer) writeSegs(segs []*[]byte, n int) {
 	c := p.c
 	p.hdr[0], p.hdr[1], p.hdr[2] = batchMagic, batchKind, batchVersion
@@ -659,7 +582,8 @@ func (p *batchPeer) writeSegs(segs []*[]byte, n int) {
 
 // DecodeBatch validates pkt as a BATCH frame and invokes fn once per
 // sub-frame, in order. The whole frame is validated before the first
-// callback, so a corrupt batch delivers nothing rather than a prefix.
+// callback, so a corrupt batch delivers nothing rather than a prefix; a
+// sub-frame that is itself marked as a batch makes the frame corrupt.
 // Sub-frame slices alias pkt and are only valid during the callback
 // (the Handler contract). It returns the sub-frame count.
 func DecodeBatch(pkt []byte, fn func(sub []byte)) (int, error) {
@@ -670,7 +594,8 @@ func DecodeBatch(pkt []byte, fn func(sub []byte)) (int, error) {
 		return 0, ErrBatchCorrupt
 	}
 	count := binary.BigEndian.Uint32(pkt[3:batchHdrLen])
-	// Validation pass: every sub-frame complete, nothing trailing.
+	// Validation pass: every sub-frame complete and not a batch, nothing
+	// trailing.
 	off := batchHdrLen
 	for i := uint32(0); i < count; i++ {
 		if off+subHdrLen > len(pkt) {
@@ -678,7 +603,7 @@ func DecodeBatch(pkt []byte, fn func(sub []byte)) (int, error) {
 		}
 		n := int(binary.BigEndian.Uint32(pkt[off : off+subHdrLen]))
 		off += subHdrLen
-		if n < 0 || n > len(pkt)-off {
+		if n < 0 || n > len(pkt)-off || IsBatch(pkt[off:off+n]) {
 			return 0, ErrBatchCorrupt
 		}
 		off += n

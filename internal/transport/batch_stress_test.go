@@ -24,10 +24,6 @@ func TestCoalescedConcurrentSendersNoInterleave(t *testing.T) {
 		_ = ca.Close()
 		_ = cb.Close()
 	})
-	// Skip the HELLO exchange so every frame takes the batching path
-	// and the assertion below can demand FramesBatched == total.
-	ca.MarkBatching(b.Addr())
-	cb.MarkBatching(a.Addr())
 
 	const (
 		senders   = 8

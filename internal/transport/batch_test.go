@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,140 +103,41 @@ func countBatches(frames [][]byte) (batches, singles int, subs [][]byte) {
 			})
 			continue
 		}
-		if len(f) >= 3 && f[0] == batchMagic && f[1] == helloKind {
-			continue
-		}
 		singles++
 		subs = append(subs, append([]byte(nil), f...))
 	}
 	return batches, singles, subs
 }
 
-// TestCoalescerPassthroughUntilNegotiated: frames to an unknown peer go
-// straight through, preceded by a paced HELLO probe.
-func TestCoalescerPassthroughUntilNegotiated(t *testing.T) {
+// TestCoalescerFirstFrameIsBatch: nothing is negotiated. The first frame
+// to a peer never heard from already leaves in a BATCH.
+func TestCoalescerFirstFrameIsBatch(t *testing.T) {
 	inner := newMemEP("mem://a")
 	c := NewCoalescer(inner)
 	defer func() { _ = c.Close() }()
 
-	if err := c.Send("mem://b", []byte("plain")); err != nil {
+	if err := c.Send("mem://b", []byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	frames := inner.frames()
-	if len(frames) != 2 {
-		t.Fatalf("want probe + passthrough, got %d frames", len(frames))
+	batches, singles, subs := countBatches(frames)
+	if len(frames) != 1 || batches != 1 || singles != 0 {
+		t.Fatalf("first send wrote %d frames (%d batches, %d plain), want one BATCH", len(frames), batches, singles)
 	}
-	if !bytes.Equal(frames[0], []byte{batchMagic, helloKind, batchVersion, helloProbe}) {
-		t.Fatalf("first frame is not the four-byte HELLO probe: % x", frames[0])
+	if len(subs) != 1 || string(subs[0]) != "first" {
+		t.Fatalf("batch carries %q, want the frame sent", subs)
 	}
-	if !bytes.Equal(frames[1], []byte("plain")) {
-		t.Fatalf("payload altered in passthrough: %q", frames[1])
-	}
-	st := c.BatchStats()
-	if st.SingleSends != 1 || st.HellosSent != 1 || st.BatchesSent != 0 {
+	if st := c.BatchStats(); st.SingleSends != 0 || st.DirectFlushes != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
-// TestCoalescerNegotiation: two coalescers converge to batching via the
-// HELLO exchange riding ordinary traffic.
-func TestCoalescerNegotiation(t *testing.T) {
-	ia, ib := newMemEP("mem://a"), newMemEP("mem://b")
-	wire(ia, ib)
-	ca, cb := NewCoalescer(ia), NewCoalescer(ib)
-	defer func() { _ = ca.Close() }()
-	defer func() { _ = cb.Close() }()
-
-	var mu sync.Mutex
-	var got []string
-	cb.SetHandler(func(from string, pkt []byte) {
-		mu.Lock()
-		got = append(got, string(pkt))
-		mu.Unlock()
-	})
-	ca.SetHandler(func(string, []byte) {})
-
-	// First send carries the probe; the synchronous memEP wiring means
-	// the ack is back before Send returns.
-	if err := ca.Send("mem://b", []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if !ca.PeerBatching("mem://b") {
-		t.Fatal("probe/ack exchange did not mark the peer capable")
-	}
-	if !cb.PeerBatching("mem://a") {
-		t.Fatal("receiving a probe did not mark the sender capable")
-	}
-	for i := 0; i < 10; i++ {
-		if err := ca.Send("mem://b", []byte(fmt.Sprintf("m%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "all frames delivered", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 11
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	for i, want := range append([]string{"one"}, func() []string {
-		var w []string
-		for i := 0; i < 10; i++ {
-			w = append(w, fmt.Sprintf("m%d", i))
-		}
-		return w
-	}()...) {
-		if got[i] != want {
-			t.Fatalf("frame %d: got %q want %q (order broken)", i, got[i], want)
-		}
-	}
-	if st := ca.BatchStats(); st.BatchesSent == 0 || st.FramesBatched != 10 {
-		t.Fatalf("post-negotiation sends not batched: %+v", st)
-	}
-}
-
-// TestCoalescerFallbackToPlainPeer: against a non-batching endpoint the
-// payload stream is unchanged; the peer only has to drop the occasional
-// unknown probe, which the datagram contract already demands.
-func TestCoalescerFallbackToPlainPeer(t *testing.T) {
-	ia, plain := newMemEP("mem://a"), newMemEP("mem://b")
-	wire(ia, plain)
-	ca := NewCoalescer(ia)
-	defer func() { _ = ca.Close() }()
-
-	var mu sync.Mutex
-	var payloads []string
-	var unknown int
-	plain.SetHandler(func(from string, pkt []byte) {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(pkt) > 0 && pkt[0] == batchMagic {
-			unknown++ // a plain rpc stack drops these as malformed
-			return
-		}
-		payloads = append(payloads, string(pkt))
-	})
-	for i := 0; i < 100; i++ {
-		if err := ca.Send("mem://b", []byte(fmt.Sprintf("p%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(payloads) != 100 {
-		t.Fatalf("plain peer got %d payloads, want 100", len(payloads))
-	}
-	for i, p := range payloads {
-		if p != fmt.Sprintf("p%d", i) {
-			t.Fatalf("payload %d = %q", i, p)
-		}
-	}
-	if unknown == 0 || unknown > 100/helloEvery+1 {
-		t.Fatalf("probe pacing off: %d probes for 100 sends", unknown)
-	}
-	if ca.PeerBatching("mem://b") {
-		t.Fatal("silent peer must never be marked capable")
-	}
+// idlePeer creates addr's record with no flusher running, so nothing but
+// the senders themselves can empty its queue.
+func idlePeer(c *Coalescer, addr string) {
+	c.mu.Lock()
+	c.peers[addr] = &batchPeer{c: c, dest: addr, wake: make(chan struct{}, 1)}
+	c.mu.Unlock()
 }
 
 // TestCoalescerFlushSpanCoversBatchWrite: E-series coverage for the
@@ -249,7 +149,6 @@ func TestCoalescerFlushSpanCoversBatchWrite(t *testing.T) {
 	inner := newMemEP("mem://a")
 	c := NewCoalescer(inner, WithCoalescerObserver(col))
 	defer func() { _ = c.Close() }()
-	c.MarkBatching("mem://b")
 
 	if err := c.Send("mem://b", make([]byte, 2048)); err != nil {
 		t.Fatal(err)
@@ -277,7 +176,6 @@ func TestCoalescerNaturalBatching(t *testing.T) {
 	inner := newMemEP("mem://a")
 	c := NewCoalescer(inner)
 	defer func() { _ = c.Close() }()
-	c.MarkBatching("mem://b")
 
 	const n = 200
 	var wg sync.WaitGroup
@@ -306,7 +204,6 @@ func TestCoalescerOversizePassthrough(t *testing.T) {
 	inner := newMemEP("mem://a")
 	c := NewCoalescer(inner, WithPendingLimit(4096))
 	defer func() { _ = c.Close() }()
-	c.MarkBatching("mem://b")
 
 	big := make([]byte, 8192)
 	if err := c.Send("mem://b", big); err != nil {
@@ -347,7 +244,6 @@ func (g *gateEP) Send(to string, pkt []byte) error {
 // the stuck Send's result after the gate opens.
 func stallWrite(t *testing.T, c *Coalescer, inner *gateEP) <-chan error {
 	t.Helper()
-	c.MarkBatching("mem://b")
 	done := make(chan error, 1)
 	go func() { done <- c.Send("mem://b", []byte("head")) }()
 	select {
@@ -381,8 +277,8 @@ func TestCoalescerOverflowDrops(t *testing.T) {
 // be lossier than direct. A frame that finds the queue full while the
 // wire is free writes the queue out and takes its place in the next
 // batch; only a queue full behind a write in flight sheds load. The peer
-// is capable but has no flusher running, so nothing but the senders
-// themselves can empty the queue.
+// has no flusher running, so nothing but the senders themselves can
+// empty the queue.
 func TestCoalescerLazyOverflowWritesInsteadOfDropping(t *testing.T) {
 	const fits = (1024 - batchHdrLen) / (subHdrLen + 64)
 	frame := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 64) }
@@ -394,7 +290,7 @@ func TestCoalescerLazyOverflowWritesInsteadOfDropping(t *testing.T) {
 			close(inner.open)
 			c := NewCoalescer(inner, WithPendingLimit(1024))
 			defer func() { _ = c.Close() }()
-			c.peer("mem://b").capable.Store(true)
+			idlePeer(c, "mem://b")
 
 			for i := 0; i < fits; i++ { // to the limit
 				if err := c.SendLazy("mem://b", frame(i)); err != nil {
@@ -490,7 +386,7 @@ func TestDirectSendReadsNoClock(t *testing.T) {
 	inner := newMemEP("mem://a")
 	c := NewCoalescer(inner, WithCoalescerClock(clk))
 	defer func() { _ = c.Close() }()
-	c.peer("mem://b").capable.Store(true) // no flusher: only the Send writes
+	idlePeer(c, "mem://b") // only the Send writes
 
 	if err := c.SendLazy("mem://b", []byte("ack")); err != nil {
 		t.Fatal(err)

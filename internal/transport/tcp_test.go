@@ -114,10 +114,11 @@ func TestTCPSendVec(t *testing.T) {
 	}
 }
 
-// TestTCPBatchNegotiationEndToEnd drives the negotiated stack over real
-// sockets: two coalesced TCP endpoints exchange HELLOs, upgrade to
-// batching, and frames flow through writev-emitted BATCH datagrams.
-func TestTCPBatchNegotiationEndToEnd(t *testing.T) {
+// TestTCPBatchesOverWritev drives two coalesced TCP endpoints over real
+// sockets: every frame, the first included, rides a BATCH datagram that
+// the direct-write path emits through SendVec (writev), and the far
+// coalescer unpacks it.
+func TestTCPBatchesOverWritev(t *testing.T) {
 	a, b := newPair(t)
 	ca := NewCoalescer(a)
 	cb := NewCoalescer(b)
@@ -127,35 +128,24 @@ func TestTCPBatchNegotiationEndToEnd(t *testing.T) {
 	})
 	got := make(chan string, 64)
 	cb.SetHandler(func(from string, pkt []byte) { got <- string(pkt) })
-	deadline := time.Now().Add(10 * time.Second)
-	for !ca.PeerBatching(b.Addr()) {
-		if time.Now().After(deadline) {
-			t.Fatal("batching never negotiated over TCP")
-		}
-		if err := ca.Send(b.Addr(), []byte("probe-me")); err != nil {
+	for _, frame := range []string{"first", "second"} {
+		if err := ca.Send(b.Addr(), []byte(frame)); err != nil {
 			t.Fatal(err)
 		}
 		select {
-		case <-got:
+		case s := <-got:
+			if s != frame {
+				t.Fatalf("got %q, want %q", s, frame)
+			}
 		case <-time.After(2 * time.Second):
-			t.Fatal("frame lost during negotiation")
+			t.Fatalf("frame %q not delivered", frame)
 		}
 	}
-	// Past negotiation, frames ride BATCH datagrams (direct-write path,
-	// emitted via SendVec when the inner endpoint supports it).
-	if err := ca.Send(b.Addr(), []byte("batch-ride")); err != nil {
-		t.Fatal(err)
+	if st := ca.BatchStats(); st.DirectFlushes != 2 || st.BatchesSent != 2 || st.SingleSends != 0 {
+		t.Fatalf("want both frames in directly written batches: %+v", st)
 	}
-	select {
-	case s := <-got:
-		if s != "batch-ride" {
-			t.Fatalf("got %q", s)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("post-negotiation frame not delivered")
-	}
-	if ca.BatchStats().DirectFlushes == 0 {
-		t.Fatal("no direct flushes recorded: batch path not taken")
+	if st := cb.BatchStats(); st.BatchesReceived != 2 || st.FramesUnpacked != 2 {
+		t.Fatalf("receiver unpacked %+v, want two batches of one", st)
 	}
 }
 

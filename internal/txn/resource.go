@@ -200,6 +200,9 @@ func (r *Resource) doPlain(ctx context.Context, op string, args []wire.Value) (s
 
 // prepare votes on a transaction's outcome at this resource.
 func (r *Resource) prepare(args []wire.Value) (string, []wire.Value, error) {
+	if len(args) != 1 {
+		return "", nil, fmt.Errorf("txn: %s wants (txnID)", OpPrepare)
+	}
 	txnID, _ := args[0].(string)
 	r.mu.Lock()
 	ops := append([]string(nil), r.opLog[txnID]...)
@@ -229,6 +232,9 @@ func (r *Resource) prepare(args []wire.Value) (string, []wire.Value, error) {
 
 // commit finalises the transaction at this resource.
 func (r *Resource) commit(args []wire.Value) (string, []wire.Value, error) {
+	if len(args) != 1 {
+		return "", nil, fmt.Errorf("txn: %s wants (txnID)", OpCommit)
+	}
 	txnID, _ := args[0].(string)
 	r.mu.Lock()
 	wasPrepared := r.prepared[txnID]
@@ -254,6 +260,9 @@ func (r *Resource) commit(args []wire.Value) (string, []wire.Value, error) {
 
 // abort rolls the transaction back at this resource.
 func (r *Resource) abort(args []wire.Value) (string, []wire.Value, error) {
+	if len(args) != 1 {
+		return "", nil, fmt.Errorf("txn: %s wants (txnID)", OpAbort)
+	}
 	txnID, _ := args[0].(string)
 	r.mu.Lock()
 	pre, had := r.undo[txnID]

@@ -57,34 +57,23 @@ func runMixedCodecSim(t *testing.T, s *sim.Sim) (forest string, flushDelay [2]od
 		}
 	}
 
-	// Drive packed-side calls until the pair's coalescers batch. The
-	// HELLO probe and its ack are ordinary simulated packets, so under
-	// the virtual clock negotiation completes within a bounded number of
-	// settled rounds — a cap distinguishes "later" from "never".
-	pcalls := uint64(0)
-	for ; ; pcalls++ {
-		if st, _ := pclient.BatchStats(); st.BatchesSent > 0 {
-			break
-		}
-		if pcalls >= 32 {
-			t.Fatal("batching never negotiated in 32 settled rounds")
-		}
-		call(pclient, pref)
-	}
-	// One invocation per regime with negotiation complete: these are the
-	// trees under test.
+	// One invocation per regime: these are the trees under test. The
+	// packed pair's coalescers batch from the first frame.
 	call(pclient, pref)
 	call(tclient, tref)
-	// The codec was never negotiated: every packed-side call, the first
-	// included, went out packed, and no text-side call did.
-	if pn, _ := pclient.Gather()["rpc.client.packed_upgrades"].(uint64); pn != pcalls+1 {
-		t.Fatalf("packed client sent %d of %d calls packed", pn, pcalls+1)
+	if st, _ := pclient.BatchStats(); st.BatchesSent == 0 {
+		t.Fatal("the batching client sent no batch")
+	}
+	// The codec was never negotiated either: the packed-side call went
+	// out packed, and the text-side call did not.
+	if pn, _ := pclient.Gather()["rpc.client.packed_upgrades"].(uint64); pn != 1 {
+		t.Fatalf("packed client sent %d of 1 calls packed", pn)
 	}
 	if tn, _ := tclient.Gather()["rpc.client.packed_upgrades"].(uint64); tn != 0 {
 		t.Fatalf("text-codec client sent %d calls packed", tn)
 	}
-	if packed.load() < 2 || textual.load() != 1 {
-		t.Fatalf("executions packed=%d text=%d, want >=2/1", packed.load(), textual.load())
+	if packed.load() != 1 || textual.load() != 1 {
+		t.Fatalf("executions packed=%d text=%d, want 1/1", packed.load(), textual.load())
 	}
 
 	// Freeze sampling so collecting the evidence does not grow it, then
@@ -155,7 +144,7 @@ func assertSingularDispatchTrees(t *testing.T, spans []odp.Span) {
 
 // TestSimMixedCodecSingularDispatch pins both the structural property
 // and its determinism: the same seed replayed twice renders the
-// byte-identical mixed-codec forest, batch negotiation and all.
+// byte-identical mixed-codec forest, batches and all.
 func TestSimMixedCodecSingularDispatch(t *testing.T) {
 	run := func() (string, [2]odp.HistogramSnapshot) {
 		s := sim.New(41,

@@ -192,10 +192,6 @@ var (
 	WithRelocator = core.WithRelocator
 	// WithTrader hosts a trading service under a federation context name.
 	WithTrader = core.WithTrader
-	// WithTraderSnapshotPolicy lets trader imports serve bounded-stale
-	// offer snapshots instead of rebuilding on the first read after
-	// every write (experiment E19).
-	WithTraderSnapshotPolicy = core.WithTraderSnapshotPolicy
 	// WithTraderFederationQoS sets the per-hop QoS base for federated
 	// trader imports (timeout scaled by remaining hop budget).
 	WithTraderFederationQoS = core.WithTraderFederationQoS
@@ -244,12 +240,6 @@ func NewCoalescer(ep Endpoint, opts ...transport.CoalescerOption) *Coalescer {
 	return transport.NewCoalescer(ep, opts...)
 }
 
-// Coalescer tuning options, passed to WithBatching or NewCoalescer.
-var (
-	// BatchPendingLimit bounds bytes queued per destination.
-	BatchPendingLimit = transport.WithPendingLimit
-)
-
 // NewFabric creates a simulated network fabric.
 func NewFabric(opts ...netsim.Option) *Fabric { return netsim.NewFabric(opts...) }
 
@@ -296,8 +286,6 @@ var (
 	// TraceSampleEvery samples one root trace in n (0 disables, 1 traces
 	// everything).
 	TraceSampleEvery = obs.WithSampleEvery
-	// TraceRingSize bounds the per-node ring of retained spans.
-	TraceRingSize = obs.WithRingSize
 )
 
 // Latency histograms, the metrics time series and the anomaly flight
@@ -331,8 +319,6 @@ var (
 	CeilingRule = obs.CeilingRule
 	// StallRule arms a zero-progress watchdog on a counter key.
 	StallRule = obs.StallRule
-	// RecorderDepth bounds the recorder's retained samples.
-	RecorderDepth = obs.WithRecorderDepth
 )
 
 // HistogramKeys reassembles the latency histograms folded into a

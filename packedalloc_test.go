@@ -1,16 +1,15 @@
 package odp_test
 
-// Allocation gate for the packed-codec hot path: once two batching
-// platforms have negotiated batching, an E1 remote loopback call
-// must stay under packedE1AllocBudget allocations — the budget that keeps
-// the sub-10 µs latency target reachable. The count is measured with
-// AllocsPerRun so a regression fails deterministically instead of showing
-// up as bench noise.
+// Allocation gate for the packed-codec hot path: between two batching
+// platforms, an E1 remote loopback call must stay under
+// packedE1AllocBudget allocations — the budget that keeps the sub-10 µs
+// latency target reachable. The count is measured with AllocsPerRun so a
+// regression fails deterministically instead of showing up as bench
+// noise.
 
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -70,23 +69,8 @@ func coalescedPair(t *testing.T) (server, client *odp.Platform) {
 	return start("server"), start("client")
 }
 
-// settleE1 repeats call until the HELLO exchange has landed and frames
-// ride batches, then until pools, shards and routes are warm. The
-// probe's delivery can trail the request/reply ping-pong, so it polls
-// the negotiated state instead of assuming a fixed count.
-func settleE1(t *testing.T, client *odp.Platform, call func()) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		call()
-		if st, _ := client.BatchStats(); st.BatchesSent > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("batching not negotiated within warm-up deadline")
-		}
-		runtime.Gosched()
-	}
+// settleE1 repeats call until pools, shards and routes are warm.
+func settleE1(call func()) {
 	for i := 0; i < 100; i++ {
 		call()
 	}
@@ -108,7 +92,7 @@ func TestPackedE1AllocGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	settleE1(t, client, call)
+	settleE1(call)
 
 	before, _ := client.Gather()["rpc.client.packed_upgrades"].(uint64)
 	allocs := minAllocsPerRun(200, call)
@@ -169,7 +153,7 @@ func TestBulkEchoAllocGate(t *testing.T) {
 			t.Fatalf("echo: %v, reply equal to request: %v", err, err == nil)
 		}
 	}
-	settleE1(t, client, call)
+	settleE1(call)
 	allocs := minAllocsPerRun(100, call)
 	if allocs > bulkEchoAllocBudget {
 		t.Fatalf("bulk echo allocates %.1f/op, budget <= %d", allocs, bulkEchoAllocBudget)

@@ -61,7 +61,7 @@ func TestWovenE1AllocGate(t *testing.T) {
 				t.Fatalf("put: %q %v", out.Name, err)
 			}
 		}
-		settleE1(t, client, call)
+		settleE1(call)
 		return minAllocsPerRun(200, call)
 	}
 	bare := measure(client.Bind(bareRef).WithQoS(qos))
