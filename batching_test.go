@@ -67,7 +67,15 @@ func TestPlainAndBatchingPlatformsAnswerFirstCalls(t *testing.T) {
 				if n, err := out.Int(0); err != nil || n != 1 {
 					t.Fatalf("first call returned %v (%v), want 1", out.Result(0), err)
 				}
-				if st, _ := batching.BatchStats(); st.BatchesSent == 0 || st.SingleSends != 0 {
+				// A batch is counted once its write returns, which can be after
+				// the caller has read the reply it carried.
+				deadline := time.Now().Add(5 * time.Second)
+				st, _ := batching.BatchStats()
+				for st.BatchesSent == 0 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+					st, _ = batching.BatchStats()
+				}
+				if st.BatchesSent == 0 || st.SingleSends != 0 {
 					t.Fatalf("batching side: %+v, want every frame in a batch", st)
 				}
 			})

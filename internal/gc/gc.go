@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"odp/internal/capsule"
@@ -39,8 +40,11 @@ var (
 
 // tracked is one object's collection state.
 type tracked struct {
-	leases     map[string]time.Time // holder -> expiry
-	lastActive time.Time
+	leases map[string]time.Time // holder -> expiry
+	// lastActive is the instant of the last invocation, as nanoseconds
+	// since the collector's epoch. The object's interceptor stores it
+	// without taking the collector's lock.
+	lastActive atomic.Int64
 	onCollect  func(id string)
 }
 
@@ -49,14 +53,13 @@ type Collector struct {
 	cap   *capsule.Capsule
 	grace time.Duration
 	now   func() time.Time
+	epoch time.Time // origin of every tracked.lastActive
 
 	mu      sync.Mutex
 	objects map[string]*tracked
 	ref     wire.Ref
 
-	statsMu   sync.Mutex
-	collected uint64
-	renewals  uint64
+	collected, renewals atomic.Uint64
 }
 
 // CollectorOption configures a Collector.
@@ -85,6 +88,7 @@ func New(c *capsule.Capsule, grace time.Duration, opts ...CollectorOption) (*Col
 	for _, o := range opts {
 		o(g)
 	}
+	g.epoch = g.now()
 	ref, err := c.Export(capsule.ServantFunc(g.dispatch),
 		capsule.WithID(c.Name()+"/gc"))
 	if err != nil {
@@ -99,18 +103,10 @@ func New(c *capsule.Capsule, grace time.Duration, opts ...CollectorOption) (*Col
 func (g *Collector) Ref() wire.Ref { return g.ref }
 
 // Collected returns how many objects have been collected.
-func (g *Collector) Collected() uint64 {
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	return g.collected
-}
+func (g *Collector) Collected() uint64 { return g.collected.Load() }
 
 // Renewals returns how many lease renewals have been processed.
-func (g *Collector) Renewals() uint64 {
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	return g.renewals
-}
+func (g *Collector) Renewals() uint64 { return g.renewals.Load() }
 
 // Track begins collection management for object id. onCollect runs when
 // the object is collected (it should release the object's resources; the
@@ -122,21 +118,16 @@ func (g *Collector) Renewals() uint64 {
 // id starts afresh.
 func (g *Collector) Track(id string, onCollect func(id string)) capsule.Interceptor {
 	g.mu.Lock()
-	if _, ok := g.objects[id]; !ok {
-		g.objects[id] = &tracked{
-			leases:     make(map[string]time.Time),
-			lastActive: g.now(),
-			onCollect:  onCollect,
-		}
+	tr, ok := g.objects[id]
+	if !ok {
+		tr = &tracked{leases: make(map[string]time.Time), onCollect: onCollect}
+		tr.lastActive.Store(int64(g.now().Sub(g.epoch)))
+		g.objects[id] = tr
 	}
 	g.mu.Unlock()
 	return func(next capsule.Servant) capsule.Servant {
 		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
-			g.mu.Lock()
-			if tr, ok := g.objects[id]; ok {
-				tr.lastActive = g.now()
-			}
-			g.mu.Unlock()
+			tr.lastActive.Store(int64(g.now().Sub(g.epoch)))
 			return next.Dispatch(ctx, op, args)
 		})
 	}
@@ -151,9 +142,7 @@ func (g *Collector) Renew(id, holder string, ttl time.Duration) error {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, id)
 	}
 	tr.leases[holder] = g.now().Add(ttl)
-	g.statsMu.Lock()
-	g.renewals++
-	g.statsMu.Unlock()
+	g.renewals.Add(1)
 	return nil
 }
 
@@ -171,11 +160,12 @@ func (g *Collector) Release(id, holder string) {
 // returning the collected ids.
 func (g *Collector) Sweep() []string {
 	now := g.now()
+	sinceEpoch := int64(now.Sub(g.epoch))
 	var victims []string
 	var callbacks []func(string)
 	g.mu.Lock()
 	for id, tr := range g.objects {
-		if now.Sub(tr.lastActive) < g.grace {
+		if time.Duration(sinceEpoch-tr.lastActive.Load()) < g.grace {
 			continue // active objects cannot be garbage
 		}
 		live := false
@@ -200,11 +190,7 @@ func (g *Collector) Sweep() []string {
 			callbacks[i](id)
 		}
 	}
-	if n := uint64(len(victims)); n > 0 {
-		g.statsMu.Lock()
-		g.collected += n
-		g.statsMu.Unlock()
-	}
+	g.collected.Add(uint64(len(victims)))
 	return victims
 }
 

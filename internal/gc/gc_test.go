@@ -162,6 +162,57 @@ func TestActiveObjectNotCollected(t *testing.T) {
 	}
 }
 
+// Calls stamp an object's activity while Sweep reads it. The stamp takes
+// no collector lock, so under -race this test is what watches the two
+// sides: no sweep during the calls collects the object, the first sweep
+// after a grace without calls does.
+func TestActivityStampedConcurrently(t *testing.T) {
+	e := newGCEnv(t, time.Second)
+	clk := clock.NewFake(time.Unix(1000, 0))
+	e.collector.now = clk.Now
+	var collected []string
+	var mu sync.Mutex
+	servant := e.collector.Track("obj", func(id string) {
+		mu.Lock()
+		collected = append(collected, id)
+		mu.Unlock()
+	})(capsule.ServantFunc(func(context.Context, string, []wire.Value) (string, []wire.Value, error) {
+		return "ok", nil, nil
+	}))
+	call := func() {
+		if _, _, err := servant.Dispatch(context.Background(), "ping", nil); err != nil {
+			t.Error(err)
+		}
+	}
+	clk.Advance(2 * time.Second) // idle past the grace: only a call saves it
+	call()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 500; j++ {
+				call()
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		if victims := e.collector.Sweep(); len(victims) != 0 {
+			t.Fatalf("sweep %d collected an object being called: %v", i, victims)
+		}
+	}
+	wg.Wait()
+	clk.Advance(2 * time.Second)
+	if victims := e.collector.Sweep(); len(victims) != 1 {
+		t.Fatalf("idle object: swept %v, want [obj]", victims)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(collected) != 1 {
+		t.Fatalf("onCollect ran %d times", len(collected))
+	}
+}
+
 func TestReleaseAllowsCollection(t *testing.T) {
 	e := newGCEnv(t, 10*time.Millisecond)
 	_ = e.exportTracked("obj", nil, nil)

@@ -120,12 +120,6 @@ type GuardStats struct {
 	Replays  uint64
 }
 
-// replayKey names one admitted credential.
-type replayKey struct {
-	principal string
-	nonce     uint64
-}
-
 // Guard polices one interface: it is the generated engineering artefact
 // of a declarative policy statement (§7.1). Use AsInterceptor to place it
 // "within the encapsulation boundary of the secure object".
@@ -135,10 +129,12 @@ type Guard struct {
 	skewMs int64
 	now    func() time.Time
 	mu     sync.Mutex
-	// seen holds the admitted credentials by generation: the credential
+	// seen holds the admitted nonces by generation: the credential
 	// expiring at unix millisecond e is in generation e/skewMs. At most
-	// three generations hold credentials that are still fresh.
-	seen     map[int64]map[replayKey]struct{}
+	// three generations hold credentials that are still fresh. Within a
+	// generation each principal's nonces are a bitmap of 64-nonce words:
+	// nonce n is bit n&63 of word n>>6.
+	seen     map[int64]map[string]map[uint64]uint64
 	admitted atomic.Uint64
 	rejected atomic.Uint64
 	replays  atomic.Uint64
@@ -155,7 +151,7 @@ func NewGuard(keys *Keyring, policy Policy, maxSkew time.Duration) *Guard {
 		policy: policy,
 		skewMs: maxSkew.Milliseconds(),
 		now:    clock.Real{}.Now,
-		seen:   make(map[int64]map[replayKey]struct{}),
+		seen:   make(map[int64]map[string]map[uint64]uint64),
 	}
 }
 
@@ -172,13 +168,15 @@ func (g *Guard) Stats() GuardStats {
 func (g *Guard) AsInterceptor() capsule.Interceptor {
 	return func(next capsule.Servant) capsule.Servant {
 		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
-			realArgs, principal, err := g.Admit(op, args)
+			realArgs, k, err := g.admit(op, args)
 			if err != nil {
 				g.rejected.Add(1)
 				return "", nil, fmt.Errorf("%w: %v", rpc.ErrDenied, err)
 			}
 			g.admitted.Add(1)
-			return next.Dispatch(WithPrincipal(ctx, principal), op, realArgs)
+			// The key outlives the call, so the context can point at its
+			// principal instead of boxing a copy.
+			return next.Dispatch(context.WithValue(ctx, principalKey{}, &k.principal), op, realArgs)
 		})
 	}
 }
@@ -186,20 +184,29 @@ func (g *Guard) AsInterceptor() capsule.Interceptor {
 // Admit verifies the credential at args[0] and evaluates the policy,
 // returning the application arguments and the authenticated principal.
 func (g *Guard) Admit(op string, args []wire.Value) ([]wire.Value, string, error) {
-	if len(args) == 0 {
-		return nil, "", fmt.Errorf("%w: no credential", ErrBadCredential)
-	}
-	c, err := decodeCredential(args[0])
+	realArgs, k, err := g.admit(op, args)
 	if err != nil {
 		return nil, "", err
 	}
+	return realArgs, k.principal, nil
+}
+
+// admit is Admit returning the authenticated principal's key.
+func (g *Guard) admit(op string, args []wire.Value) ([]wire.Value, *key, error) {
+	if len(args) == 0 {
+		return nil, nil, fmt.Errorf("%w: no credential", ErrBadCredential)
+	}
+	c, err := decodeCredential(args[0])
+	if err != nil {
+		return nil, nil, err
+	}
 	k := g.keys.lookup(c.principal)
 	if k == nil {
-		return nil, "", fmt.Errorf("%w: %q", ErrUnknownPrincipal, c.principal)
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPrincipal, c.principal)
 	}
 	nowMs := g.now().UnixMilli()
 	if diff := nowMs - c.unixMilli; diff > g.skewMs || diff < -g.skewMs {
-		return nil, "", fmt.Errorf("%w: %dms skew", ErrStale, diff)
+		return nil, nil, fmt.Errorf("%w: %dms skew", ErrStale, diff)
 	}
 	realArgs := args[1:]
 	if c.sealed != nil {
@@ -207,28 +214,28 @@ func (g *Guard) Admit(op string, args []wire.Value) ([]wire.Value, string, error
 	}
 	var want [sha256.Size]byte
 	if err := k.invocationMAC(&want, c.raw, op, realArgs, c.sealed); err != nil {
-		return nil, "", err
+		return nil, nil, err
 	}
 	if !hmac.Equal(want[:], c.mac) { // constant time
-		return nil, "", ErrBadMAC
+		return nil, nil, ErrBadMAC
 	}
 	if !g.firstUse(k.principal, c.nonce, c.unixMilli+g.skewMs, nowMs) {
 		g.replays.Add(1)
-		return nil, "", ErrReplay
+		return nil, nil, ErrReplay
 	}
 	if c.sealed != nil {
 		plain, err := k.unseal(c.sealed)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
 		if realArgs, err = wire.DecodeAll(wire.PackedCodec{}, plain); err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
 	}
 	if !g.policy.Allows(k.principal, op) {
-		return nil, "", fmt.Errorf("%w: %q may not %q", ErrForbidden, k.principal, op)
+		return nil, nil, fmt.Errorf("%w: %q may not %q", ErrForbidden, k.principal, op)
 	}
-	return realArgs, k.principal, nil
+	return realArgs, k, nil
 }
 
 // firstUse records that the credential (principal, nonce), which goes
@@ -249,28 +256,34 @@ func (g *Guard) firstUse(principal string, nonce uint64, expiry, nowMs int64) bo
 				delete(g.seen, old)
 			}
 		}
-		gen = make(map[replayKey]struct{})
+		gen = make(map[string]map[uint64]uint64)
 		g.seen[idx] = gen
 	}
-	// One probe of a table that does not fit any cache: insert, and see
-	// whether the set grew.
-	before := len(gen)
-	gen[replayKey{principal, nonce}] = struct{}{}
-	return len(gen) > before
+	words := gen[principal]
+	if words == nil {
+		words = make(map[uint64]uint64)
+		gen[principal] = words
+	}
+	// A signer numbers its nonces in sequence, so 64 calls share a word;
+	// random nonces cost a word each. The words hold no pointers, so the
+	// collector does not scan them.
+	w, bit := nonce>>6, uint64(1)<<(nonce&63)
+	held := words[w]
+	words[w] = held | bit
+	return held&bit == 0
 }
 
-// principalKey is the context key carrying the authenticated principal.
+// principalKey is the context key carrying the authenticated principal,
+// as a pointer to the principal's name in its key.
 type principalKey struct{}
-
-// WithPrincipal records the authenticated principal in ctx.
-func WithPrincipal(ctx context.Context, principal string) context.Context {
-	return context.WithValue(ctx, principalKey{}, principal)
-}
 
 // PrincipalFrom extracts the authenticated principal, if any. Servants
 // behind a guard use it for finer-grained decisions ("an application (or
 // its guards) may choose to devolve some of the checking", §7.1).
 func PrincipalFrom(ctx context.Context) (string, bool) {
-	p, ok := ctx.Value(principalKey{}).(string)
-	return p, ok
+	p, ok := ctx.Value(principalKey{}).(*string)
+	if !ok {
+		return "", false
+	}
+	return *p, true
 }

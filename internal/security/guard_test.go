@@ -3,6 +3,8 @@ package security
 import (
 	"bytes"
 	"errors"
+	"math"
+	"math/rand"
 	"strconv"
 	"sync"
 	"testing"
@@ -284,8 +286,133 @@ func TestWrapAdmitAllocGate(t *testing.T) {
 	})
 	// The credential, its boxing and the signed argument vector; the
 	// replay window's growth is amortised below one.
-	if allocs > 8 {
-		t.Fatalf("Wrap + Admit allocate %.1f/op, budget 8", allocs)
+	if allocs > 4 {
+		t.Fatalf("Wrap + Admit allocate %.1f/op, budget 4", allocs)
 	}
-	t.Logf("Wrap + Admit: %.1f allocs/op (budget 8)", allocs)
+	t.Logf("Wrap + Admit: %.1f allocs/op (budget 4)", allocs)
+}
+
+// replayOp packs one FuzzReplayWindow step: bits 0–1 pick the principal
+// (3 is the first again), bits 2–3 the nonce's shape (sequential,
+// random, wrapping through 2^64−1 → 0, or a nonce offered before), bits
+// 4–5 the credential's stamp relative to now, bits 6–7 how far the clock
+// moves first.
+func replayOp(principal, shape, stamp, advance byte) byte {
+	return principal | shape<<2 | stamp<<4 | advance<<6
+}
+
+// FuzzReplayWindow drives the guard's replay window and a map of every
+// admitted (principal, generation, nonce) — the rule the window
+// implements — with the same credentials, and demands the same decision
+// for each.
+func FuzzReplayWindow(f *testing.F) {
+	seq := func(n int, ops ...byte) []byte {
+		var out []byte
+		for i := 0; i < n; i++ {
+			out = append(out, ops...)
+		}
+		return out
+	}
+	f.Add(int64(1), seq(200, replayOp(0, 0, 2, 0)))                                            // sequential
+	f.Add(int64(2), seq(100, replayOp(0, 0, 2, 0), replayOp(0, 3, 2, 0)))                      // sequential, replayed
+	f.Add(int64(3), seq(100, replayOp(1, 1, 1, 0), replayOp(1, 3, 1, 0)))                      // random, replayed
+	f.Add(int64(4), seq(60, replayOp(2, 2, 2, 0), replayOp(2, 3, 0, 0)))                       // across the wrap
+	f.Add(int64(5), seq(50, replayOp(0, 0, 3, 1), replayOp(1, 3, 0, 2), replayOp(2, 0, 1, 3))) // generations advance
+	f.Add(int64(6), seq(80, replayOp(0, 1, 2, 0), replayOp(1, 2, 3, 1), replayOp(2, 3, 0, 0), replayOp(3, 0, 1, 3)))
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		const skewMs = 8
+		g := NewGuard(NewKeyring(), Policy{}, skewMs*time.Millisecond)
+		rng := rand.New(rand.NewSource(seed))
+		principals := [3]string{"alice", "bob", "carol"}
+		var sequential, wrapping [3]uint64
+		for p := range wrapping {
+			sequential[p] = rng.Uint64()
+			wrapping[p] = math.MaxUint64 - 40
+		}
+		type offer struct {
+			principal string
+			gen       int64
+			nonce     uint64
+		}
+		admitted := make(map[offer]bool)
+		var offered [3][]uint64
+		now := int64(1_700_000_000_000)
+		stamps := [4]int64{-skewMs, -3, 0, skewMs}
+		advances := [4]int64{0, 1, 3, skewMs}
+		for i, op := range ops {
+			p := int(op&3) % 3
+			now += advances[op>>6&3]
+			var nonce uint64
+			switch op >> 2 & 3 {
+			case 0:
+				sequential[p]++
+				nonce = sequential[p]
+			case 1:
+				nonce = rng.Uint64()
+			case 2:
+				wrapping[p]++
+				nonce = wrapping[p]
+			case 3:
+				if len(offered[p]) == 0 {
+					continue
+				}
+				nonce = offered[p][rng.Intn(len(offered[p]))]
+			}
+			offered[p] = append(offered[p], nonce)
+			// A stamp within the skew of now, as Admit lets through: the
+			// credential's expiry is never in the past.
+			expiry := now + stamps[op>>4&3] + skewMs
+			key := offer{principals[p], expiry / skewMs, nonce}
+			want := !admitted[key]
+			admitted[key] = true
+			if got := g.firstUse(principals[p], nonce, expiry, now); got != want {
+				t.Fatalf("step %d: %s nonce %#x expiring %d at %d: window admits %v, rule %v",
+					i, principals[p], nonce, expiry, now, got, want)
+			}
+		}
+	})
+}
+
+// A signer numbers its nonces in sequence, so the window holds a word per
+// 64 of them: 200k credentials from one signer, then 64 signers
+// interleaved, each generation holding at most calls/64 + signers words
+// and refusing every replay.
+func TestReplayWindowStaysSmall(t *testing.T) {
+	const skewMs = 1000
+	g := NewGuard(NewKeyring(), Policy{}, skewMs*time.Millisecond)
+	now := int64(1_700_000_000_000)
+	rng := rand.New(rand.NewSource(1))
+	phase := func(name string, signers, each int) {
+		starts := make([]uint64, signers) // random, as NewSigner picks them
+		for i := range starts {
+			starts[i] = rng.Uint64()
+		}
+		expiry := now + skewMs
+		for _, first := range []bool{true, false} {
+			for i := 0; i < each; i++ {
+				for _, start := range starts {
+					if got := g.firstUse("alice", start+uint64(i), expiry, now); got != first {
+						t.Fatalf("%s: nonce %#x admitted %v, want %v", name, start+uint64(i), got, first)
+					}
+				}
+			}
+		}
+		g.mu.Lock()
+		words := len(g.seen[expiry/skewMs]["alice"])
+		g.mu.Unlock()
+		calls := signers * each
+		if words > calls/64+signers {
+			t.Fatalf("%s: %d calls held in %d words, want at most %d", name, calls, words, calls/64+signers)
+		}
+		t.Logf("%s: %d calls held in %d words", name, calls, words)
+		now += 3 * skewMs // the next phase fills a generation of its own
+	}
+	phase("one signer", 1, 200_000)
+	phase("64 interleaved signers", 64, 50*64)
+	g.mu.Lock()
+	held := len(g.seen)
+	g.mu.Unlock()
+	if held != 1 {
+		t.Fatalf("guard holds %d generations, want the current one", held)
+	}
 }

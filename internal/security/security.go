@@ -27,9 +27,11 @@
 // giving confidentiality as well as integrity.
 //
 // Replays are caught by remembering every admitted (principal, nonce)
-// until the credential that carried it goes stale, its own timestamp plus
-// MaxSkew. The memory is a set of generations, one per MaxSkew of expiry
-// time; a generation whose whole span has passed is dropped in one step.
+// until its credential goes stale, its own timestamp plus MaxSkew, in
+// generations of MaxSkew of expiry time, each dropped whole once its span
+// has passed. In a generation a principal's nonces are bits of 64-nonce
+// words: a signer's sequential nonces share a word, random ones cost a
+// word each, and the words hold no pointers for the collector to scan.
 //
 // The HMAC and AES-GCM states are keyed once per secret, by the first
 // call that needs them, and reused by every later one until Keyring.Share

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -53,11 +52,13 @@ type Store interface {
 	TruncateLog(name string) error
 }
 
-// MemStore is an in-memory Store, for tests and benchmarks.
+// MemStore is an in-memory Store, for tests and benchmarks. Each log is
+// one byte stream in FileStore's framing, so an append copies the record
+// into the stream and allocates nothing of its own.
 type MemStore struct {
 	mu    sync.RWMutex
 	blobs map[string][]byte
-	logs  map[string][][]byte
+	logs  map[string][]byte
 }
 
 var _ Store = (*MemStore)(nil)
@@ -66,7 +67,7 @@ var _ Store = (*MemStore)(nil)
 func NewMemStore() *MemStore {
 	return &MemStore{
 		blobs: make(map[string][]byte),
-		logs:  make(map[string][][]byte),
+		logs:  make(map[string][]byte),
 	}
 }
 
@@ -117,10 +118,8 @@ func (s *MemStore) ListBlobs(prefix string) ([]string, error) {
 
 // AppendLog implements Store.
 func (s *MemStore) AppendLog(name string, rec []byte) error {
-	cp := make([]byte, len(rec))
-	copy(cp, rec)
 	s.mu.Lock()
-	s.logs[name] = append(s.logs[name], cp)
+	s.logs[name] = appendRecord(s.logs[name], rec)
 	s.mu.Unlock()
 	return nil
 }
@@ -128,15 +127,9 @@ func (s *MemStore) AppendLog(name string, rec []byte) error {
 // ReadLog implements Store.
 func (s *MemStore) ReadLog(name string) ([][]byte, error) {
 	s.mu.RLock()
-	recs := s.logs[name]
-	out := make([][]byte, len(recs))
-	for i, r := range recs {
-		cp := make([]byte, len(r))
-		copy(cp, r)
-		out[i] = cp
-	}
+	stream := append([]byte(nil), s.logs[name]...)
 	s.mu.RUnlock()
-	return out, nil
+	return splitLog(stream)
 }
 
 // TruncateLog implements Store.
@@ -147,9 +140,40 @@ func (s *MemStore) TruncateLog(name string) error {
 	return nil
 }
 
+// A log, on disk or in memory, is a stream of records, each framed as
+// [u32 BE length][record].
+const maxRecord = 1 << 28
+
+// appendRecord appends one framed record to a log stream.
+func appendRecord(stream, rec []byte) []byte {
+	stream = binary.BigEndian.AppendUint32(stream, uint32(len(rec)))
+	return append(stream, rec...)
+}
+
+// splitLog returns the records of a log stream, each a capped slice of
+// stream. A trailing partial record (torn write at crash) is silently
+// discarded, matching write-ahead-log recovery practice; a length above
+// maxRecord is corruption.
+func splitLog(stream []byte) ([][]byte, error) {
+	var recs [][]byte
+	for len(stream) >= 4 {
+		n := binary.BigEndian.Uint32(stream)
+		if n > maxRecord {
+			return nil, fmt.Errorf("%w: record of %d bytes", ErrCorruptLog, n)
+		}
+		if uint64(len(stream)-4) < uint64(n) {
+			break
+		}
+		end := 4 + int(n)
+		recs = append(recs, stream[4:end:end])
+		stream = stream[end:]
+	}
+	return recs, nil
+}
+
 // FileStore is a directory-backed Store. Blob ids and log names are
-// percent-free path-escaped into file names; logs are length-prefixed
-// record streams fsynced per append.
+// percent-free path-escaped into file names; logs are record streams
+// fsynced per append.
 type FileStore struct {
 	dir string
 	mu  sync.Mutex // serialises log appends per store
@@ -296,12 +320,7 @@ func (s *FileStore) AppendLog(name string, rec []byte) error {
 		return fmt.Errorf("storage: %w", err)
 	}
 	defer f.Close()
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(rec)))
-	if _, err := f.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if _, err := f.Write(rec); err != nil {
+	if _, err := f.Write(appendRecord(nil, rec)); err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
 	if err := f.Sync(); err != nil {
@@ -310,37 +329,16 @@ func (s *FileStore) AppendLog(name string, rec []byte) error {
 	return nil
 }
 
-// ReadLog implements Store. A trailing partial record (torn write at
-// crash) is silently discarded, matching write-ahead-log recovery
-// practice.
+// ReadLog implements Store.
 func (s *FileStore) ReadLog(name string) ([][]byte, error) {
-	f, err := os.Open(s.logPath(name))
+	data, err := os.ReadFile(s.logPath(name))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	defer f.Close()
-	var recs [][]byte
-	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(f, lenBuf[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return recs, nil
-			}
-			return recs, nil // torn length: discard tail
-		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n > 1<<28 {
-			return nil, fmt.Errorf("%w: record of %d bytes", ErrCorruptLog, n)
-		}
-		rec := make([]byte, n)
-		if _, err := io.ReadFull(f, rec); err != nil {
-			return recs, nil // torn record: discard tail
-		}
-		recs = append(recs, rec)
-	}
+	return splitLog(data)
 }
 
 // TruncateLog implements Store.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -229,5 +230,112 @@ func TestEscapeRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Both stores frame a log as [u32 BE length][record] and split it with one
+// function: the same appends read back as the same records from each, a
+// torn tail on disk is dropped, and a length no record may have is
+// corruption.
+func TestLogStoresAgree(t *testing.T) {
+	const truncate = "\x00truncate"
+	cases := []struct {
+		name    string
+		steps   []string // records to append, or truncate
+		tail    []byte   // raw bytes written after the file's last record
+		want    []string
+		corrupt bool
+	}{
+		{name: "missing log"},
+		{name: "one empty record", steps: []string{""}, want: []string{""}},
+		{name: "records", steps: []string{"a", "", "bc", strings.Repeat("x", 70_000)},
+			want: []string{"a", "", "bc", strings.Repeat("x", 70_000)}},
+		{name: "truncated", steps: []string{"a", "b", truncate}},
+		{name: "truncated, then appended", steps: []string{"a", truncate, "c"}, want: []string{"c"}},
+		{name: "torn length", steps: []string{"a", "b"}, tail: []byte{0, 0}, want: []string{"a", "b"}},
+		{name: "torn record", steps: []string{"a"}, tail: []byte{0, 0, 0, 9, 'p', 'a', 'r'}, want: []string{"a"}},
+		{name: "length past the bound", steps: []string{"a"}, tail: []byte{0x10, 0, 0, 1}, want: []string{"a"}, corrupt: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs, err := NewFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms := NewMemStore()
+			for _, s := range []Store{ms, fs} {
+				for _, step := range tc.steps {
+					if step == truncate {
+						err = s.TruncateLog("wal")
+					} else {
+						err = s.AppendLog("wal", []byte(step))
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if tc.tail != nil {
+				f, err := os.OpenFile(filepath.Join(dir, "logs", escapeName("wal")), os.O_APPEND|os.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(tc.tail); err != nil {
+					t.Fatal(err)
+				}
+				_ = f.Close()
+			}
+			read := func(s Store) []string {
+				recs, err := s.ReadLog("wal")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out []string
+				for _, r := range recs {
+					out = append(out, string(r))
+				}
+				return out
+			}
+			if got := read(ms); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("mem store reads %q, want %q", got, tc.want)
+			}
+			if tc.corrupt {
+				if _, err := fs.ReadLog("wal"); !errors.Is(err, ErrCorruptLog) {
+					t.Fatalf("file store: want ErrCorruptLog, got %v", err)
+				}
+				return
+			}
+			if got := read(fs); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("file store reads %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// ReadLog returns copies: writing into a record, or appending to it, is
+// seen neither by the store nor by the record after it.
+func TestLogRecordsAreCopies(t *testing.T) {
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, rec := range []string{"first", "second"} {
+				if err := s.AppendLog("l", []byte(rec)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recs, err := s.ReadLog("l")
+			if err != nil || len(recs) != 2 {
+				t.Fatalf("read: %q %v", recs, err)
+			}
+			recs[0][0] = 'X'
+			recs[0] = append(recs[0], "past the next length prefix"...)
+			if string(recs[1]) != "second" {
+				t.Fatalf("appending to one record overwrote the next: %q", recs[1])
+			}
+			again, _ := s.ReadLog("l")
+			if string(again[0]) != "first" || string(again[1]) != "second" {
+				t.Fatalf("store shares returned records: %q", again)
+			}
+		})
 	}
 }

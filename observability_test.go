@@ -7,6 +7,7 @@ package odp_test
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -329,6 +330,17 @@ func TestUnsampledTracingAddsNoAllocsE1(t *testing.T) {
 		call := func() {
 			if _, err := proxy.Call(ctx, "add"); err != nil {
 				t.Fatal(err)
+			}
+			// A plain client acknowledges the reply after it has woken the
+			// caller. On AllocsPerRun's one P that delivery, and the fabric
+			// worker carrying it, would wait in the run queue: the next
+			// call's caller/delivery ping-pong inherits the time slice, so
+			// for up to a slice every call leaves a goroutine, a packet copy
+			// and a delivery behind, and the round reads 8–15 instead of 5
+			// (new goroutines and pool misses). Draining the fabric makes
+			// every call start from the same idle state.
+			for f.InFlight() > 0 {
+				runtime.Gosched()
 			}
 		}
 		for i := 0; i < 100; i++ { // settle pools, shards, routes

@@ -27,17 +27,14 @@ import (
 const packedE1AllocBudget = 5
 
 // minAllocsPerRun is the least of three AllocsPerRun rounds, the figure
-// every E1 gate compares. A real per-call allocation raises every round.
-// What raises some rounds by one or two allocs/op is the scheduler. On
-// AllocsPerRun's single P, plain platforms (the unsampled-tracing gate)
-// spill nearly every netsim delivery to a fresh goroutine (measured:
-// 99.7 % of 3 packets per call — the resident workers wait in the run
-// queue behind the caller/delivery ping-pong), and how many goroutine
-// descriptors the runtime can reuse varies round to round, more so under
-// CPU contention. Coalesced platforms (the packed and histogram gates)
-// send 2 packets per call and spill none of them; for those the three
-// rounds only guard against a stray background allocation. One sample
-// cannot tell either from a leak.
+// every E1 gate compares. A real per-call allocation raises every round;
+// the three rounds guard against a stray background allocation, which one
+// sample cannot tell from a leak. Coalesced platforms (the packed,
+// histogram and woven gates) send 2 packets per call and spill none of
+// them to a fresh goroutine. Plain platforms (the unsampled-tracing
+// gate) send the ack after the call returns; that gate drains the fabric
+// between calls, since on AllocsPerRun's single P a trailing delivery
+// waits behind the next call for up to a time slice.
 func minAllocsPerRun(runs int, f func()) float64 {
 	least := testing.AllocsPerRun(runs, f)
 	for round := 1; round < 3; round++ {

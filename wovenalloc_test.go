@@ -14,20 +14,27 @@ import (
 )
 
 // wovenE1AllocExtra is what the four interceptors and the signer may add
-// to a packed E1 call. They add 7: the credential, its boxing and the
-// signed argument vector at the signer (3); the credential's header at
-// the server (1 — its bytes ride in the slab the other arguments already
-// pay for); the principal's context (2); the log record's copy in the
-// store (1); the log's and the replay window's growth, amortised
-// (under 1). They added 59 before the
-// guard stopped rebuilding its MAC state and its credential record on
-// every call.
-const wovenE1AllocExtra = 18
+// to a packed E1 call. They add 5, site by site:
+//   - the signer: the credential, its boxing and the signed argument
+//     vector (3);
+//   - the credential's header at the server (1 — its bytes ride in the
+//     slab the other arguments already pay for);
+//   - the principal's context (1 — the valueCtx; the principal itself is
+//     a pointer into the guard's long-lived key);
+//   - the recovery-log record (0 — the store appends it into the log's
+//     one byte stream);
+//   - the log's and the replay window's growth, amortised (under 1).
+//
+// They added 59 before the guard stopped rebuilding its MAC state and
+// its credential record on every call, and 7 while the principal was
+// boxed and the store copied each record.
+const wovenE1AllocExtra = 6
 
-// wovenE1AllocBudget is the woven call's own ceiling: it costs 12 (15
+// wovenE1AllocBudget is the woven call's own ceiling: it costs 10 (12
+// before the principal went unboxed and the log record uncopied, 15
 // before the server's call rows were reused), so a row or a cached reply
 // allocated per call again fails here even if the bare call pays it too.
-const wovenE1AllocBudget = 13
+const wovenE1AllocBudget = 11
 
 func TestWovenE1AllocGate(t *testing.T) {
 	if raceEnabled {
