@@ -55,8 +55,14 @@ var claimQoS = odp.QoS{Timeout: time.Minute, Retransmit: 10 * time.Second}
 // asserted at: a LAN-like and a WAN-like path, jitter-free.
 var claimLatencies = []time.Duration{200 * time.Microsecond, 5 * time.Millisecond}
 
-// ackFlush is long enough for every deferred acknowledgement to leave,
-// so a packet count taken after it belongs to the calls before it.
+// packetsPerCall is what one call puts on the fabric: its request, which
+// carries the previous call's acknowledgement in the same BATCH datagram,
+// and its reply, which travels alone. The call's own acknowledgement
+// waits for the next request to the server.
+const packetsPerCall = 2
+
+// ackFlush lets whatever a scenario left queued leave, so a packet count
+// taken after it belongs to the calls before it.
 const ackFlush = time.Second
 
 // claimCost drives fn in virtual time, lets trailing acknowledgements
@@ -83,8 +89,8 @@ func claimCost(t *testing.T, s *sim.Sim, fn func() error) (took time.Duration, p
 //     client reads its copy in zero time and zero packets, where each
 //     by-reference read is the round trip above.
 //   - §5.1 announcements (E4): issuing k announcements takes zero
-//     virtual time and k packets; all k are delivered and executed
-//     exactly L later.
+//     virtual time; all k leave in one datagram at the end of the
+//     instant, and are delivered and executed exactly L later.
 func TestClaimsInvocationShapes(t *testing.T) {
 	ctx := context.Background()
 	for _, l := range claimLatencies {
@@ -100,14 +106,13 @@ func TestClaimsInvocationShapes(t *testing.T) {
 			}
 			proxy := client.Bind(ref).WithQoS(claimQoS)
 
-			// The unit of every packet equality below: what one call puts
-			// on the fabric (request, reply and its acknowledgement).
+			// The unit of every packet equality below.
 			_, perCall := claimCost(t, s, func() error {
 				_, err := proxy.Call(ctx, "item", int64(0))
 				return err
 			})
-			if perCall == 0 {
-				t.Fatal("a remote call sent no packets")
+			if perCall != packetsPerCall {
+				t.Fatalf("a remote call sent %d packets, want %d", perCall, packetsPerCall)
 			}
 
 			for _, k := range []int{1, 4, 16, 64} {
@@ -166,8 +171,10 @@ func TestClaimsInvocationShapes(t *testing.T) {
 				}
 				s.RunFor(ackFlush)
 				after := s.Fabric.Stats()
-				if sent, delivered := after.Sent-before.Sent, after.Delivered-before.Delivered; sent != uint64(k) || delivered != uint64(k) {
-					t.Fatalf("%d announcements: %d packets sent, %d delivered, want %d of each", k, sent, delivered, k)
+				// The flusher claims the burst once the instant is over, with
+				// the last call's acknowledgement in front: one datagram.
+				if sent, delivered := after.Sent-before.Sent, after.Delivered-before.Delivered; sent != 1 || delivered != 1 {
+					t.Fatalf("%d announcements: %d packets sent, %d delivered, want 1 of each", k, sent, delivered)
 				}
 			}
 			pinSwarmHash(t, s)

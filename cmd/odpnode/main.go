@@ -35,7 +35,6 @@ func main() {
 		relocator  = flag.String("relocator", "", "encoded reference of an existing relocation service")
 		echoSvc    = flag.Bool("echo", true, "publish a demo echo interface")
 		traceEvery = flag.Int("trace-every", 0, "sample one trace in n invocations (0 = off; retune live via the obs.sample_every management parameter)")
-		batch      = flag.Bool("batch", false, "coalesce writes per destination into BATCH datagrams, which every node reads, -batch or not")
 		series     = flag.Duration("series", 0, "sample the Gather snapshot at this interval so the management \"series\" op serves rates (0 = off)")
 		sloP99     = flag.Duration("slo-dispatch-p99", 0, "arm the flight recorder with this dispatch p99 ceiling; breaches land behind the \"blackbox\" op (0 = off)")
 	)
@@ -46,7 +45,6 @@ func main() {
 		storeDir:       *storeDir,
 		relocator:      *relocator,
 		traceEvery:     *traceEvery,
-		batch:          *batch,
 		series:         *series,
 		sloDispatchP99: *sloP99,
 	}

@@ -19,10 +19,6 @@ type nodeConfig struct {
 	// the hot path, and the "obs.sample_every" management parameter can
 	// turn sampling on against a live node.
 	traceEvery int
-	// batch wraps the endpoint in the write coalescer, which sends BATCH
-	// datagrams from its first frame: every node reads them, with or
-	// without -batch. It has no bearing on the codec.
-	batch bool
 	// series > 0 samples the node's Gather snapshot at this interval, so
 	// the management "series" op serves rates and odptop shows them.
 	series time.Duration
@@ -46,9 +42,6 @@ func platformOptions(cfg nodeConfig) ([]odp.Option, error) {
 		tracing = odp.WithTracing(odp.TraceSampleEvery(uint64(cfg.traceEvery)))
 	}
 	opts := []odp.Option{tracing}
-	if cfg.batch {
-		opts = append(opts, odp.WithBatching())
-	}
 	if cfg.storeDir != "" {
 		store, err := odp.NewFileStore(cfg.storeDir)
 		if err != nil {

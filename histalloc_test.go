@@ -21,18 +21,17 @@ func TestHistogramRecordingAddsNoAllocsE1(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are skewed under -race: sync.Pool drops puts by design")
 	}
-	server, client := coalescedPair(t)
+	server, client, e1 := e1Pair(t)
 	ref, err := server.Publish("cell", odp.Object{Servant: &countingServant{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	proxy := client.Bind(ref).WithQoS(odp.QoS{Timeout: 30 * time.Second})
 	ctx := context.Background()
-	call := func() {
-		if _, err := proxy.Call(ctx, "add"); err != nil {
-			t.Fatal(err)
-		}
-	}
+	call := e1(func() error {
+		_, err := proxy.Call(ctx, "add")
+		return err
+	})
 	settleE1(call)
 
 	const runs = 200

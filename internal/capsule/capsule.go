@@ -92,7 +92,7 @@ type registration struct {
 // Capsule hosts servants on one endpoint.
 type Capsule struct {
 	name  string
-	ep    transport.Endpoint
+	ep    transport.Batcher
 	codec wire.Codec
 	peer  *rpc.Peer
 
@@ -145,8 +145,9 @@ func WithAdmission(cfg rpc.AdmissionConfig) Option {
 	return func(c *Capsule) { c.admission = &cfg }
 }
 
-// New creates a capsule on ep. name scopes generated object identifiers.
-func New(name string, ep transport.Endpoint, codec wire.Codec, opts ...Option) *Capsule {
+// New creates a capsule on ep, a coalescing endpoint that Close closes.
+// name scopes generated object identifiers.
+func New(name string, ep transport.Batcher, codec wire.Codec, opts ...Option) *Capsule {
 	c := &Capsule{
 		name:     name,
 		ep:       ep,
@@ -203,7 +204,7 @@ func (c *Capsule) BypassLatency() obs.HistogramSnapshot {
 	return c.bypassLat.Snapshot()
 }
 
-// Close shuts the capsule down.
+// Close shuts the capsule down, then drains and closes its endpoint.
 func (c *Capsule) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -212,7 +213,11 @@ func (c *Capsule) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	return c.peer.Close()
+	err := c.peer.Close()
+	if cerr := c.ep.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ExportOption configures one export.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"odp/internal/transport"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,7 +75,7 @@ func newCapsule(t *testing.T, f *netsim.Fabric, name string, opts ...Option) *Ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(name, ep, codec, opts...)
+	c := New(name, transport.NewCoalescer(ep), codec, opts...)
 	t.Cleanup(func() { _ = c.Close() })
 	return c
 }

@@ -17,6 +17,7 @@
 package clock
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,6 +40,9 @@ type Clock interface {
 	NewTicker(d time.Duration) Ticker
 	// NewTimer returns a one-shot timer firing after d.
 	NewTimer(d time.Duration) Timer
+	// EndOfInstant returns a channel that receives once whatever else is
+	// due at the current instant has had its turn.
+	EndOfInstant() <-chan time.Time
 }
 
 // Ticker delivers repeated instants on C until stopped.
@@ -81,6 +85,18 @@ func (Real) NewTicker(d time.Duration) Ticker { return realTicker{time.NewTicker
 
 // NewTimer implements Clock.
 func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+
+// instantOver is always ready: the real clock's EndOfInstant.
+var instantOver = make(chan time.Time)
+
+func init() { close(instantOver) }
+
+// EndOfInstant implements Clock. The wall clock cannot see an instant
+// end: it yields the processor once and returns a ready channel.
+func (Real) EndOfInstant() <-chan time.Time {
+	runtime.Gosched()
+	return instantOver
+}
 
 type realTicker struct{ t *time.Ticker }
 
@@ -180,13 +196,13 @@ func (f *Fake) Sleep(d time.Duration) { <-f.After(d) }
 
 // After implements Clock. After(0) delivers the current instant at once.
 func (f *Fake) After(d time.Duration) <-chan time.Time {
-	return f.addWaiter(d, 0, nil).ch
+	return f.addWaiter(d, 0, nil, false).ch
 }
 
 // AfterFunc implements Clock. A non-positive duration runs fn immediately
 // in its own goroutine.
 func (f *Fake) AfterFunc(d time.Duration, fn func()) Timer {
-	return &fakeTimer{fakeStopper{f: f, w: f.addWaiter(d, 0, fn)}}
+	return &fakeTimer{fakeStopper{f: f, w: f.addWaiter(d, 0, fn, false)}}
 }
 
 // NewTicker implements Clock.
@@ -194,16 +210,25 @@ func (f *Fake) NewTicker(d time.Duration) Ticker {
 	if d <= 0 {
 		panic("clock: non-positive ticker interval")
 	}
-	return &fakeTicker{fakeStopper{f: f, w: f.addWaiter(d, d, nil)}}
+	return &fakeTicker{fakeStopper{f: f, w: f.addWaiter(d, d, nil, false)}}
 }
 
 // NewTimer implements Clock. A non-positive duration fires immediately,
 // like the real clock.
 func (f *Fake) NewTimer(d time.Duration) Timer {
-	return &fakeTimer{fakeStopper{f: f, w: f.addWaiter(d, 0, nil)}}
+	return &fakeTimer{fakeStopper{f: f, w: f.addWaiter(d, 0, nil, false)}}
 }
 
-func (f *Fake) addWaiter(d, interval time.Duration, fn func()) *fakeWaiter {
+// EndOfInstant implements Clock: the channel receives at the next
+// Advance, Advance(0) included, never at once. The sim harness advances
+// only once the universe is idle: after everything else at this instant.
+func (f *Fake) EndOfInstant() <-chan time.Time {
+	return f.addWaiter(0, 0, nil, true).ch
+}
+
+// addWaiter registers a waiter d from now. A one-shot whose deadline has
+// passed fires at once unless park is set.
+func (f *Fake) addWaiter(d, interval time.Duration, fn func(), park bool) *fakeWaiter {
 	f.mu.Lock()
 	w := &fakeWaiter{
 		deadline: f.now.Add(d),
@@ -211,7 +236,7 @@ func (f *Fake) addWaiter(d, interval time.Duration, fn func()) *fakeWaiter {
 		fn:       fn,
 		ch:       make(chan time.Time, 1),
 	}
-	if d <= 0 && interval == 0 {
+	if d <= 0 && interval == 0 && !park {
 		// The deadline has already passed: fire now instead of parking
 		// until the next Advance, matching time.NewTimer(0)/time.After(0).
 		w.stopped = true

@@ -169,6 +169,36 @@ func TestFakeZeroDurationFiresImmediately(t *testing.T) {
 	}
 }
 
+// TestEndOfInstant: the real clock's end of an instant is ready at once;
+// a Fake's parks, unlike After(0), until the next Advance — Advance(0)
+// included — and is delivered at the instant it was asked in.
+func TestEndOfInstant(t *testing.T) {
+	select {
+	case <-Real{}.EndOfInstant():
+	default:
+		t.Fatal("Real.EndOfInstant is not ready")
+	}
+	f := NewFake(time.Unix(100, 0))
+	ch := f.EndOfInstant()
+	select {
+	case <-ch:
+		t.Fatal("Fake.EndOfInstant fired before the clock advanced")
+	default:
+	}
+	if next, ok := f.NextDeadline(); !ok || !next.Equal(time.Unix(100, 0)) {
+		t.Fatalf("NextDeadline = %v %v, want the current instant", next, ok)
+	}
+	f.Advance(0)
+	select {
+	case at := <-ch:
+		if !at.Equal(time.Unix(100, 0)) {
+			t.Fatalf("delivered %v, want the instant it was asked in", at)
+		}
+	default:
+		t.Fatal("Advance(0) did not end the instant")
+	}
+}
+
 func TestFakeAfterFunc(t *testing.T) {
 	f := NewFake(time.Unix(0, 0))
 	fired := make(chan struct{})

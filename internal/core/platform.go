@@ -75,8 +75,7 @@ type Platform struct {
 	RelocRef wire.Ref
 
 	binder *naming.Binder
-	// coalescer is non-nil when WithBatching wrapped the endpoint; the
-	// platform owns it and Close drains it.
+	// coalescer wraps the node's endpoint; the capsule closes it.
 	coalescer *transport.Coalescer
 	// recorder is non-nil when WithRecorder (or WithFlightRecorder)
 	// enabled periodic Gather sampling; the platform owns it and Close
@@ -116,8 +115,6 @@ type platformConfig struct {
 	traderContext string
 	traderOpts    []trader.TraderOption
 	capsuleOpts   []capsule.Option
-	batching      bool
-	batchOpts     []transport.CoalescerOption
 	clk           clock.Clock
 	tracing       bool
 	obsOpts       []obs.CollectorOption
@@ -207,20 +204,6 @@ func WithAdmission(cfg rpc.AdmissionConfig) Option {
 	}
 }
 
-// WithBatching wraps the node's endpoint in a write coalescer
-// (transport.Coalescer): frames that concurrent invocations address to
-// the same destination pack into single BATCH datagrams, amortising
-// per-packet channel overhead. Every node reads batches, so a batching
-// node sends them from its first frame and still meets plain ones
-// transparently. The platform owns the wrapper; Close flushes and closes
-// it (and with it the endpoint).
-func WithBatching(opts ...transport.CoalescerOption) Option {
-	return func(cfg *platformConfig) {
-		cfg.batching = true
-		cfg.batchOpts = append(cfg.batchOpts, opts...)
-	}
-}
-
 // WithTracing installs a channel-level span collector (see obs): the
 // binder roots invocation traces, and the capsule, protocol peer and
 // coalescer record the spans of every channel object an invocation
@@ -259,14 +242,17 @@ func WithFlightRecorder(rules ...obs.Rule) Option {
 	return func(cfg *platformConfig) { cfg.sloRules = append(cfg.sloRules, rules...) }
 }
 
-// NewPlatform assembles a node on ep.
+// NewPlatform assembles a node on ep, wrapped in a write coalescer
+// (transport.Coalescer) that Close flushes and closes, and with it ep.
 func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform, error) {
 	cfg := platformConfig{
 		codec:         wire.PackedCodec{},
 		hostRelocator: true,
 	}
 	for _, o := range opts {
-		o(&cfg)
+		if o != nil { // a nil Option does nothing
+			o(&cfg)
+		}
 	}
 	if cfg.store == nil {
 		cfg.store = storage.NewMemStore()
@@ -282,8 +268,6 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 		lockOpts = append(lockOpts, txn.WithLockClock(cfg.clk))
 		gcOpts = append(gcOpts, gc.WithCollectorClock(cfg.clk))
 		cfg.capsuleOpts = append(cfg.capsuleOpts, capsule.WithClock(cfg.clk))
-		// Prepended, so an explicit clock passed to WithBatching still wins.
-		cfg.batchOpts = append([]transport.CoalescerOption{transport.WithCoalescerClock(cfg.clk)}, cfg.batchOpts...)
 	}
 	p := &Platform{
 		Store:     cfg.store,
@@ -304,13 +288,9 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 		oopts := append([]obs.CollectorOption{obs.WithCollectorClock(cfg.clk)}, cfg.obsOpts...)
 		p.obs = obs.NewCollector(name, oopts...)
 		cfg.capsuleOpts = append(cfg.capsuleOpts, capsule.WithObserver(p.obs))
-		cfg.batchOpts = append(cfg.batchOpts, transport.WithCoalescerObserver(p.obs))
 	}
-	if cfg.batching {
-		p.coalescer = transport.NewCoalescer(ep, cfg.batchOpts...)
-		ep = p.coalescer
-	}
-	p.Capsule = capsule.New(name, ep, cfg.codec, cfg.capsuleOpts...)
+	p.coalescer = transport.NewCoalescer(ep, transport.WithCoalescerClock(cfg.clk), transport.WithCoalescerObserver(p.obs))
+	p.Capsule = capsule.New(name, p.coalescer, cfg.codec, cfg.capsuleOpts...)
 	p.Coordinator = txn.NewCoordinator(p.Capsule, cfg.store)
 
 	var err error
@@ -445,10 +425,8 @@ func (p *Platform) Gather() wire.Record {
 	obs.FoldLatency(rec, "rpc.server.dispatch", p.Capsule.DispatchLatency())
 	obs.FoldLatency(rec, "capsule.bypass", p.Capsule.BypassLatency())
 	obs.FoldLatency(rec, "binder.resolve", p.binder.ResolveLatency())
-	if cs, ok := p.BatchStats(); ok {
-		obs.Fold(rec, "transport.coalescer", cs)
-		obs.FoldLatency(rec, "transport.coalescer.flush_delay", p.coalescer.FlushDelay())
-	}
+	obs.Fold(rec, "transport.coalescer", p.coalescer.BatchStats())
+	obs.FoldLatency(rec, "transport.coalescer.flush_delay", p.coalescer.FlushDelay())
 	rec["gc.collected"] = p.Collector.Collected()
 	rec["gc.renewals"] = p.Collector.Renewals()
 	if p.obs != nil {
@@ -470,31 +448,21 @@ func (p *Platform) Gather() wire.Record {
 }
 
 // Close shuts the platform down. The recorder stops first (no samples
-// during teardown); a batching platform drains and closes its coalescer
-// (and with it the wrapped endpoint) after the capsule.
+// during teardown); the capsule then closes, and with it the coalescer
+// and the wrapped endpoint.
 func (p *Platform) Close() error {
 	if p.recorder != nil {
 		p.recorder.Close()
 	}
-	err := p.Capsule.Close()
-	if p.coalescer != nil {
-		if cerr := p.coalescer.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return p.Capsule.Close()
 }
 
 // Clock returns the platform-wide time source.
 func (p *Platform) Clock() clock.Clock { return p.clk }
 
-// BatchStats reports write-coalescing counters when the platform was
-// built WithBatching; ok is false otherwise.
-func (p *Platform) BatchStats() (transport.CoalescerStats, bool) {
-	if p.coalescer == nil {
-		return transport.CoalescerStats{}, false
-	}
-	return p.coalescer.BatchStats(), true
+// BatchStats reports the node's write-coalescing counters.
+func (p *Platform) BatchStats() transport.CoalescerStats {
+	return p.coalescer.BatchStats()
 }
 
 // Invoke performs an interrogation through the platform's binder:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"odp/internal/transport"
 	"sync"
 	"testing"
 
@@ -39,7 +40,7 @@ func newTwoDomains(t *testing.T) *twoDomains {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, ep, codec)
+		c := capsule.New(name, transport.NewCoalescer(ep), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}

@@ -1,10 +1,8 @@
 // Three-way federation across three domains and the platform's two wire
-// technologies: a packed client domain on coalesced endpoints, a packed
-// middle domain on plain ones and a textual far domain. Every hop
+// technologies: two packed domains and a textual far domain. Every hop
 // re-marshals under the receiving domain's codec, so one invocation
 // crosses packed → packed → text on the way out and back again: the
-// second gateway translates (§5.6), the first only relays between
-// channel configurations.
+// second gateway translates (§5.6), the first only relays.
 package federation
 
 import (
@@ -17,8 +15,8 @@ import (
 	"odp/internal/wire"
 )
 
-// threeDomains bridges fabrics A (packed, coalesced endpoints), B
-// (packed, plain endpoints) and C (text) with gateways A↔B and B↔C.
+// threeDomains bridges fabrics A and B (packed) and C (text) with
+// gateways A↔B and B↔C.
 type threeDomains struct {
 	clientA *capsule.Capsule
 	serverC *capsule.Capsule
@@ -30,35 +28,23 @@ func newThreeDomains(t *testing.T) *threeDomains {
 	t.Helper()
 	fabA, fabB, fabC := netsim.NewFabric(), netsim.NewFabric(), netsim.NewFabric()
 	t.Cleanup(func() { _ = fabA.Close(); _ = fabB.Close(); _ = fabC.Close() })
-	mkCoalesced := func(f *netsim.Fabric, name string) *capsule.Capsule {
+	mk := func(f *netsim.Fabric, name string, codec wire.Codec) *capsule.Capsule {
 		ep, err := f.Endpoint(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		co := transport.NewCoalescer(ep)
-		c := capsule.New(name, co, wire.PackedCodec{})
-		// The capsule does not own its endpoint: stop the coalescer's
-		// flushers before the fabric under them closes.
-		t.Cleanup(func() { _ = c.Close(); _ = co.Close() })
-		return c
-	}
-	mkPlain := func(f *netsim.Fabric, name string, codec wire.Codec) *capsule.Capsule {
-		ep, err := f.Endpoint(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := capsule.New(name, ep, codec)
+		c := capsule.New(name, transport.NewCoalescer(ep), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}
 	d := &threeDomains{
-		clientA: mkCoalesced(fabA, "client-a"),
-		serverC: mkPlain(fabC, "server-c", wire.TextCodec{}),
+		clientA: mk(fabA, "client-a", wire.PackedCodec{}),
+		serverC: mk(fabC, "server-c", wire.TextCodec{}),
 	}
-	gwABa := mkCoalesced(fabA, "gw-ab-a")
-	gwABb := mkPlain(fabB, "gw-ab-b", wire.PackedCodec{})
-	gwBCb := mkPlain(fabB, "gw-bc-b", wire.PackedCodec{})
-	gwBCc := mkPlain(fabC, "gw-bc-c", wire.TextCodec{})
+	gwABa := mk(fabA, "gw-ab-a", wire.PackedCodec{})
+	gwABb := mk(fabB, "gw-ab-b", wire.PackedCodec{})
+	gwBCb := mk(fabB, "gw-bc-b", wire.PackedCodec{})
+	gwBCc := mk(fabC, "gw-bc-c", wire.TextCodec{})
 	d.gwAB = New("gw-ab", gwABa, gwABb, nil)
 	d.gwBC = New("gw-bc", gwBCb, gwBCc, nil)
 	return d
@@ -79,8 +65,8 @@ func (d *threeDomains) export(t *testing.T, target wire.Ref) wire.Ref {
 	return inA
 }
 
-// TestThreeWayTranslation drives values from the coalesced packed domain
-// through the plain packed domain into the text domain and back,
+// TestThreeWayTranslation drives values from the first packed domain
+// through the second into the text domain and back,
 // checking that they survive both crossings and that every call of the
 // first hop, the very first included, ran packed.
 func TestThreeWayTranslation(t *testing.T) {

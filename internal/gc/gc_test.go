@@ -3,6 +3,7 @@ package gc
 import (
 	"context"
 	"fmt"
+	"odp/internal/transport"
 	"sync"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func newGCEnv(t *testing.T, grace time.Duration) *gcEnv {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, ep, codec)
+		c := capsule.New(name, transport.NewCoalescer(ep), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}

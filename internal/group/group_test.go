@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"odp/internal/transport"
 	"sync"
 	"testing"
 	"time"
@@ -108,7 +109,7 @@ func newCluster(t *testing.T, n int, mode Mode) *cluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, ep, codec)
+		c := capsule.New(name, transport.NewCoalescer(ep), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		rep := &register{}
 		m, err := NewMember(c, rep, fastCfg(mode))
@@ -133,7 +134,7 @@ func newCluster(t *testing.T, n int, mode Mode) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.client = capsule.New("client", cep, codec)
+	cl.client = capsule.New("client", transport.NewCoalescer(cep), codec)
 	t.Cleanup(func() { _ = cl.client.Close() })
 	return cl
 }
@@ -386,7 +387,7 @@ func TestJoinWithLogTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := capsule.New("late", ep, codec)
+	c := capsule.New("late", transport.NewCoalescer(ep), codec)
 	t.Cleanup(func() { _ = c.Close() })
 	rep := &register{}
 	m, err := NewMember(c, rep, fastCfg(ModeActive))
@@ -427,7 +428,7 @@ func TestJoinWithSnapshotTransfer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, ep, codec)
+		c := capsule.New(name, transport.NewCoalescer(ep), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		rep := &snapRegister{}
 		m, err := NewMember(c, rep, fastCfg(ModeActive))
@@ -443,7 +444,7 @@ func TestJoinWithSnapshotTransfer(t *testing.T) {
 
 	// Seed state directly through the group path.
 	cep, _ := f.Endpoint("cli")
-	cli := capsule.New("cli", cep, codec)
+	cli := capsule.New("cli", transport.NewCoalescer(cep), codec)
 	t.Cleanup(func() { _ = cli.Close() })
 	for i := int64(1); i <= 7; i++ {
 		outcome, _, err := cli.Invoke(context.Background(), m0.GroupRef(), "add", []wire.Value{i})

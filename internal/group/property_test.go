@@ -3,6 +3,7 @@ package group
 import (
 	"context"
 	"fmt"
+	"odp/internal/transport"
 	"sync"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func TestPropertyTotalOrderUnderLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, ep, codec)
+		c := capsule.New(name, transport.NewCoalescer(ep), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		rep := &register{}
 		m, err := NewMember(c, rep, cfg)
@@ -64,7 +65,7 @@ func TestPropertyTotalOrderUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := capsule.New("client", cep, codec)
+	client := capsule.New("client", transport.NewCoalescer(cep), codec)
 	t.Cleanup(func() { _ = client.Close() })
 
 	const writers, per = 3, 12
@@ -208,7 +209,7 @@ func TestExpelledMemberRejoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := capsule.New("m2b", ep, codec)
+	c := capsule.New("m2b", transport.NewCoalescer(ep), codec)
 	t.Cleanup(func() { _ = c.Close() })
 	rep := &register{}
 	m, err := NewMember(c, rep, fastCfg(ModeActive))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"odp/internal/transport"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,7 +67,7 @@ func TestInstrumentCountsCallsAndErrors(t *testing.T) {
 	f := netsim.NewFabric()
 	t.Cleanup(func() { _ = f.Close() })
 	ep, _ := f.Endpoint("n")
-	c := capsule.New("n", ep, codec)
+	c := capsule.New("n", transport.NewCoalescer(ep), codec)
 	t.Cleanup(func() { _ = c.Close() })
 
 	r := NewRegistry()
@@ -104,8 +105,8 @@ func TestAgentRemoteStatsAndParams(t *testing.T) {
 	t.Cleanup(func() { _ = f.Close() })
 	sep, _ := f.Endpoint("server")
 	cep, _ := f.Endpoint("manager")
-	server := capsule.New("server", sep, codec)
-	manager := capsule.New("manager", cep, codec)
+	server := capsule.New("server", transport.NewCoalescer(sep), codec)
+	manager := capsule.New("manager", transport.NewCoalescer(cep), codec)
 	t.Cleanup(func() { _ = server.Close(); _ = manager.Close() })
 
 	r := NewRegistry()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"odp/internal/transport"
 	"strings"
 	"sync"
 	"testing"
@@ -86,7 +87,7 @@ func (e *env) host(name string, store storage.Store) (*Host, *capsule.Capsule) {
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	c := capsule.New(name, ep, codec)
+	c := capsule.New(name, transport.NewCoalescer(ep), codec)
 	e.t.Cleanup(func() { _ = c.Close() })
 	h, err := newHost(c, store, e.table)
 	if err != nil {
@@ -122,7 +123,7 @@ func (e *env) client(name string) *capsule.Capsule {
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	c := capsule.New(name, ep, codec)
+	c := capsule.New(name, transport.NewCoalescer(ep), codec)
 	e.t.Cleanup(func() { _ = c.Close() })
 	return c
 }
@@ -185,7 +186,7 @@ func TestMigrateNoFactoryRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := capsule.New("bare", ep, codec)
+	c := capsule.New("bare", transport.NewCoalescer(ep), codec)
 	t.Cleanup(func() { _ = c.Close() })
 	bare, err := newHost(c, storage.NewMemStore(), nil)
 	if err != nil {

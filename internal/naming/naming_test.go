@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"odp/internal/transport"
 	"testing"
 	"testing/quick"
 	"time"
@@ -164,7 +165,7 @@ func setupRelocation(t *testing.T, opts ...BinderOption) (*netsim.Fabric, *capsu
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, ep, codec)
+		c := capsule.New(name, transport.NewCoalescer(ep), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}
@@ -319,14 +320,14 @@ func TestRelocatorServantOperations(t *testing.T) {
 	f := netsim.NewFabric()
 	t.Cleanup(func() { _ = f.Close() })
 	ep, _ := f.Endpoint("r")
-	c := capsule.New("r", ep, codec)
+	c := capsule.New("r", transport.NewCoalescer(ep), codec)
 	t.Cleanup(func() { _ = c.Close() })
 	_, relocRef, err := ExportRelocator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cep, _ := f.Endpoint("c")
-	client := capsule.New("c", cep, codec)
+	client := capsule.New("c", transport.NewCoalescer(cep), codec)
 	t.Cleanup(func() { _ = client.Close() })
 
 	ctx := context.Background()

@@ -68,9 +68,10 @@ var pktPool = sync.Pool{
 const maxPooledPkt = 64 << 10
 
 // TraceFunc observes fabric events for the deterministic-replay trace:
-// at is the fabric clock's instant, event a short "kind from>to" line.
-// Only meaningful together with WithClock (real-time runs pass a zero
-// instant). Implementations must be safe for concurrent use.
+// at is the fabric clock's instant, event a short "kind from>to sizeB"
+// line, one per frame a datagram carries (each sub-frame of a BATCH on
+// its own line). Only meaningful together with WithClock (real-time runs
+// pass a zero instant). Implementations must be safe for concurrent use.
 type TraceFunc func(at time.Time, event string)
 
 // pendEntry is one delayed delivery scheduled on a virtual clock.
@@ -118,14 +119,17 @@ type Fabric struct {
 	pending map[uint64]pendEntry
 	pendSeq uint64
 
-	// Zero-delay delivery worker pool. jobq is unbuffered: a hand-off
-	// succeeds only when a worker is parked in receive, so a delivery can
-	// never sit queued behind busy workers (submit spawns instead) — and
-	// the steady state reuses a handful of warm goroutine stacks rather
-	// than growing a fresh 2 KiB stack through the whole dispatch chain
-	// for every packet (see EXPERIMENTS.md on runtime.newstack).
-	jobq     chan *delivery
-	workerWg sync.WaitGroup
+	// Zero-delay delivery worker pool, started by the deliveries that
+	// need it (workers counts the live ones). jobq is unbuffered; a
+	// hand-off takes one of idle's tokens, which a worker adds once it has
+	// nothing left to do but receive, so a delivery never waits behind a
+	// busy worker (submit spawns instead) and serial traffic reuses a few
+	// warm stacks (see EXPERIMENTS.md on runtime.newstack). A worker not
+	// yet parked counts: on a contended CPU one can wait in the run queue,
+	// and requiring it parked spilled every delivery to a fresh goroutine.
+	jobq          chan *delivery
+	idle, workers atomic.Int32
+	workerWg      sync.WaitGroup
 
 	// Per-packet counters; Stats() assembles the snapshot. Atomic so that
 	// counting a packet takes no lock beside f.mu.
@@ -194,32 +198,38 @@ func NewFabric(opts ...Option) *Fabric {
 	for _, o := range opts {
 		o(f)
 	}
-	f.workerWg.Add(deliveryWorkers)
-	for i := 0; i < deliveryWorkers; i++ {
-		go f.worker()
-	}
 	return f
 }
 
-// worker parks on jobq alone, no select, until Close closes it.
-func (f *Fabric) worker() {
+// worker runs d, then parks on jobq alone, no select, until Close closes
+// it; it leaves the count of workers as it exits.
+func (f *Fabric) worker(d *delivery) {
 	defer f.workerWg.Done()
-	for d := range f.jobq {
+	defer f.workers.Add(-1)
+	for ok := true; ok; d, ok = <-f.jobq {
 		d.run()
+		f.idle.Add(1)
 	}
 }
 
-// submit runs d on a pooled worker when one is parked in receive and
-// otherwise spawns a goroutine — never queues. A delivery therefore
-// cannot deadlock behind workers blocked in handlers (a handler may
-// block on a nested invocation whose reply needs a delivery of its
-// own), while serial traffic keeps hitting the same warm stack.
+// submit runs d on an idle worker, on a new one while there are fewer
+// than deliveryWorkers, or else on a fresh goroutine — never queues. A
+// delivery therefore cannot deadlock behind workers blocked in handlers
+// (a handler may block on a nested invocation whose reply needs a
+// delivery of its own).
 func (f *Fabric) submit(d *delivery) {
-	select {
-	case f.jobq <- d:
-	default:
-		go d.run()
+	if f.idle.Add(-1) >= 0 {
+		f.jobq <- d // a worker that does nothing else will receive it
+		return
 	}
+	f.idle.Add(1) // a token gone negative makes a racing submit spawn, never wait
+	if f.workers.Add(1) <= deliveryWorkers {
+		f.workerWg.Add(1)
+		go f.worker(d)
+		return
+	}
+	f.workers.Add(-1)
+	go d.run()
 }
 
 // Endpoint creates (or returns the existing) endpoint with the given
@@ -320,7 +330,8 @@ func (f *Fabric) Close() error {
 	}
 	f.wg.Wait()
 	// submit runs only inside the window route counted in wg, so nobody
-	// sends on jobq any more: closing it ends the workers' loops.
+	// starts a worker or sends on jobq any more: closing it ends the
+	// workers' loops.
 	close(f.jobq)
 	f.workerWg.Wait()
 	return nil
@@ -346,17 +357,23 @@ func (f *Fabric) tracef(format string, args ...interface{}) {
 	f.trace(f.now(), fmt.Sprintf(format, args...))
 }
 
-// route performs admission for one packet of n bytes from → to: closed
-// and reachability checks, partition and loss decisions, delay
-// computation and the Sent-side stats. ok is false when the packet was
-// consumed without delivery (cut or dropped — err nil, the sender
-// cannot tell) or rejected (err non-nil). Called with no locks held.
-func (f *Fabric) route(from, to string, n int) (dst *endpoint, delay time.Duration, ok bool, err error) {
-	if n > transport.MaxPacket {
-		// Rejected before any stats change: a packet the fabric would
-		// never carry is the sender's error, not traffic.
-		return nil, 0, false, transport.ErrTooLarge
+// tracePkt records one event per frame pkt carries, a BATCH as its
+// sub-frames, so the trace reads the same however a coalescer happened to
+// cut its batches. Callers guard with `if f.trace != nil`.
+func (f *Fabric) tracePkt(kind, from, to string, pkt []byte) {
+	if _, err := transport.DecodeBatch(pkt, func(sub []byte) {
+		f.tracef("%s %s>%s %dB", kind, from, to, len(sub))
+	}); err != nil {
+		f.tracef("%s %s>%s %dB", kind, from, to, len(pkt))
 	}
+}
+
+// route performs admission for one packet from → to: closed and
+// reachability checks, partition and loss decisions, delay computation
+// and the Sent-side stats. ok is false when the packet was consumed
+// without delivery (cut or dropped — err nil, the sender cannot tell) or
+// rejected (err non-nil). Called with no locks held.
+func (f *Fabric) route(from, to string, pkt []byte) (dst *endpoint, delay time.Duration, ok bool, err error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -372,7 +389,7 @@ func (f *Fabric) route(from, to string, n int) (dst *endpoint, delay time.Durati
 		f.sent.Add(1)
 		f.cut.Add(1)
 		if f.trace != nil {
-			f.tracef("cut %s>%s %dB", from, to, n)
+			f.tracePkt("cut", from, to, pkt)
 		}
 		return nil, 0, false, nil // silently dropped: the sender cannot tell
 	}
@@ -400,13 +417,13 @@ func (f *Fabric) route(from, to string, n int) (dst *endpoint, delay time.Durati
 		f.sent.Add(1)
 		f.dropped.Add(1)
 		if f.trace != nil {
-			f.tracef("drop %s>%s %dB", from, to, n)
+			f.tracePkt("drop", from, to, pkt)
 		}
 		return nil, 0, false, nil
 	}
 	f.sent.Add(1)
 	if f.trace != nil {
-		f.tracef("send %s>%s %dB", from, to, n)
+		f.tracePkt("send", from, to, pkt)
 	}
 	return dst, delay, true, nil
 }
@@ -441,14 +458,14 @@ func (d *delivery) run() {
 		// The partition appeared while the packet was in flight.
 		f.cut.Add(1)
 		if f.trace != nil {
-			f.tracef("cut-inflight %s>%s %dB", from, to, len(cp))
+			f.tracePkt("cut-inflight", from, to, cp)
 		}
 		return
 	}
 	dst.deliver(from, cp)
 	f.delivered.Add(1)
 	if f.trace != nil {
-		f.tracef("deliver %s>%s %dB", from, to, len(cp))
+		f.tracePkt("deliver", from, to, cp)
 	}
 }
 
@@ -477,19 +494,18 @@ func (f *Fabric) dispatch(from, to string, dst *endpoint, delay time.Duration, c
 	}
 }
 
-// send routes one packet. Called with no locks held.
+// send routes one packet. Called with no locks held. The packet is
+// copied into a pooled buffer first: the sender may reuse its buffer the
+// moment Send returns, and the Handler contract forbids receivers
+// retaining pkt, so the copy can be recycled after delivery.
 func (f *Fabric) send(from, to string, pkt []byte) error {
-	dst, delay, ok, err := f.route(from, to, len(pkt))
-	if !ok {
-		return err
+	if len(pkt) > transport.MaxPacket {
+		// Rejected before any stats change: a packet the fabric would
+		// never carry is the sender's error, not traffic.
+		return transport.ErrTooLarge
 	}
-	// Copy into a pooled buffer: the sender may reuse its buffer the
-	// moment Send returns, and the Handler contract forbids receivers
-	// retaining pkt, so the copy can be recycled after delivery.
 	cpp := pktPool.Get().(*[]byte)
-	cp := append((*cpp)[:0], pkt...)
-	f.dispatch(from, to, dst, delay, cpp, cp)
-	return nil
+	return f.post(from, to, cpp, append((*cpp)[:0], pkt...))
 }
 
 // sendVec routes one packet supplied as segments, gathering them
@@ -500,26 +516,39 @@ func (f *Fabric) sendVec(from, to string, segs net.Buffers) error {
 	for _, s := range segs {
 		total += len(s)
 	}
-	dst, delay, ok, err := f.route(from, to, total)
-	if !ok {
-		return err
+	if total > transport.MaxPacket {
+		return transport.ErrTooLarge
 	}
 	cpp := pktPool.Get().(*[]byte)
 	cp := (*cpp)[:0]
 	for _, s := range segs {
 		cp = append(cp, s...)
 	}
+	return f.post(from, to, cpp, cp)
+}
+
+// post routes the packet copy cp and schedules its delivery.
+func (f *Fabric) post(from, to string, cpp *[]byte, cp []byte) error {
+	dst, delay, ok, err := f.route(from, to, cp)
+	if !ok {
+		putPkt(cpp, cp)
+		return err
+	}
 	f.dispatch(from, to, dst, delay, cpp, cp)
 	return nil
+}
+
+func putPkt(cpp *[]byte, cp []byte) {
+	if cap(cp) <= maxPooledPkt {
+		*cpp = cp[:0]
+		pktPool.Put(cpp)
+	}
 }
 
 // release recycles a delivered (or cancelled) packet copy and retires it
 // from the in-flight accounting.
 func (f *Fabric) release(cpp *[]byte, cp []byte) {
-	if cap(cp) <= maxPooledPkt {
-		*cpp = cp[:0]
-		pktPool.Put(cpp)
-	}
+	putPkt(cpp, cp)
 	f.inflight.Add(-1)
 	f.wg.Done()
 }

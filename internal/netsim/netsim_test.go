@@ -360,36 +360,16 @@ func TestFabricCloseRacingVirtualSends(t *testing.T) {
 	}
 }
 
-// residentWorkers counts the goroutines parked in, or running, a
-// fabric's delivery worker loop, across every fabric in the process.
-func residentWorkers() int {
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "netsim.(*Fabric).worker(")
-		}
-		buf = make([]byte, 2*len(buf))
-	}
-}
-
-// TestFabricCloseStopsWorkers: the resident zero-delay workers serve
-// deliveries while the fabric is open and are gone once Close returns —
-// the worker loop ends when Close closes the job queue.
+// TestFabricCloseStopsWorkers: the zero-delay workers start with the
+// deliveries that need them, serve them while the fabric is open — never
+// more than deliveryWorkers — and have exited once Close returns: the
+// worker loop ends when Close closes the job queue. It reads this
+// fabric's own count, whatever other fabrics' workers are doing.
 func TestFabricCloseStopsWorkers(t *testing.T) {
-	waitWorkers := func(want int) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for residentWorkers() != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d resident workers, want %d", residentWorkers(), want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	before := residentWorkers()
 	f := NewFabric()
-	waitWorkers(before + deliveryWorkers)
+	if n := f.workers.Load(); n != 0 {
+		t.Fatalf("%d workers before the first delivery, want 0", n)
+	}
 	a, _ := f.Endpoint("a")
 	b, _ := f.Endpoint("b")
 	var n atomic.Int64
@@ -399,13 +379,18 @@ func TestFabricCloseStopsWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if w := f.workers.Load(); w < 1 || w > deliveryWorkers {
+		t.Fatalf("%d workers while open, want 1 to %d", w, deliveryWorkers)
+	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := n.Load(); got != 100 {
 		t.Fatalf("%d of 100 deliveries ran before Close returned", got)
 	}
-	waitWorkers(before)
+	if w := f.workers.Load(); w != 0 {
+		t.Fatalf("%d workers after Close returned, want 0", w)
+	}
 }
 
 func TestOversizePacket(t *testing.T) {

@@ -17,42 +17,11 @@ import (
 	"odp/internal/wire"
 )
 
-// setupBatched wires a client and server whose shared fabric endpoints
-// are wrapped in coalescers, so every send takes the batching path from
-// the first frame.
-func setupBatched(t *testing.T) (*Client, func(Handler) *Server) {
-	t.Helper()
-	f := netsim.NewFabric()
-	t.Cleanup(func() { _ = f.Close() })
-	cep, err := f.Endpoint("client")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sep, err := f.Endpoint("server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cco := transport.NewCoalescer(cep)
-	sco := transport.NewCoalescer(sep)
-	t.Cleanup(func() {
-		_ = cco.Close()
-		_ = sco.Close()
-	})
-	cli := NewClient(cco, codec)
-	t.Cleanup(func() { _ = cli.Close() })
-	mkServer := func(h Handler) *Server {
-		srv := NewServer(sco, codec, h)
-		t.Cleanup(func() { _ = srv.Close() })
-		return srv
-	}
-	return cli, mkServer
-}
-
 // TestCallsOverCoalescedEndpoints: the whole interrogation protocol —
 // request, reply, ack, dedup — works unchanged when both directions are
 // batched, and the traffic demonstrably went through BATCH frames.
 func TestCallsOverCoalescedEndpoints(t *testing.T) {
-	cli, mkServer := setupBatched(t)
+	_, cli, mkServer := setup(t)
 	srv := mkServer(echoHandler)
 	for i := 0; i < 20; i++ {
 		outcome, results, err := cli.Call(context.Background(), "server", "obj", "reverse",
@@ -67,21 +36,16 @@ func TestCallsOverCoalescedEndpoints(t *testing.T) {
 	if st := srv.Stats(); st.Requests != 20 {
 		t.Fatalf("server executed %d requests, want 20", st.Requests)
 	}
-	bst, ok := cli.BatchStats()
-	if !ok {
-		t.Fatal("client on a Coalescer must report batch stats")
-	}
-	if bst.BatchesSent == 0 || bst.FramesBatched == 0 {
+	if bst := cli.ep.BatchStats(); bst.BatchesSent == 0 || bst.FramesBatched == 0 {
 		t.Fatalf("no batches on the wire: %+v", bst)
 	}
 }
 
-// TestAckPiggybackOnBatches: on a batching endpoint acks are deferred
-// and flushed ahead of the next send to the same destination, so they
-// share its batch; none are lost (the server still evicts), and Close
-// flushes the tail.
+// TestAckPiggybackOnBatches: acks are deferred and flushed ahead of the
+// next send to the same destination, so they share its batch; none are
+// lost (the server still evicts), and Close flushes the tail.
 func TestAckPiggybackOnBatches(t *testing.T) {
-	cli, mkServer := setupBatched(t)
+	_, cli, mkServer := setup(t)
 	mkServer(echoHandler)
 	const calls = 6
 	for i := 0; i < calls; i++ {
@@ -92,7 +56,7 @@ func TestAckPiggybackOnBatches(t *testing.T) {
 	}
 	st := cli.Stats()
 	if st.AcksDeferred != calls {
-		t.Fatalf("AcksDeferred = %d, want %d (every ack deferred on a batching endpoint)",
+		t.Fatalf("AcksDeferred = %d, want %d (every ack deferred)",
 			st.AcksDeferred, calls)
 	}
 	// All but the last call's ack had a later send to piggyback on.
@@ -108,23 +72,6 @@ func TestAckPiggybackOnBatches(t *testing.T) {
 	}
 }
 
-// TestAcksImmediateWithoutBatching: on a plain endpoint the deferral
-// machinery stays out of the way entirely.
-func TestAcksImmediateWithoutBatching(t *testing.T) {
-	_, cli, mkServer := setup(t)
-	mkServer(echoHandler)
-	if _, _, err := cli.Call(context.Background(), "server", "obj", "reverse",
-		[]wire.Value{int64(1)}, QoS{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := cli.Stats(); st.AcksDeferred != 0 || st.AcksPiggybacked != 0 {
-		t.Fatalf("plain endpoint deferred acks: %+v", st)
-	}
-	if _, ok := cli.BatchStats(); ok {
-		t.Fatal("plain endpoint must not report batch stats")
-	}
-}
-
 // TestAnnouncementDedupBounded is the E4 regression test: the server's
 // announcement dedup state must stay O(1) in announcement volume — the
 // unbounded map growth it replaces is what made E4Announcement ns/op a
@@ -135,15 +82,20 @@ func TestAnnouncementDedupBounded(t *testing.T) {
 		return "", nil, nil
 	})
 
-	const n = 20000
-	for i := 0; i < n; i++ {
+	// In windows, as a sender that wants them all delivered must send
+	// them: a best-effort queue behind a write in flight sheds past its
+	// byte limit.
+	const n, window = 20000, 500
+	for i := 1; i <= n; i++ {
 		if err := cli.Announce("server", "obj", "note", nil, QoS{}); err != nil {
 			t.Fatal(err)
 		}
+		if i%window == 0 {
+			pollUntil(t, "announcements delivered", func() bool {
+				return srv.Stats().Announcements == uint64(i)
+			})
+		}
 	}
-	pollUntil(t, "announcements delivered", func() bool {
-		return srv.Stats().Announcements == n
-	})
 
 	// One sender numbering in order is one range, whatever the volume;
 	// and announcements claim no call rows.
@@ -194,11 +146,11 @@ func TestServerCloseCancelsHandlerCtx(t *testing.T) {
 	t.Cleanup(func() { _ = f.Close() })
 	cep, _ := f.Endpoint("client")
 	sep, _ := f.Endpoint("server")
-	cli := NewClient(cep, codec)
+	cli := NewClient(coalesce(t, cep), codec)
 	t.Cleanup(func() { _ = cli.Close() })
 
 	entered := make(chan struct{})
-	srv := NewServer(sep, codec, func(ctx context.Context, _ *Incoming) (string, []wire.Value, error) {
+	srv := NewServer(coalesce(t, sep), codec, func(ctx context.Context, _ *Incoming) (string, []wire.Value, error) {
 		close(entered)
 		<-ctx.Done() // blocks forever unless Close cancels
 		return "", nil, ctx.Err()

@@ -61,7 +61,7 @@ type ClientStats struct {
 	// from a confused peer.
 	OrphanReplies uint64
 	// AcksDeferred counts acks queued for piggybacking instead of sent
-	// in their own datagram (batching endpoints only).
+	// in their own datagram.
 	AcksDeferred uint64
 	// AcksPiggybacked counts deferred acks later flushed ahead of a
 	// request, retransmission or announcement to the same destination,
@@ -125,7 +125,7 @@ const never = math.MaxInt64 // no pass armed at a known instant
 // of concurrent calls; concurrency is shard-level, so parallel calls only
 // contend when their ids collide modulo numShards.
 type Client struct {
-	ep    transport.Endpoint
+	ep    transport.Batcher
 	codec wire.Codec
 	clk   clock.Clock
 
@@ -143,13 +143,12 @@ type Client struct {
 	passing bool
 	wantAt  int64 // earliest due registered while passing
 
-	// On a coalescing endpoint (lazy non-nil) acks are deferred in acks
-	// and queued just before the next substantive send to the same
-	// destination, so an ack and that send share one datagram instead of
-	// the ack paying for its own.
-	sharing // active: calls between entry and return
-	ackMu   sync.Mutex
-	acks    []pendingAck
+	// A reply's delivery defers its ack in acks; the next substantive
+	// send to the same destination takes it along in its datagram.
+	sharing     // active: calls between entry and return
+	ackMu       sync.Mutex
+	acks        []pendingAck
+	ackFlushing bool // the ackFlushBound flush is waiting for its instant to end
 
 	// obs, when set, records protocol-layer spans (send, retransmit,
 	// ack, announce) under the span context carried by the call's ctx.
@@ -170,10 +169,11 @@ type pendingAck struct {
 }
 
 // ackFlushBound caps the deferred-ack queue: reaching it flushes
-// everything, so acks to a destination the client never contacts again
-// still leave within a bounded number of calls (and at the latest on
-// Close). The server's reply cache tolerates the added latency — it
-// holds unacked replies for a full replyTTL anyway.
+// everything at the end of the instant (clock.Clock's EndOfInstant) —
+// every ack that instant queued, not the first ackFlushBound in goroutine
+// order — so acks to a destination the client never contacts again still
+// leave (and at the latest on Close). The server's reply cache tolerates
+// the delay: it holds unacked replies for a full replyTTL anyway.
 const ackFlushBound = 32
 
 // ClientOption configures a Client.
@@ -191,23 +191,23 @@ func WithClientObserver(col *obs.Collector) ClientOption {
 	return func(cl *Client) { cl.obs = col }
 }
 
-// NewClient wraps ep. The client takes over the endpoint's handler; a
-// process that is both client and server should use a Peer (see
-// NewPeer) so requests and replies share one endpoint.
-func NewClient(ep transport.Endpoint, codec wire.Codec, opts ...ClientOption) *Client {
+// NewClient wraps ep, a coalescing endpoint (transport.Coalescer). The
+// client takes over the endpoint's handler; a process that is both client
+// and server should use a Peer (see NewPeer) so requests and replies
+// share one endpoint.
+func NewClient(ep transport.Batcher, codec wire.Codec, opts ...ClientOption) *Client {
 	c := newClientNoHandler(ep, codec, opts...)
-	ep.SetHandler(func(from string, pkt []byte) { demux(c, nil, from, pkt) })
+	ep.SetHandler(func(from string, pkt []byte) { route(c, nil, from, pkt) })
 	return c
 }
 
 // newClientNoHandler is used by Peer, which demultiplexes packets itself.
-func newClientNoHandler(ep transport.Endpoint, codec wire.Codec, opts ...ClientOption) *Client {
+func newClientNoHandler(ep transport.Batcher, codec wire.Codec, opts ...ClientOption) *Client {
 	c := &Client{
 		ep:    ep,
 		codec: codec,
 		clk:   clock.Real{},
 	}
-	c.lazy, _ = ep.(transport.Batcher)
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]*pendingCall)
 	}
@@ -246,15 +246,6 @@ func (c *Client) Stats() ClientStats {
 // CallLatency snapshots the send→reply latency histogram.
 func (c *Client) CallLatency() obs.HistogramSnapshot {
 	return c.lat.Snapshot()
-}
-
-// BatchStats reports the endpoint's write-coalescing counters, when the
-// client rides a batching endpoint (see transport.Coalescer).
-func (c *Client) BatchStats() (transport.CoalescerStats, bool) {
-	if c.lazy == nil {
-		return transport.CoalescerStats{}, false
-	}
-	return c.lazy.BatchStats(), true
 }
 
 // Close releases the client. In-flight calls fail with ErrClosed.
@@ -400,14 +391,6 @@ func (c *Client) Call(ctx context.Context, dest, objID, op string, args []wire.V
 		return "", nil, rb.err
 	}
 	c.lat.Observe(c.clk.Since(start))
-	// Acknowledge so the server may evict its reply cache. On a batching
-	// endpoint the ack is deferred to piggyback on the next outgoing
-	// batch; otherwise it is sent immediately. A busy reply is not
-	// cached, so there is nothing to evict.
-	if rb.status != statusBusy {
-		c.noteAck(dest, id)
-		c.obs.Event(sp.Context(), obs.KindAck, op)
-	}
 	return c.interpret(rb)
 }
 
@@ -497,46 +480,43 @@ func (c *Client) pass() {
 // transmit sends one request (re)transmission. Deferred acks for dest
 // leave first, packed into the same batch.
 func (c *Client) transmit(dest string, pkt []byte) error {
-	if c.lazy != nil {
-		c.flushAcks(dest)
-	}
+	c.flushAcks(dest)
 	return c.sendShared(c.ep, dest, pkt)
 }
 
 // sharing is the rule by which interrogation traffic — requests at a
-// Client, replies at a Server — shares datagrams on a coalescing
-// endpoint. active counts the owner's interrogations in flight. At one
+// Client, replies at a Server — shares datagrams. active counts the
+// owner's interrogations in flight. At one
 // the frame is written directly: nothing would share its datagram and
 // the flusher hand-off is all cost. Above one it is queued, and one
 // write carries the burst. In flight is not "about to send": a call
 // parked on a slow reply makes a serial caller beside it pay the
 // hand-off (+4 %, TestSerialCallerBesideParkedCall) for nobody.
 type sharing struct {
-	lazy   transport.Batcher // the endpoint, when it coalesces writes
 	active atomic.Int32
 }
 
-func (s *sharing) sendShared(ep transport.Endpoint, to string, pkt []byte) error {
-	if s.lazy != nil && s.active.Load() > 1 {
-		return s.lazy.SendLazy(to, pkt)
+func (s *sharing) sendShared(ep transport.Batcher, to string, pkt []byte) error {
+	if s.active.Load() > 1 {
+		return ep.SendLazy(to, pkt)
 	}
 	return ep.Send(to, pkt)
 }
 
-// noteAck acknowledges a completed call: immediately on a plain
-// endpoint, deferred onto the piggyback queue on a batching one.
+// noteAck defers the acknowledgement of a completed call onto the
+// piggyback queue.
 func (c *Client) noteAck(dest string, id uint64) {
-	if c.lazy == nil {
-		c.sendAck(dest, id)
-		return
-	}
 	c.ackMu.Lock()
 	c.acks = append(c.acks, pendingAck{dest: dest, id: id})
-	n := len(c.acks)
+	flush := len(c.acks) >= ackFlushBound && !c.ackFlushing
+	c.ackFlushing = c.ackFlushing || flush
 	c.ackMu.Unlock()
 	c.stats.acksDeferred.Add(1)
-	if n >= ackFlushBound {
-		c.flushAcks("")
+	if flush {
+		go func() {
+			<-c.clk.EndOfInstant()
+			c.flushAcks("")
+		}()
 	}
 }
 
@@ -545,6 +525,7 @@ func (c *Client) noteAck(dest string, id uint64) {
 // the flushed acks and that send coalesce into one batch.
 func (c *Client) flushAcks(dest string) {
 	c.ackMu.Lock()
+	c.ackFlushing = c.ackFlushing && dest != "" // a full flush is what the bound waits for
 	if len(c.acks) == 0 {
 		c.ackMu.Unlock()
 		return
@@ -572,18 +553,13 @@ func (c *Client) flushAcks(dest string) {
 	}
 }
 
-// sendAck writes one ack packet from a pooled buffer. On an endpoint
-// with lazy sends the ack is only queued — it rides in the batch the
-// next substantive send to that peer claims, sharing its datagram
-// instead of paying for a write of its own.
+// sendAck queues one ack packet, built in a pooled buffer, without a
+// write: it rides in the batch the next substantive send to that peer
+// claims, sharing its datagram instead of paying for a write of its own.
 func (c *Client) sendAck(dest string, id uint64) {
 	ackp := wire.GetBuffer()
 	ack := encodeHeader(*ackp, header{kind: msgAck, callID: id})
-	if c.lazy != nil {
-		_ = c.lazy.SendLazy(dest, ack)
-	} else {
-		_ = c.ep.Send(dest, ack)
-	}
+	_ = c.ep.SendLazy(dest, ack)
 	*ackp = ack
 	wire.PutBuffer(ackp)
 }
@@ -610,13 +586,9 @@ func (c *Client) AnnounceCtx(ctx context.Context, dest, objID, op string, args [
 	// Announcements are fire-and-forget, so nothing is gained by paying
 	// the direct-write path on the caller's dime: a lazy enqueue lets the
 	// flusher pack concurrent announcers' bursts into shared datagrams.
-	send := c.ep.Send
-	if c.lazy != nil {
-		c.flushAcks(dest)
-		send = c.lazy.SendLazy
-	}
+	c.flushAcks(dest)
 	for i := 0; i <= qos.Repeats; i++ {
-		if err := send(dest, pkt); err != nil {
+		if err := c.ep.SendLazy(dest, pkt); err != nil {
 			return err
 		}
 	}
@@ -648,6 +620,10 @@ func (c *Client) interpret(rb replyBody) (string, []wire.Value, error) {
 // counted, not silently dropped. Claiming the pending entry before the
 // send makes this goroutine the channel's sole sender, which is what
 // lets completed calls recycle their channels.
+// The ack (none for a busy reply, which is not cached) is queued before
+// the caller wakes: on a virtual-time fabric a delivery is a callback on
+// the clock's one FIFO runner, so which batch carries an ack follows
+// event order, not the order goroutines happen to run in.
 func (c *Client) deliverReply(callID uint64, body []byte) {
 	rb, err := decodeReplyBody(c.codec, body)
 	if err != nil {
@@ -658,6 +634,10 @@ func (c *Client) deliverReply(callID uint64, body []byte) {
 	if pc == nil {
 		c.stats.orphanReplies.Add(1)
 		return
+	}
+	if rb.status != statusBusy {
+		c.noteAck(pc.dest, callID)
+		c.obs.Event(pc.span, obs.KindAck, pc.op)
 	}
 	pc.ch <- rb // buffered, sole sender: never blocks
 }

@@ -30,9 +30,9 @@ func TestReplyCacheExpiryFakeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	fake := clock.NewFake(time.Unix(1000, 0))
-	cli := NewClient(cep, codec)
+	cli := NewClient(coalesce(t, cep), codec)
 	t.Cleanup(func() { _ = cli.Close() })
-	srv := NewServer(sep, codec, echoHandler, WithReplyTTL(3*time.Second), WithClock(fake))
+	srv := NewServer(coalesce(t, sep), codec, echoHandler, WithReplyTTL(3*time.Second), WithClock(fake))
 	t.Cleanup(func() { _ = srv.Close() })
 
 	if _, _, err := cli.Call(context.Background(), "server", "obj", "echo",
@@ -66,7 +66,7 @@ func TestCallTimeoutFakeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	fake := clock.NewFake(time.Unix(0, 0))
-	cli := NewClient(cep, codec, WithClientClock(fake))
+	cli := NewClient(coalesce(t, cep), codec, WithClientClock(fake))
 	t.Cleanup(func() { _ = cli.Close() })
 
 	errCh := make(chan error, 1)
@@ -95,6 +95,8 @@ func TestCallTimeoutFakeClock(t *testing.T) {
 
 // blackHole is a client endpoint whose requests go nowhere. It records
 // each request's send instant, per call id, on the client's fake clock.
+// It is its own Batcher: a lazy send is recorded at once, not by a
+// flusher running whenever the scheduler gets to it.
 type blackHole struct {
 	clk *clock.Fake
 
@@ -118,6 +120,10 @@ func (b *blackHole) Send(_ string, pkt []byte) error {
 	}
 	return nil
 }
+
+func (b *blackHole) SendLazy(to string, pkt []byte) error { return b.Send(to, pkt) }
+
+func (b *blackHole) BatchStats() transport.CoalescerStats { return transport.CoalescerStats{} }
 
 func (b *blackHole) sends(id uint64) []time.Time {
 	b.mu.Lock()
@@ -232,7 +238,7 @@ func TestClosedCallNeverPoolsItsChannel(t *testing.T) {
 	ep := func(addr string) transport.Endpoint { e, _ := f.Endpoint(addr); return e }
 	ctx := context.Background()
 
-	parker := NewClient(ep("parker"), codec)
+	parker := NewClient(coalesce(t, ep("parker")), codec)
 	const parked = 8
 	errs := make(chan error, parked)
 	for i := 0; i < parked; i++ {
@@ -249,9 +255,9 @@ func TestClosedCallNeverPoolsItsChannel(t *testing.T) {
 		}
 	}
 
-	srv := NewServer(ep("server"), codec, echoHandler)
+	srv := NewServer(coalesce(t, ep("server")), codec, echoHandler)
 	t.Cleanup(func() { _ = srv.Close() })
-	cli := NewClient(ep("client"), codec)
+	cli := NewClient(coalesce(t, ep("client")), codec)
 	t.Cleanup(func() { _ = cli.Close() })
 	for i := int64(0); i < 1000; i++ {
 		_, res, err := cli.Call(ctx, "server", "o", "echo", []wire.Value{i}, QoS{})

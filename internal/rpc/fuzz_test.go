@@ -1,6 +1,6 @@
-// Fuzzing for the invocation-packet decode path, exactly as the demux
-// runs it: a BATCH datagram split into its frames, then per frame the
-// header — kind, flag bits, call id, target, trace ids — then the body.
+// Fuzzing for the invocation-packet decode path, exactly as a node's
+// inbound half runs it: a BATCH datagram split into its frames by the
+// Coalescer, then per frame, in route, the header — kind, flag bits, call id, target, trace ids — then the body.
 // The seed corpus covers every kind, each flag set and clear, trace ids
 // present/absent/truncated, unknown kinds and flag bits (the retired
 // packed flag among them), header truncations, and batches: whole,

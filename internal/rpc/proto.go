@@ -40,7 +40,7 @@ import (
 // session codec: nothing in a frame names an encoding, and nodes with
 // different codecs meet through a federation gateway (§5.6), not here.
 // The first byte is never 0xB7: that byte marks a transport BATCH, whose
-// frames demux unpacks.
+// frames the Coalescer beneath unpacks.
 const (
 	msgRequest  = 1 // interrogation request
 	msgReply    = 2 // interrogation reply

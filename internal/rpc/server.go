@@ -174,7 +174,7 @@ func (p *peerCalls) tick(rotate bool, cfg *AdmissionConfig, now time.Time) (evic
 // is one record per calling address, so concurrent clients contend only
 // on the read lock that finds theirs.
 type Server struct {
-	ep      transport.Endpoint
+	ep      transport.Batcher
 	codec   wire.Codec
 	handler Handler
 
@@ -272,15 +272,16 @@ func WithAdmission(cfg AdmissionConfig) ServerOption {
 	return func(s *Server) { s.admission = &cfg }
 }
 
-// NewServer wraps ep and dispatches to handler. The server takes over the
-// endpoint's handler; use a Peer for combined client/server endpoints.
-func NewServer(ep transport.Endpoint, codec wire.Codec, handler Handler, opts ...ServerOption) *Server {
+// NewServer wraps ep, a coalescing endpoint, and dispatches to handler.
+// The server takes over the endpoint's handler; use a Peer for combined
+// client/server endpoints.
+func NewServer(ep transport.Batcher, codec wire.Codec, handler Handler, opts ...ServerOption) *Server {
 	s := newServerNoHandler(ep, codec, handler, opts...)
-	ep.SetHandler(func(from string, pkt []byte) { demux(nil, s, from, pkt) })
+	ep.SetHandler(func(from string, pkt []byte) { route(nil, s, from, pkt) })
 	return s
 }
 
-func newServerNoHandler(ep transport.Endpoint, codec wire.Codec, handler Handler, opts ...ServerOption) *Server {
+func newServerNoHandler(ep transport.Batcher, codec wire.Codec, handler Handler, opts ...ServerOption) *Server {
 	s := &Server{
 		ep:       ep,
 		codec:    codec,
@@ -293,7 +294,6 @@ func newServerNoHandler(ep transport.Endpoint, codec wire.Codec, handler Handler
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	cd, ok := ep.(transport.ConcurrentDeliverer)
 	s.inline = ok && cd.DeliversConcurrently()
-	s.lazy, _ = ep.(transport.Batcher)
 	for _, o := range opts {
 		o(s)
 	}
@@ -340,21 +340,10 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// demux is the inbound half of every endpoint this package owns, plain
-// or coalesced. A BATCH datagram from a coalescing peer is validated
-// whole and its frames are routed in order, inside this one delivery (a
-// Coalescer beneath has already unpacked its own); any other datagram is
-// one frame.
-func demux(c *Client, s *Server, from string, pkt []byte) {
-	if transport.IsBatch(pkt) {
-		_, _ = transport.DecodeBatch(pkt, func(frame []byte) { route(c, s, from, frame) })
-		return
-	}
-	route(c, s, from, pkt)
-}
-
-// route parses one frame and hands it by kind to whichever role handles
-// it. A bare Client passes a nil server and a bare Server a nil client;
+// route is the inbound half of every endpoint this package owns: it
+// parses one frame — the Coalescer beneath has unpacked its batch — and
+// hands it by kind to whichever role handles it. A bare Client passes a
+// nil server and a bare Server a nil client;
 // kinds addressed to the absent role are dropped. h and body alias a
 // transport buffer, so everything that outlives this call is decoded or
 // copied before it returns.
@@ -722,8 +711,8 @@ func WithPeerClock(c clock.Clock) PeerOption {
 	}
 }
 
-// NewPeer wires both roles onto ep.
-func NewPeer(ep transport.Endpoint, codec wire.Codec, handler Handler, opts ...PeerOption) *Peer {
+// NewPeer wires both roles onto ep, a coalescing endpoint (see NewClient).
+func NewPeer(ep transport.Batcher, codec wire.Codec, handler Handler, opts ...PeerOption) *Peer {
 	var pc peerConfig
 	for _, o := range opts {
 		o(&pc)
@@ -732,7 +721,7 @@ func NewPeer(ep transport.Endpoint, codec wire.Codec, handler Handler, opts ...P
 		Client: newClientNoHandler(ep, codec, pc.clientOpts...),
 		Server: newServerNoHandler(ep, codec, handler, pc.serverOpts...),
 	}
-	ep.SetHandler(func(from string, pkt []byte) { demux(p.Client, p.Server, from, pkt) })
+	ep.SetHandler(func(from string, pkt []byte) { route(p.Client, p.Server, from, pkt) })
 	return p
 }
 

@@ -40,7 +40,7 @@ func TestBadAndOrphanReplyCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := NewClient(cep, codec)
+	cli := NewClient(coalesce(t, cep), codec)
 	t.Cleanup(func() { _ = cli.Close() })
 
 	// A reply header followed by a body that cannot decode (status byte
@@ -69,14 +69,14 @@ func TestBadAndOrphanReplyCounters(t *testing.T) {
 	}
 }
 
-// ackDropper loses every ack its owner sends.
-type ackDropper struct{ transport.Endpoint }
+// ackDropper loses every ack its owner queues.
+type ackDropper struct{ *transport.Coalescer }
 
-func (d ackDropper) Send(to string, pkt []byte) error {
+func (d ackDropper) SendLazy(to string, pkt []byte) error {
 	if len(pkt) >= 2 && pkt[1]&kindMask == msgAck {
 		return nil
 	}
-	return d.Endpoint.Send(to, pkt)
+	return d.Coalescer.SendLazy(to, pkt)
 }
 
 // TestRetransmissionStormAccounting drives a retransmission storm with a
@@ -105,9 +105,9 @@ func TestRetransmissionStormAccounting(t *testing.T) {
 		return "done", nil, nil
 	}
 	// The client's own ack is lost on the way: phase 2 sends it by hand.
-	cli := NewClient(ackDropper{cep}, codec, WithClientClock(cliClk))
+	cli := NewClient(ackDropper{coalesce(t, cep)}, codec, WithClientClock(cliClk))
 	t.Cleanup(func() { _ = cli.Close() })
-	srv := NewServer(sep, codec, gated, WithClock(srvClk))
+	srv := NewServer(coalesce(t, sep), codec, gated, WithClock(srvClk))
 	t.Cleanup(func() { _ = srv.Close() })
 
 	args := []wire.Value{int64(42)}

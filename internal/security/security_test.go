@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"odp/internal/transport"
 	"sync"
 	"testing"
 	"time"
@@ -80,8 +81,8 @@ func newSecEnv(t *testing.T, policy Policy) *secEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := capsule.New("server", sep, codec)
-	client := capsule.New("client", cep, codec)
+	server := capsule.New("server", transport.NewCoalescer(sep), codec)
+	client := capsule.New("client", transport.NewCoalescer(cep), codec)
 	t.Cleanup(func() { _ = server.Close(); _ = client.Close() })
 
 	keys := NewKeyring()

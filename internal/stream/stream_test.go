@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"odp/internal/transport"
 	"sort"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ func newStreamEnv(t *testing.T, opts ...netsim.Option) *streamEnv {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, ep, codec)
+		c := capsule.New(name, transport.NewCoalescer(ep), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}

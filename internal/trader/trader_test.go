@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"odp/internal/transport"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func (e *env) capsule(name string) *capsule.Capsule {
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	c := capsule.New(name, ep, codec)
+	c := capsule.New(name, transport.NewCoalescer(ep), codec)
 	e.t.Cleanup(func() { _ = c.Close() })
 	return c
 }

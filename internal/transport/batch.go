@@ -26,26 +26,24 @@
 //     and replies while other interrogations are in flight. A queue
 //     found full with the wire free is written, not dropped from;
 //   - a flusher per destination drains whatever queued behind an
-//     in-flight write or was enqueued lazily with no Send to follow. It
-//     yields once between its doorbell and its claim, so the senders a
-//     burst made runnable enqueue first and one write carries them all;
-//     what accumulated during the previous write forms the next batch,
-//     so batch size adapts to load.
+//     in-flight write or was enqueued lazily with no Send to follow.
+//     Between its doorbell and its claim it waits for the end of the
+//     instant (clock.Clock's EndOfInstant: one runtime.Gosched on the
+//     real clock), so the senders a burst made runnable enqueue first and
+//     one write carries them all; what accumulated during the previous
+//     write forms the next batch, so batch size adapts to load.
 //
-// Every node reads batches, so nothing is negotiated: a Coalescer writes
-// BATCH datagrams to every peer from its first frame. A BATCH starts
-// with the byte 0xB7, which no rpc packet can start with (rpc packets
-// start with their protocol version, 1). A Coalescer unpacks the batches
-// it receives before its handler sees them; beneath a plain endpoint the
-// rpc layer's demux unpacks them with DecodeBatch. A sub-frame is never
-// itself a BATCH, so a datagram is unpacked once, whichever path reads it.
+// Every node coalesces, so nothing is negotiated: a Coalescer writes
+// BATCH datagrams to every peer from its first frame and unpacks the
+// ones it receives before its handler sees them. A BATCH starts with the
+// byte 0xB7, which no rpc packet can start with (rpc packets start with
+// their protocol version, 1), and a sub-frame is never itself a BATCH.
 package transport
 
 import (
 	"encoding/binary"
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,7 +131,8 @@ func WithPendingLimit(n int) CoalescerOption {
 }
 
 // WithCoalescerClock injects the clock that times, for the flush-delay
-// histogram, the frames that queue behind a write in flight.
+// histogram, the frames that queue behind a write in flight, and that
+// says when the instant a flusher was woken in is over.
 func WithCoalescerClock(clk clock.Clock) CoalescerOption {
 	return func(c *Coalescer) {
 		if clk != nil {
@@ -151,8 +150,7 @@ func WithCoalescerObserver(col *obs.Collector) CoalescerOption {
 }
 
 // Coalescer wraps an Endpoint with per-destination write coalescing. It
-// is itself an Endpoint, so the layers above are oblivious; rpc detects
-// it through the Batcher interface to defer acks into batches.
+// is itself an Endpoint, and the Batcher every rpc endpoint is built on.
 type Coalescer struct {
 	inner Endpoint
 	clk   clock.Clock
@@ -328,7 +326,7 @@ func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
 
 // DeliversConcurrently reports whether the inner endpoint delivers on
 // independent goroutines; the coalescer adds no serialisation of its
-// own (DecodeBatch runs in the inner delivery goroutine), so it simply
+// own (it unpacks in the inner delivery goroutine), so it simply
 // delegates.
 func (c *Coalescer) DeliversConcurrently() bool {
 	cd, ok := c.inner.(ConcurrentDeliverer)
@@ -503,8 +501,12 @@ func (p *batchPeer) flusher() {
 			// The ringer is rarely alone: the callers (or dispatches) a
 			// burst of replies (or requests) made runnable are queued
 			// behind it. Woken, this goroutine would run next and claim
-			// a batch of one; yielding lets them enqueue first.
-			runtime.Gosched()
+			// a batch of one; waiting out the instant (on a virtual clock,
+			// in event order) lets them enqueue first.
+			select {
+			case <-c.clk.EndOfInstant():
+			case <-c.stop:
+			}
 			p.flushNow()
 		case <-c.stop:
 			p.flushNow()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"odp/internal/transport"
 	"sync"
 	"testing"
 	"time"
@@ -89,8 +90,8 @@ func newTxnEnv(t *testing.T) *txnEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := capsule.New("server", sep, codec)
-	client := capsule.New("client", cep, codec)
+	server := capsule.New("server", transport.NewCoalescer(sep), codec)
+	client := capsule.New("client", transport.NewCoalescer(cep), codec)
 	t.Cleanup(func() { _ = server.Close(); _ = client.Close() })
 	return &txnEnv{
 		t:      t,

@@ -1,14 +1,14 @@
 package odp_test
 
 // Mixed-codec simulation scenario: one fabric carries two wire regimes
-// side by side — a batching pair speaking ansa-packed/1 (the default)
-// through coalescers, and a text-codec pair speaking human-readable
-// frames on plain endpoints. Tracing every call on all four nodes, the
+// side by side — a pair speaking ansa-packed/1 (the default) and a
+// text-codec pair speaking human-readable frames, all four through
+// their coalescers. Tracing every call on all four nodes, the
 // span forest must show the same causal shape for both regimes: every remote invocation is a singular dispatch tree —
 // one root, one rpc.send, exactly one rpc.dispatch — no matter which
 // codec carried the bytes. A duplicated or missing dispatch under
 // either codec would mean its path re-delivered or dropped a
-// request. The batching pair's coalescers run on the simulation's clock
+// request. The packed pair's coalescers run on the simulation's clock
 // too, so their flush-delay histograms are part of what a seed replays.
 
 import (
@@ -21,17 +21,17 @@ import (
 )
 
 // runMixedCodecSim drives the scenario and returns the rendered span
-// forest, plus the batching pair's flush-delay histograms as folded into
+// forest, plus the packed pair's flush-delay histograms as folded into
 // Gather (transport.coalescer.flush_delay*), for determinism comparison.
 func runMixedCodecSim(t *testing.T, s *sim.Sim) (forest string, flushDelay [2]odp.HistogramSnapshot) {
 	t.Helper()
 	ctx := context.Background()
 	trace := odp.WithTracing(odp.TraceSampleEvery(1))
 
-	// Packed regime: the default codec, coalesced endpoints.
-	pserver := simPlatform(t, s, "pserver", odp.WithBatching(), trace)
-	pclient := simPlatform(t, s, "pclient", odp.WithBatching(), trace)
-	// Text regime: same fabric, textual frames, no batching.
+	// Packed regime: the default codec.
+	pserver := simPlatform(t, s, "pserver", trace)
+	pclient := simPlatform(t, s, "pclient", trace)
+	// Text regime: same fabric, textual frames.
 	tserver := simPlatform(t, s, "tserver", odp.WithCodec(odp.TextCodec{}), trace)
 	tclient := simPlatform(t, s, "tclient", odp.WithCodec(odp.TextCodec{}), trace)
 
@@ -61,8 +61,8 @@ func runMixedCodecSim(t *testing.T, s *sim.Sim) (forest string, flushDelay [2]od
 	// packed pair's coalescers batch from the first frame.
 	call(pclient, pref)
 	call(tclient, tref)
-	if st, _ := pclient.BatchStats(); st.BatchesSent == 0 {
-		t.Fatal("the batching client sent no batch")
+	if st := pclient.BatchStats(); st.BatchesSent == 0 {
+		t.Fatal("the packed client sent no batch")
 	}
 	// The codec was never negotiated either: the packed-side call went
 	// out packed, and the text-side call did not.

@@ -7,7 +7,6 @@ package odp_test
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -301,60 +300,27 @@ func TestUnsampledTracingAddsNoAllocsE1(t *testing.T) {
 		t.Skip("alloc counts are skewed under -race: sync.Pool drops puts by design")
 	}
 	measure := func(opts ...odp.Option) float64 {
-		f := odp.NewFabric(odp.WithSeed(1))
-		defer f.Close()
-		sep, err := f.Endpoint("server")
-		if err != nil {
-			t.Fatal(err)
-		}
-		server, err := odp.NewPlatform("server", sep, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer server.Close()
-		cep, err := f.Endpoint("client")
-		if err != nil {
-			t.Fatal(err)
-		}
-		client, err := odp.NewPlatform("client", cep, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
+		server, client, e1 := e1Pair(t, opts...)
 		ref, err := server.Publish("cell", odp.Object{Servant: &countingServant{}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		proxy := client.Bind(ref).WithQoS(odp.QoS{Timeout: 30 * time.Second})
 		ctx := context.Background()
-		call := func() {
-			if _, err := proxy.Call(ctx, "add"); err != nil {
-				t.Fatal(err)
-			}
-			// A plain client acknowledges the reply after it has woken the
-			// caller. On AllocsPerRun's one P that delivery, and the fabric
-			// worker carrying it, would wait in the run queue: the next
-			// call's caller/delivery ping-pong inherits the time slice, so
-			// for up to a slice every call leaves a goroutine, a packet copy
-			// and a delivery behind, and the round reads 8–15 instead of 5
-			// (new goroutines and pool misses). Draining the fabric makes
-			// every call start from the same idle state.
-			for f.InFlight() > 0 {
-				runtime.Gosched()
-			}
-		}
-		for i := 0; i < 100; i++ { // settle pools, shards, routes
-			call()
-		}
+		call := e1(func() error {
+			_, err := proxy.Call(ctx, "add")
+			return err
+		})
+		settleE1(call)
 		return minAllocsPerRun(200, call)
 	}
-	plain := measure()
+	untraced := measure()
 	traced := measure(odp.WithTracing()) // sampling off: the default
 	// Real added work would cost ≥ 1 alloc per call; 0.5 absorbs
 	// background jitter while still proving the path adds nothing.
-	if traced > plain+0.5 {
+	if traced > untraced+0.5 {
 		t.Fatalf("unsampled tracing allocs/op = %.2f, untraced = %.2f: tracing leaked onto the hot path",
-			traced, plain)
+			traced, untraced)
 	}
-	t.Logf("allocs/op untraced=%.2f traced-unsampled=%.2f", plain, traced)
+	t.Logf("allocs/op untraced=%.2f traced-unsampled=%.2f", untraced, traced)
 }

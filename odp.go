@@ -170,7 +170,8 @@ const (
 	ModeStandby = group.ModeStandby
 )
 
-// NewPlatform assembles an ODP node on ep.
+// NewPlatform assembles an ODP node on ep, wrapped in a write coalescer
+// (experiment E16).
 func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform, error) {
 	return core.NewPlatform(name, ep, opts...)
 }
@@ -206,10 +207,6 @@ var (
 	// injected clock; share a clock.Fake across nodes and the netsim
 	// fabric to run a whole system in virtual time (internal/sim).
 	WithClock = core.WithClock
-	// WithBatching wraps the node's endpoint in a write coalescer:
-	// concurrent frames to one destination share BATCH datagrams,
-	// amortising per-packet channel overhead (experiment E16).
-	WithBatching = core.WithBatching
 	// WithAdmission enables per-client token-bucket admission control on
 	// the node's server dispatch path: over-budget invocations are shed
 	// with ErrServerBusy instead of queueing (experiment E19).
@@ -223,8 +220,8 @@ var (
 type (
 	// Endpoint is a best-effort datagram endpoint.
 	Endpoint = transport.Endpoint
-	// Coalescer wraps an Endpoint with adaptive write coalescing; see
-	// WithBatching for the usual way to enable it on a platform.
+	// Coalescer wraps an Endpoint with adaptive write coalescing; every
+	// platform's endpoint is wrapped in one.
 	Coalescer = transport.Coalescer
 	// CoalescerStats snapshots a Coalescer's counters.
 	CoalescerStats = transport.CoalescerStats
@@ -234,8 +231,12 @@ type (
 	LinkProfile = netsim.LinkProfile
 )
 
-// NewCoalescer wraps ep in a write coalescer directly (lower level than
-// WithBatching; useful when composing transports by hand).
+// WithBatching does nothing: every node coalesces. It survives, name
+// only, for cmd/odpload, and goes when that stops calling it.
+func WithBatching() Option { return nil }
+
+// NewCoalescer wraps ep in a write coalescer directly, for composing
+// transports by hand.
 func NewCoalescer(ep Endpoint, opts ...transport.CoalescerOption) *Coalescer {
 	return transport.NewCoalescer(ep, opts...)
 }

@@ -1,7 +1,7 @@
 package odp_test
 
-// Allocation gate for the packed-codec hot path: between two batching
-// platforms, an E1 remote loopback call must stay under
+// Allocation gate for the packed-codec hot path: between two platforms,
+// an E1 remote loopback call must stay under
 // packedE1AllocBudget allocations — the budget that keeps the sub-10 µs
 // latency target reachable. The count is measured with AllocsPerRun so a
 // regression fails deterministically instead of showing up as bench
@@ -9,7 +9,9 @@ package odp_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -29,12 +31,7 @@ const packedE1AllocBudget = 5
 // minAllocsPerRun is the least of three AllocsPerRun rounds, the figure
 // every E1 gate compares. A real per-call allocation raises every round;
 // the three rounds guard against a stray background allocation, which one
-// sample cannot tell from a leak. Coalesced platforms (the packed,
-// histogram and woven gates) send 2 packets per call and spill none of
-// them to a fresh goroutine. Plain platforms (the unsampled-tracing
-// gate) send the ack after the call returns; that gate drains the fabric
-// between calls, since on AllocsPerRun's single P a trailing delivery
-// waits behind the next call for up to a time slice.
+// sample cannot tell from a leak.
 func minAllocsPerRun(runs int, f func()) float64 {
 	least := testing.AllocsPerRun(runs, f)
 	for round := 1; round < 3; round++ {
@@ -45,9 +42,14 @@ func minAllocsPerRun(runs int, f func()) float64 {
 	return least
 }
 
-// coalescedPair starts the two batching platforms every E1 gate calls
-// across, on one zero-latency fabric.
-func coalescedPair(t *testing.T) (server, client *odp.Platform) {
+// e1Pair starts the two platforms every E1 gate calls across, on one
+// zero-latency fabric, and returns a call that invokes do and then drains
+// the fabric. A call sends 2 packets — the request, carrying the previous
+// call's ack, and the reply — and the caller wakes before the delivery
+// that woke it has finished. Draining makes every measured call start
+// from the same idle fabric, on AllocsPerRun's one P and beside a
+// contended CPU alike.
+func e1Pair(t *testing.T, opts ...odp.Option) (server, client *odp.Platform, call func(do func() error) func()) {
 	t.Helper()
 	f := odp.NewFabric(odp.WithSeed(1))
 	t.Cleanup(func() { _ = f.Close() })
@@ -56,14 +58,24 @@ func coalescedPair(t *testing.T) (server, client *odp.Platform) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := odp.NewPlatform(name, ep, odp.WithBatching())
+		p, err := odp.NewPlatform(name, ep, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = p.Close() })
 		return p
 	}
-	return start("server"), start("client")
+	call = func(do func() error) func() {
+		return func() {
+			if err := do(); err != nil {
+				t.Fatal(err)
+			}
+			for f.InFlight() > 0 {
+				runtime.Gosched()
+			}
+		}
+	}
+	return start("server"), start("client"), call
 }
 
 // settleE1 repeats call until pools, shards and routes are warm.
@@ -77,18 +89,17 @@ func TestPackedE1AllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are skewed under -race: sync.Pool drops puts by design")
 	}
-	server, client := coalescedPair(t)
+	server, client, e1 := e1Pair(t)
 	ref, err := server.Publish("cell", odp.Object{Servant: &countingServant{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	proxy := client.Bind(ref).WithQoS(odp.QoS{Timeout: 30 * time.Second})
 	ctx := context.Background()
-	call := func() {
-		if _, err := proxy.Call(ctx, "add"); err != nil {
-			t.Fatal(err)
-		}
-	}
+	call := e1(func() error {
+		_, err := proxy.Call(ctx, "add")
+		return err
+	})
 	settleE1(call)
 
 	before, _ := client.Gather()["rpc.client.packed_upgrades"].(uint64)
@@ -116,7 +127,7 @@ func TestBulkEchoAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are skewed under -race: sync.Pool drops puts by design")
 	}
-	server, client := coalescedPair(t)
+	server, client, e1 := e1Pair(t)
 	ref, err := server.Publish("echo", odp.Object{Servant: odp.ServantFunc(
 		func(_ context.Context, _ string, args []odp.Value) (string, []odp.Value, error) {
 			return "ok", args[:1], nil
@@ -145,11 +156,13 @@ func TestBulkEchoAllocGate(t *testing.T) {
 
 	proxy := client.Bind(ref).WithQoS(odp.QoS{Timeout: 30 * time.Second})
 	ctx := context.Background()
-	call := func() {
-		if out, err := proxy.Call(ctx, "echo", payload); err != nil || !wire.Equal(out.Result(0), payload) {
-			t.Fatalf("echo: %v, reply equal to request: %v", err, err == nil)
+	call := e1(func() error {
+		out, err := proxy.Call(ctx, "echo", payload)
+		if err == nil && !wire.Equal(out.Result(0), payload) {
+			err = errors.New("the echo differs from the request")
 		}
-	}
+		return err
+	})
 	settleE1(call)
 	allocs := minAllocsPerRun(100, call)
 	if allocs > bulkEchoAllocBudget {
