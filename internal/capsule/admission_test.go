@@ -66,3 +66,38 @@ func TestBusyRetryGivesUp(t *testing.T) {
 		t.Fatalf("err = %v, want ErrServerBusy after retries exhausted", err)
 	}
 }
+
+// TestBusyRetryHonoursDeadline: a shed call whose busy backoff outlasts
+// its deadline returns at the deadline, with ErrServerBusy or the
+// context's error, instead of blocking for the whole backoff (§5.2:
+// applications do not hang). The watchdog fails the test rather than
+// waiting out the hour.
+func TestBusyRetryHonoursDeadline(t *testing.T) {
+	f := newFabric(t)
+	server := newCapsule(t, f, "server",
+		WithAdmission(rpc.AdmissionConfig{Rate: 0, Burst: 1}))
+	client := newCapsule(t, f, "client")
+	ref, err := server.Export(&counter{}, WithType(counterType()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := client.Invoke(context.Background(), ref, "get", nil); err != nil {
+		t.Fatalf("drain invoke: %v", err)
+	}
+	const deadline = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := client.Invoke(ctx, ref, "get", nil, WithBusyRetry(1, time.Hour))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, rpc.ErrServerBusy) && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want ErrServerBusy or the deadline", err)
+		}
+	case <-time.After(deadline + time.Second):
+		t.Fatal("Invoke still blocked 1 s past its deadline: busy backoff ignores the context")
+	}
+}

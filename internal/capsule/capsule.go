@@ -104,19 +104,17 @@ type Capsule struct {
 
 	nextID atomic.Uint64
 
-	// clk, when non-nil, drives the peer's timeouts, retransmission and
-	// reply-cache lifecycle (virtual time under the sim harness).
+	// clk is the node's clock, read from ep: it stamps the bypass
+	// latency histogram and paces busy backoff (virtual time under the
+	// sim harness).
 	clk clock.Clock
 	// admission, when non-nil, enables per-client token-bucket admission
 	// control on the capsule's server role.
 	admission *rpc.AdmissionConfig
-	// obs, when non-nil, is the node's span collector: shared with the
-	// protocol peer, and used here to record the co-located bypass as a
-	// distinct span kind so tests can assert which path an invocation took.
+	// obs is the node's span collector, read from ep (nil: untraced):
+	// used here to record the co-located bypass as a distinct span kind
+	// so tests can assert which path an invocation took.
 	obs *obs.Collector
-	// latClk is clk resolved against the real-time default; it stamps
-	// the bypass latency histogram without a nil check per invocation.
-	latClk clock.Clock
 	// bypassLat is the §4.5 direct-local-access latency distribution
 	// (dispatch through the woven chain, argument cloning included).
 	bypassLat obs.Histogram
@@ -124,18 +122,6 @@ type Capsule struct {
 
 // Option configures a capsule.
 type Option func(*Capsule)
-
-// WithClock drives the capsule's protocol peer — call timeouts,
-// retransmission, reply caching — from clk instead of real time.
-func WithClock(clk clock.Clock) Option {
-	return func(c *Capsule) { c.clk = clk }
-}
-
-// WithObserver installs the node's span collector on the capsule and its
-// protocol peer. Nil (the default) disables tracing.
-func WithObserver(col *obs.Collector) Option {
-	return func(c *Capsule) { c.obs = col }
-}
 
 // WithAdmission enables per-client token-bucket admission control on
 // the capsule's server role: inbound invocations beyond a client's
@@ -146,33 +132,27 @@ func WithAdmission(cfg rpc.AdmissionConfig) Option {
 }
 
 // New creates a capsule on ep, a coalescing endpoint that Close closes.
-// name scopes generated object identifiers.
+// The capsule, its protocol peer and everything built on the capsule run
+// on ep's clock and record into ep's span collector. name scopes
+// generated object identifiers.
 func New(name string, ep transport.Batcher, codec wire.Codec, opts ...Option) *Capsule {
 	c := &Capsule{
 		name:     name,
 		ep:       ep,
 		codec:    codec,
+		clk:      ep.Clock(),
+		obs:      ep.Observer(),
 		objects:  make(map[string]*registration),
 		forwards: make(map[string]wire.Ref),
 	}
 	for _, o := range opts {
 		o(c)
 	}
-	c.latClk = c.clk
-	if c.latClk == nil {
-		c.latClk = clock.Real{}
-	}
-	var popts []rpc.PeerOption
-	if c.clk != nil {
-		popts = append(popts, rpc.WithPeerClock(c.clk))
-	}
-	if c.obs != nil {
-		popts = append(popts, rpc.WithPeerObserver(c.obs))
-	}
+	var sopts []rpc.ServerOption
 	if c.admission != nil {
-		popts = append(popts, rpc.WithPeerServerOptions(rpc.WithAdmission(*c.admission)))
+		sopts = append(sopts, rpc.WithAdmission(*c.admission))
 	}
-	c.peer = rpc.NewPeer(ep, codec, c.handle, popts...)
+	c.peer = rpc.NewPeer(ep, codec, c.handle, sopts...)
 	return c
 }
 
@@ -184,6 +164,12 @@ func (c *Capsule) Addr() string { return c.ep.Addr() }
 
 // Codec returns the capsule's codec.
 func (c *Capsule) Codec() wire.Codec { return c.codec }
+
+// Clock returns the node's clock, the one its coalescer was built with.
+func (c *Capsule) Clock() clock.Clock { return c.clk }
+
+// Observer returns the node's span collector, nil when untraced.
+func (c *Capsule) Observer() *obs.Collector { return c.obs }
 
 // Client exposes the underlying protocol client for infrastructure that
 // needs raw access (groups, interceptors).
@@ -387,9 +373,9 @@ func (c *Capsule) tryLocal(ctx context.Context, objID, op string, args []wire.Va
 			ctx = obs.ContextWith(ctx, sp.Context())
 		}
 	}
-	began := c.latClk.Now()
+	began := c.clk.Now()
 	outcome, results, err = reg.chain.Dispatch(ctx, op, wire.CloneArgs(args))
-	c.bypassLat.Observe(c.latClk.Since(began))
+	c.bypassLat.Observe(c.clk.Since(began))
 	c.obs.End(sp)
 	return outcome, wire.CloneArgs(results), err, true
 }
@@ -563,8 +549,7 @@ func (c *Capsule) InvokeWith(ctx context.Context, ref wire.Ref, op string, args 
 			// opted in. Each retry mints a fresh call id, so it passes
 			// through admission again against a refilled bucket.
 			for attempt := 0; attempt < cfg.BusyRetries &&
-				errors.Is(err, rpc.ErrServerBusy) && ctx.Err() == nil; attempt++ {
-				c.sleep(cfg.BusyBackoff << attempt)
+				errors.Is(err, rpc.ErrServerBusy) && c.backoff(ctx, cfg.BusyBackoff<<attempt); attempt++ {
 				outcome, results, err = c.peer.Client.Call(ctx, ep, ref.ID, op, args, cfg.QoS)
 			}
 		}
@@ -585,17 +570,24 @@ func (c *Capsule) InvokeWith(ctx context.Context, ref wire.Ref, op string, args 
 	return "", nil, lastErr
 }
 
-// sleep blocks on the capsule clock (real time when none was injected),
-// so busy backoff runs in virtual time under the sim harness.
-func (c *Capsule) sleep(d time.Duration) {
+// backoff waits d on the node's clock, so busy backoff runs in virtual
+// time under the sim harness, and reports false, at once, when ctx ends
+// first: a caller's deadline bounds its backoff too (§5.2).
+func (c *Capsule) backoff(ctx context.Context, d time.Duration) bool {
+	if ctx.Err() != nil {
+		return false
+	}
 	if d <= 0 {
-		return
+		return true
 	}
-	clk := c.clk
-	if clk == nil {
-		clk = clock.Real{}
+	t := c.clk.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C():
+		return true
+	case <-ctx.Done():
+		return false
 	}
-	clk.Sleep(d)
 }
 
 // Announce performs a request-only invocation on ref (§5.1).

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/rpc"
 	"odp/internal/types"
@@ -75,7 +76,7 @@ func newCapsule(t *testing.T, f *netsim.Fabric, name string, opts ...Option) *Ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(name, transport.NewCoalescer(ep), codec, opts...)
+	c := New(name, transport.NewCoalescer(ep, clock.Real{}, nil), codec, opts...)
 	t.Cleanup(func() { _ = c.Close() })
 	return c
 }

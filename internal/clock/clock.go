@@ -9,7 +9,9 @@
 // static-analysis pass (internal/lint) enforces the discipline: outside
 // this package, the sim harness, the single real-time netsim file and the
 // benchmark harness, mentions of time.Now, time.Sleep, timers, tickers or
-// the global math/rand source are diagnostics.
+// the global math/rand source are diagnostics, and so is the literal
+// Real{} outside the few files that choose a node's clock: every layer of
+// a node reads the one clock its coalescer was given.
 //
 // Timers are plain; none is pooled. A hot path arms no timer per
 // operation: the rpc client keeps one one-shot timer for all its calls,

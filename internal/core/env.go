@@ -266,14 +266,14 @@ func PublishReplicated(platforms []*Platform, spec ReplicaSpec, factory func() c
 	}
 	r := &Replicated{}
 	for i, p := range platforms {
-		// Each member's failure detector runs on its own platform's clock,
-		// so a virtual-time simulation drives heartbeats too.
+		// Each member's failure detector runs on its own platform's clock
+		// (the capsule's), so a virtual-time simulation drives heartbeats
+		// too.
 		cfg := group.Config{
 			GroupID:           spec.GroupID,
 			Mode:              spec.Mode,
 			HeartbeatInterval: spec.HeartbeatInterval,
 			FailureTimeout:    spec.FailureTimeout,
-			Clock:             p.clk,
 		}
 		m, err := group.NewMember(p.Capsule, factory(), cfg)
 		if err != nil {

@@ -75,7 +75,9 @@ type Platform struct {
 	RelocRef wire.Ref
 
 	binder *naming.Binder
-	// coalescer wraps the node's endpoint; the capsule closes it.
+	// coalescer wraps the node's endpoint; the capsule closes it. It holds
+	// the node's clock and span collector, and every layer above reads
+	// them from there.
 	coalescer *transport.Coalescer
 	// recorder is non-nil when WithRecorder (or WithFlightRecorder)
 	// enabled periodic Gather sampling; the platform owns it and Close
@@ -84,12 +86,6 @@ type Platform struct {
 	// flight is non-nil when WithFlightRecorder armed SLO rules against
 	// the recorder.
 	flight *obs.FlightRecorder
-	// clk is the platform-wide time source (clock.Real{} unless WithClock
-	// injected one).
-	clk clock.Clock
-	// obs is non-nil when WithTracing installed a span collector; it is
-	// shared by the binder, capsule, protocol peer and coalescer.
-	obs *obs.Collector
 	// domain is the administrative-domain tag set by WithDomain; empty
 	// for untagged nodes.
 	domain string
@@ -120,7 +116,6 @@ type platformConfig struct {
 	obsOpts       []obs.CollectorOption
 	domain        string
 	recInterval   time.Duration
-	recOpts       []obs.RecorderOption
 	sloRules      []obs.Rule
 }
 
@@ -184,7 +179,10 @@ func WithDomain(name string) Option {
 // lease expiry, management timestamps, replica-group failure detection —
 // from one injected clock. With a clock.Fake shared across nodes and the
 // netsim fabric, the whole platform runs in virtual time (the sim
-// harness). Default clock.Real{}.
+// harness). The one exception is the security guard, which checks
+// credential freshness on the wall clock: a credential is stamped in the
+// principal's process, whose clock the node does not share. Default: the
+// wall clock.
 func WithClock(c clock.Clock) Option {
 	return func(cfg *platformConfig) { cfg.clk = c }
 }
@@ -207,7 +205,7 @@ func WithAdmission(cfg rpc.AdmissionConfig) Option {
 // WithTracing installs a channel-level span collector (see obs): the
 // binder roots invocation traces, and the capsule, protocol peer and
 // coalescer record the spans of every channel object an invocation
-// traverses. The collector shares the platform clock, so a simulated
+// traverses. The collector runs on the platform clock, so a simulated
 // node produces virtual-time spans. Collection is off until sampling is
 // enabled — pass obs.WithSampleEvery (or retune at run time through the
 // management parameter "obs.sample_every"); unsampled invocations cost
@@ -225,11 +223,8 @@ func WithTracing(opts ...obs.CollectorOption) Option {
 // invocations_per_sec, admission_rejects_per_sec — that a single
 // snapshot cannot answer. On a simulated node the recorder runs in
 // virtual time. interval <= 0 means the recorder default (one second).
-func WithRecorder(interval time.Duration, opts ...obs.RecorderOption) Option {
-	return func(cfg *platformConfig) {
-		cfg.recInterval = interval
-		cfg.recOpts = append(cfg.recOpts, opts...)
-	}
+func WithRecorder(interval time.Duration) Option {
+	return func(cfg *platformConfig) { cfg.recInterval = interval }
 }
 
 // WithFlightRecorder arms service-level objectives (obs.CeilingRule,
@@ -257,39 +252,24 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 	if cfg.store == nil {
 		cfg.store = storage.NewMemStore()
 	}
-	injected := cfg.clk != nil
-	if !injected {
+	if cfg.clk == nil {
 		cfg.clk = clock.Real{}
-	}
-
-	var lockOpts []txn.LockManagerOption
-	var gcOpts []gc.CollectorOption
-	if injected {
-		lockOpts = append(lockOpts, txn.WithLockClock(cfg.clk))
-		gcOpts = append(gcOpts, gc.WithCollectorClock(cfg.clk))
-		cfg.capsuleOpts = append(cfg.capsuleOpts, capsule.WithClock(cfg.clk))
 	}
 	p := &Platform{
 		Store:     cfg.store,
-		Locks:     txn.NewLockManager(cfg.lockWait, lockOpts...),
-		Registry:  mgmt.NewRegistry(),
+		Locks:     txn.NewLockManager(cfg.lockWait, cfg.clk),
+		Registry:  mgmt.NewRegistry(cfg.clk),
 		Keys:      security.NewKeyring(),
 		Types:     types.NewManager(),
-		clk:       cfg.clk,
 		domain:    cfg.domain,
 		published: make(map[string]*published),
 	}
-	if injected {
-		p.Registry.SetClock(cfg.clk)
-	}
+	var col *obs.Collector
 	if cfg.tracing {
-		// Options after the clock so the caller may override it; the node
-		// name keys the deterministic span-id base.
-		oopts := append([]obs.CollectorOption{obs.WithCollectorClock(cfg.clk)}, cfg.obsOpts...)
-		p.obs = obs.NewCollector(name, oopts...)
-		cfg.capsuleOpts = append(cfg.capsuleOpts, capsule.WithObserver(p.obs))
+		// The node name keys the deterministic span-id base.
+		col = obs.NewCollector(name, cfg.clk, cfg.obsOpts...)
 	}
-	p.coalescer = transport.NewCoalescer(ep, transport.WithCoalescerClock(cfg.clk), transport.WithCoalescerObserver(p.obs))
+	p.coalescer = transport.NewCoalescer(ep, cfg.clk, col)
 	p.Capsule = capsule.New(name, p.coalescer, cfg.codec, cfg.capsuleOpts...)
 	p.Coordinator = txn.NewCoordinator(p.Capsule, cfg.store)
 
@@ -297,7 +277,7 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 	if p.Agent, err = mgmt.NewAgent(p.Capsule, p.Registry); err != nil {
 		return nil, fmt.Errorf("core: management agent: %w", err)
 	}
-	if p.Collector, err = gc.New(p.Capsule, cfg.gcGrace, gcOpts...); err != nil {
+	if p.Collector, err = gc.New(p.Capsule, cfg.gcGrace); err != nil {
 		return nil, fmt.Errorf("core: collector: %w", err)
 	}
 	if cfg.hostRelocator {
@@ -320,8 +300,7 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 		return nil, fmt.Errorf("core: migration host: %w", err)
 	}
 	if cfg.traderContext != "" {
-		topts := append([]trader.TraderOption{trader.WithTraderClock(cfg.clk)}, cfg.traderOpts...)
-		if p.Trader, err = trader.New(cfg.traderContext, p.Capsule, p.Types, topts...); err != nil {
+		if p.Trader, err = trader.New(cfg.traderContext, p.Capsule, p.Types, cfg.traderOpts...); err != nil {
 			return nil, fmt.Errorf("core: trader: %w", err)
 		}
 		// The trader joins the unified Gather namespace like any other
@@ -333,17 +312,12 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 			obs.FoldLatency(rec, "trader.import", tr.ImportLatency())
 		})
 	}
-	bopts := []naming.BinderOption{naming.WithBinderClock(cfg.clk)}
-	if p.obs != nil {
-		bopts = append(bopts, naming.WithBinderObserver(p.obs))
-	}
-	p.binder = naming.NewBinder(p.Capsule, p.RelocRef, bopts...)
+	p.binder = naming.NewBinder(p.Capsule, p.RelocRef)
 
 	// The management interface serves the unified snapshot on every node
 	// and, on tracing nodes, the span ring plus the sampling knob.
 	p.Agent.SetGather(p.Gather)
-	if p.obs != nil {
-		col := p.obs
+	if col != nil {
 		p.Agent.SetSpans(func() wire.List { return obs.SpansToList(col.Snapshot()) })
 		p.Agent.RegisterParam("obs.sample_every", mgmt.Param{
 			Get: func() wire.Value { return col.SampleEvery() },
@@ -368,10 +342,9 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 	// will snapshot is already assembled, and the flight recorder's hook
 	// is attached before the first sample can fire.
 	if cfg.recInterval > 0 || len(cfg.sloRules) > 0 {
-		ropts := append([]obs.RecorderOption{obs.WithRecorderClock(cfg.clk)}, cfg.recOpts...)
-		p.recorder = obs.NewRecorder(p.Gather, cfg.recInterval, ropts...)
+		p.recorder = obs.NewRecorder(p.Gather, cfg.recInterval, cfg.clk)
 		if len(cfg.sloRules) > 0 {
-			p.flight = obs.NewFlightRecorder(p.recorder, p.obs, cfg.sloRules)
+			p.flight = obs.NewFlightRecorder(p.recorder, col, cfg.sloRules)
 			fl := p.flight
 			p.Agent.SetBlackbox(fl.ReportsList)
 		}
@@ -384,7 +357,7 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 
 // Observer returns the platform's span collector, nil unless the node
 // was built WithTracing.
-func (p *Platform) Observer() *obs.Collector { return p.obs }
+func (p *Platform) Observer() *obs.Collector { return p.coalescer.Observer() }
 
 // Recorder returns the platform's metrics recorder, nil unless the node
 // was built WithRecorder or WithFlightRecorder.
@@ -429,8 +402,8 @@ func (p *Platform) Gather() wire.Record {
 	obs.FoldLatency(rec, "transport.coalescer.flush_delay", p.coalescer.FlushDelay())
 	rec["gc.collected"] = p.Collector.Collected()
 	rec["gc.renewals"] = p.Collector.Renewals()
-	if p.obs != nil {
-		obs.Fold(rec, "obs", p.obs.Stats())
+	if col := p.coalescer.Observer(); col != nil {
+		obs.Fold(rec, "obs", col.Stats())
 	}
 	if p.flight != nil {
 		obs.Fold(rec, "blackbox", p.flight.Stats())
@@ -457,8 +430,8 @@ func (p *Platform) Close() error {
 	return p.Capsule.Close()
 }
 
-// Clock returns the platform-wide time source.
-func (p *Platform) Clock() clock.Clock { return p.clk }
+// Clock returns the node's clock.
+func (p *Platform) Clock() clock.Clock { return p.coalescer.Clock() }
 
 // BatchStats reports the node's write-coalescing counters.
 func (p *Platform) BatchStats() transport.CoalescerStats {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/rpc"
 	"odp/internal/wire"
@@ -40,7 +41,7 @@ func newTwoDomains(t *testing.T) *twoDomains {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, transport.NewCoalescer(ep), codec)
+		c := capsule.New(name, transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/transport"
 	"odp/internal/wire"
@@ -33,7 +34,7 @@ func newThreeDomains(t *testing.T) *threeDomains {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, transport.NewCoalescer(ep), codec)
+		c := capsule.New(name, transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}

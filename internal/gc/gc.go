@@ -62,31 +62,18 @@ type Collector struct {
 	collected, renewals atomic.Uint64
 }
 
-// CollectorOption configures a Collector.
-type CollectorOption func(*Collector)
-
-// WithCollectorClock sets the collector's time source (default real
-// time), so lease expiry and activity grace run in virtual time under
-// the sim harness.
-func WithCollectorClock(c clock.Clock) CollectorOption {
-	return func(g *Collector) { g.now = c.Now }
-}
-
 // New creates a collector on c and exports its lease interface. grace is
 // how long after its last invocation an object is still considered
 // active (default 1s).
-func New(c *capsule.Capsule, grace time.Duration, opts ...CollectorOption) (*Collector, error) {
+func New(c *capsule.Capsule, grace time.Duration) (*Collector, error) {
 	if grace <= 0 {
 		grace = time.Second
 	}
 	g := &Collector{
 		cap:     c,
 		grace:   grace,
-		now:     clock.Real{}.Now,
+		now:     c.Clock().Now,
 		objects: make(map[string]*tracked),
-	}
-	for _, o := range opts {
-		o(g)
 	}
 	g.epoch = g.now()
 	ref, err := c.Export(capsule.ServantFunc(g.dispatch),
@@ -255,28 +242,17 @@ type Holder struct {
 	done chan struct{}
 }
 
-// HolderOption configures a Holder.
-type HolderOption func(*Holder)
-
-// WithHolderClock sets the clock pacing renewals (default clock.Real{}).
-func WithHolderClock(c clock.Clock) HolderOption {
-	return func(h *Holder) { h.clk = c }
-}
-
 // NewHolder creates a lease holder named name (typically the client
 // capsule's name) renewing every ttl/2.
-func NewHolder(c *capsule.Capsule, name string, ttl time.Duration, opts ...HolderOption) *Holder {
+func NewHolder(c *capsule.Capsule, name string, ttl time.Duration) *Holder {
 	h := &Holder{
 		cap:  c,
 		name: name,
 		ttl:  ttl,
-		clk:  clock.Real{},
+		clk:  c.Clock(),
 		held: make(map[string]wire.Ref),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(h)
 	}
 	go h.loop()
 	return h

@@ -34,7 +34,7 @@ func newGCEnv(t *testing.T, grace time.Duration) *gcEnv {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, transport.NewCoalescer(ep), codec)
+		c := capsule.New(name, transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}

@@ -29,7 +29,7 @@ func (m *Member) failureLoop() {
 	// cadence a function of real scheduling latency, which a
 	// deterministic simulation must never feel. Interval-after-pass
 	// pacing keeps every pass instant a pure function of virtual time.
-	timer := m.cfg.Clock.NewTimer(m.cfg.HeartbeatInterval)
+	timer := m.clk.NewTimer(m.cfg.HeartbeatInterval)
 	defer func() { timer.Stop() }()
 	missed := make(map[string]time.Time) // backup id -> silent since
 	for {
@@ -38,7 +38,7 @@ func (m *Member) failureLoop() {
 			return
 		case <-timer.C():
 		}
-		timer = m.cfg.Clock.NewTimer(m.detectionPass(missed))
+		timer = m.clk.NewTimer(m.detectionPass(missed))
 	}
 }
 
@@ -61,7 +61,7 @@ func (m *Member) detectionPass(missed map[string]time.Time) time.Duration {
 	rank := m.v.rankOf(m.id)
 	viewID := m.v.id
 	peers := m.peersLocked()
-	silent := m.cfg.Clock.Since(m.lastHeard)
+	silent := m.clk.Since(m.lastHeard)
 	m.mu.Unlock()
 
 	if isSequencer {
@@ -122,10 +122,10 @@ func (m *Member) heartbeatPeers(peers []memberInfo, viewID uint64, missed map[st
 		}
 		since, ok := missed[p.id]
 		if !ok {
-			missed[p.id] = m.cfg.Clock.Now()
+			missed[p.id] = m.clk.Now()
 			continue
 		}
-		if m.cfg.Clock.Since(since) > m.cfg.FailureTimeout {
+		if m.clk.Since(since) > m.cfg.FailureTimeout {
 			delete(missed, p.id)
 			m.expel(p.id)
 		}
@@ -144,7 +144,7 @@ func (m *Member) onHeartbeat(args []wire.Value) (string, []wire.Value, error) {
 		return "", nil, ErrStopped
 	}
 	if viewID >= m.v.id {
-		m.lastHeard = m.cfg.Clock.Now()
+		m.lastHeard = m.clk.Now()
 	}
 	return "ok", []wire.Value{m.v.id}, nil
 }
@@ -193,7 +193,7 @@ func (m *Member) promote() {
 	}
 	m.v = next
 	m.promoted++
-	m.lastHeard = m.cfg.Clock.Now()
+	m.lastHeard = m.clk.Now()
 
 	// A hot-standby backup must bring its replica up to date before
 	// serving (this replay is the "fail-over period" active replication
@@ -258,7 +258,7 @@ func (m *Member) onView(args []wire.Value) (string, []wire.Value, error) {
 		return "ok", nil, nil // stale announcement
 	}
 	m.v = v
-	m.lastHeard = m.cfg.Clock.Now()
+	m.lastHeard = m.clk.Now()
 	m.order.cond.Broadcast()
 	return "ok", nil, nil
 }
@@ -328,7 +328,7 @@ func (m *Member) Join(ctx context.Context, seed wire.Ref) error {
 		// Snapshot transfer: state reflects everything before nextExec.
 		m.order.applied = nextExec - 1
 	}
-	m.lastHeard = m.cfg.Clock.Now()
+	m.lastHeard = m.clk.Now()
 	m.order.cond.Broadcast()
 	return nil
 }

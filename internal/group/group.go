@@ -125,10 +125,6 @@ type Config struct {
 	// DeliverTimeout bounds one deliver interrogation (default
 	// FailureTimeout).
 	DeliverTimeout time.Duration
-	// Clock drives heartbeats, failure detection and ordering wakeups
-	// (default clock.Real{}); tests pass a clock.Fake to script failure
-	// scenarios deterministically.
-	Clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -144,9 +140,6 @@ func (c Config) withDefaults() Config {
 	if c.DeliverTimeout <= 0 {
 		c.DeliverTimeout = c.FailureTimeout
 	}
-	if c.Clock == nil {
-		c.Clock = clock.Real{}
-	}
 	return c
 }
 
@@ -154,6 +147,7 @@ func (c Config) withDefaults() Config {
 type Member struct {
 	cfg     Config
 	cap     *capsule.Capsule
+	clk     clock.Clock // the capsule's: heartbeats, failure detection, ordering wakeups
 	replica capsule.Servant
 	id      string
 	objID   string
@@ -187,6 +181,7 @@ func NewMember(c *capsule.Capsule, replica capsule.Servant, cfg Config) (*Member
 	m := &Member{
 		cfg:         cfg,
 		cap:         c,
+		clk:         c.Clock(),
 		replica:     replica,
 		id:          c.Name(),
 		objID:       "grp/" + cfg.GroupID,
@@ -226,7 +221,7 @@ func (m *Member) GroupRef() wire.Ref {
 func (m *Member) Bootstrap() {
 	m.mu.Lock()
 	m.v = view{id: 1, members: []memberInfo{{id: m.id, addr: m.cap.Addr()}}}
-	m.lastHeard = m.cfg.Clock.Now()
+	m.lastHeard = m.clk.Now()
 	m.mu.Unlock()
 }
 

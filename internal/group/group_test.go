@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/rpc"
 	"odp/internal/wire"
@@ -109,7 +110,7 @@ func newCluster(t *testing.T, n int, mode Mode) *cluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, transport.NewCoalescer(ep), codec)
+		c := capsule.New(name, transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		rep := &register{}
 		m, err := NewMember(c, rep, fastCfg(mode))
@@ -134,7 +135,7 @@ func newCluster(t *testing.T, n int, mode Mode) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.client = capsule.New("client", transport.NewCoalescer(cep), codec)
+	cl.client = capsule.New("client", transport.NewCoalescer(cep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = cl.client.Close() })
 	return cl
 }
@@ -387,7 +388,7 @@ func TestJoinWithLogTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := capsule.New("late", transport.NewCoalescer(ep), codec)
+	c := capsule.New("late", transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = c.Close() })
 	rep := &register{}
 	m, err := NewMember(c, rep, fastCfg(ModeActive))
@@ -428,7 +429,7 @@ func TestJoinWithSnapshotTransfer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, transport.NewCoalescer(ep), codec)
+		c := capsule.New(name, transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		rep := &snapRegister{}
 		m, err := NewMember(c, rep, fastCfg(ModeActive))
@@ -444,7 +445,7 @@ func TestJoinWithSnapshotTransfer(t *testing.T) {
 
 	// Seed state directly through the group path.
 	cep, _ := f.Endpoint("cli")
-	cli := capsule.New("cli", transport.NewCoalescer(cep), codec)
+	cli := capsule.New("cli", transport.NewCoalescer(cep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = cli.Close() })
 	for i := int64(1); i <= 7; i++ {
 		outcome, _, err := cli.Invoke(context.Background(), m0.GroupRef(), "add", []wire.Value{i})

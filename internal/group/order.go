@@ -173,7 +173,7 @@ func (m *Member) onDeliver(args []wire.Value) (string, []wire.Value, error) {
 	if viewID < m.v.id {
 		return "", nil, fmt.Errorf("group: deliver from stale view %d (now %d)", viewID, m.v.id)
 	}
-	m.lastHeard = m.cfg.Clock.Now()
+	m.lastHeard = m.clk.Now()
 	if inv.seq >= m.nextExec {
 		if _, dup := m.holdback[inv.seq]; !dup {
 			m.holdback[inv.seq] = inv
@@ -254,7 +254,7 @@ func (m *Member) waitOrder() {
 		// (the cond fired first) would still fire later into a channel
 		// nobody reads — a phantom deadline every virtual-time driver
 		// then has to advance through.
-		t := m.cfg.Clock.NewTimer(m.cfg.HeartbeatInterval)
+		t := m.clk.NewTimer(m.cfg.HeartbeatInterval)
 		defer t.Stop()
 		select {
 		case <-t.C():

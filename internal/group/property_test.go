@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/rpc"
 	"odp/internal/wire"
@@ -41,7 +42,7 @@ func TestPropertyTotalOrderUnderLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, transport.NewCoalescer(ep), codec)
+		c := capsule.New(name, transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		rep := &register{}
 		m, err := NewMember(c, rep, cfg)
@@ -65,7 +66,7 @@ func TestPropertyTotalOrderUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := capsule.New("client", transport.NewCoalescer(cep), codec)
+	client := capsule.New("client", transport.NewCoalescer(cep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = client.Close() })
 
 	const writers, per = 3, 12
@@ -209,7 +210,7 @@ func TestExpelledMemberRejoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := capsule.New("m2b", transport.NewCoalescer(ep), codec)
+	c := capsule.New("m2b", transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = c.Close() })
 	rep := &register{}
 	m, err := NewMember(c, rep, fastCfg(ModeActive))

@@ -17,17 +17,26 @@ type DetClockConfig struct {
 	// ExemptPrefixes exempts whole subtrees (commands and examples are
 	// interactive programs, not simulation-driven mechanisms).
 	ExemptPrefixes []string
-	// ExemptFiles exempts single files, named "pkgpath/basename". A
-	// file-level exemption scopes a package's wall-clock license to the
-	// one file that genuinely needs it, so the rest of the package stays
-	// under the pass.
+	// ExemptFiles exempts single files, named "pkgpath/basename", from
+	// the time and math/rand deny-lists. A file-level exemption scopes a
+	// package's wall-clock license to the one file that genuinely needs
+	// it, so the rest of the package stays under the pass.
 	ExemptFiles []string
+	// RealClockFiles, named like ExemptFiles, are the only files outside
+	// the exempt packages and prefixes that may write the composite
+	// literal clock.Real{}: the places that choose a node's clock.
+	// Everything else reads the clock it was given, so no layer can fall
+	// back to wall time unnoticed. The list is apart from ExemptFiles: it
+	// grants the wall clock as a Clock, not the time package.
+	RealClockFiles []string
 }
 
 // DefaultDetClockConfig exempts this repository's sanctioned gateways.
 // netsim is deliberately NOT package-exempt: since delivery scheduling
 // became clock-pluggable, the fabric's only wall-clock touch is the
-// real-time fallback in realtime.go.
+// real-time fallback in realtime.go. A node's clock is chosen in
+// NewPlatform and in the façade's bare coalescer; the security guard and
+// signer keep the wall clock (DESIGN.md, *One clock per node*).
 func DefaultDetClockConfig() DetClockConfig {
 	return DetClockConfig{
 		ExemptPackages: []string{
@@ -36,6 +45,11 @@ func DefaultDetClockConfig() DetClockConfig {
 		},
 		ExemptPrefixes: []string{"odp/cmd/", "odp/examples/"},
 		ExemptFiles:    []string{"odp/internal/netsim/realtime.go"},
+		RealClockFiles: []string{
+			"odp/internal/core/platform.go",
+			"odp/odp.go",
+			"odp/internal/security/guard.go",
+		},
 	}
 }
 
@@ -80,12 +94,24 @@ func (a *detClock) run(pkg *Package) []Diagnostic {
 	}
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
-		if a.fileExempt(pkg, f) {
+		timeFree := listed(pkg, f, a.cfg.ExemptFiles)
+		realFree := listed(pkg, f, a.cfg.RealClockFiles)
+		if timeFree && realFree {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok && !realFree && isRealClock(pkg.Info.TypeOf(lit)) {
+				diags = append(diags, Diagnostic{
+					Pos:  pkg.Fset.Position(lit.Pos()),
+					Pass: "detclock",
+					Message: fmt.Sprintf(
+						"clock.Real{} in %s: read the node's clock from below (Batcher.Clock, Capsule.Clock) or take it as an argument",
+						pkg.Path),
+				})
+				return true
+			}
 			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+			if !ok || timeFree {
 				return true
 			}
 			fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
@@ -123,18 +149,21 @@ func (a *detClock) run(pkg *Package) []Diagnostic {
 	return diags
 }
 
-// fileExempt reports whether f matches an ExemptFiles entry. Entries name
-// files as "pkgpath/basename", so the exemption cannot silently follow a
-// file moved to another package.
-func (a *detClock) fileExempt(pkg *Package, f *ast.File) bool {
-	if len(a.cfg.ExemptFiles) == 0 {
-		return false
-	}
+// listed reports whether f matches an entry of files. Entries name files
+// as "pkgpath/basename", so an exemption cannot silently follow a file
+// moved to another package.
+func listed(pkg *Package, f *ast.File, files []string) bool {
 	name := pkg.Path + "/" + filepath.Base(pkg.Fset.Position(f.Pos()).Filename)
-	for _, e := range a.cfg.ExemptFiles {
+	for _, e := range files {
 		if name == e {
 			return true
 		}
 	}
 	return false
+}
+
+// isRealClock reports whether t is clock.Real, the wall clock.
+func isRealClock(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "odp/internal/clock" && n.Obj().Name() == "Real"
 }

@@ -12,7 +12,8 @@
 //     of calls, interface dispatch included; a cycle is reported with a
 //     full witness chain.
 //   - detclock: no wall clock, timers or global math/rand outside the
-//     sanctioned gateways, so time-driven mechanisms stay deterministic.
+//     sanctioned gateways, so time-driven mechanisms stay deterministic,
+//     and no clock.Real{} outside the files that choose a node's clock.
 //   - layering: the computational layers reach the network only through
 //     the proxy layers, and the low layers never import upward.
 //   - ctxdrop: a named context.Context parameter is read, so

@@ -122,6 +122,11 @@ func TestDefaultConfigsNameWhatExists(t *testing.T) {
 			t.Errorf("detclock ExemptFiles: no file %s", file)
 		}
 	}
+	for _, file := range dc.RealClockFiles {
+		if !files[file] {
+			t.Errorf("detclock RealClockFiles: no file %s", file)
+		}
+	}
 
 	lc := DefaultLayeringConfig()
 	for _, table := range []map[string][]string{lc.Restricted, lc.LowLayer} {
@@ -199,6 +204,14 @@ func fixtureCases() []fixtureCase {
 			want: []string{
 				"randtick.go:12: [detclock] global rand.Int63n in simulation-driven package odp/internal/randtick: use a seeded rand.New(rand.NewSource(...))",
 				"randtick.go:17: [detclock] time.NewTicker in simulation-driven package odp/internal/randtick: take the time from internal/clock",
+			},
+		},
+		{
+			dir: "realclock", asPath: "odp/internal/realclock",
+			analyzer: NewDetClock(DefaultDetClockConfig()),
+			want: []string{
+				"realclock.go:13: [detclock] clock.Real{} in odp/internal/realclock: read the node's clock from below (Batcher.Clock, Capsule.Clock) or take it as an argument",
+				"realclock.go:19: [detclock] clock.Real{} in odp/internal/realclock: read the node's clock from below (Batcher.Clock, Capsule.Clock) or take it as an argument",
 			},
 		},
 		{
@@ -285,7 +298,8 @@ func TestFixtures(t *testing.T) {
 // TestDetClockFileExemption pins the per-file exemption mechanism that
 // scopes netsim's wall-clock license to realtime.go: an ExemptFiles
 // entry names "pkgpath/basename", so it silences exactly that file and
-// does not follow the basename into another package.
+// does not follow the basename into another package. RealClockFiles
+// works the same way, and each list silences only its own rule.
 func TestDetClockFileExemption(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
@@ -305,6 +319,27 @@ func TestDetClockFileExemption(t *testing.T) {
 	other.ExemptFiles = []string{"odp/internal/elsewhere/timecall.go"}
 	if ds := Run([]*Package{pkg}, []Analyzer{NewDetClock(other)}); len(ds) == 0 {
 		t.Error("exemption for another package's file silenced this one")
+	}
+
+	// The two lists stay apart: a wall-clock license is not a license to
+	// choose the node's clock, nor the reverse.
+	rc, err := l.LoadDirAs(filepath.Join("testdata", "src", "realclock"), "odp/internal/realclock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeOnly := DefaultDetClockConfig()
+	timeOnly.ExemptFiles = append(timeOnly.ExemptFiles, "odp/internal/realclock/realclock.go")
+	if ds := Run([]*Package{rc}, []Analyzer{NewDetClock(timeOnly)}); len(ds) != 2 {
+		t.Errorf("ExemptFiles silenced clock.Real{}: %d diagnostics, want 2", len(ds))
+	}
+	realOnly := DefaultDetClockConfig()
+	realOnly.RealClockFiles = append(realOnly.RealClockFiles, "odp/internal/timecall/timecall.go")
+	if ds := Run([]*Package{pkg}, []Analyzer{NewDetClock(realOnly)}); len(ds) != 2 {
+		t.Errorf("RealClockFiles silenced the time package: %d diagnostics, want 2", len(ds))
+	}
+	realOnly.RealClockFiles = append(realOnly.RealClockFiles, "odp/internal/realclock/realclock.go")
+	for _, d := range Run([]*Package{rc}, []Analyzer{NewDetClock(realOnly)}) {
+		t.Errorf("allowlisted file still flagged: %s", d)
 	}
 }
 

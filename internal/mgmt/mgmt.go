@@ -49,18 +49,14 @@ type Event struct {
 	What string
 }
 
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
+// NewRegistry creates an empty registry whose events are stamped by clk.
+func NewRegistry(clk clock.Clock) *Registry {
 	return &Registry{
 		counters: make(map[string]uint64),
 		gauges:   make(map[string]float64),
-		clk:      clock.Real{},
+		clk:      clk,
 	}
 }
-
-// SetClock replaces the registry's time source (default clock.Real{});
-// call before concurrent use.
-func (r *Registry) SetClock(c clock.Clock) { r.clk = c }
 
 // Add increments counter name by delta.
 func (r *Registry) Add(name string, delta uint64) {

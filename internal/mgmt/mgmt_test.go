@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/wire"
 )
@@ -18,7 +19,7 @@ import (
 var codec = wire.PackedCodec{}
 
 func TestRegistryCountersGauges(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(clock.Real{})
 	r.Add("x", 1)
 	r.Add("x", 2)
 	r.Set("g", 3.5)
@@ -32,7 +33,7 @@ func TestRegistryCountersGauges(t *testing.T) {
 }
 
 func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(clock.Real{})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -50,7 +51,7 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 func TestEventLogBounded(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(clock.Real{})
 	for i := 0; i < maxEvents+15; i++ {
 		r.Log(fmt.Sprintf("event-%d", i))
 	}
@@ -67,10 +68,10 @@ func TestInstrumentCountsCallsAndErrors(t *testing.T) {
 	f := netsim.NewFabric()
 	t.Cleanup(func() { _ = f.Close() })
 	ep, _ := f.Endpoint("n")
-	c := capsule.New("n", transport.NewCoalescer(ep), codec)
+	c := capsule.New("n", transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = c.Close() })
 
-	r := NewRegistry()
+	r := NewRegistry(clock.Real{})
 	var fail atomic.Bool
 	ref, err := c.Export(capsule.ServantFunc(
 		func(context.Context, string, []wire.Value) (string, []wire.Value, error) {
@@ -105,11 +106,11 @@ func TestAgentRemoteStatsAndParams(t *testing.T) {
 	t.Cleanup(func() { _ = f.Close() })
 	sep, _ := f.Endpoint("server")
 	cep, _ := f.Endpoint("manager")
-	server := capsule.New("server", transport.NewCoalescer(sep), codec)
-	manager := capsule.New("manager", transport.NewCoalescer(cep), codec)
+	server := capsule.New("server", transport.NewCoalescer(sep, clock.Real{}, nil), codec)
+	manager := capsule.New("manager", transport.NewCoalescer(cep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = server.Close(); _ = manager.Close() })
 
-	r := NewRegistry()
+	r := NewRegistry(clock.Real{})
 	r.Add("invocations", 7)
 	agent, err := NewAgent(server, r)
 	if err != nil {

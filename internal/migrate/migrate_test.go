@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/naming"
 	"odp/internal/netsim"
 	"odp/internal/rpc"
@@ -87,7 +88,7 @@ func (e *env) host(name string, store storage.Store) (*Host, *capsule.Capsule) {
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	c := capsule.New(name, transport.NewCoalescer(ep), codec)
+	c := capsule.New(name, transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 	e.t.Cleanup(func() { _ = c.Close() })
 	h, err := newHost(c, store, e.table)
 	if err != nil {
@@ -123,7 +124,7 @@ func (e *env) client(name string) *capsule.Capsule {
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	c := capsule.New(name, transport.NewCoalescer(ep), codec)
+	c := capsule.New(name, transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 	e.t.Cleanup(func() { _ = c.Close() })
 	return c
 }
@@ -186,7 +187,7 @@ func TestMigrateNoFactoryRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := capsule.New("bare", transport.NewCoalescer(ep), codec)
+	c := capsule.New("bare", transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = c.Close() })
 	bare, err := newHost(c, storage.NewMemStore(), nil)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/obs"
 	"odp/internal/rpc"
@@ -155,29 +156,30 @@ func TestNameQualifyDescendRoundTripProperty(t *testing.T) {
 }
 
 // setupRelocation builds: a relocator capsule, a home capsule, a new-home
-// capsule and a client with a Binder.
-func setupRelocation(t *testing.T, opts ...BinderOption) (*netsim.Fabric, *capsule.Capsule, *capsule.Capsule, *capsule.Capsule, *Table, *Binder) {
+// capsule and a client with a Binder. The client's node records its
+// spans into col (nil: untraced).
+func setupRelocation(t *testing.T, col *obs.Collector) (*netsim.Fabric, *capsule.Capsule, *capsule.Capsule, *capsule.Capsule, *Table, *Binder) {
 	t.Helper()
 	f := netsim.NewFabric()
 	t.Cleanup(func() { _ = f.Close() })
-	mk := func(name string) *capsule.Capsule {
+	mk := func(name string, col *obs.Collector) *capsule.Capsule {
 		ep, err := f.Endpoint(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := capsule.New(name, transport.NewCoalescer(ep), codec)
+		c := capsule.New(name, transport.NewCoalescer(ep, clock.Real{}, col), codec)
 		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}
-	relocCap := mk("reloc")
-	home := mk("home")
-	newHome := mk("newhome")
-	client := mk("client")
+	relocCap := mk("reloc", nil)
+	home := mk("home", nil)
+	newHome := mk("newhome", nil)
+	client := mk("client", col)
 	table, relocRef, err := ExportRelocator(relocCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binder := NewBinder(client, relocRef, opts...)
+	binder := NewBinder(client, relocRef)
 	return f, home, newHome, client, table, binder
 }
 
@@ -186,8 +188,8 @@ func TestBinderResolveSpanCoversRelocation(t *testing.T) {
 	// relocation consulted during an invocation must surface as an
 	// obs.KindResolve span under the invocation's root span, so traces
 	// make the Movable constraint's enforcement visible.
-	col := obs.NewCollector("client", obs.WithSampleEvery(1))
-	_, home, newHome, _, table, binder := setupRelocation(t, WithBinderObserver(col))
+	col := obs.NewCollector("client", clock.Real{}, obs.WithSampleEvery(1))
+	_, home, newHome, _, table, binder := setupRelocation(t, col)
 	ref, err := home.Export(constServant("movable"))
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +232,7 @@ func (s constServant) Dispatch(_ context.Context, op string, _ []wire.Value) (st
 func TestBinderDirectPathNoRelocatorTraffic(t *testing.T) {
 	// Stationary interfaces must not touch the relocator (§5.4 scaling
 	// requirement).
-	_, home, _, _, _, binder := setupRelocation(t)
+	_, home, _, _, _, binder := setupRelocation(t, nil)
 	ref, err := home.Export(constServant("stationary"))
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +250,7 @@ func TestBinderDirectPathNoRelocatorTraffic(t *testing.T) {
 }
 
 func TestBinderRecoversAfterMove(t *testing.T) {
-	_, home, newHome, _, table, binder := setupRelocation(t)
+	_, home, newHome, _, table, binder := setupRelocation(t, nil)
 	ref, err := home.Export(constServant("movable"))
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +288,7 @@ func TestBinderRecoversAfterMove(t *testing.T) {
 }
 
 func TestBinderUnknownInterface(t *testing.T) {
-	_, home, _, _, _, binder := setupRelocation(t)
+	_, home, _, _, _, binder := setupRelocation(t, nil)
 	ref, err := home.Export(constServant("x"))
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +302,7 @@ func TestBinderUnknownInterface(t *testing.T) {
 }
 
 func TestBinderApplicationErrorNotRelocated(t *testing.T) {
-	_, home, _, _, _, binder := setupRelocation(t)
+	_, home, _, _, _, binder := setupRelocation(t, nil)
 	boom := capsule.ServantFunc(func(_ context.Context, _ string, _ []wire.Value) (string, []wire.Value, error) {
 		return "", nil, errors.New("application fault")
 	})
@@ -320,14 +322,14 @@ func TestRelocatorServantOperations(t *testing.T) {
 	f := netsim.NewFabric()
 	t.Cleanup(func() { _ = f.Close() })
 	ep, _ := f.Endpoint("r")
-	c := capsule.New("r", transport.NewCoalescer(ep), codec)
+	c := capsule.New("r", transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = c.Close() })
 	_, relocRef, err := ExportRelocator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cep, _ := f.Endpoint("c")
-	client := capsule.New("c", transport.NewCoalescer(cep), codec)
+	client := capsule.New("c", transport.NewCoalescer(cep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = client.Close() })
 
 	ctx := context.Background()
@@ -360,7 +362,7 @@ func TestRelocatorServantOperations(t *testing.T) {
 func TestRegisterOnlyChangesScaling(t *testing.T) {
 	// E7's qualitative shape: the relocator's table size is proportional
 	// to the number of *moved* interfaces, not the number of interfaces.
-	_, home, _, _, table, binder := setupRelocation(t)
+	_, home, _, _, table, binder := setupRelocation(t, nil)
 	const stationary = 200
 	refs := make([]wire.Ref, stationary)
 	for i := range refs {

@@ -99,12 +99,13 @@ type Binder struct {
 	mu    sync.RWMutex
 	cache map[string]wire.Ref
 
-	// obs, when non-nil, makes the binder the root of invocation traces:
-	// it sits at the top of every client-side channel, so the sampling
-	// decision is taken here and the stub span brackets the whole
-	// invocation, relocation retries included.
+	// obs is the capsule's span collector. When non-nil it makes the
+	// binder the root of invocation traces: the binder sits at the top of
+	// every client-side channel, so the sampling decision is taken here
+	// and the stub span brackets the whole invocation, relocation retries
+	// included; relocator consultations are recorded as resolve spans.
 	obs *obs.Collector
-	// clk stamps the resolve latency histogram (default clock.Real{}).
+	// clk is the capsule's clock; it stamps the resolve latency histogram.
 	clk clock.Clock
 
 	stats binderCounters
@@ -130,39 +131,16 @@ type binderCounters struct {
 	cacheHits   atomic.Uint64
 }
 
-// BinderOption configures NewBinder.
-type BinderOption func(*Binder)
-
-// WithBinderObserver installs the node's span collector: the binder then
-// roots a (sampling-subject) stub span per top-level invocation and
-// records relocator consultations as resolve spans.
-func WithBinderObserver(col *obs.Collector) BinderOption {
-	return func(b *Binder) { b.obs = col }
-}
-
-// WithBinderClock sets the clock stamping the resolve latency histogram
-// (default clock.Real{}; the platform injects its own).
-func WithBinderClock(clk clock.Clock) BinderOption {
-	return func(b *Binder) {
-		if clk != nil {
-			b.clk = clk
-		}
-	}
-}
-
 // NewBinder creates a binder that resolves through the relocation service
 // at relocator.
-func NewBinder(c *capsule.Capsule, relocator wire.Ref, opts ...BinderOption) *Binder {
-	b := &Binder{
+func NewBinder(c *capsule.Capsule, relocator wire.Ref) *Binder {
+	return &Binder{
 		capsule:   c,
 		relocator: relocator,
 		cache:     make(map[string]wire.Ref),
-		clk:       clock.Real{},
+		obs:       c.Observer(),
+		clk:       c.Clock(),
 	}
-	for _, o := range opts {
-		o(b)
-	}
-	return b
 }
 
 // Stats returns a snapshot of binder counters.

@@ -243,7 +243,7 @@ func TestFabricCloseWhileFlusherWrites(t *testing.T) {
 		a, _ := f.Endpoint("a")
 		b, _ := f.Endpoint("b")
 		b.SetHandler(func(string, []byte) {})
-		co := transport.NewCoalescer(a)
+		co := transport.NewCoalescer(a, clock.Real{}, nil)
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)

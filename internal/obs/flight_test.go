@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"odp/internal/clock"
 	"odp/internal/wire"
 )
 
@@ -18,7 +19,7 @@ type feed struct {
 }
 
 func newFeed(rules []Rule) *feed {
-	r := NewRecorder(func() wire.Record { return nil }, time.Second)
+	r := NewRecorder(func() wire.Record { return nil }, time.Second, clock.Real{})
 	return &feed{f: NewFlightRecorder(r, nil, rules)}
 }
 

@@ -24,7 +24,7 @@ const HistogramBuckets = 32
 // instrumented stage (client send→reply, server dispatch, the §4.5
 // bypass, binder resolve, coalescer flush queue-delay, trader import)
 // can record unconditionally. Timestamps are the caller's, taken from
-// the layer's injected clock.Clock, so simulated platforms produce
+// the node's clock.Clock, so simulated platforms produce
 // deterministic virtual-time distributions. The zero value is ready to
 // use; a nil *Histogram discards observations.
 type Histogram struct {

@@ -16,7 +16,7 @@
 //
 //   - no background goroutine: completed spans go into a fixed-size ring
 //     owned by the collector, oldest overwritten;
-//   - timestamps come from an injected clock.Clock, so simulated
+//   - timestamps come from the node's clock.Clock, so simulated
 //     platforms produce virtual-time spans and deterministic trees;
 //   - unsampled calls cost a few atomic loads and zero allocations
 //     (Begin returns nil, End of nil is a no-op — gated by test);
@@ -144,16 +144,6 @@ type Collector struct {
 // CollectorOption configures NewCollector.
 type CollectorOption func(*Collector)
 
-// WithCollectorClock sets the clock stamping span intervals. Default
-// clock.Real{}.
-func WithCollectorClock(clk clock.Clock) CollectorOption {
-	return func(c *Collector) {
-		if clk != nil {
-			c.clk = clk
-		}
-	}
-}
-
 // WithSampleEvery sets the root sampling rate: 1 samples every
 // invocation, n samples one in n, 0 disables tracing (the default — a
 // collector observes nothing until told to sample).
@@ -165,11 +155,12 @@ func WithSampleEvery(n uint64) CollectorOption {
 // the retained-span footprint per platform.
 const ringSize = 1024
 
-// NewCollector creates a collector for the named node.
-func NewCollector(node string, opts ...CollectorOption) *Collector {
+// NewCollector creates a collector for the named node whose spans are
+// stamped by clk, the node's clock.
+func NewCollector(node string, clk clock.Clock, opts ...CollectorOption) *Collector {
 	c := &Collector{
 		node:   node,
-		clk:    clock.Real{},
+		clk:    clk,
 		idBase: idBaseFor(node),
 	}
 	c.pool.New = func() interface{} { return new(Span) }

@@ -15,7 +15,7 @@ var epoch = time.Date(1991, time.October, 7, 0, 0, 0, 0, time.UTC)
 
 func newTestCollector(name string, every uint64) (*Collector, *clock.Fake) {
 	fake := clock.NewFake(epoch)
-	return NewCollector(name, WithCollectorClock(fake), WithSampleEvery(every)), fake
+	return NewCollector(name, fake, WithSampleEvery(every)), fake
 }
 
 func TestNilCollectorIsFree(t *testing.T) {
@@ -111,7 +111,7 @@ func TestRingEviction(t *testing.T) {
 // An unsampled collector holds no span ring: the ring is built by the
 // first span committed to it.
 func TestRingBuiltByFirstSpan(t *testing.T) {
-	c := NewCollector("node-a", WithCollectorClock(clock.NewFake(epoch)))
+	c := NewCollector("node-a", clock.NewFake(epoch))
 	if sp := c.Begin(KindStub, "unsampled"); sp != nil || c.ring != nil {
 		t.Fatalf("unsampled root: span %v, ring of %d", sp, len(c.ring))
 	}

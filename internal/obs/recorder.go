@@ -46,41 +46,24 @@ type Recorder struct {
 	done      chan struct{}
 }
 
-// RecorderOption configures NewRecorder.
-type RecorderOption func(*Recorder)
-
-// WithRecorderClock sets the clock driving the sampling loop (default
-// clock.Real{}).
-func WithRecorderClock(clk clock.Clock) RecorderOption {
-	return func(r *Recorder) {
-		if clk != nil {
-			r.clk = clk
-		}
-	}
-}
-
 // recorderDepth is how many samples the ring retains: it bounds the
 // retained-sample footprint per node.
 const recorderDepth = 64
 
-// NewRecorder creates a recorder sampling src every interval. Nothing
-// runs until Start; attach observers (the flight recorder) first.
-func NewRecorder(src func() wire.Record, interval time.Duration, opts ...RecorderOption) *Recorder {
+// NewRecorder creates a recorder sampling src every interval of clk.
+// Nothing runs until Start; attach observers (the flight recorder) first.
+func NewRecorder(src func() wire.Record, interval time.Duration, clk clock.Clock) *Recorder {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	r := &Recorder{
+	return &Recorder{
 		src:      src,
 		interval: interval,
-		clk:      clock.Real{},
+		clk:      clk,
 		ring:     make([]Sample, recorderDepth),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
 }
 
 // OnSample registers fn to run after each sample is committed, with the

@@ -64,7 +64,7 @@ func advance(t *testing.T, fc *clock.Fake, r *Recorder, interval time.Duration, 
 func TestRecorderSamplesOnClock(t *testing.T) {
 	fc := clock.NewFake(epoch)
 	src := &countingSource{}
-	r := NewRecorder(src.rec, time.Second, WithRecorderClock(fc))
+	r := NewRecorder(src.rec, time.Second, fc)
 	r.Start()
 	defer r.Close()
 
@@ -105,7 +105,7 @@ func TestRecorderSamplesOnClock(t *testing.T) {
 func TestRecorderSeriesRates(t *testing.T) {
 	fc := clock.NewFake(epoch)
 	src := &countingSource{f: 7.5}
-	r := NewRecorder(src.rec, 2*time.Second, WithRecorderClock(fc))
+	r := NewRecorder(src.rec, 2*time.Second, fc)
 	r.Start()
 	defer r.Close()
 
@@ -155,7 +155,7 @@ func TestDeltaRecord(t *testing.T) {
 func TestRecorderCloseStopsSampling(t *testing.T) {
 	fc := clock.NewFake(epoch)
 	src := &countingSource{}
-	r := NewRecorder(src.rec, time.Second, WithRecorderClock(fc))
+	r := NewRecorder(src.rec, time.Second, fc)
 	r.Start()
 	advance(t, fc, r, time.Second, 1)
 	r.Close()

@@ -31,7 +31,7 @@ func admissionSetup(t *testing.T, cfg AdmissionConfig) (*Client, *Server, *clock
 	cli := NewClient(coalesce(t, cep), codec)
 	t.Cleanup(func() { _ = cli.Close() })
 	fc := clock.NewFake(time.Unix(100, 0))
-	srv := NewServer(coalesce(t, sep), codec, echoHandler, WithClock(fc), WithAdmission(cfg))
+	srv := NewServer(coalesceOn(t, sep, fc, nil), codec, echoHandler, WithAdmission(cfg))
 	t.Cleanup(func() { _ = srv.Close() })
 	return cli, srv, fc
 }
@@ -139,7 +139,7 @@ func TestAdmissionBusyReplyNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := clock.NewFake(time.Unix(100, 0))
-	srv := NewServer(coalesce(t, sep), codec, echoHandler, WithClock(fc),
+	srv := NewServer(coalesceOn(t, sep, fc, nil), codec, echoHandler,
 		WithAdmission(AdmissionConfig{Rate: 1, Burst: 1}))
 	t.Cleanup(func() { _ = srv.Close() })
 
@@ -237,11 +237,11 @@ func TestAdmissionRejectSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccol := obs.NewCollector("client", obs.WithSampleEvery(1))
-	scol := obs.NewCollector("server", obs.WithSampleEvery(1))
-	cli := NewClient(coalesce(t, cep), codec, WithClientObserver(ccol))
+	ccol := obs.NewCollector("client", clock.Real{}, obs.WithSampleEvery(1))
+	scol := obs.NewCollector("server", clock.Real{}, obs.WithSampleEvery(1))
+	cli := NewClient(coalesceOn(t, cep, clock.Real{}, ccol), codec)
 	t.Cleanup(func() { _ = cli.Close() })
-	srv := NewServer(coalesce(t, sep), codec, echoHandler, WithServerObserver(scol),
+	srv := NewServer(coalesceOn(t, sep, clock.Real{}, scol), codec, echoHandler,
 		WithAdmission(AdmissionConfig{Rate: 0, Burst: 1}))
 	t.Cleanup(func() { _ = srv.Close() })
 

@@ -186,9 +186,7 @@ func batchedTCPPeers(t *testing.T, ha, hb Handler) (a, b *Peer, aco, bco *transp
 		if err != nil {
 			t.Fatal(err)
 		}
-		co := transport.NewCoalescer(ep)
-		t.Cleanup(func() { _ = co.Close() })
-		return co
+		return coalesce(t, ep)
 	}
 	aco, bco = listen(), listen()
 	a, b = NewPeer(aco, codec, ha), NewPeer(bco, codec, hb)

@@ -150,9 +150,10 @@ type Client struct {
 	acks        []pendingAck
 	ackFlushing bool // the ackFlushBound flush is waiting for its instant to end
 
-	// obs, when set, records protocol-layer spans (send, retransmit,
-	// ack, announce) under the span context carried by the call's ctx.
-	// Nil means tracing off; the hot path pays one nil check.
+	// obs, the node's span collector (ep's), records protocol-layer
+	// spans (send, retransmit, ack, announce) under the span context
+	// carried by the call's ctx. Nil means tracing off; the hot path pays
+	// one nil check.
 	obs *obs.Collector
 
 	stats clientCounters
@@ -176,43 +177,26 @@ type pendingAck struct {
 // the delay: it holds unacked replies for a full replyTTL anyway.
 const ackFlushBound = 32
 
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithClientClock sets the clock driving call timeouts and retransmission
-// intervals. Default clock.Real{}.
-func WithClientClock(c clock.Clock) ClientOption {
-	return func(cl *Client) { cl.clk = c }
-}
-
-// WithClientObserver installs the span collector that records
-// protocol-layer spans. Nil (the default) disables tracing.
-func WithClientObserver(col *obs.Collector) ClientOption {
-	return func(cl *Client) { cl.obs = col }
-}
-
 // NewClient wraps ep, a coalescing endpoint (transport.Coalescer). The
 // client takes over the endpoint's handler; a process that is both client
 // and server should use a Peer (see NewPeer) so requests and replies
 // share one endpoint.
-func NewClient(ep transport.Batcher, codec wire.Codec, opts ...ClientOption) *Client {
-	c := newClientNoHandler(ep, codec, opts...)
+func NewClient(ep transport.Batcher, codec wire.Codec) *Client {
+	c := newClientNoHandler(ep, codec)
 	ep.SetHandler(func(from string, pkt []byte) { route(c, nil, from, pkt) })
 	return c
 }
 
 // newClientNoHandler is used by Peer, which demultiplexes packets itself.
-func newClientNoHandler(ep transport.Batcher, codec wire.Codec, opts ...ClientOption) *Client {
+func newClientNoHandler(ep transport.Batcher, codec wire.Codec) *Client {
 	c := &Client{
 		ep:    ep,
 		codec: codec,
-		clk:   clock.Real{},
+		clk:   ep.Clock(),
+		obs:   ep.Observer(),
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]*pendingCall)
-	}
-	for _, o := range opts {
-		o(c)
 	}
 	c.epoch, c.wantAt = c.clk.Now(), never
 	c.armed.Store(never)

@@ -10,6 +10,7 @@ import (
 
 	"odp/internal/clock"
 	"odp/internal/netsim"
+	"odp/internal/obs"
 	"odp/internal/transport"
 	"odp/internal/wire"
 )
@@ -32,7 +33,7 @@ func TestReplyCacheExpiryFakeClock(t *testing.T) {
 	fake := clock.NewFake(time.Unix(1000, 0))
 	cli := NewClient(coalesce(t, cep), codec)
 	t.Cleanup(func() { _ = cli.Close() })
-	srv := NewServer(coalesce(t, sep), codec, echoHandler, WithReplyTTL(3*time.Second), WithClock(fake))
+	srv := NewServer(coalesceOn(t, sep, fake, nil), codec, echoHandler, WithReplyTTL(3*time.Second))
 	t.Cleanup(func() { _ = srv.Close() })
 
 	if _, _, err := cli.Call(context.Background(), "server", "obj", "echo",
@@ -66,7 +67,7 @@ func TestCallTimeoutFakeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	fake := clock.NewFake(time.Unix(0, 0))
-	cli := NewClient(coalesce(t, cep), codec, WithClientClock(fake))
+	cli := NewClient(coalesceOn(t, cep, fake, nil), codec)
 	t.Cleanup(func() { _ = cli.Close() })
 
 	errCh := make(chan error, 1)
@@ -94,7 +95,7 @@ func TestCallTimeoutFakeClock(t *testing.T) {
 }
 
 // blackHole is a client endpoint whose requests go nowhere. It records
-// each request's send instant, per call id, on the client's fake clock.
+// each request's send instant, per call id, on its node's fake clock.
 // It is its own Batcher: a lazy send is recorded at once, not by a
 // flusher running whenever the scheduler gets to it.
 type blackHole struct {
@@ -124,6 +125,8 @@ func (b *blackHole) Send(_ string, pkt []byte) error {
 func (b *blackHole) SendLazy(to string, pkt []byte) error { return b.Send(to, pkt) }
 
 func (b *blackHole) BatchStats() transport.CoalescerStats { return transport.CoalescerStats{} }
+func (b *blackHole) Clock() clock.Clock                   { return b.clk }
+func (b *blackHole) Observer() *obs.Collector             { return nil }
 
 func (b *blackHole) sends(id uint64) []time.Time {
 	b.mu.Lock()
@@ -149,7 +152,7 @@ func TestRetransmissionClockKeepsEachCallsInstants(t *testing.T) {
 	start := time.Unix(0, 0)
 	fake := clock.NewFake(start)
 	ep := newBlackHole(fake)
-	cli := NewClient(ep, codec, WithClientClock(fake))
+	cli := NewClient(ep, codec)
 	pre := fake.PendingWaiters()
 
 	const ms = time.Millisecond
@@ -267,7 +270,7 @@ func TestClosedCallNeverPoolsItsChannel(t *testing.T) {
 	}
 
 	fake := clock.NewFake(time.Unix(0, 0))
-	racer := NewClient(newBlackHole(fake), codec, WithClientClock(fake))
+	racer := NewClient(newBlackHole(fake), codec)
 	t.Cleanup(func() { _ = racer.Close() })
 	var timeouts uint64
 	for round := 0; round < 100; round++ {

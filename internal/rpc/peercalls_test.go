@@ -64,7 +64,7 @@ func fakeClockServer(t *testing.T, h Handler, opts ...ServerOption) (*Server, *c
 		t.Fatal(err)
 	}
 	fc := clock.NewFake(time.Unix(100, 0))
-	srv := NewServer(coalesce(t, sep), codec, h, append([]ServerOption{WithClock(fc)}, opts...)...)
+	srv := NewServer(coalesceOn(t, sep, fc, nil), codec, h, opts...)
 	t.Cleanup(func() { _ = srv.Close() })
 	return srv, fc
 }
@@ -545,7 +545,9 @@ func (c *countingClock) Since(t time.Time) time.Duration {
 // twice (send stamp, latency), and arms no timer: the retransmission
 // clock the first call armed is due before the second call is. Claiming
 // the slot, caching the reply and the ack that retires it read neither
-// clock. The interval is long so that pass does not fire in the window.
+// clock. Each role's coalescer runs on its role's counting clock too, so
+// the count also holds the coalescer to reading no clock on a direct
+// write. The interval is long so that pass does not fire in the window.
 func TestNoClockOnTheTablePath(t *testing.T) {
 	f := netsim.NewFabric()
 	t.Cleanup(func() { _ = f.Close() })
@@ -559,9 +561,9 @@ func TestNoClockOnTheTablePath(t *testing.T) {
 	}
 	cclk := &countingClock{Clock: clock.Real{}}
 	sclk := &countingClock{Clock: clock.Real{}}
-	cli := NewClient(coalesce(t, cep), codec, WithClientClock(cclk))
+	cli := NewClient(coalesceOn(t, cep, cclk, nil), codec)
 	t.Cleanup(func() { _ = cli.Close() })
-	srv := NewServer(coalesce(t, sep), codec, echoHandler, WithClock(sclk))
+	srv := NewServer(coalesceOn(t, sep, sclk, nil), codec, echoHandler)
 	t.Cleanup(func() { _ = srv.Close() })
 
 	call := func() {

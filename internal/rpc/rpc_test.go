@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"odp/internal/clock"
 	"odp/internal/netsim"
+	"odp/internal/obs"
 	"odp/internal/transport"
 	"odp/internal/wire"
 )
@@ -26,10 +28,16 @@ func echoHandler(_ context.Context, in *Incoming) (string, []wire.Value, error) 
 	return "ok", out, nil
 }
 
-// coalesce wraps ep in the coalescer every rpc endpoint rides on, closed
-// when the test ends.
+// coalesce wraps ep in the coalescer every rpc endpoint rides on, for an
+// untraced node on the wall clock, closed when the test ends.
 func coalesce(t testing.TB, ep transport.Endpoint) *transport.Coalescer {
-	co := transport.NewCoalescer(ep)
+	return coalesceOn(t, ep, clock.Real{}, nil)
+}
+
+// coalesceOn is coalesce for a node whose clock is clk and whose span
+// collector is col: every rpc role built on it reads both from it.
+func coalesceOn(t testing.TB, ep transport.Endpoint, clk clock.Clock, col *obs.Collector) *transport.Coalescer {
+	co := transport.NewCoalescer(ep, clk, col)
 	t.Cleanup(func() { _ = co.Close() })
 	return co
 }

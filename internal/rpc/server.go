@@ -207,8 +207,9 @@ type Server struct {
 	replyTTL time.Duration
 	clk      clock.Clock
 
-	// obs, when set, records a dispatch span for every traced request
-	// under the span context the packet carried. Nil means tracing off.
+	// obs, the node's span collector (ep's), records a dispatch span for
+	// every traced request under the span context the packet carried.
+	// Nil means tracing off.
 	obs *obs.Collector
 
 	// admission, when set, meters inbound invocations per client before
@@ -249,25 +250,12 @@ func WithReplyTTL(ttl time.Duration) ServerOption {
 	return func(s *Server) { s.replyTTL = ttl }
 }
 
-// WithClock sets the clock driving reply-cache TTLs and the janitor.
-// Default clock.Real{}; tests pass a clock.Fake to exercise expiry
-// deterministically.
-func WithClock(c clock.Clock) ServerOption {
-	return func(s *Server) { s.clk = c }
-}
-
-// WithServerObserver installs the span collector that records dispatch
-// spans for traced requests. Nil (the default) disables tracing.
-func WithServerObserver(col *obs.Collector) ServerOption {
-	return func(s *Server) { s.obs = col }
-}
-
 // WithAdmission enables per-client token-bucket admission control:
 // requests beyond a client's bucket are shed with an immediate busy
 // reply (ErrServerBusy at the client) before claiming any call-table
 // state, and over-budget announcements are dropped. The buckets run on
-// the server clock (WithClock), so admission windows are deterministic
-// under a clock.Fake.
+// the node's clock (the Batcher's), so admission windows are
+// deterministic under a clock.Fake.
 func WithAdmission(cfg AdmissionConfig) ServerOption {
 	return func(s *Server) { s.admission = &cfg }
 }
@@ -289,7 +277,8 @@ func newServerNoHandler(ep transport.Batcher, codec wire.Codec, handler Handler,
 		stop:     make(chan struct{}),
 		peers:    make(map[string]*peerCalls),
 		replyTTL: 5 * time.Second,
-		clk:      clock.Real{},
+		clk:      ep.Clock(),
+		obs:      ep.Observer(),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	cd, ok := ep.(transport.ConcurrentDeliverer)
@@ -679,47 +668,12 @@ type Peer struct {
 	Server *Server
 }
 
-// PeerOption configures both roles of a Peer.
-type PeerOption func(*peerConfig)
-
-type peerConfig struct {
-	serverOpts []ServerOption
-	clientOpts []ClientOption
-}
-
-// WithPeerServerOptions applies server-side options to the peer.
-func WithPeerServerOptions(opts ...ServerOption) PeerOption {
-	return func(pc *peerConfig) { pc.serverOpts = append(pc.serverOpts, opts...) }
-}
-
-// WithPeerObserver installs one span collector on both roles, so a
-// capsule's outbound sends and inbound dispatches land in one ring.
-func WithPeerObserver(col *obs.Collector) PeerOption {
-	return func(pc *peerConfig) {
-		pc.serverOpts = append(pc.serverOpts, WithServerObserver(col))
-		pc.clientOpts = append(pc.clientOpts, WithClientObserver(col))
-	}
-}
-
-// WithPeerClock drives both roles — call timeouts, retransmission,
-// reply-cache TTLs and the janitor — from one clock, so a whole peer can
-// run in virtual time.
-func WithPeerClock(c clock.Clock) PeerOption {
-	return func(pc *peerConfig) {
-		pc.serverOpts = append(pc.serverOpts, WithClock(c))
-		pc.clientOpts = append(pc.clientOpts, WithClientClock(c))
-	}
-}
-
-// NewPeer wires both roles onto ep, a coalescing endpoint (see NewClient).
-func NewPeer(ep transport.Batcher, codec wire.Codec, handler Handler, opts ...PeerOption) *Peer {
-	var pc peerConfig
-	for _, o := range opts {
-		o(&pc)
-	}
+// NewPeer wires both roles onto ep, a coalescing endpoint (see NewClient);
+// opts configure the server role.
+func NewPeer(ep transport.Batcher, codec wire.Codec, handler Handler, opts ...ServerOption) *Peer {
 	p := &Peer{
-		Client: newClientNoHandler(ep, codec, pc.clientOpts...),
-		Server: newServerNoHandler(ep, codec, handler, pc.serverOpts...),
+		Client: newClientNoHandler(ep, codec),
+		Server: newServerNoHandler(ep, codec, handler, opts...),
 	}
 	ep.SetHandler(func(from string, pkt []byte) { route(p.Client, p.Server, from, pkt) })
 	return p

@@ -105,9 +105,9 @@ func TestRetransmissionStormAccounting(t *testing.T) {
 		return "done", nil, nil
 	}
 	// The client's own ack is lost on the way: phase 2 sends it by hand.
-	cli := NewClient(ackDropper{coalesce(t, cep)}, codec, WithClientClock(cliClk))
+	cli := NewClient(ackDropper{coalesceOn(t, cep, cliClk, nil)}, codec)
 	t.Cleanup(func() { _ = cli.Close() })
-	srv := NewServer(coalesce(t, sep), codec, gated, WithClock(srvClk))
+	srv := NewServer(coalesceOn(t, sep, srvClk, nil), codec, gated)
 	t.Cleanup(func() { _ = srv.Close() })
 
 	args := []wire.Value{int64(42)}

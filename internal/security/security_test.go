@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/rpc"
 	"odp/internal/wire"
@@ -81,8 +82,8 @@ func newSecEnv(t *testing.T, policy Policy) *secEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := capsule.New("server", transport.NewCoalescer(sep), codec)
-	client := capsule.New("client", transport.NewCoalescer(cep), codec)
+	server := capsule.New("server", transport.NewCoalescer(sep, clock.Real{}, nil), codec)
+	client := capsule.New("client", transport.NewCoalescer(cep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = server.Close(); _ = client.Close() })
 
 	keys := NewKeyring()

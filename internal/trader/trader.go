@@ -231,12 +231,6 @@ type TraderStats struct {
 // TraderOption configures New.
 type TraderOption func(*Trader)
 
-// WithTraderClock times snapshot ages and import latency on clk instead
-// of real time (virtual time under the sim harness).
-func WithTraderClock(clk clock.Clock) TraderOption {
-	return func(t *Trader) { t.clk = clk }
-}
-
 // WithFederationQoS sets the per-hop QoS base for federated imports.
 // Each hop's invocation deadline is q.Timeout scaled by the remaining
 // hop budget, so an importer N links from the horizon waits out at most
@@ -261,7 +255,7 @@ func New(contextName string, c *capsule.Capsule, tm *types.Manager, opts ...Trad
 		contextName:      contextName,
 		typeManager:      tm,
 		cap:              c,
-		clk:              clock.Real{},
+		clk:              c.Clock(),
 		fedQoS:           rpc.QoS{Timeout: rpc.DefaultTimeout},
 		links:            make(map[string]wire.Ref),
 		resourceManagers: make(map[string]wire.Ref),

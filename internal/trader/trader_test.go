@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/types"
 	"odp/internal/wire"
@@ -60,7 +61,7 @@ func (e *env) capsule(name string) *capsule.Capsule {
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	c := capsule.New(name, transport.NewCoalescer(ep), codec)
+	c := capsule.New(name, transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 	e.t.Cleanup(func() { _ = c.Close() })
 	return c
 }

@@ -130,25 +130,6 @@ func WithPendingLimit(n int) CoalescerOption {
 	}
 }
 
-// WithCoalescerClock injects the clock that times, for the flush-delay
-// histogram, the frames that queue behind a write in flight, and that
-// says when the instant a flusher was woken in is over.
-func WithCoalescerClock(clk clock.Clock) CoalescerOption {
-	return func(c *Coalescer) {
-		if clk != nil {
-			c.clk = clk
-		}
-	}
-}
-
-// WithCoalescerObserver installs the node's span collector: every batch
-// write then records a flush span (an infrastructure trace, subject to
-// the same sampling knob as invocation roots), so an operator can see
-// how the channel packs frames.
-func WithCoalescerObserver(col *obs.Collector) CoalescerOption {
-	return func(c *Coalescer) { c.obs = col }
-}
-
 // Coalescer wraps an Endpoint with per-destination write coalescing. It
 // is itself an Endpoint, and the Batcher every rpc endpoint is built on.
 type Coalescer struct {
@@ -165,7 +146,8 @@ type Coalescer struct {
 	stop   chan struct{}
 	wg     sync.WaitGroup
 
-	// obs, when non-nil, records a flush span per batch write.
+	// obs, when non-nil, is the node's span collector; here it records a
+	// flush span per batch write.
 	obs *obs.Collector
 
 	stats coalCounters
@@ -182,10 +164,17 @@ type Coalescer struct {
 // first. The rpc layer uses it for what need not, or should not, pay for
 // a write of its own: acks and announcements, and interrogations and
 // replies while others are in flight.
+//
+// A Batcher also carries its node's clock and span collector, so every
+// layer built on it reads the one instant and records into the one ring.
 type Batcher interface {
 	Endpoint
 	SendLazy(to string, pkt []byte) error
 	BatchStats() CoalescerStats
+	// Clock is the node's time source; never nil.
+	Clock() clock.Clock
+	// Observer is the node's span collector; nil means untraced.
+	Observer() *obs.Collector
 }
 
 var (
@@ -193,13 +182,20 @@ var (
 	_ Batcher  = (*Coalescer)(nil)
 )
 
-// NewCoalescer wraps ep. The Coalescer takes over ep's inbound handler;
-// install the application handler on the Coalescer, and close the
-// Coalescer (which closes ep) rather than ep directly.
-func NewCoalescer(ep Endpoint, opts ...CoalescerOption) *Coalescer {
+// NewCoalescer wraps ep for a node whose clock is clk (required) and
+// whose span collector is col (nil means untraced). The clock times the
+// frames that queue behind a write in flight and says when the instant a
+// flusher was woken in is over; the collector records a flush span per
+// batch write (an infrastructure trace, subject to the same sampling knob
+// as invocation roots). Every layer built on the Coalescer reads both
+// from it. The Coalescer takes over ep's inbound handler; install the
+// application handler on the Coalescer, and close the Coalescer (which
+// closes ep) rather than ep directly.
+func NewCoalescer(ep Endpoint, clk clock.Clock, col *obs.Collector, opts ...CoalescerOption) *Coalescer {
 	c := &Coalescer{
 		inner:        ep,
-		clk:          clock.Real{},
+		clk:          clk,
+		obs:          col,
 		pendingLimit: defaultPendingLimit,
 		peers:        make(map[string]*batchPeer),
 		stop:         make(chan struct{}),
@@ -255,6 +251,12 @@ const maxPooledSeg = 64 << 10
 
 // Addr implements Endpoint.
 func (c *Coalescer) Addr() string { return c.inner.Addr() }
+
+// Clock implements Batcher.
+func (c *Coalescer) Clock() clock.Clock { return c.clk }
+
+// Observer implements Batcher.
+func (c *Coalescer) Observer() *obs.Collector { return c.obs }
 
 // SetHandler implements Endpoint.
 func (c *Coalescer) SetHandler(h Handler) { c.handler.Store(h) }

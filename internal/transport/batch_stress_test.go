@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"odp/internal/clock"
 )
 
 func TestCoalescedConcurrentSendersNoInterleave(t *testing.T) {
@@ -18,8 +20,8 @@ func TestCoalescedConcurrentSendersNoInterleave(t *testing.T) {
 	// The pending limit is sized so the whole stress load fits even if
 	// the flusher never got a slot: no frame may be shed, because the
 	// ordering assertion below counts every sequence number.
-	ca := NewCoalescer(a, WithPendingLimit(MaxPacket))
-	cb := NewCoalescer(b)
+	ca := NewCoalescer(a, clock.Real{}, nil, WithPendingLimit(MaxPacket))
+	cb := NewCoalescer(b, clock.Real{}, nil)
 	t.Cleanup(func() {
 		_ = ca.Close()
 		_ = cb.Close()

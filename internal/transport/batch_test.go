@@ -113,7 +113,7 @@ func countBatches(frames [][]byte) (batches, singles int, subs [][]byte) {
 // to a peer never heard from already leaves in a BATCH.
 func TestCoalescerFirstFrameIsBatch(t *testing.T) {
 	inner := newMemEP("mem://a")
-	c := NewCoalescer(inner)
+	c := NewCoalescer(inner, clock.Real{}, nil)
 	defer func() { _ = c.Close() }()
 
 	if err := c.Send("mem://b", []byte("first")); err != nil {
@@ -145,9 +145,9 @@ func idlePeer(c *Coalescer, addr string) {
 // surface as an obs.KindFlush span naming its destination, so traces
 // account for frames that left through the batching path.
 func TestCoalescerFlushSpanCoversBatchWrite(t *testing.T) {
-	col := obs.NewCollector("mem://a", obs.WithSampleEvery(1))
+	col := obs.NewCollector("mem://a", clock.Real{}, obs.WithSampleEvery(1))
 	inner := newMemEP("mem://a")
-	c := NewCoalescer(inner, WithCoalescerObserver(col))
+	c := NewCoalescer(inner, clock.Real{}, col)
 	defer func() { _ = c.Close() }()
 
 	if err := c.Send("mem://b", make([]byte, 2048)); err != nil {
@@ -174,7 +174,7 @@ func TestCoalescerFlushSpanCoversBatchWrite(t *testing.T) {
 // frames enqueued while a flush is in flight pack together.
 func TestCoalescerNaturalBatching(t *testing.T) {
 	inner := newMemEP("mem://a")
-	c := NewCoalescer(inner)
+	c := NewCoalescer(inner, clock.Real{}, nil)
 	defer func() { _ = c.Close() }()
 
 	const n = 200
@@ -202,7 +202,7 @@ func TestCoalescerNaturalBatching(t *testing.T) {
 // datagram bypass the queue even on the batching path.
 func TestCoalescerOversizePassthrough(t *testing.T) {
 	inner := newMemEP("mem://a")
-	c := NewCoalescer(inner, WithPendingLimit(4096))
+	c := NewCoalescer(inner, clock.Real{}, nil, WithPendingLimit(4096))
 	defer func() { _ = c.Close() }()
 
 	big := make([]byte, 8192)
@@ -258,7 +258,7 @@ func stallWrite(t *testing.T, c *Coalescer, inner *gateEP) <-chan error {
 // instead of growing without bound.
 func TestCoalescerOverflowDrops(t *testing.T) {
 	inner := newGateEP("mem://a")
-	c := NewCoalescer(inner, WithPendingLimit(1024))
+	c := NewCoalescer(inner, clock.Real{}, nil, WithPendingLimit(1024))
 	defer func() { _ = c.Close() }()
 	done := stallWrite(t, c, inner) // everything below queues behind it
 	defer func() { close(inner.open); <-done }()
@@ -288,7 +288,7 @@ func TestCoalescerLazyOverflowWritesInsteadOfDropping(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			inner := newGateEP("mem://a")
 			close(inner.open)
-			c := NewCoalescer(inner, WithPendingLimit(1024))
+			c := NewCoalescer(inner, clock.Real{}, nil, WithPendingLimit(1024))
 			defer func() { _ = c.Close() }()
 			idlePeer(c, "mem://b")
 
@@ -329,7 +329,7 @@ func TestCoalescerLazyOverflowWritesInsteadOfDropping(t *testing.T) {
 func TestCoalescerCloseDrains(t *testing.T) {
 	fc := clock.NewFake(time.Unix(100, 0))
 	inner := newGateEP("mem://a")
-	c := NewCoalescer(inner, WithCoalescerClock(fc))
+	c := NewCoalescer(inner, fc, nil)
 	done := stallWrite(t, c, inner)
 
 	for i := 0; i < 5; i++ {
@@ -384,7 +384,7 @@ func (c *readCounter) Since(t time.Time) time.Duration {
 func TestDirectSendReadsNoClock(t *testing.T) {
 	clk := &readCounter{Clock: clock.NewFake(time.Unix(100, 0))}
 	inner := newMemEP("mem://a")
-	c := NewCoalescer(inner, WithCoalescerClock(clk))
+	c := NewCoalescer(inner, clk, nil)
 	defer func() { _ = c.Close() }()
 	idlePeer(c, "mem://b") // only the Send writes
 

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"odp/internal/clock"
 )
 
 func newPair(t *testing.T) (*TCPEndpoint, *TCPEndpoint) {
@@ -120,8 +122,8 @@ func TestTCPSendVec(t *testing.T) {
 // coalescer unpacks it.
 func TestTCPBatchesOverWritev(t *testing.T) {
 	a, b := newPair(t)
-	ca := NewCoalescer(a)
-	cb := NewCoalescer(b)
+	ca := NewCoalescer(a, clock.Real{}, nil)
+	cb := NewCoalescer(b, clock.Real{}, nil)
 	t.Cleanup(func() {
 		_ = ca.Close()
 		_ = cb.Close()

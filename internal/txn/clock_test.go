@@ -14,7 +14,7 @@ import (
 // exactly when logical time crosses maxWait.
 func TestLockTimeoutFakeClock(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
-	lm := NewLockManager(5*time.Second, WithLockClock(fake))
+	lm := NewLockManager(5*time.Second, fake)
 	if err := lm.Acquire(context.Background(), "A", "res", true); err != nil {
 		t.Fatal(err)
 	}

@@ -82,17 +82,9 @@ type LockManager struct {
 	deadlocks uint64
 }
 
-// LockManagerOption configures a LockManager.
-type LockManagerOption func(*LockManager)
-
-// WithLockClock sets the clock bounding lock waits (default clock.Real{}).
-func WithLockClock(c clock.Clock) LockManagerOption {
-	return func(lm *LockManager) { lm.clk = c }
-}
-
-// NewLockManager creates a lock manager. maxWait bounds individual lock
-// waits; zero means 5s.
-func NewLockManager(maxWait time.Duration, opts ...LockManagerOption) *LockManager {
+// NewLockManager creates a lock manager whose waits run on clk. maxWait
+// bounds individual lock waits; zero means 5s.
+func NewLockManager(maxWait time.Duration, clk clock.Clock) *LockManager {
 	if maxWait <= 0 {
 		maxWait = 5 * time.Second
 	}
@@ -100,12 +92,9 @@ func NewLockManager(maxWait time.Duration, opts ...LockManagerOption) *LockManag
 		locks:    make(map[string]*lockState),
 		waitsFor: make(map[string]map[string]bool),
 		maxWait:  maxWait,
-		clk:      clock.Real{},
+		clk:      clk,
 	}
 	lm.cond = sync.NewCond(&lm.mu)
-	for _, o := range opts {
-		o(lm)
-	}
 	return lm
 }
 

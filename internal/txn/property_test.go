@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/wire"
 )
 
@@ -21,7 +22,7 @@ func TestPropertyMutualExclusion(t *testing.T) {
 		workers   = 6
 		steps     = 40
 	)
-	lm := NewLockManager(2 * time.Second)
+	lm := NewLockManager(2*time.Second, clock.Real{})
 
 	var (
 		mu       sync.Mutex

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"odp/internal/capsule"
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/rpc"
 	"odp/internal/storage"
@@ -90,15 +91,15 @@ func newTxnEnv(t *testing.T) *txnEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := capsule.New("server", transport.NewCoalescer(sep), codec)
-	client := capsule.New("client", transport.NewCoalescer(cep), codec)
+	server := capsule.New("server", transport.NewCoalescer(sep, clock.Real{}, nil), codec)
+	client := capsule.New("client", transport.NewCoalescer(cep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = server.Close(); _ = client.Close() })
 	return &txnEnv{
 		t:      t,
 		fabric: f,
 		server: server,
 		client: client,
-		lm:     NewLockManager(2 * time.Second),
+		lm:     NewLockManager(2*time.Second, clock.Real{}),
 		coord:  NewCoordinator(client, nil),
 	}
 }
@@ -362,7 +363,7 @@ func TestDurabilityAcrossRestart(t *testing.T) {
 	}
 	// "Restart": a fresh servant recovers from the store.
 	acct2 := &account{}
-	res2, err := NewResource("acct1", acct2, NewLockManager(0),
+	res2, err := NewResource("acct1", acct2, NewLockManager(0, clock.Real{}),
 		WithSeparation(accountSep), WithDurability(store))
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +379,7 @@ func TestDurabilityAcrossRestart(t *testing.T) {
 func TestRecoverWithNothingCommitted(t *testing.T) {
 	store := storage.NewMemStore()
 	acct := &account{balance: 7}
-	res, err := NewResource("fresh", acct, NewLockManager(0), WithDurability(store))
+	res, err := NewResource("fresh", acct, NewLockManager(0, clock.Real{}), WithDurability(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +423,7 @@ func TestNonSnapshotterRejected(t *testing.T) {
 	plain := capsule.ServantFunc(func(_ context.Context, _ string, _ []wire.Value) (string, []wire.Value, error) {
 		return "ok", nil, nil
 	})
-	if _, err := NewResource("x", plain, NewLockManager(0)); err == nil {
+	if _, err := NewResource("x", plain, NewLockManager(0, clock.Real{})); err == nil {
 		t.Fatal("non-snapshotter accepted as transactional resource")
 	}
 }
@@ -473,7 +474,7 @@ func TestConcurrentTransfersConserveMoney(t *testing.T) {
 }
 
 func TestLockManagerUnit(t *testing.T) {
-	lm := NewLockManager(200 * time.Millisecond)
+	lm := NewLockManager(200*time.Millisecond, clock.Real{})
 	ctx := context.Background()
 	// Shared locks coexist.
 	if err := lm.Acquire(ctx, "t1", "r", false); err != nil {
@@ -505,7 +506,7 @@ func TestLockManagerUnit(t *testing.T) {
 }
 
 func TestLockUpgrade(t *testing.T) {
-	lm := NewLockManager(time.Second)
+	lm := NewLockManager(time.Second, clock.Real{})
 	ctx := context.Background()
 	if err := lm.Acquire(ctx, "t1", "r", false); err != nil {
 		t.Fatal(err)
@@ -530,7 +531,7 @@ func TestLockUpgrade(t *testing.T) {
 }
 
 func TestLockContextCancel(t *testing.T) {
-	lm := NewLockManager(time.Minute)
+	lm := NewLockManager(time.Minute, clock.Real{})
 	if err := lm.Acquire(context.Background(), "t1", "r", true); err != nil {
 		t.Fatal(err)
 	}

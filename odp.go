@@ -205,7 +205,9 @@ var (
 	WithDomain = core.WithDomain
 	// WithClock drives every time-dependent subsystem of the node from one
 	// injected clock; share a clock.Fake across nodes and the netsim
-	// fabric to run a whole system in virtual time (internal/sim).
+	// fabric to run a whole system in virtual time (internal/sim). The
+	// security guard is the exception: it checks credential freshness on
+	// the wall clock, where the principal's signer stamped them.
 	WithClock = core.WithClock
 	// WithAdmission enables per-client token-bucket admission control on
 	// the node's server dispatch path: over-budget invocations are shed
@@ -236,9 +238,9 @@ type (
 func WithBatching() Option { return nil }
 
 // NewCoalescer wraps ep in a write coalescer directly, for composing
-// transports by hand.
+// transports by hand: an untraced node on the wall clock.
 func NewCoalescer(ep Endpoint, opts ...transport.CoalescerOption) *Coalescer {
-	return transport.NewCoalescer(ep, opts...)
+	return transport.NewCoalescer(ep, clock.Real{}, nil, opts...)
 }
 
 // NewFabric creates a simulated network fabric.

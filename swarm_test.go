@@ -461,7 +461,6 @@ func TestSimSwarmGroupChurn(t *testing.T) {
 		Mode:              group.ModeActive,
 		HeartbeatInterval: spec.HeartbeatInterval,
 		FailureTimeout:    spec.FailureTimeout,
-		Clock:             s.Clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -571,8 +570,7 @@ func TestSimSwarmGCRefChain(t *testing.T) {
 	}
 	holders := make([]*gc.Holder, 0, domains-1)
 	for d := 1; d < domains; d++ {
-		h := gc.NewHolder(platforms[d].Capsule, n.Addr(d, 0), 300*time.Millisecond,
-			gc.WithHolderClock(s.Clock))
+		h := gc.NewHolder(platforms[d].Capsule, n.Addr(d, 0), 300*time.Millisecond)
 		holders = append(holders, h)
 		objID := fmt.Sprintf("o%d", d-1)
 		gcRef := platforms[d-1].Collector.Ref()
