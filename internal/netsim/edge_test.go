@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -361,5 +362,135 @@ func waitInFlightZero(t *testing.T, f *Fabric) {
 			t.Fatalf("in-flight never drained: %d", f.InFlight())
 		}
 		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestPairKeysDoNotCollide: a pair of names is kept as two strings, never
+// joined, so names that hold a separator cannot alias another pair:
+// x ↔ "y|z" is not "x|y" ↔ z, whichever map the pair keys.
+func TestPairKeysDoNotCollide(t *testing.T) {
+	subnets := func(f *Fabric, link string) {
+		for _, s := range []string{"s", "t|u", "s|t", "u"} {
+			f.AddSubnet(s, Loopback)
+		}
+		f.JoinSubnet("x", "s")
+		f.JoinSubnet("y|z", "t|u")
+		if link != "" {
+			f.LinkSubnets("s", link, Loopback)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(f *Fabric)
+		want  error // nil: x → "y|z" is delivered
+	}{
+		{"Partition", func(f *Fabric) { f.Partition("x|y", "z", true) }, nil},
+		{"SetLink", func(f *Fabric) { f.SetLink("x|y", "z", LinkProfile{Loss: 1}) }, nil},
+		{"LinkSubnets", func(f *Fabric) {
+			subnets(f, "")
+			f.LinkSubnets("s|t", "u", Loopback)
+		}, transport.ErrUnreachable},
+		{"PartitionSubnets", func(f *Fabric) {
+			subnets(f, "t|u")
+			f.PartitionSubnets("s|t", "u", true)
+		}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewFabric()
+			defer f.Close()
+			x, _ := f.Endpoint("x")
+			yz, _ := f.Endpoint("y|z")
+			yz.SetHandler(func(string, []byte) {})
+			tc.setup(f)
+			err := x.Send("y|z", []byte("p"))
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("send x → y|z: %v, want %v", err, tc.want)
+			}
+			waitInFlightZero(t, f)
+			wantDelivered := uint64(0)
+			if tc.want == nil {
+				wantDelivered = 1
+			}
+			if got := f.Stats(); got.Delivered != wantDelivered || got.Cut != 0 || got.Dropped != 0 {
+				t.Fatalf("%+v, want Delivered=%d Cut=0 Dropped=0", got, wantDelivered)
+			}
+		})
+	}
+}
+
+// TestCutMutatorsReachMidFlight: every mutator that can change a cut
+// decision reaches a packet already in flight — the delivery sees the cut
+// generation move and decides again — and a cut healed before the
+// delivery instant delivers. Link profiles are not cut decisions: a
+// packet already routed keeps the delay and loss it drew.
+func TestCutMutatorsReachMidFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutate  func(f *Fabric)
+		wantCut bool
+	}{
+		{"Partition", func(f *Fabric) { f.Partition("a", "b", true) }, true},
+		{"Isolate", func(f *Fabric) { f.Isolate("b", true) }, true},
+		{"PartitionSubnets", func(f *Fabric) { f.PartitionSubnets("sa", "sb", true) }, true},
+		{"IsolateSubnet", func(f *Fabric) { f.IsolateSubnet("sb", true) }, true},
+		{"JoinSubnet", func(f *Fabric) { f.JoinSubnet("b", "isolated") }, true},
+		{"CutThenHeal", func(f *Fabric) {
+			f.Partition("a", "b", true)
+			f.Partition("a", "b", false)
+		}, false},
+		{"SetLink", func(f *Fabric) { f.SetLink("a", "b", LinkProfile{Loss: 1}) }, false},
+		{"LinkSubnets", func(f *Fabric) { f.LinkSubnets("sa", "sb", LinkProfile{Loss: 1}) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fake := clock.NewFake(time.Unix(0, 0))
+			f := NewFabric(WithClock(fake))
+			defer f.Close()
+			for _, s := range []string{"sa", "sb", "isolated"} {
+				f.AddSubnet(s, Loopback)
+			}
+			f.LinkSubnets("sa", "sb", LinkProfile{Latency: time.Millisecond})
+			f.IsolateSubnet("isolated", true)
+			f.JoinSubnet("a", "sa")
+			f.JoinSubnet("b", "sb")
+			a, _ := f.Endpoint("a")
+			b, _ := f.Endpoint("b")
+			var delivered atomic.Int64
+			b.SetHandler(func(string, []byte) { delivered.Add(1) })
+
+			if err := a.Send("b", []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(f)
+			fake.Advance(2 * time.Millisecond)
+			waitInFlightZero(t, f)
+			want := Stats{Sent: 1, Delivered: 1}
+			if tc.wantCut {
+				want = Stats{Sent: 1, Cut: 1}
+			}
+			if got := f.Stats(); got != want || delivered.Load() != int64(want.Delivered) {
+				t.Fatalf("%+v, handler ran %d times; want %+v", got, delivered.Load(), want)
+			}
+		})
+	}
+}
+
+// BenchmarkFabricSendDeliver prices one zero-latency packet, one way:
+// route, the hand-off to a delivery worker, the in-flight cut check and
+// the receiving handler, which the sender waits for.
+func BenchmarkFabricSendDeliver(b *testing.B) {
+	f := NewFabric()
+	defer f.Close()
+	src, _ := f.Endpoint("a")
+	dst, _ := f.Endpoint("b")
+	done := make(chan struct{}, 1)
+	dst.SetHandler(func(string, []byte) { done <- struct{}{} })
+	pkt := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.Send("b", pkt); err != nil {
+			b.Fatal(err)
+		}
+		<-done
 	}
 }

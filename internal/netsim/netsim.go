@@ -85,9 +85,9 @@ type Fabric struct {
 	mu          sync.Mutex
 	rng         *rand.Rand
 	endpoints   map[string]*endpoint
-	links       map[string]LinkProfile // "from|to" overrides
+	links       map[pair]LinkProfile // directed from → to overrides
 	defaultLink LinkProfile
-	partitioned map[string]bool // "a|b" unordered-pair key
+	partitioned map[pair]bool   // unordered address pairs (pairKey)
 	isolated    map[string]bool // addresses cut off by Isolate
 	closed      bool
 	wg          sync.WaitGroup
@@ -95,10 +95,15 @@ type Fabric struct {
 	// Sparse topology state (see topology.go): named subnets, address
 	// membership, directed gateway profiles and subnet-level faults.
 	subnets            map[string]*subnet
-	memberOf           map[string]string      // addr -> subnet name
-	gateways           map[string]LinkProfile // "a|b" directed subnet pair
-	partitionedSubnets map[string]bool        // unordered subnet-pair key
+	memberOf           map[string]string    // addr -> subnet name
+	gateways           map[pair]LinkProfile // directed subnet pair
+	partitionedSubnets map[pair]bool        // unordered subnet pairs (pairKey)
 	isolatedSubnets    map[string]bool
+
+	// cuts is the cut generation: every mutator that can change what
+	// cutLocked decides bumps it under mu. A delivery re-checks cuts only
+	// when the generation moved since route saw it.
+	cuts atomic.Uint64
 
 	// clk is non-nil when deliveries are scheduled in virtual time.
 	clk   clock.Clock
@@ -181,15 +186,15 @@ func NewFabric(opts ...Option) *Fabric {
 	f := &Fabric{
 		rng:         rand.New(rand.NewSource(1)),
 		endpoints:   make(map[string]*endpoint),
-		links:       make(map[string]LinkProfile),
+		links:       make(map[pair]LinkProfile),
 		defaultLink: Loopback,
-		partitioned: make(map[string]bool),
+		partitioned: make(map[pair]bool),
 		isolated:    make(map[string]bool),
 
 		subnets:            make(map[string]*subnet),
 		memberOf:           make(map[string]string),
-		gateways:           make(map[string]LinkProfile),
-		partitionedSubnets: make(map[string]bool),
+		gateways:           make(map[pair]LinkProfile),
+		partitionedSubnets: make(map[pair]bool),
 		isolatedSubnets:    make(map[string]bool),
 
 		pending: make(map[uint64]pendEntry),
@@ -252,20 +257,13 @@ func (f *Fabric) Endpoint(addr string) (transport.Endpoint, error) {
 func (f *Fabric) SetLink(from, to string, p LinkProfile) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.links[from+"|"+to] = p
+	f.links[pair{from, to}] = p
 }
 
 // Partition cuts (or heals, when cut is false) bidirectional connectivity
 // between a and b. Partitioned packets are counted in Stats.Cut.
 func (f *Fabric) Partition(a, b string, cut bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	key := pairKey(a, b)
-	if cut {
-		f.partitioned[key] = true
-	} else {
-		delete(f.partitioned, key)
-	}
+	setCut(f, f.partitioned, pairKey(a, b), cut)
 }
 
 // Isolate cuts (or heals) every link touching addr, simulating a crashed
@@ -278,12 +276,19 @@ func (f *Fabric) Partition(a, b string, cut bool) {
 // records one flag instead of silently manufacturing per-pair override
 // entries. Healing an address that was never isolated is a no-op.
 func (f *Fabric) Isolate(addr string, cut bool) {
+	setCut(f, f.isolated, addr, cut)
+}
+
+// setCut opens (or heals) the cut k in m, one of the fabric's cut sets,
+// and moves the cut generation.
+func setCut[K comparable](f *Fabric, m map[K]bool, k K, cut bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.cuts.Add(1)
 	if cut {
-		f.isolated[addr] = true
+		m[k] = true
 	} else {
-		delete(f.isolated, addr)
+		delete(m, k)
 	}
 }
 
@@ -370,19 +375,20 @@ func (f *Fabric) tracePkt(kind, from, to string, pkt []byte) {
 
 // route performs admission for one packet from → to: closed and
 // reachability checks, partition and loss decisions, delay computation
-// and the Sent-side stats. ok is false when the packet was consumed
-// without delivery (cut or dropped — err nil, the sender cannot tell) or
-// rejected (err non-nil). Called with no locks held.
-func (f *Fabric) route(from, to string, pkt []byte) (dst *endpoint, delay time.Duration, ok bool, err error) {
+// and the Sent-side stats, all under one hold of f.mu. dst is nil when
+// the packet was consumed without delivery (cut or dropped — err nil,
+// the sender cannot tell) or rejected (err non-nil); otherwise gen is the
+// cut generation the decision was taken at. Called with no locks held.
+func (f *Fabric) route(from, to string, pkt []byte) (dst *endpoint, gen uint64, delay time.Duration, err error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return nil, 0, false, transport.ErrClosed
+		return nil, 0, 0, transport.ErrClosed
 	}
 	dst, found := f.endpoints[to]
 	if !found {
 		f.mu.Unlock()
-		return nil, 0, false, fmt.Errorf("%w: %q", transport.ErrUnreachable, to)
+		return nil, 0, 0, fmt.Errorf("%w: %q", transport.ErrUnreachable, to)
 	}
 	if f.cutLocked(from, to) {
 		f.mu.Unlock()
@@ -391,7 +397,7 @@ func (f *Fabric) route(from, to string, pkt []byte) (dst *endpoint, delay time.D
 		if f.trace != nil {
 			f.tracePkt("cut", from, to, pkt)
 		}
-		return nil, 0, false, nil // silently dropped: the sender cannot tell
+		return nil, 0, 0, nil // silently dropped: the sender cannot tell
 	}
 	profile, perr := f.profileLocked(from, to)
 	if perr != nil {
@@ -399,7 +405,7 @@ func (f *Fabric) route(from, to string, pkt []byte) (dst *endpoint, delay time.D
 		// which the sender can tell (unlike a partition, which silently
 		// swallows traffic on an existing route).
 		f.mu.Unlock()
-		return nil, 0, false, perr
+		return nil, 0, 0, perr
 	}
 	drop := profile.Loss > 0 && f.rng.Float64() < profile.Loss
 	if !drop {
@@ -410,6 +416,7 @@ func (f *Fabric) route(from, to string, pkt []byte) (dst *endpoint, delay time.D
 		// Counted under the hold that saw closed false: Close sets closed
 		// under f.mu before it waits, so it never meets a late Add.
 		f.wg.Add(1)
+		gen = f.cuts.Load()
 	}
 	f.mu.Unlock()
 
@@ -419,13 +426,13 @@ func (f *Fabric) route(from, to string, pkt []byte) (dst *endpoint, delay time.D
 		if f.trace != nil {
 			f.tracePkt("drop", from, to, pkt)
 		}
-		return nil, 0, false, nil
+		return nil, 0, 0, nil
 	}
 	f.sent.Add(1)
 	if f.trace != nil {
 		f.tracePkt("send", from, to, pkt)
 	}
-	return dst, delay, true, nil
+	return dst, gen, delay, nil
 }
 
 // delivery is one scheduled packet delivery. The zero-delay path pools
@@ -437,6 +444,7 @@ type delivery struct {
 	f        *Fabric
 	from, to string
 	dst      *endpoint
+	gen      uint64 // the cut generation route admitted the packet at
 	cpp      *[]byte
 	cp       []byte
 }
@@ -444,18 +452,22 @@ type delivery struct {
 var deliveryPool = sync.Pool{New: func() interface{} { return new(delivery) }}
 
 // run performs the delivery, releases the packet copy and recycles the
-// descriptor. The delivery must not be touched after run returns.
+// descriptor. The delivery must not be touched after run returns. A
+// partition that appeared while the packet was in flight cuts it; only a
+// moved cut generation can mean one did, so an unmoved one skips f.mu.
 func (d *delivery) run() {
-	f, from, to, dst, cpp, cp := d.f, d.from, d.to, d.dst, d.cpp, d.cp
+	f, from, to, dst, gen, cpp, cp := d.f, d.from, d.to, d.dst, d.gen, d.cpp, d.cp
 	*d = delivery{}
 	deliveryPool.Put(d)
 	defer f.release(cpp, cp)
 	defer f.executing.Add(-1)
-	f.mu.Lock()
-	cut := f.cutLocked(from, to)
-	f.mu.Unlock()
+	cut := false
+	if f.cuts.Load() != gen {
+		f.mu.Lock()
+		cut = f.cutLocked(from, to)
+		f.mu.Unlock()
+	}
 	if cut {
-		// The partition appeared while the packet was in flight.
 		f.cut.Add(1)
 		if f.trace != nil {
 			f.tracePkt("cut-inflight", from, to, cp)
@@ -472,10 +484,10 @@ func (d *delivery) run() {
 // dispatch schedules the delivery of cp (a pooled copy owned by the
 // fabric from here on) to dst after delay. The delivery is already in
 // wg: route counted it.
-func (f *Fabric) dispatch(from, to string, dst *endpoint, delay time.Duration, cpp *[]byte, cp []byte) {
+func (f *Fabric) dispatch(from, to string, dst *endpoint, gen uint64, delay time.Duration, cpp *[]byte, cp []byte) {
 	f.inflight.Add(1)
 	d := deliveryPool.Get().(*delivery)
-	*d = delivery{f: f, from: from, to: to, dst: dst, cpp: cpp, cp: cp}
+	*d = delivery{f: f, from: from, to: to, dst: dst, gen: gen, cpp: cpp, cp: cp}
 	// executing is incremented before control leaves this goroutine (or,
 	// on the virtual path, inside the clock callback, which the clock's
 	// own firing counter already covers), so a quiescence poller never
@@ -529,12 +541,12 @@ func (f *Fabric) sendVec(from, to string, segs net.Buffers) error {
 
 // post routes the packet copy cp and schedules its delivery.
 func (f *Fabric) post(from, to string, cpp *[]byte, cp []byte) error {
-	dst, delay, ok, err := f.route(from, to, cp)
-	if !ok {
+	dst, gen, delay, err := f.route(from, to, cp)
+	if dst == nil {
 		putPkt(cpp, cp)
 		return err
 	}
-	f.dispatch(from, to, dst, delay, cpp, cp)
+	f.dispatch(from, to, dst, gen, delay, cpp, cp)
 	return nil
 }
 
@@ -577,21 +589,26 @@ func (f *Fabric) scheduleVirtual(delay time.Duration, deliver, cancel func()) {
 	f.pendMu.Unlock()
 }
 
-func pairKey(a, b string) string {
+// pair keys the fabric's per-pair maps: a directed pair as given, an
+// unordered one through pairKey. Two strings, never joined, so no name
+// can collide with another pair's.
+type pair struct{ a, b string }
+
+func pairKey(a, b string) pair {
 	if a > b {
 		a, b = b, a
 	}
-	return a + "|" + b
+	return pair{a, b}
 }
 
-// endpoint is a simulated transport.Endpoint.
+// endpoint is a simulated transport.Endpoint. Its state is atomic, so
+// sending and delivering take no lock of its own.
 type endpoint struct {
 	fabric *Fabric
 	addr   string
 
-	mu      sync.Mutex
-	handler transport.Handler
-	closed  bool
+	handler atomic.Value // transport.Handler
+	closed  atomic.Bool
 }
 
 var (
@@ -605,10 +622,7 @@ func (e *endpoint) Addr() string { return e.addr }
 
 // Send implements transport.Endpoint.
 func (e *endpoint) Send(to string, pkt []byte) error {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.closed.Load() {
 		return transport.ErrClosed
 	}
 	return e.fabric.send(e.addr, to, pkt)
@@ -616,10 +630,7 @@ func (e *endpoint) Send(to string, pkt []byte) error {
 
 // SendVec implements transport.VecSender; see Fabric.sendVec.
 func (e *endpoint) SendVec(to string, segs net.Buffers) error {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.closed.Load() {
 		return transport.ErrClosed
 	}
 	return e.fabric.sendVec(e.addr, to, segs)
@@ -639,28 +650,17 @@ func (e *endpoint) SendVec(to string, segs net.Buffers) error {
 func (e *endpoint) DeliversConcurrently() bool { return e.fabric.clk == nil }
 
 // SetHandler implements transport.Endpoint.
-func (e *endpoint) SetHandler(h transport.Handler) {
-	e.mu.Lock()
-	e.handler = h
-	e.mu.Unlock()
-}
+func (e *endpoint) SetHandler(h transport.Handler) { e.handler.Store(h) }
 
 // Close implements transport.Endpoint. The endpoint stays registered (its
 // name remains claimed) but drops all traffic, like a crashed process.
 func (e *endpoint) Close() error {
-	e.mu.Lock()
-	e.closed = true
-	e.mu.Unlock()
+	e.closed.Store(true)
 	return nil
 }
 
 func (e *endpoint) deliver(from string, pkt []byte) {
-	e.mu.Lock()
-	h := e.handler
-	closed := e.closed
-	e.mu.Unlock()
-	if closed || h == nil {
-		return
+	if h, _ := e.handler.Load().(transport.Handler); h != nil && !e.closed.Load() {
+		h(from, pkt)
 	}
-	h(from, pkt)
 }

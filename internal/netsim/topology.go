@@ -57,6 +57,7 @@ func (f *Fabric) JoinSubnet(addr, name string) {
 	if _, ok := f.subnets[name]; !ok {
 		panic(fmt.Sprintf("netsim: JoinSubnet(%q, %q): unknown subnet", addr, name))
 	}
+	f.cuts.Add(1)
 	f.memberOf[addr] = name
 }
 
@@ -79,8 +80,8 @@ func (f *Fabric) LinkSubnets(a, b string, p LinkProfile) {
 			panic(fmt.Sprintf("netsim: LinkSubnets(%q, %q): unknown subnet %q", a, b, n))
 		}
 	}
-	f.gateways[a+"|"+b] = p
-	f.gateways[b+"|"+a] = p
+	f.gateways[pair{a, b}] = p
+	f.gateways[pair{b, a}] = p
 }
 
 // PartitionSubnets cuts (or heals, when cut is false) every path between
@@ -88,27 +89,14 @@ func (f *Fabric) LinkSubnets(a, b string, p LinkProfile) {
 // subnet traffic on both sides continues. Idempotent; subnet names need
 // not exist yet.
 func (f *Fabric) PartitionSubnets(a, b string, cut bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	key := pairKey(a, b)
-	if cut {
-		f.partitionedSubnets[key] = true
-	} else {
-		delete(f.partitionedSubnets, key)
-	}
+	setCut(f, f.partitionedSubnets, pairKey(a, b), cut)
 }
 
 // IsolateSubnet cuts (or heals) every path crossing the subnet's boundary
 // — the whole domain drops off the federation while its internal traffic
 // continues. Idempotent.
 func (f *Fabric) IsolateSubnet(name string, cut bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if cut {
-		f.isolatedSubnets[name] = true
-	} else {
-		delete(f.isolatedSubnets, name)
-	}
+	setCut(f, f.isolatedSubnets, name, cut)
 }
 
 // composeProfiles chains link segments: fixed costs add, jitter windows
@@ -132,7 +120,7 @@ func composeProfiles(segs ...LinkProfile) LinkProfile {
 // profileLocked resolves the effective profile for from → to under the
 // precedence documented at the top of this file. Called with f.mu held.
 func (f *Fabric) profileLocked(from, to string) (LinkProfile, error) {
-	if p, ok := f.links[from+"|"+to]; ok {
+	if p, ok := f.links[pair{from, to}]; ok {
 		return p, nil
 	}
 	sa, aok := f.memberOf[from]
@@ -143,7 +131,7 @@ func (f *Fabric) profileLocked(from, to string) (LinkProfile, error) {
 	if sa == sb {
 		return f.subnets[sa].intra, nil
 	}
-	gw, ok := f.gateways[sa+"|"+sb]
+	gw, ok := f.gateways[pair{sa, sb}]
 	if !ok {
 		return LinkProfile{}, fmt.Errorf("%w: no gateway link %s>%s", transport.ErrUnreachable, sa, sb)
 	}

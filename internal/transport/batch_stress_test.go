@@ -6,7 +6,9 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,4 +117,69 @@ func TestCoalescedConcurrentSendersNoInterleave(t *testing.T) {
 	t.Logf("sent %d frames in %d batches (%.1f frames/batch)",
 		st.FramesBatched, st.BatchesSent,
 		float64(st.FramesBatched)/float64(st.BatchesSent))
+}
+
+// TestCoalescerFirstSendsRace: sixteen goroutines make their first sends
+// to one new address at the same moment, so they race to create its
+// record and start its one flusher. Every frame arrives whole, Close
+// returns, and a send after Close is refused.
+func TestCoalescerFirstSendsRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const senders = 16
+	a, b := newMemEP("mem://a"), newMemEP("mem://b")
+	wire(a, b)
+	c := NewCoalescer(a, clock.Real{}, nil)
+	var (
+		mu  sync.Mutex
+		got = make(map[string]int)
+	)
+	rx := NewCoalescer(b, clock.Real{}, nil)
+	defer func() { _ = rx.Close() }()
+	rx.SetHandler(func(_ string, pkt []byte) {
+		mu.Lock()
+		got[string(pkt)]++
+		mu.Unlock()
+	})
+
+	frame := func(i int) []byte { return bytes.Repeat([]byte{byte('A' + i)}, 100+i) }
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			if err := c.Send("mem://b", frame(i)); err != nil {
+				t.Errorf("sender %d: %v", i, err)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < senders; i++ {
+		if n := got[string(frame(i))]; n != 1 {
+			t.Errorf("frame %d arrived whole %d times, want 1", i, n)
+		}
+	}
+	if len(got) != senders {
+		t.Errorf("%d distinct frames arrived, want %d", len(got), senders)
+	}
+	if err := c.Send("mem://b", []byte("late")); err != ErrClosed {
+		t.Fatalf("send after close: got %v want ErrClosed", err)
+	}
+	if err := c.SendLazy("mem://b", []byte("late")); err != ErrClosed {
+		t.Fatalf("lazy send after close: got %v want ErrClosed", err)
+	}
 }

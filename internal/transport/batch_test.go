@@ -455,3 +455,31 @@ func overwriteCount(pkt []byte, n uint32) []byte {
 	binary.BigEndian.PutUint32(cp[3:], n)
 	return cp
 }
+
+// sinkEP is an Endpoint whose writes go nowhere, so a benchmark over it
+// prices the coalescer alone.
+type sinkEP struct{}
+
+func (sinkEP) Addr() string              { return "mem://sink" }
+func (sinkEP) SetHandler(Handler)        {}
+func (sinkEP) Send(string, []byte) error { return nil }
+func (sinkEP) Close() error              { return nil }
+
+// BenchmarkCoalescerSendKnownPeer prices a Send, on a free wire, to a
+// peer whose record the first send created: the peer lookup, the enqueue
+// and the direct write of a batch of one.
+func BenchmarkCoalescerSendKnownPeer(b *testing.B) {
+	c := NewCoalescer(sinkEP{}, clock.Real{}, nil)
+	defer func() { _ = c.Close() }()
+	pkt := make([]byte, 64)
+	if err := c.Send("mem://b", pkt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Send("mem://b", pkt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
