@@ -124,17 +124,9 @@ type Fabric struct {
 	pending map[uint64]pendEntry
 	pendSeq uint64
 
-	// Zero-delay delivery worker pool, started by the deliveries that
-	// need it (workers counts the live ones). jobq is unbuffered; a
-	// hand-off takes one of idle's tokens, which a worker adds once it has
-	// nothing left to do but receive, so a delivery never waits behind a
-	// busy worker (submit spawns instead) and serial traffic reuses a few
-	// warm stacks (see EXPERIMENTS.md on runtime.newstack). A worker not
-	// yet parked counts: on a contended CPU one can wait in the run queue,
-	// and requiring it parked spilled every delivery to a fresh goroutine.
-	jobq          chan *delivery
-	idle, workers atomic.Int32
-	workerWg      sync.WaitGroup
+	// workers runs zero-delay deliveries on resident goroutines, started
+	// by the deliveries that need them.
+	workers *transport.Workers[*delivery]
 
 	// Per-packet counters; Stats() assembles the snapshot. Atomic so that
 	// counting a packet takes no lock beside f.mu.
@@ -176,9 +168,7 @@ func WithTrace(fn TraceFunc) Option {
 	return func(f *Fabric) { f.trace = fn }
 }
 
-// deliveryWorkers is the size of the resident zero-delay worker pool.
-// Bursts beyond it spill to fresh goroutines, so the count bounds only
-// how many warm stacks are kept, not concurrency.
+// deliveryWorkers bounds the resident zero-delay delivery workers.
 const deliveryWorkers = 4
 
 // NewFabric creates an empty fabric. The default link is Loopback.
@@ -198,43 +188,12 @@ func NewFabric(opts ...Option) *Fabric {
 		isolatedSubnets:    make(map[string]bool),
 
 		pending: make(map[uint64]pendEntry),
-		jobq:    make(chan *delivery),
+		workers: transport.NewWorkers(deliveryWorkers, (*delivery).run),
 	}
 	for _, o := range opts {
 		o(f)
 	}
 	return f
-}
-
-// worker runs d, then parks on jobq alone, no select, until Close closes
-// it; it leaves the count of workers as it exits.
-func (f *Fabric) worker(d *delivery) {
-	defer f.workerWg.Done()
-	defer f.workers.Add(-1)
-	for ok := true; ok; d, ok = <-f.jobq {
-		d.run()
-		f.idle.Add(1)
-	}
-}
-
-// submit runs d on an idle worker, on a new one while there are fewer
-// than deliveryWorkers, or else on a fresh goroutine — never queues. A
-// delivery therefore cannot deadlock behind workers blocked in handlers
-// (a handler may block on a nested invocation whose reply needs a
-// delivery of its own).
-func (f *Fabric) submit(d *delivery) {
-	if f.idle.Add(-1) >= 0 {
-		f.jobq <- d // a worker that does nothing else will receive it
-		return
-	}
-	f.idle.Add(1) // a token gone negative makes a racing submit spawn, never wait
-	if f.workers.Add(1) <= deliveryWorkers {
-		f.workerWg.Add(1)
-		go f.worker(d)
-		return
-	}
-	f.workers.Add(-1)
-	go d.run()
 }
 
 // Endpoint creates (or returns the existing) endpoint with the given
@@ -334,11 +293,7 @@ func (f *Fabric) Close() error {
 		}
 	}
 	f.wg.Wait()
-	// submit runs only inside the window route counted in wg, so nobody
-	// starts a worker or sends on jobq any more: closing it ends the
-	// workers' loops.
-	close(f.jobq)
-	f.workerWg.Wait()
+	f.workers.Close() // Submit runs only inside the window route counted in wg
 	return nil
 }
 
@@ -495,7 +450,7 @@ func (f *Fabric) dispatch(from, to string, dst *endpoint, gen uint64, delay time
 	switch {
 	case delay <= 0:
 		f.executing.Add(1)
-		f.submit(d)
+		f.workers.Submit(d)
 	case f.clk != nil:
 		// The two closures allocate, but only virtual-time (sim) runs
 		// take this branch.

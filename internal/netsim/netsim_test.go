@@ -363,11 +363,11 @@ func TestFabricCloseRacingVirtualSends(t *testing.T) {
 // TestFabricCloseStopsWorkers: the zero-delay workers start with the
 // deliveries that need them, serve them while the fabric is open — never
 // more than deliveryWorkers — and have exited once Close returns: the
-// worker loop ends when Close closes the job queue. It reads this
-// fabric's own count, whatever other fabrics' workers are doing.
+// worker loop ends when Close closes the pool. It reads this fabric's
+// own pool's live count, whatever other fabrics' workers are doing.
 func TestFabricCloseStopsWorkers(t *testing.T) {
 	f := NewFabric()
-	if n := f.workers.Load(); n != 0 {
+	if n := f.workers.Live(); n != 0 {
 		t.Fatalf("%d workers before the first delivery, want 0", n)
 	}
 	a, _ := f.Endpoint("a")
@@ -379,7 +379,7 @@ func TestFabricCloseStopsWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w := f.workers.Load(); w < 1 || w > deliveryWorkers {
+	if w := f.workers.Live(); w < 1 || w > deliveryWorkers {
 		t.Fatalf("%d workers while open, want 1 to %d", w, deliveryWorkers)
 	}
 	if err := f.Close(); err != nil {
@@ -388,7 +388,7 @@ func TestFabricCloseStopsWorkers(t *testing.T) {
 	if got := n.Load(); got != 100 {
 		t.Fatalf("%d of 100 deliveries ran before Close returned", got)
 	}
-	if w := f.workers.Load(); w != 0 {
+	if w := f.workers.Live(); w != 0 {
 		t.Fatalf("%d workers after Close returned, want 0", w)
 	}
 }

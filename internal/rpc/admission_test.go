@@ -149,7 +149,7 @@ func TestAdmissionBusyReplyNotCached(t *testing.T) {
 		if err != nil || h.kind != msgReply {
 			return
 		}
-		rb, err := decodeReplyBody(codec, rest)
+		rb, err := decodeReplyBody(codec, new(names), rest)
 		if err != nil {
 			return
 		}

@@ -156,6 +156,9 @@ type Client struct {
 	// one nil check.
 	obs *obs.Collector
 
+	// names holds the reply outcomes, so a reply does not copy one.
+	names names
+
 	stats clientCounters
 	// lat is the send→reply latency distribution: first transmission to
 	// reply delivery, retransmissions included. Unlike spans it is
@@ -609,7 +612,7 @@ func (c *Client) interpret(rb replyBody) (string, []wire.Value, error) {
 // the clock's one FIFO runner, so which batch carries an ack follows
 // event order, not the order goroutines happen to run in.
 func (c *Client) deliverReply(callID uint64, body []byte) {
-	rb, err := decodeReplyBody(c.codec, body)
+	rb, err := decodeReplyBody(c.codec, &c.names, body)
 	if err != nil {
 		c.stats.badReplies.Add(1)
 		return

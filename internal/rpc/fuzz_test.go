@@ -120,7 +120,7 @@ func checkFrame(t *testing.T, data []byte) {
 		_, _ = wire.DecodeAll(wire.PackedCodec{}, body)
 		_, _ = wire.DecodeAll(wire.TextCodec{}, body)
 	case msgReply:
-		_, _ = decodeReplyBody(wire.PackedCodec{}, body)
+		_, _ = decodeReplyBody(wire.PackedCodec{}, new(names), body)
 	}
 }
 

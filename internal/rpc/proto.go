@@ -23,6 +23,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"odp/internal/obs"
@@ -236,7 +239,9 @@ type replyBody struct {
 	err     error // a failure decided at the client; nothing else is read
 }
 
-func decodeReplyBody(codec wire.Codec, src []byte) (replyBody, error) {
+// decodeReplyBody decodes a reply body; the outcome comes from nm, so a
+// reply allocates nothing for a name its client has seen before.
+func decodeReplyBody(codec wire.Codec, nm *names, src []byte) (replyBody, error) {
 	if len(src) < 1 {
 		return replyBody{}, ErrBadMessage
 	}
@@ -245,16 +250,20 @@ func decodeReplyBody(codec wire.Codec, src []byte) (replyBody, error) {
 	var err error
 	switch rb.status {
 	case statusOK:
-		if rb.outcome, rest, err = readStr(rest); err != nil {
+		var outcome []byte
+		if outcome, rest, err = readBytes(rest); err != nil {
 			return replyBody{}, err
 		}
+		rb.outcome = nm.intern(aliasString(outcome))
 		if rb.results, err = wire.DecodeAll(codec, rest); err != nil {
 			return replyBody{}, err
 		}
 	case statusSysError, statusDenied:
-		if rb.msg, _, err = readStr(rest); err != nil {
+		msg, _, err := readBytes(rest)
+		if err != nil {
 			return replyBody{}, err
 		}
+		rb.msg = string(msg)
 	case statusMoved:
 		v, _, err := codec.Decode(rest)
 		if err != nil {
@@ -279,14 +288,6 @@ func appendStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func readStr(src []byte) (string, []byte, error) {
-	b, rest, err := readBytes(src)
-	if err != nil {
-		return "", nil, err
-	}
-	return string(b), rest, nil
-}
-
 // aliasString views b as a string without copying. The result is valid
 // exactly as long as b's storage is — use only on the zero-copy
 // dispatch path, where the lifetime is the handler call.
@@ -297,8 +298,42 @@ func aliasString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// readBytes is readStr without the string materialisation: the returned
-// slice aliases src.
+// names interns the strings a peer sends again and again — object ids,
+// operations, reply outcomes — so one that must outlive its packet is
+// copied once, not once a call. The table is copy-on-write, read with one
+// atomic load; it keeps at most maxNames of at most maxNameLen bytes, and
+// clones past that, so a peer sending ever new names pins nothing.
+type names struct {
+	table atomic.Value // map[string]string
+	mu    sync.Mutex   // serializes writers
+}
+
+const maxNames, maxNameLen = 256, 128
+
+// intern returns a string equal to s that does not alias s's storage.
+func (n *names) intern(s string) string {
+	t, _ := n.table.Load().(map[string]string)
+	if v, ok := t[s]; ok {
+		return v
+	}
+	v := strings.Clone(s)
+	if len(v) <= maxNameLen && len(t) < maxNames {
+		n.mu.Lock()
+		if t, _ = n.table.Load().(map[string]string); len(t) < maxNames {
+			next := make(map[string]string, len(t)+1)
+			for k, w := range t {
+				next[k] = w
+			}
+			next[v] = v
+			n.table.Store(next)
+		}
+		n.mu.Unlock()
+	}
+	return v
+}
+
+// readBytes reads a length-prefixed field; the returned slice aliases
+// src.
 func readBytes(src []byte) ([]byte, []byte, error) {
 	if len(src) < 4 {
 		return nil, nil, ErrBadMessage

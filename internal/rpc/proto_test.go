@@ -134,7 +134,7 @@ func TestReplyBodyRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rb, err := decodeReplyBody(codec, enc)
+			rb, err := decodeReplyBody(codec, new(names), enc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,12 +163,12 @@ func TestReplyBodyGarbage(t *testing.T) {
 		buf := make([]byte, rng.Intn(48))
 		rng.Read(buf)
 		// Must never panic.
-		_, _ = decodeReplyBody(codec, buf)
+		_, _ = decodeReplyBody(codec, new(names), buf)
 	}
-	if _, err := decodeReplyBody(codec, nil); !errors.Is(err, ErrBadMessage) {
+	if _, err := decodeReplyBody(codec, new(names), nil); !errors.Is(err, ErrBadMessage) {
 		t.Fatal("empty body accepted")
 	}
-	if _, err := decodeReplyBody(codec, []byte{99}); !errors.Is(err, ErrBadMessage) {
+	if _, err := decodeReplyBody(codec, new(names), []byte{99}); !errors.Is(err, ErrBadMessage) {
 		t.Fatal("unknown status accepted")
 	}
 }

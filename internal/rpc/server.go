@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,12 +178,16 @@ type Server struct {
 	handler Handler
 
 	// inline dispatches handlers synchronously in the delivery
-	// goroutine instead of spawning one per request. Safe only on
+	// goroutine instead of handing them to workers. Safe only on
 	// endpoints whose deliveries are independently scheduled
 	// (transport.ConcurrentDeliverer) — on a serial read loop an
 	// inline handler blocking on a nested call would deadlock the
 	// very replies it waits for — so it is read off the endpoint.
 	inline bool
+	// workers runs the dispatches that are not inline; names holds the
+	// header strings they and sampled spans keep beyond the packet.
+	workers *transport.Workers[*call]
+	names   names
 
 	sharing // active: interrogations admitted and not yet replied to
 
@@ -283,6 +286,7 @@ func newServerNoHandler(ep transport.Batcher, codec wire.Codec, handler Handler,
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	cd, ok := ep.(transport.ConcurrentDeliverer)
 	s.inline = ok && cd.DeliversConcurrently()
+	s.workers = transport.NewWorkers(dispatchWorkers, s.run)
 	for _, o := range opts {
 		o(s)
 	}
@@ -326,6 +330,7 @@ func (s *Server) Close() error {
 	s.cancel()
 	close(s.stop)
 	s.wg.Wait()
+	s.workers.Close()
 	return nil
 }
 
@@ -440,7 +445,7 @@ func (s *Server) onRequest(from string, h header, body []byte) {
 func (s *Server) noteReject(h header) {
 	if s.obs != nil && h.trace.Valid() {
 		// The op string must outlive the packet: the span ring keeps it.
-		s.obs.Event(h.trace, obs.KindReject, strings.Clone(h.op))
+		s.obs.Event(h.trace, obs.KindReject, s.names.intern(h.op))
 	}
 }
 
@@ -490,12 +495,18 @@ type call struct {
 
 var callPool = sync.Pool{New: func() interface{} { return new(call) }}
 
+// dispatchWorkers bounds the server's resident dispatch workers, and so
+// the stacks kept parked between bursts. Measured on tcp_pipelined and
+// tcp_announce (EXPERIMENTS.md, Hot-path engineering): 4 keeps too few
+// warm; from 8 up, unbounded included, throughput is flat within noise.
+const dispatchWorkers = 32
+
 // startExecute decodes the argument vector and runs the handler —
 // inline iff the endpoint delivers concurrently. Inline, the handler
 // finishes before the delivery callback returns, so the header strings
-// alias the packet outright; spawned, the packet dies when this call
-// returns and they are copied. The arguments own their storage either
-// way.
+// alias the packet outright; handed to a worker, the packet dies when
+// this call returns and they are interned. The arguments own their
+// storage either way.
 func (s *Server) startExecute(from string, h header, body []byte, p *peerCalls, sc *serverCall) {
 	c := callPool.Get().(*call)
 	c.id, c.trace, c.p, c.sc = h.callID, h.trace, p, sc
@@ -503,14 +514,13 @@ func (s *Server) startExecute(from string, h header, body []byte, p *peerCalls, 
 	c.in.Args, c.err = wire.DecodeAll(s.codec, body)
 	if s.inline {
 		if s.obs != nil && h.trace.Valid() {
-			// The span ring retains the operation name beyond the dispatch;
-			// only sampled requests pay the copy.
-			c.in.Op = strings.Clone(h.op)
+			// The span ring retains the operation name beyond the dispatch.
+			c.in.Op = s.names.intern(h.op)
 		}
 		s.run(c)
 	} else {
-		c.in.ObjID, c.in.Op = strings.Clone(h.objID), strings.Clone(h.op)
-		go s.run(c)
+		c.in.ObjID, c.in.Op = s.names.intern(h.objID), s.names.intern(h.op)
+		s.workers.Submit(c)
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 // reliability simply means the loss probability is zero; the invocation
 // protocol above is identical to the simulated case.
 //
-// Each connection owns a write mutex and a reusable frame buffer:
+// Each connection owns a write mutex and a reusable frame header:
 // concurrent senders serialize per connection, so frames never interleave
 // (a single net.Conn.Write may issue several syscalls on partial writes)
 // and steady-state sends allocate nothing. Its read loop owns one buffer
@@ -55,8 +55,8 @@ var (
 )
 
 // maxRetainedBuf is the size of a connection's read buffer and bounds
-// the frame and read buffers it keeps between packets: one oversized
-// frame must not pin its storage for the connection's lifetime.
+// the buffers kept between packets: one oversized frame must not pin its
+// storage for the connection's lifetime.
 const maxRetainedBuf = 64 << 10
 
 const (
@@ -74,49 +74,32 @@ type tcpConn struct {
 	conn net.Conn
 
 	wmu   sync.Mutex
-	wbuf  []byte      // reusable frame buffer, guarded by wmu
+	wbuf  []byte      // reusable frame header (and hello), guarded by wmu
 	wvec  net.Buffers // reusable scatter-gather vector, guarded by wmu
+	wcur  net.Buffers // the part of wvec WriteTo has yet to write, guarded by wmu
 	hello int         // bytes of wbuf that are the hello the first frame carries
 }
 
-// writeFrame frames and transmits one packet. The per-connection mutex
-// makes the frame atomic on the stream even when the kernel accepts the
-// buffer in several partial writes; the retained buffer makes the steady
-// state allocation-free.
-func (c *tcpConn) writeFrame(pkt []byte) error {
-	c.wmu.Lock()
-	buf := append(binary.BigEndian.AppendUint32(c.wbuf[:c.hello], uint32(len(pkt))), pkt...)
-	c.hello = 0
-	if cap(buf) <= maxRetainedBuf {
-		c.wbuf = buf
-	} else {
-		c.wbuf = nil
-	}
-	_, err := c.conn.Write(buf)
-	c.wmu.Unlock()
-	return err
-}
-
-// writeFrameVec frames and transmits one packet supplied as segments,
+// writeFrame frames and transmits one packet supplied as segments,
 // without gathering it into a contiguous buffer: the framing header
 // becomes the leading segment and the vector goes to the kernel as one
 // writev (net.Buffers uses writev on TCP connections), so a coalesced
 // batch crosses the stream in a single syscall with zero copies on this
-// side. The write mutex keeps the frame atomic on the stream.
-func (c *tcpConn) writeFrameVec(segs net.Buffers, total int) error {
+// side. The write mutex keeps the frame atomic on the stream even when
+// the kernel accepts it in several partial writes.
+func (c *tcpConn) writeFrame(segs net.Buffers, total int) error {
 	c.wmu.Lock()
 	c.wbuf = binary.BigEndian.AppendUint32(c.wbuf[:c.hello], uint32(total))
 	c.hello = 0
 	vec := append(c.wvec[:0], c.wbuf)
 	vec = append(vec, segs...)
 	// WriteTo consumes its receiver as segments drain, so it gets a
-	// copy of the slice header; the caller's segment slices are only
-	// read, never modified.
-	work := vec
-	_, err := work.WriteTo(c.conn)
-	for i := range vec {
-		vec[i] = nil
-	}
+	// copy of the slice header, kept in the connection: a local copy
+	// escapes through the method and costs every frame an allocation.
+	// The caller's segment slices are only read, never modified.
+	c.wcur = vec
+	_, err := c.wcur.WriteTo(c.conn)
+	clear(vec)
 	c.wvec = vec[:0]
 	c.wmu.Unlock()
 	return err
@@ -207,17 +190,7 @@ func (e *TCPEndpoint) dropConn(to string, tc *tcpConn) {
 
 // Send implements Endpoint. to must have the form "tcp:host:port".
 func (e *TCPEndpoint) Send(to string, pkt []byte) error {
-	if len(pkt) > MaxPacket {
-		return ErrTooLarge
-	}
-	tc, err := e.connFor(to)
-	if err != nil {
-		return err
-	}
-	if err := tc.writeFrame(pkt); err != nil {
-		e.dropConn(to, tc)
-	}
-	return nil
+	return e.SendVec(to, net.Buffers{pkt})
 }
 
 // SendVec implements VecSender: the segments cross the stream as one
@@ -234,7 +207,7 @@ func (e *TCPEndpoint) SendVec(to string, segs net.Buffers) error {
 	if err != nil {
 		return err
 	}
-	if err := tc.writeFrameVec(segs, total); err != nil {
+	if err := tc.writeFrame(segs, total); err != nil {
 		e.dropConn(to, tc)
 	}
 	return nil

@@ -275,3 +275,31 @@ func TestTCPPeerRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPSendVecAllocFree: a frame written as a vector over a warm
+// connection allocates nothing — not even the consumable copy of the
+// vector's header that net.Buffers.WriteTo drains, which a local copy
+// would put on the heap once a frame.
+func TestTCPSendVecAllocFree(t *testing.T) {
+	a, b := newPair(t)
+	var got atomic.Int64
+	b.SetHandler(func(string, []byte) { got.Add(1) })
+	segs := net.Buffers{[]byte("bat"), []byte("ch")}
+	send := func() {
+		if err := a.SendVec(b.Addr(), segs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // dial, hello, read loop
+	allocs := testing.AllocsPerRun(200, send)
+	deadline := time.Now().Add(2 * time.Second)
+	for got.Load() < 202 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := got.Load(); n != 202 {
+		t.Fatalf("%d of 202 frames delivered", n)
+	}
+	if allocs != 0 {
+		t.Fatalf("a vector frame write allocates %.1f/op, want 0", allocs)
+	}
+}

@@ -17,6 +17,8 @@ package transport
 import (
 	"errors"
 	"net"
+	"sync"
+	"sync/atomic"
 )
 
 // Handler consumes one inbound packet. Implementations are called from
@@ -58,12 +60,72 @@ type VecSender interface {
 // deliveries run on independent goroutines, so a Handler that blocks —
 // on a nested invocation, say — cannot stall the delivery of the very
 // packet it is waiting for. The rpc server dispatches handlers inline
-// in the delivery goroutine on such endpoints, skipping a per-request
-// goroutine hand-off; on serial transports (one read loop per
-// connection, like TCP) it must not, and keeps the asynchronous path.
+// in the delivery goroutine on such endpoints, skipping the hand-off to
+// a worker (Workers); on serial transports (one read loop per
+// connection, like TCP) it must not, and hands every dispatch off.
 type ConcurrentDeliverer interface {
 	DeliversConcurrently() bool
 }
+
+// Workers runs jobs on at most bound resident goroutines, which keep the
+// stacks their jobs grew: a job does not start on a fresh 2 KiB stack and
+// pay its growth again (EXPERIMENTS.md on runtime.newstack). The bound
+// limits the parked stacks kept, not concurrency. The simulated fabric's
+// deliveries and the rpc server's serial-transport dispatch use one each.
+type Workers[T any] struct {
+	run        func(T)
+	bound      int32
+	jobq       chan T // unbuffered
+	idle, live atomic.Int32
+	wg         sync.WaitGroup
+}
+
+// NewWorkers returns a pool of at most bound workers that call run.
+func NewWorkers[T any](bound int, run func(T)) *Workers[T] {
+	return &Workers[T]{run: run, bound: int32(bound), jobq: make(chan T)}
+}
+
+// Submit runs job on an idle worker, on a new one while fewer than the
+// bound are live, or else on a fresh goroutine — never queues, so a job
+// cannot deadlock behind workers blocked on nested invocations. A
+// hand-off takes one of idle's tokens, which a worker adds once it has
+// nothing left to do but receive: one not yet parked counts, or on a
+// contended CPU every job spilled to a fresh goroutine.
+func (w *Workers[T]) Submit(job T) {
+	if w.idle.Add(-1) >= 0 {
+		w.jobq <- job // a worker that does nothing else will receive it
+		return
+	}
+	w.idle.Add(1) // a token gone negative makes a racing Submit spawn, never wait
+	if w.live.Add(1) <= w.bound {
+		w.wg.Add(1)
+		go w.worker(job)
+		return
+	}
+	w.live.Add(-1)
+	go w.run(job)
+}
+
+// worker runs job, then parks on jobq alone, no select, until Close
+// closes it.
+func (w *Workers[T]) worker(job T) {
+	defer w.wg.Done()
+	defer w.live.Add(-1)
+	for ok := true; ok; job, ok = <-w.jobq {
+		w.run(job)
+		w.idle.Add(1)
+	}
+}
+
+// Close returns once the workers have exited. No Submit may run during or
+// after it; jobs spilled to fresh goroutines are the caller's to wait for.
+func (w *Workers[T]) Close() {
+	close(w.jobq)
+	w.wg.Wait()
+}
+
+// Live reports how many workers are running.
+func (w *Workers[T]) Live() int { return int(w.live.Load()) }
 
 // Errors returned by endpoints.
 var (

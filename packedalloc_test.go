@@ -20,8 +20,9 @@ import (
 )
 
 // packedE1AllocBudget is the ceiling for allocations per packed E1
-// call. The path costs 3 — the result vector the servant returns, the
-// client's decoded reply and its boxing; PRs 13 and 16 took it from 13
+// call. The path costs 2 — the result vector the servant returns and the
+// client's decoded reply (3 while every reply's outcome was a fresh
+// string, before the client interned it); PRs 13 and 16 took it from 13
 // to 7, and PR 22 took the server's call row, its cached reply packet
 // and the ack queue's growth out (the row and its buffer are reused per
 // peer). The headroom absorbs runtime jitter: a row or a reply packet
@@ -117,10 +118,11 @@ func TestPackedE1AllocGate(t *testing.T) {
 // bulkEchoAllocBudget is the ceiling for echoing tcp_bulk's ~12 KiB
 // structured value between two coalesced platforms: about 300 boxed
 // scalars and headers each way, decoded into a dozen slabs a side. The
-// call costs 26 (30 while a reply above 512 bytes was encoded into a nil
-// buffer that append grew four times and recycle then dropped — it now
-// comes from, and returns to, the buffer pool); it cost 764 when every
-// scalar was its own object, twice over on the server.
+// call costs 25 (26 before the client interned the reply's outcome, 30
+// while a reply above 512 bytes was encoded into a nil buffer that
+// append grew four times and recycle then dropped — it now comes from,
+// and returns to, the buffer pool); it cost 764 when every scalar was its
+// own object, twice over on the server.
 const bulkEchoAllocBudget = 28
 
 func TestBulkEchoAllocGate(t *testing.T) {

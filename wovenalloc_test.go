@@ -13,8 +13,8 @@ import (
 	"odp"
 )
 
-// wovenE1AllocBudget is the woven call's ceiling. It costs 10: the same
-// put on a bare object costs 5, and the four interceptors and the signer
+// wovenE1AllocBudget is the woven call's ceiling. It costs 9: the same
+// put on a bare object costs 4, and the four interceptors and the signer
 // add 5, site by site:
 //   - the signer: the credential, its boxing and the signed argument
 //     vector (3);
