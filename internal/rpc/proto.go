@@ -240,7 +240,8 @@ type replyBody struct {
 }
 
 // decodeReplyBody decodes a reply body; the outcome comes from nm, so a
-// reply allocates nothing for a name its client has seen before.
+// reply allocates nothing for a name its client has seen before. Bytes
+// after what the status carries make the body malformed.
 func decodeReplyBody(codec wire.Codec, nm *names, src []byte) (replyBody, error) {
 	if len(src) < 1 {
 		return replyBody{}, ErrBadMessage
@@ -258,15 +259,16 @@ func decodeReplyBody(codec wire.Codec, nm *names, src []byte) (replyBody, error)
 		if rb.results, err = wire.DecodeAll(codec, rest); err != nil {
 			return replyBody{}, err
 		}
+		rest = nil // DecodeAll refuses trailing bytes itself
 	case statusSysError, statusDenied:
-		msg, _, err := readBytes(rest)
-		if err != nil {
+		var msg []byte
+		if msg, rest, err = readBytes(rest); err != nil {
 			return replyBody{}, err
 		}
 		rb.msg = string(msg)
 	case statusMoved:
-		v, _, err := codec.Decode(rest)
-		if err != nil {
+		var v wire.Value
+		if v, rest, err = codec.Decode(rest); err != nil {
 			return replyBody{}, err
 		}
 		ref, ok := v.(wire.Ref)
@@ -277,6 +279,9 @@ func decodeReplyBody(codec wire.Codec, nm *names, src []byte) (replyBody, error)
 	case statusNoObject, statusBusy:
 	default:
 		return replyBody{}, fmt.Errorf("%w: status %d", ErrBadMessage, rb.status)
+	}
+	if len(rest) != 0 {
+		return replyBody{}, fmt.Errorf("%w: %d bytes after a status %d reply", ErrBadMessage, len(rest), rb.status)
 	}
 	return rb, nil
 }

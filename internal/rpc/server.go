@@ -361,7 +361,9 @@ func route(c *Client, s *Server, from string, pkt []byte) {
 	case msgAnnounce:
 		s.onAnnounce(from, h, body)
 	case msgAck:
-		s.onAck(from, h.callID)
+		if len(body) == 0 { // an ack carries nothing
+			s.onAck(from, h.callID)
+		}
 	}
 }
 

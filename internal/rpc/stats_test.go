@@ -69,6 +69,62 @@ func TestBadAndOrphanReplyCounters(t *testing.T) {
 	}
 }
 
+// TestTrailingBytesRefused: a reply or an ack with bytes after what its
+// kind carries is a malformed frame, whatever it says. Each reply shape
+// decodes well-formed (an orphan: no call is pending) and is counted in
+// BadReplies with one byte more; an ack with a body leaves the reply it
+// names cached, and the bare ack then evicts it.
+func TestTrailingBytesRefused(t *testing.T) {
+	f := netsim.NewFabric()
+	t.Cleanup(func() { _ = f.Close() })
+	cep, err := f.Endpoint("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(coalesce(t, cep), codec)
+	t.Cleanup(func() { _ = cli.Close() })
+	for i, tt := range []struct {
+		name    string
+		status  byte
+		outcome string
+		msg     string
+		fwd     wire.Ref
+	}{
+		{"ok", statusOK, "ok", "", wire.Ref{}},
+		{"sys-error", statusSysError, "", "boom", wire.Ref{}},
+		{"denied", statusDenied, "", "no", wire.Ref{}},
+		{"moved", statusMoved, "", "", wire.Ref{ID: "o", Endpoints: []string{"elsewhere"}}},
+		{"no-object", statusNoObject, "", "", wire.Ref{}},
+		{"busy", statusBusy, "", "", wire.Ref{}},
+	} {
+		pkt, err := appendReplyBody(codec, encodeHeader(nil, header{kind: msgReply, callID: uint64(1000 + i)}), tt.status, tt.outcome, nil, tt.msg, tt.fwd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := cli.Stats()
+		route(cli, nil, "server", pkt)
+		route(cli, nil, "server", append(pkt, 0))
+		after := cli.Stats()
+		if after.OrphanReplies != before.OrphanReplies+1 || after.BadReplies != before.BadReplies+1 {
+			t.Errorf("%s: orphans %d -> %d, bad replies %d -> %d; want the well-formed reply an orphan and the one with a trailing byte bad",
+				tt.name, before.OrphanReplies, after.OrphanReplies, before.BadReplies, after.BadReplies)
+		}
+	}
+
+	srv, _ := fakeClockServer(t, func(context.Context, *Incoming) (string, []wire.Value, error) {
+		return "ok", nil, nil
+	})
+	inject(srv, "caller", msgRequest, 1)
+	route(nil, srv, "caller", append(rawFrame(msgAck, 1), 0))
+	if got := srv.Stats().CacheEvictions; got != 0 {
+		t.Fatalf("an ack with a body evicted %d cached replies, want 0", got)
+	}
+	inject(srv, "caller", msgAck, 1)
+	if got := srv.Stats().CacheEvictions; got != 1 {
+		t.Fatalf("the bare ack evicted %d cached replies, want 1", got)
+	}
+}
+
 // ackDropper loses every ack its owner queues.
 type ackDropper struct{ *transport.Coalescer }
 

@@ -191,25 +191,33 @@ func bulkValue(rng *rand.Rand) Value {
 
 // TestBulkDecodeAllocGate pins what a decoded message costs: a handful
 // of slabs for a large structured value, and for the scalar vectors of
-// the hot path exactly what the runtime's own boxing would.
+// the hot path exactly what the runtime's own boxing would. The bulk
+// value's bytes are bounded too — its slabs are what a kept part of the
+// message keeps alive — at the fewest of three decodes, as refusalCost
+// reads them.
 func TestBulkDecodeAllocGate(t *testing.T) {
 	for _, tt := range []struct {
-		name string
-		args []Value
-		max  float64
+		name     string
+		args     []Value
+		max      float64
+		maxBytes uint64 // 0: not bounded
 	}{
-		{"bulk", []Value{bulkValue(rand.New(rand.NewSource(1)))}, 24},
-		{"small-int", []Value{int64(7)}, 1},       // the vector
-		{"large-int", []Value{int64(1) << 40}, 2}, // and one 8-byte word
-		{"string", []Value{"x"}, 4},               // was 2 to decode aliased + 2 to detach
+		{"bulk", []Value{bulkValue(rand.New(rand.NewSource(1)))}, 12, 21 << 10},
+		{"small-int", []Value{int64(7)}, 1, 0},       // the vector
+		{"large-int", []Value{int64(1) << 40}, 2, 0}, // and one 8-byte word
+		{"string", []Value{"x"}, 4, 0},               // was 2 to decode aliased + 2 to detach
 	} {
 		frame, err := EncodeAll(PackedCodec{}, tt.args)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got []Value
+		decode := func() error {
+			got, err = DecodeAll(PackedCodec{}, frame)
+			return err
+		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if got, err = DecodeAll(PackedCodec{}, frame); err != nil {
+			if decode() != nil {
 				t.Fatal(err)
 			}
 		})
@@ -219,6 +227,13 @@ func TestBulkDecodeAllocGate(t *testing.T) {
 		t.Logf("%s: %.1f allocs per decode (budget %.0f)", tt.name, allocs, tt.max)
 		if allocs > tt.max {
 			t.Fatalf("%s: %.1f allocs per decode, want <= %.0f", tt.name, allocs, tt.max)
+		}
+		if tt.maxBytes > 0 {
+			used := refusalCost(t, decode, nil)
+			t.Logf("%s: %d bytes per decode of a %d-byte frame (budget %d)", tt.name, used, len(frame), tt.maxBytes)
+			if used > tt.maxBytes {
+				t.Fatalf("%s: %d bytes per decode, want <= %d", tt.name, used, tt.maxBytes)
+			}
 		}
 	}
 }

@@ -26,6 +26,10 @@ func slabString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
+// smalls are the boxes of int64 and uint64 values below 256, as the
+// runtime's own table is; init fills it.
+var smalls [256]uint64
+
 type iword struct{ typ, data unsafe.Pointer }
 
 // box returns a Value of like's dynamic type whose data word is data.
@@ -48,6 +52,9 @@ func boxList(p *List) Value      { return box(List(nil), unsafe.Pointer(p)) }
 // start-up. Each box is read back both ways a program reads an
 // interface: through a type switch (Equal's) and through reflection.
 func init() {
+	for i := range smalls {
+		smalls[i] = uint64(i)
+	}
 	word := uint64(1<<63 | 1<<40)
 	str, raw, list := "box", []byte{0xb0}, List{nil, true}
 	for _, c := range []struct{ boxed, plain Value }{

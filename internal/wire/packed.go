@@ -186,10 +186,11 @@ func (PackedCodec) DecodeAllAlias(dst []Value, src []byte) ([]Value, error) {
 // 8-byte scalars, the string, []byte and List headers an interface
 // points at, the lists' backing arrays — comes out of a typed slab per
 // kind, so a message costs a handful of allocations however many values
-// it holds. Every slice handed out is cap-limited to its own region: an
-// append to one value never writes into its neighbour. The price is
-// retention by message: keeping any part of a decoded message keeps
-// that message's slabs, as a Go substring keeps its string.
+// it holds; a list reads each run of int64, uint64 or string elements in
+// one loop (run). Every slice handed out is cap-limited to its own
+// region: an append to one value never writes into its neighbour. The
+// price is retention by message: keeping any part of a decoded message
+// keeps that message's slabs, as a Go substring keeps its string.
 //
 // Slabs are allocated lazily and sized by what the input can still
 // hold, less what the containers already open are owed of it — a nested
@@ -308,8 +309,54 @@ func (d *decoder) strings(what string) ([]string, error) {
 	return out, nil
 }
 
-// scalar reads the payload of an int64, uint64 or string — the kinds that
-// come in runs — for value and for its list loop.
+// run reads list elements tagged kind — int64, uint64 or string — into
+// out while the tag holds, each as scalar would but with a varint that
+// has ten bytes behind it read in place, and returns how many it read.
+func (d *decoder) run(out []Value, kind Kind) (k int, err error) {
+	rest, words, strs := d.rest, d.words, d.strs
+	for ; k < len(out) && len(rest) > 0 && Kind(rest[0]) == kind; k++ {
+		room := d.siblings - k // element k's siblings, which d.room caps a chunk at
+		if kind == KindString {
+			var s string
+			d.rest = rest[1:]
+			if s, err = d.string(); err != nil {
+				break
+			}
+			if rest, out[k] = d.rest, ""; s != "" {
+				out[k] = boxString(put(&strs, min(room, 1+len(rest)/2), s))
+			}
+			continue
+		}
+		u, n, ok := uint64(0), 0, false
+		if len(rest) > maxVarintLen {
+			if u, n, ok = uvarintWord(rest[1:]); n > 8 {
+				u, n, ok = uvarintTail(rest[1:], u)
+			}
+		}
+		if ok {
+			rest = rest[1+n:]
+		} else if u, rest, err = readUvarint(rest[1:]); err != nil {
+			break
+		}
+		if kind == KindInt {
+			u = uint64(unzigzag(u))
+		}
+		p := &smalls[u&0xff]
+		if u >= 256 {
+			p = put(&words, min(room, 1+len(rest)/3), u)
+		}
+		if kind == KindInt {
+			out[k] = boxInt64(p)
+		} else {
+			out[k] = boxUint64(p)
+		}
+	}
+	d.rest, d.words, d.strs = rest, words, strs
+	return k, err
+}
+
+// scalar reads the payload of an int64, uint64 or string outside a list;
+// run reads them inside one.
 func (d *decoder) scalar(kind Kind) (Value, error) {
 	if kind == KindString {
 		s, err := d.string()
@@ -385,25 +432,27 @@ func (d *decoder) value(depth int) (Value, error) {
 			*p = take(&d.elems, n, d.room(1))
 		}
 		d.owed += n
-		for i := range *p {
+		for i := 0; i < n; {
 			d.siblings, d.owed = n-i, d.owed-1
-			// A run of int64, uint64 or string elements is read here as
-			// value would read each, without a recursive call an element;
-			// past the nesting bound or the input, value says which.
+			// A run of int64, uint64 or string elements is read in one
+			// loop, without a call an element; past the nesting bound or
+			// the input, value says which.
 			kind := KindNil
 			if depth < maxNest && len(d.rest) > 0 {
 				kind = Kind(d.rest[0])
 			}
+			k := 1
 			switch kind {
 			case KindInt, KindUint, KindString:
-				d.rest = d.rest[1:]
-				(*p)[i], err = d.scalar(kind)
+				k, err = d.run((*p)[i:], kind)
+				d.owed -= k - 1
 			default:
 				(*p)[i], err = d.value(depth + 1)
 			}
 			if err != nil {
 				return nil, err
 			}
+			i += k
 		}
 		return boxList(p), nil
 	case KindRecord:
@@ -480,13 +529,9 @@ const (
 // or non-minimal (a multi-byte encoding whose final byte is zero — the
 // "overlong" form) yield ErrCorrupt.
 //
-// It reads a word, not a byte, at a time. The first eight bytes are one
-// little-endian load; the encoding ends at the first byte whose
-// continuation bit is clear, the lowest set bit of ^w&msbs; the seven-bit
-// groups below it close up in three mask-and-shift steps; bytes nine and
-// ten, bits 56–63, are read singly. Input shorter than ten bytes is read
-// from a zero-padded copy, where padding looks like a terminator: an
-// encoding that ends beyond len(src) is truncated, tested before all else.
+// Input shorter than ten bytes is read from a zero-padded copy, where
+// padding looks like a terminator: an encoding that ends beyond len(src)
+// is truncated, tested before all else.
 func readUvarint(src []byte) (uint64, []byte, error) {
 	b := src
 	if len(b) < maxVarintLen {
@@ -494,33 +539,50 @@ func readUvarint(src []byte) (uint64, []byte, error) {
 		copy(pad[:], src)
 		b = pad[:]
 	}
-	w := binary.LittleEndian.Uint64(b)
-	n, last, high := 0, byte(0), uint64(0)
-	if stop := ^w & msbs; stop != 0 {
-		n = bits.TrailingZeros64(stop)/8 + 1
-		w &= stop ^ (stop - 1)
-		last = byte(w >> (8 * (n - 1) & 63))
-	} else if last = b[8]; last < 0x80 {
-		n, high = 9, uint64(last)<<56
-	} else {
-		n, last = maxVarintLen, b[9]
-		high = uint64(b[8]&0x7f)<<56 | uint64(last)<<63
+	u, n, ok := uvarintWord(b)
+	if n > 8 {
+		u, n, ok = uvarintTail(b, u)
 	}
-	switch {
+	if ok && n <= len(src) {
+		return u, src[n:], nil
+	}
+	switch last := b[n-1]; {
 	case n > len(src):
 		return 0, nil, ErrTruncated
 	case last >= 0x80:
 		return 0, nil, fmt.Errorf("%w: varint exceeds %d bytes", ErrCorrupt, maxVarintLen)
 	case n == maxVarintLen && last > 1:
 		return 0, nil, fmt.Errorf("%w: varint overflows 64 bits", ErrCorrupt)
-	case n > 1 && last == 0:
+	default:
 		return 0, nil, fmt.Errorf("%w: overlong varint", ErrCorrupt)
 	}
-	w &^= msbs
-	w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
-	w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
-	w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
-	return w | high, src[n:], nil
+}
+
+// uvarintWord and uvarintTail, readUvarint's core, are split so each
+// inlines. For b of ten bytes or more they return the value, length and
+// strictness of its varint (where not strict, n is where it ends, or ten).
+// uvarintWord reads eight bytes as one word, returning n = 9 when none
+// ends the encoding: the lowest set bit of ^u&msbs does, and keep covers
+// the bytes to it. Its last byte is zero (overlong but for a lone zero)
+// when u&keep|1 <= keep>>8. The seven-bit groups close up in three steps
+// that move each pair's upper group h down: u - h + h>>s = u - h*(2^s-1)>>s.
+func uvarintWord(b []byte) (u uint64, n int, ok bool) {
+	u = binary.LittleEndian.Uint64(b)
+	keep := ^u & msbs
+	keep ^= keep - 1
+	n, ok = bits.Len64(keep)>>3+int(keep&u>>63), u&keep|1 > keep>>8
+	u &= keep &^ msbs
+	u -= u & 0x7f007f007f007f00 >> 1
+	u -= u & 0x3fff00003fff0000 * 3 >> 2
+	u -= u & 0x0fffffff00000000 * 15 >> 4
+	return u, n, ok
+}
+
+// uvarintTail: nine bytes are strict when the ninth is not zero; ten when
+// the tenth is 1, bit 63, which the ninth's continuation bit already sets.
+func uvarintTail(b []byte, u uint64) (uint64, int, bool) {
+	x := uint64(binary.LittleEndian.Uint16(b[8:]))
+	return u | x<<56, 9 + int(x>>7&1), byte(x)-1 < 0x7f || x-0x180 < 0x80
 }
 
 // appendUvarint appends the varint of u: the mirror of readUvarint. Room

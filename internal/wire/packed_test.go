@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -454,12 +455,23 @@ func TestPropertyPackedTextAgree(t *testing.T) {
 // FuzzPackedDecode exercises the packed decoder against arbitrary
 // input: never panic, and whatever it accepts owns its storage and
 // re-encodes to exactly the bytes it was read from — one representation
-// per value. The checked-in corpus under testdata/fuzz/FuzzPackedDecode
+// per value. The seeds include tcp_bulk's value and three lists of
+// scalar runs; the checked-in corpus under testdata/fuzz/FuzzPackedDecode
 // includes truncated-varint and overlong-varint frames, and the second
 // representations a lenient decoder would accept.
 func FuzzPackedDecode(f *testing.F) {
 	c := PackedCodec{}
-	for _, v := range append(sampleValues(), fuzzSeedValues()...) {
+	ints := make(List, 33) // an int run, every varint length
+	for i := range ints {
+		ints[i] = int64(uint64(0x9e3779b97f4a7c15)>>(7*(i%10))) * int64(1-2*(i%2))
+	}
+	runs := []Value{
+		bulkValue(rand.New(rand.NewSource(1))),
+		ints,
+		List{uint64(1) << 63, uint64(5), int64(-1), uint64(300), "s", uint64(math.MaxUint64)}, // uint runs, broken
+		List{"a", "", "bc", strings.Repeat("x", 200), int64(1)},                               // a string run
+	}
+	for _, v := range append(append(sampleValues(), fuzzSeedValues()...), runs...) {
 		enc, err := c.Encode(nil, v)
 		if err != nil {
 			f.Fatal(err)

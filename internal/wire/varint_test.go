@@ -314,7 +314,8 @@ func corpusFrames(t *testing.T) [][]byte {
 // TestPackedDecodeMatchesReference: the format is the format. Every
 // corpus entry, every sample value, and every varint seed — as an int, a
 // uint, a string length and the elements of a list, whole and cut short
-// at every point — decodes as the reference decoder decodes it.
+// at every point — decodes as the reference decoder decodes it; and so
+// does every run of runFrames, cut at every byte of its last two elements.
 func TestPackedDecodeMatchesReference(t *testing.T) {
 	frames := corpusFrames(t)
 	for _, v := range append(append(sampleValues(), fuzzSeedValues()...), bulkValue(rand.New(rand.NewSource(1)))) {
@@ -343,6 +344,73 @@ func TestPackedDecodeMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	for _, r := range runFrames() {
+		sameDecode(t, r.frame)
+		for cut := r.lastTwo; cut < len(r.frame); cut++ {
+			sameDecode(t, r.frame[:cut])
+		}
+	}
+}
+
+// runFrame is a list frame and the offset at which its last two
+// elements begin.
+type runFrame struct {
+	frame   []byte
+	lastTwo int
+}
+
+// runFrames are lists of int or uint runs 1, 2, 9 and 33 long, built
+// around every varint seed: the seed is the first, the middle and the
+// last element of a run whose other elements are strict varints of every
+// length. Each run ends the input, or has a value of 16 bytes behind it,
+// so its last elements are read both from fewer than ten bytes of input
+// and in place. Then the seed as an element of the other kind breaks an
+// int or a uint run in two, and as an int behind a string and a nested
+// list.
+func runFrames() []runFrame {
+	element := func(kind Kind, enc []byte) []byte { return append([]byte{byte(kind)}, enc...) }
+	filler := func(i int) []byte { // 1 to 10 bytes, as i runs
+		return binary.AppendUvarint(nil, uint64(0x9e3779b97f4a7c15)>>(7*(i%10)))
+	}
+	list := func(elems [][]byte, after []byte) runFrame {
+		f := binary.AppendUvarint([]byte{byte(KindList)}, uint64(len(elems)))
+		r := runFrame{}
+		for i, e := range elems {
+			if i == len(elems)-2 || len(elems) == 1 {
+				r.lastTwo = len(f)
+			}
+			f = append(f, e...)
+		}
+		r.frame = append(f, after...)
+		return r
+	}
+	after := append([]byte{byte(KindBytes), 14}, "fourteen bytes"...)
+	var runs []runFrame
+	for _, seed := range varintSeeds() {
+		for _, kind := range []Kind{KindInt, KindUint} {
+			other := KindInt + KindUint - kind
+			for _, n := range []int{1, 2, 9, 33} {
+				for _, at := range []int{0, n / 2, n - 1} {
+					elems := make([][]byte, n)
+					for i := range elems {
+						elems[i] = element(kind, filler(i))
+					}
+					elems[at] = element(kind, seed)
+					runs = append(runs, list(elems, nil), list(elems, after))
+				}
+			}
+			broken := make([][]byte, 9)
+			for i := range broken {
+				broken[i] = element(kind, filler(i))
+			}
+			broken[4] = element(other, seed)
+			runs = append(runs, list(broken, nil), list(broken, after))
+		}
+		mixed := [][]byte{element(KindInt, filler(9)), element(KindString, []byte{2, 'a', 'b'}),
+			element(KindInt, seed), []byte{byte(KindList), 1, byte(KindInt), 2}, element(KindInt, seed), element(KindInt, filler(3))}
+		runs = append(runs, list(mixed, nil), list(mixed, after))
+	}
+	return runs
 }
 
 // TestEncodeAtMaxNest: a value nested to the bound — lists of records, the
