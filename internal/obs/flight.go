@@ -180,9 +180,12 @@ func (f *FlightRecorder) observe(prev, cur Sample, hasPrev bool) {
 			if !hasPrev {
 				continue
 			}
-			cv, _ := toInt(cur.Rec[rule.Key])
-			pv, _ := toInt(prev.Rec[rule.Key])
-			if cv != pv {
+			// A key that is absent or not an integer in either sample is
+			// no counter standing still: it resets the run, as absence
+			// re-arms a ceiling.
+			cv, cok := toInt(cur.Rec[rule.Key])
+			pv, pok := toInt(prev.Rec[rule.Key])
+			if !cok || !pok || cv != pv {
 				f.stallRuns[i] = 0
 				continue
 			}

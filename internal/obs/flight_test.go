@@ -103,6 +103,20 @@ func TestStallRuleFiresAfterQuietWindows(t *testing.T) {
 	if n := len(fd.f.Reports()); n != 2 {
 		t.Fatalf("quiet run survived movement: %d reports", n)
 	}
+
+	// A key that is no counter never stalls: one the node does not
+	// export (a trader counter on a node without a trader), and a float
+	// gauge that moves every window.
+	fd = newFeed([]Rule{
+		StallRule("absent", "trader.imports", 2),
+		StallRule("gauge", "load", 2),
+	})
+	for i := 0; i < 6; i++ {
+		fd.push(wire.Record{"requests": uint64(11), "load": 0.5 + float64(i)})
+	}
+	if reps := fd.f.Reports(); len(reps) != 0 {
+		t.Fatalf("stall rules on non-counters fired %d times, first %q", len(reps), reps[0].Rule.Name)
+	}
 }
 
 func TestFlightRingBounded(t *testing.T) {
