@@ -72,7 +72,7 @@ func TestShortArgumentVectorsFailTheCallNotTheNode(t *testing.T) {
 			if !errors.As(err, &remote) {
 				t.Fatalf("%s with no arguments: err = %v, want an error reply", tc.op, err)
 			}
-			if _, err := client.Bind(server.Agent.Ref()).WithQoS(qos).Call(ctx, "stats"); err != nil {
+			if _, err := client.Bind(server.Agent.Ref()).WithQoS(qos).Call(ctx, "gather"); err != nil {
 				t.Fatalf("the node stopped answering after %s: %v", tc.op, err)
 			}
 		})

@@ -202,12 +202,12 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 	}
 
 	// 8. Management saw the secured traffic at the home node.
-	out, err = client.Bind(home.Agent.Ref()).Call(ctx, "stats")
+	out, err = client.Bind(home.Agent.Ref()).Call(ctx, "gather")
 	if err != nil || !out.Is("ok") {
 		t.Fatal(err)
 	}
-	stats := out.Result(0).(odp.Record)
-	calls, _ := stats["c.vault.calls"].(uint64)
+	gathered := out.Result(0).(odp.Record)
+	calls, _ := gathered["registry.c.vault.calls"].(uint64)
 	if calls < 10 {
 		t.Fatalf("management lost track: %d calls", calls)
 	}

@@ -303,17 +303,17 @@ func TestWeaverManagedInstrumentation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := server.Registry.Counter("ledger.calls"); got != 4 {
-		t.Fatalf("instrumented calls %d", got)
+	if got := server.Gather()["registry.c.ledger.calls"]; got != uint64(4) {
+		t.Fatalf("instrumented calls %v", got)
 	}
 	// And the management interface serves the numbers remotely.
-	out, err := client.Bind(server.Agent.Ref()).Call(ctx, "stats")
+	out, err := client.Bind(server.Agent.Ref()).Call(ctx, "gather")
 	if err != nil || !out.Is("ok") {
 		t.Fatal(err)
 	}
 	rec := out.Result(0).(wire.Record)
-	if rec["c.ledger.calls"] != uint64(4) {
-		t.Fatalf("remote stats %v", rec)
+	if rec["registry.c.ledger.calls"] != uint64(4) {
+		t.Fatalf("remote gather %v", rec)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"odp/internal/group"
 	"odp/internal/mgmt"
 	"odp/internal/migrate"
+	"odp/internal/obs"
 	"odp/internal/security"
 	"odp/internal/txn"
 	"odp/internal/types"
@@ -114,10 +115,11 @@ func (p *Platform) Publish(id string, obj Object) (wire.Ref, error) {
 	}
 	pub := &published{env: env, typ: obj.Type}
 	if env.Managed != nil {
-		pub.prefix = env.Managed.MetricPrefix
-		if pub.prefix == "" {
-			pub.prefix = id
+		prefix := env.Managed.MetricPrefix
+		if prefix == "" {
+			prefix = id
 		}
+		pub.meter = p.meter(prefix)
 	}
 	if env.Secured != nil {
 		pub.guard = security.NewGuard(p.Keys, env.Secured.Policy, env.Secured.MaxSkew)
@@ -148,12 +150,12 @@ func (p *Platform) Publish(id string, obj Object) (wire.Ref, error) {
 
 // published is what Publish built for a movable object: its constraints
 // and the mechanism instances that outlive any one servant incarnation —
-// the guard, whose replay window must carry over, and the metric prefix.
+// the guard, whose replay window must carry over, and the meter.
 type published struct {
-	env    Env
-	typ    types.Type
-	prefix string
-	guard  *security.Guard
+	env   Env
+	typ   types.Type
+	meter *mgmt.Meter
+	guard *security.Guard
 }
 
 // reweave is the weaver the migration host calls for every incarnation it
@@ -183,7 +185,7 @@ func (p *Platform) reweave(inc migrate.Incarnation) (wire.Ref, error) {
 // capsule's type check sits at the servant boundary, and the
 // transactional resource wraps the behaviour itself. The layers bound to
 // the servant — resource, lease entry, gate, log, type check — are built
-// anew for each incarnation; the guard and the metric prefix are pub's.
+// anew for each incarnation; the guard and the meter are pub's.
 func (p *Platform) weave(id string, servant capsule.Servant, gate capsule.Interceptor, pub *published) (wire.Ref, error) {
 	env := pub.env
 	if env.Atomic != nil {
@@ -202,7 +204,7 @@ func (p *Platform) weave(id string, servant capsule.Servant, gate capsule.Interc
 	}
 	var chain []capsule.Interceptor
 	if env.Managed != nil {
-		chain = append(chain, mgmt.Instrument(p.Registry, pub.prefix))
+		chain = append(chain, mgmt.Instrument(pub.meter, p.Clock()))
 	}
 	if env.Secured != nil {
 		chain = append(chain, pub.guard.AsInterceptor())
@@ -290,9 +292,9 @@ func PublishReplicated(platforms []*Platform, spec ReplicaSpec, factory func() c
 		// Join the unified introspection namespace: group counters fold
 		// into each hosting platform's Gather alongside rpc/binder/gc.
 		member, prefix := m, "group."+spec.GroupID
-		p.AddStatsSource(func(rec wire.Record) {
-			rec[prefix+".executed"] = member.Executed()
-			rec[prefix+".promotions"] = member.Promotions()
+		p.AddStatsSource(func(m *obs.Metrics) {
+			m.Counters[prefix+".executed"] = member.Executed()
+			m.Counters[prefix+".promotions"] = member.Promotions()
 		})
 	}
 	for _, m := range r.Members {

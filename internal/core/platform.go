@@ -52,7 +52,7 @@ type Platform struct {
 	Store storage.Store
 	// Locks is the node's shared concurrency-control manager.
 	Locks *txn.LockManager
-	// Registry gathers management metrics.
+	// Registry is the node's management event log.
 	Registry *mgmt.Registry
 	// Agent is the node's management interface.
 	Agent *mgmt.Agent
@@ -89,10 +89,13 @@ type Platform struct {
 	// domain is the administrative-domain tag set by WithDomain; empty
 	// for untagged nodes.
 	domain string
-	// statsSources are extra contributors to Gather registered after
+	// metricsMu guards what metrics reads besides the layers: the meter
+	// of each Managed metric prefix, which every object published under
+	// that prefix shares, and the extra contributors registered after
 	// construction (replica-group members, application subsystems).
-	srcMu        sync.Mutex
-	statsSources []func(wire.Record)
+	metricsMu    sync.Mutex
+	meters       map[string]*mgmt.Meter
+	statsSources []func(*obs.Metrics)
 	// published holds what Publish built for each movable object, so every
 	// later incarnation of it gets the same path (reweave). A record stays
 	// when its object leaves: the object may come back.
@@ -262,6 +265,7 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 		Keys:      security.NewKeyring(),
 		Types:     types.NewManager(),
 		domain:    cfg.domain,
+		meters:    make(map[string]*mgmt.Meter),
 		published: make(map[string]*published),
 	}
 	var col *obs.Collector
@@ -273,8 +277,27 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 	p.Capsule = capsule.New(name, p.coalescer, cfg.codec, cfg.capsuleOpts...)
 	p.Coordinator = txn.NewCoordinator(p.Capsule, cfg.store)
 
+	// The recorder samples Gather and the flight recorder watches its
+	// samples; both are built here so the management agent can serve them,
+	// and sampling starts last, once every subsystem exists.
+	if cfg.recInterval > 0 || len(cfg.sloRules) > 0 {
+		p.recorder = obs.NewRecorder(p.Gather, cfg.recInterval, cfg.clk)
+		if len(cfg.sloRules) > 0 {
+			p.flight = obs.NewFlightRecorder(p.recorder, col, cfg.sloRules)
+		}
+	}
+	src := mgmt.Sources{Gather: p.Gather}
+	if col != nil {
+		src.Spans = func() wire.List { return obs.SpansToList(col.Snapshot()) }
+	}
+	if p.recorder != nil {
+		src.Series = p.recorder.Series
+	}
+	if p.flight != nil {
+		src.Blackbox = p.flight.ReportsList
+	}
 	var err error
-	if p.Agent, err = mgmt.NewAgent(p.Capsule, p.Registry); err != nil {
+	if p.Agent, err = mgmt.NewAgent(p.Capsule, p.Registry, src); err != nil {
 		return nil, fmt.Errorf("core: management agent: %w", err)
 	}
 	if p.Collector, err = gc.New(p.Capsule, cfg.gcGrace); err != nil {
@@ -307,18 +330,16 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 		// subsystem: per-shard offer counts, snapshot freshness and
 		// import counters land under "trader." for odptop.
 		tr := p.Trader
-		p.AddStatsSource(func(rec wire.Record) {
-			obs.Fold(rec, "trader", tr.Stats())
-			obs.FoldLatency(rec, "trader.import", tr.ImportLatency())
+		p.AddStatsSource(func(m *obs.Metrics) {
+			obs.Fold(m, "trader", tr.Stats())
+			m.Latency["trader.import"] = tr.ImportLatency()
 		})
 	}
 	p.binder = naming.NewBinder(p.Capsule, p.RelocRef)
 
-	// The management interface serves the unified snapshot on every node
-	// and, on tracing nodes, the span ring plus the sampling knob.
-	p.Agent.SetGather(p.Gather)
+	// A tracing node's management interface also serves the sampling
+	// knob.
 	if col != nil {
-		p.Agent.SetSpans(func() wire.List { return obs.SpansToList(col.Snapshot()) })
 		p.Agent.RegisterParam("obs.sample_every", mgmt.Param{
 			Get: func() wire.Value { return col.SampleEvery() },
 			Set: func(v wire.Value) error {
@@ -338,18 +359,7 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 		})
 	}
 
-	// The recorder samples Gather, so it starts last: every subsystem it
-	// will snapshot is already assembled, and the flight recorder's hook
-	// is attached before the first sample can fire.
-	if cfg.recInterval > 0 || len(cfg.sloRules) > 0 {
-		p.recorder = obs.NewRecorder(p.Gather, cfg.recInterval, cfg.clk)
-		if len(cfg.sloRules) > 0 {
-			p.flight = obs.NewFlightRecorder(p.recorder, col, cfg.sloRules)
-			fl := p.flight
-			p.Agent.SetBlackbox(fl.ReportsList)
-		}
-		rec := p.recorder
-		p.Agent.SetSeries(rec.Series)
+	if p.recorder != nil {
 		p.recorder.Start()
 	}
 	return p, nil
@@ -372,51 +382,71 @@ func (p *Platform) Flight() *obs.FlightRecorder { return p.flight }
 func (p *Platform) Domain() string { return p.domain }
 
 // AddStatsSource registers an extra contributor to Gather: fn is called
-// with the record under assembly and may add any keys. Infrastructure
-// built on top of the platform (replica groups, application services)
-// uses this to join the unified namespace.
-func (p *Platform) AddStatsSource(fn func(wire.Record)) {
-	p.srcMu.Lock()
+// with the node's snapshot under assembly and may add any metric.
+// Infrastructure built on top of the platform (replica groups,
+// application services) uses this to join the unified namespace.
+func (p *Platform) AddStatsSource(fn func(*obs.Metrics)) {
+	p.metricsMu.Lock()
 	p.statsSources = append(p.statsSources, fn)
-	p.srcMu.Unlock()
+	p.metricsMu.Unlock()
 }
 
-// Gather folds every subsystem's counters into one wire record: the
-// unified introspection snapshot served by the management interface's
-// "gather" op. Registry counters and gauges keep their "c."/"g."
-// prefixes under "registry."; everything else is named
-// <subsystem>.<snake_case_field> by obs.Fold.
+// meter returns the meter of a Managed metric prefix, made on first use.
+func (p *Platform) meter(prefix string) *mgmt.Meter {
+	p.metricsMu.Lock()
+	defer p.metricsMu.Unlock()
+	m := p.meters[prefix]
+	if m == nil {
+		m = new(mgmt.Meter)
+		p.meters[prefix] = m
+	}
+	return m
+}
+
+// metrics assembles the node's typed snapshot: every layer's stats
+// folded as <subsystem>.<snake_case_field> by obs.Fold, the channel
+// stages' latency histograms, the Managed objects' meters under
+// "registry." and whatever the registered sources add.
+func (p *Platform) metrics() *obs.Metrics {
+	m := obs.NewMetrics()
+	obs.Fold(m, "rpc.client", p.Capsule.Client().Stats())
+	obs.Fold(m, "rpc.server", p.Capsule.ServerStats())
+	obs.Fold(m, "binder", p.binder.Stats())
+	obs.Fold(m, "transport.coalescer", p.coalescer.BatchStats())
+	m.Latency["rpc.client.call"] = p.Capsule.Client().CallLatency()
+	m.Latency["rpc.server.dispatch"] = p.Capsule.DispatchLatency()
+	m.Latency["capsule.bypass"] = p.Capsule.BypassLatency()
+	m.Latency["binder.resolve"] = p.binder.ResolveLatency()
+	m.Latency["transport.coalescer.flush_delay"] = p.coalescer.FlushDelay()
+	m.Counters["gc.collected"] = p.Collector.Collected()
+	m.Counters["gc.renewals"] = p.Collector.Renewals()
+	if col := p.coalescer.Observer(); col != nil {
+		obs.Fold(m, "obs", col.Stats())
+	}
+	if p.flight != nil {
+		obs.Fold(m, "blackbox", p.flight.Stats())
+	}
+	p.metricsMu.Lock()
+	for prefix, meter := range p.meters {
+		meter.Fold(m, prefix)
+	}
+	sources := p.statsSources
+	p.metricsMu.Unlock()
+	for _, fn := range sources {
+		fn(m)
+	}
+	return m
+}
+
+// Gather exports the node's metrics as one wire record, tagged with the
+// node's domain: the unified introspection snapshot that the management
+// interface's "gather" op serves and the recorder samples.
 func (p *Platform) Gather() wire.Record {
 	rec := wire.Record{}
 	if p.domain != "" {
 		rec["domain"] = p.domain
 	}
-	obs.Fold(rec, "rpc.client", p.Capsule.Client().Stats())
-	obs.Fold(rec, "rpc.server", p.Capsule.ServerStats())
-	obs.Fold(rec, "binder", p.binder.Stats())
-	obs.FoldLatency(rec, "rpc.client.call", p.Capsule.Client().CallLatency())
-	obs.FoldLatency(rec, "rpc.server.dispatch", p.Capsule.DispatchLatency())
-	obs.FoldLatency(rec, "capsule.bypass", p.Capsule.BypassLatency())
-	obs.FoldLatency(rec, "binder.resolve", p.binder.ResolveLatency())
-	obs.Fold(rec, "transport.coalescer", p.coalescer.BatchStats())
-	obs.FoldLatency(rec, "transport.coalescer.flush_delay", p.coalescer.FlushDelay())
-	rec["gc.collected"] = p.Collector.Collected()
-	rec["gc.renewals"] = p.Collector.Renewals()
-	if col := p.coalescer.Observer(); col != nil {
-		obs.Fold(rec, "obs", col.Stats())
-	}
-	if p.flight != nil {
-		obs.Fold(rec, "blackbox", p.flight.Stats())
-	}
-	for k, v := range p.Registry.Snapshot() {
-		rec["registry."+k] = v
-	}
-	p.srcMu.Lock()
-	sources := p.statsSources
-	p.srcMu.Unlock()
-	for _, fn := range sources {
-		fn(rec)
-	}
+	p.metrics().Export(rec, "")
 	return rec
 }
 

@@ -1,130 +1,39 @@
 package core
 
 import (
-	"strings"
-
 	"odp/internal/obs"
 	"odp/internal/wire"
 )
 
-// GatherDomains folds the Gather snapshots of many platforms into one
-// per-domain record: every numeric key of a platform tagged WithDomain
-// is summed into "domain.<name>.<key>", and "domain.<name>.platforms"
-// counts the nodes. A federation-swarm experiment asks each domain one
-// question — how much trading, how much traffic, how many collections —
-// and this is the rollup that answers it without 1,000 separate records.
-// Untagged platforms are skipped; non-numeric values (the "domain" tag
-// itself, codec names) don't sum and are dropped.
+// GatherDomains rolls the metrics of many platforms up into one
+// per-domain record: the typed snapshots of every platform tagged
+// WithDomain are merged per domain and exported once under
+// "domain.<name>.", and "domain.<name>.platforms" counts the nodes. A
+// federation-swarm experiment asks each domain one question — how much
+// trading, how much traffic, how many collections — and this is the
+// rollup that answers it without 1,000 separate records. Untagged
+// platforms are skipped.
 //
-// Sums keep the widest kind seen: all-unsigned counters stay uint64,
-// a signed negative anywhere makes the sum int64, and any float64
-// operand (registry gauges, derived quantiles) makes it float64 —
-// nothing truncates silently. Latency quantile keys (*_p50/_p90/_p99)
-// are then recomputed from the domain-summed "_hist." buckets, because
-// the p99 of a domain is a property of the merged distribution, not the
-// sum of its members' p99s.
+// Counters and gauges sum by kind. Latency histograms merge bucket-wise
+// before their quantiles are exported, because the p99 of a domain is a
+// property of the merged distribution, not the sum of its members' p99s.
 func GatherDomains(platforms ...*Platform) wire.Record {
-	out := wire.Record{}
+	domains := map[string]*obs.Metrics{}
 	for _, p := range platforms {
-		dom := p.Domain()
-		if dom == "" {
+		if p.domain == "" {
 			continue
 		}
-		prefix := "domain." + dom + "."
-		out[prefix+"platforms"] = addNumeric(out[prefix+"platforms"], uint64(1))
-		for k, v := range p.Gather() {
-			if _, ok := numeric(v); !ok {
-				continue
-			}
-			if domainQuantileKey(k) {
-				continue // recomputed from the merged buckets below
-			}
-			key := prefix + k
-			out[key] = addNumeric(out[key], v)
+		m := domains[p.domain]
+		if m == nil {
+			m = obs.NewMetrics()
+			domains[p.domain] = m
 		}
+		m.Counters["platforms"]++
+		m.Merge(p.metrics())
 	}
-	for base, s := range obs.HistogramKeys(out) {
-		out[base+"_p50"] = s.Quantile(0.50)
-		out[base+"_p90"] = s.Quantile(0.90)
-		out[base+"_p99"] = s.Quantile(0.99)
+	out := wire.Record{}
+	for dom, m := range domains {
+		m.Export(out, "domain."+dom+".")
 	}
 	return out
-}
-
-// numeric normalises a Gather value to one of the three summable kinds —
-// uint64, int64 or float64 — reporting false for everything else.
-// Negative integers and floats are legitimate (deltas, gauges,
-// quantiles); rejecting or wrapping them would silently corrupt rollups.
-func numeric(v wire.Value) (wire.Value, bool) {
-	switch n := v.(type) {
-	case uint64:
-		return n, true
-	case int64:
-		return n, true
-	case int:
-		return int64(n), true
-	case float64:
-		return n, true
-	}
-	return nil, false
-}
-
-// addNumeric sums v into an accumulator that may not exist yet,
-// promoting the result to the widest kind involved: uint64 while both
-// sides are unsigned, int64 once a signed value appears, float64 once a
-// float does. Promotion never narrows back, so one negative or
-// fractional sample keeps the key honest for the rest of the fold.
-func addNumeric(acc, v wire.Value) wire.Value {
-	a, aok := numeric(acc)
-	b, bok := numeric(v)
-	if !aok {
-		a = uint64(0)
-	}
-	if !bok {
-		b = uint64(0)
-	}
-	if af, ok := a.(float64); ok {
-		return af + toFloat(b)
-	}
-	if bf, ok := b.(float64); ok {
-		return toFloat(a) + bf
-	}
-	if au, ok := a.(uint64); ok {
-		if bu, ok := b.(uint64); ok {
-			return au + bu
-		}
-	}
-	return toSigned(a) + toSigned(b)
-}
-
-// toFloat widens an already-normalised numeric to float64.
-func toFloat(v wire.Value) float64 {
-	switch n := v.(type) {
-	case uint64:
-		return float64(n)
-	case int64:
-		return float64(n)
-	case float64:
-		return n
-	}
-	return 0
-}
-
-// toSigned widens an already-normalised integer to int64.
-func toSigned(v wire.Value) int64 {
-	switch n := v.(type) {
-	case uint64:
-		return int64(n)
-	case int64:
-		return n
-	}
-	return 0
-}
-
-// domainQuantileKey reports whether key is a derived quantile: the
-// rollup recomputes those from merged buckets instead of summing them.
-func domainQuantileKey(key string) bool {
-	return strings.HasSuffix(key, "_p50") ||
-		strings.HasSuffix(key, "_p90") ||
-		strings.HasSuffix(key, "_p99")
 }

@@ -1,70 +1,18 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"odp/internal/obs"
-	"odp/internal/wire"
 )
 
-// TestAddNumericWidening tables the rollup's promotion rules: unsigned
-// stays unsigned, a signed negative promotes to int64, a float promotes
-// to float64, and nothing truncates on the way.
-func TestAddNumericWidening(t *testing.T) {
-	cases := []struct {
-		name   string
-		acc, v wire.Value
-		want   wire.Value
-	}{
-		{"uint+uint stays uint", uint64(3), uint64(4), uint64(7)},
-		{"missing acc", nil, uint64(5), uint64(5)},
-		{"missing acc float", nil, 2.5, 2.5},
-		{"missing acc negative", nil, int64(-3), int64(-3)},
-		{"uint+negative promotes signed", uint64(10), int64(-3), int64(7)},
-		{"negative+uint promotes signed", int64(-3), uint64(10), int64(7)},
-		{"sum below zero", int64(-10), uint64(4), int64(-6)},
-		{"int widens like int64", uint64(1), int(2), int64(3)},
-		{"uint+float promotes float", uint64(2), 0.5, 2.5},
-		{"float+uint promotes float", 0.5, uint64(2), 2.5},
-		{"float+float", 1.25, 2.25, 3.5},
-		{"float+negative", 1.5, int64(-2), -0.5},
-		{"non-numeric v ignored", uint64(3), "text", uint64(3)},
-		{"non-numeric acc ignored", "text", uint64(3), uint64(3)},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := addNumeric(c.acc, c.v); got != c.want {
-				t.Fatalf("addNumeric(%v, %v) = %v (%T), want %v (%T)",
-					c.acc, c.v, got, got, c.want, c.want)
-			}
-		})
-	}
-}
-
-func TestNumericKinds(t *testing.T) {
-	if _, ok := numeric(-5); !ok {
-		t.Fatal("negative int rejected")
-	}
-	if _, ok := numeric(int64(-5)); !ok {
-		t.Fatal("negative int64 rejected")
-	}
-	if v, ok := numeric(1.5); !ok || v != 1.5 {
-		t.Fatalf("float64 = %v, %v", v, ok)
-	}
-	if _, ok := numeric("s"); ok {
-		t.Fatal("string accepted")
-	}
-	if _, ok := numeric(nil); ok {
-		t.Fatal("nil accepted")
-	}
-}
-
 // TestGatherDomainsWidensAndRecomputesQuantiles rolls two platforms of
-// one domain up and checks: float64 gauges sum as floats, negative
-// deltas survive signed, all-unsigned counters stay uint64, and the
-// domain's latency quantiles are recomputed from the merged buckets
-// rather than summed per node.
+// one domain up and checks: float64 gauges sum as floats, uint64
+// counters as integers, an untagged platform is skipped, and the
+// domain's latency quantiles come from the merged buckets rather than
+// from a sum of per-node quantiles.
 func TestGatherDomainsWidensAndRecomputesQuantiles(t *testing.T) {
 	e := newCoreEnv(t)
 	a := e.platform("a", WithDomain("edge"))
@@ -78,17 +26,17 @@ func TestGatherDomainsWidensAndRecomputesQuantiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		slow.Observe(40 * time.Millisecond)
 	}
-	a.AddStatsSource(func(rec wire.Record) {
-		obs.FoldLatency(rec, "stage", fast.Snapshot())
-		rec["app.gauge"] = 1.25
-		rec["app.drift"] = int64(-3)
+	a.AddStatsSource(func(m *obs.Metrics) {
+		m.Latency["stage"] = fast.Snapshot()
+		m.Gauges["app.gauge"] = 1.25
+		m.Counters["app.jobs"] = 3
 	})
-	b.AddStatsSource(func(rec wire.Record) {
-		obs.FoldLatency(rec, "stage", slow.Snapshot())
-		rec["app.gauge"] = 2.25
-		rec["app.drift"] = int64(1)
+	b.AddStatsSource(func(m *obs.Metrics) {
+		m.Latency["stage"] = slow.Snapshot()
+		m.Gauges["app.gauge"] = 2.25
+		m.Counters["app.jobs"] = 4
 	})
-	c.AddStatsSource(func(rec wire.Record) { rec["app.gauge"] = 100.0 })
+	c.AddStatsSource(func(m *obs.Metrics) { m.Gauges["app.gauge"] = 100.0 })
 
 	out := GatherDomains(a, b, c)
 
@@ -96,16 +44,18 @@ func TestGatherDomainsWidensAndRecomputesQuantiles(t *testing.T) {
 		t.Fatalf("platforms = %v", got)
 	}
 	if got := out["domain.edge.app.gauge"]; got != 3.5 {
-		t.Fatalf("float gauge sum = %v (%T)", got, out["domain.edge.app.gauge"])
+		t.Fatalf("float gauge sum = %v (%T)", got, got)
 	}
-	if got := out["domain.edge.app.drift"]; got != int64(-2) {
-		t.Fatalf("signed sum = %v (%T)", got, out["domain.edge.app.drift"])
+	if got := out["domain.edge.app.jobs"]; got != uint64(7) {
+		t.Fatalf("counter sum = %v (%T)", got, got)
 	}
 	if got := out["domain.edge.stage_count"]; got != uint64(100) {
 		t.Fatalf("merged count = %v", got)
 	}
-	if _, ok := out["domain.c.app.gauge"]; ok {
-		t.Fatal("untagged platform rolled up")
+	for k := range out {
+		if !strings.HasPrefix(k, "domain.edge.") {
+			t.Fatalf("key %q outside the tagged domain: the untagged platform rolled up", k)
+		}
 	}
 
 	// Node a holds the 90 fast samples, node b the 10 slow ones. The

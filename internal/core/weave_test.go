@@ -66,6 +66,13 @@ type stackProbe struct {
 	on   func(*stackRig) bool
 }
 
+// managedCalls reads the exported call count of a Managed metric prefix
+// (zero before its first call).
+func managedCalls(p *Platform, prefix string) uint64 {
+	n, _ := p.Gather()["registry.c."+prefix+".calls"].(uint64)
+	return n
+}
+
 // stackProbes lists the Env fields in path order, outermost first.
 // Movable is last: its probe is the passivation round trip itself.
 func stackProbes() []stackProbe {
@@ -73,9 +80,9 @@ func stackProbes() []stackProbe {
 	return []stackProbe{
 		{"managed", func(e *Env) { e.Managed = &ManagedSpec{} }, func(r *stackRig) bool {
 			// The metric prefix defaults to the id.
-			before := r.p.Registry.Counter(r.id + ".calls")
+			before := managedCalls(r.p, r.id)
 			r.mustCall("balance")
-			return r.p.Registry.Counter(r.id+".calls") == before+1
+			return managedCalls(r.p, r.id) == before+1
 		}},
 		{"secured", func(e *Env) { e.Secured = &SecureSpec{Policy: allow} }, func(r *stackRig) bool {
 			_, err := r.p.Bind(r.ref).Call(context.Background(), "balance")
@@ -246,7 +253,7 @@ func TestPassivationKeepsTheWovenPath(t *testing.T) {
 	if _, err := client.Bind(ref).Call(ctx, "balance"); !errors.Is(err, rpc.ErrDenied) {
 		t.Fatalf("unsigned call after reactivation: want ErrDenied, got %v", err)
 	}
-	calls := server.Registry.Counter("vault.calls")
+	calls := managedCalls(server, "vault")
 	logged, _ := server.Store.ReadLog("oplog/vault")
 	out, err := client.Bind(ref).WithSigner(alice).Call(ctx, "balance")
 	if err != nil || !out.Is("ok") {
@@ -255,7 +262,7 @@ func TestPassivationKeepsTheWovenPath(t *testing.T) {
 	if n, _ := out.Int(0); n != 5 {
 		t.Fatalf("balance %d, want 5", n)
 	}
-	if got := server.Registry.Counter("vault.calls"); got != calls+1 {
+	if got := managedCalls(server, "vault"); got != calls+1 {
 		t.Fatalf("vault.calls %d after one more call, want %d", got, calls+1)
 	}
 	if after, _ := server.Store.ReadLog("oplog/vault"); len(after) != len(logged) {

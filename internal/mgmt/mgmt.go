@@ -7,13 +7,14 @@
 // identification of management interfaces for monitoring transparency
 // mechanisms and changing transparency parameters."
 //
-// A Registry gathers counters and gauges; Instrument wraps any servant so
-// its invocation rates, failures and latencies flow into the registry;
-// and Agent exports the whole thing as an ordinary ODP interface — the
-// management interface is itself managed by the same machinery it
-// monitors. Parameters registered with the agent let operators retune
-// transparency mechanisms (heartbeat rates, lease lifetimes, ...) at run
-// time.
+// Instrument wraps any servant so its invocation counts, failures and
+// latencies land in a Meter — three atomics, no lock on the call path —
+// which the platform exports with every other number the node keeps;
+// Agent serves that export, the event Registry and tunable parameters
+// as an ordinary ODP interface, so the management interface is itself
+// managed by the same machinery it monitors. Parameters registered with
+// the agent let operators retune transparency mechanisms (heartbeat
+// rates, lease lifetimes, ...) at run time.
 package mgmt
 
 import (
@@ -22,20 +23,21 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"odp/internal/capsule"
 	"odp/internal/clock"
+	"odp/internal/obs"
 	"odp/internal/wire"
 )
 
-// Registry is a concurrency-safe set of named counters and gauges.
+// Registry is the node's management event log: what operators changed
+// and what failed, stamped on the node's clock.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]uint64
-	gauges   map[string]float64
-	events   []Event
-	clk      clock.Clock
+	mu     sync.Mutex
+	events []Event
+	clk    clock.Clock
 }
 
 // maxEvents bounds the management event log: the most recent are kept.
@@ -49,41 +51,9 @@ type Event struct {
 	What string
 }
 
-// NewRegistry creates an empty registry whose events are stamped by clk.
+// NewRegistry creates an empty event log stamped by clk.
 func NewRegistry(clk clock.Clock) *Registry {
-	return &Registry{
-		counters: make(map[string]uint64),
-		gauges:   make(map[string]float64),
-		clk:      clk,
-	}
-}
-
-// Add increments counter name by delta.
-func (r *Registry) Add(name string, delta uint64) {
-	r.mu.Lock()
-	r.counters[name] += delta
-	r.mu.Unlock()
-}
-
-// Set sets gauge name.
-func (r *Registry) Set(name string, v float64) {
-	r.mu.Lock()
-	r.gauges[name] = v
-	r.mu.Unlock()
-}
-
-// Counter reads counter name.
-func (r *Registry) Counter(name string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
-// Gauge reads gauge name.
-func (r *Registry) Gauge(name string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
+	return &Registry{clk: clk}
 }
 
 // Log appends an event to the bounded event log.
@@ -103,37 +73,46 @@ func (r *Registry) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// Snapshot renders all metrics as a wire record (counters under "c.",
-// gauges under "g.").
-func (r *Registry) Snapshot() wire.Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rec := make(wire.Record, len(r.counters)+len(r.gauges))
-	for k, v := range r.counters {
-		rec["c."+k] = v
-	}
-	for k, v := range r.gauges {
-		rec["g."+k] = v
-	}
-	return rec
+// Meter is one metric prefix's traffic: calls, errors and the last
+// dispatch latency in microseconds. Every servant instrumented with one
+// meter counts into it; the zero value is ready to use.
+type Meter struct {
+	calls, errors atomic.Uint64
+	lastUs        atomic.Int64
 }
 
-// Instrument wraps a servant so its traffic feeds the registry under the
-// given metric prefix: <prefix>.calls, <prefix>.errors and the gauge
-// <prefix>.last_us (last dispatch latency in microseconds).
-func Instrument(r *Registry, prefix string) capsule.Interceptor {
-	calls, errs, lastUs := prefix+".calls", prefix+".errors", prefix+".last_us"
+// Instrument wraps a servant so its traffic feeds m, timed on clk.
+func Instrument(m *Meter, clk clock.Clock) capsule.Interceptor {
 	return func(next capsule.Servant) capsule.Servant {
 		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
-			start := r.clk.Now()
+			start := clk.Now()
 			outcome, results, err := next.Dispatch(ctx, op, args)
-			r.Add(calls, 1)
+			// Latency and errors land before the call count, so a Fold that
+			// sees a call sees its latency.
+			m.lastUs.Store(clk.Since(start).Microseconds())
 			if err != nil {
-				r.Add(errs, 1)
+				m.errors.Add(1)
 			}
-			r.Set(lastUs, float64(r.clk.Since(start).Microseconds()))
+			m.calls.Add(1)
 			return outcome, results, err
 		})
+	}
+}
+
+// Fold adds the meter to ms under prefix: the counters
+// "registry.c.<prefix>.calls" and "registry.c.<prefix>.errors" and the
+// gauge "registry.g.<prefix>.last_us". A key appears once it has a value
+// to show — calls and last_us from the first call, errors from the
+// first error.
+func (m *Meter) Fold(ms *obs.Metrics, prefix string) {
+	calls := m.calls.Load()
+	if calls == 0 {
+		return
+	}
+	ms.Counters["registry.c."+prefix+".calls"] = calls
+	ms.Gauges["registry.g."+prefix+".last_us"] = float64(m.lastUs.Load())
+	if errs := m.errors.Load(); errs > 0 {
+		ms.Counters["registry.c."+prefix+".errors"] = errs
 	}
 }
 
@@ -147,38 +126,49 @@ type Param struct {
 	Set func(wire.Value) error
 }
 
-// Agent exports a registry (and tunable parameters) as an ODP management
-// interface with operations stats, events, get-param, set-param, gather
-// and spans.
+// Sources are the producers behind an Agent's read operations. Gather
+// is required; a nil Spans, Series or Blackbox answers with an empty
+// list or record (an untraced node, a node without a recorder or
+// without a flight recorder).
+type Sources struct {
+	// Gather produces the node's exported metric snapshot.
+	Gather func() wire.Record
+	// Spans produces the node's recent span ring.
+	Spans func() wire.List
+	// Series produces the metrics time-series view: rates derived from
+	// the recorder's snapshot ring.
+	Series func() wire.Record
+	// Blackbox produces the flight recorder's retained breach reports.
+	Blackbox func() wire.List
+}
+
+// Agent exports a node's management interface: operations gather,
+// spans, series, blackbox, events, list-params, get-param and set-param.
 type Agent struct {
 	registry *Registry
+	src      Sources
 	ref      wire.Ref
 
 	mu     sync.Mutex
 	params map[string]Param
-	// gather, when set, produces the node's unified stats snapshot
-	// (every subsystem folded into one namespace — see obs.Fold); the
-	// "gather" op falls back to the plain registry snapshot otherwise.
-	gather func() wire.Record
-	// spans, when set, produces the node's recent span ring for the
-	// "spans" op; an untraced node answers with an empty list.
-	spans func() wire.List
-	// series, when set, produces the metrics time-series view (rates
-	// derived from the recorder's snapshot ring) for the "series" op; a
-	// node without a recorder answers with an empty record.
-	series func() wire.Record
-	// blackbox, when set, produces the flight recorder's retained breach
-	// reports for the "blackbox" op; a node without a flight recorder
-	// answers with an empty list.
-	blackbox func() wire.List
 }
 
 // ErrUnknownParam reports an unregistered parameter.
 var ErrUnknownParam = errors.New("mgmt: unknown parameter")
 
-// NewAgent exports the management interface on c.
-func NewAgent(c *capsule.Capsule, r *Registry) (*Agent, error) {
-	a := &Agent{registry: r, params: make(map[string]Param)}
+// NewAgent exports the management interface on c, serving src and r's
+// event log.
+func NewAgent(c *capsule.Capsule, r *Registry, src Sources) (*Agent, error) {
+	if src.Spans == nil {
+		src.Spans = func() wire.List { return wire.List{} }
+	}
+	if src.Series == nil {
+		src.Series = func() wire.Record { return wire.Record{} }
+	}
+	if src.Blackbox == nil {
+		src.Blackbox = func() wire.List { return wire.List{} }
+	}
+	a := &Agent{registry: r, src: src, params: make(map[string]Param)}
 	ref, err := c.Export(capsule.ServantFunc(a.dispatch),
 		capsule.WithID(c.Name()+"/mgmt"))
 	if err != nil {
@@ -198,72 +188,16 @@ func (a *Agent) RegisterParam(name string, p Param) {
 	a.mu.Unlock()
 }
 
-// SetGather installs the unified-snapshot producer behind the "gather"
-// op. The platform wires this after assembling its subsystems.
-func (a *Agent) SetGather(fn func() wire.Record) {
-	a.mu.Lock()
-	a.gather = fn
-	a.mu.Unlock()
-}
-
-// SetSpans installs the span-ring producer behind the "spans" op.
-func (a *Agent) SetSpans(fn func() wire.List) {
-	a.mu.Lock()
-	a.spans = fn
-	a.mu.Unlock()
-}
-
-// SetSeries installs the time-series producer behind the "series" op.
-func (a *Agent) SetSeries(fn func() wire.Record) {
-	a.mu.Lock()
-	a.series = fn
-	a.mu.Unlock()
-}
-
-// SetBlackbox installs the breach-report producer behind the "blackbox"
-// op.
-func (a *Agent) SetBlackbox(fn func() wire.List) {
-	a.mu.Lock()
-	a.blackbox = fn
-	a.mu.Unlock()
-}
-
 func (a *Agent) dispatch(_ context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
 	switch op {
-	case "stats":
-		return "ok", []wire.Value{a.registry.Snapshot()}, nil
 	case "gather":
-		a.mu.Lock()
-		gather := a.gather
-		a.mu.Unlock()
-		if gather == nil {
-			return "ok", []wire.Value{a.registry.Snapshot()}, nil
-		}
-		return "ok", []wire.Value{gather()}, nil
+		return "ok", []wire.Value{a.src.Gather()}, nil
 	case "spans":
-		a.mu.Lock()
-		spans := a.spans
-		a.mu.Unlock()
-		if spans == nil {
-			return "ok", []wire.Value{wire.List{}}, nil
-		}
-		return "ok", []wire.Value{spans()}, nil
+		return "ok", []wire.Value{a.src.Spans()}, nil
 	case "series":
-		a.mu.Lock()
-		series := a.series
-		a.mu.Unlock()
-		if series == nil {
-			return "ok", []wire.Value{wire.Record{}}, nil
-		}
-		return "ok", []wire.Value{series()}, nil
+		return "ok", []wire.Value{a.src.Series()}, nil
 	case "blackbox":
-		a.mu.Lock()
-		blackbox := a.blackbox
-		a.mu.Unlock()
-		if blackbox == nil {
-			return "ok", []wire.Value{wire.List{}}, nil
-		}
-		return "ok", []wire.Value{blackbox()}, nil
+		return "ok", []wire.Value{a.src.Blackbox()}, nil
 	case "events":
 		evs := a.registry.Events()
 		list := make(wire.List, len(evs))

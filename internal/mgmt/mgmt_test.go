@@ -13,40 +13,54 @@ import (
 	"odp/internal/capsule"
 	"odp/internal/clock"
 	"odp/internal/netsim"
+	"odp/internal/obs"
 	"odp/internal/wire"
 )
 
 var codec = wire.PackedCodec{}
 
-func TestRegistryCountersGauges(t *testing.T) {
-	r := NewRegistry(clock.Real{})
-	r.Add("x", 1)
-	r.Add("x", 2)
-	r.Set("g", 3.5)
-	if r.Counter("x") != 3 || r.Gauge("g") != 3.5 {
-		t.Fatalf("counter=%d gauge=%f", r.Counter("x"), r.Gauge("g"))
-	}
-	snap := r.Snapshot()
-	if snap["c.x"] != uint64(3) || snap["g.g"] != 3.5 {
-		t.Fatalf("snapshot %v", snap)
-	}
+// exported renders the meter as the platform exports it.
+func exported(m *Meter, prefix string) wire.Record {
+	ms := obs.NewMetrics()
+	m.Fold(ms, prefix)
+	rec := wire.Record{}
+	ms.Export(rec, "")
+	return rec
 }
 
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry(clock.Real{})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Add("hits", 1)
+// TestInstrumentConcurrent drives one instrumented servant from 64
+// goroutines: the meter's atomics count every call and every error
+// exactly.
+func TestInstrumentConcurrent(t *testing.T) {
+	const workers, perWorker = 64, 200
+	var m Meter
+	svc := Instrument(&m, clock.Real{})(capsule.ServantFunc(
+		func(_ context.Context, op string, _ []wire.Value) (string, []wire.Value, error) {
+			if op == "fail" {
+				return "", nil, errors.New("boom")
 			}
-		}()
+			return "ok", nil, nil
+		}))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				op := "work"
+				if (w+i)%4 == 0 {
+					op = "fail"
+				}
+				_, _, _ = svc.Dispatch(context.Background(), op, nil)
+			}
+		}(w)
 	}
 	wg.Wait()
-	if r.Counter("hits") != 8000 {
-		t.Fatalf("hits %d", r.Counter("hits"))
+	rec := exported(&m, "hits")
+	if rec["registry.c.hits.calls"] != uint64(workers*perWorker) ||
+		rec["registry.c.hits.errors"] != uint64(workers*perWorker/4) {
+		t.Fatalf("calls=%v errors=%v, want %d and %d", rec["registry.c.hits.calls"],
+			rec["registry.c.hits.errors"], workers*perWorker, workers*perWorker/4)
 	}
 }
 
@@ -71,7 +85,7 @@ func TestInstrumentCountsCallsAndErrors(t *testing.T) {
 	c := capsule.New("n", transport.NewCoalescer(ep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = c.Close() })
 
-	r := NewRegistry(clock.Real{})
+	var m Meter
 	var fail atomic.Bool
 	ref, err := c.Export(capsule.ServantFunc(
 		func(context.Context, string, []wire.Value) (string, []wire.Value, error) {
@@ -81,9 +95,13 @@ func TestInstrumentCountsCallsAndErrors(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			return "ok", nil, nil
 		}),
-		capsule.WithInterceptors(Instrument(r, "svc")))
+		capsule.WithInterceptors(Instrument(&m, clock.Real{})))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Nothing is exported before the first call.
+	if rec := exported(&m, "svc"); len(rec) != 0 {
+		t.Fatalf("an idle meter exports %v", rec)
 	}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
@@ -91,13 +109,18 @@ func TestInstrumentCountsCallsAndErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	rec := exported(&m, "svc")
+	if _, ok := rec["registry.c.svc.errors"]; ok || len(rec) != 2 {
+		t.Fatalf("after three good calls the meter exports %v, want calls and last_us", rec)
+	}
+	if us, _ := rec["registry.g.svc.last_us"].(float64); us < 1000 {
+		t.Fatalf("last_us = %v after a 1ms dispatch", rec["registry.g.svc.last_us"])
+	}
 	fail.Store(true)
 	_, _, _ = c.Invoke(ctx, ref, "work", nil)
-	if r.Counter("svc.calls") != 4 || r.Counter("svc.errors") != 1 {
-		t.Fatalf("calls=%d errors=%d", r.Counter("svc.calls"), r.Counter("svc.errors"))
-	}
-	if r.Gauge("svc.last_us") < 0 {
-		t.Fatal("latency gauge never set")
+	rec = exported(&m, "svc")
+	if rec["registry.c.svc.calls"] != uint64(4) || rec["registry.c.svc.errors"] != uint64(1) {
+		t.Fatalf("calls=%v errors=%v", rec["registry.c.svc.calls"], rec["registry.c.svc.errors"])
 	}
 }
 
@@ -110,9 +133,15 @@ func TestAgentRemoteStatsAndParams(t *testing.T) {
 	manager := capsule.New("manager", transport.NewCoalescer(cep, clock.Real{}, nil), codec)
 	t.Cleanup(func() { _ = server.Close(); _ = manager.Close() })
 
-	r := NewRegistry(clock.Real{})
-	r.Add("invocations", 7)
-	agent, err := NewAgent(server, r)
+	var m Meter
+	svc := Instrument(&m, clock.Real{})(capsule.ServantFunc(
+		func(context.Context, string, []wire.Value) (string, []wire.Value, error) { return "ok", nil, nil }))
+	for i := 0; i < 7; i++ {
+		_, _, _ = svc.Dispatch(context.Background(), "work", nil)
+	}
+	agent, err := NewAgent(server, NewRegistry(clock.Real{}), Sources{
+		Gather: func() wire.Record { return exported(&m, "invocations") },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +161,20 @@ func TestAgentRemoteStatsAndParams(t *testing.T) {
 	})
 
 	ctx := context.Background()
-	outcome, res, err := manager.Invoke(ctx, agent.Ref(), "stats", nil)
+	outcome, res, err := manager.Invoke(ctx, agent.Ref(), "gather", nil)
 	if err != nil || outcome != "ok" {
-		t.Fatalf("stats: %q %v", outcome, err)
+		t.Fatalf("gather: %q %v", outcome, err)
 	}
-	if res[0].(wire.Record)["c.invocations"] != uint64(7) {
-		t.Fatalf("stats record %v", res[0])
+	if res[0].(wire.Record)["registry.c.invocations.calls"] != uint64(7) {
+		t.Fatalf("gather record %v", res[0])
+	}
+	// An agent built without spans, series or a flight recorder answers
+	// those operations empty.
+	for _, op := range []string{"spans", "series", "blackbox"} {
+		outcome, res, err := manager.Invoke(ctx, agent.Ref(), op, nil)
+		if err != nil || outcome != "ok" || len(res) != 1 {
+			t.Fatalf("%s: %q %v %v", op, outcome, res, err)
+		}
 	}
 	outcome, res, err = manager.Invoke(ctx, agent.Ref(), "get-param", []wire.Value{"heartbeat-ms"})
 	if err != nil || outcome != "ok" || res[0].(int64) != 50 {

@@ -143,10 +143,9 @@ func bucketBounds(i int) (lo, hi float64) {
 // platforms — absent buckets are zero), the observation count as
 // "<key>_count", and when the histogram is non-empty the derived
 // "<key>_p50" / "<key>_p90" / "<key>_p99" quantiles as float64
-// microseconds. GatherDomains recognises the "_hist." suffix pattern
-// and recomputes the quantile keys from domain-summed buckets, so a
-// rollup's p99 is the p99 of the merged distribution, not a meaningless
-// sum of per-node quantiles.
+// microseconds. Metrics.Export writes every histogram through it; a
+// domain rollup merges the snapshots first, so its p99 is the p99 of
+// the merged distribution, not a sum of per-node quantiles.
 func FoldLatency(rec wire.Record, key string, s HistogramSnapshot) {
 	var total uint64
 	for i, b := range s.Buckets {
@@ -165,15 +164,14 @@ func FoldLatency(rec wire.Record, key string, s HistogramSnapshot) {
 }
 
 // histBucketInfix separates a histogram key base from its bucket index
-// in folded records; GatherDomains keys its quantile recomputation on
-// it.
+// in exported records.
 const histBucketInfix = "_hist."
 
 // HistogramKeys scans a folded record for "<base>_hist.<i>" bucket keys
 // and reassembles the snapshots, keyed by base. Out-of-range indices
 // and non-uint64 values are ignored. This is the read-side inverse of
-// FoldLatency, used by the domain rollup and by renderers (odptop's
-// latency columns).
+// FoldLatency for readers of an exported record (odptop's latency
+// columns, the benchmark harness).
 func HistogramKeys(rec wire.Record) map[string]HistogramSnapshot {
 	var out map[string]HistogramSnapshot
 	for k, v := range rec {

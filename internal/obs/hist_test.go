@@ -163,16 +163,18 @@ type histArrayStats struct {
 // record and pushes it through every codec the platform speaks —
 // binary, text and packed, the packed decode in both copying and alias
 // mode — checking the bucket keys survive encode/decode bit-exactly.
-// This is the path a remote Gather takes before GatherDomains or odptop
-// reassembles the histogram.
+// This is the path a remote Gather takes before odptop reassembles the
+// histogram.
 func TestFoldArrayRoundTripsAllCodecs(t *testing.T) {
 	stats := histArrayStats{Count: 6}
 	stats.Buckets[0] = 1
 	stats.Buckets[7] = 2
 	stats.Buckets[HistogramBuckets-1] = 3
 
+	m := NewMetrics()
+	Fold(m, "stage", stats)
 	rec := wire.Record{}
-	Fold(rec, "stage", stats)
+	m.Export(rec, "")
 	if got := rec[fmt.Sprintf("stage.buckets.%d", HistogramBuckets-1)]; got != uint64(3) {
 		t.Fatalf("fold missed the top bucket: %v", rec)
 	}

@@ -8,8 +8,9 @@
 // invocation actually traversed — stub, binder resolve, protocol
 // send/retransmit/ack, coalescer flush, server dispatch, and the
 // co-located bypass — so a test or an operator can *see* which
-// transparency path ran, and Fold renders every per-layer stats struct
-// into one management-interface namespace.
+// transparency path ran, and a node's metrics — every per-layer stats
+// struct (Fold), every latency histogram — meet in one typed Metrics
+// snapshot that exports one management-interface namespace.
 //
 // Tracing is one more channel function, installed like any transparency
 // interceptor, and it obeys the platform's hot-path discipline:

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"maps"
 	"strconv"
 	"strings"
 	"testing"
@@ -166,26 +167,29 @@ func TestFoldSnakeCase(t *testing.T) {
 		Name            string // non-uint64: skipped
 	}
 	_ = fakeStats{hidden: 1}.hidden
-	rec := wire.Record{}
-	Fold(rec, "rpc.client", fakeStats{Calls: 2, AcksPiggybacked: 5, FramesPerBatch: [3]uint64{1, 0, 4}})
-	want := wire.Record{
-		"rpc.client.calls":              uint64(2),
-		"rpc.client.acks_piggybacked":   uint64(5),
-		"rpc.client.frames_per_batch.0": uint64(1),
-		"rpc.client.frames_per_batch.1": uint64(0),
-		"rpc.client.frames_per_batch.2": uint64(4),
+	m := NewMetrics()
+	Fold(m, "rpc.client", fakeStats{Calls: 2, AcksPiggybacked: 5, FramesPerBatch: [3]uint64{1, 0, 4}})
+	want := map[string]uint64{
+		"rpc.client.calls":              2,
+		"rpc.client.acks_piggybacked":   5,
+		"rpc.client.frames_per_batch.0": 1,
+		"rpc.client.frames_per_batch.1": 0,
+		"rpc.client.frames_per_batch.2": 4,
 	}
-	if !wire.Equal(rec, want) {
-		t.Fatalf("fold = %v, want %v", rec, want)
+	if !maps.Equal(m.Counters, want) {
+		t.Fatalf("fold = %v, want %v", m.Counters, want)
 	}
 	// Pointer and nil-pointer folding.
-	rec2 := wire.Record{}
-	Fold(rec2, "x", &fakeStats{Calls: 1})
-	if rec2["x.calls"] != uint64(1) {
-		t.Fatalf("pointer fold = %v", rec2)
+	m2 := NewMetrics()
+	Fold(m2, "x", &fakeStats{Calls: 1})
+	if m2.Counters["x.calls"] != 1 {
+		t.Fatalf("pointer fold = %v", m2.Counters)
 	}
-	Fold(rec2, "y", (*fakeStats)(nil))
-	Fold(rec2, "z", 42)
+	Fold(m2, "y", (*fakeStats)(nil))
+	Fold(m2, "z", 42)
+	if len(m2.Counters) != 5 {
+		t.Fatalf("nil pointer or non-struct folded keys: %v", m2.Counters)
+	}
 }
 
 func TestSpanRecordRoundTrip(t *testing.T) {

@@ -291,12 +291,17 @@ var (
 	TraceSampleEvery = obs.WithSampleEvery
 )
 
-// Latency histograms, the metrics time series and the anomaly flight
-// recorder. Every channel stage that matters records into a zero-alloc
-// log-bucketed histogram; a clock-driven recorder turns Gather
-// snapshots into rates; armed SLO rules capture black-box breach
-// reports served by the management "blackbox" op.
+// Metrics, latency histograms, the metrics time series and the anomaly
+// flight recorder. A node keeps one typed Metrics snapshot — counters,
+// gauges and latency histograms — which Gather exports as the Record the
+// management "gather" op serves. Every channel stage that matters
+// records into a zero-alloc log-bucketed histogram; a clock-driven
+// recorder turns Gather records into rates; armed SLO rules capture
+// black-box breach reports served by the management "blackbox" op.
 type (
+	// Metrics is a node's typed metric snapshot; Platform.AddStatsSource
+	// contributors add to it.
+	Metrics = obs.Metrics
 	// HistogramSnapshot is a point-in-time latency distribution of one
 	// channel stage (32 log2 microsecond buckets).
 	HistogramSnapshot = obs.HistogramSnapshot
@@ -400,9 +405,9 @@ func NewTraderClient(p *Platform, ref Ref) *TraderClient {
 	return trader.NewClient(p.Capsule, ref)
 }
 
-// GatherDomains folds many platforms' Gather snapshots into per-domain
-// "domain.<name>.<key>" sums, keyed by each node's WithDomain tag — the
-// per-domain view of a federation swarm (experiment E20).
+// GatherDomains merges many platforms' metrics per domain and exports
+// them as "domain.<name>.<key>", keyed by each node's WithDomain tag —
+// the per-domain view of a federation swarm (experiment E20).
 func GatherDomains(platforms ...*Platform) Record {
 	return core.GatherDomains(platforms...)
 }

@@ -475,9 +475,9 @@ func TestSimSwarmGroupChurn(t *testing.T) {
 	// Mirror PublishReplicated's stats wiring so the joiner's execution
 	// counter lands in its domain rollup too.
 	jm2 := jm
-	jp.AddStatsSource(func(rec odp.Record) {
-		rec["group.swarm.executed"] = jm2.Executed()
-		rec["group.swarm.promotions"] = jm2.Promotions()
+	jp.AddStatsSource(func(m *odp.Metrics) {
+		m.Counters["group.swarm.executed"] = jm2.Executed()
+		m.Counters["group.swarm.promotions"] = jm2.Promotions()
 	})
 
 	if _, ids := rep.Members[0].View(); len(ids) != members-perDomain+1 {
