@@ -94,8 +94,8 @@ func TestSwarmSubnetFaultPlan(t *testing.T) {
 	b.SetHandler(func(string, []byte) { got.Add(1) })
 
 	s.Install(NewFaultPlan().
-		At(10 * time.Millisecond).PartitionSubnets("d00", "d01").
-		At(30 * time.Millisecond).HealSubnets("d00", "d01"))
+		At(10*time.Millisecond).PartitionSubnets("d00", "d01").
+		At(30*time.Millisecond).HealSubnets("d00", "d01"))
 
 	send := func() {
 		if err := a.Send(n.Addr(1, 0), []byte("x")); err != nil {

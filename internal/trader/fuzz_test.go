@@ -38,13 +38,13 @@ func FuzzConstraintMatches(f *testing.F) {
 	// the ErrBadConstraint paths (non-numeric ordering, bogus operator),
 	// and exists on present/absent keys.
 	f.Add("dpi", "==", uint8(0), int64(600), 0.0, "", uint8(0), int64(600), 0.0, "", true)
-	f.Add("dpi", "!=", uint8(2), int64(0), 2.5, "", uint8(0), int64(2), 0.0, "", true)      // float vs int
-	f.Add("dpi", ">=", uint8(0), int64(600), 0.0, "", uint8(1), int64(300), 0.0, "", true)  // int vs uint
-	f.Add("dpi", "<=", uint8(2), int64(0), 1.5, "", uint8(2), int64(0), 2.5, "", true)      // float vs float
-	f.Add("dpi", ">=", uint8(3), int64(0), 0.0, "lo", uint8(0), int64(1), 0.0, "", true)    // string vs int: bad
-	f.Add("dpi", "<=", uint8(0), int64(1), 0.0, "", uint8(4), int64(0), 0.0, "", true)      // int vs bool: bad
-	f.Add("dpi", ">=", uint8(5), int64(1), 0.0, "x", uint8(5), int64(2), 0.0, "y", true)    // list vs list: bad
-	f.Add("dpi", "~=", uint8(0), int64(1), 0.0, "", uint8(0), int64(1), 0.0, "", true)      // bogus operator
+	f.Add("dpi", "!=", uint8(2), int64(0), 2.5, "", uint8(0), int64(2), 0.0, "", true)     // float vs int
+	f.Add("dpi", ">=", uint8(0), int64(600), 0.0, "", uint8(1), int64(300), 0.0, "", true) // int vs uint
+	f.Add("dpi", "<=", uint8(2), int64(0), 1.5, "", uint8(2), int64(0), 2.5, "", true)     // float vs float
+	f.Add("dpi", ">=", uint8(3), int64(0), 0.0, "lo", uint8(0), int64(1), 0.0, "", true)   // string vs int: bad
+	f.Add("dpi", "<=", uint8(0), int64(1), 0.0, "", uint8(4), int64(0), 0.0, "", true)     // int vs bool: bad
+	f.Add("dpi", ">=", uint8(5), int64(1), 0.0, "x", uint8(5), int64(2), 0.0, "y", true)   // list vs list: bad
+	f.Add("dpi", "~=", uint8(0), int64(1), 0.0, "", uint8(0), int64(1), 0.0, "", true)     // bogus operator
 	f.Add("color", "exists", uint8(0), int64(0), 0.0, "", uint8(0), int64(0), 0.0, "", false)
 	f.Add("color", "exists", uint8(3), int64(0), 0.0, "on", uint8(3), int64(0), 0.0, "on", true)
 	f.Add("", "==", uint8(3), int64(0), 0.0, "", uint8(3), int64(0), 0.0, "", true) // empty key/strings

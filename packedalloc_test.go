@@ -25,9 +25,9 @@ import (
 // string, before the client interned it); PRs 13 and 16 took it from 13
 // to 7, and PR 22 took the server's call row, its cached reply packet
 // and the ack queue's growth out (the row and its buffer are reused per
-// peer). The headroom absorbs runtime jitter: a row or a reply packet
-// allocated per call again fails the gate.
-const packedE1AllocBudget = 5
+// peer). The budget leaves one allocation of headroom: a row, a reply
+// packet or an outcome string allocated per call again fails the gate.
+const packedE1AllocBudget = 3
 
 // minAllocsPerRun is the least of three AllocsPerRun rounds, the figure
 // every E1 gate compares. A real per-call allocation raises every round;
