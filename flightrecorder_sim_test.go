@@ -115,3 +115,49 @@ func TestSimFlightRecorderBreachDeterministic(t *testing.T) {
 	}
 	t.Logf("seed=43 black box (%d bytes):\n%s", len(r1), r1)
 }
+
+// TestRecorderWithoutRulesExportsNoBlackbox: a node built WithRecorder
+// alone serves "series" and an empty "blackbox" list, and its Gather
+// carries no blackbox.* key; a node built WithFlightRecorder exports
+// its armed rule count.
+func TestRecorderWithoutRulesExportsNoBlackbox(t *testing.T) {
+	s := sim.New(7, sim.WithDefaultLink(odp.LinkProfile{Latency: 500 * time.Microsecond}))
+	defer s.Close()
+	plain := simPlatform(t, s, "plain", odp.WithRecorder(900*time.Millisecond))
+	armed := simPlatform(t, s, "armed",
+		odp.WithFlightRecorder(odp.StallRule("no-progress", "rpc.server.requests", 3)))
+	client := simPlatform(t, s, "client")
+	s.RunFor(2 * time.Second)
+
+	qos := odp.QoS{Timeout: 30 * time.Second, Retransmit: 50 * time.Millisecond}
+	ask := func(p *odp.Platform, op string) odp.Value {
+		t.Helper()
+		var v odp.Value
+		if err := driveCall(t, s, time.Minute, func() error {
+			out, err := client.Bind(p.Agent.Ref()).WithQoS(qos).Call(context.Background(), op)
+			if err == nil {
+				v = out.Result(0)
+			}
+			return err
+		}); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		return v
+	}
+
+	gather, _ := ask(plain, "gather").(odp.Record)
+	for k := range gather {
+		if strings.HasPrefix(k, "blackbox.") {
+			t.Errorf("recorder without rules exports %s = %v", k, gather[k])
+		}
+	}
+	if list, ok := ask(plain, "blackbox").(odp.List); !ok || len(list) != 0 {
+		t.Errorf("blackbox without rules = %v, want an empty list", list)
+	}
+	if series, _ := ask(plain, "series").(odp.Record); series["series.samples"] != uint64(2) {
+		t.Errorf("series = %v, want rates from 2 samples", series)
+	}
+	if got := ask(armed, "gather").(odp.Record)["blackbox.rules"]; got != uint64(1) {
+		t.Errorf("armed node's blackbox.rules = %v, want 1", got)
+	}
+}

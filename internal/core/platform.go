@@ -79,13 +79,10 @@ type Platform struct {
 	// the node's clock and span collector, and every layer above reads
 	// them from there.
 	coalescer *transport.Coalescer
-	// recorder is non-nil when WithRecorder (or WithFlightRecorder)
-	// enabled periodic Gather sampling; the platform owns it and Close
-	// stops it.
+	// recorder is non-nil when WithRecorder or WithFlightRecorder
+	// enabled periodic Gather sampling (and armed its rules); the
+	// platform owns it and Close stops it.
 	recorder *obs.Recorder
-	// flight is non-nil when WithFlightRecorder armed SLO rules against
-	// the recorder.
-	flight *obs.FlightRecorder
 	// domain is the administrative-domain tag set by WithDomain; empty
 	// for untagged nodes.
 	domain string
@@ -221,21 +218,23 @@ func WithTracing(opts ...obs.CollectorOption) Option {
 }
 
 // WithRecorder enables the metrics time series: a clock-driven recorder
-// samples the node's Gather snapshot every interval into a bounded ring
-// (obs.Recorder), from which the management "series" op derives rates —
-// invocations_per_sec, admission_rejects_per_sec — that a single
-// snapshot cannot answer. On a simulated node the recorder runs in
-// virtual time. interval <= 0 means the recorder default (one second).
+// (obs.Recorder) samples the node's Gather snapshot every interval and
+// keeps the previous and the current sample, from which the management
+// "series" op derives rates — invocations_per_sec,
+// admission_rejects_per_sec — that a single snapshot cannot answer. On a
+// simulated node the recorder runs in virtual time. interval <= 0 means
+// the recorder default (one second).
 func WithRecorder(interval time.Duration) Option {
 	return func(cfg *platformConfig) { cfg.recInterval = interval }
 }
 
 // WithFlightRecorder arms service-level objectives (obs.CeilingRule,
-// obs.StallRule) against the node's recorder samples: on a breach the
-// flight recorder captures a black-box report — triggering rule, the
-// breaching window's counter deltas, the last spans — into a bounded
-// ring served by the management "blackbox" op. Implies WithRecorder;
-// pass that too to choose the sampling interval.
+// obs.StallRule) that the recorder evaluates on every sample, in the
+// same pass: on a breach it captures a black-box report — triggering
+// rule, the breaching window's counter deltas, the last spans — into a
+// bounded ring served by the management "blackbox" op, and Gather gains
+// the blackbox.* counters. Implies WithRecorder; pass that too to choose
+// the sampling interval.
 func WithFlightRecorder(rules ...obs.Rule) Option {
 	return func(cfg *platformConfig) { cfg.sloRules = append(cfg.sloRules, rules...) }
 }
@@ -277,14 +276,11 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 	p.Capsule = capsule.New(name, p.coalescer, cfg.codec, cfg.capsuleOpts...)
 	p.Coordinator = txn.NewCoordinator(p.Capsule, cfg.store)
 
-	// The recorder samples Gather and the flight recorder watches its
-	// samples; both are built here so the management agent can serve them,
+	// The recorder samples Gather and evaluates the armed rules in the
+	// same pass; it is built here so the management agent can serve it,
 	// and sampling starts last, once every subsystem exists.
 	if cfg.recInterval > 0 || len(cfg.sloRules) > 0 {
-		p.recorder = obs.NewRecorder(p.Gather, cfg.recInterval, cfg.clk)
-		if len(cfg.sloRules) > 0 {
-			p.flight = obs.NewFlightRecorder(p.recorder, col, cfg.sloRules)
-		}
+		p.recorder = obs.NewRecorder(p.Gather, cfg.recInterval, cfg.clk, col, cfg.sloRules)
 	}
 	src := mgmt.Sources{Gather: p.Gather}
 	if col != nil {
@@ -292,9 +288,7 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 	}
 	if p.recorder != nil {
 		src.Series = p.recorder.Series
-	}
-	if p.flight != nil {
-		src.Blackbox = p.flight.ReportsList
+		src.Blackbox = p.recorder.ReportsList
 	}
 	var err error
 	if p.Agent, err = mgmt.NewAgent(p.Capsule, p.Registry, src); err != nil {
@@ -369,14 +363,6 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 // was built WithTracing.
 func (p *Platform) Observer() *obs.Collector { return p.coalescer.Observer() }
 
-// Recorder returns the platform's metrics recorder, nil unless the node
-// was built WithRecorder or WithFlightRecorder.
-func (p *Platform) Recorder() *obs.Recorder { return p.recorder }
-
-// Flight returns the platform's flight recorder, nil unless the node
-// was built WithFlightRecorder.
-func (p *Platform) Flight() *obs.FlightRecorder { return p.flight }
-
 // Domain reports the administrative-domain tag set by WithDomain, empty
 // for untagged nodes.
 func (p *Platform) Domain() string { return p.domain }
@@ -423,8 +409,10 @@ func (p *Platform) metrics() *obs.Metrics {
 	if col := p.coalescer.Observer(); col != nil {
 		obs.Fold(m, "obs", col.Stats())
 	}
-	if p.flight != nil {
-		obs.Fold(m, "blackbox", p.flight.Stats())
+	if p.recorder != nil {
+		if st := p.recorder.Stats(); st.Rules > 0 {
+			obs.Fold(m, "blackbox", st)
+		}
 	}
 	p.metricsMu.Lock()
 	for prefix, meter := range p.meters {

@@ -266,13 +266,19 @@ func fixtureCases() []fixtureCase {
 // exactly the expected diagnostics — no more, no fewer, no drift in
 // position or wording.
 func TestFixtures(t *testing.T) {
+	// The fixtures share one standard-library importer, which type-checks
+	// the standard library from source once; each keeps its own package
+	// cache, since two fixtures may load under the same import path.
+	shared, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range fixtureCases() {
 		c := c
 		t.Run(c.dir, func(t *testing.T) {
-			l, err := NewLoader(".")
-			if err != nil {
-				t.Fatal(err)
-			}
+			l := *shared
+			l.pkgs = make(map[string]*Package)
+			l.loading = make(map[string]bool)
 			pkg, err := l.LoadDirAs(filepath.Join("testdata", "src", c.dir), c.asPath)
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)

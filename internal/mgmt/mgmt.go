@@ -128,17 +128,16 @@ type Param struct {
 
 // Sources are the producers behind an Agent's read operations. Gather
 // is required; a nil Spans, Series or Blackbox answers with an empty
-// list or record (an untraced node, a node without a recorder or
-// without a flight recorder).
+// list or record (an untraced node, a node without a recorder).
 type Sources struct {
 	// Gather produces the node's exported metric snapshot.
 	Gather func() wire.Record
 	// Spans produces the node's recent span ring.
 	Spans func() wire.List
 	// Series produces the metrics time-series view: rates derived from
-	// the recorder's snapshot ring.
+	// the recorder's two newest samples.
 	Series func() wire.Record
-	// Blackbox produces the flight recorder's retained breach reports.
+	// Blackbox produces the recorder's retained breach reports.
 	Blackbox func() wire.List
 }
 

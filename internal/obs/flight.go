@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"odp/internal/wire"
@@ -119,8 +118,8 @@ func (r BreachReport) Record() wire.Record {
 	}
 }
 
-// FlightStats counts flight-recorder activity for the unified snapshot
-// (folded under "blackbox").
+// FlightStats counts the recorder's rule activity for the unified
+// snapshot (folded under "blackbox" on a node with armed rules).
 type FlightStats struct {
 	// Breaches counts rule firings since start.
 	Breaches uint64
@@ -130,149 +129,96 @@ type FlightStats struct {
 	Rules uint64
 }
 
-// FlightRecorder is the anomaly watchdog: it evaluates armed rules
-// against every Recorder sample and, on a breach, captures a
-// BreachReport into a bounded ring fetchable via the management
-// "blackbox" op. Ceiling rules are edge-triggered — one report per
-// excursion above the ceiling, re-armed when the value recovers — and
-// stall rules re-arm after firing, so a persistent anomaly fills the
-// ring with distinct excursions instead of one report per sample.
-type FlightRecorder struct {
-	col   *Collector
-	rules []Rule
-
-	mu        sync.Mutex
-	ring      []BreachReport // flightDepth reports
-	pos       int
-	count     int
-	seq       uint64
-	tripped   []bool // ceiling rules: currently above the ceiling
-	stallRuns []int  // stall rules: consecutive zero-delta windows
-}
-
 const (
 	flightDepth     = 8  // breach reports retained
 	flightSpanLimit = 16 // trailing spans captured per breach report
 )
 
-// NewFlightRecorder arms rules against rec's samples. col supplies the
-// span ring for reports; nil (an untraced node) yields span-less
-// reports.
-func NewFlightRecorder(rec *Recorder, col *Collector, rules []Rule) *FlightRecorder {
-	f := &FlightRecorder{
-		col:       col,
-		rules:     append([]Rule(nil), rules...),
-		ring:      make([]BreachReport, flightDepth),
-		tripped:   make([]bool, len(rules)),
-		stallRuns: make([]int, len(rules)),
-	}
-	rec.OnSample(f.observe)
-	return f
-}
-
-// observe evaluates every rule against one fresh sample. Runs on the
-// recorder's sampling goroutine.
-func (f *FlightRecorder) observe(prev, cur Sample, hasPrev bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, rule := range f.rules {
+// checkLocked evaluates every rule against the newest sample.
+func (r *Recorder) checkLocked() {
+	for i, rule := range r.rules {
 		if rule.stall() {
-			if !hasPrev {
+			if r.n < 2 {
 				continue
 			}
 			// A key that is absent or not an integer in either sample is
 			// no counter standing still: it resets the run, as absence
 			// re-arms a ceiling.
-			cv, cok := toInt(cur.Rec[rule.Key])
-			pv, pok := toInt(prev.Rec[rule.Key])
+			cv, cok := toInt(r.cur.Rec[rule.Key])
+			pv, pok := toInt(r.prev.Rec[rule.Key])
 			if !cok || !pok || cv != pv {
-				f.stallRuns[i] = 0
+				r.stallRuns[i] = 0
 				continue
 			}
-			f.stallRuns[i]++
-			if f.stallRuns[i] >= rule.StallWindows {
-				f.stallRuns[i] = 0
-				f.captureLocked(rule, prev, cur, hasPrev, float64(cv))
+			r.stallRuns[i]++
+			if r.stallRuns[i] >= rule.StallWindows {
+				r.stallRuns[i] = 0
+				r.captureLocked(rule, float64(cv))
 			}
 			continue
 		}
-		v, ok := toFloat(cur.Rec[rule.Key])
+		v, ok := toFloat(r.cur.Rec[rule.Key])
 		if !ok || v <= rule.Max {
-			f.tripped[i] = false
+			r.tripped[i] = false
 			continue
 		}
-		if f.tripped[i] {
+		if r.tripped[i] {
 			continue // still the same excursion
 		}
-		f.tripped[i] = true
-		f.captureLocked(rule, prev, cur, hasPrev, v)
+		r.tripped[i] = true
+		r.captureLocked(rule, v)
 	}
 }
 
-// captureLocked commits one breach report to the ring.
-func (f *FlightRecorder) captureLocked(rule Rule, prev, cur Sample, hasPrev bool, value float64) {
-	f.seq++
+// captureLocked commits one breach report on the newest window.
+func (r *Recorder) captureLocked(rule Rule, value float64) {
+	r.seq++
 	rep := BreachReport{
-		Seq:   f.seq,
+		Seq:   r.seq,
 		Rule:  rule,
-		At:    cur.At,
+		At:    r.cur.At,
 		Value: value,
-		Delta: DeltaRecord(prev.Rec, cur.Rec),
+		Delta: DeltaRecord(r.prev.Rec, r.cur.Rec),
 	}
-	if hasPrev {
-		rep.Window = cur.At.Sub(prev.At)
+	if r.n == 2 {
+		rep.Window = r.cur.At.Sub(r.prev.At)
 	}
-	if f.col != nil {
-		spans := f.col.Snapshot()
+	if r.col != nil {
+		spans := r.col.Snapshot()
 		if len(spans) > flightSpanLimit {
 			spans = spans[len(spans)-flightSpanLimit:]
 		}
 		rep.Spans = spans
 	}
-	f.ring[f.pos] = rep
-	f.pos++
-	if f.pos == len(f.ring) {
-		f.pos = 0
-	}
-	if f.count < len(f.ring) {
-		f.count++
-	}
+	r.reports.push(rep)
 }
 
 // Reports returns the retained breach reports, oldest first.
-func (f *FlightRecorder) Reports() []BreachReport {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]BreachReport, 0, f.count)
-	start := f.pos - f.count
-	if start < 0 {
-		start += len(f.ring)
-	}
-	for i := 0; i < f.count; i++ {
-		out = append(out, f.ring[(start+i)%len(f.ring)])
-	}
-	return out
+func (r *Recorder) Reports() []BreachReport {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.reports.list()
 }
 
 // ReportsList renders the retained reports for the management
 // "blackbox" op, oldest first.
-func (f *FlightRecorder) ReportsList() wire.List {
-	reps := f.Reports()
+func (r *Recorder) ReportsList() wire.List {
+	reps := r.Reports()
 	out := make(wire.List, len(reps))
-	for i, r := range reps {
-		out[i] = r.Record()
+	for i, rep := range reps {
+		out[i] = rep.Record()
 	}
 	return out
 }
 
-// Stats snapshots flight-recorder counters.
-func (f *FlightRecorder) Stats() FlightStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// Stats snapshots the rule counters.
+func (r *Recorder) Stats() FlightStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return FlightStats{
-		Breaches: f.seq,
-		Retained: uint64(f.count),
-		Rules:    uint64(len(f.rules)),
+		Breaches: r.seq,
+		Retained: uint64(r.reports.len()),
+		Rules:    uint64(len(r.rules)),
 	}
 }
 

@@ -9,25 +9,24 @@ import (
 	"odp/internal/wire"
 )
 
-// feed drives a flight recorder by hand: the tests exercise rule
-// semantics through the same observe hook the recorder calls, with
-// samples spaced one second apart from the obs test epoch.
+// feed drives a recorder's rule pass by hand on a fake clock: each push
+// makes rec the next Gather snapshot, one second after the last, from
+// the obs test epoch.
 type feed struct {
-	f    *FlightRecorder
-	prev Sample
-	n    int
+	f   *Recorder
+	fc  *clock.Fake
+	rec wire.Record
 }
 
 func newFeed(rules []Rule) *feed {
-	r := NewRecorder(func() wire.Record { return nil }, time.Second, clock.Real{})
-	return &feed{f: NewFlightRecorder(r, nil, rules)}
+	fd := &feed{fc: clock.NewFake(epoch)}
+	fd.f = NewRecorder(func() wire.Record { return fd.rec }, time.Second, fd.fc, nil, rules)
+	return fd
 }
 
 func (fd *feed) push(rec wire.Record) {
-	fd.n++
-	cur := Sample{At: epoch.Add(time.Duration(fd.n) * time.Second), Rec: rec}
-	fd.f.observe(fd.prev, cur, fd.n > 1)
-	fd.prev = cur
+	fd.rec = rec
+	pass(fd.fc, fd.f, time.Second)
 }
 
 func TestCeilingRuleEdgeTriggered(t *testing.T) {

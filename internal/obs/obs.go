@@ -136,9 +136,7 @@ type Collector struct {
 	pool sync.Pool
 
 	mu       sync.Mutex
-	ring     []Span // ringSize spans, built by the first committed span
-	pos      int
-	count    int
+	ring     ring[Span] // the newest ringSize spans
 	recorded uint64
 }
 
@@ -163,6 +161,7 @@ func NewCollector(node string, clk clock.Clock, opts ...CollectorOption) *Collec
 		node:   node,
 		clk:    clk,
 		idBase: idBaseFor(node),
+		ring:   newRing[Span](ringSize),
 	}
 	c.pool.New = func() interface{} { return new(Span) }
 	for _, o := range opts {
@@ -307,17 +306,7 @@ func (c *Collector) Event(parent SpanContext, kind, name string) {
 
 func (c *Collector) commit(s Span) {
 	c.mu.Lock()
-	if c.ring == nil {
-		c.ring = make([]Span, ringSize)
-	}
-	c.ring[c.pos] = s
-	c.pos++
-	if c.pos == len(c.ring) {
-		c.pos = 0
-	}
-	if c.count < len(c.ring) {
-		c.count++
-	}
+	c.ring.push(s)
 	c.recorded++
 	c.mu.Unlock()
 }
@@ -329,15 +318,7 @@ func (c *Collector) Snapshot() []Span {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Span, 0, c.count)
-	start := c.pos - c.count
-	if start < 0 {
-		start += len(c.ring)
-	}
-	for i := 0; i < c.count; i++ {
-		out = append(out, c.ring[(start+i)%len(c.ring)])
-	}
-	return out
+	return c.ring.list()
 }
 
 // Stats returns a snapshot of collector counters.

@@ -113,16 +113,16 @@ func TestRingEviction(t *testing.T) {
 // first span committed to it.
 func TestRingBuiltByFirstSpan(t *testing.T) {
 	c := NewCollector("node-a", clock.NewFake(epoch))
-	if sp := c.Begin(KindStub, "unsampled"); sp != nil || c.ring != nil {
-		t.Fatalf("unsampled root: span %v, ring of %d", sp, len(c.ring))
+	if sp := c.Begin(KindStub, "unsampled"); sp != nil || c.ring.buf != nil {
+		t.Fatalf("unsampled root: span %v, ring of %d", sp, len(c.ring.buf))
 	}
 	if got := c.Snapshot(); len(got) != 0 {
 		t.Fatalf("snapshot of an empty collector: %v", got)
 	}
 	c.SetSampleEvery(1)
 	c.End(c.Begin(KindStub, "first"))
-	if len(c.ring) != ringSize || len(c.Snapshot()) != 1 {
-		t.Fatalf("after the first span: ring of %d, %d retained", len(c.ring), len(c.Snapshot()))
+	if len(c.ring.buf) != ringSize || len(c.Snapshot()) != 1 {
+		t.Fatalf("after the first span: ring of %d, %d retained", len(c.ring.buf), len(c.Snapshot()))
 	}
 }
 

@@ -18,12 +18,20 @@ type Sample struct {
 }
 
 // Recorder turns the platform's point-in-time Gather snapshot into a
-// time series: a clock-driven ring of periodic samples deep enough to
-// answer delta and rate questions ("how many invocations per second,
-// right now?") that a single snapshot cannot. It follows the paper's
-// §7.4 reading of management — continuous monitoring of transparency
-// mechanisms, not one-shot inspection — and the platform serves it via
-// the management "series" op.
+// time series and watches it: every interval it samples the snapshot,
+// keeps that sample and the one before it — enough to answer rate
+// questions ("how many invocations per second, right now?") that a
+// single snapshot cannot — and evaluates its armed rules against the
+// pair in the same pass, capturing a BreachReport into a bounded ring on
+// a breach. It follows the paper's §7.4 reading of management —
+// continuous monitoring of transparency mechanisms, not one-shot
+// inspection — and the platform serves it via the management "series"
+// and "blackbox" ops.
+//
+// Ceiling rules are edge-triggered — one report per excursion above the
+// ceiling, re-armed when the value recovers — and stall rules re-arm
+// after firing, so a persistent anomaly fills the ring with distinct
+// excursions instead of one report per sample.
 //
 // The sampling loop re-arms a one-shot timer after every pass (never a
 // free-running ticker), so a simulated platform's quiescence detection
@@ -33,12 +41,16 @@ type Recorder struct {
 	src      func() wire.Record
 	interval time.Duration
 	clk      clock.Clock
+	col      *Collector
+	rules    []Rule
 
-	mu    sync.Mutex
-	ring  []Sample // recorderDepth samples
-	pos   int
-	count int
-	hooks []func(prev, cur Sample, hasPrev bool)
+	mu        sync.Mutex
+	prev, cur Sample
+	n         int // samples held in prev and cur: 0, 1 or 2
+	seq       uint64
+	tripped   []bool // ceiling rules: currently above the ceiling
+	stallRuns []int  // stall rules: consecutive zero-delta windows
+	reports   ring[BreachReport]
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -46,33 +58,26 @@ type Recorder struct {
 	done      chan struct{}
 }
 
-// recorderDepth is how many samples the ring retains: it bounds the
-// retained-sample footprint per node.
-const recorderDepth = 64
-
-// NewRecorder creates a recorder sampling src every interval of clk.
-// Nothing runs until Start; attach observers (the flight recorder) first.
-func NewRecorder(src func() wire.Record, interval time.Duration, clk clock.Clock) *Recorder {
+// NewRecorder creates a recorder sampling src every interval of clk and
+// evaluating rules against each sample. col supplies the spans breach
+// reports carry; nil (an untraced node) yields span-less reports.
+// Nothing runs until Start.
+func NewRecorder(src func() wire.Record, interval time.Duration, clk clock.Clock, col *Collector, rules []Rule) *Recorder {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	return &Recorder{
-		src:      src,
-		interval: interval,
-		clk:      clk,
-		ring:     make([]Sample, recorderDepth),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		src:       src,
+		interval:  interval,
+		clk:       clk,
+		col:       col,
+		rules:     append([]Rule(nil), rules...),
+		tripped:   make([]bool, len(rules)),
+		stallRuns: make([]int, len(rules)),
+		reports:   newRing[BreachReport](flightDepth),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
-}
-
-// OnSample registers fn to run after each sample is committed, with the
-// previous sample when one exists. Hooks run on the sampling goroutine,
-// outside the recorder's lock.
-func (r *Recorder) OnSample(fn func(prev, cur Sample, hasPrev bool)) {
-	r.mu.Lock()
-	r.hooks = append(r.hooks, fn)
-	r.mu.Unlock()
 }
 
 // Start launches the sampling loop. Safe to call once; Close stops it.
@@ -100,81 +105,31 @@ func (r *Recorder) run() {
 	}
 }
 
-// sample takes one snapshot, commits it and runs the hooks.
+// sample takes one snapshot and evaluates the rules against it. The
+// snapshot is taken before the lock: src reads the recorder's own Stats.
 func (r *Recorder) sample() {
 	cur := Sample{At: r.clk.Now(), Rec: r.src()}
 	r.mu.Lock()
-	var prev Sample
-	hasPrev := r.count > 0
-	if hasPrev {
-		last := r.pos - 1
-		if last < 0 {
-			last += len(r.ring)
-		}
-		prev = r.ring[last]
-	}
-	r.ring[r.pos] = cur
-	r.pos++
-	if r.pos == len(r.ring) {
-		r.pos = 0
-	}
-	if r.count < len(r.ring) {
-		r.count++
-	}
-	hooks := r.hooks
-	r.mu.Unlock()
-	for _, fn := range hooks {
-		fn(prev, cur, hasPrev)
-	}
-}
-
-// Samples returns the retained samples, oldest first.
-func (r *Recorder) Samples() []Sample {
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Sample, 0, r.count)
-	start := r.pos - r.count
-	if start < 0 {
-		start += len(r.ring)
+	r.prev, r.cur = r.cur, cur
+	if r.n < 2 {
+		r.n++
 	}
-	for i := 0; i < r.count; i++ {
-		out = append(out, r.ring[(start+i)%len(r.ring)])
-	}
-	return out
-}
-
-// last2 returns the two most recent samples under the lock.
-func (r *Recorder) last2() (prev, cur Sample, n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n = r.count
-	if n == 0 {
-		return
-	}
-	i := r.pos - 1
-	if i < 0 {
-		i += len(r.ring)
-	}
-	cur = r.ring[i]
-	if n > 1 {
-		i--
-		if i < 0 {
-			i += len(r.ring)
-		}
-		prev = r.ring[i]
-	}
-	return
+	r.checkLocked()
 }
 
 // Series renders the recorder's current derived view as one record: for
 // every integer counter key of the latest sample, the per-second rate
-// over the last window as "<key>_per_sec" (float64), plus the
-// "series.samples", "series.window_us" and "series.at" meta keys.
+// over the last window as "<key>_per_sec" (float64), plus the meta keys
+// "series.samples" (how many samples the rates come from: 0, 1 or 2),
+// "series.interval_us", "series.window_us" and "series.at".
 // Histogram bucket keys are skipped (their rates are the quantile keys'
 // job). With fewer than two samples only the meta keys appear. This is
 // what the management "series" op returns and odptop renders.
 func (r *Recorder) Series() wire.Record {
-	prev, cur, n := r.last2()
+	r.mu.Lock()
+	prev, cur, n := r.prev, r.cur, r.n
+	r.mu.Unlock()
 	out := wire.Record{
 		"series.samples":     uint64(n),
 		"series.interval_us": uint64(r.interval / time.Microsecond),

@@ -33,81 +33,53 @@ func (s *countingSource) rec() wire.Record {
 	}
 }
 
-// advance waits for the sampling goroutine to arm its next timer, steps
-// the fake clock one interval, and yields until want samples are
-// committed. The arm-wait serialises test and sampler: a timer armed
-// after Advance would wait for the next one.
-func advance(t *testing.T, fc *clock.Fake, r *Recorder, interval time.Duration, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for fc.PendingWaiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sampler never armed its timer")
-		}
-		time.Sleep(time.Millisecond)
-	}
+// pass steps the fake clock one interval and runs one sampling pass by
+// hand, as the sampler goroutine does when its timer fires.
+func pass(fc *clock.Fake, r *Recorder, interval time.Duration) {
 	fc.Advance(interval)
-	for {
-		r.mu.Lock()
-		n := r.count
-		r.mu.Unlock()
-		if n >= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sampler committed %d samples, want %d", n, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	r.sample()
 }
 
 func TestRecorderSamplesOnClock(t *testing.T) {
 	fc := clock.NewFake(epoch)
 	src := &countingSource{}
-	r := NewRecorder(src.rec, time.Second, fc)
-	r.Start()
-	defer r.Close()
+	r := NewRecorder(src.rec, time.Second, fc, nil, nil)
 
-	if n := len(r.Samples()); n != 0 {
-		t.Fatalf("samples before any interval: %d", n)
+	if got := r.Series()["series.samples"]; got != uint64(0) {
+		t.Fatalf("samples before any interval: %v", got)
 	}
 	src.add(10)
-	advance(t, fc, r, time.Second, 1)
+	pass(fc, r, time.Second)
 	src.add(5)
-	advance(t, fc, r, time.Second, 2)
+	pass(fc, r, time.Second)
 
-	samples := r.Samples()
-	if len(samples) != 2 {
-		t.Fatalf("samples = %d, want 2", len(samples))
-	}
-	if got := samples[0].At; !got.Equal(epoch.Add(time.Second)) {
+	if got := r.prev.At; !got.Equal(epoch.Add(time.Second)) {
 		t.Fatalf("first sample at %v", got)
 	}
-	if got := samples[1].Rec["rpc.client.sent"]; got != uint64(15) {
+	if got := r.cur.Rec["rpc.client.sent"]; got != uint64(15) {
 		t.Fatalf("second sample counter = %v", got)
 	}
 
-	// The ring keeps the newest recorderDepth samples.
-	for i := 0; i < recorderDepth; i++ {
-		advance(t, fc, r, time.Second, min(3+i, recorderDepth))
+	// The recorder keeps the two newest samples.
+	for i := 0; i < 5; i++ {
+		src.add(1)
+		pass(fc, r, time.Second)
 	}
-	samples = r.Samples()
-	if len(samples) != recorderDepth {
-		t.Fatalf("ring holds %d, want depth %d", len(samples), recorderDepth)
+	if !r.prev.At.Equal(epoch.Add(6*time.Second)) || !r.cur.At.Equal(epoch.Add(7*time.Second)) {
+		t.Fatalf("held samples at %v and %v, want the 6th and 7th", r.prev.At, r.cur.At)
 	}
-	for i := 1; i < len(samples); i++ {
-		if !samples[i].At.After(samples[i-1].At) {
-			t.Fatalf("samples out of order: %v", samples)
-		}
+	if got := r.prev.Rec["rpc.client.sent"]; got != uint64(19) {
+		t.Fatalf("previous sample counter = %v, want 19", got)
+	}
+	if got := r.Series()["series.samples"]; got != uint64(2) {
+		t.Fatalf("series.samples = %v, want 2", got)
 	}
 }
 
 func TestRecorderSeriesRates(t *testing.T) {
 	fc := clock.NewFake(epoch)
 	src := &countingSource{f: 7.5}
-	r := NewRecorder(src.rec, 2*time.Second, fc)
-	r.Start()
-	defer r.Close()
+	r := NewRecorder(src.rec, 2*time.Second, fc, nil, nil)
 
 	s := r.Series()
 	if got := s["series.samples"]; got != uint64(0) {
@@ -118,9 +90,16 @@ func TestRecorderSeriesRates(t *testing.T) {
 	}
 
 	src.add(4)
-	advance(t, fc, r, 2*time.Second, 1)
+	pass(fc, r, 2*time.Second)
+	s = r.Series()
+	if got := s["series.samples"]; got != uint64(1) {
+		t.Fatalf("samples after one pass = %v", got)
+	}
+	if _, ok := s["rpc.client.sent_per_sec"]; ok {
+		t.Fatalf("rated from one sample: %v", s)
+	}
 	src.add(10)
-	advance(t, fc, r, 2*time.Second, 2)
+	pass(fc, r, 2*time.Second)
 
 	s = r.Series()
 	if got := s["series.window_us"]; got != uint64(2000000) {
@@ -152,17 +131,31 @@ func TestDeltaRecord(t *testing.T) {
 	}
 }
 
+// The one test that waits on the sampler goroutine: its subject is the
+// Start/Close loop itself.
 func TestRecorderCloseStopsSampling(t *testing.T) {
 	fc := clock.NewFake(epoch)
 	src := &countingSource{}
-	r := NewRecorder(src.rec, time.Second, fc)
+	r := NewRecorder(src.rec, time.Second, fc, nil, nil)
 	r.Start()
-	advance(t, fc, r, time.Second, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for fc.PendingWaiters() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("sampler never armed its timer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fc.Advance(time.Second)
+	for r.Series()["series.samples"] != uint64(1) {
+		if time.Now().After(deadline) {
+			t.Fatal("sampler never took its first sample")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	r.Close()
-	n := len(r.Samples())
 	fc.Advance(10 * time.Second)
-	if got := len(r.Samples()); got != n {
-		t.Fatalf("samples after Close: %d, want %d", got, n)
+	if s := r.Series(); s["series.samples"] != uint64(1) || s["series.at"] != epoch.Add(time.Second).UnixNano() {
+		t.Fatalf("sampled after Close: %v", s)
 	}
 	r.Close() // idempotent
 }

@@ -315,12 +315,12 @@ type (
 
 // Recorder and flight-recorder options.
 var (
-	// WithRecorder samples the node's Gather snapshot every interval
-	// into a bounded ring, from which the management "series" op derives
-	// per-second rates.
+	// WithRecorder samples the node's Gather snapshot every interval,
+	// keeping the previous and the current sample, from which the
+	// management "series" op derives per-second rates.
 	WithRecorder = core.WithRecorder
-	// WithFlightRecorder arms SLO rules against the recorder's samples
-	// (implies WithRecorder).
+	// WithFlightRecorder arms SLO rules that the recorder evaluates on
+	// every sample, in the same pass (implies WithRecorder).
 	WithFlightRecorder = core.WithFlightRecorder
 	// CeilingRule arms a maximum on a Gather key (latency quantiles,
 	// queue depths).
