@@ -24,8 +24,10 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"odp/internal/capsule"
+	"odp/internal/obs"
 	"odp/internal/rpc"
 	"odp/internal/wire"
 )
@@ -74,6 +76,10 @@ type Stats struct {
 
 // Gateway is a federation interceptor between two domains.
 type Gateway struct {
+	// stats is counted in place with atomic.AddUint64; first, so its
+	// words are 64-bit aligned on 32-bit platforms too.
+	stats Stats
+
 	name   string
 	caps   map[Side]*capsule.Capsule
 	policy Policy
@@ -82,9 +88,6 @@ type Gateway struct {
 	nextID  uint64
 	targets map[string]proxyTarget // proxy objID -> target on other side
 	existed map[string]wire.Ref    // side+targetID -> proxy ref (dedupe)
-
-	statsMu sync.Mutex
-	stats   Stats
 }
 
 // proxyTarget records where a proxy forwards to.
@@ -113,11 +116,7 @@ func New(name string, a, b *capsule.Capsule, policy Policy) *Gateway {
 func (g *Gateway) Name() string { return g.name }
 
 // Stats returns a snapshot of crossing counters.
-func (g *Gateway) Stats() Stats {
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	return g.stats
-}
+func (g *Gateway) Stats() Stats { return obs.Load(&g.stats) }
 
 // Export makes target — a reference valid on targetSide — invokable from
 // the other side, returning the proxy reference to hand out there. The
@@ -154,7 +153,7 @@ func (g *Gateway) proxyFor(target wire.Ref, targetSide Side) (wire.Ref, error) {
 	g.mu.Lock()
 	g.existed[key] = ref
 	g.mu.Unlock()
-	g.count(func(s *Stats) { s.Proxies++ })
+	atomic.AddUint64(&g.stats.Proxies, 1)
 	return ref, nil
 }
 
@@ -167,13 +166,13 @@ func (g *Gateway) cross(ctx context.Context, proxyID string, fromSide Side, op s
 		return "", nil, rpc.ErrNoObject
 	}
 	if err := g.policy(fromSide, target.ref, op); err != nil {
-		g.count(func(s *Stats) { s.Refused++ })
+		atomic.AddUint64(&g.stats.Refused, 1)
 		return "", nil, fmt.Errorf("%w: federation policy: %v", rpc.ErrDenied, err)
 	}
 	if fromSide == SideA {
-		g.count(func(s *Stats) { s.AtoB++ })
+		atomic.AddUint64(&g.stats.AtoB, 1)
 	} else {
-		g.count(func(s *Stats) { s.BtoA++ })
+		atomic.AddUint64(&g.stats.BtoA, 1)
 	}
 	// Arguments cross from fromSide to the target's side: proxy any
 	// references they carry.
@@ -253,9 +252,3 @@ var (
 	// ErrNoProxy reports an unknown proxy id.
 	ErrNoProxy = errors.New("federation: no such proxy")
 )
-
-func (g *Gateway) count(update func(*Stats)) {
-	g.statsMu.Lock()
-	update(&g.stats)
-	g.statsMu.Unlock()
-}

@@ -48,8 +48,9 @@ func DefaultLayeringConfig() LayeringConfig {
 			// renders snapshots in the wire data model.
 			"odp/internal/obs": {"odp/internal/clock", "odp/internal/wire"},
 			// The fabric schedules delivery on an injected clock so whole
-			// universes run in virtual time.
-			"odp/internal/netsim": {"odp/internal/transport", "odp/internal/clock"},
+			// universes run in virtual time, and reads its packet counters
+			// with obs.Load.
+			"odp/internal/netsim": {"odp/internal/transport", "odp/internal/clock", "odp/internal/obs"},
 			"odp/internal/clock":  {},
 		},
 	}

@@ -22,6 +22,32 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// sharedLoader is built once per test binary: its standard-library
+// importer type-checks the standard library from source the first time a
+// package imports it, and every later load reuses that work.
+var sharedLoader struct {
+	once sync.Once
+	l    *Loader
+	err  error
+}
+
+// newLoader returns a loader rooted at this module that shares one
+// standard-library importer with every other test, but keeps its own
+// package cache: each test still loads and type-checks every module
+// package it asks for, and two tests may load different directories
+// under the same import path.
+func newLoader(t *testing.T) *Loader {
+	t.Helper()
+	sharedLoader.once.Do(func() { sharedLoader.l, sharedLoader.err = NewLoader(".") })
+	if sharedLoader.err != nil {
+		t.Fatal(sharedLoader.err)
+	}
+	l := *sharedLoader.l
+	l.pkgs = make(map[string]*Package)
+	l.loading = make(map[string]bool)
+	return &l
+}
+
 var moduleLoad struct {
 	once sync.Once
 	pkgs []*Package
@@ -31,12 +57,8 @@ var moduleLoad struct {
 // loadModule loads the whole module once for every test that needs it.
 func loadModule(t *testing.T) []*Package {
 	t.Helper()
+	l := newLoader(t)
 	moduleLoad.once.Do(func() {
-		l, err := NewLoader(".")
-		if err != nil {
-			moduleLoad.err = err
-			return
-		}
 		moduleLoad.pkgs, moduleLoad.err = l.LoadAll()
 		if moduleLoad.err == nil && len(moduleLoad.pkgs) == 0 {
 			moduleLoad.err = errors.New("loader found no packages")
@@ -266,20 +288,10 @@ func fixtureCases() []fixtureCase {
 // exactly the expected diagnostics — no more, no fewer, no drift in
 // position or wording.
 func TestFixtures(t *testing.T) {
-	// The fixtures share one standard-library importer, which type-checks
-	// the standard library from source once; each keeps its own package
-	// cache, since two fixtures may load under the same import path.
-	shared, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range fixtureCases() {
 		c := c
 		t.Run(c.dir, func(t *testing.T) {
-			l := *shared
-			l.pkgs = make(map[string]*Package)
-			l.loading = make(map[string]bool)
-			pkg, err := l.LoadDirAs(filepath.Join("testdata", "src", c.dir), c.asPath)
+			pkg, err := newLoader(t).LoadDirAs(filepath.Join("testdata", "src", c.dir), c.asPath)
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
 			}
@@ -307,10 +319,7 @@ func TestFixtures(t *testing.T) {
 // does not follow the basename into another package. RealClockFiles
 // works the same way, and each list silences only its own rule.
 func TestDetClockFileExemption(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLoader(t)
 	pkg, err := l.LoadDirAs(filepath.Join("testdata", "src", "timecall"), "odp/internal/timecall")
 	if err != nil {
 		t.Fatal(err)
@@ -353,10 +362,7 @@ func TestDetClockFileExemption(t *testing.T) {
 // clock.Fake.Advance legal: a select with a default clause cannot block,
 // so it is allowed under a held mutex.
 func TestSelectWithDefaultIsNonBlocking(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLoader(t)
 	pkg, err := l.Load("odp/internal/clock")
 	if err != nil {
 		t.Fatal(err)

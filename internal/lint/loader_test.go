@@ -13,10 +13,7 @@ import (
 // excluded, and its _test.go file is not loaded at all (it references
 // an undefined identifier, so type-checking it would fail the load).
 func TestLoaderBuildConstraints(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLoader(t)
 	pkg, err := l.LoadDirAs(filepath.Join("testdata", "src", "tagged"), "odp/internal/tagged")
 	if err != nil {
 		t.Fatalf("build-constrained fixture failed to load (gated files not excluded?): %v", err)
@@ -38,10 +35,7 @@ func TestLoaderBuildConstraints(t *testing.T) {
 // constraint hides it), and only the detclock file exemption — not the
 // loader — keeps its time.AfterFunc out of the diagnostics.
 func TestLoaderNetsimRealtimeSplit(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLoader(t)
 	pkg, err := l.Load("odp/internal/netsim")
 	if err != nil {
 		t.Fatal(err)

@@ -10,10 +10,7 @@ import (
 // testdata/lockgraph under a synthetic import path.
 func loadLockGraphFixture(t *testing.T, dir, asPath string) *Package {
 	t.Helper()
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLoader(t)
 	pkg, err := l.LoadDirAs(filepath.Join("testdata", "lockgraph", dir), asPath)
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)

@@ -93,6 +93,12 @@ func ExportRelocator(c *capsule.Capsule) (*Table, wire.Ref, error) {
 // service and retries with the fresh reference. Successful relocations
 // are cached so subsequent invocations go direct.
 type Binder struct {
+	// stats is counted in place with atomic.AddUint64 — the binder sits
+	// on every invocation, co-located ones included, so counting takes
+	// no lock. First, so its words are 64-bit aligned on 32-bit
+	// platforms too.
+	stats BinderStats
+
 	capsule   *capsule.Capsule
 	relocator wire.Ref
 
@@ -108,7 +114,6 @@ type Binder struct {
 	// clk is the capsule's clock; it stamps the resolve latency histogram.
 	clk clock.Clock
 
-	stats binderCounters
 	// resolveLat is the relocator-consultation latency distribution:
 	// how long location transparency stalls an invocation when the
 	// direct path fails.
@@ -120,15 +125,6 @@ type BinderStats struct {
 	Invocations uint64
 	Relocations uint64 // relocator consultations
 	CacheHits   uint64
-}
-
-// binderCounters is the hot-path form of BinderStats: the binder sits on
-// every invocation, co-located ones included, so counting must not take a
-// lock.
-type binderCounters struct {
-	invocations atomic.Uint64
-	relocations atomic.Uint64
-	cacheHits   atomic.Uint64
 }
 
 // NewBinder creates a binder that resolves through the relocation service
@@ -144,13 +140,7 @@ func NewBinder(c *capsule.Capsule, relocator wire.Ref) *Binder {
 }
 
 // Stats returns a snapshot of binder counters.
-func (b *Binder) Stats() BinderStats {
-	return BinderStats{
-		Invocations: b.stats.invocations.Load(),
-		Relocations: b.stats.relocations.Load(),
-		CacheHits:   b.stats.cacheHits.Load(),
-	}
-}
+func (b *Binder) Stats() BinderStats { return obs.Load(&b.stats) }
 
 // ResolveLatency snapshots the relocator-consultation latency histogram.
 func (b *Binder) ResolveLatency() obs.HistogramSnapshot {
@@ -167,7 +157,7 @@ func (b *Binder) Invoke(ctx context.Context, ref wire.Ref, op string, args []wir
 
 // InvokeWith is Invoke with a pre-resolved configuration.
 func (b *Binder) InvokeWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg capsule.InvokeConfig) (string, []wire.Value, error) {
-	b.stats.invocations.Add(1)
+	atomic.AddUint64(&b.stats.Invocations, 1)
 
 	// Top-level invocations root a trace here, at the stub boundary; a
 	// nested invocation (the ctx already carries a span) joins its
@@ -192,7 +182,7 @@ func (b *Binder) invokeWith(ctx context.Context, ref wire.Ref, op string, args [
 	attempt := ref
 	if hit && cached.Epoch >= ref.Epoch {
 		attempt = cached
-		b.stats.cacheHits.Add(1)
+		atomic.AddUint64(&b.stats.CacheHits, 1)
 	}
 
 	outcome, results, err := b.capsule.InvokeWith(ctx, attempt, op, args, cfg)
@@ -215,7 +205,7 @@ func (b *Binder) invokeWith(ctx context.Context, ref wire.Ref, op string, args [
 // relocation an invocation needed — including the nested lookup's own
 // send/dispatch spans beneath it.
 func (b *Binder) resolve(ctx context.Context, id string) (wire.Ref, error) {
-	b.stats.relocations.Add(1)
+	atomic.AddUint64(&b.stats.Relocations, 1)
 	began := b.clk.Now()
 	defer func() { b.resolveLat.Observe(b.clk.Since(began)) }()
 	var sp *obs.Span

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"odp/internal/clock"
+	"odp/internal/obs"
 	"odp/internal/transport"
 )
 
@@ -82,6 +83,11 @@ type pendEntry struct {
 
 // Fabric is a set of interconnected simulated endpoints.
 type Fabric struct {
+	// stats counts packets in place with atomic.AddUint64, so counting
+	// takes no lock beside f.mu. First, so its words are 64-bit aligned
+	// on 32-bit platforms too.
+	stats Stats
+
 	mu          sync.Mutex
 	rng         *rand.Rand
 	endpoints   map[string]*endpoint
@@ -127,10 +133,6 @@ type Fabric struct {
 	// workers runs zero-delay deliveries on resident goroutines, started
 	// by the deliveries that need them.
 	workers *transport.Workers[*delivery]
-
-	// Per-packet counters; Stats() assembles the snapshot. Atomic so that
-	// counting a packet takes no lock beside f.mu.
-	sent, delivered, dropped, cut atomic.Uint64
 }
 
 // Stats counts fabric-level events, for loss/duplication experiments.
@@ -253,14 +255,7 @@ func setCut[K comparable](f *Fabric, m map[K]bool, k K, cut bool) {
 
 // Stats returns a snapshot of fabric counters. Each counter is read
 // atomically; under traffic the four need not belong to one instant.
-func (f *Fabric) Stats() Stats {
-	return Stats{
-		Sent:      f.sent.Load(),
-		Delivered: f.delivered.Load(),
-		Dropped:   f.dropped.Load(),
-		Cut:       f.cut.Load(),
-	}
-}
+func (f *Fabric) Stats() Stats { return obs.Load(&f.stats) }
 
 // Executing reports deliveries actively running — spawned or firing, as
 // opposed to parked on a virtual clock awaiting an Advance.
@@ -347,8 +342,8 @@ func (f *Fabric) route(from, to string, pkt []byte) (dst *endpoint, gen uint64, 
 	}
 	if f.cutLocked(from, to) {
 		f.mu.Unlock()
-		f.sent.Add(1)
-		f.cut.Add(1)
+		atomic.AddUint64(&f.stats.Sent, 1)
+		atomic.AddUint64(&f.stats.Cut, 1)
 		if f.trace != nil {
 			f.tracePkt("cut", from, to, pkt)
 		}
@@ -376,14 +371,14 @@ func (f *Fabric) route(from, to string, pkt []byte) (dst *endpoint, gen uint64, 
 	f.mu.Unlock()
 
 	if drop {
-		f.sent.Add(1)
-		f.dropped.Add(1)
+		atomic.AddUint64(&f.stats.Sent, 1)
+		atomic.AddUint64(&f.stats.Dropped, 1)
 		if f.trace != nil {
 			f.tracePkt("drop", from, to, pkt)
 		}
 		return nil, 0, 0, nil
 	}
-	f.sent.Add(1)
+	atomic.AddUint64(&f.stats.Sent, 1)
 	if f.trace != nil {
 		f.tracePkt("send", from, to, pkt)
 	}
@@ -423,14 +418,14 @@ func (d *delivery) run() {
 		f.mu.Unlock()
 	}
 	if cut {
-		f.cut.Add(1)
+		atomic.AddUint64(&f.stats.Cut, 1)
 		if f.trace != nil {
 			f.tracePkt("cut-inflight", from, to, cp)
 		}
 		return
 	}
 	dst.deliver(from, cp)
-	f.delivered.Add(1)
+	atomic.AddUint64(&f.stats.Delivered, 1)
 	if f.trace != nil {
 		f.tracePkt("deliver", from, to, cp)
 	}

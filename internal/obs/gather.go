@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"odp/internal/wire"
@@ -68,9 +69,9 @@ func (m *Metrics) Export(rec wire.Record, prefix string) {
 // stats struct into m's counters under prefix, converting CamelCase
 // field names to snake_case: ClientStats.AcksPiggybacked folded under
 // "rpc.client" becomes "rpc.client.acks_piggybacked". Every per-layer
-// stats struct in the platform (client/server/binder/coalescer/gc/group)
-// is shaped for this, which is what lets the management interface expose
-// one unified namespace instead of n bespoke snapshot ops.
+// stats struct in the platform is shaped for this (and read by Load),
+// which is what lets the management interface expose one unified
+// namespace instead of n bespoke snapshot ops.
 func Fold(m *Metrics, prefix string, stats interface{}) {
 	v := reflect.ValueOf(stats)
 	for v.Kind() == reflect.Ptr {
@@ -99,6 +100,35 @@ func Fold(m *Metrics, prefix string, stats interface{}) {
 			}
 		}
 	}
+}
+
+// Load reads a stats struct its owner counts into in place, with
+// atomic.AddUint64 on its fields: every exported uint64 and [N]uint64
+// field — the shapes Fold folds — is loaded atomically, and every other
+// field of the result is left zero for the owner to compute. So the
+// exported struct is the one declaration of a layer's counters, and a
+// new field is counted, read and folded without another edit. T must be
+// a struct; like the adds, the loads need p's words 64-bit aligned on
+// 32-bit platforms.
+func Load[T any](p *T) T {
+	var out T
+	src, dst := reflect.ValueOf(p).Elem(), reflect.ValueOf(&out).Elem()
+	word := func(v reflect.Value) *uint64 { return (*uint64)(v.Addr().UnsafePointer()) }
+	for i := 0; i < src.NumField(); i++ {
+		f := src.Field(i)
+		if !f.CanInterface() { // unexported
+			continue
+		}
+		switch {
+		case f.Kind() == reflect.Uint64:
+			*word(dst.Field(i)) = atomic.LoadUint64(word(f))
+		case f.Kind() == reflect.Array && f.Type().Elem().Kind() == reflect.Uint64:
+			for j := 0; j < f.Len(); j++ {
+				*word(dst.Field(i).Index(j)) = atomic.LoadUint64(word(f.Index(j)))
+			}
+		}
+	}
+	return out
 }
 
 // snakeCase converts an exported Go field name to its metric key form.

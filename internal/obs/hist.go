@@ -67,11 +67,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is a point-in-time copy of a Histogram, shaped for
-// obs.Fold ([N]uint64 array fields fold as "<key>.<i>") and for
-// cross-platform merging: bucket counts from many nodes sum index-wise,
-// which is exactly how GatherDomains rolls a federation domain's
-// latency distribution up from its members.
+// HistogramSnapshot is a point-in-time copy of a Histogram. It is
+// exported through FoldLatency (raw buckets as "<stage>_hist.<i>" plus
+// count and quantile keys), never through Fold, and it merges across
+// platforms: bucket counts from many nodes sum index-wise, which is
+// exactly how GatherDomains rolls a federation domain's latency
+// distribution up from its members.
 type HistogramSnapshot struct {
 	// Buckets holds the per-bucket observation counts.
 	Buckets [HistogramBuckets]uint64

@@ -152,8 +152,8 @@ func TestObserveZeroAllocs(t *testing.T) {
 	}
 }
 
-// histArrayStats mirrors the shape HistogramSnapshot folds through: one
-// plain counter beside a bucket array.
+// histArrayStats is one plain counter beside a bucket array, the
+// [N]uint64 shape Fold flattens as "<key>.<i>".
 type histArrayStats struct {
 	Count   uint64
 	Buckets [HistogramBuckets]uint64

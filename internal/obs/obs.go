@@ -124,20 +124,21 @@ type CollectorStats struct {
 // unsampled path free: a nil *Collector is a valid "tracing off"
 // collector whose every method no-ops.
 type Collector struct {
+	// stats is counted in place with atomic.AddUint64; first, so its
+	// words are 64-bit aligned on 32-bit platforms too.
+	stats CollectorStats
+
 	node   string
 	clk    clock.Clock
 	idBase uint64
 
-	nextID  atomic.Uint64
-	every   atomic.Uint64 // sample 1-in-every roots; 0 = never
-	roots   atomic.Uint64
-	sampled atomic.Uint64
+	nextID atomic.Uint64
+	every  atomic.Uint64 // sample 1-in-every roots; 0 = never
 
 	pool sync.Pool
 
-	mu       sync.Mutex
-	ring     ring[Span] // the newest ringSize spans
-	recorded uint64
+	mu   sync.Mutex
+	ring ring[Span] // the newest ringSize spans
 }
 
 // CollectorOption configures NewCollector.
@@ -232,11 +233,11 @@ func (c *Collector) Begin(kind, name string) *Span {
 	if every == 0 {
 		return nil
 	}
-	n := c.roots.Add(1)
+	n := atomic.AddUint64(&c.stats.Roots, 1)
 	if every > 1 && (n-1)%every != 0 {
 		return nil
 	}
-	c.sampled.Add(1)
+	atomic.AddUint64(&c.stats.Sampled, 1)
 	sp := c.pool.Get().(*Span)
 	id := c.nextSpanID()
 	*sp = Span{
@@ -307,7 +308,7 @@ func (c *Collector) Event(parent SpanContext, kind, name string) {
 func (c *Collector) commit(s Span) {
 	c.mu.Lock()
 	c.ring.push(s)
-	c.recorded++
+	atomic.AddUint64(&c.stats.Recorded, 1)
 	c.mu.Unlock()
 }
 
@@ -326,12 +327,5 @@ func (c *Collector) Stats() CollectorStats {
 	if c == nil {
 		return CollectorStats{}
 	}
-	c.mu.Lock()
-	recorded := c.recorded
-	c.mu.Unlock()
-	return CollectorStats{
-		Roots:    c.roots.Load(),
-		Sampled:  c.sampled.Load(),
-		Recorded: recorded,
-	}
+	return Load(&c.stats)
 }

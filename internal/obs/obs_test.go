@@ -5,6 +5,8 @@ import (
 	"maps"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,6 +191,64 @@ func TestFoldSnakeCase(t *testing.T) {
 	Fold(m2, "z", 42)
 	if len(m2.Counters) != 5 {
 		t.Fatalf("nil pointer or non-struct folded keys: %v", m2.Counters)
+	}
+}
+
+// TestLoadCopiesWhatFoldFolds checks Load copies exactly the fields Fold
+// reads — exported uint64 and [N]uint64 — and leaves the rest zero.
+func TestLoadCopiesWhatFoldFolds(t *testing.T) {
+	type counted struct {
+		Calls   uint64
+		Buckets [3]uint64
+		hidden  uint64
+		Name    string
+		Ratio   float64
+		Small   uint32
+		Signed  [2]int64
+	}
+	src := counted{Calls: 7, Buckets: [3]uint64{1, 0, 4}, hidden: 9, Name: "n", Ratio: 0.5, Small: 3, Signed: [2]int64{1, 2}}
+	want := counted{Calls: 7, Buckets: [3]uint64{1, 0, 4}}
+	if got := Load(&src); got != want {
+		t.Fatalf("Load = %+v, want %+v", got, want)
+	}
+}
+
+// TestLoadUnderConcurrentAdds runs Load beside atomic.AddUint64 writers
+// (the race detector checks every access is atomic) and wants the adds'
+// sum from the final Load.
+func TestLoadUnderConcurrentAdds(t *testing.T) {
+	type counted struct {
+		Calls   uint64
+		Buckets [4]uint64
+	}
+	const writers, adds = 4, 2000
+	st := new(counted) // its own allocation: 64-bit aligned everywhere
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				atomic.AddUint64(&st.Calls, 1)
+				atomic.AddUint64(&st.Buckets[w], 2)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if got := Load(st); got.Calls > writers*adds {
+			t.Fatalf("Load read %d calls, more than were added", got.Calls)
+		}
+	}
+	want := counted{Calls: writers * adds, Buckets: [4]uint64{2 * adds, 2 * adds, 2 * adds, 2 * adds}}
+	if got := Load(st); got != want {
+		t.Fatalf("final Load = %+v, want %+v", got, want)
 	}
 }
 

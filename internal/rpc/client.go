@@ -75,19 +75,6 @@ type ClientStats struct {
 	PackedUpgrades uint64
 }
 
-// clientCounters is the hot-path form of ClientStats: independent atomics
-// instead of one mutex, so concurrent calls do not serialize on counting.
-type clientCounters struct {
-	calls           atomic.Uint64
-	retransmissions atomic.Uint64
-	timeouts        atomic.Uint64
-	announcements   atomic.Uint64
-	badReplies      atomic.Uint64
-	orphanReplies   atomic.Uint64
-	acksDeferred    atomic.Uint64
-	acksPiggybacked atomic.Uint64
-}
-
 // numShards splits the pending-call table. Shard count is a power of two
 // so the selector is a mask, sized to exceed typical core counts without
 // bloating the fixed footprint.
@@ -125,6 +112,10 @@ const never = math.MaxInt64 // no pass armed at a known instant
 // of concurrent calls; concurrency is shard-level, so parallel calls only
 // contend when their ids collide modulo numShards.
 type Client struct {
+	// stats is counted in place with atomic.AddUint64; first, so its
+	// words are 64-bit aligned on 32-bit platforms too.
+	stats ClientStats
+
 	ep    transport.Batcher
 	codec wire.Codec
 	clk   clock.Clock
@@ -159,7 +150,6 @@ type Client struct {
 	// names holds the reply outcomes, so a reply does not copy one.
 	names names
 
-	stats clientCounters
 	// lat is the send→reply latency distribution: first transmission to
 	// reply delivery, retransmissions included. Unlike spans it is
 	// always on — recording is one atomic increment.
@@ -214,16 +204,7 @@ func (c *Client) shard(id uint64) *pendingShard {
 
 // Stats returns a snapshot of client counters.
 func (c *Client) Stats() ClientStats {
-	st := ClientStats{
-		Calls:           c.stats.calls.Load(),
-		Retransmissions: c.stats.retransmissions.Load(),
-		Timeouts:        c.stats.timeouts.Load(),
-		Announcements:   c.stats.announcements.Load(),
-		BadReplies:      c.stats.badReplies.Load(),
-		OrphanReplies:   c.stats.orphanReplies.Load(),
-		AcksDeferred:    c.stats.acksDeferred.Load(),
-		AcksPiggybacked: c.stats.acksPiggybacked.Load(),
-	}
+	st := obs.Load(&c.stats)
 	if _, packed := c.codec.(wire.PackedCodec); packed {
 		st.PackedUpgrades = st.Calls + st.Announcements
 	}
@@ -349,7 +330,7 @@ func (c *Client) Call(ctx context.Context, dest, objID, op string, args []wire.V
 		return "", nil, ErrClosed
 	}
 
-	c.stats.calls.Add(1)
+	atomic.AddUint64(&c.stats.Calls, 1)
 	c.active.Add(1)
 	defer c.active.Add(-1)
 	if err := c.transmit(dest, *bufp); err != nil {
@@ -443,11 +424,11 @@ func (c *Client) pass() {
 	slices.SortFunc(owed, func(a, b pendingCall) int { return cmp.Compare(a.id, b.id) })
 	for _, o := range owed {
 		if o.pkt == nil {
-			c.stats.timeouts.Add(1)
+			atomic.AddUint64(&c.stats.Timeouts, 1)
 			o.ch <- replyBody{err: ErrTimeout} // buffered, sole sender: never blocks
 			continue
 		}
-		c.stats.retransmissions.Add(1)
+		atomic.AddUint64(&c.stats.Retransmissions, 1)
 		c.obs.Event(o.span, obs.KindRetransmit, o.op)
 		if err := c.transmit(o.dest, o.pkt); err != nil {
 			c.fail(o.id, err)
@@ -498,7 +479,7 @@ func (c *Client) noteAck(dest string, id uint64) {
 	flush := len(c.acks) >= ackFlushBound && !c.ackFlushing
 	c.ackFlushing = c.ackFlushing || flush
 	c.ackMu.Unlock()
-	c.stats.acksDeferred.Add(1)
+	atomic.AddUint64(&c.stats.AcksDeferred, 1)
 	if flush {
 		go func() {
 			<-c.clk.EndOfInstant()
@@ -536,7 +517,7 @@ func (c *Client) flushAcks(dest string) {
 	c.ackMu.Unlock()
 	for _, a := range take {
 		c.sendAck(a.dest, a.id)
-		c.stats.acksPiggybacked.Add(1)
+		atomic.AddUint64(&c.stats.AcksPiggybacked, 1)
 	}
 }
 
@@ -569,7 +550,7 @@ func (c *Client) AnnounceCtx(ctx context.Context, dest, objID, op string, args [
 	defer wire.PutBuffer(bufp)
 	defer c.obs.End(sp)
 	pkt := *bufp
-	c.stats.announcements.Add(1)
+	atomic.AddUint64(&c.stats.Announcements, 1)
 	// Announcements are fire-and-forget, so nothing is gained by paying
 	// the direct-write path on the caller's dime: a lazy enqueue lets the
 	// flusher pack concurrent announcers' bursts into shared datagrams.
@@ -614,12 +595,12 @@ func (c *Client) interpret(rb replyBody) (string, []wire.Value, error) {
 func (c *Client) deliverReply(callID uint64, body []byte) {
 	rb, err := decodeReplyBody(c.codec, &c.names, body)
 	if err != nil {
-		c.stats.badReplies.Add(1)
+		atomic.AddUint64(&c.stats.BadReplies, 1)
 		return
 	}
 	pc := c.take(callID)
 	if pc == nil {
-		c.stats.orphanReplies.Add(1)
+		atomic.AddUint64(&c.stats.OrphanReplies, 1)
 		return
 	}
 	if rb.status != statusBusy {

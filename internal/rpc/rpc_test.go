@@ -332,7 +332,7 @@ func TestInterrogationsBuildNoAnnouncementWindow(t *testing.T) {
 func TestConcurrentCalls(t *testing.T) {
 	_, cli, mkServer := setup(t, netsim.WithDefaultLink(netsim.LinkProfile{
 		Latency: 500 * time.Microsecond, Jitter: 500 * time.Microsecond}))
-	mkServer(func(_ context.Context, in *Incoming) (string, []wire.Value, error) {
+	srv := mkServer(func(_ context.Context, in *Incoming) (string, []wire.Value, error) {
 		return "ok", []wire.Value{in.Args[0]}, nil
 	})
 	var wg sync.WaitGroup
@@ -360,6 +360,15 @@ func TestConcurrentCalls(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	// Counted in place by 8 callers at once, no count may be lost.
+	// Requests counts distinct executions, so retransmissions cannot
+	// move it.
+	if n := cli.Stats().Calls; n != 200 {
+		t.Errorf("client counted %d calls, want 200", n)
+	}
+	if n := srv.Stats().Requests; n != 200 {
+		t.Errorf("server counted %d requests, want 200", n)
 	}
 }
 

@@ -55,19 +55,6 @@ type ServerStats struct {
 	AdmissionDrops   uint64
 }
 
-// serverCounters is the hot-path form of ServerStats: independent
-// atomics, so concurrent dispatches do not serialize on counting.
-type serverCounters struct {
-	requests         atomic.Uint64
-	duplicates       atomic.Uint64
-	repliesResent    atomic.Uint64
-	announcements    atomic.Uint64
-	announceDedup    atomic.Uint64
-	cacheEvictions   atomic.Uint64
-	admissionRejects atomic.Uint64
-	admissionDrops   atomic.Uint64
-}
-
 // peerCalls is the at-most-once state of one calling address: protocol
 // state lives in the channel between two parties, not in a process-wide
 // table. A frame resolves its record once; every check is under mu.
@@ -173,6 +160,10 @@ func (p *peerCalls) tick(rotate bool, cfg *AdmissionConfig, now time.Time) (evic
 // is one record per calling address, so concurrent clients contend only
 // on the read lock that finds theirs.
 type Server struct {
+	// stats is counted in place with atomic.AddUint64; first, so its
+	// words are 64-bit aligned on 32-bit platforms too.
+	stats ServerStats
+
 	ep      transport.Batcher
 	codec   wire.Codec
 	handler Handler
@@ -219,7 +210,6 @@ type Server struct {
 	// they claim a call-table slot. Nil means every invocation admitted.
 	admission *AdmissionConfig
 
-	stats serverCounters
 	// dispatchLat is the handler-execution latency distribution,
 	// recorded for every request and announcement. Always on: one
 	// atomic increment per dispatch.
@@ -296,18 +286,7 @@ func newServerNoHandler(ep transport.Batcher, codec wire.Codec, handler Handler,
 }
 
 // Stats returns a snapshot of server counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Requests:         s.stats.requests.Load(),
-		Duplicates:       s.stats.duplicates.Load(),
-		RepliesResent:    s.stats.repliesResent.Load(),
-		Announcements:    s.stats.announcements.Load(),
-		AnnounceDedup:    s.stats.announceDedup.Load(),
-		CacheEvictions:   s.stats.cacheEvictions.Load(),
-		AdmissionRejects: s.stats.admissionRejects.Load(),
-		AdmissionDrops:   s.stats.admissionDrops.Load(),
-	}
-}
+func (s *Server) Stats() ServerStats { return obs.Load(&s.stats) }
 
 // DispatchLatency snapshots the handler-execution latency histogram.
 func (s *Server) DispatchLatency() obs.HistogramSnapshot {
@@ -413,9 +392,9 @@ func (s *Server) onRequest(from string, h header, body []byte) {
 			*resend = append(*resend, *old.reply...)
 		}
 		p.mu.Unlock()
-		s.stats.duplicates.Add(1)
+		atomic.AddUint64(&s.stats.Duplicates, 1)
 		if resend != nil {
-			s.stats.repliesResent.Add(1)
+			atomic.AddUint64(&s.stats.RepliesResent, 1)
 			_ = s.ep.Send(from, *resend)
 			wire.PutBuffer(resend)
 		}
@@ -428,7 +407,7 @@ func (s *Server) onRequest(from string, h header, body []byte) {
 	// a retransmission re-attempts admission against a refilled bucket.
 	if s.admission != nil && !p.bucket.admit(s.admission, s.clk.Now()) {
 		p.mu.Unlock()
-		s.stats.admissionRejects.Add(1)
+		atomic.AddUint64(&s.stats.AdmissionRejects, 1)
 		s.noteReject(h)
 		_ = s.ep.Send(from, s.encodeReply(nil, h.callID, statusBusy, "", nil, "", wire.Ref{}))
 		return
@@ -437,7 +416,7 @@ func (s *Server) onRequest(from string, h header, body []byte) {
 	s.wg.Add(1)
 	p.mu.Unlock()
 
-	s.stats.requests.Add(1)
+	atomic.AddUint64(&s.stats.Requests, 1)
 	s.active.Add(1)
 	s.startExecute(from, h, body, p, sc)
 }
@@ -460,7 +439,7 @@ func (s *Server) onAnnounce(from string, h header, body []byte) {
 	if p.announced.has(h.callID) {
 		// Repeated announcement (QoS.Repeats): execute once only.
 		p.mu.Unlock()
-		s.stats.announceDedup.Add(1)
+		atomic.AddUint64(&s.stats.AnnounceDedup, 1)
 		return
 	}
 	p.announced.cur.add(h.callID)
@@ -472,14 +451,14 @@ func (s *Server) onAnnounce(from string, h header, body []byte) {
 	// copies of a dropped announcement dedup as usual.
 	if s.admission != nil && !p.bucket.admit(s.admission, s.clk.Now()) {
 		p.mu.Unlock()
-		s.stats.admissionDrops.Add(1)
+		atomic.AddUint64(&s.stats.AdmissionDrops, 1)
 		s.noteReject(h)
 		return
 	}
 	s.wg.Add(1)
 	p.mu.Unlock()
 
-	s.stats.announcements.Add(1)
+	atomic.AddUint64(&s.stats.Announcements, 1)
 	s.startExecute(from, h, body, nil, nil)
 }
 
@@ -543,7 +522,7 @@ func (s *Server) onAck(from string, callID uint64) {
 		if !sc.state.CompareAndSwap(callSending, callAcked) {
 			p.recycle(sc)
 		}
-		s.stats.cacheEvictions.Add(1)
+		atomic.AddUint64(&s.stats.CacheEvictions, 1)
 	}
 	p.mu.Unlock()
 }
@@ -663,7 +642,7 @@ func (s *Server) janitor() {
 					delete(s.peers, from)
 				}
 				p.mu.Unlock()
-				s.stats.cacheEvictions.Add(evicted)
+				atomic.AddUint64(&s.stats.CacheEvictions, evicted)
 			}
 			s.peersMu.Unlock()
 		}

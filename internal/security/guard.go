@@ -13,6 +13,7 @@ import (
 
 	"odp/internal/capsule"
 	"odp/internal/clock"
+	"odp/internal/obs"
 	"odp/internal/rpc"
 	"odp/internal/wire"
 )
@@ -124,6 +125,10 @@ type GuardStats struct {
 // of a declarative policy statement (§7.1). Use AsInterceptor to place it
 // "within the encapsulation boundary of the secure object".
 type Guard struct {
+	// stats is counted in place with atomic.AddUint64; first, so its
+	// words are 64-bit aligned on 32-bit platforms too.
+	stats GuardStats
+
 	keys   *Keyring
 	policy Policy
 	skewMs int64
@@ -134,10 +139,7 @@ type Guard struct {
 	// three generations hold credentials that are still fresh. Within a
 	// generation each principal's nonces are a bitmap of 64-nonce words:
 	// nonce n is bit n&63 of word n>>6.
-	seen     map[int64]map[string]map[uint64]uint64
-	admitted atomic.Uint64
-	rejected atomic.Uint64
-	replays  atomic.Uint64
+	seen map[int64]map[string]map[uint64]uint64
 }
 
 // NewGuard generates a guard from a declarative policy and the object's
@@ -156,13 +158,7 @@ func NewGuard(keys *Keyring, policy Policy, maxSkew time.Duration) *Guard {
 }
 
 // Stats returns a snapshot of guard counters.
-func (g *Guard) Stats() GuardStats {
-	return GuardStats{
-		Admitted: g.admitted.Load(),
-		Rejected: g.rejected.Load(),
-		Replays:  g.replays.Load(),
-	}
-}
+func (g *Guard) Stats() GuardStats { return obs.Load(&g.stats) }
 
 // AsInterceptor returns the guard as a capsule interceptor.
 func (g *Guard) AsInterceptor() capsule.Interceptor {
@@ -170,10 +166,10 @@ func (g *Guard) AsInterceptor() capsule.Interceptor {
 		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
 			realArgs, k, err := g.admit(op, args)
 			if err != nil {
-				g.rejected.Add(1)
+				atomic.AddUint64(&g.stats.Rejected, 1)
 				return "", nil, fmt.Errorf("%w: %v", rpc.ErrDenied, err)
 			}
-			g.admitted.Add(1)
+			atomic.AddUint64(&g.stats.Admitted, 1)
 			// The key outlives the call, so the context can point at its
 			// principal instead of boxing a copy.
 			return next.Dispatch(context.WithValue(ctx, principalKey{}, &k.principal), op, realArgs)
@@ -220,7 +216,7 @@ func (g *Guard) admit(op string, args []wire.Value) ([]wire.Value, *key, error) 
 		return nil, nil, ErrBadMAC
 	}
 	if !g.firstUse(k.principal, c.nonce, c.unixMilli+g.skewMs, nowMs) {
-		g.replays.Add(1)
+		atomic.AddUint64(&g.stats.Replays, 1)
 		return nil, nil, ErrReplay
 	}
 	if c.sealed != nil {

@@ -167,6 +167,11 @@ type ImportSpec struct {
 // type (see store.go): imports walk per-shard immutable snapshots with
 // zero lock acquisitions, and writes touch only the shard they hash to.
 type Trader struct {
+	// stats is counted in place with atomic.AddUint64; first, so its
+	// words are 64-bit aligned on 32-bit platforms too. Offers,
+	// ShardOffers and SnapshotAgeMs are computed by Stats.
+	stats TraderStats
+
 	// contextName identifies this trader in context-relative names.
 	contextName string
 	typeManager *types.Manager
@@ -194,23 +199,12 @@ type Trader struct {
 	resourceManagers map[string]wire.Ref
 	rmCount          atomic.Int64
 
-	stats traderCounters
 	// importLat is the end-to-end import latency distribution, federated
 	// hops included: how long service discovery takes from the client's
 	// point of view.
 	importLat obs.Histogram
 
 	ref wire.Ref
-}
-
-// traderCounters is the hot-path form of TraderStats.
-type traderCounters struct {
-	advertises       atomic.Uint64
-	withdraws        atomic.Uint64
-	imports          atomic.Uint64
-	importedOffers   atomic.Uint64
-	snapshotHits     atomic.Uint64
-	snapshotRebuilds atomic.Uint64
 }
 
 // TraderStats counts offer-store events, shaped for obs.Fold: every
@@ -305,7 +299,7 @@ func (t *Trader) Advertise(serviceType types.Type, ref wire.Ref, properties map[
 		Properties:  props,
 	}
 	t.shards[typeShard(serviceType.Name)].insert(o, serviceType.Signature())
-	t.stats.advertises.Add(1)
+	atomic.AddUint64(&t.stats.Advertises, 1)
 	return id, nil
 }
 
@@ -325,7 +319,7 @@ func (t *Trader) AdvertiseOffer(serviceType string, ref wire.Ref, properties map
 func (t *Trader) Withdraw(offerID string) error {
 	for i := range t.shards {
 		if t.shards[i].remove(offerID) {
-			t.stats.withdraws.Add(1)
+			atomic.AddUint64(&t.stats.Withdraws, 1)
 			if t.rmCount.Load() > 0 {
 				t.rmMu.Lock()
 				if _, ok := t.resourceManagers[offerID]; ok {
@@ -385,14 +379,7 @@ func (t *Trader) OfferCount() int {
 
 // Stats returns a snapshot of the trader's counters.
 func (t *Trader) Stats() TraderStats {
-	st := TraderStats{
-		Advertises:       t.stats.advertises.Load(),
-		Withdraws:        t.stats.withdraws.Load(),
-		Imports:          t.stats.imports.Load(),
-		ImportedOffers:   t.stats.importedOffers.Load(),
-		SnapshotHits:     t.stats.snapshotHits.Load(),
-		SnapshotRebuilds: t.stats.snapshotRebuilds.Load(),
-	}
+	st := obs.Load(&t.stats)
 	now := t.clk.Now()
 	var oldest time.Duration
 	for i := range t.shards {
@@ -421,10 +408,10 @@ func (t *Trader) ImportLatency() obs.HistogramSnapshot {
 func (t *Trader) lookup(sh *offerShard) *shardSnapshot {
 	v := sh.version.Load()
 	if snap := sh.snap.Load(); snap != nil && snap.version == v {
-		t.stats.snapshotHits.Add(1)
+		atomic.AddUint64(&t.stats.SnapshotHits, 1)
 		return snap
 	}
-	t.stats.snapshotRebuilds.Add(1)
+	atomic.AddUint64(&t.stats.SnapshotRebuilds, 1)
 	return sh.rebuild(t.clk.Now())
 }
 
@@ -445,7 +432,7 @@ func (t *Trader) Import(ctx context.Context, spec ImportSpec) ([]Offer, error) {
 		}
 	}
 	spec.visited = append(spec.visited, t.contextName)
-	t.stats.imports.Add(1)
+	atomic.AddUint64(&t.stats.Imports, 1)
 	began := t.clk.Now()
 	defer func() { t.importLat.Observe(t.clk.Since(began)) }()
 
@@ -478,7 +465,7 @@ scan:
 			}
 		}
 	}
-	t.stats.importedOffers.Add(uint64(len(matched)))
+	atomic.AddUint64(&t.stats.ImportedOffers, uint64(len(matched)))
 
 	// Poke resource managers for selected local offers. rmCount gates the
 	// common no-manager case off the lock entirely.

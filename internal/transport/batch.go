@@ -74,7 +74,7 @@ const (
 // (truncated sub-frame, count mismatch, trailing bytes, a nested batch).
 var ErrBatchCorrupt = errors.New("transport: corrupt batch frame")
 
-// CoalescerStats is a snapshot of a Coalescer's counters.
+// CoalescerStats counts a Coalescer's batching events.
 type CoalescerStats struct {
 	BatchesSent     uint64 // BATCH frames written to the inner endpoint
 	FramesBatched   uint64 // sub-frames carried inside those batches
@@ -90,15 +90,6 @@ type CoalescerStats struct {
 	// FramesPerBatch is a histogram of sent batch sizes with buckets
 	// 1, 2–3, 4–7, 8–15 and ≥16 frames.
 	FramesPerBatch [5]uint64
-}
-
-// coalCounters is the atomic backing store for CoalescerStats.
-type coalCounters struct {
-	batchesSent, framesBatched, singleSends atomic.Uint64
-	batchesRecv, framesUnpacked             atomic.Uint64
-	badFrames, overflows                    atomic.Uint64
-	directFlushes                           atomic.Uint64
-	buckets                                 [5]atomic.Uint64
 }
 
 func sizeBucket(n int) int {
@@ -133,6 +124,10 @@ func WithPendingLimit(n int) CoalescerOption {
 // Coalescer wraps an Endpoint with per-destination write coalescing. It
 // is itself an Endpoint, and the Batcher every rpc endpoint is built on.
 type Coalescer struct {
+	// stats is counted in place with atomic.AddUint64; first, so its
+	// words are 64-bit aligned on 32-bit platforms too.
+	stats CoalescerStats
+
 	inner Endpoint
 	clk   clock.Clock
 
@@ -150,7 +145,6 @@ type Coalescer struct {
 	// flush span per batch write.
 	obs *obs.Collector
 
-	stats coalCounters
 	// flushDelay is the queue delay per batch claimed: from its first
 	// frame queued behind a write in flight to the claim, or 0, read from
 	// no clock, when none was (direct writes, lazy frames on a free wire).
@@ -294,7 +288,7 @@ func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
 	if batchHdrLen+subHdrLen+len(pkt) > c.pendingLimit {
 		// Too big to share a datagram with anything else; batching
 		// could not amortise it anyway.
-		c.stats.singleSends.Add(1)
+		atomic.AddUint64(&c.stats.SingleSends, 1)
 		return c.inner.Send(to, pkt)
 	}
 	p.mu.Lock()
@@ -303,7 +297,7 @@ func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
 		p.mu.Unlock()
 		if !queued {
 			// Full behind a write that is not finishing: shed load.
-			c.stats.overflows.Add(1)
+			atomic.AddUint64(&c.stats.Overflows, 1)
 			return nil
 		}
 		// A lazy frame's flusher backstops delivery if no Send follows;
@@ -320,7 +314,7 @@ func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
 		p.enqueueLocked(pkt)
 	}
 	p.mu.Unlock()
-	c.stats.directFlushes.Add(1)
+	atomic.AddUint64(&c.stats.DirectFlushes, 1)
 	p.writeSegs(segs, n)
 	p.finishWrite(segs)
 	return nil
@@ -351,22 +345,7 @@ func (c *Coalescer) Close() error {
 }
 
 // BatchStats implements Batcher.
-func (c *Coalescer) BatchStats() CoalescerStats {
-	s := CoalescerStats{
-		BatchesSent:     c.stats.batchesSent.Load(),
-		FramesBatched:   c.stats.framesBatched.Load(),
-		SingleSends:     c.stats.singleSends.Load(),
-		BatchesReceived: c.stats.batchesRecv.Load(),
-		FramesUnpacked:  c.stats.framesUnpacked.Load(),
-		BadFrames:       c.stats.badFrames.Load(),
-		Overflows:       c.stats.overflows.Load(),
-		DirectFlushes:   c.stats.directFlushes.Load(),
-	}
-	for i := range s.FramesPerBatch {
-		s.FramesPerBatch[i] = c.stats.buckets[i].Load()
-	}
-	return s
-}
+func (c *Coalescer) BatchStats() CoalescerStats { return obs.Load(&c.stats) }
 
 // FlushDelay snapshots the batch queue-delay histogram (first enqueue
 // to claim).
@@ -417,11 +396,11 @@ func (c *Coalescer) demux(from string, pkt []byte) {
 		}
 	})
 	if err != nil {
-		c.stats.badFrames.Add(1)
+		atomic.AddUint64(&c.stats.BadFrames, 1)
 		return
 	}
-	c.stats.batchesRecv.Add(1)
-	c.stats.framesUnpacked.Add(uint64(n))
+	atomic.AddUint64(&c.stats.BatchesReceived, 1)
+	atomic.AddUint64(&c.stats.FramesUnpacked, uint64(n))
 }
 
 // enqueueLocked frames pkt into a pooled segment and queues it for the
@@ -579,9 +558,9 @@ func (p *batchPeer) writeSegs(segs []*[]byte, n int) {
 	if err != nil {
 		return
 	}
-	c.stats.batchesSent.Add(1)
-	c.stats.framesBatched.Add(uint64(n))
-	c.stats.buckets[sizeBucket(n)].Add(1)
+	atomic.AddUint64(&c.stats.BatchesSent, 1)
+	atomic.AddUint64(&c.stats.FramesBatched, uint64(n))
+	atomic.AddUint64(&c.stats.FramesPerBatch[sizeBucket(n)], 1)
 }
 
 // DecodeBatch validates pkt as a BATCH frame and invokes fn once per
