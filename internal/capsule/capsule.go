@@ -337,7 +337,23 @@ func (c *Capsule) Objects() []string {
 // the duration of Dispatch, and the one path that retains objID (the
 // activator) clones its own copy in dispatchLocal.
 func (c *Capsule) handle(ctx context.Context, in *rpc.Incoming) (string, []wire.Value, error) {
-	return c.dispatchLocal(ctx, in.ObjID, in.Op, in.Args)
+	outcome, results, err := c.dispatchLocal(ctx, in.ObjID, in.Op, in.Args)
+	if err != nil && in.Announcement {
+		c.followForward(ctx, err, in.Op, in.Args)
+	}
+	return outcome, results, err
+}
+
+// followForward re-announces to the forward an announcement whose object
+// left (§5.4): no reply can carry the MovedError, or the re-announcement's
+// error, to the announcer. Export clears a re-hosted id's forward, so a
+// forward chain cannot cycle. op may alias the request packet, and the
+// re-announcement may be detached.
+func (c *Capsule) followForward(ctx context.Context, err error, op string, args []wire.Value) {
+	var moved *rpc.MovedError
+	if errors.As(err, &moved) {
+		_ = c.AnnounceCtxWith(ctx, moved.Forward, strings.Clone(op), args, DefaultInvokeConfig())
+	}
 }
 
 // tryLocal is the co-located fast path: one registry lookup under one
@@ -476,8 +492,12 @@ func DefaultInvokeConfig() InvokeConfig {
 	return InvokeConfig{MaxForwards: 3}
 }
 
-// ResolveInvokeOptions applies opts to the default configuration.
+// ResolveInvokeOptions applies opts to the default configuration; with
+// none it allocates nothing (an option takes the config's address).
 func ResolveInvokeOptions(opts ...InvokeOption) InvokeConfig {
+	if len(opts) == 0 {
+		return DefaultInvokeConfig()
+	}
 	cfg := DefaultInvokeConfig()
 	for _, o := range opts {
 		o(&cfg)
@@ -510,11 +530,6 @@ func WithBusyRetry(retries int, backoff time.Duration) InvokeOption {
 // invocation protocol, trying each endpoint in preference order and
 // following up to three forwarding hops.
 func (c *Capsule) Invoke(ctx context.Context, ref wire.Ref, op string, args []wire.Value, opts ...InvokeOption) (string, []wire.Value, error) {
-	if len(opts) == 0 {
-		// The common case takes the no-allocation path: resolving options
-		// pins the config to the heap (the closures take its address).
-		return c.InvokeWith(ctx, ref, op, args, DefaultInvokeConfig())
-	}
 	return c.InvokeWith(ctx, ref, op, args, ResolveInvokeOptions(opts...))
 }
 
@@ -592,9 +607,6 @@ func (c *Capsule) backoff(ctx context.Context, d time.Duration) bool {
 
 // Announce performs a request-only invocation on ref (§5.1).
 func (c *Capsule) Announce(ref wire.Ref, op string, args []wire.Value, opts ...InvokeOption) error {
-	if len(opts) == 0 {
-		return c.AnnounceWith(ref, op, args, DefaultInvokeConfig())
-	}
 	return c.AnnounceWith(ref, op, args, ResolveInvokeOptions(opts...))
 }
 
@@ -603,37 +615,20 @@ func (c *Capsule) AnnounceWith(ref wire.Ref, op string, args []wire.Value, cfg I
 	return c.AnnounceCtxWith(context.Background(), ref, op, args, cfg)
 }
 
-// AnnounceCtxWith is AnnounceWith with a caller context: a span context
-// carried by ctx flows to the announcee (group relays pass their handler
-// context here, so relay fan-out joins the originating trace). An
-// untraced top-level announcement on a tracing node roots a new trace,
-// subject to the sampling knob.
+// AnnounceCtxWith is AnnounceWith with a caller context, whose span
+// context flows to the announcee. The capsule never roots a trace; the
+// binder's stub does (naming.Binder.AnnounceWith).
 func (c *Capsule) AnnounceCtxWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg InvokeConfig) error {
-	var root *obs.Span
-	if c.obs != nil && !obs.FromContext(ctx).Valid() {
-		if root = c.obs.Begin(obs.KindStub, op); root != nil {
-			ctx = obs.ContextWith(ctx, root.Context())
-		}
-	}
-	err := c.announceWith(ctx, ref, op, args, cfg)
-	c.obs.End(root)
-	return err
-}
-
-func (c *Capsule) announceWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg InvokeConfig) error {
 	if !cfg.ForceRemote && c.Hosts(ref.ID) {
-		// Spawn a new activity, as announcement semantics require. The
-		// copy is taken before the goroutine starts: the caller owns its
-		// argument slice again the moment Announce returns. CloneArgs
-		// aliases all-scalar vectors (safe while the caller is blocked,
-		// wrong for a detached activity), so force a fresh slice header.
+		// Spawn a new activity, as announcement semantics require, on a
+		// copy: the caller owns args again once Announce returns, and
+		// CloneArgs aliases an all-scalar vector, so force a fresh header.
 		sent := wire.CloneArgs(args)
 		if len(args) != 0 && &sent[0] == &args[0] {
 			sent = append(make([]wire.Value, 0, len(args)), args...)
 		}
-		// The detached activity gets a fresh lifetime (announcements
-		// outlive their caller) but keeps the span context, so the
-		// spawned dispatch still lands in the originating trace.
+		// The activity outlives its caller but keeps the span context, so
+		// its dispatch lands in the originating trace.
 		dctx := context.Background()
 		if c.obs != nil {
 			if sc := obs.FromContext(ctx); sc.Valid() {
@@ -641,7 +636,9 @@ func (c *Capsule) announceWith(ctx context.Context, ref wire.Ref, op string, arg
 			}
 		}
 		go func() {
-			_, _, _ = c.dispatchLocal(dctx, ref.ID, op, sent)
+			if _, _, err := c.dispatchLocal(dctx, ref.ID, op, sent); err != nil {
+				c.followForward(dctx, err, op, sent)
+			}
 		}()
 		return nil
 	}

@@ -398,14 +398,13 @@ func (p *Platform) metrics() *obs.Metrics {
 	obs.Fold(m, "rpc.client", p.Capsule.Client().Stats())
 	obs.Fold(m, "rpc.server", p.Capsule.ServerStats())
 	obs.Fold(m, "binder", p.binder.Stats())
+	obs.Fold(m, "gc", p.Collector.Stats())
 	obs.Fold(m, "transport.coalescer", p.coalescer.BatchStats())
 	m.Latency["rpc.client.call"] = p.Capsule.Client().CallLatency()
 	m.Latency["rpc.server.dispatch"] = p.Capsule.DispatchLatency()
 	m.Latency["capsule.bypass"] = p.Capsule.BypassLatency()
 	m.Latency["binder.resolve"] = p.binder.ResolveLatency()
 	m.Latency["transport.coalescer.flush_delay"] = p.coalescer.FlushDelay()
-	m.Counters["gc.collected"] = p.Collector.Collected()
-	m.Counters["gc.renewals"] = p.Collector.Renewals()
 	if col := p.coalescer.Observer(); col != nil {
 		obs.Fold(m, "obs", col.Stats())
 	}
@@ -468,15 +467,9 @@ func (p *Platform) InvokeWith(ctx context.Context, ref wire.Ref, op string, args
 	return p.binder.InvokeWith(ctx, ref, op, args, cfg)
 }
 
-// Announce performs a request-only invocation.
+// Announce performs a request-only invocation through the binder.
 func (p *Platform) Announce(ref wire.Ref, op string, args []wire.Value) error {
-	return p.Capsule.Announce(ref, op, args)
-}
-
-// AnnounceCtx is Announce with a caller context, so announcements made
-// inside a traced invocation join its span tree.
-func (p *Platform) AnnounceCtx(ctx context.Context, ref wire.Ref, op string, args []wire.Value) error {
-	return p.Capsule.AnnounceCtxWith(ctx, ref, op, args, capsule.DefaultInvokeConfig())
+	return p.binder.AnnounceWith(context.Background(), ref, op, args, capsule.DefaultInvokeConfig())
 }
 
 // BinderStats exposes binder counters (experiment E7).

@@ -95,15 +95,11 @@ func (pr *Proxy) WithQoS(q rpc.QoS) *Proxy {
 
 // Call performs an interrogation.
 func (pr *Proxy) Call(ctx context.Context, op string, args ...wire.Value) (Outcome, error) {
-	sendArgs := args
-	if pr.signer != nil {
-		wrapped, err := pr.signer.Wrap(op, args)
-		if err != nil {
-			return Outcome{}, err
-		}
-		sendArgs = wrapped
+	sendArgs, err := pr.sign(op, args)
+	if err != nil {
+		return Outcome{}, err
 	}
-	name, results, err := pr.p.InvokeWith(ctx, pr.ref, op, sendArgs, pr.cfg)
+	name, results, err := pr.p.binder.InvokeWith(ctx, pr.ref, op, sendArgs, pr.cfg)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -120,13 +116,17 @@ func (pr *Proxy) Announce(op string, args ...wire.Value) error {
 // semantics are otherwise unchanged — the context does not make the
 // announcement cancellable or fail-reporting.)
 func (pr *Proxy) AnnounceCtx(ctx context.Context, op string, args ...wire.Value) error {
-	sendArgs := args
-	if pr.signer != nil {
-		wrapped, err := pr.signer.Wrap(op, args)
-		if err != nil {
-			return err
-		}
-		sendArgs = wrapped
+	sendArgs, err := pr.sign(op, args)
+	if err != nil {
+		return err
 	}
-	return pr.p.Capsule.AnnounceCtxWith(ctx, pr.ref, op, sendArgs, pr.cfg)
+	return pr.p.binder.AnnounceWith(ctx, pr.ref, op, sendArgs, pr.cfg)
+}
+
+// sign prepends the proxy's credential, if any, for either invocation kind.
+func (pr *Proxy) sign(op string, args []wire.Value) ([]wire.Value, error) {
+	if pr.signer == nil {
+		return args, nil
+	}
+	return pr.signer.Wrap(op, args)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -143,6 +144,90 @@ func TestRemoteRegistrarPath(t *testing.T) {
 	}
 	if n, _ := out.Int(0); n != 9 {
 		t.Fatalf("balance %d", n)
+	}
+}
+
+// landingLedger is a ledger that closes landed when a credit lands: the
+// servant a migration's last destination builds, so a test can wait for
+// an announcement to reach the object's current home.
+type landingLedger struct {
+	ledger
+	landed chan struct{}
+	once   sync.Once
+}
+
+func (l *landingLedger) Dispatch(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
+	outcome, results, err := l.ledger.Dispatch(ctx, op, args)
+	if op == "credit" && err == nil {
+		l.once.Do(func() { close(l.landed) })
+	}
+	return outcome, results, err
+}
+
+// TestAnnouncementFollowsForward is §5.4 migration transparency for the
+// request-only kind: an announcement sent through a proxy on a reference
+// the object has left reaches the object at its new home. No reply can
+// carry a MovedError back to the announcer, so the node that holds the
+// forward re-announces along it, hop by hop.
+func TestAnnouncementFollowsForward(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// hops is the migration path after src; the last hop is where
+		// the announcement must land.
+		hops []string
+		// fromSrc announces from the old host itself instead of from a
+		// separate client.
+		fromSrc bool
+	}{
+		{name: "remote announcer", hops: []string{"dst"}},
+		{name: "old host announces", hops: []string{"dst"}, fromSrc: true},
+		{name: "two hops", hops: []string{"mid", "dst"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newCoreEnv(t)
+			hub := e.platform("hub") // hosts the relocator
+			src := e.platform("src", WithRelocator(hub.RelocRef))
+			stale, err := src.Publish("wanderer", Object{
+				Servant: &ledger{balance: 10},
+				Type:    ledgerType(),
+				Env:     Env{Movable: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			landing := &landingLedger{landed: make(chan struct{})}
+			from := src
+			for i, name := range tc.hops {
+				next := e.platform(name, WithRelocator(hub.RelocRef))
+				factory := func() migrate.Servant { return &ledger{} }
+				if i == len(tc.hops)-1 {
+					factory = func() migrate.Servant { return landing }
+				}
+				next.Mover.RegisterFactory("Ledger", factory)
+				if _, err := from.Mover.Migrate(context.Background(), "wanderer", next.Mover.AcceptorRef()); err != nil {
+					t.Fatal(err)
+				}
+				from = next
+			}
+
+			announcer := src
+			if !tc.fromSrc {
+				announcer = e.platform("client", WithRelocator(hub.RelocRef))
+			}
+			if err := announcer.Bind(stale).Announce("credit", int64(1)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-landing.landed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the announcement to the moved object never landed")
+			}
+			landing.mu.Lock()
+			defer landing.mu.Unlock()
+			if landing.balance != 11 {
+				t.Fatalf("balance %d after the credit, want 11", landing.balance)
+			}
+		})
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 
 	"odp/internal/capsule"
 	"odp/internal/clock"
+	"odp/internal/obs"
 	"odp/internal/wire"
 )
 
@@ -50,6 +51,8 @@ type tracked struct {
 
 // Collector manages leases and collection for one capsule's objects.
 type Collector struct {
+	stats Stats // atomic.AddUint64; first, for 64-bit alignment
+
 	cap   *capsule.Capsule
 	grace time.Duration
 	now   func() time.Time
@@ -58,8 +61,12 @@ type Collector struct {
 	mu      sync.Mutex
 	objects map[string]*tracked
 	ref     wire.Ref
+}
 
-	collected, renewals atomic.Uint64
+// Stats counts the collector's work.
+type Stats struct {
+	Collected uint64 // objects collected
+	Renewals  uint64 // lease renewals processed
 }
 
 // New creates a collector on c and exports its lease interface. grace is
@@ -89,11 +96,8 @@ func New(c *capsule.Capsule, grace time.Duration) (*Collector, error) {
 // clients alongside object references.
 func (g *Collector) Ref() wire.Ref { return g.ref }
 
-// Collected returns how many objects have been collected.
-func (g *Collector) Collected() uint64 { return g.collected.Load() }
-
-// Renewals returns how many lease renewals have been processed.
-func (g *Collector) Renewals() uint64 { return g.renewals.Load() }
+// Stats returns a snapshot of the collector's counters.
+func (g *Collector) Stats() Stats { return obs.Load(&g.stats) }
 
 // Track begins collection management for object id. onCollect runs when
 // the object is collected (it should release the object's resources; the
@@ -129,7 +133,7 @@ func (g *Collector) Renew(id, holder string, ttl time.Duration) error {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, id)
 	}
 	tr.leases[holder] = g.now().Add(ttl)
-	g.renewals.Add(1)
+	atomic.AddUint64(&g.stats.Renewals, 1)
 	return nil
 }
 
@@ -177,7 +181,7 @@ func (g *Collector) Sweep() []string {
 			callbacks[i](id)
 		}
 	}
-	g.collected.Add(uint64(len(victims)))
+	atomic.AddUint64(&g.stats.Collected, uint64(len(victims)))
 	return victims
 }
 

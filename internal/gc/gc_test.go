@@ -91,8 +91,8 @@ func TestSweepCollectsUnreferencedPassive(t *testing.T) {
 	if e.server.Hosts("obj1") || e.server.Hosts("obj2") {
 		t.Fatal("collected objects still exported")
 	}
-	if e.collector.Collected() != 2 {
-		t.Fatalf("collected counter %d", e.collector.Collected())
+	if e.collector.Stats().Collected != 2 {
+		t.Fatalf("collected counter %d", e.collector.Stats().Collected)
 	}
 }
 
@@ -299,8 +299,8 @@ func TestHolderAutoRenewal(t *testing.T) {
 			t.Fatalf("auto-renewed object collected at round %d", i)
 		}
 	}
-	if e.collector.Renewals() < 3 {
-		t.Fatalf("too few renewals: %d", e.collector.Renewals())
+	if e.collector.Stats().Renewals < 3 {
+		t.Fatalf("too few renewals: %d", e.collector.Stats().Renewals)
 	}
 	// Dropping the hold releases promptly.
 	holder.Drop("kept")

@@ -105,11 +105,8 @@ type Binder struct {
 	mu    sync.RWMutex
 	cache map[string]wire.Ref
 
-	// obs is the capsule's span collector. When non-nil it makes the
-	// binder the root of invocation traces: the binder sits at the top of
-	// every client-side channel, so the sampling decision is taken here
-	// and the stub span brackets the whole invocation, relocation retries
-	// included; relocator consultations are recorded as resolve spans.
+	// obs is the capsule's span collector, nil when untraced: the binder
+	// roots invocation traces (see root) and records resolve spans.
 	obs *obs.Collector
 	// clk is the capsule's clock; it stamps the resolve latency histogram.
 	clk clock.Clock
@@ -149,29 +146,45 @@ func (b *Binder) ResolveLatency() obs.HistogramSnapshot {
 
 // Invoke performs an interrogation with relocation recovery.
 func (b *Binder) Invoke(ctx context.Context, ref wire.Ref, op string, args []wire.Value, opts ...capsule.InvokeOption) (string, []wire.Value, error) {
-	if len(opts) == 0 {
-		return b.InvokeWith(ctx, ref, op, args, capsule.DefaultInvokeConfig())
-	}
 	return b.InvokeWith(ctx, ref, op, args, capsule.ResolveInvokeOptions(opts...))
 }
 
 // InvokeWith is Invoke with a pre-resolved configuration.
 func (b *Binder) InvokeWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg capsule.InvokeConfig) (string, []wire.Value, error) {
 	atomic.AddUint64(&b.stats.Invocations, 1)
-
-	// Top-level invocations root a trace here, at the stub boundary; a
-	// nested invocation (the ctx already carries a span) joins its
-	// caller's tree instead, so one client call yields one tree even
-	// across relay and re-entry.
 	var root *obs.Span
-	if b.obs != nil && !obs.FromContext(ctx).Valid() {
-		if root = b.obs.Begin(obs.KindStub, op); root != nil {
-			ctx = obs.ContextWith(ctx, root.Context())
-		}
+	if b.obs != nil {
+		ctx, root = b.root(ctx, op)
 	}
 	outcome, results, err := b.invokeWith(ctx, ref, op, args, cfg)
 	b.obs.End(root)
 	return outcome, results, err
+}
+
+// AnnounceWith performs a request-only invocation on ref (§5.1). It skips
+// the relocation cache: the node an object left re-announces to its forward.
+func (b *Binder) AnnounceWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg capsule.InvokeConfig) error {
+	var root *obs.Span
+	if b.obs != nil {
+		ctx, root = b.root(ctx, op)
+	}
+	err := b.capsule.AnnounceCtxWith(ctx, ref, op, args, cfg)
+	b.obs.End(root)
+	return err
+}
+
+// root begins the stub span that brackets a top-level invocation of
+// either kind, relocation retries included; a nested one (ctx carries a
+// span) joins its caller's tree. Callers test b.obs, so untraced is free.
+func (b *Binder) root(ctx context.Context, op string) (context.Context, *obs.Span) {
+	if obs.FromContext(ctx).Valid() {
+		return ctx, nil
+	}
+	sp := b.obs.Begin(obs.KindStub, op)
+	if sp != nil {
+		ctx = obs.ContextWith(ctx, sp.Context())
+	}
+	return ctx, sp
 }
 
 func (b *Binder) invokeWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg capsule.InvokeConfig) (string, []wire.Value, error) {

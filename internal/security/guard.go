@@ -78,15 +78,6 @@ func (s *Signer) Wrap(op string, args []wire.Value) ([]wire.Value, error) {
 	return append(out, args...), nil
 }
 
-// Invoke is the authenticated invocation helper: wrap, invoke, done.
-func (s *Signer) Invoke(ctx context.Context, c *capsule.Capsule, ref wire.Ref, op string, args []wire.Value, opts ...capsule.InvokeOption) (string, []wire.Value, error) {
-	wrapped, err := s.Wrap(op, args)
-	if err != nil {
-		return "", nil, err
-	}
-	return c.Invoke(ctx, ref, op, wrapped, opts...)
-}
-
 // Rule is one clause of a declarative policy.
 type Rule struct {
 	// Principal the rule applies to; "*" matches all.

@@ -101,15 +101,24 @@ func newSecEnv(t *testing.T, policy Policy) *secEnv {
 	return &secEnv{t: t, server: server, client: client, keys: keys, vault: v, ref: ref, guard: guard}
 }
 
+// signedInvoke wraps args in s's credential, then invokes through c.
+func signedInvoke(ctx context.Context, s *Signer, c *capsule.Capsule, ref wire.Ref, op string, args []wire.Value) (string, []wire.Value, error) {
+	wrapped, err := s.Wrap(op, args)
+	if err != nil {
+		return "", nil, err
+	}
+	return c.Invoke(ctx, ref, op, wrapped)
+}
+
 func TestAuthenticatedInvoke(t *testing.T) {
 	e := newSecEnv(t, defaultPolicy())
 	alice := NewSigner("alice", []byte("alice-secret"))
 	ctx := context.Background()
-	outcome, _, err := alice.Invoke(ctx, e.client, e.ref, "write", []wire.Value{"new contents"})
+	outcome, _, err := signedInvoke(ctx, alice, e.client, e.ref, "write", []wire.Value{"new contents"})
 	if err != nil || outcome != "ok" {
 		t.Fatalf("write: %q %v", outcome, err)
 	}
-	outcome, res, err := alice.Invoke(ctx, e.client, e.ref, "read", nil)
+	outcome, res, err := signedInvoke(ctx, alice, e.client, e.ref, "read", nil)
 	if err != nil || outcome != "ok" || res[0] != "new contents" {
 		t.Fatalf("read: %q %v %v", outcome, res, err)
 	}
@@ -125,11 +134,11 @@ func TestPolicyDenies(t *testing.T) {
 	bob := NewSigner("bob", []byte("bob-secret"))
 	ctx := context.Background()
 	// bob may read...
-	if outcome, _, err := bob.Invoke(ctx, e.client, e.ref, "read", nil); err != nil || outcome != "ok" {
+	if outcome, _, err := signedInvoke(ctx, bob, e.client, e.ref, "read", nil); err != nil || outcome != "ok" {
 		t.Fatalf("bob read: %q %v", outcome, err)
 	}
 	// ...but not write.
-	_, _, err := bob.Invoke(ctx, e.client, e.ref, "write", []wire.Value{"graffiti"})
+	_, _, err := signedInvoke(ctx, bob, e.client, e.ref, "write", []wire.Value{"graffiti"})
 	if !errors.Is(err, rpc.ErrDenied) {
 		t.Fatalf("bob write: want ErrDenied, got %v", err)
 	}
@@ -152,7 +161,7 @@ func TestUnauthenticatedRejected(t *testing.T) {
 func TestWrongSecretRejected(t *testing.T) {
 	e := newSecEnv(t, defaultPolicy())
 	mallory := NewSigner("alice", []byte("guessed-secret"))
-	_, _, err := mallory.Invoke(context.Background(), e.client, e.ref, "read", nil)
+	_, _, err := signedInvoke(context.Background(), mallory, e.client, e.ref, "read", nil)
 	if !errors.Is(err, rpc.ErrDenied) {
 		t.Fatalf("forged credential: want ErrDenied, got %v", err)
 	}
@@ -161,7 +170,7 @@ func TestWrongSecretRejected(t *testing.T) {
 func TestUnknownPrincipalRejected(t *testing.T) {
 	e := newSecEnv(t, defaultPolicy())
 	eve := NewSigner("eve", []byte("whatever"))
-	_, _, err := eve.Invoke(context.Background(), e.client, e.ref, "read", nil)
+	_, _, err := signedInvoke(context.Background(), eve, e.client, e.ref, "read", nil)
 	if !errors.Is(err, rpc.ErrDenied) {
 		t.Fatalf("unknown principal: want ErrDenied, got %v", err)
 	}
@@ -222,7 +231,7 @@ func TestStaleCredentialRejected(t *testing.T) {
 	e := newSecEnv(t, defaultPolicy())
 	alice := NewSigner("alice", []byte("alice-secret"))
 	alice.now = func() time.Time { return time.Now().Add(-10 * time.Minute) }
-	_, _, err := alice.Invoke(context.Background(), e.client, e.ref, "read", nil)
+	_, _, err := signedInvoke(context.Background(), alice, e.client, e.ref, "read", nil)
 	if !errors.Is(err, rpc.ErrDenied) {
 		t.Fatalf("stale credential: want ErrDenied, got %v", err)
 	}
@@ -234,7 +243,7 @@ func TestSealedInvocationConfidentialAndWorking(t *testing.T) {
 	alice.Seal = true
 	ctx := context.Background()
 	secretValue := "the launch codes"
-	outcome, _, err := alice.Invoke(ctx, e.client, e.ref, "write", []wire.Value{secretValue})
+	outcome, _, err := signedInvoke(ctx, alice, e.client, e.ref, "write", []wire.Value{secretValue})
 	if err != nil || outcome != "ok" {
 		t.Fatalf("sealed write: %q %v", outcome, err)
 	}
@@ -299,7 +308,7 @@ func TestGuardStats(t *testing.T) {
 	alice := NewSigner("alice", []byte("alice-secret"))
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, _, err := alice.Invoke(ctx, e.client, e.ref, "read", nil); err != nil {
+		if _, _, err := signedInvoke(ctx, alice, e.client, e.ref, "read", nil); err != nil {
 			t.Fatal(err)
 		}
 	}

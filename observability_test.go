@@ -291,6 +291,71 @@ func TestE7RelocationSpanTree(t *testing.T) {
 	}
 }
 
+// TestAnnouncementStubRoot pins where an announcement's trace is rooted:
+// at the binder's stub, as an interrogation's is, and nowhere below it.
+// A proxy announcement on a tracing client roots exactly one parentless
+// stub span named after the op, and the server's dispatch joins that
+// trace; a bare capsule announcement roots none.
+func TestAnnouncementStubRoot(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		announce func(client *odp.Platform, ref odp.Ref) error
+		roots    int
+	}{
+		{"proxy", func(client *odp.Platform, ref odp.Ref) error {
+			return client.Bind(ref).Announce("add")
+		}, 1},
+		{"capsule", func(client *odp.Platform, ref odp.Ref) error {
+			return client.Capsule.Announce(ref, "add", nil)
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(31,
+				sim.WithDefaultLink(odp.LinkProfile{Latency: 500 * time.Microsecond}),
+			)
+			t.Cleanup(s.Close)
+			server := simPlatform(t, s, "server", odp.WithTracing(odp.TraceSampleEvery(1)))
+			client := simPlatform(t, s, "client", odp.WithTracing(odp.TraceSampleEvery(1)))
+			ctr := &countingServant{}
+			ref, err := server.Publish("ctr", odp.Object{Servant: ctr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := driveCall(t, s, time.Minute, func() error { return tc.announce(client, ref) }); err != nil {
+				t.Fatalf("announce: %v", err)
+			}
+			s.Run(t, time.Minute, func() bool { return ctr.load() == 1 })
+
+			client.Observer().SetSampleEvery(0)
+			server.Observer().SetSampleEvery(0)
+			spans := append(fetchSpans(t, s, client, server.Agent.Ref()),
+				fetchSpans(t, s, client, client.Agent.Ref())...)
+			var roots []odp.Span
+			for _, sp := range spans {
+				if sp.Kind == "stub" {
+					roots = append(roots, sp)
+				}
+			}
+			if len(roots) != tc.roots {
+				t.Fatalf("%d stub spans, want %d:\n%s", len(roots), tc.roots, odp.FormatSpans(spans))
+			}
+			if tc.roots == 0 {
+				return
+			}
+			root := roots[0]
+			if root.ParentID != 0 || root.Name != "add" || root.Node != "client" {
+				t.Fatalf("stub %+v, want a parentless client root named add", root)
+			}
+			for _, sp := range spans {
+				if sp.Kind == "rpc.dispatch" && sp.Node == "server" && sp.TraceID == root.TraceID {
+					return
+				}
+			}
+			t.Fatalf("the server's dispatch is not in the stub's trace:\n%s", odp.FormatSpans(spans))
+		})
+	}
+}
+
 // TestUnsampledTracingAddsNoAllocsE1 is the hot-path gate behind the
 // "zero overhead until sampled" claim: an E1 remote loopback on
 // platforms carrying the full tracing plumbing with sampling off must
