@@ -60,9 +60,25 @@ func (f ServantFunc) Dispatch(ctx context.Context, op string, args []wire.Value)
 	return f(ctx, op, args)
 }
 
-// Interceptor wraps a servant's dispatch path. Interceptors compose; the
-// first installed is outermost.
-type Interceptor func(next Servant) Servant
+// Invocation is one call as a woven dispatch path hands it from link to
+// link: the operation, its arguments and At, the dispatch instant. At is
+// read once from the node's clock where the dispatch began (the rpc
+// server's or the co-located path's latency stamp), so a mechanism that
+// needs "now" on the way in — a guard's freshness check, a lease stamp,
+// instrumentation's start — reads it here instead of the clock. It
+// travels by value: the path allocates no carrier.
+type Invocation struct {
+	Op   string
+	Args []wire.Value
+	At   time.Time
+}
+
+// Link is one stage of a woven dispatch path.
+type Link func(ctx context.Context, inv Invocation) (outcome string, results []wire.Value, err error)
+
+// Interceptor wraps a dispatch path. Interceptors compose; the first
+// installed is outermost.
+type Interceptor func(next Link) Link
 
 // Activator reinstates a passive object on demand (resource transparency,
 // §5.5). On success it must Export the object (typically with its own
@@ -86,13 +102,16 @@ type registration struct {
 	servant Servant
 	typ     types.Type
 	hasType bool
-	chain   Servant // servant wrapped in its interceptors
+	// chain is the servant wrapped in its type check and interceptors;
+	// nil when it has neither, and the dispatcher calls the servant.
+	chain Link
 }
 
 // Capsule hosts servants on one endpoint.
 type Capsule struct {
 	name  string
 	ep    transport.Batcher
+	addr  string // ep's address, which every invocation compares against
 	codec wire.Codec
 	peer  *rpc.Peer
 
@@ -139,6 +158,7 @@ func New(name string, ep transport.Batcher, codec wire.Codec, opts ...Option) *C
 	c := &Capsule{
 		name:     name,
 		ep:       ep,
+		addr:     ep.Addr(),
 		codec:    codec,
 		clk:      ep.Clock(),
 		obs:      ep.Observer(),
@@ -160,7 +180,7 @@ func New(name string, ep transport.Batcher, codec wire.Codec, opts ...Option) *C
 func (c *Capsule) Name() string { return c.name }
 
 // Addr returns the capsule's transport address.
-func (c *Capsule) Addr() string { return c.ep.Addr() }
+func (c *Capsule) Addr() string { return c.addr }
 
 // Codec returns the capsule's codec.
 func (c *Capsule) Codec() wire.Codec { return c.codec }
@@ -244,13 +264,18 @@ func (c *Capsule) Export(s Servant, opts ...ExportOption) (wire.Ref, error) {
 	if cfg.id == "" {
 		cfg.id = c.name + "/obj-" + strconv.FormatUint(c.nextID.Add(1), 10)
 	}
-	chain := s
 	// Signature checking sits at the servant boundary, inside every
 	// interceptor: transparency mechanisms (guards stripping credentials,
 	// transaction wrappers carrying control operations) legitimately see
 	// a different argument shape than the application signature.
-	if cfg.hasType {
-		chain = typeChecked(cfg.id, cfg.typ, chain)
+	var chain Link
+	switch {
+	case cfg.hasType:
+		chain = typeChecked(cfg.id, cfg.typ, s)
+	case len(cfg.interceptors) > 0:
+		chain = func(ctx context.Context, inv Invocation) (string, []wire.Value, error) {
+			return s.Dispatch(ctx, inv.Op, inv.Args)
+		}
 	}
 	for i := len(cfg.interceptors) - 1; i >= 0; i-- {
 		chain = cfg.interceptors[i](chain)
@@ -270,7 +295,7 @@ func (c *Capsule) Export(s Servant, opts ...ExportOption) (wire.Ref, error) {
 	return wire.Ref{
 		ID:        cfg.id,
 		TypeName:  cfg.typ.Name,
-		Endpoints: []string{c.ep.Addr()},
+		Endpoints: []string{c.addr},
 	}, nil
 }
 
@@ -337,7 +362,7 @@ func (c *Capsule) Objects() []string {
 // the duration of Dispatch, and the one path that retains objID (the
 // activator) clones its own copy in dispatchLocal.
 func (c *Capsule) handle(ctx context.Context, in *rpc.Incoming) (string, []wire.Value, error) {
-	outcome, results, err := c.dispatchLocal(ctx, in.ObjID, in.Op, in.Args)
+	outcome, results, err := c.dispatchLocal(ctx, in.ObjID, in.Op, in.Args, in.At)
 	if err != nil && in.Announcement {
 		c.followForward(ctx, err, in.Op, in.Args)
 	}
@@ -390,14 +415,19 @@ func (c *Capsule) tryLocal(ctx context.Context, objID, op string, args []wire.Va
 		}
 	}
 	began := c.clk.Now()
-	outcome, results, err = reg.chain.Dispatch(ctx, op, wire.CloneArgs(args))
+	if reg.chain == nil {
+		outcome, results, err = reg.servant.Dispatch(ctx, op, wire.CloneArgs(args))
+	} else {
+		outcome, results, err = reg.chain(ctx, Invocation{Op: op, Args: wire.CloneArgs(args), At: began})
+	}
 	c.bypassLat.Observe(c.clk.Since(began))
 	c.obs.End(sp)
 	return outcome, wire.CloneArgs(results), err, true
 }
 
-// dispatchLocal runs an invocation against a hosted object.
-func (c *Capsule) dispatchLocal(ctx context.Context, objID, op string, args []wire.Value) (string, []wire.Value, error) {
+// dispatchLocal runs an invocation against a hosted object; at is the
+// dispatch instant its path reads.
+func (c *Capsule) dispatchLocal(ctx context.Context, objID, op string, args []wire.Value, at time.Time) (string, []wire.Value, error) {
 	c.mu.RLock()
 	reg, ok := c.objects[objID]
 	fwd, fok := c.forwards[objID]
@@ -428,7 +458,10 @@ func (c *Capsule) dispatchLocal(ctx context.Context, objID, op string, args []wi
 	if !ok {
 		return "", nil, rpc.ErrNoObject
 	}
-	return reg.chain.Dispatch(ctx, op, args)
+	if reg.chain == nil {
+		return reg.servant.Dispatch(ctx, op, args)
+	}
+	return reg.chain(ctx, Invocation{Op: op, Args: args, At: at})
 }
 
 // typeChecked wraps a servant with early signature checking (§4.3): the
@@ -438,10 +471,11 @@ func (c *Capsule) dispatchLocal(ctx context.Context, objID, op string, args []wi
 // group ordering "g!...", migration "m!...") and pass through unchecked —
 // they are envelopes of the engineering model, not operations of the
 // application signature.
-func typeChecked(objID string, typ types.Type, next Servant) Servant {
-	return ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
+func typeChecked(objID string, typ types.Type, s Servant) Link {
+	return func(ctx context.Context, inv Invocation) (string, []wire.Value, error) {
+		op, args := inv.Op, inv.Args
 		if strings.ContainsRune(op, '!') {
-			return next.Dispatch(ctx, op, args)
+			return s.Dispatch(ctx, op, args)
 		}
 		opSig, found := typ.Ops[op]
 		if !found {
@@ -450,7 +484,7 @@ func typeChecked(objID string, typ types.Type, next Servant) Servant {
 		if err := types.CheckArgs(opSig, args); err != nil {
 			return "", nil, fmt.Errorf("capsule: %s.%s: %w", objID, op, err)
 		}
-		outcome, results, err := next.Dispatch(ctx, op, args)
+		outcome, results, err := s.Dispatch(ctx, op, args)
 		if err != nil {
 			return "", nil, err
 		}
@@ -460,7 +494,7 @@ func typeChecked(objID string, typ types.Type, next Servant) Servant {
 			}
 		}
 		return outcome, results, nil
-	})
+	}
 }
 
 // InvokeOption configures one client-side invocation.
@@ -543,7 +577,7 @@ func (c *Capsule) InvokeWith(ctx context.Context, ref wire.Ref, op string, args 
 	}
 	if len(ref.Endpoints) == 0 {
 		if c.Hosts(ref.ID) { // local, and forced off the direct path
-			return c.dispatchLocal(ctx, ref.ID, op, wire.CloneArgs(args))
+			return c.dispatchLocal(ctx, ref.ID, op, wire.CloneArgs(args), c.clk.Now())
 		}
 		return "", nil, ErrNoEndpoint
 	}
@@ -552,11 +586,11 @@ func (c *Capsule) InvokeWith(ctx context.Context, ref wire.Ref, op string, args 
 		var outcome string
 		var results []wire.Value
 		var err error
-		if ep == c.ep.Addr() && !cfg.ForceRemote {
+		if ep == c.addr && !cfg.ForceRemote {
 			// Not plainly hosted (tryLocal declined) but addressed to this
 			// capsule: run the full local dispatcher so forwarding and
 			// activation apply, still under by-copy discipline.
-			outcome, results, err = c.dispatchLocal(ctx, ref.ID, op, wire.CloneArgs(args))
+			outcome, results, err = c.dispatchLocal(ctx, ref.ID, op, wire.CloneArgs(args), c.clk.Now())
 		} else {
 			outcome, results, err = c.peer.Client.Call(ctx, ep, ref.ID, op, args, cfg.QoS)
 			// A busy reply is the server shedding load (admission
@@ -618,8 +652,13 @@ func (c *Capsule) AnnounceWith(ref wire.Ref, op string, args []wire.Value, cfg I
 // AnnounceCtxWith is AnnounceWith with a caller context, whose span
 // context flows to the announcee. The capsule never roots a trace; the
 // binder's stub does (naming.Binder.AnnounceWith).
+//
+// An announcement for an object hosted here, or addressed to this capsule
+// (a forwarded or passive id), runs detached through the local
+// dispatcher, as InvokeWith runs an interrogation: no encode, no fabric
+// hop to the capsule's own address.
 func (c *Capsule) AnnounceCtxWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg InvokeConfig) error {
-	if !cfg.ForceRemote && c.Hosts(ref.ID) {
+	if !cfg.ForceRemote && (c.Hosts(ref.ID) || len(ref.Endpoints) > 0 && ref.Endpoints[0] == c.addr) {
 		// Spawn a new activity, as announcement semantics require, on a
 		// copy: the caller owns args again once Announce returns, and
 		// CloneArgs aliases an all-scalar vector, so force a fresh header.
@@ -636,7 +675,7 @@ func (c *Capsule) AnnounceCtxWith(ctx context.Context, ref wire.Ref, op string, 
 			}
 		}
 		go func() {
-			if _, _, err := c.dispatchLocal(dctx, ref.ID, op, sent); err != nil {
+			if _, _, err := c.dispatchLocal(dctx, ref.ID, op, sent, c.clk.Now()); err != nil {
 				c.followForward(dctx, err, op, sent)
 			}
 		}()

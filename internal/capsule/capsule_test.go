@@ -200,17 +200,17 @@ func TestInterceptorChainOrder(t *testing.T) {
 	var trace []string
 	var mu sync.Mutex
 	mk := func(tag string) Interceptor {
-		return func(next Servant) Servant {
-			return ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
+		return func(next Link) Link {
+			return func(ctx context.Context, inv Invocation) (string, []wire.Value, error) {
 				mu.Lock()
 				trace = append(trace, tag+"-in")
 				mu.Unlock()
-				o, r, err := next.Dispatch(ctx, op, args)
+				o, r, err := next(ctx, inv)
 				mu.Lock()
 				trace = append(trace, tag+"-out")
 				mu.Unlock()
 				return o, r, err
-			})
+			}
 		}
 	}
 	ref, err := c.Export(&counter{}, WithInterceptors(mk("outer"), mk("inner")))

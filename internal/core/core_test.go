@@ -82,9 +82,9 @@ type coreEnv struct {
 	fabric *netsim.Fabric
 }
 
-func newCoreEnv(t *testing.T) *coreEnv {
+func newCoreEnv(t *testing.T, opts ...netsim.Option) *coreEnv {
 	t.Helper()
-	f := netsim.NewFabric()
+	f := netsim.NewFabric(opts...)
 	t.Cleanup(func() { _ = f.Close() })
 	return &coreEnv{t: t, fabric: f}
 }

@@ -179,10 +179,10 @@ func WithDomain(name string) Option {
 // lease expiry, management timestamps, replica-group failure detection —
 // from one injected clock. With a clock.Fake shared across nodes and the
 // netsim fabric, the whole platform runs in virtual time (the sim
-// harness). The one exception is the security guard, which checks
-// credential freshness on the wall clock: a credential is stamped in the
-// principal's process, whose clock the node does not share. Default: the
-// wall clock.
+// harness). The security guard judges credential freshness at the
+// dispatch instant read from this clock, and a proxy stamps its
+// credentials from it, so nodes in one virtual time admit each other's
+// calls. Default: the wall clock.
 func WithClock(c clock.Clock) Option {
 	return func(cfg *platformConfig) { cfg.clk = c }
 }

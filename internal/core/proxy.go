@@ -123,10 +123,11 @@ func (pr *Proxy) AnnounceCtx(ctx context.Context, op string, args ...wire.Value)
 	return pr.p.binder.AnnounceWith(ctx, pr.ref, op, sendArgs, pr.cfg)
 }
 
-// sign prepends the proxy's credential, if any, for either invocation kind.
+// sign prepends the proxy's credential, if any, for either invocation
+// kind, stamped from the platform's clock.
 func (pr *Proxy) sign(op string, args []wire.Value) ([]wire.Value, error) {
 	if pr.signer == nil {
 		return args, nil
 	}
-	return pr.signer.Wrap(op, args)
+	return pr.signer.WrapAt(pr.p.Clock().Now(), op, args)
 }

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"odp/internal/migrate"
+	"odp/internal/netsim"
 	"odp/internal/rpc"
 	"odp/internal/wire"
 )
@@ -184,7 +187,14 @@ func TestAnnouncementFollowsForward(t *testing.T) {
 		{name: "two hops", hops: []string{"mid", "dst"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newCoreEnv(t)
+			// A node reaches an object it no longer hosts through its own
+			// dispatcher, never through the fabric to its own address.
+			var selfSent atomic.Int64
+			e := newCoreEnv(t, netsim.WithTrace(func(_ time.Time, event string) {
+				if strings.HasPrefix(event, "send src>src ") {
+					selfSent.Add(1)
+				}
+			}))
 			hub := e.platform("hub") // hosts the relocator
 			src := e.platform("src", WithRelocator(hub.RelocRef))
 			stale, err := src.Publish("wanderer", Object{
@@ -226,6 +236,9 @@ func TestAnnouncementFollowsForward(t *testing.T) {
 			defer landing.mu.Unlock()
 			if landing.balance != 11 {
 				t.Fatalf("balance %d after the credit, want 11", landing.balance)
+			}
+			if n := selfSent.Load(); n != 0 {
+				t.Fatalf("src sent %d frames to its own address", n)
 			}
 		})
 	}

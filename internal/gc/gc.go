@@ -103,10 +103,10 @@ func (g *Collector) Stats() Stats { return obs.Load(&g.stats) }
 // the object is collected (it should release the object's resources; the
 // collector already unexports). Returns an interceptor that must be
 // installed on the object's dispatch path so invocations count as
-// activity. Tracking an id already tracked keeps its entry — its leases,
-// its last activity and its onCollect — so a new incarnation of a live
-// object is not mistaken for a new object; only an unknown or collected
-// id starts afresh.
+// activity, stamped with their dispatch instant. Tracking an id already
+// tracked keeps its entry — its leases, its last activity and its
+// onCollect — so a new incarnation of a live object is not mistaken for
+// a new object; only an unknown or collected id starts afresh.
 func (g *Collector) Track(id string, onCollect func(id string)) capsule.Interceptor {
 	g.mu.Lock()
 	tr, ok := g.objects[id]
@@ -116,11 +116,11 @@ func (g *Collector) Track(id string, onCollect func(id string)) capsule.Intercep
 		g.objects[id] = tr
 	}
 	g.mu.Unlock()
-	return func(next capsule.Servant) capsule.Servant {
-		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
-			tr.lastActive.Store(int64(g.now().Sub(g.epoch)))
-			return next.Dispatch(ctx, op, args)
-		})
+	return func(next capsule.Link) capsule.Link {
+		return func(ctx context.Context, inv capsule.Invocation) (string, []wire.Value, error) {
+			tr.lastActive.Store(int64(inv.At.Sub(g.epoch)))
+			return next(ctx, inv)
+		}
 	}
 }
 

@@ -173,15 +173,15 @@ func TestActivityStampedConcurrently(t *testing.T) {
 	e.collector.now = clk.Now
 	var collected []string
 	var mu sync.Mutex
-	servant := e.collector.Track("obj", func(id string) {
+	path := e.collector.Track("obj", func(id string) {
 		mu.Lock()
 		collected = append(collected, id)
 		mu.Unlock()
-	})(capsule.ServantFunc(func(context.Context, string, []wire.Value) (string, []wire.Value, error) {
+	})(func(context.Context, capsule.Invocation) (string, []wire.Value, error) {
 		return "ok", nil, nil
-	}))
+	})
 	call := func() {
-		if _, _, err := servant.Dispatch(context.Background(), "ping", nil); err != nil {
+		if _, _, err := path(context.Background(), capsule.Invocation{Op: "ping", At: clk.Now()}); err != nil {
 			t.Error(err)
 		}
 	}

@@ -35,8 +35,12 @@ type DetClockConfig struct {
 // netsim is deliberately NOT package-exempt: since delivery scheduling
 // became clock-pluggable, the fabric's only wall-clock touch is the
 // real-time fallback in realtime.go. A node's clock is chosen in
-// NewPlatform and in the façade's bare coalescer; the security guard and
-// signer keep the wall clock (DESIGN.md, *One clock per node*).
+// NewPlatform and in the façade's bare coalescer. The security guard
+// judges the invocations on a node's access path at the dispatch instant
+// on that node's clock, and a proxy stamps credentials from its
+// platform's clock; guard.go keeps the wall clock only for a standalone
+// Signer.Wrap, which serves programs with no platform against nodes on
+// the wall clock, and for Guard.Admit (DESIGN.md, *One clock per node*).
 func DefaultDetClockConfig() DetClockConfig {
 	return DetClockConfig{
 		ExemptPackages: []string{

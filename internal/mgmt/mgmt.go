@@ -74,28 +74,29 @@ func (r *Registry) Events() []Event {
 }
 
 // Meter is one metric prefix's traffic: calls, errors and the last
-// dispatch latency in microseconds. Every servant instrumented with one
+// dispatch latency in microseconds, from the invocation's dispatch
+// instant to the end of its path. Every servant instrumented with one
 // meter counts into it; the zero value is ready to use.
 type Meter struct {
 	calls, errors atomic.Uint64
 	lastUs        atomic.Int64
 }
 
-// Instrument wraps a servant so its traffic feeds m, timed on clk.
+// Instrument wraps a dispatch path so its traffic feeds m. The latency
+// starts at the invocation's dispatch instant; only its end reads clk.
 func Instrument(m *Meter, clk clock.Clock) capsule.Interceptor {
-	return func(next capsule.Servant) capsule.Servant {
-		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
-			start := clk.Now()
-			outcome, results, err := next.Dispatch(ctx, op, args)
+	return func(next capsule.Link) capsule.Link {
+		return func(ctx context.Context, inv capsule.Invocation) (string, []wire.Value, error) {
+			outcome, results, err := next(ctx, inv)
 			// Latency and errors land before the call count, so a Fold that
 			// sees a call sees its latency.
-			m.lastUs.Store(clk.Since(start).Microseconds())
+			m.lastUs.Store(clk.Since(inv.At).Microseconds())
 			if err != nil {
 				m.errors.Add(1)
 			}
 			m.calls.Add(1)
 			return outcome, results, err
-		})
+		}
 	}
 }
 

@@ -34,13 +34,14 @@ func exported(m *Meter, prefix string) wire.Record {
 func TestInstrumentConcurrent(t *testing.T) {
 	const workers, perWorker = 64, 200
 	var m Meter
-	svc := Instrument(&m, clock.Real{})(capsule.ServantFunc(
-		func(_ context.Context, op string, _ []wire.Value) (string, []wire.Value, error) {
-			if op == "fail" {
+	clk := clock.Real{}
+	path := Instrument(&m, clk)(
+		func(_ context.Context, inv capsule.Invocation) (string, []wire.Value, error) {
+			if inv.Op == "fail" {
 				return "", nil, errors.New("boom")
 			}
 			return "ok", nil, nil
-		}))
+		})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -51,7 +52,7 @@ func TestInstrumentConcurrent(t *testing.T) {
 				if (w+i)%4 == 0 {
 					op = "fail"
 				}
-				_, _, _ = svc.Dispatch(context.Background(), op, nil)
+				_, _, _ = path(context.Background(), capsule.Invocation{Op: op, At: clk.Now()})
 			}
 		}(w)
 	}
@@ -134,10 +135,11 @@ func TestAgentRemoteStatsAndParams(t *testing.T) {
 	t.Cleanup(func() { _ = server.Close(); _ = manager.Close() })
 
 	var m Meter
-	svc := Instrument(&m, clock.Real{})(capsule.ServantFunc(
-		func(context.Context, string, []wire.Value) (string, []wire.Value, error) { return "ok", nil, nil }))
+	clk := clock.Real{}
+	path := Instrument(&m, clk)(
+		func(context.Context, capsule.Invocation) (string, []wire.Value, error) { return "ok", nil, nil })
 	for i := 0; i < 7; i++ {
-		_, _, _ = svc.Dispatch(context.Background(), "work", nil)
+		_, _, _ = path(context.Background(), capsule.Invocation{Op: "work", At: clk.Now()})
 	}
 	agent, err := NewAgent(server, NewRegistry(clock.Real{}), Sources{
 		Gather: func() wire.Record { return exported(&m, "invocations") },

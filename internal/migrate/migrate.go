@@ -165,14 +165,14 @@ func (g *gate) commitGone() {
 
 // interceptor returns the gate as a capsule interceptor.
 func (g *gate) interceptor() capsule.Interceptor {
-	return func(next capsule.Servant) capsule.Servant {
-		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
+	return func(next capsule.Link) capsule.Link {
+		return func(ctx context.Context, inv capsule.Invocation) (string, []wire.Value, error) {
 			if err := g.enter(); err != nil {
 				return "", nil, err
 			}
 			defer g.exit()
-			return next.Dispatch(ctx, op, args)
-		})
+			return next(ctx, inv)
+		}
 	}
 }
 
@@ -276,16 +276,16 @@ func (h *Host) Manage(inc Incarnation) (wire.Ref, error) {
 // as the packed vector [op, List(args)] that Recover decodes.
 func (h *Host) RecoveryLog(id string, readOnly map[string]bool) capsule.Interceptor {
 	logName := "oplog/" + id
-	return func(next capsule.Servant) capsule.Servant {
-		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
-			outcome, results, err := next.Dispatch(ctx, op, args)
-			if err == nil && !readOnly[op] {
+	return func(next capsule.Link) capsule.Link {
+		return func(ctx context.Context, inv capsule.Invocation) (string, []wire.Value, error) {
+			outcome, results, err := next(ctx, inv)
+			if err == nil && !readOnly[inv.Op] {
 				// AppendLog has copied or written the record when it
 				// returns, so the buffer goes straight back to the pool.
 				bp := wire.GetBuffer()
 				rec := wire.AppendCount(*bp, 2)
-				rec = wire.PackedCodec{}.AppendString(rec, op)
-				rec, encErr := wire.PackedCodec{}.AppendList(rec, args)
+				rec = wire.PackedCodec{}.AppendString(rec, inv.Op)
+				rec, encErr := wire.PackedCodec{}.AppendList(rec, inv.Args)
 				if encErr == nil {
 					_ = h.store.AppendLog(logName, rec)
 					*bp = rec
@@ -293,7 +293,7 @@ func (h *Host) RecoveryLog(id string, readOnly map[string]bool) capsule.Intercep
 				wire.PutBuffer(bp)
 			}
 			return outcome, results, err
-		})
+		}
 	}
 }
 

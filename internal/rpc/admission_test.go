@@ -15,7 +15,10 @@ import (
 )
 
 // admissionSetup builds a loopback pair whose server runs admission
-// control on a fake clock, so bucket refill is deterministic.
+// control on a fake clock, so bucket refill is deterministic. The
+// server's frames leave at once, bare: on the frozen clock a reply
+// queued behind another's write would leave only when the test ended
+// the instant.
 func admissionSetup(t *testing.T, cfg AdmissionConfig) (*Client, *Server, *clock.Fake) {
 	t.Helper()
 	f := netsim.NewFabric()
@@ -31,22 +34,27 @@ func admissionSetup(t *testing.T, cfg AdmissionConfig) (*Client, *Server, *clock
 	cli := NewClient(coalesce(t, cep), codec)
 	t.Cleanup(func() { _ = cli.Close() })
 	fc := clock.NewFake(time.Unix(100, 0))
-	srv := NewServer(coalesceOn(t, sep, fc, nil), codec, echoHandler, WithAdmission(cfg))
+	srv := NewServer(&plainBatcher{Coalescer: coalesceOn(t, sep, fc, nil), inner: sep}, codec, echoHandler, WithAdmission(cfg))
 	t.Cleanup(func() { _ = srv.Close() })
 	return cli, srv, fc
 }
 
 // TestAdmissionShedsBeyondBurst: a client gets Burst invocations up
-// front, then ErrServerBusy until the bucket refills at Rate.
+// front, then ErrServerBusy until the bucket refills at Rate. The client
+// never retransmits within the test: a rejected request leaves no state,
+// so a retransmission of the over-burst call that overtook its busy
+// reply (QoS{} retransmits after 20 ms of wall time, a wait a loaded
+// -race run can exceed) would be shed a second time.
 func TestAdmissionShedsBeyondBurst(t *testing.T) {
 	cli, srv, fc := admissionSetup(t, AdmissionConfig{Rate: 1, Burst: 2})
 	ctx := context.Background()
+	qos := QoS{Timeout: 2 * time.Hour, Retransmit: time.Hour}
 	for i := 0; i < 2; i++ {
-		if _, _, err := cli.Call(ctx, "server", "o", "op", nil, QoS{}); err != nil {
+		if _, _, err := cli.Call(ctx, "server", "o", "op", nil, qos); err != nil {
 			t.Fatalf("call %d within burst: %v", i, err)
 		}
 	}
-	_, _, err := cli.Call(ctx, "server", "o", "op", nil, QoS{})
+	_, _, err := cli.Call(ctx, "server", "o", "op", nil, qos)
 	if !errors.Is(err, ErrServerBusy) {
 		t.Fatalf("over-burst call: err = %v, want ErrServerBusy", err)
 	}
@@ -56,10 +64,10 @@ func TestAdmissionShedsBeyondBurst(t *testing.T) {
 
 	// One second at Rate 1 earns exactly one more token.
 	fc.Advance(time.Second)
-	if _, _, err := cli.Call(ctx, "server", "o", "op", nil, QoS{}); err != nil {
+	if _, _, err := cli.Call(ctx, "server", "o", "op", nil, qos); err != nil {
 		t.Fatalf("call after refill: %v", err)
 	}
-	if _, _, err := cli.Call(ctx, "server", "o", "op", nil, QoS{}); !errors.Is(err, ErrServerBusy) {
+	if _, _, err := cli.Call(ctx, "server", "o", "op", nil, qos); !errors.Is(err, ErrServerBusy) {
 		t.Fatalf("second call after single-token refill: err = %v, want ErrServerBusy", err)
 	}
 }

@@ -31,6 +31,10 @@ type Incoming struct {
 	// Announcement is true for request-only invocations; the handler's
 	// outcome and results are discarded in that case.
 	Announcement bool
+	// At is the dispatch instant on the server's clock, the one its
+	// dispatch latency runs from: the handler's layers read it instead
+	// of the clock.
+	At time.Time
 }
 
 // Handler executes one invocation. Returning a nil error delivers
@@ -551,9 +555,9 @@ func (s *Server) run(c *call) {
 				ctx = obs.ContextWith(ctx, sp.Context())
 			}
 		}
-		began := s.clk.Now()
+		c.in.At = s.clk.Now()
 		outcome, results, err = s.handler(ctx, &c.in)
-		s.dispatchLat.Observe(s.clk.Since(began))
+		s.dispatchLat.Observe(s.clk.Since(c.in.At))
 		s.obs.End(sp)
 	}
 	if c.sc != nil { // announcements have nothing to report, by design

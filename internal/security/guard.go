@@ -42,10 +42,17 @@ func NewSigner(principal string, secret []byte) *Signer {
 	return s
 }
 
-// Wrap prepends a credential to args for an invocation of op. When
-// sealing, the arguments are replaced entirely by the encrypted payload
-// inside the credential.
+// Wrap prepends a credential to args for an invocation of op, stamped
+// with the wall clock: a program with no platform signs for nodes on the
+// wall clock. When sealing, the arguments are replaced entirely by the
+// encrypted payload inside the credential.
 func (s *Signer) Wrap(op string, args []wire.Value) ([]wire.Value, error) {
+	return s.WrapAt(s.now(), op, args)
+}
+
+// WrapAt is Wrap with the credential stamped at: a proxy stamps it from
+// its platform's clock, the clock the guards of its peers judge it by.
+func (s *Signer) WrapAt(at time.Time, op string, args []wire.Value) ([]wire.Value, error) {
 	k := s.key
 	if len(k.principal) > 255 {
 		return nil, fmt.Errorf("%w: principal of %d bytes", ErrBadCredential, len(k.principal))
@@ -55,7 +62,7 @@ func (s *Signer) Wrap(op string, args []wire.Value) ([]wire.Value, error) {
 		flags = flagSealed
 	}
 	cred := make([]byte, 0, credFixed+len(k.principal))
-	cred = appendCredential(cred, flags, s.nonce.Add(1), s.now().UnixMilli(), k.principal)
+	cred = appendCredential(cred, flags, s.nonce.Add(1), at.UnixMilli(), k.principal)
 	var sealed []byte
 	if flags&flagSealed != 0 {
 		bp := wire.GetBuffer()
@@ -123,7 +130,7 @@ type Guard struct {
 	keys   *Keyring
 	policy Policy
 	skewMs int64
-	now    func() time.Time
+	now    func() time.Time // Admit's instant; the access path brings its own
 	mu     sync.Mutex
 	// seen holds the admitted nonces by generation: the credential
 	// expiring at unix millisecond e is in generation e/skewMs. At most
@@ -151,11 +158,14 @@ func NewGuard(keys *Keyring, policy Policy, maxSkew time.Duration) *Guard {
 // Stats returns a snapshot of guard counters.
 func (g *Guard) Stats() GuardStats { return obs.Load(&g.stats) }
 
-// AsInterceptor returns the guard as a capsule interceptor.
+// AsInterceptor returns the guard as a capsule interceptor. On the
+// access path the guard judges freshness at the invocation's dispatch
+// instant, on the node's clock: a proxy stamps its credentials from its
+// own platform's clock, so a node in virtual time admits its clients.
 func (g *Guard) AsInterceptor() capsule.Interceptor {
-	return func(next capsule.Servant) capsule.Servant {
-		return capsule.ServantFunc(func(ctx context.Context, op string, args []wire.Value) (string, []wire.Value, error) {
-			realArgs, k, err := g.admit(op, args)
+	return func(next capsule.Link) capsule.Link {
+		return func(ctx context.Context, inv capsule.Invocation) (string, []wire.Value, error) {
+			realArgs, k, err := g.admit(inv.Op, inv.Args, inv.At)
 			if err != nil {
 				atomic.AddUint64(&g.stats.Rejected, 1)
 				return "", nil, fmt.Errorf("%w: %v", rpc.ErrDenied, err)
@@ -163,23 +173,26 @@ func (g *Guard) AsInterceptor() capsule.Interceptor {
 			atomic.AddUint64(&g.stats.Admitted, 1)
 			// The key outlives the call, so the context can point at its
 			// principal instead of boxing a copy.
-			return next.Dispatch(context.WithValue(ctx, principalKey{}, &k.principal), op, realArgs)
-		})
+			inv.Args = realArgs
+			return next(context.WithValue(ctx, principalKey{}, &k.principal), inv)
+		}
 	}
 }
 
 // Admit verifies the credential at args[0] and evaluates the policy,
 // returning the application arguments and the authenticated principal.
+// Freshness is judged at the wall clock's now.
 func (g *Guard) Admit(op string, args []wire.Value) ([]wire.Value, string, error) {
-	realArgs, k, err := g.admit(op, args)
+	realArgs, k, err := g.admit(op, args, g.now())
 	if err != nil {
 		return nil, "", err
 	}
 	return realArgs, k.principal, nil
 }
 
-// admit is Admit returning the authenticated principal's key.
-func (g *Guard) admit(op string, args []wire.Value) ([]wire.Value, *key, error) {
+// admit is Admit at instant now, returning the authenticated principal's
+// key.
+func (g *Guard) admit(op string, args []wire.Value, now time.Time) ([]wire.Value, *key, error) {
 	if len(args) == 0 {
 		return nil, nil, fmt.Errorf("%w: no credential", ErrBadCredential)
 	}
@@ -191,7 +204,7 @@ func (g *Guard) admit(op string, args []wire.Value) ([]wire.Value, *key, error) 
 	if k == nil {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPrincipal, c.principal)
 	}
-	nowMs := g.now().UnixMilli()
+	nowMs := now.UnixMilli()
 	if diff := nowMs - c.unixMilli; diff > g.skewMs || diff < -g.skewMs {
 		return nil, nil, fmt.Errorf("%w: %dms skew", ErrStale, diff)
 	}

@@ -13,6 +13,7 @@ import (
 	"odp/internal/capsule"
 	"odp/internal/clock"
 	"odp/internal/netsim"
+	"odp/internal/sim"
 	"odp/internal/wire"
 )
 
@@ -296,9 +297,22 @@ func TestSyncGroupHoldsUntilAllFlowsLive(t *testing.T) {
 }
 
 func TestEndToEndSyncOverJitteryNetwork(t *testing.T) {
-	// Full stack: two bindings over a jittery fabric into a sync group.
-	e := newStreamEnv(t, netsim.WithSeed(3), netsim.WithDefaultLink(netsim.LinkProfile{
+	// Full stack: two bindings over a jittery fabric into a sync group, in
+	// virtual time: the sender paces on the universe's clock, and the count
+	// is read once every frame has had a second to cross.
+	s := sim.New(3, sim.WithDefaultLink(netsim.LinkProfile{
 		Latency: time.Millisecond, Jitter: 3 * time.Millisecond}))
+	t.Cleanup(s.Close)
+	mk := func(name string) *capsule.Capsule {
+		ep, err := s.Fabric.Endpoint(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := capsule.New(name, transport.NewCoalescer(ep, s.Clock, nil), codec)
+		t.Cleanup(func() { s.Drain(func() { _ = c.Close() }) })
+		return c
+	}
+	producer, consumer := mk("producer"), mk("consumer")
 	var (
 		mu    sync.Mutex
 		count int
@@ -308,21 +322,28 @@ func TestEndToEndSyncOverJitteryNetwork(t *testing.T) {
 		count++
 		mu.Unlock()
 	})
-	rx, err := NewReceiver(e.consumer, func(spec Spec) (Sink, error) {
+	rx, err := NewReceiver(consumer, func(spec Spec) (Sink, error) {
 		return g.AddFlow(spec.Media), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	audio, err := Bind(ctx, e.producer, rx.Ref(), Spec{Media: "audio"})
-	if err != nil {
-		t.Fatal(err)
+	bind := func(media string) *Binding {
+		t.Helper()
+		var b *Binding
+		done := make(chan error, 1)
+		go func() {
+			var err error
+			b, err = Bind(context.Background(), producer, rx.Ref(), Spec{Media: media})
+			done <- err
+		}()
+		s.Run(t, 10*time.Second, func() bool { return len(done) == 1 })
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	video, err := Bind(ctx, e.producer, rx.Ref(), Spec{Media: "video"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	audio, video := bind("audio"), bind("video")
 	const frames = 30
 	for i := 0; i < frames; i++ {
 		if err := audio.Send(int64(i*10), []byte("a")); err != nil {
@@ -331,23 +352,16 @@ func TestEndToEndSyncOverJitteryNetwork(t *testing.T) {
 		if err := video.Send(int64(i*10), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		s.RunFor(time.Millisecond)
 	}
-	deadline := time.After(5 * time.Second)
-	for {
-		mu.Lock()
-		c := count
-		mu.Unlock()
-		// Allow the tail to be held back by the watermark; most frames
-		// must flow.
-		if c >= 2*(frames-2) {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("only %d frames released", c)
-		case <-time.After(5 * time.Millisecond):
-		}
+	s.RunFor(time.Second)
+	mu.Lock()
+	c := count
+	mu.Unlock()
+	// Allow the tail to be held back by the watermark; most frames must
+	// flow.
+	if c < 2*(frames-2) {
+		t.Fatalf("only %d frames released", c)
 	}
 	if skew := g.MaxObservedSkewMs(); skew > 40 {
 		t.Fatalf("observed skew %dms exceeds bound", skew)

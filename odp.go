@@ -148,6 +148,11 @@ type (
 	ServantFunc = capsule.ServantFunc
 	// Interceptor wraps a dispatch path.
 	Interceptor = capsule.Interceptor
+	// Link is one stage of a woven dispatch path.
+	Link = capsule.Link
+	// Invocation is what a Link receives: the operation, its arguments
+	// and the dispatch instant on the node's clock.
+	Invocation = capsule.Invocation
 	// QoS is the communications quality-of-service constraint.
 	QoS = rpc.QoS
 	// AdmissionConfig bounds per-client admission on a node's server
@@ -206,8 +211,9 @@ var (
 	// WithClock drives every time-dependent subsystem of the node from one
 	// injected clock; share a clock.Fake across nodes and the netsim
 	// fabric to run a whole system in virtual time (internal/sim). The
-	// security guard is the exception: it checks credential freshness on
-	// the wall clock, where the principal's signer stamped them.
+	// guard judges credential freshness on it too, and a proxy stamps
+	// credentials from it; only a Signer used without a platform stamps
+	// from the wall clock.
 	WithClock = core.WithClock
 	// WithAdmission enables per-client token-bucket admission control on
 	// the node's server dispatch path: over-budget invocations are shed

@@ -76,3 +76,39 @@ func TestWovenE1AllocGate(t *testing.T) {
 	}
 	t.Logf("woven E1: %.1f allocs/op (budget <= %d)", woven, wovenE1AllocBudget)
 }
+
+// unguardedE1AllocBudget is the ceiling of a put on an object published
+// Managed and Leased, with no guard: the bare put's 4 and nothing more.
+// Instrumentation and the lease stamp read the dispatch instant the
+// invocation carries by value, so a chain without a guard gains no
+// context, no carrier and no allocation on the way down.
+const unguardedE1AllocBudget = 4
+
+func TestUnguardedE1AllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are skewed under -race: sync.Pool drops puts by design")
+	}
+	server, client, e1 := e1Pair(t)
+	ref, err := server.Publish("metered", odp.Object{Servant: newVault(), Env: odp.Env{
+		Managed: &odp.ManagedSpec{},
+		Leased:  &odp.LeaseSpec{},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	proxy := client.Bind(ref).WithQoS(odp.QoS{Timeout: 30 * time.Second})
+	call := e1(func() error {
+		out, err := proxy.Call(ctx, "put", "k", int64(1))
+		if err == nil && out.Name != "ok" {
+			err = fmt.Errorf("put: outcome %q", out.Name)
+		}
+		return err
+	})
+	settleE1(call)
+	allocs := minAllocsPerRun(200, call)
+	if allocs > unguardedE1AllocBudget {
+		t.Fatalf("Managed+Leased E1 allocates %.1f/op, budget <= %d", allocs, unguardedE1AllocBudget)
+	}
+	t.Logf("Managed+Leased E1: %.1f allocs/op (budget <= %d)", allocs, unguardedE1AllocBudget)
+}
