@@ -399,4 +399,4 @@ func TestProxyOutcomeHelpers(t *testing.T) {
 	}
 }
 
-func newSharedStore() *storage.MemStore { return storage.NewMemStore() }
+func newSharedStore() *storage.FileStore { return storage.NewMemStore() }

@@ -52,94 +52,6 @@ type Store interface {
 	TruncateLog(name string) error
 }
 
-// MemStore is an in-memory Store, for tests and benchmarks. Each log is
-// one byte stream in FileStore's framing, so an append copies the record
-// into the stream and allocates nothing of its own.
-type MemStore struct {
-	mu    sync.RWMutex
-	blobs map[string][]byte
-	logs  map[string][]byte
-}
-
-var _ Store = (*MemStore)(nil)
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{
-		blobs: make(map[string][]byte),
-		logs:  make(map[string][]byte),
-	}
-}
-
-// PutBlob implements Store.
-func (s *MemStore) PutBlob(id string, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.mu.Lock()
-	s.blobs[id] = cp
-	s.mu.Unlock()
-	return nil
-}
-
-// GetBlob implements Store.
-func (s *MemStore) GetBlob(id string) ([]byte, error) {
-	s.mu.RLock()
-	data, ok := s.blobs[id]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: blob %q", ErrNotFound, id)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
-}
-
-// DeleteBlob implements Store.
-func (s *MemStore) DeleteBlob(id string) error {
-	s.mu.Lock()
-	delete(s.blobs, id)
-	s.mu.Unlock()
-	return nil
-}
-
-// ListBlobs implements Store.
-func (s *MemStore) ListBlobs(prefix string) ([]string, error) {
-	s.mu.RLock()
-	var ids []string
-	for id := range s.blobs {
-		if strings.HasPrefix(id, prefix) {
-			ids = append(ids, id)
-		}
-	}
-	s.mu.RUnlock()
-	sort.Strings(ids)
-	return ids, nil
-}
-
-// AppendLog implements Store.
-func (s *MemStore) AppendLog(name string, rec []byte) error {
-	s.mu.Lock()
-	s.logs[name] = appendRecord(s.logs[name], rec)
-	s.mu.Unlock()
-	return nil
-}
-
-// ReadLog implements Store.
-func (s *MemStore) ReadLog(name string) ([][]byte, error) {
-	s.mu.RLock()
-	stream := append([]byte(nil), s.logs[name]...)
-	s.mu.RUnlock()
-	return splitLog(stream)
-}
-
-// TruncateLog implements Store.
-func (s *MemStore) TruncateLog(name string) error {
-	s.mu.Lock()
-	delete(s.logs, name)
-	s.mu.Unlock()
-	return nil
-}
-
 // A log, on disk or in memory, is a stream of records, each framed as
 // [u32 BE length][record].
 const maxRecord = 1 << 28
@@ -171,25 +83,202 @@ func splitLog(stream []byte) ([][]byte, error) {
 	return recs, nil
 }
 
-// FileStore is a directory-backed Store. Blob ids and log names are
-// percent-free path-escaped into file names; logs are record streams
-// fsynced per append.
+// FileStore is the Store: a directory of blobs and a directory of logs,
+// written through the directory seam. Every write is synced before it
+// returns, a blob is published by renaming a synced temporary file over
+// it, and the directory is synced after each rename, each log's creation
+// and each remove, so what a call acknowledged survives a power loss.
+// One lock serialises every change; reads share it.
 type FileStore struct {
-	dir string
-	mu  sync.Mutex // serialises log appends per store
+	mu          sync.RWMutex
+	blobs, logs directory
+	frame       []byte // AppendLog's framing buffer, reused under mu
 }
-
-var _ Store = (*FileStore)(nil)
 
 // NewFileStore creates (if necessary) and opens a store rooted at dir.
 func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
+	blobs, logs := filepath.Join(dir, "blobs"), filepath.Join(dir, "logs")
+	if err := errors.Join(os.MkdirAll(blobs, 0o755), os.MkdirAll(logs, 0o755)); err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "logs"), 0o755); err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
+	return &FileStore{blobs: osDir(blobs), logs: osDir(logs)}, nil
+}
+
+// NewMemStore returns an empty store whose directories are held in
+// memory: the same store, for tests, benchmarks and nodes that keep
+// nothing across a restart.
+func NewMemStore() *FileStore {
+	return &FileStore{blobs: memDir{}, logs: memDir{}}
+}
+
+// PutBlob implements Store.
+func (s *FileStore) PutBlob(id string, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tmp := id + ".tmp"
+	err := s.blobs.write(tmp, data)
+	if err == nil {
+		err = s.blobs.rename(tmp, id)
 	}
-	return &FileStore{dir: dir}, nil
+	if err == nil {
+		err = s.blobs.syncDir()
+	}
+	return err
+}
+
+// GetBlob implements Store.
+func (s *FileStore) GetBlob(id string) ([]byte, error) {
+	s.mu.RLock()
+	data, err := s.blobs.read(id)
+	s.mu.RUnlock()
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w: blob %q", ErrNotFound, id)
+	}
+	return data, err
+}
+
+// DeleteBlob implements Store.
+func (s *FileStore) DeleteBlob(id string) error { return s.remove(s.blobs, id) }
+
+// ListBlobs implements Store.
+func (s *FileStore) ListBlobs(prefix string) ([]string, error) {
+	s.mu.RLock()
+	names, err := s.blobs.list()
+	s.mu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	var ids []string
+	for _, id := range names {
+		if strings.HasPrefix(id, prefix) && !strings.HasSuffix(id, ".tmp") {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	return ids, nil
+}
+
+// AppendLog implements Store. The record is framed into a buffer the
+// store keeps, so an append allocates nothing of its own.
+func (s *FileStore) AppendLog(name string, rec []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.frame = appendRecord(s.frame[:0], rec)
+	created, err := s.logs.append(name, s.frame)
+	if err == nil && created {
+		err = s.logs.syncDir()
+	}
+	return err
+}
+
+// ReadLog implements Store.
+func (s *FileStore) ReadLog(name string) ([][]byte, error) {
+	s.mu.RLock()
+	data, err := s.logs.read(name)
+	s.mu.RUnlock()
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	return splitLog(data) // a missing log reads as empty
+}
+
+// TruncateLog implements Store.
+func (s *FileStore) TruncateLog(name string) error { return s.remove(s.logs, name) }
+
+// remove removes name from d and syncs d. A missing file is not an
+// error, and d is synced all the same: an earlier removal may not be
+// durable yet.
+func (s *FileStore) remove(d directory, name string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := d.remove(name); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	return d.syncDir()
+}
+
+// directory is the file-system seam FileStore is written against: one
+// flat directory of named files, cut at the granularity the store uses.
+// write and append return once the file's contents are synced; syncDir
+// makes the directory's entries (creations, renames, removals) durable.
+// A missing file is reported as os.ErrNotExist. FileStore's lock
+// serialises every call that changes the directory.
+type directory interface {
+	write(name string, data []byte) error                      // create or replace name, synced
+	append(name string, data []byte) (created bool, err error) // create if needed, synced
+	read(name string) ([]byte, error)                          // a buffer the caller owns
+	rename(from, to string) error
+	remove(name string) error
+	list() ([]string, error) // every file's name, in no order
+	syncDir() error
+}
+
+// osDir is a directory of the operating system. A name is escaped into
+// a file name, so any byte string is a name.
+type osDir string
+
+func (d osDir) path(name string) string { return filepath.Join(string(d), escapeName(name)) }
+
+func (d osDir) write(name string, data []byte) error {
+	f, err := os.OpenFile(d.path(name), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	return syncClose(f, err)
+}
+
+func (d osDir) append(name string, data []byte) (created bool, err error) {
+	path := d.path(name)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if errors.Is(err, os.ErrNotExist) {
+		created = true
+		f, err = os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	}
+	if err != nil {
+		return false, err
+	}
+	_, err = f.Write(data)
+	return created, syncClose(f, err)
+}
+
+func (d osDir) read(name string) ([]byte, error) { return os.ReadFile(d.path(name)) }
+
+func (d osDir) rename(from, to string) error { return os.Rename(d.path(from), d.path(to)) }
+
+func (d osDir) remove(name string) error { return os.Remove(d.path(name)) }
+
+func (d osDir) list() ([]string, error) {
+	entries, err := os.ReadDir(string(d))
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if name, err := unescapeName(e.Name()); err == nil && !e.IsDir() {
+			names = append(names, name)
+		}
+	}
+	return names, nil
+}
+
+func (d osDir) syncDir() error {
+	f, err := os.Open(string(d))
+	if err != nil {
+		return err
+	}
+	return syncClose(f, nil)
+}
+
+// syncClose syncs and closes f, after err from writing it.
+func syncClose(f *os.File, err error) error {
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 const hexDigits = "0123456789abcdef"
@@ -234,120 +323,54 @@ func unescapeName(name string) (string, error) {
 	return b.String(), nil
 }
 
-func (s *FileStore) blobPath(id string) string {
-	return filepath.Join(s.dir, "blobs", escapeName(id))
-}
+// memDir is a directory held in memory. A name is a map key as it
+// stands: nothing is joined or escaped. A write is as durable as it will
+// ever be when it lands, so syncDir has nothing to do.
+type memDir map[string][]byte
 
-func (s *FileStore) logPath(name string) string {
-	return filepath.Join(s.dir, "logs", escapeName(name))
-}
-
-// PutBlob implements Store. The write is atomic (rename) and synced.
-func (s *FileStore) PutBlob(id string, data []byte) error {
-	path := s.blobPath(id)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
+func (d memDir) write(name string, data []byte) error {
+	d[name] = append([]byte(nil), data...)
 	return nil
 }
 
-// GetBlob implements Store.
-func (s *FileStore) GetBlob(id string) ([]byte, error) {
-	data, err := os.ReadFile(s.blobPath(id))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: blob %q", ErrNotFound, id)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	return data, nil
+func (d memDir) append(name string, data []byte) (bool, error) {
+	old, ok := d[name]
+	d[name] = append(old, data...)
+	return !ok, nil
 }
 
-// DeleteBlob implements Store.
-func (s *FileStore) DeleteBlob(id string) error {
-	err := os.Remove(s.blobPath(id))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("storage: %w", err)
+func (d memDir) read(name string) ([]byte, error) {
+	data, ok := d[name]
+	if !ok {
+		return nil, os.ErrNotExist
 	}
+	return append([]byte(nil), data...), nil
+}
+
+func (d memDir) rename(from, to string) error {
+	data, ok := d[from]
+	if !ok {
+		return os.ErrNotExist
+	}
+	delete(d, from)
+	d[to] = data
 	return nil
 }
 
-// ListBlobs implements Store.
-func (s *FileStore) ListBlobs(prefix string) ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(s.dir, "blobs"))
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
+func (d memDir) remove(name string) error {
+	if _, ok := d[name]; !ok {
+		return os.ErrNotExist
 	}
-	var ids []string
-	for _, e := range entries {
-		if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
-			continue
-		}
-		id, err := unescapeName(e.Name())
-		if err != nil {
-			continue
-		}
-		if strings.HasPrefix(id, prefix) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
-
-// AppendLog implements Store.
-func (s *FileStore) AppendLog(name string, rec []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := os.OpenFile(s.logPath(name), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Write(appendRecord(nil, rec)); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
+	delete(d, name)
 	return nil
 }
 
-// ReadLog implements Store.
-func (s *FileStore) ReadLog(name string) ([][]byte, error) {
-	data, err := os.ReadFile(s.logPath(name))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+func (d memDir) list() ([]string, error) {
+	names := make([]string, 0, len(d))
+	for name := range d {
+		names = append(names, name)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	return splitLog(data)
+	return names, nil
 }
 
-// TruncateLog implements Store.
-func (s *FileStore) TruncateLog(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := os.Remove(s.logPath(name))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("storage: %w", err)
-	}
-	return nil
-}
+func (memDir) syncDir() error { return nil }

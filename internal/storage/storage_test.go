@@ -1,18 +1,19 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
-// stores builds one of each implementation for cross-implementation
-// contract tests.
+// stores builds the store over each file system for contract tests.
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
 	fs, err := NewFileStore(t.TempDir())
@@ -233,10 +234,9 @@ func TestEscapeRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Both stores frame a log as [u32 BE length][record] and split it with one
-// function: the same appends read back as the same records from each, a
-// torn tail on disk is dropped, and a length no record may have is
-// corruption.
+// Both file systems hold a log as [u32 BE length][record]: the same
+// appends read back as the same records from each, a torn tail is
+// dropped, and a length no record may have is corruption.
 func TestLogStoresAgree(t *testing.T) {
 	const truncate = "\x00truncate"
 	cases := []struct {
@@ -254,17 +254,16 @@ func TestLogStoresAgree(t *testing.T) {
 		{name: "truncated, then appended", steps: []string{"a", truncate, "c"}, want: []string{"c"}},
 		{name: "torn length", steps: []string{"a", "b"}, tail: []byte{0, 0}, want: []string{"a", "b"}},
 		{name: "torn record", steps: []string{"a"}, tail: []byte{0, 0, 0, 9, 'p', 'a', 'r'}, want: []string{"a"}},
-		{name: "length past the bound", steps: []string{"a"}, tail: []byte{0x10, 0, 0, 1}, want: []string{"a"}, corrupt: true},
+		{name: "length past the bound", steps: []string{"a"}, tail: []byte{0x10, 0, 0, 1}, corrupt: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			fs, err := NewFileStore(dir)
+			fs, err := NewFileStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
 			ms := NewMemStore()
-			for _, s := range []Store{ms, fs} {
+			for _, s := range []*FileStore{ms, fs} {
 				for _, step := range tc.steps {
 					if step == truncate {
 						err = s.TruncateLog("wal")
@@ -275,39 +274,30 @@ func TestLogStoresAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-			}
-			if tc.tail != nil {
-				f, err := os.OpenFile(filepath.Join(dir, "logs", escapeName("wal")), os.O_APPEND|os.O_WRONLY, 0)
-				if err != nil {
-					t.Fatal(err)
+				if tc.tail != nil {
+					if _, err := s.logs.append("wal", tc.tail); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if _, err := f.Write(tc.tail); err != nil {
-					t.Fatal(err)
-				}
-				_ = f.Close()
 			}
-			read := func(s Store) []string {
+			for name, s := range map[string]Store{"mem": ms, "file": fs} {
 				recs, err := s.ReadLog("wal")
+				if tc.corrupt {
+					if !errors.Is(err, ErrCorruptLog) {
+						t.Fatalf("%s store: want ErrCorruptLog, got %v", name, err)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				var out []string
+				var got []string
 				for _, r := range recs {
-					out = append(out, string(r))
+					got = append(got, string(r))
 				}
-				return out
-			}
-			if got := read(ms); !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("mem store reads %q, want %q", got, tc.want)
-			}
-			if tc.corrupt {
-				if _, err := fs.ReadLog("wal"); !errors.Is(err, ErrCorruptLog) {
-					t.Fatalf("file store: want ErrCorruptLog, got %v", err)
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("%s store reads %q, want %q", name, got, tc.want)
 				}
-				return
-			}
-			if got := read(fs); !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("file store reads %q, want %q", got, tc.want)
 			}
 		})
 	}
@@ -337,5 +327,144 @@ func TestLogRecordsAreCopies(t *testing.T) {
 				t.Fatalf("store shares returned records: %q", again)
 			}
 		})
+	}
+}
+
+// Two writers of one blob id each publish a whole value: a reader then
+// sees one of the two, never a blob torn between them, and neither put
+// fails.
+func TestConcurrentPutBlob(t *testing.T) {
+	values := [][]byte{bytes.Repeat([]byte("L"), 64<<10), bytes.Repeat([]byte("s"), 1<<10)}
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			for round := 0; round < 200; round++ {
+				var wg sync.WaitGroup
+				errs := make([]error, len(values))
+				for i, v := range values {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[i] = s.PutBlob("one", v)
+					}()
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						t.Fatalf("round %d: put: %v", round, err)
+					}
+				}
+				got, err := s.GetBlob("one")
+				if err != nil {
+					t.Fatalf("round %d: get: %v", round, err)
+				}
+				if !bytes.Equal(got, values[0]) && !bytes.Equal(got, values[1]) {
+					t.Fatalf("round %d: torn blob of %d bytes", round, len(got))
+				}
+			}
+		})
+	}
+}
+
+// recordingDir notes, in one log shared by a store's directories, every
+// call that changes a directory or makes it durable.
+type recordingDir struct {
+	directory
+	name string
+	ops  *[]string
+}
+
+func (d recordingDir) note(op string) { *d.ops = append(*d.ops, op) }
+
+func (d recordingDir) write(name string, data []byte) error {
+	d.note("write " + d.name + "/" + name)
+	return d.directory.write(name, data)
+}
+
+func (d recordingDir) append(name string, data []byte) (bool, error) {
+	d.note("append " + d.name + "/" + name)
+	return d.directory.append(name, data)
+}
+
+func (d recordingDir) rename(from, to string) error {
+	d.note("rename " + d.name + "/" + from + " " + to)
+	return d.directory.rename(from, to)
+}
+
+func (d recordingDir) remove(name string) error {
+	d.note("remove " + d.name + "/" + name)
+	return d.directory.remove(name)
+}
+
+func (d recordingDir) syncDir() error {
+	d.note("sync " + d.name)
+	return d.directory.syncDir()
+}
+
+// A checkpoint is written, renamed and its directory synced before the
+// log it subsumes is removed, and the removal is synced too: recovery
+// (migrate.Checkpoint, then Recover) never finds the log gone and the
+// checkpoint missing. A log's creation is synced once, not per append.
+func TestCheckpointThenTruncateOrder(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*FileStore{"mem": NewMemStore(), "file": fs} {
+		t.Run(name, func(t *testing.T) {
+			var ops []string
+			s.blobs = recordingDir{s.blobs, "blobs", &ops}
+			s.logs = recordingDir{s.logs, "logs", &ops}
+			step := func(want []string, do func() error) {
+				t.Helper()
+				ops = nil
+				if err := do(); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ops, want) {
+					t.Fatalf("ops = %q, want %q", ops, want)
+				}
+			}
+			step([]string{"append logs/oplog/x", "sync logs"}, func() error { return s.AppendLog("oplog/x", []byte("a")) })
+			step([]string{"append logs/oplog/x"}, func() error { return s.AppendLog("oplog/x", []byte("b")) })
+			step([]string{"write blobs/ckpt/x.tmp", "rename blobs/ckpt/x.tmp ckpt/x", "sync blobs",
+				"remove logs/oplog/x", "sync logs"}, func() error {
+				if err := s.PutBlob("ckpt/x", []byte("snap")); err != nil {
+					return err
+				}
+				return s.TruncateLog("oplog/x")
+			})
+			step([]string{"remove blobs/ckpt/x", "sync blobs"}, func() error { return s.DeleteBlob("ckpt/x") })
+			step([]string{"remove logs/oplog/x", "sync logs"}, func() error { return s.TruncateLog("oplog/x") })
+		})
+	}
+}
+
+// The file layout is blobs/ and logs/ of escaped names, each log a stream
+// of [u32 BE length][record]: a directory written in it by hand opens.
+func TestFileStoreOpensItsLayout(t *testing.T) {
+	dir := t.TempDir()
+	for path, data := range map[string]string{
+		"blobs/ckpt_2fx": "snap",
+		"logs/oplog_2fx": "\x00\x00\x00\x02op\x00\x00\x00\x00",
+	} {
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, path)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, path), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.GetBlob("ckpt/x"); err != nil || string(got) != "snap" {
+		t.Fatalf("blob: %q %v", got, err)
+	}
+	if ids, err := s.ListBlobs(""); err != nil || !reflect.DeepEqual(ids, []string{"ckpt/x"}) {
+		t.Fatalf("list: %q %v", ids, err)
+	}
+	if recs, err := s.ReadLog("oplog/x"); err != nil || len(recs) != 2 || string(recs[0]) != "op" || len(recs[1]) != 0 {
+		t.Fatalf("log: %q %v", recs, err)
 	}
 }

@@ -353,7 +353,7 @@ type (
 	Store = storage.Store
 )
 
-// NewMemStore returns an in-memory store.
+// NewMemStore returns NewFileStore's store over directories held in memory.
 func NewMemStore() Store { return storage.NewMemStore() }
 
 // NewFileStore opens a directory-backed store.
