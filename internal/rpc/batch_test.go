@@ -6,12 +6,15 @@ package rpc
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"odp/internal/clock"
 	"odp/internal/netsim"
 	"odp/internal/transport"
 	"odp/internal/wire"
@@ -176,9 +179,9 @@ func TestServerCloseCancelsHandlerCtx(t *testing.T) {
 }
 
 // batchedTCPPeers wires two peers over coalesced loopback TCP, so every
-// frame takes the batching path. TCP delivers from one read loop per
-// connection, so dispatch is spawned, not inline. A lost frame would
-// show as a retransmission after two seconds; a slow machine does not.
+// frame takes the batching path. Dispatch is inline, on the connection's
+// reader, which a handler that stalls hands on. A lost frame would show
+// as a retransmission after two seconds; a slow machine does not.
 func batchedTCPPeers(t *testing.T, ha, hb Handler) (a, b *Peer, aco, bco *transport.Coalescer) {
 	t.Helper()
 	listen := func() *transport.Coalescer {
@@ -282,6 +285,86 @@ func TestNestedCallOverSameConnectionCompletes(t *testing.T) {
 	callConcurrently(t, a.Client, bco.Addr(), "outer", batchQoS, 8, 50)
 	if got := a.Server.Stats().Requests; got != 8*50 {
 		t.Fatalf("%d nested calls executed, want %d", got, 8*50)
+	}
+}
+
+// TestBlockedHandlerHoldsNoConnection: over TCP a dispatch runs on its
+// connection's reader, and a handler blocked on a channel holds that
+// reader for a stall bound, no longer — the quiet one, since it asked
+// the peer nothing. A second call on the same connection completes
+// within a few bounds while the first is still blocked, and the first
+// completes once released. The log says what a call costs beside it,
+// and what a nested call back over the connection its request came in on
+// costs: its reply is read only once the reader blocked in the outer
+// handler has been replaced, one short bound after the nested request
+// left.
+func TestBlockedHandlerHoldsNoConnection(t *testing.T) {
+	release := make(chan struct{})
+	var b *Peer
+	var aco *transport.Coalescer
+	wired := make(chan struct{}) // the handler reads b and aco, set below
+	h := func(ctx context.Context, in *Incoming) (string, []wire.Value, error) {
+		switch in.Op {
+		case "block":
+			<-release
+		case "nested":
+			<-wired
+			return b.Client.Call(ctx, aco.Addr(), "obj", "echo", in.Args, batchQoS)
+		}
+		return echoHandler(ctx, in)
+	}
+	a, b, aco, bco := batchedTCPPeers(t, echoHandler, h)
+	close(wired)
+	call := func(op string, arg int64) (time.Duration, error) {
+		start := time.Now()
+		_, res, err := a.Client.Call(context.Background(), bco.Addr(), "obj", op, []wire.Value{arg}, batchQoS)
+		if err == nil && (len(res) != 1 || res[0] != arg) {
+			err = fmt.Errorf("res %v, want [%d]", res, arg)
+		}
+		return time.Since(start), err
+	}
+	median := func(op string) time.Duration {
+		const n = 200
+		lat := make([]time.Duration, n)
+		for i := range lat {
+			var err error
+			if lat[i], err = call(op, int64(i)); err != nil {
+				t.Fatalf("%s call %d: %v", op, i, err)
+			}
+		}
+		slices.Sort(lat)
+		return lat[n/2]
+	}
+	plain := median("echo")
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := call("block", -1)
+		blocked <- err
+	}()
+	pollUntil(t, "the blocking call admitted", func() bool { return b.Server.active.Load() == 1 })
+	beside, err := call("echo", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-blocked:
+		t.Fatalf("the blocked call returned before its release: %v", err)
+	default:
+	}
+	if limit := 4 * clock.QuietStallBound; beside > limit {
+		t.Errorf("a call beside the blocked handler took %v, over %v", beside, limit)
+	}
+	close(release)
+	if err := <-blocked; err != nil {
+		t.Fatal(err)
+	}
+	nested := median("nested")
+	t.Logf("call p50 %v; beside a blocked handler %v (quiet bound %v); nested over the same connection p50 %v (bound %v)",
+		plain, beside, clock.QuietStallBound, nested, clock.StallBound)
+	for side, p := range map[string]*Peer{"caller": a, "nested caller": b} {
+		if st := p.Client.Stats(); st.Retransmissions != 0 || st.Timeouts != 0 {
+			t.Errorf("%s: %d retransmissions, %d timeouts", side, st.Retransmissions, st.Timeouts)
+		}
 	}
 }
 

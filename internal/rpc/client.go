@@ -453,7 +453,9 @@ func (c *Client) transmit(dest string, pkt []byte) error {
 }
 
 // sharing is the rule by which interrogation traffic — requests at a
-// Client, replies at a Server — shares datagrams. active counts the
+// Client, replies at a Server that hands its dispatches off — shares
+// datagrams (an inline Server holds its replies for the end of the batch
+// they answer instead; see Server.reply). active counts the
 // owner's interrogations in flight. At one
 // the frame is written directly: nothing would share its datagram and
 // the flusher hand-off is all cost. Above one it is queued, and one

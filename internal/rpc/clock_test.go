@@ -123,6 +123,7 @@ func (b *blackHole) Send(_ string, pkt []byte) error {
 }
 
 func (b *blackHole) SendLazy(to string, pkt []byte) error { return b.Send(to, pkt) }
+func (b *blackHole) SendHeld(to string, pkt []byte) error { return b.Send(to, pkt) }
 
 func (b *blackHole) BatchStats() transport.CoalescerStats { return transport.CoalescerStats{} }
 func (b *blackHole) Clock() clock.Clock                   { return b.clk }
@@ -302,4 +303,71 @@ func TestClosedCallNeverPoolsItsChannel(t *testing.T) {
 		t.Fatalf("Timeouts = %d, but %d calls returned ErrTimeout", got, timeouts)
 	}
 	t.Logf("the pass won %d of 100 races, the cancellation %d", timeouts, 100-timeouts)
+}
+
+// TestHeldRepliesLeaveAtBatchEndOnFrozenClock: replies held for the end
+// of the batch their requests came in leave at that end, in one write,
+// on a server whose clock never moves, so neither its flusher nor its
+// EndOfInstant can be what sends them. The batch ends with a request,
+// whose reply carries the held ones, or with an announcement, after
+// which the end writes them itself. The caller is bare, with nothing to
+// retransmit: its coalescer runs on a frozen clock of its own, so frames
+// sent lazy, lazy, direct leave as one batch.
+func TestHeldRepliesLeaveAtBatchEndOnFrozenClock(t *testing.T) {
+	for name, last := range map[string]byte{"ends with a request": msgRequest, "ends with an announcement": msgAnnounce} {
+		t.Run(name, func(t *testing.T) {
+			f := netsim.NewFabric()
+			t.Cleanup(func() { _ = f.Close() })
+			cep, err := f.Endpoint("client")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sep, err := f.Endpoint("server")
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Unix(100, 0)
+			fc := clock.NewFake(start)
+			sco := coalesceOn(t, sep, fc, nil)
+			srv := NewServer(sco, codec, echoHandler)
+			t.Cleanup(func() { _ = srv.Close() })
+			cco := coalesceOn(t, cep, clock.NewFake(start), nil)
+			const frames = 3
+			replies := make(chan uint64, frames)
+			cco.SetHandler(func(_ string, pkt []byte) {
+				if h, _, err := decodeRawHeader(pkt); err == nil && h.kind == msgReply {
+					replies <- h.callID
+				}
+			})
+			want := frames
+			for id := uint64(1); id <= frames; id++ {
+				send, kind := cco.SendLazy, byte(msgRequest)
+				if id == frames {
+					send, kind = cco.Send, last
+				}
+				if kind == msgAnnounce {
+					want--
+				}
+				if err := send("server", buildPacket(kind, 0, id, "obj", "echo", []wire.Value{int64(id)})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < want; i++ {
+				select {
+				case <-replies:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%d of %d replies after 5s on a frozen clock", i, want)
+				}
+			}
+			if st := cco.BatchStats(); st.BatchesReceived != 1 || st.FramesUnpacked != uint64(want) {
+				t.Errorf("replies came in %d batches of %d frames in all, want one of %d", st.BatchesReceived, st.FramesUnpacked, want)
+			}
+			if st := sco.BatchStats(); st.BatchesSent != 1 || st.DirectFlushes != 1 {
+				t.Errorf("server wrote %d batches, %d directly; want one, directly", st.BatchesSent, st.DirectFlushes)
+			}
+			if !fc.Now().Equal(start) {
+				t.Fatalf("the server's clock moved to %v", fc.Now())
+			}
+		})
+	}
 }

@@ -58,6 +58,7 @@ func plain(t testing.TB, ep transport.Endpoint) *plainBatcher {
 
 func (p *plainBatcher) Send(to string, pkt []byte) error     { return p.inner.Send(to, pkt) }
 func (p *plainBatcher) SendLazy(to string, pkt []byte) error { return p.inner.Send(to, pkt) }
+func (p *plainBatcher) SendHeld(to string, pkt []byte) error { return p.inner.Send(to, pkt) }
 
 func setup(t *testing.T, opts ...netsim.Option) (*netsim.Fabric, *Client, func(Handler) *Server) {
 	t.Helper()

@@ -174,13 +174,17 @@ type Server struct {
 
 	// inline dispatches handlers synchronously in the delivery
 	// goroutine instead of handing them to workers. Safe only on
-	// endpoints whose deliveries are independently scheduled
-	// (transport.ConcurrentDeliverer) — on a serial read loop an
-	// inline handler blocking on a nested call would deadlock the
-	// very replies it waits for — so it is read off the endpoint.
+	// endpoints where a blocked delivery never stalls another
+	// (transport.ConcurrentDeliverer: the real-time fabric, and TCP and
+	// the coalescer, which hand what follows a stalled delivery — the
+	// connection, the rest of the batch — to a fresh goroutine);
+	// otherwise an inline handler blocking on a nested call would
+	// deadlock the very replies it waits for. So it is read off the
+	// endpoint.
 	inline bool
-	// workers runs the dispatches that are not inline; names holds the
-	// header strings they and sampled spans keep beyond the packet.
+	// workers runs the dispatches that are not inline (a virtual-time
+	// fabric's), nil when all are; names holds the header strings they
+	// and sampled spans keep beyond the packet.
 	workers *transport.Workers[*call]
 	names   names
 
@@ -279,8 +283,9 @@ func newServerNoHandler(ep transport.Batcher, codec wire.Codec, handler Handler,
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	cd, ok := ep.(transport.ConcurrentDeliverer)
-	s.inline = ok && cd.DeliversConcurrently()
-	s.workers = transport.NewWorkers(dispatchWorkers, s.run)
+	if s.inline = ok && cd.DeliversConcurrently(); !s.inline {
+		s.workers = transport.NewWorkers(dispatchWorkers, s.run)
+	}
 	for _, o := range opts {
 		o(s)
 	}
@@ -313,7 +318,9 @@ func (s *Server) Close() error {
 	s.cancel()
 	close(s.stop)
 	s.wg.Wait()
-	s.workers.Close()
+	if s.workers != nil {
+		s.workers.Close()
+	}
 	return nil
 }
 
@@ -482,8 +489,9 @@ var callPool = sync.Pool{New: func() interface{} { return new(call) }}
 
 // dispatchWorkers bounds the server's resident dispatch workers, and so
 // the stacks kept parked between bursts. Measured on tcp_pipelined and
-// tcp_announce (EXPERIMENTS.md, Hot-path engineering): 4 keeps too few
-// warm; from 8 up, unbounded included, throughput is flat within noise.
+// tcp_announce when TCP dispatch was handed off (EXPERIMENTS.md,
+// Hot-path engineering): 4 keeps too few warm; from 8 up, unbounded
+// included, throughput is flat within noise.
 const dispatchWorkers = 32
 
 // startExecute decodes the argument vector and runs the handler —
@@ -594,9 +602,14 @@ func (s *Server) reply(c *call, outcome string, results []wire.Value, err error)
 	}
 	*sc.reply = s.encodeReply((*sc.reply)[:0], c.id, status, outcome, results, msg, fwd)
 	sc.state.Store(callSending)
-	// The replies of a burst admitted together share a write: all but
-	// the last to finish are queued.
-	if !s.closed.Load() {
+	// The replies of a burst admitted together share a write. Inline, the
+	// burst is a batch, and the replies to it are held for its end;
+	// handed off, all but the last to finish are queued.
+	switch {
+	case s.closed.Load():
+	case s.inline:
+		_ = s.ep.SendHeld(c.in.From, *sc.reply)
+	default:
 		_ = s.sendShared(s.ep, c.in.From, *sc.reply)
 	}
 	s.active.Add(-1)

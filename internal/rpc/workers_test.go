@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"odp/internal/clock"
+	"odp/internal/netsim"
 	"odp/internal/obs"
 	"odp/internal/transport"
 	"odp/internal/wire"
@@ -40,15 +41,15 @@ func (b *barrier) arrive(ctx context.Context) error {
 	}
 }
 
-// TestNestedCallsBeyondTheWorkerBound: more handlers than the server
-// keeps workers, every one blocked on a nested invocation back over the
-// connection its own request came in on, and the nested handlers in turn
-// all held until every one of them runs. The dispatches past the bound
-// must spill to goroutines of their own, on both sides, or the calls
-// never complete.
-func TestNestedCallsBeyondTheWorkerBound(t *testing.T) {
-	const callers = dispatchWorkers + 8
-	var a, b *Peer
+// nestedBarrier calls op "outer" at b from callers goroutines of a, each
+// handler blocked on a nested invocation back to a over the connection its
+// own request came in on, and the nested handlers in turn all held until
+// every one of them runs. Every handler on each side must run at once, so
+// none may hold up a delivery behind it — a frame later in its batch,
+// the rest of its connection — or the calls never complete; and at once,
+// not by the retransmission that re-sends a frame stuck behind it.
+func nestedBarrier(t *testing.T, peers func(*testing.T, Handler, Handler) (a, b *Peer, aco, bco *transport.Coalescer), callers int, qos QoS) (a, b *Peer) {
+	t.Helper()
 	var aco *transport.Coalescer
 	wired := make(chan struct{}) // the handlers read b and aco, set below
 	outerIn, innerIn := newBarrier(callers), newBarrier(callers)
@@ -63,54 +64,159 @@ func TestNestedCallsBeyondTheWorkerBound(t *testing.T) {
 		if err := outerIn.arrive(ctx); err != nil {
 			return "", nil, err
 		}
-		return b.Client.Call(ctx, aco.Addr(), "obj", "inner", in.Args, batchQoS)
+		return b.Client.Call(ctx, aco.Addr(), "obj", "inner", in.Args, qos)
 	}
-	a, b, aco, bco := batchedTCPPeers(t, inner, outer)
+	a, b, aco, bco := peers(t, inner, outer)
 	close(wired)
-	callConcurrently(t, a.Client, bco.Addr(), "outer", batchQoS, callers, 1)
-	if got := a.Server.Stats().Requests; got != callers {
+	callConcurrently(t, a.Client, bco.Addr(), "outer", qos, callers, 1)
+	if got := a.Server.Stats().Requests; got != uint64(callers) {
 		t.Fatalf("%d nested calls executed, want %d", got, callers)
 	}
-	// Every dispatch on each side ran at once, so each pool reached its
-	// bound and the rest spilled.
+	for side, p := range map[string]*Peer{"outer caller": a, "nested caller": b} {
+		if st := p.Client.Stats(); st.Retransmissions != 0 || st.Timeouts != 0 {
+			t.Errorf("%s: %d retransmissions, %d timeouts", side, st.Retransmissions, st.Timeouts)
+		}
+	}
+	return a, b
+}
+
+// TestNestedCallsBeyondTheWorkerBound: the nested barrier over TCP with
+// more handlers than a server would keep dispatch workers. TCP delivers
+// concurrently — a stalled delivery hands the rest of its batch and its
+// connection to a fresh goroutine — so each server runs every dispatch
+// inline and keeps no pool; the spill past a pool's bound is
+// TestWorkersSpillPastTheBound's (internal/transport).
+func TestNestedCallsBeyondTheWorkerBound(t *testing.T) {
+	a, b := nestedBarrier(t, batchedTCPPeers, dispatchWorkers+8, batchQoS)
 	for side, srv := range map[string]*Server{"outer": b.Server, "inner": a.Server} {
-		if n := srv.workers.Live(); n != dispatchWorkers {
-			t.Errorf("%s server keeps %d workers, want its bound %d", side, n, dispatchWorkers)
+		if !srv.inline || srv.workers != nil {
+			t.Errorf("%s server over TCP: inline %v, workers %v; want every dispatch inline", side, srv.inline, srv.workers)
 		}
 	}
 }
 
-// TestServerCloseStopsDispatchWorkers: the workers start with the
-// dispatches that need them, never more than the bound, and have exited
-// once Close returns. It reads this server's own pool, whatever other
-// servers' workers are doing.
+// TestNestedCallsOverCoalescedFabric: the nested barrier on the
+// real-time fabric, which dispatches inline. Its deliveries are
+// concurrent, but a batch's frames are delivered one after another on
+// one of them: unless a stalled frame hands the rest on, the first
+// handler to block holds up every frame behind it and the calls run to
+// their timeout. Retransmission is off: it would re-send the stuck
+// frames in fresh batches and hide the hang.
+func TestNestedCallsOverCoalescedFabric(t *testing.T) {
+	nestedBarrier(t, coalescedFabricPeers, 8, QoS{Timeout: 5 * time.Second, Retransmit: time.Hour})
+}
+
+// coalescedFabricPeers wires two peers over coalesced endpoints of one
+// real-time fabric.
+func coalescedFabricPeers(t *testing.T, ha, hb Handler) (a, b *Peer, aco, bco *transport.Coalescer) {
+	t.Helper()
+	f := netsim.NewFabric()
+	t.Cleanup(func() { _ = f.Close() })
+	endpoint := func(name string) *transport.Coalescer {
+		ep, err := f.Endpoint(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coalesce(t, ep)
+	}
+	aco, bco = endpoint("a"), endpoint("b")
+	a, b = NewPeer(aco, codec, ha), NewPeer(bco, codec, hb)
+	t.Cleanup(func() {
+		_ = a.Close()
+		_ = b.Close()
+	})
+	return a, b, aco, bco
+}
+
+// TestServerCloseStopsDispatchWorkers: Close stops what a server
+// started. Where deliveries are serial and every dispatch is handed off,
+// the workers start with the dispatches that need them, never more than
+// the bound, and have exited once Close returns — this server's own
+// pool, whatever other servers' workers are doing. Over TCP a server
+// starts none: a handler blocked at Close unwinds on the cancelled
+// context, and the endpoint's Close then returns, having waited for
+// every reader it started, the one that took the blocked handler's
+// connection over included.
 func TestServerCloseStopsDispatchWorkers(t *testing.T) {
-	a, b, _, bco := batchedTCPPeers(t, echoHandler, echoHandler)
-	if n := b.Server.workers.Live(); n != 0 {
-		t.Fatalf("%d workers before the first dispatch, want 0", n)
-	}
-	callConcurrently(t, a.Client, bco.Addr(), "echo", batchQoS, 8, 50)
-	if n := b.Server.workers.Live(); n < 1 || n > dispatchWorkers {
-		t.Fatalf("%d workers while open, want 1 to %d", n, dispatchWorkers)
-	}
-	if err := b.Server.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := b.Server.workers.Live(); n != 0 {
-		t.Fatalf("%d workers after Close returned, want 0", n)
-	}
+	t.Run("handed off", func(t *testing.T) {
+		ep := &replySink{replies: make(chan struct{}, 1)}
+		srv := NewServer(ep, codec, echoHandler)
+		if n := srv.workers.Live(); n != 0 {
+			t.Fatalf("%d workers before the first dispatch, want 0", n)
+		}
+		req := buildPacket(msgRequest, 0, 0, "obj", "echo", []wire.Value{int64(1)})
+		for i := 1; i <= 50; i++ {
+			binary.BigEndian.PutUint64(req[2:], uint64(i))
+			route(nil, srv, "client", req)
+			<-ep.replies
+		}
+		if n := srv.workers.Live(); n < 1 || n > dispatchWorkers {
+			t.Fatalf("%d workers while open, want 1 to %d", n, dispatchWorkers)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := srv.workers.Live(); n != 0 {
+			t.Fatalf("%d workers after Close returned, want 0", n)
+		}
+	})
+	t.Run("tcp", func(t *testing.T) {
+		entered := make(chan struct{})
+		h := func(ctx context.Context, in *Incoming) (string, []wire.Value, error) {
+			if in.Op == "block" {
+				close(entered)
+				<-ctx.Done()
+				return "", nil, ctx.Err()
+			}
+			return echoHandler(ctx, in)
+		}
+		a, b, _, bco := batchedTCPPeers(t, echoHandler, h)
+		if b.Server.workers != nil {
+			t.Fatal("a server over TCP keeps a dispatch pool")
+		}
+		go func() { _, _, _ = a.Client.Call(context.Background(), bco.Addr(), "obj", "block", nil, batchQoS) }()
+		<-entered
+		callConcurrently(t, a.Client, bco.Addr(), "echo", batchQoS, 8, 50)
+		closed := make(chan struct{})
+		go func() {
+			_ = b.Server.Close()
+			_ = bco.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close did not return: a reader or a handler outlived it")
+		}
+	})
 }
 
 // TestHostileNamesStayBounded: a peer that names a new operation in
 // every call fills the server's name table to its bound and no further;
 // so do the outcomes it gets back, in the client's. Past the bound every
-// name is cloned, and every call still sees its own.
+// name is cloned, and every call still sees its own. Over TCP a dispatch
+// runs inline and reads the name from the packet; what keeps it beyond
+// the dispatch is the span ring, so every call here is traced.
 func TestHostileNamesStayBounded(t *testing.T) {
 	const calls, callers = 10000, 8
 	h := func(_ context.Context, in *Incoming) (string, []wire.Value, error) {
 		return in.Op, []wire.Value{in.Op}, nil
 	}
-	a, b, _, bco := batchedTCPPeers(t, echoHandler, h)
+	ccol := obs.NewCollector("client", clock.Real{}, obs.WithSampleEvery(1))
+	scol := obs.NewCollector("server", clock.Real{}, obs.WithSampleEvery(1))
+	listen := func(col *obs.Collector) *transport.Coalescer {
+		ep, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coalesceOn(t, ep, clock.Real{}, col)
+	}
+	aco, bco := listen(ccol), listen(scol)
+	a, b := NewPeer(aco, codec, echoHandler), NewPeer(bco, codec, h)
+	t.Cleanup(func() {
+		_ = a.Close()
+		_ = b.Close()
+	})
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
 		wg.Add(1)
@@ -118,7 +224,10 @@ func TestHostileNamesStayBounded(t *testing.T) {
 			defer wg.Done()
 			for i := g; i < calls; i += callers {
 				op := fmt.Sprintf("op-%d", i)
-				outcome, res, err := a.Client.Call(context.Background(), bco.Addr(), "obj", op, nil, batchQoS)
+				root := ccol.Begin(obs.KindStub, "hostile")
+				ctx := obs.ContextWith(context.Background(), root.Context())
+				outcome, res, err := a.Client.Call(ctx, bco.Addr(), "obj", op, nil, batchQoS)
+				ccol.End(root)
 				if err != nil || outcome != op || len(res) != 1 || res[0] != op {
 					t.Errorf("call %q: outcome %q, res %v, err %v", op, outcome, res, err)
 					return
@@ -156,37 +265,49 @@ func TestNamesIntern(t *testing.T) {
 	}
 }
 
-// replySink is a server endpoint whose deliveries are serial, like a TCP
-// read loop, so its server hands every dispatch to a worker. Each reply
-// it is given is signalled on replies.
-type replySink struct{ replies chan struct{} }
+// replySink is a server endpoint that signals each reply it is given on
+// replies. Its deliveries are serial, like a virtual-time fabric's, so
+// its server hands every dispatch to a worker — unless they are
+// concurrent, as TCP's are, and its server dispatches inline.
+type replySink struct {
+	replies    chan struct{}
+	concurrent bool
+}
 
 func (e *replySink) Addr() string                         { return "server" }
 func (e *replySink) SetHandler(transport.Handler)         {}
 func (e *replySink) Close() error                         { return nil }
 func (e *replySink) Send(string, []byte) error            { e.replies <- struct{}{}; return nil }
 func (e *replySink) SendLazy(to string, pkt []byte) error { return e.Send(to, pkt) }
+func (e *replySink) SendHeld(to string, pkt []byte) error { return e.Send(to, pkt) }
 func (e *replySink) BatchStats() transport.CoalescerStats { return transport.CoalescerStats{} }
 func (e *replySink) Clock() clock.Clock                   { return clock.Real{} }
 func (e *replySink) Observer() *obs.Collector             { return nil }
+func (e *replySink) DeliversConcurrently() bool           { return e.concurrent }
 
-// BenchmarkSpawnedDispatch is the rung of a dispatch that is not inline:
-// a request delivered from a serial read loop, handed off, executed and
-// answered, then acknowledged. It prices the hand-off and the stack the
-// dispatch runs on, apart from any transport.
-func BenchmarkSpawnedDispatch(b *testing.B) {
-	ep := &replySink{replies: make(chan struct{}, 1)}
+// BenchmarkTCPDispatch is the rung of a dispatch over TCP: a request
+// delivered under a stall watch, as a TCP reader delivers it, executed
+// inline and answered, then acknowledged. It prices the dispatch and the
+// watch apart from any transport.
+func BenchmarkTCPDispatch(b *testing.B) {
+	ep := &replySink{replies: make(chan struct{}, 1), concurrent: true}
 	srv := NewServer(ep, codec, echoHandler)
 	b.Cleanup(func() { _ = srv.Close() })
+	w := clock.NewWatch(new(atomic.Uint64), func() {})
+	deliver := func(pkt []byte) {
+		t := w.Begin()
+		route(nil, srv, "client", pkt)
+		w.End(t)
+	}
 	req := buildPacket(msgRequest, 0, 0, "obj", "echo", []wire.Value{int64(1), "two"})
 	ack := encodeHeader(nil, header{kind: msgAck})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {
 		binary.BigEndian.PutUint64(req[2:], uint64(i))
-		route(nil, srv, "client", req)
+		deliver(req)
 		<-ep.replies
 		binary.BigEndian.PutUint64(ack[2:], uint64(i))
-		route(nil, srv, "client", ack)
+		deliver(ack)
 	}
 }

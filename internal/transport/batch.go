@@ -149,6 +149,14 @@ type Coalescer struct {
 	// frame queued behind a write in flight to the claim, or 0, read from
 	// no clock, when none was (direct writes, lazy frames on a free wire).
 	flushDelay obs.Histogram
+
+	// watched is whether the inner endpoint delivers concurrently: then a
+	// batch's frames are delivered under a stall watch and the replies to
+	// it held for its end (see unpacking). In virtual time deliveries are
+	// handed off, nothing blocks one, and batches unpack unwatched.
+	watched bool
+	// lastFrom is the peer the latest batch came from, found without mu.
+	lastFrom atomic.Pointer[batchPeer]
 }
 
 // Batcher is implemented by endpoints that coalesce outgoing frames
@@ -159,11 +167,16 @@ type Coalescer struct {
 // a write of its own: acks and announcements, and interrogations and
 // replies while others are in flight.
 //
+// SendHeld is Send for a reply: while a batch from to is being delivered
+// with frames still to come, the frame waits for that batch's end, and
+// the replies to one batch leave in one write.
+//
 // A Batcher also carries its node's clock and span collector, so every
 // layer built on it reads the one instant and records into the one ring.
 type Batcher interface {
 	Endpoint
 	SendLazy(to string, pkt []byte) error
+	SendHeld(to string, pkt []byte) error
 	BatchStats() CoalescerStats
 	// Clock is the node's time source; never nil.
 	Clock() clock.Clock
@@ -200,7 +213,15 @@ func NewCoalescer(ep Endpoint, clk clock.Clock, col *obs.Collector, opts ...Coal
 	if c.pendingLimit > MaxPacket {
 		c.pendingLimit = MaxPacket
 	}
+	cd, ok := ep.(ConcurrentDeliverer)
+	c.watched = ok && cd.DeliversConcurrently()
 	ep.SetHandler(c.demux)
+	if t, ok := ep.(*TCPEndpoint); ok {
+		// Its readers deliver under watches of their own: a batch is
+		// unpacked under the watch of the reader that read it (deliverOn),
+		// so a stall hands the rest of the batch on with the connection.
+		t.co.Store(c)
+	}
 	return c
 }
 
@@ -222,6 +243,19 @@ type batchPeer struct {
 	timed    bool      // firstAt is set for the queued batch
 	inFlight bool      // a claimed write is in progress; queue behind it
 	spare    []*[]byte // recycled seg-slice header, ping-ponged with segs
+
+	// held counts the batches from this peer being delivered with frames
+	// still to come: the end of each writes what queued meanwhile, so
+	// while it is above zero SendHeld queues and neither it nor SendLazy
+	// rings the flusher.
+	held atomic.Int32
+	// queued mirrors count > 0 for a batch's end, which reads it without
+	// mu: set after a frame is queued and before held is read, it cannot
+	// be missed by an end that leaves held after that read.
+	queued atomic.Bool
+	// owed is set when a batch ended during a write in flight: that
+	// write's end writes what was held for it, not the flusher.
+	owed bool
 
 	// Write-path scratch, owned by whichever goroutine holds the
 	// inFlight token (never touched under mu).
@@ -269,15 +303,28 @@ func (c *Coalescer) loadHandler() Handler {
 // writes the batch synchronously. Serial traffic then skips the flusher
 // hand-off (two scheduler hops per frame) entirely; the flusher remains
 // the drain for frames that arrive while a claimed write is on the wire.
-func (c *Coalescer) Send(to string, pkt []byte) error { return c.send(to, pkt, false) }
+func (c *Coalescer) Send(to string, pkt []byte) error { return c.send(to, pkt, sendDirect) }
 
 // SendLazy implements Batcher: pkt is queued for to but no write is
 // triggered on the caller's dime — the frame rides in the next batch a
 // substantive Send claims, or the flusher's next drain, whichever comes
 // first.
-func (c *Coalescer) SendLazy(to string, pkt []byte) error { return c.send(to, pkt, true) }
+func (c *Coalescer) SendLazy(to string, pkt []byte) error { return c.send(to, pkt, sendLazy) }
 
-func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
+// SendHeld implements Batcher: Send, unless a batch from to is being
+// delivered with frames still to come. Then pkt waits for that batch's
+// end, whose write carries everything held for it.
+func (c *Coalescer) SendHeld(to string, pkt []byte) error { return c.send(to, pkt, sendHeld) }
+
+// How a frame leaves: written now if the wire is free, queued, or queued
+// only while a batch from its destination is being delivered.
+const (
+	sendDirect = iota
+	sendLazy
+	sendHeld
+)
+
+func (c *Coalescer) send(to string, pkt []byte, mode int) error {
 	if len(pkt) > MaxPacket {
 		return ErrTooLarge
 	}
@@ -293,7 +340,11 @@ func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
 	}
 	p.mu.Lock()
 	queued := p.enqueueLocked(pkt)
-	if p.inFlight || (lazy && queued) {
+	// Read after queued is set: a batch's end that leaves held after this
+	// read finds the frame queued, so a frame held for it is never
+	// stranded.
+	held := mode != sendDirect && p.held.Load() > 0
+	if p.inFlight || (queued && (mode == sendLazy || held)) {
 		p.mu.Unlock()
 		if !queued {
 			// Full behind a write that is not finishing: shed load.
@@ -302,8 +353,10 @@ func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
 		}
 		// A lazy frame's flusher backstops delivery if no Send follows;
 		// under serial request/reply traffic the next Send usually claims
-		// the frame first.
-		p.wakeFlusher()
+		// the frame first. A held frame leaves at its batch's end.
+		if !held {
+			p.wakeFlusher()
+		}
 		return nil
 	}
 	// The wire is free. A full queue is written rather than dropped from
@@ -320,14 +373,10 @@ func (c *Coalescer) send(to string, pkt []byte, lazy bool) error {
 	return nil
 }
 
-// DeliversConcurrently reports whether the inner endpoint delivers on
-// independent goroutines; the coalescer adds no serialisation of its
-// own (it unpacks in the inner delivery goroutine), so it simply
-// delegates.
-func (c *Coalescer) DeliversConcurrently() bool {
-	cd, ok := c.inner.(ConcurrentDeliverer)
-	return ok && cd.DeliversConcurrently()
-}
+// DeliversConcurrently implements ConcurrentDeliverer: it does iff the
+// inner endpoint does, since a batch frame whose delivery stalls hands
+// the frames after it to a fresh goroutine (see unpacking).
+func (c *Coalescer) DeliversConcurrently() bool { return c.watched }
 
 // Close flushes whatever is pending, stops the flushers and closes the
 // inner endpoint.
@@ -381,26 +430,181 @@ func (c *Coalescer) peer(addr string) *batchPeer {
 func IsBatch(pkt []byte) bool { return len(pkt) > 0 && pkt[0] == batchMagic }
 
 // demux is installed as the inner endpoint's handler: it unpacks batches
-// and forwards everything else untouched.
+// and forwards everything else untouched. An inner endpoint that delivers
+// under stall watches of its own (TCP) hands packets to deliverOn
+// instead.
 func (c *Coalescer) demux(from string, pkt []byte) {
 	h := c.loadHandler()
-	if !IsBatch(pkt) {
-		if h != nil {
-			h(from, pkt)
-		}
+	n := c.frames(pkt)
+	if h == nil || n < 0 {
 		return
 	}
-	n, err := DecodeBatch(pkt, func(sub []byte) {
-		if h != nil {
-			h(from, sub)
+	if n == 0 {
+		h(from, pkt)
+		return
+	}
+	if c.watched && n > 1 {
+		if p := c.sender(from); p != nil {
+			u := newUnpacking()
+			u.start(p, h, from)
+			u.deliver(pkt[batchHdrLen:], n)
+			u.release()
+			return
 		}
-	})
+	}
+	deliverBatch(pkt, func(sub []byte) { h(from, sub) })
+}
+
+// deliverOn is demux for a reader that delivers under its own watch,
+// u.w, and unpacks its batches into u: every frame is delivered under
+// that watch, so a long batch whose frames keep finishing never looks
+// stalled, and a frame that stalls has the reader hand the rest of its
+// batch and its connection to one fresh goroutine, in order. It reports
+// false when the watch took them.
+func (c *Coalescer) deliverOn(u *unpacking, from string, pkt []byte) bool {
+	h := c.loadHandler()
+	n := c.frames(pkt)
+	switch {
+	case h == nil || n < 0:
+		return true
+	case n == 0:
+		return u.deliverOne(h, from, pkt)
+	case n == 1:
+		return u.deliverOne(h, from, pkt[batchHdrLen+subHdrLen:])
+	}
+	p := c.sender(from)
+	if p == nil { // closed: nothing holds replies
+		deliverBatch(pkt, func(sub []byte) { h(from, sub) })
+		return true
+	}
+	u.start(p, h, from)
+	return u.deliver(pkt[batchHdrLen:], n)
+}
+
+// frames counts pkt in and returns how many sub-frames it carries: 0 for
+// a packet that is not a batch, -1 for a corrupt batch, which is dropped.
+func (c *Coalescer) frames(pkt []byte) int {
+	if !IsBatch(pkt) {
+		return 0
+	}
+	n, err := checkBatch(pkt)
 	if err != nil {
 		atomic.AddUint64(&c.stats.BadFrames, 1)
-		return
+		return -1
 	}
 	atomic.AddUint64(&c.stats.BatchesReceived, 1)
 	atomic.AddUint64(&c.stats.FramesUnpacked, uint64(n))
+	return n
+}
+
+// sender returns the record of the peer a batch came from: the latest
+// batch's, without taking mu, while the batches come from one peer.
+func (c *Coalescer) sender(from string) *batchPeer {
+	if p := c.lastFrom.Load(); p != nil && p.dest == from {
+		return p
+	}
+	p := c.peer(from)
+	c.lastFrom.Store(p)
+	return p
+}
+
+// unpacking is the delivery of one batch under a stall watch: the frames
+// not yet delivered wait behind the one being delivered, and a delivery
+// that stalls — a handler blocked on a call whose reply is queued behind
+// it, say — has them handed to a fresh goroutine. Replies SendHeld to
+// the batch's sender while frames are still to come leave in one write
+// at its end: with the last frame's reply, or after it.
+//
+// A TCP reader keeps one, under its connection's watch, and hands it on
+// with the connection. On an endpoint whose deliveries are each on a
+// goroutine of their own (the real-time fabric) a batch takes one from
+// a pool, whose watch is its own: own is set, and a stall hands the rest
+// to a fresh unpacking. Such an endpoint keeps no order among its
+// deliveries anyway, so that watch counts no writes and bounds every
+// frame by clock.StallBound.
+type unpacking struct {
+	w    *clock.Watch
+	own  bool
+	p    *batchPeer // the batch's sender; nil between batches
+	h    Handler
+	from string
+	rest []byte // the frames after the one being delivered
+	left int    // how many
+}
+
+// unpackings pools the unpackings that own their watches, so a watch's
+// timer is made once and re-armed, not made, per batch.
+var unpackings sync.Pool
+
+func newUnpacking() *unpacking {
+	u, _ := unpackings.Get().(*unpacking)
+	if u == nil {
+		u = &unpacking{own: true}
+		u.w = clock.NewWatch(nil, u.handOff)
+	}
+	return u
+}
+
+func (u *unpacking) release() {
+	*u = unpacking{w: u.w, own: true}
+	unpackings.Put(u)
+}
+
+// start begins a batch of more than one frame from p.
+func (u *unpacking) start(p *batchPeer, h Handler, from string) {
+	p.held.Add(1)
+	u.p, u.h, u.from = p, h, from
+}
+
+// deliverOne delivers one packet under u's watch and reports whether the
+// watch left what follows it with the caller.
+func (u *unpacking) deliverOne(h Handler, from string, pkt []byte) bool {
+	t := u.w.Begin()
+	h(from, pkt)
+	return u.w.End(t)
+}
+
+// deliver delivers the left framed sub-frames in body, then ends the
+// batch. The batch stops holding replies as its last frame starts, so
+// that frame's reply carries the held ones; what is still queued after
+// it is written then. A stall hands that end on as it hands on the
+// frames, so a held reply never waits on a blocked delivery. When
+// nothing follows the batch (own) and no reply is held, its last frame
+// goes unwatched. It reports false when the watch took the rest.
+func (u *unpacking) deliver(body []byte, left int) bool {
+	for left > 0 {
+		sz := subHdrLen + int(binary.BigEndian.Uint32(body))
+		frame := body[subHdrLen:sz]
+		u.rest, u.left = body[sz:], left-1
+		if u.left == 0 {
+			u.p.held.Add(-1)
+			if u.own && !u.p.queued.Load() {
+				u.h(u.from, frame)
+				u.p = nil
+				return true
+			}
+		}
+		if !u.deliverOne(u.h, u.from, frame) {
+			return false
+		}
+		body, left = u.rest, u.left
+	}
+	u.p.flushHeld()
+	u.p, u.h, u.rest = nil, nil, nil
+	return true
+}
+
+// handOff runs on an own watch's goroutine while u's delivery is
+// stalled: the frames after it move, copied, to a fresh unpacking, since
+// the packet they are in dies when the stalled delivery returns.
+func (u *unpacking) handOff() {
+	v := newUnpacking()
+	v.p, v.h, v.from = u.p, u.h, u.from
+	rest, left := append([]byte(nil), u.rest...), u.left
+	go func() {
+		v.deliver(rest, left)
+		v.release()
+	}()
 }
 
 // enqueueLocked frames pkt into a pooled segment and queues it for the
@@ -424,6 +628,9 @@ func (p *batchPeer) enqueueLocked(pkt []byte) bool {
 	p.segs = append(p.segs, sp)
 	p.bytes += subHdrLen + len(pkt)
 	p.count++
+	if !p.queued.Load() { // a store only for a queue's first frame
+		p.queued.Store(true)
+	}
 	return true
 }
 
@@ -431,10 +638,11 @@ func (p *batchPeer) enqueueLocked(pkt []byte) bool {
 // write token. Caller holds p.mu and must call writeSegs followed by
 // finishWrite with the returned slice.
 func (p *batchPeer) claimLocked() ([]*[]byte, int) {
-	p.inFlight = true
+	p.inFlight, p.owed = true, false
 	segs, n := p.segs, p.count
 	p.segs = nil
 	p.bytes, p.count = 0, 0
+	p.queued.Store(false)
 	if n > 0 {
 		var waited time.Duration
 		if p.timed {
@@ -445,15 +653,47 @@ func (p *batchPeer) claimLocked() ([]*[]byte, int) {
 	return segs, n
 }
 
-// finishWrite releases the inFlight token, recycles the spent segment
-// slice and, if frames queued up behind the write, hands them to the
-// flusher.
+// flushHeld ends a delivered batch: what was held for it is written now
+// or, if a write is in flight, as soon as that write is done — by its
+// writer, never by the flusher, so it waits on no clock.
+func (p *batchPeer) flushHeld() {
+	if !p.queued.Load() {
+		return
+	}
+	p.mu.Lock()
+	if p.count == 0 || p.inFlight {
+		p.owed = p.count > 0
+		p.mu.Unlock()
+		return
+	}
+	segs, n := p.claimLocked()
+	p.mu.Unlock()
+	atomic.AddUint64(&p.c.stats.DirectFlushes, 1)
+	p.writeSegs(segs, n)
+	p.finishWrite(segs)
+}
+
+// finishWrite recycles the spent segment slice and releases the inFlight
+// token. Frames owed to a batch that ended meanwhile are written first,
+// by this writer; any other frames queued behind the write are handed to
+// the flusher.
 func (p *batchPeer) finishWrite(spent []*[]byte) {
 	p.mu.Lock()
-	p.inFlight = false
-	if p.spare == nil && cap(spent) <= 1024 {
-		p.spare = spent[:0]
+	for {
+		if p.spare == nil && cap(spent) <= 1024 {
+			p.spare = spent[:0]
+		}
+		if !p.owed || p.count == 0 {
+			break
+		}
+		segs, n := p.claimLocked()
+		p.mu.Unlock()
+		atomic.AddUint64(&p.c.stats.DirectFlushes, 1)
+		p.writeSegs(segs, n)
+		spent = segs
+		p.mu.Lock()
 	}
+	p.inFlight, p.owed = false, false
 	more := p.count > 0
 	p.mu.Unlock()
 	if more {
@@ -570,6 +810,16 @@ func (p *batchPeer) writeSegs(segs []*[]byte, n int) {
 // Sub-frame slices alias pkt and are only valid during the callback
 // (the Handler contract). It returns the sub-frame count.
 func DecodeBatch(pkt []byte, fn func(sub []byte)) (int, error) {
+	n, err := checkBatch(pkt)
+	if err == nil && fn != nil {
+		deliverBatch(pkt, fn)
+	}
+	return n, err
+}
+
+// checkBatch validates pkt as a BATCH frame — every sub-frame complete and
+// not a batch, nothing trailing — and returns its sub-frame count.
+func checkBatch(pkt []byte) (int, error) {
 	if len(pkt) < batchHdrLen || pkt[0] != batchMagic || pkt[1] != batchKind {
 		return 0, ErrBatchCorrupt
 	}
@@ -577,8 +827,6 @@ func DecodeBatch(pkt []byte, fn func(sub []byte)) (int, error) {
 		return 0, ErrBatchCorrupt
 	}
 	count := binary.BigEndian.Uint32(pkt[3:batchHdrLen])
-	// Validation pass: every sub-frame complete and not a batch, nothing
-	// trailing.
 	off := batchHdrLen
 	for i := uint32(0); i < count; i++ {
 		if off+subHdrLen > len(pkt) {
@@ -594,15 +842,15 @@ func DecodeBatch(pkt []byte, fn func(sub []byte)) (int, error) {
 	if off != len(pkt) {
 		return 0, ErrBatchCorrupt
 	}
-	// Delivery pass.
-	off = batchHdrLen
-	for i := uint32(0); i < count; i++ {
+	return int(count), nil
+}
+
+// deliverBatch calls fn on each sub-frame of pkt, a checked BATCH frame.
+func deliverBatch(pkt []byte, fn func(sub []byte)) {
+	for off := batchHdrLen; off < len(pkt); {
 		n := int(binary.BigEndian.Uint32(pkt[off : off+subHdrLen]))
 		off += subHdrLen
-		if fn != nil {
-			fn(pkt[off : off+n])
-		}
+		fn(pkt[off : off+n])
 		off += n
 	}
-	return int(count), nil
 }

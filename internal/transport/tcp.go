@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"odp/internal/clock"
 )
 
 // TCPEndpoint carries the datagram abstraction over real TCP connections,
@@ -33,15 +35,26 @@ import (
 // Each connection owns a write mutex and a reusable frame header:
 // concurrent senders serialize per connection, so frames never interleave
 // (a single net.Conn.Write may issue several syscalls on partial writes)
-// and steady-state sends allocate nothing. Its read loop owns one buffer
+// and steady-state sends allocate nothing. Its reader owns one buffer
 // that a single Read fills and the handler drains frame by frame, so a
 // burst of frames costs one syscall, not one per length prefix.
+//
+// The handler runs on the reader, which holds the connection — its read
+// baton — while it does; a coalescer over the endpoint delivers each
+// frame of a batch there too. A delivery that runs past its bound (a
+// handler blocked on a reply that is still unread behind it, say; see
+// clock.Watch) has the baton taken by the connection's watch: a fresh
+// reader starts on copies of the rest of the batch and of the unread
+// bytes, and the stalled one exits when its handler returns. So a
+// blocked handler never stalls another delivery, and the endpoint
+// delivers concurrently.
 type TCPEndpoint struct {
 	listener net.Listener
 	addr     string
 
-	handler atomic.Value // Handler
-	closed  atomic.Bool  // written under mu, read by the read loops without it
+	handler atomic.Value              // Handler
+	co      atomic.Pointer[Coalescer] // set when a coalescer unpacks what is read here
+	closed  atomic.Bool               // written under mu, read by the read loops without it
 
 	mu    sync.Mutex
 	conns map[string]*tcpConn   // by peer address, for sending
@@ -50,8 +63,9 @@ type TCPEndpoint struct {
 }
 
 var (
-	_ Endpoint  = (*TCPEndpoint)(nil)
-	_ VecSender = (*TCPEndpoint)(nil)
+	_ Endpoint            = (*TCPEndpoint)(nil)
+	_ VecSender           = (*TCPEndpoint)(nil)
+	_ ConcurrentDeliverer = (*TCPEndpoint)(nil)
 )
 
 // maxRetainedBuf is the size of a connection's read buffer and bounds
@@ -69,9 +83,13 @@ const (
 
 var errBadStream = errors.New("transport: malformed tcp stream")
 
-// tcpConn is one connection with its serialized write path.
+// tcpConn is one connection with its serialized write path and the
+// watch over its reader's deliveries.
 type tcpConn struct {
-	conn net.Conn
+	conn  net.Conn
+	watch *clock.Watch
+	rd    *tcpReader    // the reader holding the baton; written before its first Begin
+	wrote atomic.Uint64 // frames written, which tell the watch a delivery waits on the peer
 
 	wmu   sync.Mutex
 	wbuf  []byte      // reusable frame header (and hello), guarded by wmu
@@ -102,7 +120,29 @@ func (c *tcpConn) writeFrame(segs net.Buffers, total int) error {
 	clear(vec)
 	c.wvec = vec[:0]
 	c.wmu.Unlock()
+	c.wrote.Add(1)
 	return err
+}
+
+// tcpReader holds a connection's read baton: the connection, the peer
+// on its other end (the one dialled, or named by the hello), the bytes
+// read and not yet delivered, and the batch being unpacked from them.
+type tcpReader struct {
+	tc   *tcpConn
+	peer string
+	s    frameStream
+	u    unpacking // under tc.watch; u.p is nil between batches
+}
+
+func (tc *tcpConn) newReader(peer string, buf []byte) *tcpReader {
+	return &tcpReader{tc: tc, peer: peer, s: frameStream{buf: buf}, u: unpacking{w: tc.watch}}
+}
+
+// newConn wraps a dialled or accepted connection.
+func (e *TCPEndpoint) newConn(conn net.Conn) *tcpConn {
+	tc := &tcpConn{conn: conn}
+	tc.watch = clock.NewWatch(&tc.wrote, func() { e.handOff(tc) })
+	return tc
 }
 
 // ListenTCP creates an endpoint bound to bind (e.g. "127.0.0.1:0"). The
@@ -129,6 +169,10 @@ func (e *TCPEndpoint) Addr() string { return e.addr }
 // SetHandler implements Endpoint.
 func (e *TCPEndpoint) SetHandler(h Handler) { e.handler.Store(h) }
 
+// DeliversConcurrently implements ConcurrentDeliverer: a stalled delivery
+// hands its connection to a fresh reader.
+func (e *TCPEndpoint) DeliversConcurrently() bool { return true }
+
 // connFor returns the cached connection for to, dialling one if needed.
 func (e *TCPEndpoint) connFor(to string) (*tcpConn, error) {
 	hostport, ok := stripScheme(to)
@@ -153,7 +197,8 @@ func (e *TCPEndpoint) connFor(to string) (*tcpConn, error) {
 	// The hello leaves in the first frame's write, so only the dial that
 	// wins the race below ever names this endpoint to the peer: a loser
 	// is closed having said nothing, and cannot take the peer's route.
-	tc = &tcpConn{conn: conn, wbuf: appendHello(nil, e.addr)}
+	tc = e.newConn(conn)
+	tc.wbuf = appendHello(nil, e.addr)
 	tc.hello = len(tc.wbuf)
 	e.mu.Lock()
 	if e.closed.Load() {
@@ -240,7 +285,7 @@ func (e *TCPEndpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		tc := &tcpConn{conn: conn}
+		tc := e.newConn(conn)
 		e.mu.Lock()
 		if e.closed.Load() {
 			e.mu.Unlock()
@@ -256,30 +301,72 @@ func (e *TCPEndpoint) acceptLoop() {
 
 // readLoop delivers the frames of one connection. peer is the address on
 // the other end: the one dialled, or empty on an accepted connection,
-// whose hello then names it. Each turn fills the buffer with one Read
-// and hands the handler every complete frame in it as a slice of that
-// buffer (the Handler contract forbids retaining pkt), so a settled
-// connection allocates nothing and a burst costs one syscall.
+// whose hello then names it.
 func (e *TCPEndpoint) readLoop(tc *tcpConn, peer string) {
+	e.serve(tc.newReader(peer, make([]byte, maxRetainedBuf)))
+}
+
+// serve runs r until the connection ends, then forgets the connection —
+// unless r handed it to a fresh reader, which then does.
+func (e *TCPEndpoint) serve(r *tcpReader) {
 	defer e.wg.Done()
-	defer func() {
-		_ = tc.conn.Close()
-		e.mu.Lock()
-		delete(e.live, tc)
-		if e.conns[peer] == tc {
-			delete(e.conns, peer)
-		}
-		e.mu.Unlock()
-	}()
-	s := frameStream{buf: make([]byte, maxRetainedBuf)}
+	if e.read(r) {
+		return
+	}
+	tc := r.tc
+	_ = tc.conn.Close()
+	e.mu.Lock()
+	delete(e.live, tc)
+	if e.conns[r.peer] == tc {
+		delete(e.conns, r.peer)
+	}
+	e.mu.Unlock()
+}
+
+// read is the reader's loop. Each turn hands the handler every complete
+// frame in the buffer as a slice of it (the Handler contract forbids
+// retaining pkt), then fills the buffer with one Read, so a settled
+// connection allocates nothing and a burst costs one syscall. A reader
+// handed a connection first finishes the batch its predecessor stalled
+// in, then goes on with the frames it left. It reports whether a stalled
+// delivery handed the connection on.
+func (e *TCPEndpoint) read(r *tcpReader) bool {
+	tc, s := r.tc, &r.s
+	tc.rd = r
+	if r.u.p != nil && !r.u.deliver(r.u.rest, r.u.left) {
+		return true
+	}
 	for {
-		if err := s.fill(tc.conn); err != nil || e.closed.Load() {
-			return
+		if r.peer != "" {
+			co := e.co.Load()
+			h, _ := e.handler.Load().(Handler)
+			for {
+				pkt, ok, err := s.next()
+				if err != nil {
+					return false
+				}
+				if !ok {
+					break
+				}
+				switch {
+				case co != nil:
+					if !co.deliverOn(&r.u, r.peer, pkt) {
+						return true
+					}
+				case h != nil:
+					if !r.u.deliverOne(h, r.peer, pkt) {
+						return true
+					}
+				}
+			}
 		}
-		if peer == "" {
-			var err error
-			if peer, err = s.hello(); err != nil {
-				return
+		if err := s.fill(tc.conn); err != nil || e.closed.Load() {
+			return false
+		}
+		if r.peer == "" {
+			peer, err := s.hello()
+			if err != nil {
+				return false
 			}
 			if peer == "" {
 				continue
@@ -289,24 +376,29 @@ func (e *TCPEndpoint) readLoop(tc *tcpConn, peer string) {
 			// an ephemeral port). Only the connection the peer sends on
 			// says hello, so the latest to do so is the route, even while
 			// a predecessor the peer dropped is still being read here.
+			r.peer = peer
 			e.mu.Lock()
 			e.conns[peer] = tc
 			e.mu.Unlock()
 		}
-		h, _ := e.handler.Load().(Handler)
-		for {
-			pkt, ok, err := s.next()
-			if err != nil {
-				return
-			}
-			if !ok {
-				break
-			}
-			if h != nil {
-				h(peer, pkt)
-			}
-		}
 	}
+}
+
+// handOff runs on the connection's watch while its reader's delivery is
+// stalled: a fresh reader takes the connection, its peer, and copies of
+// the rest of the batch being unpacked and of the unread bytes — the
+// stalled delivery's packet still lives in the old buffer.
+func (e *TCPEndpoint) handOff(tc *tcpConn) {
+	old := tc.rd
+	unread := old.s.buf[old.s.r:old.s.w]
+	r := tc.newReader(old.peer, make([]byte, max(maxRetainedBuf, len(unread))))
+	r.s.w = copy(r.s.buf, unread)
+	if old.u.p != nil {
+		r.u.p, r.u.h, r.u.from = old.u.p, old.u.h, old.u.from
+		r.u.rest, r.u.left = append([]byte(nil), old.u.rest...), old.u.left
+	}
+	e.wg.Add(1) // the stalled reader is still counted: never from zero
+	go e.serve(r)
 }
 
 // frameStream is the receive buffer of one connection: buf[r:w] holds

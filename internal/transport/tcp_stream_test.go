@@ -45,16 +45,27 @@ func (c *scriptConn) Close() error { return nil }
 
 // readStream runs the read loop of an accepted connection over data and
 // returns what the handler saw, copied, plus the bytes left unread when
-// the loop gave the connection up.
+// the loop gave the connection up. A delivery that outruns the stall
+// bound (a megabyte copied under -race) hands the connection to a fresh
+// reader: readStream waits for every reader, and keeps the packets in
+// the order their deliveries began.
 func readStream(data []byte, chunks ...int) (from []string, pkts [][]byte, unread int) {
 	e := &TCPEndpoint{conns: make(map[string]*tcpConn), live: make(map[*tcpConn]struct{})}
+	var mu sync.Mutex
 	e.SetHandler(func(f string, pkt []byte) {
-		from = append(from, f)
-		pkts = append(pkts, append([]byte(nil), pkt...))
+		mu.Lock()
+		i := len(pkts)
+		from, pkts = append(from, f), append(pkts, nil)
+		mu.Unlock()
+		cp := append([]byte(nil), pkt...)
+		mu.Lock()
+		pkts[i] = cp
+		mu.Unlock()
 	})
 	conn := &scriptConn{data: data, chunks: chunks}
 	e.wg.Add(1)
-	e.readLoop(&tcpConn{conn: conn}, "")
+	e.readLoop(e.newConn(conn), "")
+	e.wg.Wait()
 	return from, pkts, len(conn.data)
 }
 

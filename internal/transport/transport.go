@@ -56,13 +56,16 @@ type VecSender interface {
 	SendVec(to string, segs net.Buffers) error
 }
 
-// ConcurrentDeliverer is implemented by endpoints whose inbound
-// deliveries run on independent goroutines, so a Handler that blocks —
-// on a nested invocation, say — cannot stall the delivery of the very
-// packet it is waiting for. The rpc server dispatches handlers inline
-// in the delivery goroutine on such endpoints, skipping the hand-off to
-// a worker (Workers); on serial transports (one read loop per
-// connection, like TCP) it must not, and hands every dispatch off.
+// ConcurrentDeliverer is implemented by endpoints on which a Handler
+// that blocks — on a nested invocation, say — never stalls another
+// delivery, so it cannot stall the delivery of the very packet it is
+// waiting for. The real-time fabric runs each delivery on a goroutine of
+// its own. TCP and the Coalescer deliver one packet after another on one
+// goroutine, but a delivery that runs for a clock.StallBound has what
+// follows it — the connection, the rest of the batch — handed to a fresh
+// goroutine by a clock.Watch. The rpc server dispatches handlers inline
+// in the delivery goroutine on such endpoints; on the others (a
+// virtual-time fabric) it hands every dispatch to a worker (Workers).
 type ConcurrentDeliverer interface {
 	DeliversConcurrently() bool
 }
@@ -71,7 +74,8 @@ type ConcurrentDeliverer interface {
 // stacks their jobs grew: a job does not start on a fresh 2 KiB stack and
 // pay its growth again (EXPERIMENTS.md on runtime.newstack). The bound
 // limits the parked stacks kept, not concurrency. The simulated fabric's
-// deliveries and the rpc server's serial-transport dispatch use one each.
+// deliveries use one, and so does the rpc server's dispatch on an
+// endpoint that does not deliver concurrently (a virtual-time fabric).
 type Workers[T any] struct {
 	run        func(T)
 	bound      int32
