@@ -35,7 +35,7 @@ func main() {
 		relocator  = flag.String("relocator", "", "encoded reference of an existing relocation service")
 		echoSvc    = flag.Bool("echo", true, "publish a demo echo interface")
 		traceEvery = flag.Int("trace-every", 0, "sample one trace in n invocations (0 = off; retune live via the obs.sample_every management parameter)")
-		series     = flag.Duration("series", 0, "sample the Gather snapshot at this interval so the management \"series\" op serves rates (0 = off)")
+		series     = flag.Duration("series", 0, "sample the node's metrics at this interval so the management \"series\" op serves rates (0 = off)")
 		sloP99     = flag.Duration("slo-dispatch-p99", 0, "arm the flight recorder with this dispatch p99 ceiling; breaches land behind the \"blackbox\" op (0 = off)")
 	)
 	flag.Parse()

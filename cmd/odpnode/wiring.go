@@ -19,7 +19,7 @@ type nodeConfig struct {
 	// the hot path, and the "obs.sample_every" management parameter can
 	// turn sampling on against a live node.
 	traceEvery int
-	// series > 0 samples the node's Gather snapshot at this interval, so
+	// series > 0 samples the node's metrics snapshot at this interval, so
 	// the management "series" op serves rates and odptop shows them.
 	series time.Duration
 	// sloDispatchP99 > 0 arms the flight recorder: a dispatch p99 above

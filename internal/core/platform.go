@@ -80,7 +80,7 @@ type Platform struct {
 	// them from there.
 	coalescer *transport.Coalescer
 	// recorder is non-nil when WithRecorder or WithFlightRecorder
-	// enabled periodic Gather sampling (and armed its rules); the
+	// enabled periodic metrics sampling (and armed its rules); the
 	// platform owns it and Close stops it.
 	recorder *obs.Recorder
 	// domain is the administrative-domain tag set by WithDomain; empty
@@ -218,7 +218,7 @@ func WithTracing(opts ...obs.CollectorOption) Option {
 }
 
 // WithRecorder enables the metrics time series: a clock-driven recorder
-// (obs.Recorder) samples the node's Gather snapshot every interval and
+// (obs.Recorder) samples the node's typed metrics every interval and
 // keeps the previous and the current sample, from which the management
 // "series" op derives rates — invocations_per_sec,
 // admission_rejects_per_sec — that a single snapshot cannot answer. On a
@@ -276,11 +276,11 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 	p.Capsule = capsule.New(name, p.coalescer, cfg.codec, cfg.capsuleOpts...)
 	p.Coordinator = txn.NewCoordinator(p.Capsule, cfg.store)
 
-	// The recorder samples Gather and evaluates the armed rules in the
-	// same pass; it is built here so the management agent can serve it,
-	// and sampling starts last, once every subsystem exists.
+	// The recorder samples the typed snapshot and evaluates the armed
+	// rules in the same pass; it is built here so the management agent
+	// can serve it, and sampling starts last, once every subsystem exists.
 	if cfg.recInterval > 0 || len(cfg.sloRules) > 0 {
-		p.recorder = obs.NewRecorder(p.Gather, cfg.recInterval, cfg.clk, col, cfg.sloRules)
+		p.recorder = obs.NewRecorder(p.metrics, cfg.recInterval, cfg.clk, col, cfg.sloRules)
 	}
 	src := mgmt.Sources{Gather: p.Gather}
 	if col != nil {
@@ -389,9 +389,9 @@ func (p *Platform) meter(prefix string) *mgmt.Meter {
 	return m
 }
 
-// metrics assembles the node's typed snapshot: every layer's stats
-// folded as <subsystem>.<snake_case_field> by obs.Fold, the channel
-// stages' latency histograms, the Managed objects' meters under
+// metrics assembles the node's typed snapshot, which Gather exports and
+// the recorder samples: every layer's stats folded by obs.Fold, the
+// channel stages' latency histograms, the Managed objects' meters under
 // "registry." and whatever the registered sources add.
 func (p *Platform) metrics() *obs.Metrics {
 	m := obs.NewMetrics()
@@ -427,7 +427,7 @@ func (p *Platform) metrics() *obs.Metrics {
 
 // Gather exports the node's metrics as one wire record, tagged with the
 // node's domain: the unified introspection snapshot that the management
-// interface's "gather" op serves and the recorder samples.
+// interface's "gather" op serves.
 func (p *Platform) Gather() wire.Record {
 	rec := wire.Record{}
 	if p.domain != "" {

@@ -12,7 +12,7 @@ import (
 
 // Rule is one armed service-level objective, evaluated against every
 // Recorder sample. Two shapes exist: a ceiling (breach when the watched
-// Gather key exceeds Max — a dispatch p99 ceiling arms against
+// key exceeds Max — a dispatch p99 ceiling arms against
 // "rpc.server.dispatch_p99") and a zero-progress stall (breach when the
 // watched counter advances by nothing for StallWindows consecutive
 // samples — liveness, not latency). Build rules with CeilingRule and
@@ -20,7 +20,7 @@ import (
 type Rule struct {
 	// Name labels the rule in breach reports.
 	Name string
-	// Key is the Gather key the rule watches.
+	// Key is the metric the rule watches, named as Gather exports it.
 	Key string
 	// Max is the ceiling; the rule breaches when the key's value
 	// exceeds it. Ignored for stall rules.
@@ -66,9 +66,9 @@ type BreachReport struct {
 	Value float64
 	// Window is the breaching window's width (zero on a first sample).
 	Window time.Duration
-	// Delta is the numeric movement across the breaching window
-	// (DeltaRecord of its two samples).
-	Delta wire.Record
+	// Delta is the signed movement of every count across the breaching
+	// window under its exported name, zero movements dropped.
+	Delta map[string]int64
 	// Spans are the most recent spans at capture, oldest first.
 	Spans []Span
 }
@@ -105,6 +105,10 @@ func (r BreachReport) Format() string {
 // structured fields travel beside the pre-rendered deterministic text,
 // so a remote inspector can either parse or print verbatim.
 func (r BreachReport) Record() wire.Record {
+	delta := make(wire.Record, len(r.Delta))
+	for k, d := range r.Delta {
+		delta[k] = d
+	}
 	return wire.Record{
 		"seq":       r.Seq,
 		"rule":      r.Rule.Name,
@@ -112,7 +116,7 @@ func (r BreachReport) Record() wire.Record {
 		"value":     r.Value,
 		"at":        r.At.UnixNano(),
 		"window_us": uint64(r.Window / time.Microsecond),
-		"delta":     r.Delta,
+		"delta":     delta,
 		"spans":     SpansToList(r.Spans),
 		"text":      r.Format(),
 	}
@@ -138,26 +142,26 @@ const (
 func (r *Recorder) checkLocked() {
 	for i, rule := range r.rules {
 		if rule.stall() {
-			if r.n < 2 {
+			if r.prev.Metrics == nil {
 				continue
 			}
-			// A key that is absent or not an integer in either sample is
-			// no counter standing still: it resets the run, as absence
+			// A key that is absent or no count in either sample is no
+			// counter standing still: it resets the run, as absence
 			// re-arms a ceiling.
-			cv, cok := toInt(r.cur.Rec[rule.Key])
-			pv, pok := toInt(r.prev.Rec[rule.Key])
-			if !cok || !pok || cv != pv {
+			v, n, isCount, _ := r.cur.Metrics.lookup(rule.Key)
+			_, pn, wasCount, _ := r.prev.Metrics.lookup(rule.Key)
+			if !isCount || !wasCount || n != pn {
 				r.stallRuns[i] = 0
 				continue
 			}
 			r.stallRuns[i]++
 			if r.stallRuns[i] >= rule.StallWindows {
 				r.stallRuns[i] = 0
-				r.captureLocked(rule, float64(cv))
+				r.captureLocked(rule, v)
 			}
 			continue
 		}
-		v, ok := toFloat(r.cur.Rec[rule.Key])
+		v, _, _, ok := r.cur.Metrics.lookup(rule.Key)
 		if !ok || v <= rule.Max {
 			r.tripped[i] = false
 			continue
@@ -178,9 +182,9 @@ func (r *Recorder) captureLocked(rule Rule, value float64) {
 		Rule:  rule,
 		At:    r.cur.At,
 		Value: value,
-		Delta: DeltaRecord(r.prev.Rec, r.cur.Rec),
+		Delta: delta(r.prev.Metrics, r.cur.Metrics),
 	}
-	if r.n == 2 {
+	if r.prev.Metrics != nil {
 		rep.Window = r.cur.At.Sub(r.prev.At)
 	}
 	if r.col != nil {
@@ -220,20 +224,4 @@ func (r *Recorder) Stats() FlightStats {
 		Retained: uint64(r.reports.len()),
 		Rules:    uint64(len(r.rules)),
 	}
-}
-
-// toFloat widens any numeric wire value to float64 (rule evaluation
-// compares latencies and counters alike).
-func toFloat(v interface{}) (float64, bool) {
-	switch n := v.(type) {
-	case float64:
-		return n, true
-	case uint64:
-		return float64(n), true
-	case int64:
-		return float64(n), true
-	case int:
-		return float64(n), true
-	}
-	return 0, false
 }

@@ -10,35 +10,48 @@ import (
 )
 
 // feed drives a recorder's rule pass by hand on a fake clock: each push
-// makes rec the next Gather snapshot, one second after the last, from
+// makes m the next metrics snapshot, one second after the last, from
 // the obs test epoch.
 type feed struct {
-	f   *Recorder
-	fc  *clock.Fake
-	rec wire.Record
+	f  *Recorder
+	fc *clock.Fake
+	m  *Metrics
 }
 
 func newFeed(rules []Rule) *feed {
 	fd := &feed{fc: clock.NewFake(epoch)}
-	fd.f = NewRecorder(func() wire.Record { return fd.rec }, time.Second, fd.fc, nil, rules)
+	fd.f = NewRecorder(func() *Metrics { return fd.m }, time.Second, fd.fc, nil, rules)
 	return fd
 }
 
-func (fd *feed) push(rec wire.Record) {
-	fd.rec = rec
+func (fd *feed) push(m *Metrics) {
+	fd.m = m
 	pass(fd.fc, fd.f, time.Second)
+}
+
+// gauge and count build one-key snapshots.
+func gauge(k string, v float64) *Metrics {
+	m := NewMetrics()
+	m.Gauges[k] = v
+	return m
+}
+
+func count(k string, n uint64) *Metrics {
+	m := NewMetrics()
+	m.Counters[k] = n
+	return m
 }
 
 func TestCeilingRuleEdgeTriggered(t *testing.T) {
 	fd := newFeed([]Rule{CeilingRule("p99", "dispatch_p99", 100)})
 
-	fd.push(wire.Record{"dispatch_p99": 50.0})
-	fd.push(wire.Record{"dispatch_p99": 150.0}) // excursion starts: breach
-	fd.push(wire.Record{"dispatch_p99": 200.0}) // still the same excursion
-	fd.push(wire.Record{"dispatch_p99": 80.0})  // recovers: re-arms
-	fd.push(wire.Record{"dispatch_p99": 101.0}) // second excursion: breach
-	fd.push(wire.Record{})                      // key gone: re-arms
-	fd.push(wire.Record{"dispatch_p99": 500.0}) // third excursion: breach
+	fd.push(gauge("dispatch_p99", 50.0))
+	fd.push(gauge("dispatch_p99", 150.0)) // excursion starts: breach
+	fd.push(gauge("dispatch_p99", 200.0)) // still the same excursion
+	fd.push(gauge("dispatch_p99", 80.0))  // recovers: re-arms
+	fd.push(gauge("dispatch_p99", 101.0)) // second excursion: breach
+	fd.push(NewMetrics())                 // key gone: re-arms
+	fd.push(gauge("dispatch_p99", 500.0)) // third excursion: breach
 
 	reps := fd.f.Reports()
 	if len(reps) != 3 {
@@ -67,14 +80,14 @@ func TestCeilingRuleEdgeTriggered(t *testing.T) {
 func TestStallRuleFiresAfterQuietWindows(t *testing.T) {
 	fd := newFeed([]Rule{StallRule("stuck", "requests", 3)})
 
-	fd.push(wire.Record{"requests": uint64(10)})
-	fd.push(wire.Record{"requests": uint64(11)}) // moving
-	fd.push(wire.Record{"requests": uint64(11)}) // quiet 1
-	fd.push(wire.Record{"requests": uint64(11)}) // quiet 2
+	fd.push(count("requests", 10))
+	fd.push(count("requests", 11)) // moving
+	fd.push(count("requests", 11)) // quiet 1
+	fd.push(count("requests", 11)) // quiet 2
 	if n := len(fd.f.Reports()); n != 0 {
 		t.Fatalf("fired after 2 quiet windows: %d reports", n)
 	}
-	fd.push(wire.Record{"requests": uint64(11)}) // quiet 3: breach
+	fd.push(count("requests", 11)) // quiet 3: breach
 	reps := fd.f.Reports()
 	if len(reps) != 1 {
 		t.Fatalf("reports = %d, want 1", len(reps))
@@ -85,36 +98,63 @@ func TestStallRuleFiresAfterQuietWindows(t *testing.T) {
 
 	// The counter resets after firing: three more quiet windows, not
 	// one, produce the next report.
-	fd.push(wire.Record{"requests": uint64(11)})
-	fd.push(wire.Record{"requests": uint64(11)})
+	fd.push(count("requests", 11))
+	fd.push(count("requests", 11))
 	if n := len(fd.f.Reports()); n != 1 {
 		t.Fatalf("refired early: %d reports", n)
 	}
-	fd.push(wire.Record{"requests": uint64(11)})
+	fd.push(count("requests", 11))
 	if n := len(fd.f.Reports()); n != 2 {
 		t.Fatalf("reports after reset cycle = %d, want 2", n)
 	}
 
 	// Movement clears the run.
-	fd.push(wire.Record{"requests": uint64(12)})
-	fd.push(wire.Record{"requests": uint64(12)})
-	fd.push(wire.Record{"requests": uint64(12)})
+	fd.push(count("requests", 12))
+	fd.push(count("requests", 12))
+	fd.push(count("requests", 12))
 	if n := len(fd.f.Reports()); n != 2 {
 		t.Fatalf("quiet run survived movement: %d reports", n)
 	}
 
-	// A key that is no counter never stalls: one the node does not
-	// export (a trader counter on a node without a trader), and a float
-	// gauge that moves every window.
+	// A key that is no count never stalls: one the node does not export
+	// (a trader counter on a node without a trader), a float gauge that
+	// moves every window, one that stands still, a standing quantile and
+	// the quantile and bucket keys of an empty histogram.
 	fd = newFeed([]Rule{
 		StallRule("absent", "trader.imports", 2),
 		StallRule("gauge", "load", 2),
+		StallRule("still gauge", "still", 2),
+		StallRule("quantile", "h_p99", 2),
+		StallRule("empty quantile", "idle_p50", 2),
+		StallRule("empty bucket", "idle_hist.3", 2),
 	})
 	for i := 0; i < 6; i++ {
-		fd.push(wire.Record{"requests": uint64(11), "load": 0.5 + float64(i)})
+		m := NewMetrics()
+		m.Counters["requests"] = 11
+		m.Gauges["load"] = 0.5 + float64(i)
+		m.Gauges["still"] = 2
+		m.Latency["h"] = HistogramSnapshot{Buckets: [HistogramBuckets]uint64{3: 4}}
+		m.Latency["idle"] = HistogramSnapshot{}
+		fd.push(m)
 	}
 	if reps := fd.f.Reports(); len(reps) != 0 {
-		t.Fatalf("stall rules on non-counters fired %d times, first %q", len(reps), reps[0].Rule.Name)
+		t.Fatalf("stall rules on non-counts fired %d times, first %q", len(reps), reps[0].Rule.Name)
+	}
+
+	// A histogram's count and its buckets are counts: standing still,
+	// they stall.
+	fd = newFeed([]Rule{
+		StallRule("count", "h_count", 2),
+		StallRule("bucket", "h_hist.3", 2),
+	})
+	for i := 0; i < 3; i++ {
+		m := NewMetrics()
+		m.Latency["h"] = HistogramSnapshot{Buckets: [HistogramBuckets]uint64{3: 4, 7: 1}}
+		fd.push(m)
+	}
+	reps = fd.f.Reports()
+	if len(reps) != 2 || reps[0].Rule.Name != "count" || reps[0].Value != 5 || reps[1].Rule.Name != "bucket" || reps[1].Value != 4 {
+		t.Fatalf("stalled histogram reports = %+v, want count at 5 then bucket at 4", reps)
 	}
 }
 
@@ -122,8 +162,8 @@ func TestFlightRingBounded(t *testing.T) {
 	fd := newFeed([]Rule{CeilingRule("c", "v", 0)})
 	const breaches = flightDepth + 3
 	for i := 1; i <= breaches; i++ {
-		fd.push(wire.Record{"v": float64(i)}) // breach
-		fd.push(wire.Record{})                // re-arm
+		fd.push(gauge("v", float64(i))) // breach
+		fd.push(NewMetrics())           // re-arm
 	}
 	reps := fd.f.Reports()
 	if len(reps) != flightDepth {
@@ -140,8 +180,14 @@ func TestFlightRingBounded(t *testing.T) {
 func TestBreachReportFormatDeterministic(t *testing.T) {
 	build := func() string {
 		fd := newFeed([]Rule{CeilingRule("p99", "dispatch_p99", 100)})
-		fd.push(wire.Record{"dispatch_p99": 50.0, "requests": uint64(10), "errs": uint64(0)})
-		fd.push(wire.Record{"dispatch_p99": 250.5, "requests": uint64(17), "errs": uint64(2)})
+		snap := func(p99 float64, requests, errs uint64) *Metrics {
+			m := gauge("dispatch_p99", p99)
+			m.Counters["requests"] = requests
+			m.Counters["errs"] = errs
+			return m
+		}
+		fd.push(snap(50, 10, 0))
+		fd.push(snap(250.5, 17, 2))
 		reps := fd.f.Reports()
 		if len(reps) != 1 {
 			t.Fatalf("reports = %d", len(reps))
@@ -170,8 +216,10 @@ func TestBreachReportFormatDeterministic(t *testing.T) {
 
 func TestBreachReportRecordRoundTrip(t *testing.T) {
 	fd := newFeed([]Rule{CeilingRule("p99", "dispatch_p99", 100)})
-	fd.push(wire.Record{"dispatch_p99": 50.0})
-	fd.push(wire.Record{"dispatch_p99": 300.0})
+	fd.push(gauge("dispatch_p99", 50.0))
+	breach := gauge("dispatch_p99", 300.0)
+	breach.Counters["requests"] = 4
+	fd.push(breach)
 	list := fd.f.ReportsList()
 	if len(list) != 1 {
 		t.Fatalf("list = %d", len(list))
@@ -197,7 +245,11 @@ func TestBreachReportRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := back.(wire.Record); got["text"] != text {
+	got, _ := back.(wire.Record)
+	if got["text"] != text {
 		t.Fatalf("text after round trip = %q", got["text"])
+	}
+	if d, _ := got["delta"].(wire.Record); len(d) != 1 || d["requests"] != int64(4) {
+		t.Fatalf("delta after round trip = %v, want requests +4", got["delta"])
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"odp/internal/wire"
 )
 
-// Metrics is a node's typed metric snapshot, the one form Gather
-// assembles in process: counters are uint64, gauges float64 and
+// Metrics is a node's typed metric snapshot, the one form Gather and the
+// recorder read in process: counters are uint64, gauges float64 and
 // latencies histogram snapshots, each keyed by its exported name. A
 // wire.Record exists only as Export's output — the form management
 // readers outside the process see.
@@ -63,6 +63,32 @@ func (m *Metrics) Export(rec wire.Record, prefix string) {
 	for k, s := range m.Latency {
 		FoldLatency(rec, prefix+k, s)
 	}
+}
+
+// lookup reads key as Export names it — a counter, a gauge,
+// "<stage>_count", a non-empty histogram's "<stage>_p50/_p90/_p99" or a
+// non-zero bucket's "<stage>_hist.<i>" — into v, and a count (counter,
+// histogram count or bucket) into n as well; ok is false for other keys.
+func (m *Metrics) lookup(key string) (v float64, n uint64, count, ok bool) {
+	if c, ok := m.Counters[key]; ok {
+		return float64(c), c, true, true
+	}
+	if g, ok := m.Gauges[key]; ok {
+		return g, 0, false, true
+	}
+	if s, ok := m.Latency[strings.TrimSuffix(key, "_count")]; ok && strings.HasSuffix(key, "_count") {
+		return float64(s.Count()), s.Count(), true, true
+	}
+	if base, i, ok := splitHistKey(key); ok && m.Latency[base].Buckets[i] > 0 {
+		b := m.Latency[base].Buckets[i]
+		return float64(b), b, true, true
+	}
+	for _, q := range quantileKeys {
+		if base, ok := strings.CutSuffix(key, q.suffix); ok && m.Latency[base].Count() > 0 {
+			return m.Latency[base].Quantile(q.q), 0, false, true
+		}
+	}
+	return 0, 0, false, false
 }
 
 // Fold flattens the exported uint64 (and [N]uint64 histogram) fields of a

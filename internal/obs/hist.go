@@ -3,6 +3,7 @@ package obs
 import (
 	"math/bits"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -158,15 +159,22 @@ func FoldLatency(rec wire.Record, key string, s HistogramSnapshot) {
 	}
 	rec[key+"_count"] = total
 	if total > 0 {
-		rec[key+"_p50"] = s.Quantile(0.50)
-		rec[key+"_p90"] = s.Quantile(0.90)
-		rec[key+"_p99"] = s.Quantile(0.99)
+		for _, q := range quantileKeys {
+			rec[key+q.suffix] = s.Quantile(q.q)
+		}
 	}
 }
 
 // histBucketInfix separates a histogram key base from its bucket index
 // in exported records.
 const histBucketInfix = "_hist."
+
+// quantileKeys are the quantiles FoldLatency derives for a non-empty
+// histogram, each under "<key><suffix>".
+var quantileKeys = [...]struct {
+	suffix string
+	q      float64
+}{{"_p50", 0.50}, {"_p90", 0.90}, {"_p99", 0.99}}
 
 // HistogramKeys scans a folded record for "<base>_hist.<i>" bucket keys
 // and reassembles the snapshots, keyed by base. Out-of-range indices
@@ -177,11 +185,8 @@ func HistogramKeys(rec wire.Record) map[string]HistogramSnapshot {
 	var out map[string]HistogramSnapshot
 	for k, v := range rec {
 		base, idx, ok := splitHistKey(k)
-		if !ok {
-			continue
-		}
-		n, ok := v.(uint64)
-		if !ok {
+		n, isUint := v.(uint64)
+		if !ok || !isUint {
 			continue
 		}
 		if out == nil {
@@ -196,20 +201,13 @@ func HistogramKeys(rec wire.Record) map[string]HistogramSnapshot {
 
 // splitHistKey decomposes "<base>_hist.<i>" into (base, i).
 func splitHistKey(k string) (base string, idx int, ok bool) {
-	at := len(k) - 1
-	for at >= 0 && k[at] >= '0' && k[at] <= '9' {
-		at--
-	}
-	digits := k[at+1:]
-	if digits == "" || at < len(histBucketInfix)-1 {
+	at := strings.LastIndex(k, histBucketInfix)
+	if at < 0 || strings.TrimLeft(k[at+len(histBucketInfix):], "0123456789") != "" {
 		return "", 0, false
 	}
-	if k[at+1-len(histBucketInfix):at+1] != histBucketInfix {
+	n, err := strconv.Atoi(k[at+len(histBucketInfix):])
+	if err != nil || n >= HistogramBuckets {
 		return "", 0, false
 	}
-	n, err := strconv.Atoi(digits)
-	if err != nil || n < 0 || n >= HistogramBuckets {
-		return "", 0, false
-	}
-	return k[:at+1-len(histBucketInfix)], n, true
+	return k[:at], n, true
 }

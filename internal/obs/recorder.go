@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -9,15 +9,15 @@ import (
 	"odp/internal/wire"
 )
 
-// Sample is one periodic Gather snapshot with the instant it was taken.
+// Sample is one periodic metrics snapshot with the instant it was taken.
 type Sample struct {
 	// At is the snapshot instant on the recorder's clock.
 	At time.Time
-	// Rec is the unified Gather record at that instant.
-	Rec wire.Record
+	// Metrics is the node's typed snapshot at that instant.
+	Metrics *Metrics
 }
 
-// Recorder turns the platform's point-in-time Gather snapshot into a
+// Recorder turns the platform's point-in-time metrics snapshot into a
 // time series and watches it: every interval it samples the snapshot,
 // keeps that sample and the one before it — enough to answer rate
 // questions ("how many invocations per second, right now?") that a
@@ -38,15 +38,14 @@ type Sample struct {
 // sees exactly one pending deadline between samples and a seeded run
 // snapshots at byte-identical virtual instants.
 type Recorder struct {
-	src      func() wire.Record
+	src      func() *Metrics
 	interval time.Duration
 	clk      clock.Clock
 	col      *Collector
 	rules    []Rule
 
 	mu        sync.Mutex
-	prev, cur Sample
-	n         int // samples held in prev and cur: 0, 1 or 2
+	prev, cur Sample // zero until sampled: Metrics is nil
 	seq       uint64
 	tripped   []bool // ceiling rules: currently above the ceiling
 	stallRuns []int  // stall rules: consecutive zero-delta windows
@@ -58,11 +57,11 @@ type Recorder struct {
 	done      chan struct{}
 }
 
-// NewRecorder creates a recorder sampling src every interval of clk and
-// evaluating rules against each sample. col supplies the spans breach
-// reports carry; nil (an untraced node) yields span-less reports.
-// Nothing runs until Start.
-func NewRecorder(src func() wire.Record, interval time.Duration, clk clock.Clock, col *Collector, rules []Rule) *Recorder {
+// NewRecorder creates a recorder sampling src (a fresh snapshot each
+// call, which it keeps) every interval of clk and evaluating rules
+// against each sample. col supplies the spans breach reports carry; nil
+// (an untraced node) yields span-less reports. Nothing runs until Start.
+func NewRecorder(src func() *Metrics, interval time.Duration, clk clock.Clock, col *Collector, rules []Rule) *Recorder {
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -108,89 +107,77 @@ func (r *Recorder) run() {
 // sample takes one snapshot and evaluates the rules against it. The
 // snapshot is taken before the lock: src reads the recorder's own Stats.
 func (r *Recorder) sample() {
-	cur := Sample{At: r.clk.Now(), Rec: r.src()}
+	cur := Sample{At: r.clk.Now(), Metrics: r.src()}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.prev, r.cur = r.cur, cur
-	if r.n < 2 {
-		r.n++
-	}
 	r.checkLocked()
 }
 
 // Series renders the recorder's current derived view as one record: for
-// every integer counter key of the latest sample, the per-second rate
-// over the last window as "<key>_per_sec" (float64), plus the meta keys
-// "series.samples" (how many samples the rates come from: 0, 1 or 2),
-// "series.interval_us", "series.window_us" and "series.at".
-// Histogram bucket keys are skipped (their rates are the quantile keys'
-// job). With fewer than two samples only the meta keys appear. This is
-// what the management "series" op returns and odptop renders.
+// every counter and every histogram's "<stage>_count" of the latest
+// sample, the per-second rate over the last window as "<key>_per_sec"
+// (float64), plus the meta keys "series.samples" (how many samples the
+// rates come from: 0, 1 or 2), "series.interval_us", "series.window_us"
+// and "series.at". Gauges, quantiles and buckets are not rated. With
+// fewer than two samples only the meta keys appear. This is what the
+// management "series" op returns and odptop renders.
 func (r *Recorder) Series() wire.Record {
 	r.mu.Lock()
-	prev, cur, n := r.prev, r.cur, r.n
+	prev, cur := r.prev, r.cur
 	r.mu.Unlock()
 	out := wire.Record{
-		"series.samples":     uint64(n),
+		"series.samples":     uint64(0),
 		"series.interval_us": uint64(r.interval / time.Microsecond),
 	}
-	if n == 0 {
+	if cur.Metrics == nil {
 		return out
 	}
-	out["series.at"] = cur.At.UnixNano()
-	if n < 2 {
+	out["series.samples"], out["series.at"] = uint64(1), cur.At.UnixNano()
+	if prev.Metrics == nil {
 		return out
 	}
+	out["series.samples"] = uint64(2)
 	window := cur.At.Sub(prev.At)
 	out["series.window_us"] = uint64(window / time.Microsecond)
 	secs := window.Seconds()
 	if secs <= 0 {
 		return out
 	}
-	for k, v := range cur.Rec {
-		if strings.Contains(k, histBucketInfix) {
-			continue
-		}
-		c, ok := toInt(v)
-		if !ok {
-			continue
-		}
-		p, _ := toInt(prev.Rec[k])
-		out[k+"_per_sec"] = float64(c-p) / secs
+	rate := func(c, p uint64) float64 { return float64(int64(c-p)) / secs }
+	for k, c := range cur.Metrics.Counters {
+		out[k+"_per_sec"] = rate(c, prev.Metrics.Counters[k])
+	}
+	for k, s := range cur.Metrics.Latency {
+		out[k+"_count_per_sec"] = rate(s.Count(), prev.Metrics.Latency[k].Count())
 	}
 	return out
 }
 
-// DeltaRecord computes the numeric movement between two samples: for
-// every integer key of cur, the signed difference against prev; zero
-// deltas and non-integer values are dropped so the record names exactly
-// what changed in the window. Flight-recorder breach reports carry one.
-func DeltaRecord(prev, cur wire.Record) wire.Record {
-	out := wire.Record{}
-	for k, v := range cur {
-		c, ok := toInt(v)
-		if !ok {
-			continue
+// delta is the signed movement of every count of cur since prev (nil:
+// none) under its exported name — counters, histogram counts and
+// non-zero buckets — with zero movements dropped.
+func delta(prev, cur *Metrics) map[string]int64 {
+	if prev == nil {
+		prev = &Metrics{}
+	}
+	out := map[string]int64{}
+	put := func(k string, c, p uint64) {
+		if c != p {
+			out[k] = int64(c - p)
 		}
-		p, _ := toInt(prev[k])
-		if d := c - p; d != 0 {
-			out[k] = d
+	}
+	for k, c := range cur.Counters {
+		put(k, c, prev.Counters[k])
+	}
+	for k, s := range cur.Latency {
+		p := prev.Latency[k]
+		for i, b := range s.Buckets {
+			if b != 0 {
+				put(k+histBucketInfix+strconv.Itoa(i), b, p.Buckets[i])
+			}
 		}
+		put(k+"_count", s.Count(), p.Count())
 	}
 	return out
-}
-
-// toInt widens an integer-kind wire value to int64. Floats are
-// deliberately excluded: derived gauges and quantiles are not counters,
-// and rating them would manufacture nonsense like p99_per_sec.
-func toInt(v interface{}) (int64, bool) {
-	switch n := v.(type) {
-	case uint64:
-		return int64(n), true
-	case int64:
-		return n, true
-	case int:
-		return int64(n), true
-	}
-	return 0, false
 }

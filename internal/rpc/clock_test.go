@@ -362,6 +362,16 @@ func TestHeldRepliesLeaveAtBatchEndOnFrozenClock(t *testing.T) {
 			if st := cco.BatchStats(); st.BatchesReceived != 1 || st.FramesUnpacked != uint64(want) {
 				t.Errorf("replies came in %d batches of %d frames in all, want one of %d", st.BatchesReceived, st.FramesUnpacked, want)
 			}
+			// The server counts a batch once its write has returned, which
+			// can be after the client has every reply: wait for the count.
+			watchdog := time.After(5 * time.Second)
+			for sco.BatchStats().BatchesSent < 1 {
+				select {
+				case <-watchdog:
+					t.Fatalf("the server counted no batch 5s after the client had its replies")
+				case <-time.After(time.Millisecond):
+				}
+			}
 			if st := sco.BatchStats(); st.BatchesSent != 1 || st.DirectFlushes != 1 {
 				t.Errorf("server wrote %d batches, %d directly; want one, directly", st.BatchesSent, st.DirectFlushes)
 			}

@@ -321,9 +321,9 @@ type (
 
 // Recorder and flight-recorder options.
 var (
-	// WithRecorder samples the node's Gather snapshot every interval,
-	// keeping the previous and the current sample, from which the
-	// management "series" op derives per-second rates.
+	// WithRecorder samples the node's metrics (what Gather exports)
+	// every interval, keeping the previous and the current sample, from
+	// which the management "series" op derives per-second rates.
 	WithRecorder = core.WithRecorder
 	// WithFlightRecorder arms SLO rules that the recorder evaluates on
 	// every sample, in the same pass (implies WithRecorder).
