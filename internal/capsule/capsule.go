@@ -61,16 +61,19 @@ func (f ServantFunc) Dispatch(ctx context.Context, op string, args []wire.Value)
 }
 
 // Invocation is one call as a woven dispatch path hands it from link to
-// link: the operation, its arguments and At, the dispatch instant. At is
-// read once from the node's clock where the dispatch began (the rpc
-// server's or the co-located path's latency stamp), so a mechanism that
-// needs "now" on the way in — a guard's freshness check, a lease stamp,
-// instrumentation's start — reads it here instead of the clock. It
-// travels by value: the path allocates no carrier.
+// link: the operation, its arguments, At, the dispatch instant, and Span,
+// the span context the link runs under. At is read once from the node's
+// clock where the dispatch began (the rpc server's or the co-located
+// path's stage), so a mechanism that needs "now" on the way in — a
+// guard's freshness check, a lease stamp, the Managed stage's start —
+// reads it here instead of the clock; each stage on the path opens its
+// span under Span and hands its own on, so an unsampled call looks up no
+// context. It travels by value: the path allocates no carrier.
 type Invocation struct {
 	Op   string
 	Args []wire.Value
 	At   time.Time
+	Span obs.SpanContext
 }
 
 // Link is one stage of a woven dispatch path.
@@ -130,13 +133,10 @@ type Capsule struct {
 	// admission, when non-nil, enables per-client token-bucket admission
 	// control on the capsule's server role.
 	admission *rpc.AdmissionConfig
-	// obs is the node's span collector, read from ep (nil: untraced):
-	// used here to record the co-located bypass as a distinct span kind
-	// so tests can assert which path an invocation took.
-	obs *obs.Collector
-	// bypassLat is the §4.5 direct-local-access latency distribution
-	// (dispatch through the woven chain, argument cloning included).
-	bypassLat obs.Histogram
+	// bypass is the §4.5 direct-local-access stage, timed on every call
+	// (dispatch through the woven chain, argument cloning included): its
+	// span kind lets a test assert which path an invocation took.
+	bypass obs.Stage
 }
 
 // Option configures a capsule.
@@ -161,10 +161,10 @@ func New(name string, ep transport.Batcher, codec wire.Codec, opts ...Option) *C
 		addr:     ep.Addr(),
 		codec:    codec,
 		clk:      ep.Clock(),
-		obs:      ep.Observer(),
 		objects:  make(map[string]*registration),
 		forwards: make(map[string]wire.Ref),
 	}
+	c.bypass.Init(obs.KindBypass, ep.Observer(), c.clk, true)
 	for _, o := range opts {
 		o(c)
 	}
@@ -189,7 +189,7 @@ func (c *Capsule) Codec() wire.Codec { return c.codec }
 func (c *Capsule) Clock() clock.Clock { return c.clk }
 
 // Observer returns the node's span collector, nil when untraced.
-func (c *Capsule) Observer() *obs.Collector { return c.obs }
+func (c *Capsule) Observer() *obs.Collector { return c.ep.Observer() }
 
 // Client exposes the underlying protocol client for infrastructure that
 // needs raw access (groups, interceptors).
@@ -207,7 +207,7 @@ func (c *Capsule) DispatchLatency() obs.HistogramSnapshot {
 // BypassLatency snapshots the §4.5 co-located fast-path latency
 // histogram.
 func (c *Capsule) BypassLatency() obs.HistogramSnapshot {
-	return c.bypassLat.Snapshot()
+	return c.bypass.Latency()
 }
 
 // Close shuts the capsule down, then drains and closes its endpoint.
@@ -362,7 +362,7 @@ func (c *Capsule) Objects() []string {
 // the duration of Dispatch, and the one path that retains objID (the
 // activator) clones its own copy in dispatchLocal.
 func (c *Capsule) handle(ctx context.Context, in *rpc.Incoming) (string, []wire.Value, error) {
-	outcome, results, err := c.dispatchLocal(ctx, in.ObjID, in.Op, in.Args, in.At)
+	outcome, results, err := c.dispatchLocal(ctx, in.ObjID, Invocation{Op: in.Op, Args: in.Args, At: in.At, Span: in.Span})
 	if err != nil && in.Announcement {
 		c.followForward(ctx, err, in.Op, in.Args)
 	}
@@ -408,26 +408,14 @@ func (c *Capsule) tryLocal(ctx context.Context, objID, op string, args []wire.Va
 	// optimisation fired: a traced co-located invocation shows this kind
 	// where a remote one shows rpc.send/rpc.dispatch. Nested invocations
 	// the servant makes parent under it.
-	var sp *obs.Span
-	if c.obs != nil {
-		if sp = c.obs.BeginChild(obs.FromContext(ctx), obs.KindBypass, op); sp != nil {
-			ctx = obs.ContextWith(ctx, sp.Context())
-		}
-	}
-	began := c.clk.Now()
-	if reg.chain == nil {
-		outcome, results, err = reg.servant.Dispatch(ctx, op, wire.CloneArgs(args))
-	} else {
-		outcome, results, err = reg.chain(ctx, Invocation{Op: op, Args: wire.CloneArgs(args), At: began})
-	}
-	c.bypassLat.Observe(c.clk.Since(began))
-	c.obs.End(sp)
+	ctx, st := c.bypass.Begin(ctx, obs.SpanContext{}, op, time.Time{})
+	outcome, results, err = reg.dispatch(ctx, Invocation{Op: op, Args: wire.CloneArgs(args), At: st.At, Span: st.Span})
+	c.bypass.End(st, err)
 	return outcome, wire.CloneArgs(results), err, true
 }
 
-// dispatchLocal runs an invocation against a hosted object; at is the
-// dispatch instant its path reads.
-func (c *Capsule) dispatchLocal(ctx context.Context, objID, op string, args []wire.Value, at time.Time) (string, []wire.Value, error) {
+// dispatchLocal runs inv against a hosted object.
+func (c *Capsule) dispatchLocal(ctx context.Context, objID string, inv Invocation) (string, []wire.Value, error) {
 	c.mu.RLock()
 	reg, ok := c.objects[objID]
 	fwd, fok := c.forwards[objID]
@@ -458,10 +446,16 @@ func (c *Capsule) dispatchLocal(ctx context.Context, objID, op string, args []wi
 	if !ok {
 		return "", nil, rpc.ErrNoObject
 	}
-	if reg.chain == nil {
-		return reg.servant.Dispatch(ctx, op, args)
+	return reg.dispatch(ctx, inv)
+}
+
+// dispatch runs inv through the woven chain, or straight into a servant
+// that has none.
+func (r *registration) dispatch(ctx context.Context, inv Invocation) (string, []wire.Value, error) {
+	if r.chain == nil {
+		return r.servant.Dispatch(ctx, inv.Op, inv.Args)
 	}
-	return reg.chain(ctx, Invocation{Op: op, Args: args, At: at})
+	return r.chain(ctx, inv)
 }
 
 // typeChecked wraps a servant with early signature checking (§4.3): the
@@ -577,7 +571,7 @@ func (c *Capsule) InvokeWith(ctx context.Context, ref wire.Ref, op string, args 
 	}
 	if len(ref.Endpoints) == 0 {
 		if c.Hosts(ref.ID) { // local, and forced off the direct path
-			return c.dispatchLocal(ctx, ref.ID, op, wire.CloneArgs(args), c.clk.Now())
+			return c.dispatchLocal(ctx, ref.ID, Invocation{Op: op, Args: wire.CloneArgs(args), At: c.clk.Now(), Span: obs.FromContext(ctx)})
 		}
 		return "", nil, ErrNoEndpoint
 	}
@@ -590,7 +584,7 @@ func (c *Capsule) InvokeWith(ctx context.Context, ref wire.Ref, op string, args 
 			// Not plainly hosted (tryLocal declined) but addressed to this
 			// capsule: run the full local dispatcher so forwarding and
 			// activation apply, still under by-copy discipline.
-			outcome, results, err = c.dispatchLocal(ctx, ref.ID, op, wire.CloneArgs(args), c.clk.Now())
+			outcome, results, err = c.dispatchLocal(ctx, ref.ID, Invocation{Op: op, Args: wire.CloneArgs(args), At: c.clk.Now(), Span: obs.FromContext(ctx)})
 		} else {
 			outcome, results, err = c.peer.Client.Call(ctx, ep, ref.ID, op, args, cfg.QoS)
 			// A busy reply is the server shedding load (admission
@@ -668,17 +662,16 @@ func (c *Capsule) AnnounceCtxWith(ctx context.Context, ref wire.Ref, op string, 
 		}
 		// The activity outlives its caller but keeps the span context, so
 		// its dispatch lands in the originating trace.
-		dctx := context.Background()
-		if c.obs != nil {
-			if sc := obs.FromContext(ctx); sc.Valid() {
-				dctx = obs.ContextWith(dctx, sc)
-			}
+		dctx, inv := context.Background(), Invocation{Op: op, Args: sent, Span: obs.FromContext(ctx)}
+		if inv.Span.Valid() {
+			dctx = obs.ContextWith(dctx, inv.Span)
 		}
-		go func() {
-			if _, _, err := c.dispatchLocal(dctx, ref.ID, op, sent, c.clk.Now()); err != nil {
+		go func(inv Invocation) {
+			inv.At = c.clk.Now()
+			if _, _, err := c.dispatchLocal(dctx, ref.ID, inv); err != nil {
 				c.followForward(dctx, err, op, sent)
 			}
-		}()
+		}(inv)
 		return nil
 	}
 	if len(ref.Endpoints) == 0 {

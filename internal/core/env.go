@@ -7,7 +7,6 @@ import (
 
 	"odp/internal/capsule"
 	"odp/internal/group"
-	"odp/internal/mgmt"
 	"odp/internal/migrate"
 	"odp/internal/obs"
 	"odp/internal/security"
@@ -114,12 +113,8 @@ func (p *Platform) Publish(id string, obj Object) (wire.Ref, error) {
 		}
 	}
 	pub := &published{env: env, typ: obj.Type}
-	if env.Managed != nil {
-		prefix := env.Managed.MetricPrefix
-		if prefix == "" {
-			prefix = id
-		}
-		pub.meter = p.meter(prefix)
+	if env.Managed != nil && env.Managed.MetricPrefix == "" {
+		pub.env.Managed = &ManagedSpec{MetricPrefix: id}
 	}
 	if env.Secured != nil {
 		pub.guard = security.NewGuard(p.Keys, env.Secured.Policy, env.Secured.MaxSkew)
@@ -148,13 +143,13 @@ func (p *Platform) Publish(id string, obj Object) (wire.Ref, error) {
 	return ref, err
 }
 
-// published is what Publish built for a movable object: its constraints
-// and the mechanism instances that outlive any one servant incarnation —
-// the guard, whose replay window must carry over, and the meter.
+// published is what Publish built for a movable object: its constraints,
+// a Managed prefix resolved, and the mechanism instance that outlives any
+// one servant incarnation — the guard, whose replay window must carry
+// over.
 type published struct {
 	env   Env
 	typ   types.Type
-	meter *mgmt.Meter
 	guard *security.Guard
 }
 
@@ -178,14 +173,16 @@ func (p *Platform) reweave(inc migrate.Incarnation) (wire.Ref, error) {
 
 // weave is the only code that orders mechanisms on an access path: every
 // incarnation of every object this node exports passes through it.
-// Outermost first: instrumentation sees everything, the guard rejects
+// Outermost first: the Managed stage sees everything, the guard rejects
 // before any mechanism runs, lease tracking counts only admitted traffic,
 // the migration gate (nil for an object that cannot move) holds calls
 // back during a move, the recovery log records what completed; the
 // capsule's type check sits at the servant boundary, and the
-// transactional resource wraps the behaviour itself. The layers bound to
-// the servant — resource, lease entry, gate, log, type check — are built
-// anew for each incarnation; the guard and the meter are pub's.
+// transactional resource wraps the behaviour itself. Each mechanism is
+// appended through its stage, which names it in a trace and counts it.
+// The layers bound to the servant — resource, lease entry, gate, log,
+// type check — are built anew for each incarnation; the guard is pub's,
+// and the stages are the node's.
 func (p *Platform) weave(id string, servant capsule.Servant, gate capsule.Interceptor, pub *published) (wire.Ref, error) {
 	env := pub.env
 	if env.Atomic != nil {
@@ -204,19 +201,19 @@ func (p *Platform) weave(id string, servant capsule.Servant, gate capsule.Interc
 	}
 	var chain []capsule.Interceptor
 	if env.Managed != nil {
-		chain = append(chain, mgmt.Instrument(pub.meter, p.Clock()))
+		chain = append(chain, p.stage(stageKey{prefix: env.Managed.MetricPrefix}, nil))
 	}
 	if env.Secured != nil {
-		chain = append(chain, pub.guard.AsInterceptor())
+		chain = append(chain, p.stage(stageKey{kind: obs.KindGuard}, pub.guard.AsInterceptor()))
 	}
 	if env.Leased != nil {
-		chain = append(chain, p.Collector.Track(id, env.Leased.OnCollect))
+		chain = append(chain, p.stage(stageKey{kind: obs.KindLease}, p.Collector.Track(id, env.Leased.OnCollect)))
 	}
 	if gate != nil {
-		chain = append(chain, gate)
+		chain = append(chain, p.stage(stageKey{kind: obs.KindGate}, gate))
 	}
 	if env.Recoverable != nil {
-		chain = append(chain, p.Mover.RecoveryLog(id, env.Recoverable.ReadOnly))
+		chain = append(chain, p.stage(stageKey{kind: obs.KindRecovery}, p.Mover.RecoveryLog(id, env.Recoverable.ReadOnly)))
 	}
 	copts := []capsule.ExportOption{capsule.WithID(id)}
 	if pub.typ.Name != "" {

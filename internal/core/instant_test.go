@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,20 +15,52 @@ import (
 	"odp/internal/wire"
 )
 
-// countingClock counts the reads of the clock it wraps.
+// countingClock counts the reads of the clock it wraps that an
+// invocation's path makes: under a proxy's Call, or under a server's
+// dispatch. Left out are a janitor's first read, made whenever its
+// goroutine first runs, and the coalescer's: a frame queued behind a
+// write still in flight is stamped when queued and when flushed (its
+// flush delay), and a flush records its span, which happens only when a
+// writer is preempted mid-write — on a loaded host, not by the path's
+// design.
 type countingClock struct {
 	clock.Clock
 	reads atomic.Int64
 }
 
 func (c *countingClock) Now() time.Time {
-	c.reads.Add(1)
+	c.count()
 	return c.Clock.Now()
 }
 
 func (c *countingClock) Since(t time.Time) time.Duration {
-	c.reads.Add(1)
+	c.count()
 	return c.Clock.Since(t)
+}
+
+// count counts a read whose first caller outside this clock, the runtime
+// and the span collector is not the coalescer, made under Proxy.Call or
+// Server.run.
+func (c *countingClock) count() {
+	var pcs [64]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs[:])])
+	reader := ""
+	for more := true; more; {
+		var f runtime.Frame
+		f, more = frames.Next()
+		fn := f.Function
+		if reader == "" && !strings.HasPrefix(fn, "runtime.") &&
+			!strings.HasPrefix(fn, "odp/internal/core.(*countingClock)") && !strings.HasPrefix(fn, "odp/internal/obs.") {
+			reader = fn
+		}
+		if strings.HasPrefix(reader, "odp/internal/transport.") {
+			return
+		}
+		if fn == "odp/internal/core.(*Proxy).Call" || fn == "odp/internal/rpc.(*Server).run" {
+			c.reads.Add(1)
+			return
+		}
+	}
 }
 
 // waitFor polls cond until it holds; the timer is a watchdog that fires
@@ -61,11 +94,12 @@ func allMechanisms() Env {
 // TestOneInstantOnTheWovenPath: one signed interrogation of a
 // Managed+Secured+Leased+Recoverable object over the fabric, and its ack,
 // read the server's clock 3 times — the dispatch instant, which the
-// guard, the lease stamp and instrumentation's start share, the
-// dispatch latency's end and instrumentation's end — and the client's 3
-// times: the credential's stamp, the send stamp and the call latency.
-// Each mechanism reading its own instant made it 5 on the server (the
-// guard read the wall clock besides).
+// guard, the lease stamp and the Managed stage's start share, the
+// dispatch latency's end and the Managed stage's end — and the client's
+// 3 times: the credential's stamp, the send stamp and the call latency.
+// The unsampled mechanism stages read none. Each mechanism reading its
+// own instant made it 5 on the server (the guard read the wall clock
+// besides).
 func TestOneInstantOnTheWovenPath(t *testing.T) {
 	e := newCoreEnv(t)
 	sclk := &countingClock{Clock: clock.Real{}}

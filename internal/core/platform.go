@@ -86,12 +86,13 @@ type Platform struct {
 	// domain is the administrative-domain tag set by WithDomain; empty
 	// for untagged nodes.
 	domain string
-	// metricsMu guards what metrics reads besides the layers: the meter
-	// of each Managed metric prefix, which every object published under
-	// that prefix shares, and the extra contributors registered after
-	// construction (replica-group members, application subsystems).
+	// metricsMu guards what metrics reads besides the layers: the stage
+	// of each woven mechanism kind and of each Managed metric prefix,
+	// which every object's path shares, and the extra contributors
+	// registered after construction (replica-group members, application
+	// subsystems).
 	metricsMu    sync.Mutex
-	meters       map[string]*mgmt.Meter
+	stages       map[stageKey]*obs.Stage
 	statsSources []func(*obs.Metrics)
 	// published holds what Publish built for each movable object, so every
 	// later incarnation of it gets the same path (reweave). A record stays
@@ -264,7 +265,7 @@ func NewPlatform(name string, ep transport.Endpoint, opts ...Option) (*Platform,
 		Keys:      security.NewKeyring(),
 		Types:     types.NewManager(),
 		domain:    cfg.domain,
-		meters:    make(map[string]*mgmt.Meter),
+		stages:    make(map[stageKey]*obs.Stage),
 		published: make(map[string]*published),
 	}
 	var col *obs.Collector
@@ -377,22 +378,47 @@ func (p *Platform) AddStatsSource(fn func(*obs.Metrics)) {
 	p.metricsMu.Unlock()
 }
 
-// meter returns the meter of a Managed metric prefix, made on first use.
-func (p *Platform) meter(prefix string) *mgmt.Meter {
+// stageKey names one of the node's mechanism stages: a woven mechanism's
+// span kind, or a Managed metric prefix (kind "").
+type stageKey struct{ kind, prefix string }
+
+// stage wraps ic in the node's stage of key, made on first use and
+// shared by every object's path. A mechanism's stage opens its span under
+// the invocation's and hands its own inward; a Managed prefix's (ic nil)
+// has no span — its interval is the dispatch's or the bypass's — and is
+// timed from the dispatch instant.
+func (p *Platform) stage(key stageKey, ic capsule.Interceptor) capsule.Interceptor {
 	p.metricsMu.Lock()
-	defer p.metricsMu.Unlock()
-	m := p.meters[prefix]
-	if m == nil {
-		m = new(mgmt.Meter)
-		p.meters[prefix] = m
+	st := p.stages[key]
+	if st == nil {
+		st = new(obs.Stage)
+		st.Init(key.kind, p.Observer(), p.Clock(), ic == nil)
+		p.stages[key] = st
 	}
-	return m
+	p.metricsMu.Unlock()
+	return func(next capsule.Link) capsule.Link {
+		if ic != nil {
+			next = ic(next)
+		}
+		return func(ctx context.Context, inv capsule.Invocation) (string, []wire.Value, error) {
+			at := inv.At
+			if ic != nil {
+				at = time.Time{} // a mechanism's span starts where it is entered
+			}
+			ctx, step := st.Begin(ctx, inv.Span, inv.Op, at)
+			inv.Span = step.Span
+			outcome, results, err := next(ctx, inv)
+			st.End(step, err)
+			return outcome, results, err
+		}
+	}
 }
 
 // metrics assembles the node's typed snapshot, which Gather exports and
 // the recorder samples: every layer's stats folded by obs.Fold, the
-// channel stages' latency histograms, the Managed objects' meters under
-// "registry." and whatever the registered sources add.
+// channel stages' latency histograms, the woven mechanisms' stages under
+// their kinds, the Managed prefixes' under "registry." and whatever the
+// registered sources add. A stage appears once it has counted a call.
 func (p *Platform) metrics() *obs.Metrics {
 	m := obs.NewMetrics()
 	obs.Fold(m, "rpc.client", p.Capsule.Client().Stats())
@@ -414,8 +440,18 @@ func (p *Platform) metrics() *obs.Metrics {
 		}
 	}
 	p.metricsMu.Lock()
-	for prefix, meter := range p.meters {
-		meter.Fold(m, prefix)
+	for key, st := range p.stages {
+		switch n := st.Stats(); {
+		case n.Calls == 0:
+		case key.kind != "":
+			obs.Fold(m, key.kind, n)
+		default:
+			m.Counters["registry.c."+key.prefix+".calls"] = n.Calls
+			m.Gauges["registry.g."+key.prefix+".last_us"] = float64(st.LastUs())
+			if n.Errors > 0 {
+				m.Counters["registry.c."+key.prefix+".errors"] = n.Errors
+			}
+		}
 	}
 	sources := p.statsSources
 	p.metricsMu.Unlock()

@@ -7,14 +7,14 @@
 // identification of management interfaces for monitoring transparency
 // mechanisms and changing transparency parameters."
 //
-// Instrument wraps any servant so its invocation counts, failures and
-// latencies land in a Meter — three atomics, no lock on the call path —
-// which the platform exports with every other number the node keeps;
-// Agent serves that export, the event Registry and tunable parameters
-// as an ordinary ODP interface, so the management interface is itself
-// managed by the same machinery it monitors. Parameters registered with
-// the agent let operators retune transparency mechanisms (heartbeat
-// rates, lease lifetimes, ...) at run time.
+// What is monitored is counted where it happens: every step on an access
+// path, a Managed object's included, is an obs.Stage, and the platform
+// exports its counters with every other number the node keeps. Agent
+// serves that export, the event Registry and tunable parameters as an
+// ordinary ODP interface, so the management interface is itself managed
+// by the same machinery it monitors. Parameters registered with the
+// agent let operators retune transparency mechanisms (heartbeat rates,
+// lease lifetimes, ...) at run time.
 package mgmt
 
 import (
@@ -23,12 +23,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"odp/internal/capsule"
 	"odp/internal/clock"
-	"odp/internal/obs"
 	"odp/internal/wire"
 )
 
@@ -71,50 +69,6 @@ func (r *Registry) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
-}
-
-// Meter is one metric prefix's traffic: calls, errors and the last
-// dispatch latency in microseconds, from the invocation's dispatch
-// instant to the end of its path. Every servant instrumented with one
-// meter counts into it; the zero value is ready to use.
-type Meter struct {
-	calls, errors atomic.Uint64
-	lastUs        atomic.Int64
-}
-
-// Instrument wraps a dispatch path so its traffic feeds m. The latency
-// starts at the invocation's dispatch instant; only its end reads clk.
-func Instrument(m *Meter, clk clock.Clock) capsule.Interceptor {
-	return func(next capsule.Link) capsule.Link {
-		return func(ctx context.Context, inv capsule.Invocation) (string, []wire.Value, error) {
-			outcome, results, err := next(ctx, inv)
-			// Latency and errors land before the call count, so a Fold that
-			// sees a call sees its latency.
-			m.lastUs.Store(clk.Since(inv.At).Microseconds())
-			if err != nil {
-				m.errors.Add(1)
-			}
-			m.calls.Add(1)
-			return outcome, results, err
-		}
-	}
-}
-
-// Fold adds the meter to ms under prefix: the counters
-// "registry.c.<prefix>.calls" and "registry.c.<prefix>.errors" and the
-// gauge "registry.g.<prefix>.last_us". A key appears once it has a value
-// to show — calls and last_us from the first call, errors from the
-// first error.
-func (m *Meter) Fold(ms *obs.Metrics, prefix string) {
-	calls := m.calls.Load()
-	if calls == 0 {
-		return
-	}
-	ms.Counters["registry.c."+prefix+".calls"] = calls
-	ms.Gauges["registry.g."+prefix+".last_us"] = float64(m.lastUs.Load())
-	if errs := m.errors.Load(); errs > 0 {
-		ms.Counters["registry.c."+prefix+".errors"] = errs
-	}
 }
 
 // Param is a runtime-tunable parameter: a transparency mechanism exposes

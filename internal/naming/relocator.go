@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"odp/internal/capsule"
-	"odp/internal/clock"
 	"odp/internal/obs"
 	"odp/internal/rpc"
 	"odp/internal/types"
@@ -105,16 +105,15 @@ type Binder struct {
 	mu    sync.RWMutex
 	cache map[string]wire.Ref
 
-	// obs is the capsule's span collector, nil when untraced: the binder
-	// roots invocation traces (see root) and records resolve spans.
-	obs *obs.Collector
-	// clk is the capsule's clock; it stamps the resolve latency histogram.
-	clk clock.Clock
-
-	// resolveLat is the relocator-consultation latency distribution:
-	// how long location transparency stalls an invocation when the
-	// direct path fails.
-	resolveLat obs.Histogram
+	// stub is the stage that brackets a top-level invocation of either
+	// kind, relocation retries included: on a traced node it roots the
+	// trace, and a nested invocation (ctx carries a span) joins its
+	// caller's tree.
+	stub obs.Stage
+	// resolve is the relocator-consultation stage, timed on every
+	// consultation: how long location transparency stalls an invocation
+	// when the direct path fails.
+	resolve obs.Stage
 }
 
 // BinderStats counts binder events for the scaling experiment E7.
@@ -127,13 +126,14 @@ type BinderStats struct {
 // NewBinder creates a binder that resolves through the relocation service
 // at relocator.
 func NewBinder(c *capsule.Capsule, relocator wire.Ref) *Binder {
-	return &Binder{
+	b := &Binder{
 		capsule:   c,
 		relocator: relocator,
 		cache:     make(map[string]wire.Ref),
-		obs:       c.Observer(),
-		clk:       c.Clock(),
 	}
+	b.stub.Init(obs.KindStub, c.Observer(), c.Clock(), false)
+	b.resolve.Init(obs.KindResolve, c.Observer(), c.Clock(), true)
+	return b
 }
 
 // Stats returns a snapshot of binder counters.
@@ -141,7 +141,7 @@ func (b *Binder) Stats() BinderStats { return obs.Load(&b.stats) }
 
 // ResolveLatency snapshots the relocator-consultation latency histogram.
 func (b *Binder) ResolveLatency() obs.HistogramSnapshot {
-	return b.resolveLat.Snapshot()
+	return b.resolve.Latency()
 }
 
 // Invoke performs an interrogation with relocation recovery.
@@ -152,39 +152,19 @@ func (b *Binder) Invoke(ctx context.Context, ref wire.Ref, op string, args []wir
 // InvokeWith is Invoke with a pre-resolved configuration.
 func (b *Binder) InvokeWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg capsule.InvokeConfig) (string, []wire.Value, error) {
 	atomic.AddUint64(&b.stats.Invocations, 1)
-	var root *obs.Span
-	if b.obs != nil {
-		ctx, root = b.root(ctx, op)
-	}
+	ctx, st := b.stub.Begin(ctx, obs.SpanContext{}, op, time.Time{})
 	outcome, results, err := b.invokeWith(ctx, ref, op, args, cfg)
-	b.obs.End(root)
+	b.stub.End(st, err)
 	return outcome, results, err
 }
 
 // AnnounceWith performs a request-only invocation on ref (§5.1). It skips
 // the relocation cache: the node an object left re-announces to its forward.
 func (b *Binder) AnnounceWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg capsule.InvokeConfig) error {
-	var root *obs.Span
-	if b.obs != nil {
-		ctx, root = b.root(ctx, op)
-	}
+	ctx, st := b.stub.Begin(ctx, obs.SpanContext{}, op, time.Time{})
 	err := b.capsule.AnnounceCtxWith(ctx, ref, op, args, cfg)
-	b.obs.End(root)
+	b.stub.End(st, err)
 	return err
-}
-
-// root begins the stub span that brackets a top-level invocation of
-// either kind, relocation retries included; a nested one (ctx carries a
-// span) joins its caller's tree. Callers test b.obs, so untraced is free.
-func (b *Binder) root(ctx context.Context, op string) (context.Context, *obs.Span) {
-	if obs.FromContext(ctx).Valid() {
-		return ctx, nil
-	}
-	sp := b.obs.Begin(obs.KindStub, op)
-	if sp != nil {
-		ctx = obs.ContextWith(ctx, sp.Context())
-	}
-	return ctx, sp
 }
 
 func (b *Binder) invokeWith(ctx context.Context, ref wire.Ref, op string, args []wire.Value, cfg capsule.InvokeConfig) (string, []wire.Value, error) {
@@ -203,7 +183,7 @@ func (b *Binder) invokeWith(ctx context.Context, ref wire.Ref, op string, args [
 		return outcome, results, err
 	}
 
-	fresh, rerr := b.resolve(ctx, ref.ID)
+	fresh, rerr := b.relocate(ctx, ref.ID)
 	if rerr != nil {
 		return "", nil, fmt.Errorf("naming: invoke failed (%v) and relocation failed: %w", err, rerr)
 	}
@@ -213,22 +193,15 @@ func (b *Binder) invokeWith(ctx context.Context, ref wire.Ref, op string, args [
 	return b.capsule.InvokeWith(ctx, fresh, op, args, cfg)
 }
 
-// resolve asks the relocation service for the current reference. The
+// relocate asks the relocation service for the current reference. The
 // resolve span parents under the stub (via ctx), so a trace shows the
 // relocation an invocation needed — including the nested lookup's own
 // send/dispatch spans beneath it.
-func (b *Binder) resolve(ctx context.Context, id string) (wire.Ref, error) {
+func (b *Binder) relocate(ctx context.Context, id string) (wire.Ref, error) {
 	atomic.AddUint64(&b.stats.Relocations, 1)
-	began := b.clk.Now()
-	defer func() { b.resolveLat.Observe(b.clk.Since(began)) }()
-	var sp *obs.Span
-	if b.obs != nil {
-		if sp = b.obs.BeginChild(obs.FromContext(ctx), obs.KindResolve, id); sp != nil {
-			ctx = obs.ContextWith(ctx, sp.Context())
-		}
-	}
-	defer b.obs.End(sp)
+	ctx, st := b.resolve.Begin(ctx, obs.SpanContext{}, id, time.Time{})
 	outcome, results, err := b.capsule.Invoke(ctx, b.relocator, "lookup", []wire.Value{id})
+	b.resolve.End(st, err)
 	if err != nil {
 		return wire.Ref{}, err
 	}

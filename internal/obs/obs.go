@@ -6,11 +6,13 @@
 // a first-class function (§7). This package is the measurement substrate
 // for both: a Collector records spans emitted by the channel objects an
 // invocation actually traversed — stub, binder resolve, protocol
-// send/retransmit/ack, coalescer flush, server dispatch, and the
-// co-located bypass — so a test or an operator can *see* which
-// transparency path ran, and a node's metrics — every per-layer stats
-// struct (Fold), every latency histogram — meet in one typed Metrics
-// snapshot that exports one management-interface namespace.
+// send/retransmit/ack, coalescer flush, server dispatch, the co-located
+// bypass and each woven mechanism — so a test or an operator can *see*
+// which transparency path ran, and a node's metrics — every per-layer
+// stats struct (Fold), every latency histogram — meet in one typed
+// Metrics snapshot that exports one management-interface namespace.
+// Every step on the access path reports through one Stage: its span,
+// its counters and, when timed, its histogram.
 //
 // Tracing is one more channel function, installed like any transparency
 // interceptor, and it obeys the platform's hot-path discipline:
@@ -64,6 +66,13 @@ const (
 	// KindFlush covers one coalescer batch write (infrastructure span:
 	// it belongs to no invocation trace).
 	KindFlush = "coalescer.flush"
+	// KindGuard, KindLease, KindGate and KindRecovery are the woven
+	// mechanisms' stages, nested in weave order under the dispatch or the
+	// bypass; a call held during a move is the gate's self time.
+	KindGuard    = "security.guard"
+	KindLease    = "gc.lease"
+	KindGate     = "migrate.gate"
+	KindRecovery = "migrate.recovery"
 )
 
 // SpanContext is the propagated identity of a live span: enough for a
@@ -226,29 +235,7 @@ func (c *Collector) nextSpanID() uint64 {
 // downstream layer then sees an invalid SpanContext and stays silent at
 // zero cost. The caller must pass the result to End on every return path.
 func (c *Collector) Begin(kind, name string) *Span {
-	if c == nil {
-		return nil
-	}
-	every := c.every.Load()
-	if every == 0 {
-		return nil
-	}
-	n := atomic.AddUint64(&c.stats.Roots, 1)
-	if every > 1 && (n-1)%every != 0 {
-		return nil
-	}
-	atomic.AddUint64(&c.stats.Sampled, 1)
-	sp := c.pool.Get().(*Span)
-	id := c.nextSpanID()
-	*sp = Span{
-		TraceID: id,
-		SpanID:  id,
-		Kind:    kind,
-		Name:    name,
-		Node:    c.node,
-		Start:   c.clk.Now(),
-	}
-	return sp
+	return c.mint(SpanContext{}, kind, name, time.Time{})
 }
 
 // BeginChild starts a span under parent. It returns nil when the
@@ -256,18 +243,37 @@ func (c *Collector) Begin(kind, name string) *Span {
 // sampled), so child layers never originate traces of their own. The
 // caller must pass the result to End on every return path.
 func (c *Collector) BeginChild(parent SpanContext, kind, name string) *Span {
-	if c == nil || !parent.Valid() {
+	if !parent.Valid() {
 		return nil
 	}
+	return c.mint(parent, kind, name, time.Time{})
+}
+
+// mint starts a span under parent, or a root subject to the sampling
+// knob when parent is invalid, at the instant at; a zero at is read from
+// the clock once the span is sure to exist.
+func (c *Collector) mint(parent SpanContext, kind, name string, at time.Time) *Span {
+	if c == nil {
+		return nil
+	}
+	if !parent.Valid() {
+		every := c.every.Load()
+		if every == 0 {
+			return nil
+		}
+		n := atomic.AddUint64(&c.stats.Roots, 1)
+		if every > 1 && (n-1)%every != 0 {
+			return nil
+		}
+		atomic.AddUint64(&c.stats.Sampled, 1)
+	}
+	if at.IsZero() {
+		at = c.clk.Now()
+	}
 	sp := c.pool.Get().(*Span)
-	*sp = Span{
-		TraceID:  parent.TraceID,
-		SpanID:   c.nextSpanID(),
-		ParentID: parent.SpanID,
-		Kind:     kind,
-		Name:     name,
-		Node:     c.node,
-		Start:    c.clk.Now(),
+	*sp = Span{SpanID: c.nextSpanID(), ParentID: parent.SpanID, Kind: kind, Name: name, Node: c.node, Start: at}
+	if sp.TraceID = parent.TraceID; sp.TraceID == 0 {
+		sp.TraceID = sp.SpanID
 	}
 	return sp
 }
@@ -276,11 +282,19 @@ func (c *Collector) BeginChild(parent SpanContext, kind, name string) *Span {
 // and returns the span to the pool. Nil-safe (ending an unsampled span
 // is free), so call sites need no branches.
 func (c *Collector) End(sp *Span) {
-	if c == nil || sp == nil {
-		return
+	if c != nil && sp != nil {
+		c.endAt(sp, c.clk.Now())
 	}
-	sp.End = c.clk.Now()
-	c.commit(*sp)
+}
+
+// endAt completes sp at the instant end: a copy goes to the ring, sp
+// back to the pool.
+func (c *Collector) endAt(sp *Span, end time.Time) {
+	sp.End = end
+	c.mu.Lock()
+	c.ring.push(*sp)
+	atomic.AddUint64(&c.stats.Recorded, 1)
+	c.mu.Unlock()
 	*sp = Span{}
 	c.pool.Put(sp)
 }
@@ -289,27 +303,9 @@ func (c *Collector) End(sp *Span) {
 // ack): Begin and End collapsed into one ring commit, nothing to leak.
 // No-op when the collector is nil or the parent is invalid.
 func (c *Collector) Event(parent SpanContext, kind, name string) {
-	if c == nil || !parent.Valid() {
-		return
+	if sp := c.BeginChild(parent, kind, name); sp != nil {
+		c.endAt(sp, sp.Start)
 	}
-	now := c.clk.Now()
-	c.commit(Span{
-		TraceID:  parent.TraceID,
-		SpanID:   c.nextSpanID(),
-		ParentID: parent.SpanID,
-		Kind:     kind,
-		Name:     name,
-		Node:     c.node,
-		Start:    now,
-		End:      now,
-	})
-}
-
-func (c *Collector) commit(s Span) {
-	c.mu.Lock()
-	c.ring.push(s)
-	atomic.AddUint64(&c.stats.Recorded, 1)
-	c.mu.Unlock()
 }
 
 // Snapshot returns the retained spans, oldest first.

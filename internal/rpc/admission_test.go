@@ -174,14 +174,25 @@ func TestAdmissionBusyReplyNotCached(t *testing.T) {
 	}
 	drain, request := mkRequest(6), mkRequest(7)
 
+	// A reply that finds the previous reply's write still in flight is
+	// queued for the flusher, which waits for the end of the server's
+	// instant: on the frozen clock that comes only by an Advance, so the
+	// wait ends the instant, without moving time, while it waits.
 	wait := func(label string) replyBody {
 		t.Helper()
-		select {
-		case rb := <-replies:
-			return rb
-		case <-time.After(2 * time.Second):
-			t.Fatalf("%s: no reply", label)
-			return replyBody{}
+		deadline := time.After(2 * time.Second)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case rb := <-replies:
+				return rb
+			case <-tick.C:
+				fc.Advance(0)
+			case <-deadline:
+				t.Fatalf("%s: no reply", label)
+				return replyBody{}
+			}
 		}
 	}
 	if err := rep.Send("server", drain); err != nil {

@@ -35,6 +35,9 @@ type Incoming struct {
 	// dispatch latency runs from: the handler's layers read it instead
 	// of the clock.
 	At time.Time
+	// Span is the dispatch span's context, zero when the call is
+	// unsampled: the handler's layers open their spans under it.
+	Span obs.SpanContext
 }
 
 // Handler executes one invocation. Returning a nil error delivers
@@ -218,10 +221,10 @@ type Server struct {
 	// they claim a call-table slot. Nil means every invocation admitted.
 	admission *AdmissionConfig
 
-	// dispatchLat is the handler-execution latency distribution,
-	// recorded for every request and announcement. Always on: one
-	// atomic increment per dispatch.
-	dispatchLat obs.Histogram
+	// dispatch is the handler-execution stage, timed for every request
+	// and announcement: its histogram is the dispatch latency, and its
+	// span, on a sampled request, parents the handler's.
+	dispatch obs.Stage
 }
 
 // serverCall tracks one at-most-once execution slot. The executing
@@ -281,6 +284,7 @@ func newServerNoHandler(ep transport.Batcher, codec wire.Codec, handler Handler,
 		clk:      ep.Clock(),
 		obs:      ep.Observer(),
 	}
+	s.dispatch.Init(obs.KindDispatch, s.obs, s.clk, true)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	cd, ok := ep.(transport.ConcurrentDeliverer)
 	if s.inline = ok && cd.DeliversConcurrently(); !s.inline {
@@ -299,7 +303,7 @@ func (s *Server) Stats() ServerStats { return obs.Load(&s.stats) }
 
 // DispatchLatency snapshots the handler-execution latency histogram.
 func (s *Server) DispatchLatency() obs.HistogramSnapshot {
-	return s.dispatchLat.Snapshot()
+	return s.dispatch.Latency()
 }
 
 // Close stops the server and waits for running handlers.
@@ -556,17 +560,10 @@ func (s *Server) run(c *call) {
 		// request adds a dispatch span under the wire context and hands
 		// its own context to the handler, so nested invocations the
 		// servant makes join the caller's tree.
-		ctx := s.ctx
-		var sp *obs.Span
-		if s.obs != nil {
-			if sp = s.obs.BeginChild(c.trace, obs.KindDispatch, c.in.Op); sp != nil {
-				ctx = obs.ContextWith(ctx, sp.Context())
-			}
-		}
-		c.in.At = s.clk.Now()
+		ctx, st := s.dispatch.Begin(s.ctx, c.trace, c.in.Op, time.Time{})
+		c.in.At, c.in.Span = st.At, st.Span
 		outcome, results, err = s.handler(ctx, &c.in)
-		s.dispatchLat.Observe(s.clk.Since(c.in.At))
-		s.obs.End(sp)
+		s.dispatch.End(st, err)
 	}
 	if c.sc != nil { // announcements have nothing to report, by design
 		s.reply(c, outcome, results, err)
