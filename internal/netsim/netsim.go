@@ -19,7 +19,6 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -467,30 +466,7 @@ func (f *Fabric) send(from, to string, pkt []byte) error {
 		return transport.ErrTooLarge
 	}
 	cpp := pktPool.Get().(*[]byte)
-	return f.post(from, to, cpp, append((*cpp)[:0], pkt...))
-}
-
-// sendVec routes one packet supplied as segments, gathering them
-// directly into the single pooled in-flight copy the fabric makes
-// anyway — the datagram is never materialised twice.
-func (f *Fabric) sendVec(from, to string, segs net.Buffers) error {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	if total > transport.MaxPacket {
-		return transport.ErrTooLarge
-	}
-	cpp := pktPool.Get().(*[]byte)
-	cp := (*cpp)[:0]
-	for _, s := range segs {
-		cp = append(cp, s...)
-	}
-	return f.post(from, to, cpp, cp)
-}
-
-// post routes the packet copy cp and schedules its delivery.
-func (f *Fabric) post(from, to string, cpp *[]byte, cp []byte) error {
+	cp := append((*cpp)[:0], pkt...)
 	dst, gen, delay, err := f.route(from, to, cp)
 	if dst == nil {
 		putPkt(cpp, cp)
@@ -563,7 +539,6 @@ type endpoint struct {
 
 var (
 	_ transport.Endpoint            = (*endpoint)(nil)
-	_ transport.VecSender           = (*endpoint)(nil)
 	_ transport.ConcurrentDeliverer = (*endpoint)(nil)
 )
 
@@ -576,14 +551,6 @@ func (e *endpoint) Send(to string, pkt []byte) error {
 		return transport.ErrClosed
 	}
 	return e.fabric.send(e.addr, to, pkt)
-}
-
-// SendVec implements transport.VecSender; see Fabric.sendVec.
-func (e *endpoint) SendVec(to string, segs net.Buffers) error {
-	if e.closed.Load() {
-		return transport.ErrClosed
-	}
-	return e.fabric.sendVec(e.addr, to, segs)
 }
 
 // DeliversConcurrently implements transport.ConcurrentDeliverer: every

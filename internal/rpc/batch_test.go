@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -422,4 +423,74 @@ func TestSerialCallerBesideParkedCall(t *testing.T) {
 	if n := aco.BatchStats().Overflows + bco.BatchStats().Overflows; n != 0 {
 		t.Errorf("%d frames dropped from a full queue", n)
 	}
+}
+
+// TestEmptyAckCheckStrandsNothing: a send that finds no ack queued skips
+// the ack lock. Replies are delivered, their acks queued, while the
+// other callers transmit to the same server, so the lock-free check
+// races the queueing. An ack queued while the count reads 0 would be
+// left behind by every send until the next ack: a watcher looks for that
+// state under the lock while the calls run. After them, the next send
+// carries every queued ack, the server's live rows shrink to the one call
+// whose ack is still to come, and Close carries that one.
+func TestEmptyAckCheckStrandsNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, cli, mkServer := setup(t)
+	srv := mkServer(func(context.Context, *Incoming) (string, []wire.Value, error) {
+		return "ok", nil, nil
+	})
+	call := func() error {
+		_, _, err := cli.Call(context.Background(), "server", "obj", "get", nil, QoS{Timeout: 5 * time.Second})
+		return err
+	}
+	var (
+		stop, watched atomic.Bool
+		stranded      atomic.Int64
+		wg            sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			cli.ackMu.Lock()
+			if cli.nacks.Load() == 0 && len(cli.acks) > 0 {
+				stranded.Add(1)
+			}
+			cli.ackMu.Unlock()
+			watched.Store(true)
+		}
+	}()
+	const callers, calls = 8, 2000
+	var callersWG sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		callersWG.Add(1)
+		go func() {
+			defer callersWG.Done()
+			for i := 0; i < calls; i++ {
+				if err := call(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	callersWG.Wait()
+	stop.Store(true)
+	wg.Wait()
+	if !watched.Load() {
+		t.Fatal("the watcher never ran")
+	}
+	if n := stranded.Load(); n > 0 {
+		t.Fatalf("%d times an ack sat queued while the count read 0: sends skipped it", n)
+	}
+	if err := call(); err != nil { // the next send
+		t.Fatal(err)
+	}
+	// The fabric keeps no order between datagrams: an ack that left just
+	// before the request may land just after it.
+	pollUntil(t, "every ack but the last call's at the server", func() bool { return peerState(srv, "client").liveRows == 1 })
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "Close's ack at the server", func() bool { return peerState(srv, "client").liveRows == 0 })
 }

@@ -139,7 +139,8 @@ type Client struct {
 	sharing     // active: calls between entry and return
 	ackMu       sync.Mutex
 	acks        []pendingAck
-	ackFlushing bool // the ackFlushBound flush is waiting for its instant to end
+	nacks       atomic.Int32 // len(acks), stored under ackMu and read without it
+	ackFlushing bool         // the ackFlushBound flush is waiting for its instant to end
 
 	// obs, the node's span collector (ep's), records protocol-layer
 	// spans (send, retransmit, ack, announce) under the span context
@@ -478,6 +479,7 @@ func (s *sharing) sendShared(ep transport.Batcher, to string, pkt []byte) error 
 func (c *Client) noteAck(dest string, id uint64) {
 	c.ackMu.Lock()
 	c.acks = append(c.acks, pendingAck{dest: dest, id: id})
+	c.nacks.Store(int32(len(c.acks)))
 	flush := len(c.acks) >= ackFlushBound && !c.ackFlushing
 	c.ackFlushing = c.ackFlushing || flush
 	c.ackMu.Unlock()
@@ -492,8 +494,14 @@ func (c *Client) noteAck(dest string, id uint64) {
 
 // flushAcks sends deferred acks for dest (all destinations when dest is
 // empty). Callers invoke it immediately before a substantive send, so
-// the flushed acks and that send coalesce into one batch.
+// the flushed acks and that send coalesce into one batch. A send finding
+// no ack queued takes no lock: the count is kept under ackMu, so reading
+// 0 without it reads the queue as taking the lock a moment earlier
+// would, and an ack queued since is the next send's.
 func (c *Client) flushAcks(dest string) {
+	if dest != "" && c.nacks.Load() == 0 {
+		return
+	}
 	c.ackMu.Lock()
 	c.ackFlushing = c.ackFlushing && dest != "" // a full flush is what the bound waits for
 	if len(c.acks) == 0 {
@@ -516,6 +524,7 @@ func (c *Client) flushAcks(dest string) {
 		}
 		c.acks = kept
 	}
+	c.nacks.Store(int32(len(c.acks)))
 	c.ackMu.Unlock()
 	for _, a := range take {
 		c.sendAck(a.dest, a.id)

@@ -43,7 +43,7 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
-	"net"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,9 +135,13 @@ type Coalescer struct {
 
 	handler atomic.Value // Handler
 
+	// peers is read on every send without a lock: a snapshot replaced,
+	// never changed, by the first send to a new destination. mu is taken
+	// only to add a peer or to close, so a peer is never added after
+	// Close has started waiting for the flushers.
+	peers  atomic.Pointer[map[string]*batchPeer]
+	closed atomic.Bool
 	mu     sync.Mutex
-	peers  map[string]*batchPeer
-	closed bool
 	stop   chan struct{}
 	wg     sync.WaitGroup
 
@@ -155,8 +159,6 @@ type Coalescer struct {
 	// it held for its end (see unpacking). In virtual time deliveries are
 	// handed off, nothing blocks one, and batches unpack unwatched.
 	watched bool
-	// lastFrom is the peer the latest batch came from, found without mu.
-	lastFrom atomic.Pointer[batchPeer]
 }
 
 // Batcher is implemented by endpoints that coalesce outgoing frames
@@ -204,9 +206,9 @@ func NewCoalescer(ep Endpoint, clk clock.Clock, col *obs.Collector, opts ...Coal
 		clk:          clk,
 		obs:          col,
 		pendingLimit: defaultPendingLimit,
-		peers:        make(map[string]*batchPeer),
 		stop:         make(chan struct{}),
 	}
+	c.peers.Store(new(map[string]*batchPeer))
 	for _, o := range opts {
 		o(c)
 	}
@@ -226,23 +228,22 @@ func NewCoalescer(ep Endpoint, clk clock.Clock, col *obs.Collector, opts ...Coal
 }
 
 // batchPeer is the per-destination coalescing state. The batch under
-// construction is a list of per-frame segments — each one pooled and
-// already carrying its sub-frame length prefix — rather than one
-// contiguous buffer: a frame is framed exactly once, at enqueue, and
-// the whole batch goes to the inner endpoint as a segment vector
-// (writev via VecSender) without ever being recopied.
+// construction is one contiguous buffer: room for the batch header, then
+// each frame copied in behind its length prefix as it is queued. A claim
+// fills in the header and the buffer goes to the inner endpoint as it
+// stands, in one Send. Two buffers take turns — one being written, one
+// filling — so a peer's steady-state sends allocate nothing.
 type batchPeer struct {
 	c    *Coalescer
 	dest string
 
 	mu       sync.Mutex
-	segs     []*[]byte // queued sub-frames, each [u32 len][bytes], pooled
-	bytes    int       // queued bytes across segs (excluding the batch header)
-	count    int       // sub-frames queued
+	buf      []byte    // the batch being built: header room, then count × [u32 len][frame]
+	spare    []byte    // the buffer last written, kept for the next batch
+	count    int       // sub-frames queued in buf
 	firstAt  time.Time // when the first frame queued behind a write in flight
 	timed    bool      // firstAt is set for the queued batch
 	inFlight bool      // a claimed write is in progress; queue behind it
-	spare    []*[]byte // recycled seg-slice header, ping-ponged with segs
 
 	// held counts the batches from this peer being delivered with frames
 	// still to come: the end of each writes what queued meanwhile, so
@@ -257,25 +258,8 @@ type batchPeer struct {
 	// write's end writes what was held for it, not the flusher.
 	owed bool
 
-	// Write-path scratch, owned by whichever goroutine holds the
-	// inFlight token (never touched under mu).
-	hdr    [batchHdrLen]byte
-	vec    net.Buffers
-	gather []byte // contiguous fallback when the inner endpoint lacks SendVec
-
 	wake chan struct{} // 1-buffered flusher doorbell
 }
-
-// segPool recycles per-frame segment buffers.
-var segPool = sync.Pool{
-	New: func() interface{} {
-		b := make([]byte, 0, 512)
-		return &b
-	},
-}
-
-// maxPooledSeg bounds retained segment capacity.
-const maxPooledSeg = 64 << 10
 
 // Addr implements Endpoint.
 func (c *Coalescer) Addr() string { return c.inner.Addr() }
@@ -362,14 +346,14 @@ func (c *Coalescer) send(to string, pkt []byte, mode int) error {
 	// The wire is free. A full queue is written rather than dropped from
 	// — queued is never lossier than direct — and pkt, alone in the
 	// emptied queue, follows with the flusher.
-	segs, n := p.claimLocked()
+	batch, n := p.claimLocked()
 	if !queued {
 		p.enqueueLocked(pkt)
 	}
 	p.mu.Unlock()
 	atomic.AddUint64(&c.stats.DirectFlushes, 1)
-	p.writeSegs(segs, n)
-	p.finishWrite(segs)
+	p.writeBatch(batch, n)
+	p.finishWrite(batch)
 	return nil
 }
 
@@ -382,11 +366,10 @@ func (c *Coalescer) DeliversConcurrently() bool { return c.watched }
 // inner endpoint.
 func (c *Coalescer) Close() error {
 	c.mu.Lock()
-	if c.closed {
+	if c.closed.Swap(true) {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
 	c.mu.Unlock()
 	close(c.stop)
 	c.wg.Wait()
@@ -407,21 +390,39 @@ func (c *Coalescer) FlushDelay() obs.HistogramSnapshot {
 // caller stops waiting on it.
 func (c *Coalescer) PeerBatching(string) bool { return true }
 
-// peer returns the state for addr, or nil if the coalescer is closed. The
-// first send to addr creates the record and starts its flusher.
+// peer returns the state for addr, or nil if the coalescer is closed. A
+// known peer is found in the snapshot, without a lock; the first send to
+// addr creates the record and starts its flusher.
 func (c *Coalescer) peer(addr string) *batchPeer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return nil
 	}
-	p := c.peers[addr]
+	if p := (*c.peers.Load())[addr]; p != nil {
+		return p
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		return nil
+	}
+	p := (*c.peers.Load())[addr]
 	if p == nil {
-		p = &batchPeer{c: c, dest: addr, wake: make(chan struct{}, 1)}
-		c.peers[addr] = p
+		p = c.addPeerLocked(addr)
 		c.wg.Add(1)
 		go p.flusher()
 	}
+	return p
+}
+
+// addPeerLocked publishes a record for addr in a copy of the peer table.
+// Caller holds c.mu.
+func (c *Coalescer) addPeerLocked(addr string) *batchPeer {
+	p := &batchPeer{c: c, dest: addr, wake: make(chan struct{}, 1)}
+	old := *c.peers.Load()
+	peers := make(map[string]*batchPeer, len(old)+1)
+	maps.Copy(peers, old)
+	peers[addr] = p
+	c.peers.Store(&peers)
 	return p
 }
 
@@ -444,7 +445,7 @@ func (c *Coalescer) demux(from string, pkt []byte) {
 		return
 	}
 	if c.watched && n > 1 {
-		if p := c.sender(from); p != nil {
+		if p := c.peer(from); p != nil {
 			u := newUnpacking()
 			u.start(p, h, from)
 			u.deliver(pkt[batchHdrLen:], n)
@@ -472,7 +473,7 @@ func (c *Coalescer) deliverOn(u *unpacking, from string, pkt []byte) bool {
 	case n == 1:
 		return u.deliverOne(h, from, pkt[batchHdrLen+subHdrLen:])
 	}
-	p := c.sender(from)
+	p := c.peer(from)
 	if p == nil { // closed: nothing holds replies
 		deliverBatch(pkt, func(sub []byte) { h(from, sub) })
 		return true
@@ -495,17 +496,6 @@ func (c *Coalescer) frames(pkt []byte) int {
 	atomic.AddUint64(&c.stats.BatchesReceived, 1)
 	atomic.AddUint64(&c.stats.FramesUnpacked, uint64(n))
 	return n
-}
-
-// sender returns the record of the peer a batch came from: the latest
-// batch's, without taking mu, while the batches come from one peer.
-func (c *Coalescer) sender(from string) *batchPeer {
-	if p := c.lastFrom.Load(); p != nil && p.dest == from {
-		return p
-	}
-	p := c.peer(from)
-	c.lastFrom.Store(p)
-	return p
 }
 
 // unpacking is the delivery of one batch under a stall watch: the frames
@@ -607,26 +597,22 @@ func (u *unpacking) handOff() {
 	}()
 }
 
-// enqueueLocked frames pkt into a pooled segment and queues it for the
-// destination. It reports false when the pending limit would be
+// enqueueLocked appends pkt, behind its length prefix, to the batch
+// being built for the destination; a batch's first frame starts it with
+// room for the header. It reports false when the pending limit would be
 // exceeded (best-effort semantics; the rpc layer's retransmission
 // recovers interrogations). Caller holds p.mu.
 func (p *batchPeer) enqueueLocked(pkt []byte) bool {
-	if batchHdrLen+p.bytes+subHdrLen+len(pkt) > p.c.pendingLimit {
-		return false
+	if p.count == 0 {
+		p.buf = append(p.buf[:0], batchMagic, batchKind, batchVersion, 0, 0, 0, 0)
 	}
-	sp := segPool.Get().(*[]byte)
-	var lb [subHdrLen]byte
-	binary.BigEndian.PutUint32(lb[:], uint32(len(pkt)))
-	*sp = append(append((*sp)[:0], lb[:]...), pkt...)
-	if p.count == 0 && p.segs == nil {
-		p.segs, p.spare = p.spare, nil
+	if len(p.buf)+subHdrLen+len(pkt) > p.c.pendingLimit {
+		return false
 	}
 	if p.inFlight && !p.timed {
 		p.firstAt, p.timed = p.c.clk.Now(), true
 	}
-	p.segs = append(p.segs, sp)
-	p.bytes += subHdrLen + len(pkt)
+	p.buf = append(binary.BigEndian.AppendUint32(p.buf, uint32(len(pkt))), pkt...)
 	p.count++
 	if !p.queued.Load() { // a store only for a queue's first frame
 		p.queued.Store(true)
@@ -634,23 +620,25 @@ func (p *batchPeer) enqueueLocked(pkt []byte) bool {
 	return true
 }
 
-// claimLocked takes ownership of the queued segments and the inFlight
-// write token. Caller holds p.mu and must call writeSegs followed by
-// finishWrite with the returned slice.
-func (p *batchPeer) claimLocked() ([]*[]byte, int) {
+// claimLocked takes the queued batch, its header filled in, and the
+// inFlight write token; the spare buffer takes its place. Caller holds
+// p.mu and must call writeBatch followed by finishWrite with the
+// returned buffer.
+func (p *batchPeer) claimLocked() ([]byte, int) {
 	p.inFlight, p.owed = true, false
-	segs, n := p.segs, p.count
-	p.segs = nil
-	p.bytes, p.count = 0, 0
+	batch, n := p.buf, p.count
+	p.buf, p.spare = p.spare, nil
+	p.count = 0
 	p.queued.Store(false)
 	if n > 0 {
+		binary.BigEndian.PutUint32(batch[3:batchHdrLen], uint32(n))
 		var waited time.Duration
 		if p.timed {
 			waited, p.timed = p.c.clk.Since(p.firstAt), false
 		}
 		p.c.flushDelay.Observe(waited)
 	}
-	return segs, n
+	return batch, n
 }
 
 // flushHeld ends a delivered batch: what was held for it is written now
@@ -666,31 +654,32 @@ func (p *batchPeer) flushHeld() {
 		p.mu.Unlock()
 		return
 	}
-	segs, n := p.claimLocked()
+	batch, n := p.claimLocked()
 	p.mu.Unlock()
 	atomic.AddUint64(&p.c.stats.DirectFlushes, 1)
-	p.writeSegs(segs, n)
-	p.finishWrite(segs)
+	p.writeBatch(batch, n)
+	p.finishWrite(batch)
 }
 
-// finishWrite recycles the spent segment slice and releases the inFlight
-// token. Frames owed to a batch that ended meanwhile are written first,
-// by this writer; any other frames queued behind the write are handed to
-// the flusher.
-func (p *batchPeer) finishWrite(spent []*[]byte) {
+// finishWrite keeps the spent buffer as the spare and releases the
+// inFlight token. Frames owed to a batch that ended meanwhile are
+// written first, by this writer; any other frames queued behind the
+// write are handed to the flusher. A buffer grown past maxRetainedBuf is
+// let go: one burst must not pin its storage for the peer's lifetime.
+func (p *batchPeer) finishWrite(spent []byte) {
 	p.mu.Lock()
 	for {
-		if p.spare == nil && cap(spent) <= 1024 {
+		if cap(spent) <= maxRetainedBuf {
 			p.spare = spent[:0]
 		}
 		if !p.owed || p.count == 0 {
 			break
 		}
-		segs, n := p.claimLocked()
+		batch, n := p.claimLocked()
 		p.mu.Unlock()
 		atomic.AddUint64(&p.c.stats.DirectFlushes, 1)
-		p.writeSegs(segs, n)
-		spent = segs
+		p.writeBatch(batch, n)
+		spent = batch
 		p.mu.Lock()
 	}
 	p.inFlight, p.owed = false, false
@@ -746,55 +735,21 @@ func (p *batchPeer) flushNow() {
 		p.mu.Unlock()
 		return
 	}
-	segs, n := p.claimLocked()
+	batch, n := p.claimLocked()
 	p.mu.Unlock()
-	p.writeSegs(segs, n)
-	p.finishWrite(segs)
+	p.writeBatch(batch, n)
+	p.finishWrite(batch)
 }
 
-// writeSegs emits one batch from its segment list. When the inner
-// endpoint is a VecSender the segments go out as a scatter-gather
-// vector — the batch is never materialised contiguously; otherwise they
-// are gathered into a retained scratch buffer first. Caller holds the
-// inFlight token (not p.mu), which makes the per-peer scratch fields
-// safe. A batch of one is still sent as a BATCH frame: every peer reads
-// one, and the header costs only 7 bytes.
-func (p *batchPeer) writeSegs(segs []*[]byte, n int) {
+// writeBatch hands one claimed batch of n frames to the inner endpoint
+// in one Send. Caller holds the inFlight token, not p.mu. A batch of one
+// is still sent as a BATCH frame: every peer reads one, and the header
+// costs only 7 bytes.
+func (p *batchPeer) writeBatch(batch []byte, n int) {
 	c := p.c
-	p.hdr[0], p.hdr[1], p.hdr[2] = batchMagic, batchKind, batchVersion
-	binary.BigEndian.PutUint32(p.hdr[3:batchHdrLen], uint32(n))
 	sp := c.obs.Begin(obs.KindFlush, p.dest)
-	var err error
-	if vs, ok := c.inner.(VecSender); ok {
-		vec := append(p.vec[:0], p.hdr[:])
-		for _, s := range segs {
-			vec = append(vec, *s)
-		}
-		err = vs.SendVec(p.dest, vec)
-		for i := range vec {
-			vec[i] = nil
-		}
-		p.vec = vec[:0]
-	} else {
-		buf := append(p.gather[:0], p.hdr[:]...)
-		for _, s := range segs {
-			buf = append(buf, *s...)
-		}
-		err = c.inner.Send(p.dest, buf)
-		if cap(buf) <= maxRetainedBuf {
-			p.gather = buf[:0]
-		} else {
-			p.gather = nil
-		}
-	}
+	err := c.inner.Send(p.dest, batch)
 	c.obs.End(sp)
-	for i, s := range segs {
-		if cap(*s) <= maxPooledSeg {
-			*s = (*s)[:0]
-			segPool.Put(s)
-		}
-		segs[i] = nil
-	}
 	if err != nil {
 		return
 	}

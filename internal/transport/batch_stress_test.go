@@ -8,6 +8,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -181,5 +182,73 @@ func TestCoalescerFirstSendsRace(t *testing.T) {
 	}
 	if err := c.SendLazy("mem://b", []byte("late")); err != ErrClosed {
 		t.Fatalf("lazy send after close: got %v want ErrClosed", err)
+	}
+}
+
+// TestCoalescerPeerLookupRace: senders make first sends to fresh
+// destinations — each address raced for by several of them — while
+// others send to a known one and Close runs. The peer table is read
+// without a lock, so every round checks that no address was handed two
+// records, that Close returns with every flusher gone, and that nothing
+// panics or hangs.
+func TestCoalescerPeerLookupRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const rounds, senders, fresh = 300, 8, 32
+	pkt := []byte("frame")
+	for r := 0; r < rounds; r++ {
+		before := runtime.NumGoroutine()
+		c := NewCoalescer(sinkEP{}, clock.Real{}, nil)
+		if err := c.Send("mem://known", pkt); err != nil {
+			t.Fatal(err)
+		}
+		var (
+			mu   sync.Mutex
+			seen = make(map[string]*batchPeer)
+			dup  []string
+		)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < fresh; i++ {
+					addr := fmt.Sprintf("mem://%d", (g*5+i)%fresh)
+					if p := c.peer(addr); p != nil {
+						mu.Lock()
+						if q, ok := seen[addr]; ok && q != p {
+							dup = append(dup, addr)
+						}
+						seen[addr] = p
+						mu.Unlock()
+					}
+					_ = c.Send(addr, pkt)
+					_ = c.SendLazy("mem://known", pkt)
+				}
+			}(g)
+		}
+		closed := make(chan error, 1)
+		close(start)
+		go func() {
+			runtime.Gosched()
+			closed <- c.Close()
+		}()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Close did not return", r)
+		}
+		wg.Wait()
+		if len(dup) > 0 {
+			t.Fatalf("round %d: addresses handed two records: %v", r, dup)
+		}
+		if c.peer("mem://after") != nil || c.Send("mem://known", pkt) != ErrClosed {
+			t.Fatalf("round %d: a closed coalescer handed out a peer", r)
+		}
+		waitFor(t, "every flusher to exit", func() bool { return runtime.NumGoroutine() <= before })
 	}
 }

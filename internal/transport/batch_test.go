@@ -136,7 +136,7 @@ func TestCoalescerFirstFrameIsBatch(t *testing.T) {
 // the senders themselves can empty its queue.
 func idlePeer(c *Coalescer, addr string) {
 	c.mu.Lock()
-	c.peers[addr] = &batchPeer{c: c, dest: addr, wake: make(chan struct{}, 1)}
+	c.addPeerLocked(addr)
 	c.mu.Unlock()
 }
 
@@ -464,6 +464,44 @@ func (sinkEP) Addr() string              { return "mem://sink" }
 func (sinkEP) SetHandler(Handler)        {}
 func (sinkEP) Send(string, []byte) error { return nil }
 func (sinkEP) Close() error              { return nil }
+
+// TestCoalescerSendAllocFree: once a peer's two buffers have grown, a
+// send allocates nothing — a direct Send on a free wire, a lazy frame
+// written by the flusher's drain, and a 12 KiB frame alike.
+func TestCoalescerSendAllocFree(t *testing.T) {
+	c := NewCoalescer(sinkEP{}, clock.Real{}, nil)
+	defer func() { _ = c.Close() }()
+	idlePeer(c, "mem://b") // no flusher: every write below is the test's own
+	p := c.peer("mem://b")
+	small, big := make([]byte, 64), make([]byte, 12<<10)
+	for _, tc := range []struct {
+		name string
+		send func() error
+	}{
+		{"direct", func() error { return c.Send("mem://b", small) }},
+		{"lazy, then the flusher's drain", func() error {
+			err := c.SendLazy("mem://b", small)
+			p.flushNow()
+			return err
+		}},
+		{"12 KiB", func() error { return c.Send("mem://b", big) }},
+	} {
+		send := func() {
+			if err := tc.send(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		send() // grow the buffer being filled,
+		send() // and the spare
+		before := c.BatchStats().FramesBatched
+		if n := testing.AllocsPerRun(100, send); n != 0 {
+			t.Errorf("%s: %.1f allocations a send, want 0", tc.name, n)
+		}
+		if sent := c.BatchStats().FramesBatched - before; sent != 101 {
+			t.Errorf("%s: %d frames written, want 101", tc.name, sent)
+		}
+	}
+}
 
 // BenchmarkCoalescerSendKnownPeer prices a Send, on a free wire, to a
 // peer whose record the first send created: the peer lookup, the enqueue

@@ -64,7 +64,6 @@ type TCPEndpoint struct {
 
 var (
 	_ Endpoint            = (*TCPEndpoint)(nil)
-	_ VecSender           = (*TCPEndpoint)(nil)
 	_ ConcurrentDeliverer = (*TCPEndpoint)(nil)
 )
 
@@ -93,32 +92,29 @@ type tcpConn struct {
 
 	wmu   sync.Mutex
 	wbuf  []byte      // reusable frame header (and hello), guarded by wmu
-	wvec  net.Buffers // reusable scatter-gather vector, guarded by wmu
+	wvec  [2][]byte   // the frame's two parts, header and packet, guarded by wmu
 	wcur  net.Buffers // the part of wvec WriteTo has yet to write, guarded by wmu
 	hello int         // bytes of wbuf that are the hello the first frame carries
 }
 
-// writeFrame frames and transmits one packet supplied as segments,
-// without gathering it into a contiguous buffer: the framing header
-// becomes the leading segment and the vector goes to the kernel as one
-// writev (net.Buffers uses writev on TCP connections), so a coalesced
-// batch crosses the stream in a single syscall with zero copies on this
-// side. The write mutex keeps the frame atomic on the stream even when
-// the kernel accepts it in several partial writes.
-func (c *tcpConn) writeFrame(segs net.Buffers, total int) error {
+// writeFrame frames and transmits one packet: its length header (after
+// the hello, on a connection's first frame) and the packet go to the
+// kernel as one writev (net.Buffers uses writev on TCP connections), so
+// a coalesced batch crosses the stream in a single syscall and is not
+// copied again on this side. The write mutex keeps the frame atomic on
+// the stream even when the kernel accepts it in several partial writes.
+func (c *tcpConn) writeFrame(pkt []byte) error {
 	c.wmu.Lock()
-	c.wbuf = binary.BigEndian.AppendUint32(c.wbuf[:c.hello], uint32(total))
+	c.wbuf = binary.BigEndian.AppendUint32(c.wbuf[:c.hello], uint32(len(pkt)))
 	c.hello = 0
-	vec := append(c.wvec[:0], c.wbuf)
-	vec = append(vec, segs...)
-	// WriteTo consumes its receiver as segments drain, so it gets a
-	// copy of the slice header, kept in the connection: a local copy
-	// escapes through the method and costs every frame an allocation.
-	// The caller's segment slices are only read, never modified.
-	c.wcur = vec
+	c.wvec = [2][]byte{c.wbuf, pkt}
+	// WriteTo consumes its receiver as it drains, so it gets a slice of
+	// the connection's own array: a local vector escapes through the
+	// method and costs every frame an allocation. The packet is only
+	// read, never modified.
+	c.wcur = c.wvec[:]
 	_, err := c.wcur.WriteTo(c.conn)
-	clear(vec)
-	c.wvec = vec[:0]
+	c.wvec = [2][]byte{}
 	c.wmu.Unlock()
 	c.wrote.Add(1)
 	return err
@@ -233,26 +229,17 @@ func (e *TCPEndpoint) dropConn(to string, tc *tcpConn) {
 	_ = tc.conn.Close()
 }
 
-// Send implements Endpoint. to must have the form "tcp:host:port".
+// Send implements Endpoint. to must have the form "tcp:host:port". The
+// packet crosses the stream as one frame via a single writev.
 func (e *TCPEndpoint) Send(to string, pkt []byte) error {
-	return e.SendVec(to, net.Buffers{pkt})
-}
-
-// SendVec implements VecSender: the segments cross the stream as one
-// frame via a single writev, never gathered in user space.
-func (e *TCPEndpoint) SendVec(to string, segs net.Buffers) error {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	if total > MaxPacket {
+	if len(pkt) > MaxPacket {
 		return ErrTooLarge
 	}
 	tc, err := e.connFor(to)
 	if err != nil {
 		return err
 	}
-	if err := tc.writeFrame(segs, total); err != nil {
+	if err := tc.writeFrame(pkt); err != nil {
 		e.dropConn(to, tc)
 	}
 	return nil

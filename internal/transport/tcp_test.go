@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,46 +78,9 @@ func TestTCPReplyOverSameConnection(t *testing.T) {
 	}
 }
 
-// TestTCPSendVec: a frame supplied as a segment vector must arrive as
-// the single concatenated packet — Send(to, concat(segs)) semantics —
-// and the segment slices must be intact afterwards (writev must not
-// consume the caller's vector; the coalescer reuses its segment list).
-func TestTCPSendVec(t *testing.T) {
-	a, b := newPair(t)
-	got := make(chan string, 1)
-	b.SetHandler(func(from string, pkt []byte) { got <- string(pkt) })
-	segs := net.Buffers{[]byte("bat"), []byte("ch"), []byte("ed")}
-	if err := a.SendVec(b.Addr(), segs); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case s := <-got:
-		if s != "batched" {
-			t.Fatalf("got %q, want %q", s, "batched")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no delivery")
-	}
-	if len(segs) != 3 || string(segs[0]) != "bat" || string(segs[2]) != "ed" {
-		t.Fatalf("caller's segment vector was consumed: %q", segs)
-	}
-	// A second vector over the same (now warm) connection.
-	if err := a.SendVec(b.Addr(), net.Buffers{[]byte("again")}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case s := <-got:
-		if s != "again" {
-			t.Fatalf("got %q, want %q", s, "again")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("second vector not delivered")
-	}
-}
-
 // TestTCPBatchesOverWritev drives two coalesced TCP endpoints over real
 // sockets: every frame, the first included, rides a BATCH datagram that
-// the direct-write path emits through SendVec (writev), and the far
+// the direct-write path hands to Send (one writev), and the far
 // coalescer unpacks it.
 func TestTCPBatchesOverWritev(t *testing.T) {
 	a, b := newPair(t)
@@ -276,17 +238,17 @@ func TestTCPPeerRestart(t *testing.T) {
 	}
 }
 
-// TestTCPSendVecAllocFree: a frame written as a vector over a warm
-// connection allocates nothing — not even the consumable copy of the
-// vector's header that net.Buffers.WriteTo drains, which a local copy
+// TestTCPSendAllocFree: a frame written over a warm connection
+// allocates nothing — not even the consumable copy of the [header,
+// packet] vector that net.Buffers.WriteTo drains, which a local vector
 // would put on the heap once a frame.
-func TestTCPSendVecAllocFree(t *testing.T) {
+func TestTCPSendAllocFree(t *testing.T) {
 	a, b := newPair(t)
 	var got atomic.Int64
 	b.SetHandler(func(string, []byte) { got.Add(1) })
-	segs := net.Buffers{[]byte("bat"), []byte("ch")}
+	pkt := []byte("batched")
 	send := func() {
-		if err := a.SendVec(b.Addr(), segs); err != nil {
+		if err := a.Send(b.Addr(), pkt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,6 +262,6 @@ func TestTCPSendVecAllocFree(t *testing.T) {
 		t.Fatalf("%d of 202 frames delivered", n)
 	}
 	if allocs != 0 {
-		t.Fatalf("a vector frame write allocates %.1f/op, want 0", allocs)
+		t.Fatalf("a frame write allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -16,7 +16,6 @@ package transport
 
 import (
 	"errors"
-	"net"
 	"sync"
 	"sync/atomic"
 )
@@ -42,18 +41,6 @@ type Endpoint interface {
 	SetHandler(h Handler)
 	// Close releases the endpoint. Subsequent Sends fail with ErrClosed.
 	Close() error
-}
-
-// VecSender is the scatter-gather fast path: an endpoint that can
-// transmit a frame supplied as a vector of segments, equivalent to
-// Send(to, concat(segs)) but without requiring the caller to build the
-// contiguous form. The TCP endpoint maps it onto writev via
-// net.Buffers; the write coalescer uses it to emit a batch straight
-// from its per-frame segment list, so coalesced frames are framed once
-// at enqueue and never recopied into one buffer. Implementations must
-// not retain the segment slices past the call.
-type VecSender interface {
-	SendVec(to string, segs net.Buffers) error
 }
 
 // ConcurrentDeliverer is implemented by endpoints on which a Handler
