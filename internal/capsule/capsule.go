@@ -198,8 +198,8 @@ func (c *Capsule) Client() *rpc.Client { return c.peer.Client }
 // ServerStats exposes protocol server counters.
 func (c *Capsule) ServerStats() rpc.ServerStats { return c.peer.Server.Stats() }
 
-// DispatchLatency snapshots the protocol server's handler-execution
-// latency histogram.
+// DispatchLatency snapshots each frame's server time on its delivery
+// (see rpc.Server.DispatchLatency).
 func (c *Capsule) DispatchLatency() obs.HistogramSnapshot {
 	return c.peer.Server.DispatchLatency()
 }

@@ -93,7 +93,7 @@ type Object struct {
 // transformation: "transparency requirements can be processed
 // automatically by editing the code generated when programs are compiled
 // to add the extra functionality needed to achieve transparency."
-func (p *Platform) Publish(id string, obj Object) (wire.Ref, error) {
+func (p *Platform) Publish(id string, obj Object) (ref wire.Ref, err error) {
 	env := obj.Env
 	if env.Atomic != nil && env.Recoverable != nil {
 		// The transactional resource already owns durability and
@@ -118,6 +118,13 @@ func (p *Platform) Publish(id string, obj Object) (wire.Ref, error) {
 	}
 	if env.Secured != nil {
 		pub.guard = security.NewGuard(p.Keys, env.Secured.Policy, env.Secured.MaxSkew)
+		defer func() { // a guard is counted once its object is published
+			if err == nil {
+				p.metricsMu.Lock()
+				p.guards = append(p.guards, pub.guard)
+				p.metricsMu.Unlock()
+			}
+		}()
 	}
 	if !movable {
 		return p.weave(id, obj.Servant, nil, pub)
@@ -128,7 +135,7 @@ func (p *Platform) Publish(id string, obj Object) (wire.Ref, error) {
 	prev := p.published[id]
 	p.published[id] = pub
 	p.pubMu.Unlock()
-	ref, err := p.Mover.Manage(migrate.Incarnation{
+	ref, err = p.Mover.Manage(migrate.Incarnation{
 		ID: id, Type: obj.Type, Servant: mov, Logged: env.Recoverable != nil,
 	})
 	if err != nil {

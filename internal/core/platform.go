@@ -88,11 +88,12 @@ type Platform struct {
 	domain string
 	// metricsMu guards what metrics reads besides the layers: the stage
 	// of each woven mechanism kind and of each Managed metric prefix,
-	// which every object's path shares, and the extra contributors
-	// registered after construction (replica-group members, application
-	// subsystems).
+	// which every object's path shares, the guards Publish made (whose
+	// refusals the guard stage's errors do not tell from a servant's),
+	// and the extra contributors registered after construction.
 	metricsMu    sync.Mutex
 	stages       map[stageKey]*obs.Stage
+	guards       []*security.Guard
 	statsSources []func(*obs.Metrics)
 	// published holds what Publish built for each movable object, so every
 	// later incarnation of it gets the same path (reweave). A record stays
@@ -445,6 +446,11 @@ func (p *Platform) metrics() *obs.Metrics {
 		case n.Calls == 0:
 		case key.kind != "":
 			obs.Fold(m, key.kind, n)
+			if key.kind == obs.KindGuard {
+				for _, g := range p.guards {
+					m.Counters[obs.KindGuard+".rejected"] += g.Stats().Rejected
+				}
+			}
 		default:
 			m.Counters["registry.c."+key.prefix+".calls"] = n.Calls
 			m.Gauges["registry.g."+key.prefix+".last_us"] = float64(st.LastUs())

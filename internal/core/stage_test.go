@@ -173,6 +173,43 @@ func TestStagesTraceEveryMechanism(t *testing.T) {
 	}
 }
 
+// failingLedger is a ledger whose every call fails in the servant.
+type failingLedger struct{ ledger }
+
+func (l *failingLedger) Dispatch(context.Context, string, []wire.Value) (string, []wire.Value, error) {
+	return "", nil, errors.New("ledger: closed")
+}
+
+// TestGuardRefusalsExported: the guard stage's errors count every call
+// that failed beneath it, a servant's error too; security.guard.rejected
+// counts only the credentials the node's guards refused, and only those
+// of the objects published: a Publish that fails counts no guard.
+func TestGuardRefusalsExported(t *testing.T) {
+	u := newStageUniverse(t, &failingLedger{}, nil)
+	exported := func(errs, rejected uint64) {
+		t.Helper()
+		rec := u.server.Gather()
+		if rec["security.guard.errors"] != errs || rec["security.guard.rejected"] != rejected {
+			t.Fatalf("security.guard.errors = %v, rejected = %v; want %d and %d",
+				rec["security.guard.errors"], rec["security.guard.rejected"], errs, rejected)
+		}
+	}
+	if err := u.call(true); err == nil || errors.Is(err, rpc.ErrDenied) {
+		t.Fatalf("signed call: %v, want the servant's error", err)
+	}
+	exported(1, 0)
+	if err := u.call(false); !errors.Is(err, rpc.ErrDenied) {
+		t.Fatalf("unsigned call: %v, want a guard refusal", err)
+	}
+	exported(2, 1)
+	if _, err := u.server.Publish("woven", Object{Servant: &failingLedger{}, Type: ledgerType(), Env: allMechanisms()}); err == nil {
+		t.Fatal("an id published twice")
+	}
+	if n := len(u.server.guards); n != 1 {
+		t.Fatalf("%d guards counted after a Publish that failed, want 1", n)
+	}
+}
+
 // heldLedger is a ledger whose snapshot, taken while a move has its gate
 // quiesced, lasts hold of virtual time and then fails, so the move
 // aborts and the calls it held go on.

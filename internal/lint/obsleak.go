@@ -209,6 +209,8 @@ func stepEnded(pkg *Package, rest []ast.Stmt, step types.Object) string {
 			call = st.Call
 		case *ast.ExprStmt:
 			call, _ = st.X.(*ast.CallExpr)
+		case *ast.AssignStmt: // End's instant kept
+			call, _ = st.Rhs[0].(*ast.CallExpr)
 		}
 		if call != nil && obsMethod(pkg, call, "Stage") == "End" && len(call.Args) > 0 && isIdentFor(pkg, call.Args[0], step) {
 			return ""

@@ -57,7 +57,7 @@ const (
 	KindAck = "rpc.ack"
 	// KindAnnounce covers one protocol announcement at the client.
 	KindAnnounce = "rpc.announce"
-	// KindDispatch covers handler execution at the server.
+	// KindDispatch covers a frame's server time on its delivery.
 	KindDispatch = "rpc.dispatch"
 	// KindReject marks a traced request shed by server-side admission
 	// control before dispatch (the busy reply carries no trace block, so

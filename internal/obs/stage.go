@@ -93,38 +93,40 @@ func (s *Stage) begin(ctx context.Context, st *Step, name string) context.Contex
 	return ctx
 }
 
-// End closes the pass st, which returned err; one clock read ends both
-// its span and its interval, and without a span the read is Since's, the
-// monotonic clock alone. Errors land before calls, so a reader that sees
-// a call sees its error and its interval.
-func (s *Stage) End(st Step, err error) {
+// End closes the pass st, which returned err, and returns the instant it
+// read: At plus the interval without a span, zero when it read none. One
+// read ends span and interval, Since's without a span. Errors land before
+// calls, so a reader that sees a call sees its error and its interval.
+func (s *Stage) End(st Step, err error) time.Time {
 	if !s.active && err == nil {
 		atomic.AddUint64(&s.stats.Calls, 1)
-		return
+		return time.Time{}
 	}
-	s.end(st, err)
+	return s.end(st, err)
 }
 
-func (s *Stage) end(st Step, err error) {
+func (s *Stage) end(st Step, err error) (end time.Time) {
 	if err != nil {
 		atomic.AddUint64(&s.stats.Errors, 1)
 	}
 	var d time.Duration
 	if st.sp != nil {
-		end := s.clk.Now()
+		end = s.clk.Now()
 		d = end.Sub(st.At)
 		s.col.endAt(st.sp, end)
 	} else if s.timed {
 		d = s.clk.Since(st.At)
+		end = st.At.Add(d)
 	}
 	if s.binned {
 		s.hist.Observe(d)
-		return
+		return end
 	}
 	if s.timed {
 		s.last.Store(d.Microseconds())
 	}
 	atomic.AddUint64(&s.stats.Calls, 1)
+	return end
 }
 
 // Stats returns a snapshot of the stage's counters.

@@ -59,9 +59,12 @@ func TestStageCountsConcurrently(t *testing.T) {
 }
 
 // TestStageReadsTheClockOncePerEnd: a pass reads the clock where a span
-// or the histogram needs an instant, and one read serves both; the stub
-// roots a trace and no other kind does; a timed kind keeps every
-// interval in its histogram, a timed stage without a kind the latest.
+// or the histogram needs an instant, and one read serves both — none to
+// begin where it is given an instant; the stub roots a trace and no other
+// kind does; a timed kind keeps every interval in its histogram, a timed
+// stage without a kind the latest. End returns the instant it read — the
+// span's end, or the start plus the interval — and zero when it read
+// none.
 func TestStageReadsTheClockOncePerEnd(t *testing.T) {
 	parent := SpanContext{TraceID: 7, SpanID: 9}
 	for _, tc := range []struct {
@@ -80,6 +83,8 @@ func TestStageReadsTheClockOncePerEnd(t *testing.T) {
 		{name: "timed, untraced", kind: KindDispatch, timed: true, reads: 2, histogram: true},
 		{name: "timed, sampled", kind: KindDispatch, timed: true, every: 1, parent: parent, reads: 2, span: true, histogram: true},
 		{name: "timed from a given instant, no kind", timed: true, at: epoch, reads: 1},
+		{name: "timed from a given instant", kind: KindDispatch, timed: true, at: epoch, reads: 1, histogram: true},
+		{name: "timed from a given instant, sampled", kind: KindDispatch, timed: true, every: 1, parent: parent, at: epoch, reads: 1, span: true, histogram: true},
 		{name: "stub roots", kind: KindStub, every: 1, reads: 2, span: true},
 		{name: "nested stub joins", kind: KindStub, every: 1, parent: parent, reads: 0},
 		{name: "stub on an untraced node", kind: KindStub, reads: 0},
@@ -96,9 +101,16 @@ func TestStageReadsTheClockOncePerEnd(t *testing.T) {
 			in := ContextWith(context.Background(), tc.parent)
 			ctx, st := s.Begin(in, tc.parent, "op", tc.at)
 			clk.Advance(3 * time.Millisecond)
-			s.End(st, nil)
+			end := s.End(st, nil)
 			if got := clk.reads.Load(); got != tc.reads {
 				t.Errorf("read the clock %d times, want %d", got, tc.reads)
+			}
+			want := time.Time{}
+			if tc.timed || tc.span {
+				want = epoch.Add(3 * time.Millisecond)
+			}
+			if !end.Equal(want) {
+				t.Errorf("End returned %v, want %v", end, want)
 			}
 			spans := col.Snapshot()
 			if got := len(spans) == 1; got != tc.span {

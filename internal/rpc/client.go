@@ -177,7 +177,7 @@ const ackFlushBound = 32
 // share one endpoint.
 func NewClient(ep transport.Batcher, codec wire.Codec) *Client {
 	c := newClientNoHandler(ep, codec)
-	ep.SetHandler(func(from string, pkt []byte) { route(c, nil, from, pkt) })
+	ep.SetHandler(func(from string, pkt []byte) { route(c, nil, from, pkt, time.Time{}) })
 	return c
 }
 

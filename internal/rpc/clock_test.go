@@ -109,9 +109,10 @@ func newBlackHole(clk *clock.Fake) *blackHole {
 	return &blackHole{clk: clk, sent: make(map[uint64][]time.Time)}
 }
 
-func (b *blackHole) Addr() string                 { return "client" }
-func (b *blackHole) SetHandler(transport.Handler) {}
-func (b *blackHole) Close() error                 { return nil }
+func (b *blackHole) Addr() string                           { return "client" }
+func (b *blackHole) SetHandler(transport.Handler)           {}
+func (b *blackHole) SetChainHandler(transport.ChainHandler) {}
+func (b *blackHole) Close() error                           { return nil }
 
 func (b *blackHole) Send(_ string, pkt []byte) error {
 	if h, _, err := decodeRawHeader(pkt); err == nil && h.kind == msgRequest {

@@ -77,7 +77,7 @@ func rawFrame(kind byte, id uint64) []byte {
 }
 
 func inject(srv *Server, from string, kind byte, id uint64) {
-	route(nil, srv, from, rawFrame(kind, id))
+	route(nil, srv, from, rawFrame(kind, id), time.Time{})
 }
 
 // tickAndWait advances the janitor one tick and waits until it has been:
@@ -300,7 +300,7 @@ func TestBulkReplyBuffersReturnToPool(t *testing.T) {
 	const from = "bulk"
 	arg := []wire.Value{bulkArg(1)}
 	for id := uint64(1); id <= 10000; id++ {
-		route(nil, srv, from, buildPacket(msgRequest, 0, id, "o", "echo", arg))
+		route(nil, srv, from, buildPacket(msgRequest, 0, id, "o", "echo", arg), time.Time{})
 		if id == 1 {
 			p := srv.lockPeer(from, false)
 			held := cap(*p.live(id).reply)

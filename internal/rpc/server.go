@@ -32,8 +32,8 @@ type Incoming struct {
 	// outcome and results are discarded in that case.
 	Announcement bool
 	// At is the dispatch instant on the server's clock, the one its
-	// dispatch latency runs from: the handler's layers read it instead
-	// of the clock.
+	// dispatch latency runs from (see Server.DispatchLatency): the
+	// handler's layers read it instead of the clock.
 	At time.Time
 	// Span is the dispatch span's context, zero when the call is
 	// unsampled: the handler's layers open their spans under it.
@@ -269,7 +269,7 @@ func WithAdmission(cfg AdmissionConfig) ServerOption {
 // client/server endpoints.
 func NewServer(ep transport.Batcher, codec wire.Codec, handler Handler, opts ...ServerOption) *Server {
 	s := newServerNoHandler(ep, codec, handler, opts...)
-	ep.SetHandler(func(from string, pkt []byte) { route(nil, s, from, pkt) })
+	ep.SetChainHandler(func(from string, pkt []byte, at time.Time) time.Time { return route(nil, s, from, pkt, at) })
 	return s
 }
 
@@ -288,7 +288,7 @@ func newServerNoHandler(ep transport.Batcher, codec wire.Codec, handler Handler,
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	cd, ok := ep.(transport.ConcurrentDeliverer)
 	if s.inline = ok && cd.DeliversConcurrently(); !s.inline {
-		s.workers = transport.NewWorkers(dispatchWorkers, s.run)
+		s.workers = transport.NewWorkers(dispatchWorkers, func(c *call) { s.run(c, time.Time{}) })
 	}
 	for _, o := range opts {
 		o(s)
@@ -301,7 +301,8 @@ func newServerNoHandler(ep transport.Batcher, codec wire.Codec, handler Handler,
 // Stats returns a snapshot of server counters.
 func (s *Server) Stats() ServerStats { return obs.Load(&s.stats) }
 
-// DispatchLatency snapshots the handler-execution latency histogram.
+// DispatchLatency snapshots each frame's server time on its delivery, from
+// the end of the dispatch before it there or its handler's start to its end.
 func (s *Server) DispatchLatency() obs.HistogramSnapshot {
 	return s.dispatch.Latency()
 }
@@ -334,31 +335,35 @@ func (s *Server) Close() error {
 // nil server and a bare Server a nil client;
 // kinds addressed to the absent role are dropped. h and body alias a
 // transport buffer, so everything that outlives this call is decoded or
-// copied before it returns.
-func route(c *Client, s *Server, from string, pkt []byte) {
+// copied before it returns. at is the delivery's cursor (see
+// transport.ChainHandler), and route returns the next one: only an
+// announcement's dispatch passes its end on, so a chained interval holds
+// no reply, ack or dropped frame.
+func route(c *Client, s *Server, from string, pkt []byte, at time.Time) time.Time {
 	h, body, err := decodeRawHeader(pkt)
 	if err != nil {
-		return
+		return time.Time{}
 	}
 	if h.kind == msgReply {
 		if c != nil {
 			c.deliverReply(h.callID, body)
 		}
-		return
+		return time.Time{}
 	}
 	if s == nil {
-		return
+		return time.Time{}
 	}
 	switch h.kind {
 	case msgRequest:
-		s.onRequest(from, h, body)
+		s.onRequest(from, h, body, at)
 	case msgAnnounce:
-		s.onAnnounce(from, h, body)
+		return s.onAnnounce(from, h, body, at)
 	case msgAck:
 		if len(body) == 0 { // an ack carries nothing
 			s.onAck(from, h.callID)
 		}
 	}
+	return time.Time{}
 }
 
 // lockPeer returns from's record locked, or nil when there is none and
@@ -387,7 +392,7 @@ func (s *Server) lockPeer(from string, create bool) *peerCalls {
 	}
 }
 
-func (s *Server) onRequest(from string, h header, body []byte) {
+func (s *Server) onRequest(from string, h header, body []byte, at time.Time) {
 	p := s.lockPeer(from, true)
 	if s.closed.Load() {
 		p.mu.Unlock()
@@ -433,7 +438,7 @@ func (s *Server) onRequest(from string, h header, body []byte) {
 
 	atomic.AddUint64(&s.stats.Requests, 1)
 	s.active.Add(1)
-	s.startExecute(from, h, body, p, sc)
+	s.startExecute(from, h, body, p, sc, at)
 }
 
 // noteReject leaves the only trace of a sampled invocation that
@@ -445,17 +450,17 @@ func (s *Server) noteReject(h header) {
 	}
 }
 
-func (s *Server) onAnnounce(from string, h header, body []byte) {
+func (s *Server) onAnnounce(from string, h header, body []byte, at time.Time) time.Time {
 	p := s.lockPeer(from, true)
 	if s.closed.Load() {
 		p.mu.Unlock()
-		return
+		return time.Time{}
 	}
 	if p.announced.has(h.callID) {
 		// Repeated announcement (QoS.Repeats): execute once only.
 		p.mu.Unlock()
 		atomic.AddUint64(&s.stats.AnnounceDedup, 1)
-		return
+		return time.Time{}
 	}
 	p.announced.cur.add(h.callID)
 	if len(p.announced.cur) > announceWindow {
@@ -468,13 +473,13 @@ func (s *Server) onAnnounce(from string, h header, body []byte) {
 		p.mu.Unlock()
 		atomic.AddUint64(&s.stats.AdmissionDrops, 1)
 		s.noteReject(h)
-		return
+		return time.Time{}
 	}
 	s.wg.Add(1)
 	p.mu.Unlock()
 
 	atomic.AddUint64(&s.stats.Announcements, 1)
-	s.startExecute(from, h, body, nil, nil)
+	return s.startExecute(from, h, body, nil, nil, at)
 }
 
 // call is one admitted invocation on its way through a handler:
@@ -503,8 +508,8 @@ const dispatchWorkers = 32
 // finishes before the delivery callback returns, so the header strings
 // alias the packet outright; handed to a worker, the packet dies when
 // this call returns and they are interned. The arguments own their
-// storage either way.
-func (s *Server) startExecute(from string, h header, body []byte, p *peerCalls, sc *serverCall) {
+// storage either way. It returns what an inline run does, else zero.
+func (s *Server) startExecute(from string, h header, body []byte, p *peerCalls, sc *serverCall, at time.Time) time.Time {
 	c := callPool.Get().(*call)
 	c.id, c.trace, c.p, c.sc = h.callID, h.trace, p, sc
 	c.in = Incoming{From: from, ObjID: h.objID, Op: h.op, Announcement: sc == nil}
@@ -514,11 +519,11 @@ func (s *Server) startExecute(from string, h header, body []byte, p *peerCalls, 
 			// The span ring retains the operation name beyond the dispatch.
 			c.in.Op = s.names.intern(h.op)
 		}
-		s.run(c)
-	} else {
-		c.in.ObjID, c.in.Op = s.names.intern(h.objID), s.names.intern(h.op)
-		s.workers.Submit(c)
+		return s.run(c, at)
 	}
+	c.in.ObjID, c.in.Op = s.names.intern(h.objID), s.names.intern(h.op)
+	s.workers.Submit(c)
+	return time.Time{}
 }
 
 // onAck retires an answered call: the row leaves the live map at once,
@@ -545,8 +550,9 @@ func (s *Server) onAck(from string, callID uint64) {
 
 // run executes the handler for c and, for interrogations, sends and
 // caches the reply. It owns c, and releases the record only after the
-// reply encode: c.in is what the handler saw.
-func (s *Server) run(c *call) {
+// reply encode: c.in is what the handler saw. It times the dispatch from
+// at, or from a clock read if at is zero, and returns End's instant.
+func (s *Server) run(c *call, at time.Time) (end time.Time) {
 	defer s.wg.Done()
 	var (
 		outcome string
@@ -560,16 +566,17 @@ func (s *Server) run(c *call) {
 		// request adds a dispatch span under the wire context and hands
 		// its own context to the handler, so nested invocations the
 		// servant makes join the caller's tree.
-		ctx, st := s.dispatch.Begin(s.ctx, c.trace, c.in.Op, time.Time{})
+		ctx, st := s.dispatch.Begin(s.ctx, c.trace, c.in.Op, at)
 		c.in.At, c.in.Span = st.At, st.Span
 		outcome, results, err = s.handler(ctx, &c.in)
-		s.dispatch.End(st, err)
+		end = s.dispatch.End(st, err)
 	}
 	if c.sc != nil { // announcements have nothing to report, by design
 		s.reply(c, outcome, results, err)
 	}
 	*c = call{}
 	callPool.Put(c)
+	return end
 }
 
 // reply maps the handler's result onto a protocol status, then caches
@@ -680,7 +687,7 @@ func NewPeer(ep transport.Batcher, codec wire.Codec, handler Handler, opts ...Se
 		Client: newClientNoHandler(ep, codec),
 		Server: newServerNoHandler(ep, codec, handler, opts...),
 	}
-	ep.SetHandler(func(from string, pkt []byte) { route(p.Client, p.Server, from, pkt) })
+	ep.SetChainHandler(func(from string, pkt []byte, at time.Time) time.Time { return route(p.Client, p.Server, from, pkt, at) })
 	return p
 }
 

@@ -102,8 +102,8 @@ func TestTrailingBytesRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := cli.Stats()
-		route(cli, nil, "server", pkt)
-		route(cli, nil, "server", append(pkt, 0))
+		route(cli, nil, "server", pkt, time.Time{})
+		route(cli, nil, "server", append(pkt, 0), time.Time{})
 		after := cli.Stats()
 		if after.OrphanReplies != before.OrphanReplies+1 || after.BadReplies != before.BadReplies+1 {
 			t.Errorf("%s: orphans %d -> %d, bad replies %d -> %d; want the well-formed reply an orphan and the one with a trailing byte bad",
@@ -115,7 +115,7 @@ func TestTrailingBytesRefused(t *testing.T) {
 		return "ok", nil, nil
 	})
 	inject(srv, "caller", msgRequest, 1)
-	route(nil, srv, "caller", append(rawFrame(msgAck, 1), 0))
+	route(nil, srv, "caller", append(rawFrame(msgAck, 1), 0), time.Time{})
 	if got := srv.Stats().CacheEvictions; got != 0 {
 		t.Fatalf("an ack with a body evicted %d cached replies, want 0", got)
 	}

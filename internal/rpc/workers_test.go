@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,7 +149,7 @@ func TestServerCloseStopsDispatchWorkers(t *testing.T) {
 		req := buildPacket(msgRequest, 0, 0, "obj", "echo", []wire.Value{int64(1)})
 		for i := 1; i <= 50; i++ {
 			binary.BigEndian.PutUint64(req[2:], uint64(i))
-			route(nil, srv, "client", req)
+			route(nil, srv, "client", req, time.Time{})
 			<-ep.replies
 		}
 		if n := srv.workers.Live(); n < 1 || n > dispatchWorkers {
@@ -274,16 +276,158 @@ type replySink struct {
 	concurrent bool
 }
 
-func (e *replySink) Addr() string                         { return "server" }
-func (e *replySink) SetHandler(transport.Handler)         {}
-func (e *replySink) Close() error                         { return nil }
-func (e *replySink) Send(string, []byte) error            { e.replies <- struct{}{}; return nil }
-func (e *replySink) SendLazy(to string, pkt []byte) error { return e.Send(to, pkt) }
-func (e *replySink) SendHeld(to string, pkt []byte) error { return e.Send(to, pkt) }
-func (e *replySink) BatchStats() transport.CoalescerStats { return transport.CoalescerStats{} }
-func (e *replySink) Clock() clock.Clock                   { return clock.Real{} }
-func (e *replySink) Observer() *obs.Collector             { return nil }
-func (e *replySink) DeliversConcurrently() bool           { return e.concurrent }
+func (e *replySink) Addr() string                           { return "server" }
+func (e *replySink) SetHandler(transport.Handler)           {}
+func (e *replySink) SetChainHandler(transport.ChainHandler) {}
+func (e *replySink) Close() error                           { return nil }
+func (e *replySink) Send(string, []byte) error              { e.replies <- struct{}{}; return nil }
+func (e *replySink) SendLazy(to string, pkt []byte) error   { return e.Send(to, pkt) }
+func (e *replySink) SendHeld(to string, pkt []byte) error   { return e.Send(to, pkt) }
+func (e *replySink) BatchStats() transport.CoalescerStats   { return transport.CoalescerStats{} }
+func (e *replySink) Clock() clock.Clock                     { return clock.Real{} }
+func (e *replySink) Observer() *obs.Collector               { return nil }
+func (e *replySink) DeliversConcurrently() bool             { return e.concurrent }
+
+// tcpServer is a server on a coalesced loopback TCP endpoint whose node
+// runs on clk, and a raw TCP endpoint to send it hand-built frames from,
+// which its reader delivers as it reads them.
+func tcpServer(t *testing.T, clk clock.Clock, h Handler) (srv *Server, raw transport.Endpoint, addr string) {
+	t.Helper()
+	listen := func() *transport.TCPEndpoint {
+		ep, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	sep, rep := listen(), listen()
+	t.Cleanup(func() { _ = rep.Close() })
+	srv = NewServer(coalesceOn(t, sep, clk, nil), codec, h)
+	t.Cleanup(func() { _ = srv.Close() })
+	return srv, rep, sep.Addr()
+}
+
+// announcements are n announcements of op, ids first to first+n-1.
+func announcements(first uint64, n int, op string) [][]byte {
+	pkts := make([][]byte, n)
+	for i := range pkts {
+		pkts[i] = buildPacket(msgAnnounce, 0, first+uint64(i), "obj", op, []wire.Value{int64(i)})
+	}
+	return pkts
+}
+
+// TestBatchedDispatchesChainTheirStamps: n announcements that arrive in
+// one batch are dispatched back to back on one TCP reader, and each
+// begins where the one before it ended: the server's clock is read n+1
+// times, not twice a dispatch, and the dispatch histogram still counts
+// every one. A frame delivered alone reads it twice, as before.
+func TestBatchedDispatchesChainTheirStamps(t *testing.T) {
+	const n = 16
+	sclk := &countingClock{Clock: clock.Real{}}
+	srv, raw, addr := tcpServer(t, sclk, echoHandler)
+	pollUntil(t, "the janitor's first instant", func() bool { return sclk.reads.Load() > 0 })
+	r0 := sclk.reads.Load()
+	if err := raw.Send(addr, batchOf(announcements(1, n, "echo")...)); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "every dispatch", func() bool { return srv.DispatchLatency().Count() == n })
+	if r := sclk.reads.Load() - r0; r != n+1 {
+		t.Fatalf("a batch of %d announcements read the server clock %d times, want %d", n, r, n+1)
+	}
+	r0 = sclk.reads.Load()
+	if err := raw.Send(addr, announcements(n+1, 1, "echo")[0]); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "the lone dispatch", func() bool { return srv.DispatchLatency().Count() == n+1 })
+	if r := sclk.reads.Load() - r0; r != 2 {
+		t.Fatalf("a lone announcement read the server clock %d times, want 2", r)
+	}
+}
+
+// TestDispatchChainEndsAtWrites: only an announcement's dispatch hands
+// its end to the next frame of the read, so no chained interval
+// holds a write. Each batch below reaches the server in one read, behind
+// the connection's hello. Two batches of two requests read the server's
+// clock twice a request: a reply's encode and write follow each. After a
+// batch of a request and an announcement, whose end writes the request's
+// held reply, the next batch's first announcement reads its own start and
+// only the second chains: 2+2+2+1 reads.
+func TestDispatchChainEndsAtWrites(t *testing.T) {
+	sclk := &countingClock{Clock: clock.Real{}}
+	srv, _, addr := tcpServer(t, sclk, echoHandler)
+	pollUntil(t, "the janitor's first instant", func() bool { return sclk.reads.Load() > 0 })
+	conn, err := net.Dial("tcp", strings.TrimPrefix(addr, "tcp:"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	const from = "tcp:127.0.0.1:9"
+	out := append([]byte("ODP\x01\x00"), byte(len(from)))
+	out = append(out, from...)
+	read := func(what string, reads int64, batches ...[]byte) {
+		t.Helper()
+		n := srv.DispatchLatency().Count() + 2*uint64(len(batches)) // two frames a batch
+		for _, b := range batches {
+			out = append(binary.BigEndian.AppendUint32(out, uint32(len(b))), b...)
+		}
+		r0 := sclk.reads.Load()
+		if _, err := conn.Write(out); err != nil {
+			t.Fatal(err)
+		}
+		out = out[:0]
+		pollUntil(t, what, func() bool { return srv.DispatchLatency().Count() == n })
+		if r := sclk.reads.Load() - r0; r != reads {
+			t.Fatalf("%s read the server clock %d times, want %d", what, r, reads)
+		}
+	}
+	req := func(id uint64) []byte {
+		return buildPacket(msgRequest, 0, id, "obj", "echo", []wire.Value{int64(id)})
+	}
+	ann := announcements(1, 3, "echo")
+	read("two batches of two requests", 8, batchOf(req(1), req(2)), batchOf(req(3), req(4)))
+	read("a request and an announcement, then two announcements", 7,
+		batchOf(req(5), ann[0]), batchOf(ann[1], ann[2]))
+}
+
+// TestHandedOffDispatchReadsItsOwnInstant: the dispatch of "block", second
+// in its batch and chained to the first, waits until the watch has
+// handed the rest of the batch to a fresh reader. That reader's first
+// dispatch begins at an instant it reads itself — after "block" began —
+// not at a cursor copied from the stalled delivery; under -race, the
+// stalled dispatch's end, written when it returns, shares no cursor with
+// the dispatches that overtook it.
+func TestHandedOffDispatchReadsItsOwnInstant(t *testing.T) {
+	nextIn := make(chan struct{})
+	var blockAt, blockIn, nextAt time.Time
+	h := func(ctx context.Context, in *Incoming) (string, []wire.Value, error) {
+		switch in.Op {
+		case "block":
+			blockAt, blockIn = in.At, time.Now()
+			select {
+			case <-nextIn:
+			case <-time.After(10 * time.Second):
+				return "", nil, fmt.Errorf("no hand-off")
+			}
+		case "next":
+			nextAt = in.At
+			close(nextIn)
+		}
+		return "ok", nil, nil
+	}
+	srv, raw, addr := tcpServer(t, clock.Real{}, h)
+	var frames [][]byte
+	for i, op := range []string{"first", "block", "next", "last"} {
+		frames = append(frames, announcements(uint64(i+1), 1, op)...)
+	}
+	if err := raw.Send(addr, batchOf(frames...)); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, "every dispatch", func() bool { return srv.DispatchLatency().Count() == 4 })
+	if nextAt.Before(blockIn) || !nextAt.After(blockAt) {
+		t.Fatalf("the reader that took the batch over began at %v, before the stalled dispatch it overtook (began %v, entered its handler %v)",
+			nextAt, blockAt, blockIn)
+	}
+}
 
 // BenchmarkTCPDispatch is the rung of a dispatch over TCP: a request
 // delivered under a stall watch, as a TCP reader delivers it, executed
@@ -296,7 +440,7 @@ func BenchmarkTCPDispatch(b *testing.B) {
 	w := clock.NewWatch(new(atomic.Uint64), func() {})
 	deliver := func(pkt []byte) {
 		t := w.Begin()
-		route(nil, srv, "client", pkt)
+		route(nil, srv, "client", pkt, time.Time{}) // each frame a read of its own
 		w.End(t)
 	}
 	req := buildPacket(msgRequest, 0, 0, "obj", "echo", []wire.Value{int64(1), "two"})
@@ -310,4 +454,31 @@ func BenchmarkTCPDispatch(b *testing.B) {
 		binary.BigEndian.PutUint64(ack[2:], uint64(i))
 		deliver(ack)
 	}
+}
+
+// BenchmarkTCPDispatchBatch is BenchmarkTCPDispatch for a batch: 64
+// announcements delivered back to back under one stall watch, as a TCP
+// reader delivers the frames of one read, on one cursor. It reports the
+// time a frame.
+func BenchmarkTCPDispatchBatch(b *testing.B) {
+	const frames = 64
+	ep := &replySink{concurrent: true}
+	srv := NewServer(ep, codec, echoHandler)
+	b.Cleanup(func() { _ = srv.Close() })
+	w := clock.NewWatch(new(atomic.Uint64), func() {})
+	pkts := announcements(0, frames, "echo")
+	b.ReportAllocs()
+	b.ResetTimer()
+	id := uint64(0)
+	for i := 0; i < b.N; i++ {
+		var at time.Time // one read
+		for _, pkt := range pkts {
+			id++
+			binary.BigEndian.PutUint64(pkt[2:], id)
+			t := w.Begin()
+			at = route(nil, srv, "client", pkt, at)
+			w.End(t)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
 }

@@ -133,7 +133,7 @@ type Coalescer struct {
 
 	pendingLimit int
 
-	handler atomic.Value // Handler
+	handler atomic.Value // ChainHandler
 
 	// peers is read on every send without a lock: a snapshot replaced,
 	// never changed, by the first send to a new destination. mu is taken
@@ -177,6 +177,7 @@ type Coalescer struct {
 // layer built on it reads the one instant and records into the one ring.
 type Batcher interface {
 	Endpoint
+	SetChainHandler(h ChainHandler) // SetHandler for a handler that takes the cursor
 	SendLazy(to string, pkt []byte) error
 	SendHeld(to string, pkt []byte) error
 	BatchStats() CoalescerStats
@@ -271,10 +272,13 @@ func (c *Coalescer) Clock() clock.Clock { return c.clk }
 func (c *Coalescer) Observer() *obs.Collector { return c.obs }
 
 // SetHandler implements Endpoint.
-func (c *Coalescer) SetHandler(h Handler) { c.handler.Store(h) }
+func (c *Coalescer) SetHandler(h Handler) { c.SetChainHandler(chained(h)) }
 
-func (c *Coalescer) loadHandler() Handler {
-	h, _ := c.handler.Load().(Handler)
+// SetChainHandler implements Batcher.
+func (c *Coalescer) SetChainHandler(h ChainHandler) { c.handler.Store(h) }
+
+func (c *Coalescer) loadHandler() ChainHandler {
+	h, _ := c.handler.Load().(ChainHandler)
 	return h
 }
 
@@ -441,7 +445,7 @@ func (c *Coalescer) demux(from string, pkt []byte) {
 		return
 	}
 	if n == 0 {
-		h(from, pkt)
+		h(from, pkt, time.Time{})
 		return
 	}
 	if c.watched && n > 1 {
@@ -453,7 +457,7 @@ func (c *Coalescer) demux(from string, pkt []byte) {
 			return
 		}
 	}
-	deliverBatch(pkt, func(sub []byte) { h(from, sub) })
+	deliverBatch(pkt, func(sub []byte) { h(from, sub, time.Time{}) })
 }
 
 // deliverOn is demux for a reader that delivers under its own watch,
@@ -475,7 +479,7 @@ func (c *Coalescer) deliverOn(u *unpacking, from string, pkt []byte) bool {
 	}
 	p := c.peer(from)
 	if p == nil { // closed: nothing holds replies
-		deliverBatch(pkt, func(sub []byte) { h(from, sub) })
+		deliverBatch(pkt, func(sub []byte) { h(from, sub, time.Time{}) })
 		return true
 	}
 	u.start(p, h, from)
@@ -516,10 +520,11 @@ type unpacking struct {
 	w    *clock.Watch
 	own  bool
 	p    *batchPeer // the batch's sender; nil between batches
-	h    Handler
+	h    ChainHandler
 	from string
-	rest []byte // the frames after the one being delivered
-	left int    // how many
+	rest []byte    // the frames after the one being delivered
+	left int       // how many
+	at   time.Time // the cursor: zero at each read and batch end, never handed on
 }
 
 // unpackings pools the unpackings that own their watches, so a watch's
@@ -541,16 +546,16 @@ func (u *unpacking) release() {
 }
 
 // start begins a batch of more than one frame from p.
-func (u *unpacking) start(p *batchPeer, h Handler, from string) {
+func (u *unpacking) start(p *batchPeer, h ChainHandler, from string) {
 	p.held.Add(1)
 	u.p, u.h, u.from = p, h, from
 }
 
 // deliverOne delivers one packet under u's watch and reports whether the
 // watch left what follows it with the caller.
-func (u *unpacking) deliverOne(h Handler, from string, pkt []byte) bool {
+func (u *unpacking) deliverOne(h ChainHandler, from string, pkt []byte) bool {
 	t := u.w.Begin()
-	h(from, pkt)
+	u.at = h(from, pkt, u.at)
 	return u.w.End(t)
 }
 
@@ -569,7 +574,7 @@ func (u *unpacking) deliver(body []byte, left int) bool {
 		if u.left == 0 {
 			u.p.held.Add(-1)
 			if u.own && !u.p.queued.Load() {
-				u.h(u.from, frame)
+				u.h(u.from, frame, u.at)
 				u.p = nil
 				return true
 			}
@@ -579,8 +584,8 @@ func (u *unpacking) deliver(body []byte, left int) bool {
 		}
 		body, left = u.rest, u.left
 	}
-	u.p.flushHeld()
-	u.p, u.h, u.rest = nil, nil, nil
+	u.p.flushHeld() // a write, which no frame's interval holds
+	u.p, u.h, u.rest, u.at = nil, nil, nil, time.Time{}
 	return true
 }
 

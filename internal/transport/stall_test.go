@@ -207,3 +207,79 @@ func TestWorkersSpillPastTheBound(t *testing.T) {
 		t.Errorf("%d workers after Close returned, want 0", n)
 	}
 }
+
+// chainOf returns a ChainHandler for frames "0", "1", …: it sends the
+// cursor each frame found on seen, then returns stamp(i).
+func chainOf(seen chan<- time.Time) ChainHandler {
+	return func(_ string, pkt []byte, at time.Time) time.Time {
+		seen <- at
+		return stamp(int(pkt[0] - '0'))
+	}
+}
+
+// stamp is the cursor a test handler returns after frame i.
+func stamp(i int) time.Time { return time.Unix(int64(i+1), 0) }
+
+// TestCoalescerChainsCursorWithinARead: the frames of one read reach a
+// ChainHandler back to back on one cursor, zero for the first and then
+// what the frame before returned; the next read starts at zero again.
+func TestCoalescerChainsCursorWithinARead(t *testing.T) {
+	snd, rcv := stallPair(t)
+	const n = 4
+	seen := make(chan time.Time, n)
+	rcv.SetChainHandler(chainOf(seen))
+	for read := 0; read < 2; read++ {
+		sendBatch(t, snd, rcv, n)
+		for i := 0; i < n; i++ {
+			want := time.Time{}
+			if i > 0 {
+				want = stamp(i - 1)
+			}
+			if got := <-seen; !got.Equal(want) {
+				t.Fatalf("read %d, frame %d found the cursor at %v, want %v", read, i, got, want)
+			}
+		}
+	}
+}
+
+// TestCoalescerHandOffKeepsEachCursor: frame "1" of a batch blocks until
+// the watch has handed the rest of the batch and the connection to a
+// fresh reader, whose first frame finds a cursor of its own, at zero, not
+// a copy of the stalled one's. The stalled delivery, when it returns,
+// writes only its own cursor: frame "3" finds what "2" returned, or zero
+// if the watch took "2" too.
+func TestCoalescerHandOffKeepsEachCursor(t *testing.T) {
+	snd, rcv := stallPair(t)
+	nextIn, blockDone := make(chan struct{}), make(chan struct{})
+	seen := make(chan time.Time, 3)
+	wait := func(ch <-chan struct{}, what string) {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Errorf("no %s", what)
+		}
+	}
+	chain := chainOf(seen)
+	rcv.SetChainHandler(func(from string, pkt []byte, at time.Time) time.Time {
+		switch string(pkt) {
+		case "1":
+			seen <- at
+			wait(nextIn, "hand-off")
+			defer close(blockDone)
+			return stamp(1)
+		case "2":
+			defer wait(blockDone, "return of the stalled delivery")
+			defer close(nextIn)
+		}
+		return chain(from, pkt, at)
+	})
+	sendBatch(t, snd, rcv, 4)
+	for i, want := range []time.Time{{}, stamp(0), {}} {
+		if got := <-seen; !got.Equal(want) {
+			t.Fatalf("frame %d found the cursor at %v, want %v", i, got, want)
+		}
+	}
+	if got := <-seen; !got.Equal(stamp(2)) && !got.IsZero() {
+		t.Fatalf("frame 3 found the cursor at %v, want frame 2's %v: the stalled delivery wrote its taker's cursor", got, stamp(2))
+	}
+}

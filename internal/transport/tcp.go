@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"odp/internal/clock"
 )
@@ -52,7 +53,7 @@ type TCPEndpoint struct {
 	listener net.Listener
 	addr     string
 
-	handler atomic.Value              // Handler
+	handler atomic.Value              // ChainHandler
 	co      atomic.Pointer[Coalescer] // set when a coalescer unpacks what is read here
 	closed  atomic.Bool               // written under mu, read by the read loops without it
 
@@ -163,7 +164,7 @@ func ListenTCP(bind string) (*TCPEndpoint, error) {
 func (e *TCPEndpoint) Addr() string { return e.addr }
 
 // SetHandler implements Endpoint.
-func (e *TCPEndpoint) SetHandler(h Handler) { e.handler.Store(h) }
+func (e *TCPEndpoint) SetHandler(h Handler) { e.handler.Store(chained(h)) }
 
 // DeliversConcurrently implements ConcurrentDeliverer: a stalled delivery
 // hands its connection to a fresh reader.
@@ -326,7 +327,7 @@ func (e *TCPEndpoint) read(r *tcpReader) bool {
 	for {
 		if r.peer != "" {
 			co := e.co.Load()
-			h, _ := e.handler.Load().(Handler)
+			h, _ := e.handler.Load().(ChainHandler)
 			for {
 				pkt, ok, err := s.next()
 				if err != nil {
@@ -350,6 +351,7 @@ func (e *TCPEndpoint) read(r *tcpReader) bool {
 		if err := s.fill(tc.conn); err != nil || e.closed.Load() {
 			return false
 		}
+		r.u.at = time.Time{} // each read starts a delivery
 		if r.peer == "" {
 			peer, err := s.hello()
 			if err != nil {

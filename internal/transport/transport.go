@@ -18,6 +18,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Handler consumes one inbound packet. Implementations are called from
@@ -26,6 +27,19 @@ import (
 // handler that needs the bytes afterwards must copy them. (The rpc layer
 // satisfies this by decoding synchronously before any hand-off.)
 type Handler func(from string, pkt []byte)
+
+// ChainHandler is a Handler given its delivery's cursor, at, to time from
+// instead of reading a clock: zero, or what it returned for the frame
+// before on the same goroutine. A delivery that keeps none passes zero.
+type ChainHandler func(from string, pkt []byte, at time.Time) time.Time
+
+// chained is h as a ChainHandler that keeps no cursor; nil stays nil.
+func chained(h Handler) ChainHandler {
+	if h == nil {
+		return nil
+	}
+	return func(from string, pkt []byte, _ time.Time) time.Time { h(from, pkt); return time.Time{} }
+}
 
 // Endpoint is a best-effort datagram endpoint with a stable address.
 type Endpoint interface {
