@@ -26,6 +26,9 @@ import (
 type countingClock struct {
 	clock.Clock
 	reads atomic.Int64
+	// sends counts, by the same rule, the reads made under the rpc
+	// client's Call.
+	sends atomic.Int64
 }
 
 func (c *countingClock) Now() time.Time {
@@ -40,7 +43,7 @@ func (c *countingClock) Since(t time.Time) time.Duration {
 
 // count counts a read whose first caller outside this clock, the runtime
 // and the span collector is not the coalescer, made under Proxy.Call or
-// Server.run.
+// Server.run, and in sends one made under rpc.Client.Call.
 func (c *countingClock) count() {
 	var pcs [64]uintptr
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs[:])])
@@ -55,6 +58,9 @@ func (c *countingClock) count() {
 		}
 		if strings.HasPrefix(reader, "odp/internal/transport.") {
 			return
+		}
+		if fn == "odp/internal/rpc.(*Client).Call" {
+			c.sends.Add(1)
 		}
 		if fn == "odp/internal/core.(*Proxy).Call" || fn == "odp/internal/rpc.(*Server).run" {
 			c.reads.Add(1)

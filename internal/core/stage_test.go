@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -30,6 +31,12 @@ type stageUniverse struct {
 // that has a stage on the server. wrap, when non-nil, wraps the
 // universe's clock for the server.
 func newStageUniverse(t *testing.T, servant capsule.Servant, wrap func(clock.Clock) clock.Clock) *stageUniverse {
+	return newStageUniverseOn(t, servant, wrap, nil)
+}
+
+// newStageUniverseOn is newStageUniverse whose client's clock cwrap,
+// when non-nil, wraps.
+func newStageUniverseOn(t *testing.T, servant capsule.Servant, wrap, cwrap func(clock.Clock) clock.Clock) *stageUniverse {
 	s := sim.New(47)
 	t.Cleanup(s.Close)
 	u := &stageUniverse{t: t, s: s}
@@ -49,8 +56,12 @@ func newStageUniverse(t *testing.T, servant capsule.Servant, wrap func(clock.Clo
 	if wrap != nil {
 		sclk = wrap(s.Clock)
 	}
+	var cclk clock.Clock = s.Clock
+	if cwrap != nil {
+		cclk = cwrap(s.Clock)
+	}
 	u.server = node("server", sclk)
-	u.client = node("client", s.Clock, WithRelocator(u.server.RelocRef))
+	u.client = node("client", cclk, WithRelocator(u.server.RelocRef))
 	u.server.Keys.Share("alice", []byte("k"))
 	var err error
 	if u.ref, err = u.server.Publish("woven", Object{Servant: servant, Type: ledgerType(), Env: allMechanisms()}); err != nil {
@@ -288,6 +299,93 @@ func TestSampledStagesShareTheirReads(t *testing.T) {
 	}
 	if _, byKind := u.trace(); len(byKind) != 1 {
 		t.Errorf("the remote call left server spans %v, want its dispatch alone", byKind)
+	}
+}
+
+// TestSampledSendSharesItsReads: a sampled remote call reads the
+// client's clock twice under the rpc client's Call — the send stage's
+// begin and end, each shared by its span and its histogram — as an
+// unsampled one does. A send span read its instants apart from the
+// latency's stamps before: 4.
+func TestSampledSendSharesItsReads(t *testing.T) {
+	var cclk *countingClock
+	u := newStageUniverseOn(t, &ledger{}, nil, func(c clock.Clock) clock.Clock {
+		cclk = &countingClock{Clock: c}
+		return cclk
+	})
+	ref, err := u.server.Publish("plain", Object{Servant: &ledger{}, Type: ledgerType()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.ref = ref
+	for _, every := range []uint64{1, 0} {
+		u.client.Observer().SetSampleEvery(every)
+		before := cclk.sends.Load()
+		if err := u.call(false); err != nil {
+			t.Fatal(err)
+		}
+		if n := cclk.sends.Load() - before; n != 2 {
+			t.Errorf("a remote call sampling one in %d read the client's clock %d times under its send, want 2", every, n)
+		}
+	}
+	var sends int
+	for _, sp := range u.client.Observer().Snapshot() {
+		if sp.Kind == obs.KindSend && sp.Name == "credit" {
+			sends++
+		}
+	}
+	if sends != 1 {
+		t.Errorf("%d send spans, want the sampled call's alone", sends)
+	}
+}
+
+// TestRootKindsSampleTheirOwnPasses: with one trace in n sampled, a
+// client making 60 serial calls roots exactly 60/n stub traces, and its
+// coalescer's flush roots one in n of its batch writes: each root kind
+// draws from its own passes, so the flush takes none of the
+// invocations' decisions.
+func TestRootKindsSampleTheirOwnPasses(t *testing.T) {
+	const calls = 60
+	for _, n := range []uint64{2, 4} {
+		t.Run(fmt.Sprintf("one in %d", n), func(t *testing.T) {
+			e := newCoreEnv(t)
+			server := e.platform("server")
+			client := e.platform("client", WithRelocator(server.RelocRef), WithTracing(obs.WithSampleEvery(n)))
+			ref, err := server.Publish("ledger", Object{Servant: &ledger{}, Type: ledgerType()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			proxy := client.Bind(ref)
+			for i := 0; i < calls; i++ {
+				if _, err := proxy.Call(context.Background(), "credit", int64(1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stubs, flushes, batches uint64
+			waitFor(t, "the client's batch writes to settle", func() bool {
+				before := client.coalescer.BatchStats().BatchesSent
+				stubs, flushes = 0, 0
+				for _, sp := range client.Observer().Snapshot() {
+					switch sp.Kind {
+					case obs.KindStub:
+						stubs++
+					case obs.KindFlush:
+						flushes++
+					}
+				}
+				batches = client.coalescer.BatchStats().BatchesSent
+				return batches == before
+			})
+			if stubs != calls/n {
+				t.Errorf("%d of %d calls sampled, want %d", stubs, calls, calls/n)
+			}
+			if want := (batches + n - 1) / n; flushes != want {
+				t.Errorf("%d of %d batch writes sampled, want %d", flushes, batches, want)
+			}
+			if st := client.Observer().Stats(); st.Roots != calls+batches {
+				t.Errorf("%d root decisions, want one a call and one a batch write: %d", st.Roots, calls+batches)
+			}
+		})
 	}
 }
 

@@ -18,9 +18,8 @@
 //     the proxy layers, and the low layers never import upward.
 //   - ctxdrop: a named context.Context parameter is read, so
 //     cancellation is never silently cut.
-//   - obsleak: a span from obs.Collector.Begin/BeginChild reaches End or
-//     escapes on some path, so the span pool cannot leak, and a step from
-//     obs.Stage.Begin reaches Stage.End on every path.
+//   - obsleak: a step from obs.Stage.Begin reaches Stage.End on every
+//     path, so no stage loses a span or a count.
 //
 // mutexheld and lockgraph share one held-lock walk (lockcommon.go), so
 // each function body is walked once and the two cannot disagree about

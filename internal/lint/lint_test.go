@@ -276,9 +276,6 @@ func fixtureCases() []fixtureCase {
 			dir: "obsleak", asPath: "odp/internal/obsleak",
 			analyzer: NewObsLeak(),
 			want: []string{
-				`obsleak.go:10: [obsleak] span "sp" from Collector.Begin never reaches End: release it on every return path`,
-				"obsleak.go:18: [obsleak] result of Collector.Begin is discarded: a sampled span would never be released",
-				"obsleak.go:19: [obsleak] result of Collector.BeginChild is discarded: a sampled span would never be released",
 				`stage.go:16: [obsleak] step "st" from Stage.Begin never reaches Stage.End`,
 				`stage.go:22: [obsleak] step "st" from Stage.Begin does not reach End on every path: a return comes before its End`,
 				"stage.go:32: [obsleak] result of Stage.Begin is discarded: its step can never reach End",

@@ -1,7 +1,7 @@
+// Package obsleak is a known-bad corpus for the obsleak pass: steps from
+// Stage.Begin that miss Stage.End on some path, alongside clean shapes
+// the pass must not flag.
 package obsleak
-
-// The stage pair: a step from Stage.Begin must reach Stage.End on every
-// path.
 
 import (
 	"context"

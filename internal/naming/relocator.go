@@ -119,7 +119,7 @@ type Binder struct {
 // BinderStats counts binder events for the scaling experiment E7.
 type BinderStats struct {
 	Invocations uint64
-	Relocations uint64 // relocator consultations
+	Relocations uint64 // relocator consultations: the resolve stage's passes
 	CacheHits   uint64
 }
 
@@ -137,7 +137,11 @@ func NewBinder(c *capsule.Capsule, relocator wire.Ref) *Binder {
 }
 
 // Stats returns a snapshot of binder counters.
-func (b *Binder) Stats() BinderStats { return obs.Load(&b.stats) }
+func (b *Binder) Stats() BinderStats {
+	st := obs.Load(&b.stats)
+	st.Relocations = b.resolve.Stats().Calls
+	return st
+}
 
 // ResolveLatency snapshots the relocator-consultation latency histogram.
 func (b *Binder) ResolveLatency() obs.HistogramSnapshot {
@@ -198,7 +202,6 @@ func (b *Binder) invokeWith(ctx context.Context, ref wire.Ref, op string, args [
 // relocation an invocation needed — including the nested lookup's own
 // send/dispatch spans beneath it.
 func (b *Binder) relocate(ctx context.Context, id string) (wire.Ref, error) {
-	atomic.AddUint64(&b.stats.Relocations, 1)
 	ctx, st := b.resolve.Begin(ctx, obs.SpanContext{}, id, time.Time{})
 	outcome, results, err := b.capsule.Invoke(ctx, b.relocator, "lookup", []wire.Value{id})
 	b.resolve.End(st, err)

@@ -21,9 +21,11 @@
 //     owned by the collector, oldest overwritten;
 //   - timestamps come from the node's clock.Clock, so simulated
 //     platforms produce virtual-time spans and deterministic trees;
-//   - unsampled calls cost a few atomic loads and zero allocations
-//     (Begin returns nil, End of nil is a no-op — gated by test);
-//   - sampled spans are drawn from a sync.Pool and returned on End.
+//   - unsampled calls cost a few atomic loads and zero allocations (a
+//     Stage pass that mints no span reads no clock it would not read
+//     untraced, and allocates nothing — gated by test);
+//   - sampled spans are drawn from a sync.Pool and returned when their
+//     stage's pass ends.
 //
 // Span identifiers are deterministic per collector: the top bits derive
 // from the node name, the low bits from a counter, so a seeded simulation
@@ -121,7 +123,8 @@ func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
 // CollectorStats counts collector events for the unified snapshot.
 type CollectorStats struct {
-	// Roots counts sampling decisions taken (root Begin attempts).
+	// Roots counts sampling decisions taken: passes of a root-kind
+	// stage (the stub, the flush) that found no trace to join.
 	Roots uint64
 	// Sampled counts roots that were actually sampled.
 	Sampled uint64
@@ -154,8 +157,10 @@ type Collector struct {
 type CollectorOption func(*Collector)
 
 // WithSampleEvery sets the root sampling rate: 1 samples every
-// invocation, n samples one in n, 0 disables tracing (the default — a
-// collector observes nothing until told to sample).
+// invocation, n samples one in n of each root kind's passes — one
+// invocation in n at the stub, one batch write in n at the flush — and 0
+// disables tracing (the default — a collector observes nothing until
+// told to sample).
 func WithSampleEvery(n uint64) CollectorOption {
 	return func(c *Collector) { c.every.Store(n) }
 }
@@ -230,29 +235,12 @@ func (c *Collector) nextSpanID() uint64 {
 	return c.idBase | (c.nextID.Add(1) & 0xFFFFFFFFFFFF)
 }
 
-// Begin starts a new root span, subject to the sampling knob. It returns
-// nil when the collector is nil or the root is not sampled; every
-// downstream layer then sees an invalid SpanContext and stays silent at
-// zero cost. The caller must pass the result to End on every return path.
-func (c *Collector) Begin(kind, name string) *Span {
-	return c.mint(SpanContext{}, kind, name, time.Time{})
-}
-
-// BeginChild starts a span under parent. It returns nil when the
-// collector is nil or the parent context is invalid (the trace was not
-// sampled), so child layers never originate traces of their own. The
-// caller must pass the result to End on every return path.
-func (c *Collector) BeginChild(parent SpanContext, kind, name string) *Span {
-	if !parent.Valid() {
-		return nil
-	}
-	return c.mint(parent, kind, name, time.Time{})
-}
-
 // mint starts a span under parent, or a root subject to the sampling
 // knob when parent is invalid, at the instant at; a zero at is read from
-// the clock once the span is sure to exist.
-func (c *Collector) mint(parent SpanContext, kind, name string, at time.Time) *Span {
+// the clock once the span is sure to exist. A root is drawn from draws,
+// its stage's own count of root decisions, so one in every of that
+// stage's passes is sampled whatever other root kinds draw.
+func (c *Collector) mint(parent SpanContext, kind, name string, at time.Time, draws *atomic.Uint64) *Span {
 	if c == nil {
 		return nil
 	}
@@ -261,8 +249,8 @@ func (c *Collector) mint(parent SpanContext, kind, name string, at time.Time) *S
 		if every == 0 {
 			return nil
 		}
-		n := atomic.AddUint64(&c.stats.Roots, 1)
-		if every > 1 && (n-1)%every != 0 {
+		atomic.AddUint64(&c.stats.Roots, 1)
+		if n := draws.Add(1); every > 1 && (n-1)%every != 0 {
 			return nil
 		}
 		atomic.AddUint64(&c.stats.Sampled, 1)
@@ -278,15 +266,6 @@ func (c *Collector) mint(parent SpanContext, kind, name string, at time.Time) *S
 	return sp
 }
 
-// End completes sp: stamps the end instant, commits a copy to the ring
-// and returns the span to the pool. Nil-safe (ending an unsampled span
-// is free), so call sites need no branches.
-func (c *Collector) End(sp *Span) {
-	if c != nil && sp != nil {
-		c.endAt(sp, c.clk.Now())
-	}
-}
-
 // endAt completes sp at the instant end: a copy goes to the ring, sp
 // back to the pool.
 func (c *Collector) endAt(sp *Span, end time.Time) {
@@ -300,10 +279,13 @@ func (c *Collector) endAt(sp *Span, end time.Time) {
 }
 
 // Event records an instantaneous span under parent (a retransmission, an
-// ack): Begin and End collapsed into one ring commit, nothing to leak.
+// ack): a span begun and ended in one ring commit, nothing to leak.
 // No-op when the collector is nil or the parent is invalid.
 func (c *Collector) Event(parent SpanContext, kind, name string) {
-	if sp := c.BeginChild(parent, kind, name); sp != nil {
+	if !parent.Valid() {
+		return
+	}
+	if sp := c.mint(parent, kind, name, time.Time{}, nil); sp != nil {
 		c.endAt(sp, sp.Start)
 	}
 }

@@ -21,13 +21,27 @@ func newTestCollector(name string, every uint64) (*Collector, *clock.Fake) {
 	return NewCollector(name, fake, WithSampleEvery(every)), fake
 }
 
+// root mints a root span of kind stub on c, drawn from draws as a
+// root-kind stage's pass draws it.
+func root(c *Collector, draws *atomic.Uint64, name string) *Span {
+	return c.mint(SpanContext{}, KindStub, name, time.Time{}, draws)
+}
+
+// child mints a span under parent on c.
+func child(c *Collector, parent SpanContext, kind, name string) *Span {
+	return c.mint(parent, kind, name, time.Time{}, nil)
+}
+
+// end completes sp at the instant c's clock reads, as a pass's End does.
+func end(c *Collector, sp *Span) { c.endAt(sp, c.clk.Now()) }
+
 func TestNilCollectorIsFree(t *testing.T) {
 	var c *Collector
-	sp := c.Begin(KindStub, "op")
+	var draws atomic.Uint64
+	sp := root(c, &draws, "op")
 	if sp != nil {
 		t.Fatal("nil collector began a span")
 	}
-	c.End(sp)
 	c.Event(sp.Context(), KindAck, "op")
 	if got := c.Snapshot(); got != nil {
 		t.Fatalf("nil collector snapshot = %v", got)
@@ -39,22 +53,23 @@ func TestNilCollectorIsFree(t *testing.T) {
 
 func TestSpanTreeAndRing(t *testing.T) {
 	c, fake := newTestCollector("node-a", 1)
-	root := c.Begin(KindStub, "get")
-	if root == nil {
+	var draws atomic.Uint64
+	top := root(c, &draws, "get")
+	if top == nil {
 		t.Fatal("sampled root is nil")
 	}
-	if root.TraceID != root.SpanID || root.TraceID == 0 {
-		t.Fatalf("root ids: trace=%x span=%x", root.TraceID, root.SpanID)
+	if top.TraceID != top.SpanID || top.TraceID == 0 {
+		t.Fatalf("root ids: trace=%x span=%x", top.TraceID, top.SpanID)
 	}
 	fake.Advance(time.Millisecond)
-	child := c.BeginChild(root.Context(), KindSend, "get")
-	if child.TraceID != root.TraceID || child.ParentID != root.SpanID {
-		t.Fatalf("child not under root: %+v", child)
+	send := child(c, top.Context(), KindSend, "get")
+	if send.TraceID != top.TraceID || send.ParentID != top.SpanID {
+		t.Fatalf("child not under root: %+v", send)
 	}
-	c.Event(child.Context(), KindRetransmit, "get")
+	c.Event(send.Context(), KindRetransmit, "get")
 	fake.Advance(time.Millisecond)
-	c.End(child)
-	c.End(root)
+	end(c, send)
+	end(c, top)
 
 	spans := c.Snapshot()
 	if len(spans) != 3 {
@@ -78,29 +93,32 @@ func TestSpanTreeAndRing(t *testing.T) {
 
 func TestSampling(t *testing.T) {
 	c, _ := newTestCollector("node-a", 3)
+	var draws atomic.Uint64
 	var sampled int
 	for i := 0; i < 9; i++ {
-		if sp := c.Begin(KindStub, "op"); sp != nil {
+		if sp := root(c, &draws, "op"); sp != nil {
 			sampled++
-			c.End(sp)
+			end(c, sp)
 		}
 	}
 	if sampled != 3 {
 		t.Fatalf("sampled %d of 9 with every=3", sampled)
 	}
 	c.SetSampleEvery(0)
-	if sp := c.Begin(KindStub, "op"); sp != nil {
+	if sp := root(c, &draws, "op"); sp != nil {
 		t.Fatal("began a span with sampling off")
 	}
-	if c.BeginChild(SpanContext{}, KindSend, "op") != nil {
-		t.Fatal("began a child under an invalid parent")
+	c.Event(SpanContext{}, KindAck, "op")
+	if st := c.Stats(); st.Recorded != 3 {
+		t.Fatalf("an event under an invalid parent was recorded: %+v", st)
 	}
 }
 
 func TestRingEviction(t *testing.T) {
 	c, _ := newTestCollector("node-a", 1)
+	var draws atomic.Uint64
 	for i := 0; i < ringSize+2; i++ {
-		c.End(c.Begin(KindStub, strconv.Itoa(i)))
+		end(c, root(c, &draws, strconv.Itoa(i)))
 	}
 	spans := c.Snapshot()
 	if len(spans) != ringSize {
@@ -115,14 +133,15 @@ func TestRingEviction(t *testing.T) {
 // first span committed to it.
 func TestRingBuiltByFirstSpan(t *testing.T) {
 	c := NewCollector("node-a", clock.NewFake(epoch))
-	if sp := c.Begin(KindStub, "unsampled"); sp != nil || c.ring.buf != nil {
+	var draws atomic.Uint64
+	if sp := root(c, &draws, "unsampled"); sp != nil || c.ring.buf != nil {
 		t.Fatalf("unsampled root: span %v, ring of %d", sp, len(c.ring.buf))
 	}
 	if got := c.Snapshot(); len(got) != 0 {
 		t.Fatalf("snapshot of an empty collector: %v", got)
 	}
 	c.SetSampleEvery(1)
-	c.End(c.Begin(KindStub, "first"))
+	end(c, root(c, &draws, "first"))
 	if len(c.ring.buf) != ringSize || len(c.Snapshot()) != 1 {
 		t.Fatalf("after the first span: ring of %d, %d retained", len(c.ring.buf), len(c.Snapshot()))
 	}
@@ -131,9 +150,10 @@ func TestRingBuiltByFirstSpan(t *testing.T) {
 func TestDeterministicIDs(t *testing.T) {
 	run := func() []Span {
 		c, _ := newTestCollector("node-a", 1)
-		root := c.Begin(KindStub, "op")
-		c.End(c.BeginChild(root.Context(), KindSend, "op"))
-		c.End(root)
+		var draws atomic.Uint64
+		top := root(c, &draws, "op")
+		end(c, child(c, top.Context(), KindSend, "op"))
+		end(c, top)
 		return c.Snapshot()
 	}
 	a, b := run(), run()
@@ -144,7 +164,8 @@ func TestDeterministicIDs(t *testing.T) {
 	}
 	ca, _ := newTestCollector("node-a", 1)
 	cb, _ := newTestCollector("node-b", 1)
-	if ca.Begin(KindStub, "op").SpanID == cb.Begin(KindStub, "op").SpanID {
+	var da, db atomic.Uint64
+	if root(ca, &da, "op").SpanID == root(cb, &db, "op").SpanID {
 		t.Fatal("two nodes minted the same span id")
 	}
 }
@@ -275,14 +296,14 @@ func TestSpanRecordRoundTrip(t *testing.T) {
 
 func TestFormatForest(t *testing.T) {
 	c, fake := newTestCollector("a", 1)
-	root := c.Begin(KindStub, "get")
+	var draws atomic.Uint64
+	top := root(c, &draws, "get")
 	fake.Advance(time.Millisecond)
-	send := c.BeginChild(root.Context(), KindSend, "get")
+	send := child(c, top.Context(), KindSend, "get")
 	c.Event(send.Context(), KindRetransmit, "get")
-	c.End(send)
-	c.End(root)
-	other := c.Begin(KindStub, "put")
-	c.End(other)
+	end(c, send)
+	end(c, top)
+	end(c, root(c, &draws, "put"))
 
 	out := FormatForest(c.Snapshot())
 	if strings.Count(out, "trace ") != 2 {
@@ -302,20 +323,5 @@ func TestFormatForest(t *testing.T) {
 	orphan := []Span{{TraceID: 5, SpanID: 6, ParentID: 99, Kind: KindDispatch, Name: "x", Node: "b", Start: epoch, End: epoch}}
 	if !strings.Contains(FormatForest(orphan), "rpc.dispatch x@b") {
 		t.Fatal("orphan span dropped")
-	}
-}
-
-func TestUnsampledBeginAllocFree(t *testing.T) {
-	c, _ := newTestCollector("node-a", 0)
-	ctx := context.Background()
-	if n := testing.AllocsPerRun(200, func() {
-		sp := c.Begin(KindStub, "op")
-		if sp != nil {
-			ctx = ContextWith(ctx, sp.Context())
-		}
-		c.End(sp)
-		_ = FromContext(ctx)
-	}); n != 0 {
-		t.Fatalf("unsampled path allocates %v/op", n)
 	}
 }

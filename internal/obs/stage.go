@@ -9,7 +9,8 @@ import (
 )
 
 // Stage is one step on an invocation's access path — the stub, a binder
-// resolve, the bypass, the server's dispatch, a woven mechanism — in one
+// resolve, the bypass, the client's send or announcement, the coalescer's
+// flush, the server's dispatch, a woven mechanism — in one
 // shape: its kind's span on a sampled call, calls and errors counted on
 // every call and, when timed, every call's interval in a histogram. A
 // timed stage without a span kind (a Managed prefix, whose interval is
@@ -26,10 +27,16 @@ type Stage struct {
 	col   *Collector
 	clk   clock.Clock
 	timed bool
-	// client marks a step on the caller's side — stub, resolve, bypass —
-	// which runs under the span its caller's ctx carries; the dispatch
-	// and the woven mechanisms run under the one the invocation brings.
+	// client marks a step on the caller's side — stub, resolve, bypass,
+	// send, announce — which runs under the span its caller's ctx
+	// carries; the dispatch and the woven mechanisms run under the one
+	// the invocation brings.
 	client bool
+	// root marks a kind that roots a trace where its pass finds none to
+	// join — the stub, the coalescer's flush; it draws one in n of its
+	// own passes from draws, so no root kind takes another's decisions.
+	root  bool
+	draws atomic.Uint64
 	// active is traced or timed: an inactive stage's pass is a counter
 	// add, inlined at its call sites.
 	active bool
@@ -59,7 +66,8 @@ type Step struct {
 // col (nil: untraced) on the clock clk.
 func (s *Stage) Init(kind string, col *Collector, clk clock.Clock, timed bool) {
 	s.kind, s.col, s.clk, s.timed = kind, col, clk, timed
-	s.client = kind == KindStub || kind == KindResolve || kind == KindBypass
+	s.client = kind == KindStub || kind == KindResolve || kind == KindBypass || kind == KindSend || kind == KindAnnounce
+	s.root = kind == KindStub || kind == KindFlush
 	s.active = col != nil || timed
 	s.binned = timed && kind != ""
 }
@@ -67,8 +75,8 @@ func (s *Stage) Init(kind string, col *Collector, clk clock.Clock, timed bool) {
 // Begin opens a pass named name under parent — for a client-side stage,
 // under the span ctx carries — at the instant at (zero: read when
 // needed). On a sampled call it opens the stage's span and returns ctx
-// carrying it, for nested invocations to join; only the stub roots a
-// trace, and only when ctx carries none.
+// carrying it, for nested invocations to join; only a root kind — the
+// stub, the flush — roots a trace, and only when it is given none.
 func (s *Stage) Begin(ctx context.Context, parent SpanContext, name string, at time.Time) (context.Context, Step) {
 	st := Step{At: at, Span: parent}
 	if s.active {
@@ -81,8 +89,8 @@ func (s *Stage) begin(ctx context.Context, st *Step, name string) context.Contex
 	if s.client && s.col != nil {
 		st.Span = FromContext(ctx)
 	}
-	if s.col != nil && s.kind != "" && st.Span.Valid() != (s.kind == KindStub) {
-		if st.sp = s.col.mint(st.Span, s.kind, name, st.At); st.sp != nil {
+	if s.col != nil && s.kind != "" && st.Span.Valid() != s.root {
+		if st.sp = s.col.mint(st.Span, s.kind, name, st.At, &s.draws); st.sp != nil {
 			st.At, st.Span = st.sp.Start, st.sp.Context()
 			ctx = ContextWith(ctx, st.Span)
 		}

@@ -140,6 +140,32 @@ func TestStageReadsTheClockOncePerEnd(t *testing.T) {
 	}
 }
 
+// TestRootStagesDrawTheirOwnSamples: a stub and a flush on one
+// collector sampling one in 2, their passes interleaved, each root one
+// in 2 of their own passes; the collector counts every decision.
+func TestRootStagesDrawTheirOwnSamples(t *testing.T) {
+	col, clk := newTestCollector("n", 2)
+	var stub, flush Stage
+	stub.Init(KindStub, col, clk, false)
+	flush.Init(KindFlush, col, clk, false)
+	for i := 0; i < 4; i++ {
+		for _, s := range []*Stage{&stub, &flush} {
+			_, st := s.Begin(context.Background(), SpanContext{}, "op", time.Time{})
+			s.End(st, nil)
+		}
+	}
+	roots := map[string]int{}
+	for _, sp := range col.Snapshot() {
+		roots[sp.Kind]++
+	}
+	if roots[KindStub] != 2 || roots[KindFlush] != 2 || len(roots) != 2 {
+		t.Errorf("roots %v, want 2 stubs and 2 flushes of 4 passes each", roots)
+	}
+	if st := col.Stats(); st.Roots != 8 || st.Sampled != 4 {
+		t.Errorf("collector stats %+v, want 8 decisions and 4 sampled", st)
+	}
+}
+
 // TestUnsampledStageAllocFree: an unsampled pass through a stage on a
 // traced node allocates nothing.
 func TestUnsampledStageAllocFree(t *testing.T) {

@@ -264,16 +264,14 @@ func TestAdmissionRejectSpan(t *testing.T) {
 		WithAdmission(AdmissionConfig{Rate: 0, Burst: 1}))
 	t.Cleanup(func() { _ = srv.Close() })
 
-	root := ccol.Begin(obs.KindStub, "op")
-	rootCtx := root.Context() // End recycles the span, so capture first
-	ctx := obs.ContextWith(context.Background(), rootCtx)
+	ctx, rootCtx, endRoot := stubRoot(ccol, clock.Real{}, "op")
 	if _, _, err := cli.Call(ctx, "server", "o", "op", nil, QoS{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := cli.Call(ctx, "server", "o", "op", nil, QoS{}); !errors.Is(err, ErrServerBusy) {
 		t.Fatalf("err = %v, want ErrServerBusy", err)
 	}
-	ccol.End(root)
+	endRoot()
 
 	rejects := spansOfKind(scol.Snapshot(), obs.KindReject)
 	if len(rejects) != 1 {

@@ -52,7 +52,9 @@ type ClientStats struct {
 	Calls           uint64
 	Retransmissions uint64
 	Timeouts        uint64
-	Announcements   uint64
+	// Announcements counts the announce stage's passes: every
+	// announcement made, failed ones too.
+	Announcements uint64
 	// BadReplies counts replies whose body failed to decode: without
 	// this counter, corrupt replies vanish silently.
 	BadReplies uint64
@@ -142,19 +144,20 @@ type Client struct {
 	nacks       atomic.Int32 // len(acks), stored under ackMu and read without it
 	ackFlushing bool         // the ackFlushBound flush is waiting for its instant to end
 
-	// obs, the node's span collector (ep's), records protocol-layer
-	// spans (send, retransmit, ack, announce) under the span context
-	// carried by the call's ctx. Nil means tracing off; the hot path pays
-	// one nil check.
+	// obs, the node's span collector (ep's), records a sampled call's
+	// retransmit and ack events under its send span. Nil means tracing
+	// off.
 	obs *obs.Collector
 
 	// names holds the reply outcomes, so a reply does not copy one.
 	names names
 
-	// lat is the send→reply latency distribution: first transmission to
-	// reply delivery, retransmissions included. Unlike spans it is
-	// always on — recording is one atomic increment.
-	lat obs.Histogram
+	// send is the interrogation stage, timed: its span and its histogram
+	// cover the whole call, request encode to reply, retransmissions
+	// included, and a call that fails or times out too. announce is the
+	// announcement stage, untimed, so an untraced announcement pays a
+	// counter add. Both find their parent span in the caller's ctx.
+	send, announce obs.Stage
 }
 
 // pendingAck is one deferred acknowledgement awaiting piggybacking.
@@ -189,6 +192,8 @@ func newClientNoHandler(ep transport.Batcher, codec wire.Codec) *Client {
 		clk:   ep.Clock(),
 		obs:   ep.Observer(),
 	}
+	c.send.Init(obs.KindSend, c.obs, c.clk, true)
+	c.announce.Init(obs.KindAnnounce, c.obs, c.clk, false)
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]*pendingCall)
 	}
@@ -206,15 +211,16 @@ func (c *Client) shard(id uint64) *pendingShard {
 // Stats returns a snapshot of client counters.
 func (c *Client) Stats() ClientStats {
 	st := obs.Load(&c.stats)
+	st.Announcements = c.announce.Stats().Calls
 	if _, packed := c.codec.(wire.PackedCodec); packed {
 		st.PackedUpgrades = st.Calls + st.Announcements
 	}
 	return st
 }
 
-// CallLatency snapshots the send→reply latency histogram.
+// CallLatency snapshots the send stage's latency histogram.
 func (c *Client) CallLatency() obs.HistogramSnapshot {
-	return c.lat.Snapshot()
+	return c.send.Latency()
 }
 
 // Close releases the client. In-flight calls fail with ErrClosed.
@@ -266,30 +272,22 @@ func (c *Client) fail(id uint64, err error) {
 
 // newRequest assembles the packet of one outbound invocation — request
 // or announcement — in a pooled buffer: header, trace ids when the
-// invocation is sampled, argument vector. The sampling decision was
-// taken at the trace root: an untraced ctx leaves sp nil and the flag
-// clear, so unsampled invocations put nothing extra on the wire (or the
-// heap). On success the caller owns bufp and sp.
-func (c *Client) newRequest(ctx context.Context, kind byte, objID, op string, args []wire.Value) (bufp *[]byte, id uint64, sp *obs.Span, err error) {
+// invocation is sampled (trace is its stage's span), argument vector. The
+// sampling decision was taken at the trace root: an unsampled invocation
+// puts nothing extra on the wire. On success the caller owns bufp.
+func (c *Client) newRequest(kind byte, trace obs.SpanContext, objID, op string, args []wire.Value) (bufp *[]byte, id uint64, err error) {
 	h := header{kind: kind, callID: c.nextID.Add(1), objID: objID, op: op}
-	if c.obs != nil {
-		spanKind := obs.KindSend
-		if kind == msgAnnounce {
-			spanKind = obs.KindAnnounce
-		}
-		if sp = c.obs.BeginChild(obs.FromContext(ctx), spanKind, op); sp != nil {
-			h.flags, h.trace = flagTraced, sp.Context()
-		}
+	if trace.Valid() {
+		h.flags, h.trace = flagTraced, trace
 	}
 	bufp = wire.GetBuffer()
 	pkt, err := wire.EncodeAllInto(c.codec, encodeHeader(*bufp, h), args)
 	if err != nil {
 		wire.PutBuffer(bufp)
-		c.obs.End(sp)
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
 	*bufp = pkt
-	return bufp, h.callID, sp, nil
+	return bufp, h.callID, nil
 }
 
 // Call performs an interrogation of op on object objID at dest. It blocks
@@ -297,27 +295,33 @@ func (c *Client) newRequest(ctx context.Context, kind byte, objID, op string, ar
 // The results are the application outcome and its result package; err is
 // non-nil only for system-level failures.
 func (c *Client) Call(ctx context.Context, dest, objID, op string, args []wire.Value, qos QoS) (string, []wire.Value, error) {
+	_, st := c.send.Begin(ctx, obs.SpanContext{}, op, time.Time{})
+	outcome, results, err := c.call(ctx, st, dest, objID, op, args, qos)
+	c.send.End(st, err)
+	return outcome, results, err
+}
+
+// call is Call's interrogation within the send stage's step st: st.At
+// stamps the first transmission, and st.Span rides in the request.
+func (c *Client) call(ctx context.Context, st obs.Step, dest, objID, op string, args []wire.Value, qos QoS) (string, []wire.Value, error) {
 	qos = qos.withDefaults()
 
-	// The send span covers the whole interrogation, first transmission
-	// to reply; retransmissions and the ack are instant events under it.
+	// Retransmissions and the ack are instant events under the send span.
 	// The packet is reused across retransmissions (transports do not
 	// retain packets) — which is also what guarantees a retransmitted
 	// request carries the original span context.
-	bufp, id, sp, err := c.newRequest(ctx, msgRequest, objID, op, args)
+	bufp, id, err := c.newRequest(msgRequest, st.Span, objID, op, args)
 	if err != nil {
 		return "", nil, err
 	}
 	defer wire.PutBuffer(bufp)
-	defer c.obs.End(sp)
 
 	// The retransmission clock (pass) keeps the schedule; the caller
 	// waits for whatever its entry's remover sends.
-	start := c.clk.Now()
-	at := int64(start.Sub(c.epoch))
+	at := int64(st.At.Sub(c.epoch))
 	due := min(at+int64(qos.Retransmit), at+int64(qos.Timeout))
 	pc := pendingPool.Get().(*pendingCall)
-	pc.id, pc.dest, pc.pkt, pc.op, pc.span = id, dest, *bufp, op, sp.Context()
+	pc.id, pc.dest, pc.pkt, pc.op, pc.span = id, dest, *bufp, op, st.Span
 	pc.due, pc.deadline, pc.every = due, at+int64(qos.Timeout), int64(qos.Retransmit)
 	sh := c.shard(id)
 	sh.mu.Lock()
@@ -359,7 +363,6 @@ func (c *Client) Call(ctx context.Context, dest, objID, op string, args []wire.V
 	if rb.err != nil {
 		return "", nil, rb.err
 	}
-	c.lat.Observe(c.clk.Since(start))
 	return c.interpret(rb)
 }
 
@@ -554,14 +557,21 @@ func (c *Client) Announce(dest, objID, op string, args []wire.Value, qos QoS) er
 // context carried by ctx propagates to the announcee, so announcements
 // triggered inside a traced invocation join its tree.
 func (c *Client) AnnounceCtx(ctx context.Context, dest, objID, op string, args []wire.Value, qos QoS) error {
-	bufp, _, sp, err := c.newRequest(ctx, msgAnnounce, objID, op, args)
+	_, st := c.announce.Begin(ctx, obs.SpanContext{}, op, time.Time{})
+	err := c.announceUnder(st.Span, dest, objID, op, args, qos)
+	c.announce.End(st, err)
+	return err
+}
+
+// announceUnder sends one announcement carrying trace, the announce
+// stage's span.
+func (c *Client) announceUnder(trace obs.SpanContext, dest, objID, op string, args []wire.Value, qos QoS) error {
+	bufp, _, err := c.newRequest(msgAnnounce, trace, objID, op, args)
 	if err != nil {
 		return err
 	}
 	defer wire.PutBuffer(bufp)
-	defer c.obs.End(sp)
 	pkt := *bufp
-	atomic.AddUint64(&c.stats.Announcements, 1)
 	// Announcements are fire-and-forget, so nothing is gained by paying
 	// the direct-write path on the caller's dime: a lazy enqueue lets the
 	// flusher pack concurrent announcers' bursts into shared datagrams.

@@ -294,7 +294,7 @@ func newServerNoHandler(ep transport.Batcher, codec wire.Codec, handler Handler,
 		o(s)
 	}
 	s.wg.Add(1)
-	go s.janitor()
+	go s.janitor(s.clk.Now())
 	return s
 }
 
@@ -639,12 +639,13 @@ func (s *Server) encodeReply(dst []byte, id uint64, status byte, outcome string,
 
 // janitor visits every peer once a tick (lost Acks must not leak memory;
 // the cost is per peer, not per call) and removes the idle ones, under
-// the write lock no delivery resolves beneath.
-func (s *Server) janitor() {
+// the write lock no delivery resolves beneath. The first rotation is
+// timed from lastRotate, the server's start: read by NewServer, not
+// whenever this goroutine first runs, it lands in no call's reads.
+func (s *Server) janitor(lastRotate time.Time) {
 	defer s.wg.Done()
 	ticker := s.clk.NewTicker(min(time.Second, s.replyTTL))
 	defer ticker.Stop()
-	lastRotate := s.clk.Now()
 	for {
 		select {
 		case <-s.stop:

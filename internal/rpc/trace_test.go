@@ -14,8 +14,8 @@ import (
 )
 
 // tracedSetup builds a loopback client/server pair with a span collector
-// on each side, sampling every call.
-func tracedSetup(t *testing.T, wrap func(transport.Endpoint) transport.Endpoint, opts ...netsim.Option) (*Client, *obs.Collector, *obs.Collector, func(Handler, ...ServerOption) *Server) {
+// on each side, sampling every call; the client's node runs on cclk.
+func tracedSetup(t *testing.T, cclk clock.Clock, wrap func(transport.Endpoint) transport.Endpoint, opts ...netsim.Option) (*Client, *obs.Collector, *obs.Collector, func(Handler, ...ServerOption) *Server) {
 	t.Helper()
 	f := netsim.NewFabric(opts...)
 	t.Cleanup(func() { _ = f.Close() })
@@ -30,9 +30,9 @@ func tracedSetup(t *testing.T, wrap func(transport.Endpoint) transport.Endpoint,
 	if wrap != nil {
 		sep = wrap(sep)
 	}
-	ccol := obs.NewCollector("client", clock.Real{}, obs.WithSampleEvery(1))
+	ccol := obs.NewCollector("client", cclk, obs.WithSampleEvery(1))
 	scol := obs.NewCollector("server", clock.Real{}, obs.WithSampleEvery(1))
-	cli := NewClient(coalesceOn(t, cep, clock.Real{}, ccol), codec)
+	cli := NewClient(coalesceOn(t, cep, cclk, ccol), codec)
 	t.Cleanup(func() { _ = cli.Close() })
 	mkServer := func(h Handler, sopts ...ServerOption) *Server {
 		srv := NewServer(coalesceOn(t, sep, clock.Real{}, scol), codec, h, sopts...)
@@ -40,6 +40,16 @@ func tracedSetup(t *testing.T, wrap func(transport.Endpoint) transport.Endpoint,
 		return srv
 	}
 	return cli, ccol, scol, mkServer
+}
+
+// stubRoot opens a traced invocation's root on col, a collector on clk,
+// as a binder's stub stage does: it returns ctx carrying the root, the root's context, and
+// the end that closes it.
+func stubRoot(col *obs.Collector, clk clock.Clock, op string) (context.Context, obs.SpanContext, func()) {
+	stub := new(obs.Stage)
+	stub.Init(obs.KindStub, col, clk, false)
+	ctx, st := stub.Begin(context.Background(), obs.SpanContext{}, op, time.Time{})
+	return ctx, st.Span, func() { stub.End(st, nil) }
 }
 
 // spansOfKind filters a snapshot by span kind.
@@ -57,17 +67,15 @@ func spansOfKind(spans []obs.Span, kind string) []obs.Span {
 // the client records a send span under the caller's root, the server a
 // dispatch span under the send span, all sharing the root's trace ID.
 func TestTracedCallSpans(t *testing.T) {
-	cli, ccol, scol, mkServer := tracedSetup(t, nil)
+	cli, ccol, scol, mkServer := tracedSetup(t, clock.Real{}, nil)
 	mkServer(echoHandler)
 
-	root := ccol.Begin(obs.KindStub, "reverse")
-	ctx := obs.ContextWith(context.Background(), root.Context())
-	rootCtx := root.Context()
+	ctx, rootCtx, endRoot := stubRoot(ccol, clock.Real{}, "reverse")
 	if _, _, err := cli.Call(ctx, "server", "obj", "reverse",
 		[]wire.Value{int64(1)}, QoS{}); err != nil {
 		t.Fatal(err)
 	}
-	ccol.End(root)
+	endRoot()
 
 	sends := spansOfKind(ccol.Snapshot(), obs.KindSend)
 	if len(sends) != 1 {
@@ -120,15 +128,13 @@ func (d *replyDropper) Send(to string, pkt []byte) error {
 func TestRetransmitReusesSpanContext(t *testing.T) {
 	fake := clock.NewFake(time.Unix(2000, 0))
 	var dropper *replyDropper
-	cli, ccol, scol, mkServer := tracedSetup(t, func(ep transport.Endpoint) transport.Endpoint {
+	cli, ccol, scol, mkServer := tracedSetup(t, fake, func(ep transport.Endpoint) transport.Endpoint {
 		dropper = &replyDropper{Endpoint: ep}
 		return dropper
 	})
-	cli.clk = fake
 	srv := mkServer(echoHandler)
 
-	root := ccol.Begin(obs.KindStub, "echo")
-	ctx := obs.ContextWith(context.Background(), root.Context())
+	ctx, _, endRoot := stubRoot(ccol, fake, "echo")
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := cli.Call(ctx, "server", "obj", "echo",
@@ -152,7 +158,7 @@ func TestRetransmitReusesSpanContext(t *testing.T) {
 	if callErr != nil {
 		t.Fatal(callErr)
 	}
-	ccol.End(root)
+	endRoot()
 
 	if !dropper.dropped.Load() {
 		t.Fatal("first reply was not dropped; test exercises nothing")
@@ -192,7 +198,7 @@ func TestRetransmitReusesSpanContext(t *testing.T) {
 // TestTracedAnnouncementSpans proves announcements propagate context the
 // same way interrogations do.
 func TestTracedAnnouncementSpans(t *testing.T) {
-	cli, ccol, scol, mkServer := tracedSetup(t, nil)
+	cli, ccol, scol, mkServer := tracedSetup(t, clock.Real{}, nil)
 	executed := make(chan struct{}, 1)
 	mkServer(func(_ context.Context, in *Incoming) (string, []wire.Value, error) {
 		if in.Announcement {
@@ -201,13 +207,11 @@ func TestTracedAnnouncementSpans(t *testing.T) {
 		return "", nil, nil
 	})
 
-	root := ccol.Begin(obs.KindStub, "note")
-	rootCtx := root.Context() // End recycles the span, so capture first
-	ctx := obs.ContextWith(context.Background(), rootCtx)
+	ctx, rootCtx, endRoot := stubRoot(ccol, clock.Real{}, "note")
 	if err := cli.AnnounceCtx(ctx, "server", "obj", "note", nil, QoS{}); err != nil {
 		t.Fatal(err)
 	}
-	ccol.End(root)
+	endRoot()
 	select {
 	case <-executed:
 	case <-time.After(5 * time.Second):
@@ -270,9 +274,7 @@ func TestTracedPackedPeerPair(t *testing.T) {
 	}
 	before := a.Client.Stats().PackedUpgrades
 
-	root := acol.Begin(obs.KindStub, "both")
-	rootCtx := root.Context()
-	ctx := obs.ContextWith(context.Background(), rootCtx)
+	ctx, rootCtx, endRoot := stubRoot(acol, clock.Real{}, "both")
 	_, results, err := a.Client.Call(ctx, "b", "obj", "ask", []wire.Value{"payload"}, QoS{})
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +293,7 @@ func TestTracedPackedPeerPair(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("announcement never executed")
 	}
-	acol.End(root)
+	endRoot()
 	if got := a.Client.Stats().PackedUpgrades; got != before+2 {
 		t.Fatalf("PackedUpgrades %d -> %d, want both traced invocations packed", before, got)
 	}
@@ -382,18 +384,17 @@ func TestUnsampledCallsPutNothingOnTheWire(t *testing.T) {
 	t.Cleanup(func() { _ = srv.Close() })
 	_ = srv
 
-	// Unsampled: no span context in ctx, BeginChild declines, so the
-	// request goes out as a bare msgRequest.
+	// Unsampled: no span context in ctx, the send stage mints no span,
+	// so the request goes out as a bare msgRequest.
 	if _, _, err := cli.Call(context.Background(), "server", "obj", "echo", nil, QoS{}); err != nil {
 		t.Fatal(err)
 	}
 	// Sampled: a root in ctx sets the traced flag.
-	root := col.Begin(obs.KindStub, "echo")
-	ctx := obs.ContextWith(context.Background(), root.Context())
+	ctx, _, endRoot := stubRoot(col, clock.Real{}, "echo")
 	if _, _, err := cli.Call(ctx, "server", "obj", "echo", nil, QoS{}); err != nil {
 		t.Fatal(err)
 	}
-	col.End(root)
+	endRoot()
 
 	var requests []byte
 	for _, mt := range rec.sent() {

@@ -226,10 +226,9 @@ func TestHostileNamesStayBounded(t *testing.T) {
 			defer wg.Done()
 			for i := g; i < calls; i += callers {
 				op := fmt.Sprintf("op-%d", i)
-				root := ccol.Begin(obs.KindStub, "hostile")
-				ctx := obs.ContextWith(context.Background(), root.Context())
+				ctx, _, endRoot := stubRoot(ccol, clock.Real{}, "hostile")
 				outcome, res, err := a.Client.Call(ctx, bco.Addr(), "obj", op, nil, batchQoS)
-				ccol.End(root)
+				endRoot()
 				if err != nil || outcome != op || len(res) != 1 || res[0] != op {
 					t.Errorf("call %q: outcome %q, res %v, err %v", op, outcome, res, err)
 					return
@@ -325,7 +324,6 @@ func TestBatchedDispatchesChainTheirStamps(t *testing.T) {
 	const n = 16
 	sclk := &countingClock{Clock: clock.Real{}}
 	srv, raw, addr := tcpServer(t, sclk, echoHandler)
-	pollUntil(t, "the janitor's first instant", func() bool { return sclk.reads.Load() > 0 })
 	r0 := sclk.reads.Load()
 	if err := raw.Send(addr, batchOf(announcements(1, n, "echo")...)); err != nil {
 		t.Fatal(err)
@@ -355,7 +353,6 @@ func TestBatchedDispatchesChainTheirStamps(t *testing.T) {
 func TestDispatchChainEndsAtWrites(t *testing.T) {
 	sclk := &countingClock{Clock: clock.Real{}}
 	srv, _, addr := tcpServer(t, sclk, echoHandler)
-	pollUntil(t, "the janitor's first instant", func() bool { return sclk.reads.Load() > 0 })
 	conn, err := net.Dial("tcp", strings.TrimPrefix(addr, "tcp:"))
 	if err != nil {
 		t.Fatal(err)

@@ -41,6 +41,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"maps"
@@ -145,9 +146,13 @@ type Coalescer struct {
 	stop   chan struct{}
 	wg     sync.WaitGroup
 
-	// obs, when non-nil, is the node's span collector; here it records a
-	// flush span per batch write.
+	// obs, when non-nil, is the node's span collector, the one every
+	// layer built on the Coalescer records into (Observer).
 	obs *obs.Collector
+	// flush is the batch-write stage: a write's root span, one in n
+	// sampled, and the writes counted (BatchesSent: its passes that did
+	// not fail).
+	flush obs.Stage
 
 	// flushDelay is the queue delay per batch claimed: from its first
 	// frame queued behind a write in flight to the claim, or 0, read from
@@ -196,11 +201,12 @@ var (
 // whose span collector is col (nil means untraced). The clock times the
 // frames that queue behind a write in flight and says when the instant a
 // flusher was woken in is over; the collector records a flush span per
-// batch write (an infrastructure trace, subject to the same sampling knob
-// as invocation roots). Every layer built on the Coalescer reads both
-// from it. The Coalescer takes over ep's inbound handler; install the
-// application handler on the Coalescer, and close the Coalescer (which
-// closes ep) rather than ep directly.
+// sampled batch write (an infrastructure trace: the flush samples one in
+// n of its own writes, as the stub does of invocations). Every layer
+// built on the Coalescer reads both from it. The Coalescer takes over
+// ep's inbound handler; install the application handler on the
+// Coalescer, and close the Coalescer (which closes ep) rather than ep
+// directly.
 func NewCoalescer(ep Endpoint, clk clock.Clock, col *obs.Collector, opts ...CoalescerOption) *Coalescer {
 	c := &Coalescer{
 		inner:        ep,
@@ -209,6 +215,7 @@ func NewCoalescer(ep Endpoint, clk clock.Clock, col *obs.Collector, opts ...Coal
 		pendingLimit: defaultPendingLimit,
 		stop:         make(chan struct{}),
 	}
+	c.flush.Init(obs.KindFlush, col, clk, false)
 	c.peers.Store(new(map[string]*batchPeer))
 	for _, o := range opts {
 		o(c)
@@ -381,7 +388,12 @@ func (c *Coalescer) Close() error {
 }
 
 // BatchStats implements Batcher.
-func (c *Coalescer) BatchStats() CoalescerStats { return obs.Load(&c.stats) }
+func (c *Coalescer) BatchStats() CoalescerStats {
+	st := obs.Load(&c.stats)
+	fl := c.flush.Stats()
+	st.BatchesSent = fl.Calls - min(fl.Errors, fl.Calls) // an error is counted before its call
+	return st
+}
 
 // FlushDelay snapshots the batch queue-delay histogram (first enqueue
 // to claim).
@@ -752,13 +764,12 @@ func (p *batchPeer) flushNow() {
 // costs only 7 bytes.
 func (p *batchPeer) writeBatch(batch []byte, n int) {
 	c := p.c
-	sp := c.obs.Begin(obs.KindFlush, p.dest)
+	_, st := c.flush.Begin(context.Background(), obs.SpanContext{}, p.dest, time.Time{})
 	err := c.inner.Send(p.dest, batch)
-	c.obs.End(sp)
+	c.flush.End(st, err)
 	if err != nil {
 		return
 	}
-	atomic.AddUint64(&c.stats.BatchesSent, 1)
 	atomic.AddUint64(&c.stats.FramesBatched, uint64(n))
 	atomic.AddUint64(&c.stats.FramesPerBatch[sizeBucket(n)], 1)
 }
