@@ -418,14 +418,17 @@ func (c *Capsule) tryLocal(ctx context.Context, objID, op string, args []wire.Va
 func (c *Capsule) dispatchLocal(ctx context.Context, objID string, inv Invocation) (string, []wire.Value, error) {
 	c.mu.RLock()
 	reg, ok := c.objects[objID]
-	fwd, fok := c.forwards[objID]
-	activator := c.activator
+	fwd, fok, activator := wire.Ref{}, false, Activator(nil)
+	if !ok { // only a miss reads the forward and the activator
+		fwd, fok = c.forwards[objID]
+		activator = c.activator
+	}
 	closed := c.closed
 	c.mu.RUnlock()
 	if closed {
 		return "", nil, ErrClosed
 	}
-	if !ok && fok {
+	if fok {
 		return "", nil, &rpc.MovedError{Forward: fwd}
 	}
 	if !ok && activator != nil {

@@ -2,9 +2,7 @@ package security
 
 import (
 	"context"
-	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -77,7 +75,7 @@ func (s *Signer) WrapAt(at time.Time, op string, args []wire.Value) ([]wire.Valu
 		}
 		sealed, args = cred[credFixed+len(k.principal):], nil
 	}
-	if err := k.invocationMAC((*[sha256.Size]byte)(cred[macOff:nameOff]), cred, op, args, sealed); err != nil {
+	if err := k.invocationMAC(cred, op, args, sealed, false); err != nil {
 		return nil, err
 	}
 	out := make([]wire.Value, 0, len(args)+1)
@@ -212,12 +210,8 @@ func (g *Guard) admit(op string, args []wire.Value, now time.Time) ([]wire.Value
 	if c.sealed != nil {
 		realArgs = nil
 	}
-	var want [sha256.Size]byte
-	if err := k.invocationMAC(&want, c.raw, op, realArgs, c.sealed); err != nil {
+	if err := k.invocationMAC(c.raw, op, realArgs, c.sealed, true); err != nil {
 		return nil, nil, err
-	}
-	if !hmac.Equal(want[:], c.mac) { // constant time
-		return nil, nil, ErrBadMAC
 	}
 	if !g.firstUse(k.principal, c.nonce, c.unixMilli+g.skewMs, nowMs) {
 		atomic.AddUint64(&g.stats.Replays, 1)

@@ -2,6 +2,7 @@ package security
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -126,7 +127,7 @@ func TestHostileCredentials(t *testing.T) {
 		"string":             {string(plain)},
 		"empty":              {[]byte{}},
 		"version 0":          {mutate(plain, func(b []byte) { b[0] = 0 })},
-		"version 2":          {mutate(plain, func(b []byte) { b[0] = 2 })},
+		"version 3":          {mutate(plain, func(b []byte) { b[0] = 3 })},
 		"unknown flag":       {mutate(plain, func(b []byte) { b[1] |= 0x80 })},
 		"principal overruns": {mutate(plain, func(b []byte) { b[nameOff] = 255 })},
 		"trailing byte":      {append(append([]byte(nil), plain...), 0)},
@@ -160,6 +161,24 @@ func TestHostileCredentials(t *testing.T) {
 	}
 }
 
+// A version-1 credential, laid out with its 32-byte HMAC-SHA256, is
+// refused as malformed before its principal is looked up: a guard that
+// knows no principal answers ErrBadCredential, not ErrUnknownPrincipal.
+// What the MAC holds does not matter, since nothing checks it.
+func TestVersionOneCredentialRefused(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	v1 := []byte{1, 0}
+	v1 = binary.BigEndian.AppendUint64(v1, 7)
+	v1 = binary.BigEndian.AppendUint64(v1, uint64(now.UnixMilli()))
+	v1 = append(v1, make([]byte, 32)...)
+	v1 = append(append(v1, byte(len("alice"))), "alice"...)
+	g := NewGuard(NewKeyring(), defaultPolicy(), time.Minute)
+	g.now = func() time.Time { return now }
+	if _, _, err := g.Admit("read", []wire.Value{v1}); !errors.Is(err, ErrBadCredential) {
+		t.Fatalf("version-1 credential: want ErrBadCredential, got %v", err)
+	}
+}
+
 func FuzzCredentialDecode(f *testing.F) {
 	r := newGuardRig(time.Minute)
 	alice := r.signer("alice-secret", 0)
@@ -184,7 +203,7 @@ func FuzzCredentialDecode(f *testing.F) {
 	keys.Share("alice", []byte("the guard's secret"))
 	f.Fuzz(func(t *testing.T, data []byte, op string) {
 		c, decErr := decodeCredential(data)
-		if decErr == nil && (len(c.mac) != 32 || len(c.principal) > 255 ||
+		if decErr == nil && (len(c.mac) != macLen || len(c.principal) > 255 ||
 			credFixed+len(c.principal)+len(c.sealed) != len(data)) {
 			t.Fatalf("decoded views do not tile the value: %+v", c)
 		}
@@ -290,6 +309,24 @@ func TestWrapAdmitAllocGate(t *testing.T) {
 		t.Fatalf("Wrap + Admit allocate %.1f/op, budget 4", allocs)
 	}
 	t.Logf("Wrap + Admit: %.1f allocs/op (budget 4)", allocs)
+}
+
+// BenchmarkWrapAdmit is the guard's rung of loop_woven: one signed
+// invocation, signed by the client's half and admitted by the server's.
+func BenchmarkWrapAdmit(b *testing.B) {
+	r := newGuardRig(time.Minute)
+	alice := r.signer("alice-secret", 0)
+	args := []wire.Value{int64(3)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w, err := alice.Wrap("add", args)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := r.guard.Admit("add", w); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // replayOp packs one FuzzReplayWindow step: bits 0–1 pick the principal

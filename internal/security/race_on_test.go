@@ -4,5 +4,5 @@ package security
 
 // raceEnabled reports that this binary carries the race detector, under
 // which sync.Pool drops a fraction of Puts and the allocation gate would
-// count MAC states and buffers production never allocates.
+// count buffers production never allocates.
 const raceEnabled = true

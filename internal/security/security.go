@@ -8,10 +8,10 @@
 // A client's Signer attaches a credential to each invocation as its
 // first argument: one bytes value of fixed layout,
 //
-//	[version 1][flags 1][nonce u64][unix-ms i64][mac 32][len 1][principal][sealed payload…]
+//	[version 1][flags 1][nonce u64][unix-ms i64][mac 16][len 1][principal][sealed payload…]
 //
-// whose MAC is an HMAC-SHA256, keyed by the principal's shared secret,
-// over the MAC header
+// whose MAC is an AES-CMAC (RFC 4493) under a key derived from the
+// principal's shared secret, over the MAC header
 //
 //	[version 1][flags 1][nonce u64][unix-ms i64][len 1][principal][len u32][op]
 //
@@ -33,10 +33,9 @@
 // words: a signer's sequential nonces share a word, random ones cost a
 // word each, and the words hold no pointers for the collector to scan.
 //
-// The HMAC and AES-GCM states are keyed once per secret, by the first
-// call that needs them, and reused by every later one until Keyring.Share
-// replaces the secret; NewSigner, NewGuard and Share key nothing.
-// Nothing else outlives a call.
+// The CMAC and AES-GCM states are built once per secret, by the first
+// call that needs one, and shared until Keyring.Share replaces it;
+// NewSigner, NewGuard and Share key nothing. Nothing else outlives a call.
 //
 // As §7.1 observes, "an interface reference for accessing an object
 // cannot itself be secure... therefore a secure object must check that
@@ -47,13 +46,12 @@ package security
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"sync"
 
 	"odp/internal/wire"
@@ -108,37 +106,33 @@ func (k *Keyring) lookup(principal []byte) *key {
 type key struct {
 	principal string
 	secret    []byte
-	macs      sync.Pool // hash.Hash: HMAC-SHA256 keyed with secret
-
-	aeadOnce sync.Once
-	aead     cipher.AEAD // AES-GCM under a key derived from secret
-	aeadErr  error
+	once      sync.Once
+	mac       *cmac       // AES-CMAC under SHA-256("odp-mac:" ‖ secret)
+	aead      cipher.AEAD // AES-GCM under SHA-256("odp-seal:" ‖ secret)
 }
 
 func newKey(principal string, secret []byte) *key {
 	return &key{principal: principal, secret: append([]byte(nil), secret...)}
 }
 
-// sealer returns the key's AES-GCM state, built on first use.
-func (k *key) sealer() (cipher.AEAD, error) {
-	k.aeadOnce.Do(func() {
-		sum := sha256.Sum256(append([]byte("odp-seal:"), k.secret...))
-		block, err := aes.NewCipher(sum[:])
-		if err == nil {
-			k.aead, err = cipher.NewGCM(block)
-		}
-		k.aeadErr = err
-	})
-	return k.aead, k.aeadErr
+// build derives the cipher states; it cannot fail (32-byte keys, 16-byte block).
+func (k *key) build() {
+	macKey := sha256.Sum256(append([]byte("odp-mac:"), k.secret...))
+	sealKey := sha256.Sum256(append([]byte("odp-seal:"), k.secret...))
+	block, _ := aes.NewCipher(macKey[:])
+	k.mac = newCMAC(block)
+	block, _ = aes.NewCipher(sealKey[:])
+	k.aead, _ = cipher.NewGCM(block)
 }
 
-// invocationMAC writes into out the MAC binding the credential cred to
-// one invocation. Of cred only the fields before and after its MAC are
-// read (so out may be cred's own MAC field); the MAC covers its MAC
-// header for op followed by the packed args or, when sealed is non-nil,
-// by the sealed payload. Wrap and Admit both come through here, so what
-// is signed is what is checked.
-func (k *key) invocationMAC(out *[sha256.Size]byte, cred []byte, op string, args []wire.Value, sealed []byte) error {
+// invocationMAC computes the MAC binding the credential cred to one
+// invocation, over its MAC header for op and the packed args or, when
+// sealed is non-nil, the sealed payload. It writes the MAC into cred's
+// MAC field or, with check, compares it with that field in constant time
+// (ErrBadMAC if they differ). Wrap and Admit both come through here, so
+// what is signed is what is checked.
+func (k *key) invocationMAC(cred []byte, op string, args []wire.Value, sealed []byte, check bool) error {
+	k.once.Do(k.build)
 	bp := wire.GetBuffer()
 	defer wire.PutBuffer(bp)
 	buf := append(*bp, cred[:macOff]...)
@@ -151,32 +145,72 @@ func (k *key) invocationMAC(out *[sha256.Size]byte, cred []byte, op string, args
 			return err
 		}
 	}
-	h, _ := k.macs.Get().(hash.Hash)
-	if h == nil {
-		h = hmac.New(sha256.New, k.secret)
-	}
-	h.Reset()
-	_, _ = h.Write(buf) // a hash.Hash never fails a Write
-	_, _ = h.Write(sealed)
-	input := len(buf)
-	buf = h.Sum(buf)
-	k.macs.Put(h)
-	copy(out[:], buf[input:])
+	// The tag, the CMAC's chaining state too, lives in the pooled buffer:
+	// a local array handed to the cipher would escape to the heap.
+	input := len(buf) + len(sealed)
+	buf = append(append(buf, sealed...), make([]byte, macLen)...)
 	*bp = buf
+	tag := buf[input:]
+	k.mac.sum(tag, buf[:input])
+	if !check {
+		copy(cred[macOff:nameOff], tag)
+	} else if subtle.ConstantTimeCompare(tag, cred[macOff:nameOff]) != 1 {
+		return ErrBadMAC
+	}
 	return nil
+}
+
+// cmac is AES-CMAC (RFC 4493, NIST SP 800-38B): a cipher.Block, safe for
+// concurrent use, and the subkeys K1 = 2·E(0) and K2 = 4·E(0).
+type cmac struct {
+	block  cipher.Block
+	k1, k2 [aes.BlockSize]byte
+}
+
+func newCMAC(block cipher.Block) *cmac {
+	m := &cmac{block: block}
+	var l [aes.BlockSize]byte
+	block.Encrypt(l[:], l[:])
+	for _, k := range []*[aes.BlockSize]byte{&m.k1, &m.k2} { // k = 2·l in GF(2¹²⁸)
+		for i := range aes.BlockSize - 1 {
+			k[i] = l[i]<<1 | l[i+1]>>7
+		}
+		k[aes.BlockSize-1] = l[aes.BlockSize-1]<<1 ^ 0x87*(l[0]>>7)
+		l = *k
+	}
+	return m
+}
+
+// sum writes the CMAC of msg into tag, one block, which is the chaining
+// state too. A whole last block is masked with K1, a padded one with K2.
+func (m *cmac) sum(tag, msg []byte) {
+	clear(tag)
+	for ; len(msg) > aes.BlockSize; msg = msg[aes.BlockSize:] {
+		subtle.XORBytes(tag, tag, msg[:aes.BlockSize])
+		m.block.Encrypt(tag, tag)
+	}
+	sub := m.k1[:]
+	if len(msg) < aes.BlockSize {
+		sub = m.k2[:]
+		tag[len(msg)] ^= 0x80
+	}
+	subtle.XORBytes(tag, tag, msg)
+	subtle.XORBytes(tag, tag, sub)
+	m.block.Encrypt(tag, tag)
 }
 
 // The credential's fixed part: version, flags, nonce, timestamp, MAC and
 // the principal's length. The MAC header starts with the same first
 // macOff bytes.
 const (
-	credVersion = 1
+	credVersion = 2
 	flagSealed  = 1 << 0
+	macLen      = aes.BlockSize
 
 	nonceOff  = 2
 	stampOff  = nonceOff + 8
 	macOff    = stampOff + 8
-	nameOff   = macOff + sha256.Size
+	nameOff   = macOff + macLen
 	credFixed = nameOff + 1
 
 	// A sealed payload is at least a GCM nonce and tag.
@@ -201,7 +235,7 @@ func appendCredential(dst []byte, flags byte, nonce uint64, unixMilli int64, pri
 	dst = append(dst, credVersion, flags)
 	dst = binary.BigEndian.AppendUint64(dst, nonce)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(unixMilli))
-	dst = append(dst, make([]byte, sha256.Size)...)
+	dst = append(dst, make([]byte, macLen)...)
 	dst = append(dst, byte(len(principal)))
 	return append(dst, principal...)
 }
@@ -244,25 +278,19 @@ func decodeCredential(v wire.Value) (credential, error) {
 
 // seal appends to dst a fresh GCM nonce and the sealed plaintext.
 func (k *key) seal(dst, plaintext []byte) ([]byte, error) {
-	gcm, err := k.sealer()
-	if err != nil {
-		return nil, err
-	}
+	k.once.Do(k.build)
 	at := len(dst)
 	dst = append(dst, make([]byte, gcmNonce)...)
 	if _, err := rand.Read(dst[at:]); err != nil {
 		return nil, err
 	}
-	return gcm.Seal(dst, dst[at:], plaintext, nil), nil
+	return k.aead.Seal(dst, dst[at:], plaintext, nil), nil
 }
 
 // unseal opens a credential's sealed payload (at least sealedMin bytes).
 func (k *key) unseal(sealed []byte) ([]byte, error) {
-	gcm, err := k.sealer()
-	if err != nil {
-		return nil, err
-	}
-	pt, err := gcm.Open(nil, sealed[:gcmNonce], sealed[gcmNonce:], nil)
+	k.once.Do(k.build)
+	pt, err := k.aead.Open(nil, sealed[:gcmNonce], sealed[gcmNonce:], nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMAC, err)
 	}
