@@ -118,11 +118,14 @@ type Capsule struct {
 	codec wire.Codec
 	peer  *rpc.Peer
 
+	// objects (id → *registration) is read by every frame without a lock.
+	// mu serializes its writers with forwards and activator, which only a
+	// miss reads, under mu.
 	mu        sync.RWMutex
-	objects   map[string]*registration
+	objects   sync.Map
 	forwards  map[string]wire.Ref
 	activator Activator
-	closed    bool
+	closed    atomic.Bool
 
 	nextID atomic.Uint64
 
@@ -161,7 +164,6 @@ func New(name string, ep transport.Batcher, codec wire.Codec, opts ...Option) *C
 		addr:     ep.Addr(),
 		codec:    codec,
 		clk:      ep.Clock(),
-		objects:  make(map[string]*registration),
 		forwards: make(map[string]wire.Ref),
 	}
 	c.bypass.Init(obs.KindBypass, ep.Observer(), c.clk, true)
@@ -212,13 +214,9 @@ func (c *Capsule) BypassLatency() obs.HistogramSnapshot {
 
 // Close shuts the capsule down, then drains and closes its endpoint.
 func (c *Capsule) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
 	err := c.peer.Close()
 	if cerr := c.ep.Close(); err == nil {
 		err = cerr
@@ -284,14 +282,14 @@ func (c *Capsule) Export(s Servant, opts ...ExportOption) (wire.Ref, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return wire.Ref{}, ErrClosed
 	}
-	if _, exists := c.objects[cfg.id]; exists {
+	if _, exists := c.objects.Load(cfg.id); exists {
 		return wire.Ref{}, fmt.Errorf("capsule: object %q already exported", cfg.id)
 	}
 	delete(c.forwards, cfg.id) // re-hosting clears any stale forward
-	c.objects[cfg.id] = reg
+	c.objects.Store(cfg.id, reg)
 	return wire.Ref{
 		ID:        cfg.id,
 		TypeName:  cfg.typ.Name,
@@ -303,7 +301,7 @@ func (c *Capsule) Export(s Servant, opts ...ExportOption) (wire.Ref, error) {
 // rpc.ErrNoObject at the caller.
 func (c *Capsule) Unexport(id string) {
 	c.mu.Lock()
-	delete(c.objects, id)
+	c.objects.Delete(id)
 	c.mu.Unlock()
 }
 
@@ -311,7 +309,7 @@ func (c *Capsule) Unexport(id string) {
 // (migration, §5.5): invokers receive the new location and rebind.
 func (c *Capsule) SetForward(id string, to wire.Ref) {
 	c.mu.Lock()
-	delete(c.objects, id)
+	c.objects.Delete(id)
 	c.forwards[id] = to
 	c.mu.Unlock()
 }
@@ -327,31 +325,26 @@ func (c *Capsule) SetActivator(a Activator) {
 // must reach the implementation directly (e.g. snapshotting for
 // migration).
 func (c *Capsule) Lookup(id string) (Servant, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	reg, ok := c.objects[id]
+	v, ok := c.objects.Load(id)
 	if !ok {
 		return nil, false
 	}
-	return reg.servant, true
+	return v.(*registration).servant, true
 }
 
 // Hosts reports whether id is currently exported here.
 func (c *Capsule) Hosts(id string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.objects[id]
+	_, ok := c.objects.Load(id)
 	return ok
 }
 
 // Objects returns the ids of all exported interfaces.
 func (c *Capsule) Objects() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ids := make([]string, 0, len(c.objects))
-	for id := range c.objects {
-		ids = append(ids, id)
-	}
+	var ids []string
+	c.objects.Range(func(id, _ any) bool {
+		ids = append(ids, id.(string))
+		return true
+	})
 	return ids
 }
 
@@ -381,8 +374,8 @@ func (c *Capsule) followForward(ctx context.Context, err error, op string, args 
 	}
 }
 
-// tryLocal is the co-located fast path: one registry lookup under one
-// read lock, then direct dispatch — no codec, no transport, no protocol
+// tryLocal is the co-located fast path: one registry lookup, taking no
+// lock, then direct dispatch — no codec, no transport, no protocol
 // state. handled is false when the object is not plainly hosted here
 // (absent, forwarded, or pending activation), in which case the caller
 // falls back to the full path, whose slow-path handling is unchanged.
@@ -394,13 +387,10 @@ func (c *Capsule) followForward(ctx context.Context, err error, op string, args 
 // vector crosses for free, which is the §4.5 "direct local access"
 // optimisation in its full form.
 func (c *Capsule) tryLocal(ctx context.Context, objID, op string, args []wire.Value) (outcome string, results []wire.Value, err error, handled bool) {
-	c.mu.RLock()
-	reg, ok := c.objects[objID]
-	closed := c.closed
-	c.mu.RUnlock()
-	if closed {
+	if c.closed.Load() {
 		return "", nil, ErrClosed, true
 	}
+	v, ok := c.objects.Load(objID)
 	if !ok {
 		return "", nil, nil, false
 	}
@@ -409,47 +399,46 @@ func (c *Capsule) tryLocal(ctx context.Context, objID, op string, args []wire.Va
 	// where a remote one shows rpc.send/rpc.dispatch. Nested invocations
 	// the servant makes parent under it.
 	ctx, st := c.bypass.Begin(ctx, obs.SpanContext{}, op, time.Time{})
-	outcome, results, err = reg.dispatch(ctx, Invocation{Op: op, Args: wire.CloneArgs(args), At: st.At, Span: st.Span})
+	outcome, results, err = v.(*registration).dispatch(ctx, Invocation{Op: op, Args: wire.CloneArgs(args), At: st.At, Span: st.Span})
 	c.bypass.End(st, err)
 	return outcome, wire.CloneArgs(results), err, true
 }
 
-// dispatchLocal runs inv against a hosted object.
+// dispatchLocal runs inv against a hosted object. A hit takes no lock; a
+// miss reads the forward and the activator, and the object again, under
+// mu, so a concurrent SetForward is seen as one step.
 func (c *Capsule) dispatchLocal(ctx context.Context, objID string, inv Invocation) (string, []wire.Value, error) {
-	c.mu.RLock()
-	reg, ok := c.objects[objID]
-	fwd, fok, activator := wire.Ref{}, false, Activator(nil)
-	if !ok { // only a miss reads the forward and the activator
-		fwd, fok = c.forwards[objID]
-		activator = c.activator
-	}
-	closed := c.closed
-	c.mu.RUnlock()
-	if closed {
+	if c.closed.Load() {
 		return "", nil, ErrClosed
 	}
-	if fok {
-		return "", nil, &rpc.MovedError{Forward: fwd}
-	}
-	if !ok && activator != nil {
-		// The id may alias transport storage (zero-copy dispatch), and
-		// activators retain ids — Export keeps them as registry keys —
-		// so they get a private copy. Activation instantiates an
-		// object; the clone is noise on that path.
-		found, err := activator(strings.Clone(objID))
-		if err != nil {
-			return "", nil, err
-		}
-		if found {
-			c.mu.RLock()
-			reg, ok = c.objects[objID]
-			c.mu.RUnlock()
-		}
-	}
+	v, ok := c.objects.Load(objID)
 	if !ok {
-		return "", nil, rpc.ErrNoObject
+		c.mu.RLock()
+		v, ok = c.objects.Load(objID)
+		fwd, fok := c.forwards[objID]
+		activator := c.activator
+		c.mu.RUnlock()
+		if fok {
+			return "", nil, &rpc.MovedError{Forward: fwd}
+		}
+		if !ok && activator != nil {
+			// The id may alias transport storage (zero-copy dispatch), and
+			// activators retain ids — Export keeps them as registry keys —
+			// so they get a private copy. Activation instantiates an
+			// object; the clone is noise on that path.
+			found, err := activator(strings.Clone(objID))
+			if err != nil {
+				return "", nil, err
+			}
+			if found {
+				v, ok = c.objects.Load(objID)
+			}
+		}
+		if !ok {
+			return "", nil, rpc.ErrNoObject
+		}
 	}
-	return reg.dispatch(ctx, inv)
+	return v.(*registration).dispatch(ctx, inv)
 }
 
 // dispatch runs inv through the woven chain, or straight into a servant

@@ -63,14 +63,14 @@ func (c *counter) Dispatch(_ context.Context, op string, args []wire.Value) (str
 	}
 }
 
-func newFabric(t *testing.T, opts ...netsim.Option) *netsim.Fabric {
+func newFabric(t testing.TB, opts ...netsim.Option) *netsim.Fabric {
 	t.Helper()
 	f := netsim.NewFabric(opts...)
 	t.Cleanup(func() { _ = f.Close() })
 	return f
 }
 
-func newCapsule(t *testing.T, f *netsim.Fabric, name string, opts ...Option) *Capsule {
+func newCapsule(t testing.TB, f *netsim.Fabric, name string, opts ...Option) *Capsule {
 	t.Helper()
 	ep, err := f.Endpoint(name)
 	if err != nil {
@@ -502,4 +502,29 @@ func (a *fakeAdvertiser) count() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.offers)
+}
+
+// BenchmarkCapsuleExportLookup prices the lookup every frame makes in the
+// export table (Hosts, which the client's announcement asks), over eight
+// exports. Run at -cpu 1,2: readers on two cores must share nothing.
+func BenchmarkCapsuleExportLookup(b *testing.B) {
+	c := newCapsule(b, newFabric(b), "bench")
+	var ids [8]string
+	for i := range ids {
+		ref, err := c.Export(&counter{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = ref.ID
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if !c.Hosts(ids[i&7]) {
+				b.Error("an export was not found")
+				return
+			}
+		}
+	})
 }

@@ -127,6 +127,7 @@ func (b *blackHole) SendLazy(to string, pkt []byte) error { return b.Send(to, pk
 func (b *blackHole) SendHeld(to string, pkt []byte) error { return b.Send(to, pkt) }
 
 func (b *blackHole) BatchStats() transport.CoalescerStats { return transport.CoalescerStats{} }
+func (b *blackHole) RetireIdle()                          {}
 func (b *blackHole) Clock() clock.Clock                   { return b.clk }
 func (b *blackHole) Observer() *obs.Collector             { return nil }
 

@@ -30,10 +30,9 @@ type peerSnapshot struct {
 	announcedCap                 int
 }
 
-func peerCount(srv *Server) int {
-	srv.peersMu.RLock()
-	defer srv.peersMu.RUnlock()
-	return len(srv.peers)
+func peerCount(srv *Server) (n int) {
+	srv.peers.Range(func(_, _ any) bool { n++; return true })
+	return n
 }
 
 func peerState(srv *Server, from string) peerSnapshot {
@@ -148,6 +147,53 @@ func TestPeerRetirement(t *testing.T) {
 	}
 }
 
+// TestCoalescerPeersRetireWithTheirCallers: per-peer state ends with the
+// peer, in the coalescer too. A node answers one call from each of many
+// one-shot addresses and announces to each, so its coalescer holds a
+// record per address and a flusher for the lazy frames. Once the janitor's
+// ticks have passed, the records and the goroutines are back at their
+// baseline, and the rpc records with them.
+func TestCoalescerPeersRetireWithTheirCallers(t *testing.T) {
+	f := netsim.NewFabric()
+	t.Cleanup(func() { _ = f.Close() })
+	ep, err := f.Endpoint("node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := clock.NewFake(time.Unix(100, 0))
+	co := coalesceOn(t, ep, fc, nil)
+	node := NewPeer(co, codec, func(context.Context, *Incoming) (string, []wire.Value, error) {
+		return "ok", nil, nil
+	})
+	t.Cleanup(func() { _ = node.Close() })
+	peers, goroutines := co.Peers(), runtime.NumGoroutine()
+
+	const clients = 2000
+	for i := 0; i < clients; i++ {
+		from := fmt.Sprintf("one-shot-%d", i)
+		route(node.Client, node.Server, from, rawFrame(msgRequest, 1), time.Time{})
+		route(node.Client, node.Server, from, rawFrame(msgAck, 1), time.Time{})
+		if err := node.Client.Announce(from, "o", "op", nil, QoS{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := co.Peers(); got != peers+clients {
+		t.Fatalf("%d coalescer records after %d one-shot callers, want %d", got, clients, peers+clients)
+	}
+	if got := runtime.NumGoroutine(); got < clients {
+		t.Fatalf("%d goroutines, want a flusher for each of %d peers with lazy frames", got, clients)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for co.Peers() > peers || runtime.NumGoroutine() > goroutines || peerCount(node.Server) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %v of janitor ticks: %d coalescer records (baseline %d), %d goroutines (baseline %d), %d rpc records",
+				fc.Now().Sub(time.Unix(100, 0)), co.Peers(), peers, runtime.NumGoroutine(), goroutines, peerCount(node.Server))
+		}
+		fc.Advance(time.Second)
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestRetransmissionRacingRetirement: a first transmission resolves its
 // peer's record, and the record is retired before the delivery gets its
 // mutex. The delivery must see the mark and claim in the record that
@@ -169,10 +215,8 @@ func TestRetransmissionRacingRetirement(t *testing.T) {
 			inject(srv, from, msgRequest, id) // resolves stale, waits for its mutex
 		}()
 		time.Sleep(200 * time.Microsecond)
-		srv.peersMu.Lock() // no delivery is inside the read lock: the one there is waits on stale.mu
-		stale.retired = true
-		delete(srv.peers, from)
-		srv.peersMu.Unlock()
+		stale.retired = true // marked, then deleted, under stale.mu, which the delivery waits on
+		srv.peers.Delete(from)
 		stale.mu.Unlock()
 		<-delivered
 		inject(srv, from, msgRequest, id) // the retransmission

@@ -76,7 +76,7 @@ type ServerStats struct {
 // neither window grows with volume and neither reads a clock.
 type peerCalls struct {
 	mu sync.Mutex
-	// retired marks a record the janitor removed from the peer map: a
+	// retired marks a record the janitor removed from the peer table: a
 	// delivery that resolved it before then looks again, or the address
 	// would have two records and at-most-once none.
 	retired   bool
@@ -164,8 +164,8 @@ func (p *peerCalls) tick(rotate bool, cfg *AdmissionConfig, now time.Time) (evic
 
 // Server dispatches inbound invocations from one endpoint to a Handler,
 // enforcing at-most-once execution per (client, call id). The call table
-// is one record per calling address, so concurrent clients contend only
-// on the read lock that finds theirs.
+// is one record per calling address, found without a lock, so concurrent
+// clients contend on nothing shared.
 type Server struct {
 	// stats is counted in place with atomic.AddUint64; first, so its
 	// words are 64-bit aligned on 32-bit platforms too.
@@ -197,11 +197,10 @@ type Server struct {
 	wg     sync.WaitGroup
 	stop   chan struct{}
 
-	// peers holds one record per calling address, created by the first
-	// frame from it and removed by the janitor once it holds nothing.
-	// Lock order: peersMu, then a record's mu.
-	peersMu sync.RWMutex
-	peers   map[string]*peerCalls
+	// peers holds one *peerCalls per calling address, stored by the first
+	// frame from it and deleted, marked retired under its own mu, by the
+	// janitor once it holds nothing.
+	peers sync.Map
 
 	// ctx is the server-lifetime context handed to every handler; Close
 	// cancels it so blocking handlers can unwind instead of stranding
@@ -279,7 +278,6 @@ func newServerNoHandler(ep transport.Batcher, codec wire.Codec, handler Handler,
 		codec:    codec,
 		handler:  handler,
 		stop:     make(chan struct{}),
-		peers:    make(map[string]*peerCalls),
 		replyTTL: 5 * time.Second,
 		clk:      ep.Clock(),
 		obs:      ep.Observer(),
@@ -314,12 +312,17 @@ func (s *Server) Close() error {
 	}
 	// A claim reads closed under its peer's mutex before it joins wg: past
 	// every mutex, no claim that missed the flag is still on its way there.
-	s.peersMu.RLock()
-	for _, p := range s.peers {
+	// Range reaches every record such a claim can be in: the claim stored
+	// or found its record before it read closed, so before closed was set
+	// and this walk began, and a record stored before a Range begins is
+	// visited unless the janitor deleted it — then marked retired, which
+	// sends the claim to look again.
+	s.peers.Range(func(_, v any) bool {
+		p := v.(*peerCalls)
 		p.mu.Lock()
 		p.mu.Unlock() // the empty section is the barrier
-	}
-	s.peersMu.RUnlock()
+		return true
+	})
 	s.cancel()
 	close(s.stop)
 	s.wg.Wait()
@@ -367,23 +370,17 @@ func route(c *Client, s *Server, from string, pkt []byte, at time.Time) time.Tim
 }
 
 // lockPeer returns from's record locked, or nil when there is none and
-// create is false. Only an address's first frame takes the write lock.
+// create is false. Only an address's first frame stores a record.
 func (s *Server) lockPeer(from string, create bool) *peerCalls {
 	for {
-		s.peersMu.RLock()
-		p := s.peers[from]
-		s.peersMu.RUnlock()
-		if p == nil {
+		v, ok := s.peers.Load(from)
+		if !ok {
 			if !create {
 				return nil
 			}
-			s.peersMu.Lock()
-			if p = s.peers[from]; p == nil {
-				p = new(peerCalls)
-				s.peers[from] = p
-			}
-			s.peersMu.Unlock()
+			v, _ = s.peers.LoadOrStore(from, new(peerCalls))
 		}
+		p := v.(*peerCalls)
 		p.mu.Lock()
 		if !p.retired {
 			return p
@@ -638,10 +635,11 @@ func (s *Server) encodeReply(dst []byte, id uint64, status byte, outcome string,
 }
 
 // janitor visits every peer once a tick (lost Acks must not leak memory;
-// the cost is per peer, not per call) and removes the idle ones, under
-// the write lock no delivery resolves beneath. The first rotation is
-// timed from lastRotate, the server's start: read by NewServer, not
-// whenever this goroutine first runs, it lands in no call's reads.
+// the cost is per peer, not per call) and removes the idle ones, each
+// marked retired under its own mutex; the tick retires the idle peers of
+// the coalescer beneath too. The first rotation is timed from
+// lastRotate, the server's start: read by NewServer, not whenever this
+// goroutine first runs, it lands in no call's reads.
 func (s *Server) janitor(lastRotate time.Time) {
 	defer s.wg.Done()
 	ticker := s.clk.NewTicker(min(time.Second, s.replyTTL))
@@ -655,18 +653,19 @@ func (s *Server) janitor(lastRotate time.Time) {
 			if rotate {
 				lastRotate = now
 			}
-			s.peersMu.Lock()
-			for from, p := range s.peers {
+			s.peers.Range(func(from, v any) bool {
+				p := v.(*peerCalls)
 				p.mu.Lock()
 				evicted, idle := p.tick(rotate, s.admission, now)
 				if idle {
 					p.retired = true
-					delete(s.peers, from)
+					s.peers.Delete(from)
 				}
 				p.mu.Unlock()
 				atomic.AddUint64(&s.stats.CacheEvictions, evicted)
-			}
-			s.peersMu.Unlock()
+				return true
+			})
+			s.ep.RetireIdle()
 		}
 	}
 }

@@ -283,6 +283,7 @@ func (e *replySink) Send(string, []byte) error              { e.replies <- struc
 func (e *replySink) SendLazy(to string, pkt []byte) error   { return e.Send(to, pkt) }
 func (e *replySink) SendHeld(to string, pkt []byte) error   { return e.Send(to, pkt) }
 func (e *replySink) BatchStats() transport.CoalescerStats   { return transport.CoalescerStats{} }
+func (e *replySink) RetireIdle()                            {}
 func (e *replySink) Clock() clock.Clock                     { return clock.Real{} }
 func (e *replySink) Observer() *obs.Collector               { return nil }
 func (e *replySink) DeliversConcurrently() bool             { return e.concurrent }

@@ -44,7 +44,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,11 +135,12 @@ type Coalescer struct {
 
 	handler atomic.Value // ChainHandler
 
-	// peers is read on every send without a lock: a snapshot replaced,
-	// never changed, by the first send to a new destination. mu is taken
-	// only to add a peer or to close, so a peer is never added after
-	// Close has started waiting for the flushers.
-	peers  atomic.Pointer[map[string]*batchPeer]
+	// peers (address → *batchPeer) is read on every send without a lock:
+	// the first frame to or batch from an address stores its record, and
+	// RetireIdle deletes an idle one. mu is taken only to start a flusher
+	// or to close, so no flusher starts after Close has begun waiting for
+	// them.
+	peers  sync.Map
 	closed atomic.Bool
 	mu     sync.Mutex
 	stop   chan struct{}
@@ -186,6 +186,9 @@ type Batcher interface {
 	SendLazy(to string, pkt []byte) error
 	SendHeld(to string, pkt []byte) error
 	BatchStats() CoalescerStats
+	// RetireIdle is the retirement tick of per-peer state; the node's rpc
+	// server calls it on each janitor tick (see Coalescer.RetireIdle).
+	RetireIdle()
 	// Clock is the node's time source; never nil.
 	Clock() clock.Clock
 	// Observer is the node's span collector; nil means untraced.
@@ -216,7 +219,6 @@ func NewCoalescer(ep Endpoint, clk clock.Clock, col *obs.Collector, opts ...Coal
 		stop:         make(chan struct{}),
 	}
 	c.flush.Init(obs.KindFlush, col, clk, false)
-	c.peers.Store(new(map[string]*batchPeer))
 	for _, o := range opts {
 		o(c)
 	}
@@ -265,8 +267,15 @@ type batchPeer struct {
 	// owed is set when a batch ended during a write in flight: that
 	// write's end writes what was held for it, not the flusher.
 	owed bool
+	// idle counts the retirement ticks in a row that found the peer with
+	// nothing queued, written or held, and no frame queued since the last.
+	idle int
+	// retired is set under mu when RetireIdle removes the record: a sender
+	// that resolved it before then looks again, and its flusher exits.
+	retired atomic.Bool
 
-	wake chan struct{} // 1-buffered flusher doorbell
+	wake     chan struct{} // 1-buffered flusher doorbell
+	flushing atomic.Bool   // the flusher was started, by the first doorbell
 }
 
 // Addr implements Endpoint.
@@ -334,6 +343,10 @@ func (c *Coalescer) send(to string, pkt []byte, mode int) error {
 		return c.inner.Send(to, pkt)
 	}
 	p.mu.Lock()
+	if p.retired.Load() { // retired between the lookup and the lock: look again
+		p.mu.Unlock()
+		return c.send(to, pkt, mode)
+	}
 	queued := p.enqueueLocked(pkt)
 	// Read after queued is set: a batch's end that leaves held after this
 	// read finds the frame queued, so a frame held for it is never
@@ -407,39 +420,46 @@ func (c *Coalescer) FlushDelay() obs.HistogramSnapshot {
 func (c *Coalescer) PeerBatching(string) bool { return true }
 
 // peer returns the state for addr, or nil if the coalescer is closed. A
-// known peer is found in the snapshot, without a lock; the first send to
-// addr creates the record and starts its flusher.
+// known peer is found without a lock, and the first frame to or from addr
+// stores its record; a caller that locks it finds it retired, or not.
 func (c *Coalescer) peer(addr string) *batchPeer {
 	if c.closed.Load() {
 		return nil
 	}
-	if p := (*c.peers.Load())[addr]; p != nil {
-		return p
+	v, ok := c.peers.Load(addr)
+	if !ok {
+		v, _ = c.peers.LoadOrStore(addr, &batchPeer{c: c, dest: addr, wake: make(chan struct{}, 1)})
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed.Load() {
-		return nil
-	}
-	p := (*c.peers.Load())[addr]
-	if p == nil {
-		p = c.addPeerLocked(addr)
-		c.wg.Add(1)
-		go p.flusher()
-	}
-	return p
+	return v.(*batchPeer)
 }
 
-// addPeerLocked publishes a record for addr in a copy of the peer table.
-// Caller holds c.mu.
-func (c *Coalescer) addPeerLocked(addr string) *batchPeer {
-	p := &batchPeer{c: c, dest: addr, wake: make(chan struct{}, 1)}
-	old := *c.peers.Load()
-	peers := make(map[string]*batchPeer, len(old)+1)
-	maps.Copy(peers, old)
-	peers[addr] = p
-	c.peers.Store(&peers)
-	return p
+// Peers counts the addresses the coalescer holds a record for.
+func (c *Coalescer) Peers() (n int) {
+	c.peers.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+// RetireIdle implements Batcher. A peer found with nothing queued, no
+// write in flight and no batch being delivered by two calls in a row, with
+// no frame queued between them, is removed and its flusher exits: per-peer
+// state ends with the peer. It runs on the rpc janitor's tick, since a
+// timer of its own on the node's clock would reorder a virtual-time run.
+func (c *Coalescer) RetireIdle() {
+	c.peers.Range(func(addr, v any) bool {
+		p := v.(*batchPeer)
+		p.mu.Lock()
+		if p.count > 0 || p.inFlight || p.held.Load() > 0 {
+			p.idle = 0
+		} else if p.idle++; p.idle >= 2 {
+			p.retired.Store(true)
+			c.peers.Delete(addr)
+		}
+		p.mu.Unlock()
+		if p.retired.Load() {
+			p.ring()
+		}
+		return true
+	})
 }
 
 // IsBatch reports whether pkt is marked as a BATCH frame: whether it
@@ -631,6 +651,7 @@ func (p *batchPeer) enqueueLocked(pkt []byte) bool {
 	}
 	p.buf = append(binary.BigEndian.AppendUint32(p.buf, uint32(len(pkt))), pkt...)
 	p.count++
+	p.idle = 0
 	if !p.queued.Load() { // a store only for a queue's first frame
 		p.queued.Store(true)
 	}
@@ -707,24 +728,45 @@ func (p *batchPeer) finishWrite(spent []byte) {
 	}
 }
 
+// wakeFlusher rings the doorbell, and the first ring starts the flusher:
+// a peer whose frames all leave by direct write never has one, and a busy
+// one keeps its own until it is retired.
 func (p *batchPeer) wakeFlusher() {
+	p.ring()
+	if p.flushing.Load() || !p.flushing.CompareAndSwap(false, true) {
+		return
+	}
+	c := p.c
+	c.mu.Lock()
+	if !c.closed.Load() {
+		c.wg.Add(1)
+		go p.flusher()
+	}
+	c.mu.Unlock()
+}
+
+func (p *batchPeer) ring() {
 	select {
 	case p.wake <- struct{}{}:
 	default:
 	}
 }
 
-// flusher drains one destination. It starts with the peer's record and
-// exits when the coalescer stops, draining a final time so Close does
-// not strand queued frames. With a direct-write fast path in
-// Send it handles the leftovers: frames enqueued while a claimed write
-// was in flight, and lazy frames with no follow-up send.
+// flusher drains one destination. It exits when its peer is retired,
+// which leaves it nothing to drain, or when the coalescer stops, draining
+// a final time so Close does not strand queued frames. With a
+// direct-write fast path in Send it handles the leftovers: frames
+// enqueued while a claimed write was in flight, and lazy frames with no
+// follow-up send.
 func (p *batchPeer) flusher() {
 	c := p.c
 	defer c.wg.Done()
 	for {
 		select {
 		case <-p.wake:
+			if p.retired.Load() {
+				return
+			}
 			// The ringer is rarely alone: the callers (or dispatches) a
 			// burst of replies (or requests) made runnable are queued
 			// behind it. Woken, this goroutine would run next and claim

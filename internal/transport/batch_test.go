@@ -3,6 +3,8 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,11 +135,10 @@ func TestCoalescerFirstFrameIsBatch(t *testing.T) {
 }
 
 // idlePeer creates addr's record with no flusher running, so nothing but
-// the senders themselves can empty its queue.
+// the senders themselves can empty its queue: marked as started, it never
+// starts one.
 func idlePeer(c *Coalescer, addr string) {
-	c.mu.Lock()
-	c.addPeerLocked(addr)
-	c.mu.Unlock()
+	c.peer(addr).flushing.Store(true)
 }
 
 // TestCoalescerFlushSpanCoversBatchWrite: E-series coverage for the
@@ -519,5 +520,35 @@ func BenchmarkCoalescerSendKnownPeer(b *testing.B) {
 		if err := c.Send("mem://b", pkt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCoalescerNewPeer prices the first send to the n-th destination,
+// at 1k and at 100k peers: a new record is stored, not copied in with the
+// table, so the two read alike. Each op adds a peer; keep -benchtime to a
+// count (say 10000x), since every one stays.
+func BenchmarkCoalescerNewPeer(b *testing.B) {
+	for _, n := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("peers=%d", n), func(b *testing.B) {
+			c := NewCoalescer(sinkEP{}, clock.Real{}, nil)
+			defer func() { _ = c.Close() }()
+			pkt := make([]byte, 64)
+			addrs := make([]string, n+b.N)
+			for i := range addrs {
+				addrs[i] = "mem://" + strconv.Itoa(i)
+			}
+			for _, a := range addrs[:n] {
+				if err := c.Send(a, pkt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, a := range addrs[n:] {
+				if err := c.Send(a, pkt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -77,7 +77,7 @@ func TestTCPStalledDeliveryHandsOnConnection(t *testing.T) {
 	// The connections survived the hand-offs: nothing was re-dialled.
 	for side, e := range map[string]*TCPEndpoint{"a": a, "b": b} {
 		e.mu.Lock()
-		conns, live := len(e.conns), len(e.live)
+		conns, live := routes(e), len(e.live)
 		e.mu.Unlock()
 		if conns != 1 || live != 1 {
 			t.Errorf("%s: %d routes and %d live connections, want 1 and 1", side, conns, live)

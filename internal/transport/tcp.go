@@ -55,10 +55,12 @@ type TCPEndpoint struct {
 
 	handler atomic.Value              // ChainHandler
 	co      atomic.Pointer[Coalescer] // set when a coalescer unpacks what is read here
-	closed  atomic.Bool               // written under mu, read by the read loops without it
+	closed  atomic.Bool               // written under mu, read by sends and read loops without it
 
+	// conns (peer address → *tcpConn) is the route a send takes, found
+	// without a lock. live is under mu, which only connect and close take.
+	conns sync.Map
 	mu    sync.Mutex
-	conns map[string]*tcpConn   // by peer address, for sending
 	live  map[*tcpConn]struct{} // every connection with a running read loop
 	wg    sync.WaitGroup
 }
@@ -152,7 +154,6 @@ func ListenTCP(bind string) (*TCPEndpoint, error) {
 	e := &TCPEndpoint{
 		listener: l,
 		addr:     "tcp:" + l.Addr().String(),
-		conns:    make(map[string]*tcpConn),
 		live:     make(map[*tcpConn]struct{}),
 	}
 	e.wg.Add(1)
@@ -176,15 +177,11 @@ func (e *TCPEndpoint) connFor(to string) (*tcpConn, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: bad address %q", ErrUnreachable, to)
 	}
-	e.mu.Lock()
 	if e.closed.Load() {
-		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	tc := e.conns[to]
-	e.mu.Unlock()
-	if tc != nil {
-		return tc, nil
+	if v, ok := e.conns.Load(to); ok {
+		return v.(*tcpConn), nil
 	}
 
 	conn, err := net.Dial("tcp", hostport)
@@ -194,7 +191,7 @@ func (e *TCPEndpoint) connFor(to string) (*tcpConn, error) {
 	// The hello leaves in the first frame's write, so only the dial that
 	// wins the race below ever names this endpoint to the peer: a loser
 	// is closed having said nothing, and cannot take the peer's route.
-	tc = e.newConn(conn)
+	tc := e.newConn(conn)
 	tc.wbuf = appendHello(nil, e.addr)
 	tc.hello = len(tc.wbuf)
 	e.mu.Lock()
@@ -203,13 +200,12 @@ func (e *TCPEndpoint) connFor(to string) (*tcpConn, error) {
 		_ = conn.Close()
 		return nil, ErrClosed
 	}
-	if existing := e.conns[to]; existing != nil {
+	if v, raced := e.conns.LoadOrStore(to, tc); raced {
 		// Raced with another sender; keep the first connection.
 		e.mu.Unlock()
 		_ = conn.Close()
-		return existing, nil
+		return v.(*tcpConn), nil
 	}
-	e.conns[to] = tc
 	e.live[tc] = struct{}{}
 	e.wg.Add(1)
 	e.mu.Unlock()
@@ -222,11 +218,7 @@ func (e *TCPEndpoint) connFor(to string) (*tcpConn, error) {
 // packet in flight is lost — exactly the datagram semantics the
 // protocol above expects.
 func (e *TCPEndpoint) dropConn(to string, tc *tcpConn) {
-	e.mu.Lock()
-	if e.conns[to] == tc {
-		delete(e.conns, to)
-	}
-	e.mu.Unlock()
+	e.conns.CompareAndDelete(to, tc)
 	_ = tc.conn.Close()
 }
 
@@ -305,10 +297,8 @@ func (e *TCPEndpoint) serve(r *tcpReader) {
 	_ = tc.conn.Close()
 	e.mu.Lock()
 	delete(e.live, tc)
-	if e.conns[r.peer] == tc {
-		delete(e.conns, r.peer)
-	}
 	e.mu.Unlock()
+	e.conns.CompareAndDelete(r.peer, tc)
 }
 
 // read is the reader's loop. Each turn hands the handler every complete
@@ -366,9 +356,7 @@ func (e *TCPEndpoint) read(r *tcpReader) bool {
 			// says hello, so the latest to do so is the route, even while
 			// a predecessor the peer dropped is still being read here.
 			r.peer = peer
-			e.mu.Lock()
-			e.conns[peer] = tc
-			e.mu.Unlock()
+			e.conns.Store(peer, tc)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func (c *scriptConn) Close() error { return nil }
 // reader: readStream waits for every reader, and keeps the packets in
 // the order their deliveries began.
 func readStream(data []byte, chunks ...int) (from []string, pkts [][]byte, unread int) {
-	e := &TCPEndpoint{conns: make(map[string]*tcpConn), live: make(map[*tcpConn]struct{})}
+	e := &TCPEndpoint{live: make(map[*tcpConn]struct{})}
 	var mu sync.Mutex
 	e.SetHandler(func(f string, pkt []byte) {
 		mu.Lock()
@@ -257,7 +257,7 @@ func TestTCPConcurrentFirstSendsKeepReplyRoute(t *testing.T) {
 			return arrived.Load() == senders && len(b.live) == 1
 		})
 		b.mu.Lock()
-		route := b.conns[a.Addr()]
+		route := routeTo(b, a.Addr())
 		_, live := b.live[route]
 		b.mu.Unlock()
 		if route == nil || !live {
@@ -272,7 +272,7 @@ func TestTCPConcurrentFirstSendsKeepReplyRoute(t *testing.T) {
 			t.Fatalf("iteration %d: reply not delivered", iter)
 		}
 		a.mu.Lock()
-		inbound := len(a.live) - len(a.conns) // connections a accepted rather than dialled
+		inbound := len(a.live) - routes(a) // connections a accepted rather than dialled
 		a.mu.Unlock()
 		if inbound != 0 {
 			t.Fatalf("iteration %d: the reply dialled back (%d inbound connections at the dialler)", iter, inbound)
@@ -310,7 +310,7 @@ func TestTCPRedialReplacesStaleRoute(t *testing.T) {
 		waitFor(t, "the dialler left with the one connection it dialled", func() bool {
 			a.mu.Lock()
 			defer a.mu.Unlock()
-			tc = a.conns[b.Addr()]
+			tc = routeTo(a, b.Addr())
 			return tc != nil && len(a.live) == 1
 		})
 		a.dropConn(b.Addr(), tc) // as a failed write would
@@ -339,7 +339,7 @@ func TestTCPCloseWithSilentInboundConn(t *testing.T) {
 	waitFor(t, "the three connections accepted", func() bool {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		return len(e.live) == 3 && len(e.conns) == 1
+		return len(e.live) == 3 && routes(e) == 1
 	})
 	closed := make(chan error, 1)
 	go func() { closed <- e.Close() }()

@@ -100,7 +100,7 @@ func TestTCPConcurrentSendersNoInterleave(t *testing.T) {
 	mu.Unlock()
 
 	a.mu.Lock()
-	conns := len(a.conns)
+	conns := routes(a)
 	a.mu.Unlock()
 	if conns != 1 {
 		t.Fatalf("sender cached %d connections to one destination, want 1", conns)

@@ -265,3 +265,16 @@ func TestTCPSendAllocFree(t *testing.T) {
 		t.Fatalf("a frame write allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// routes counts e's routes, the connections a send to a peer takes.
+func routes(e *TCPEndpoint) (n int) {
+	e.conns.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+// routeTo returns e's route to addr, or nil.
+func routeTo(e *TCPEndpoint, addr string) *tcpConn {
+	v, _ := e.conns.Load(addr)
+	tc, _ := v.(*tcpConn)
+	return tc
+}
